@@ -64,10 +64,25 @@ type result = {
 
 let tool_digest = Support.Digesting.of_string "propeller-backend-v1"
 
-(* Function IR digests are memoized structurally: units are immutable
-   between builds, so the Phase-4 rebuild re-digests nothing. Key
-   computation fans out across units on the pool, so the memo is
-   guarded by a mutex (writes are rare after the first build). *)
+(* The exact PGO estimates of [f], as float bit patterns in block
+   order. [Ir.Func.pp] leaves them out, but [Codegen.intra_order] lays
+   blocks out by them, so they follow the printed IR in the function's
+   digest input. *)
+let add_pgo_bits b (f : Ir.Func.t) =
+  let add p = Buffer.add_int64_le b (Int64.bits_of_float p) in
+  Array.iter
+    (fun (blk : Ir.Block.t) ->
+      match blk.term with
+      | Ir.Term.Branch { pgo_prob; _ } -> add pgo_prob
+      | Ir.Term.Switch { pgo_probs; _ } -> Array.iter add pgo_probs
+      | Ir.Term.Jump _ | Ir.Term.Return -> ())
+    f.blocks
+
+(* Function digests (printed IR, then PGO estimates) are memoized
+   structurally: units are immutable between builds, so the Phase-4
+   rebuild re-digests nothing. Key computation fans out across units on
+   the pool, so the memo is guarded by a mutex (writes are rare after
+   the first build). *)
 let func_digests : (Ir.Func.t, Support.Digesting.t) Hashtbl.t =
   Hashtbl.create 1024
 
@@ -80,7 +95,10 @@ let func_digest f =
   match cached with
   | Some d -> d
   | None ->
-    let d = Support.Digesting.of_string (Format.asprintf "%a" Ir.Func.pp f) in
+    let b = Buffer.create 4096 in
+    Ir.Func.render b f;
+    add_pgo_bits b f;
+    let d = Support.Digesting.of_string (Buffer.contents b) in
     Mutex.lock func_digests_m;
     Hashtbl.replace func_digests f d;
     Mutex.unlock func_digests_m;

@@ -96,8 +96,9 @@ type result = {
 }
 
 (** [unit_action_key u options] is the content-addressed action key of
-    compiling [u] under [options]. Sensitive to the unit's IR, to the
-    global codegen flags, and to the directives/prefetch sites naming
+    compiling [u] under [options]. Sensitive to the unit's IR (including
+    the exact PGO estimates block layout reads), to the global codegen
+    flags, and to the directives/prefetch sites naming
     functions of *this* unit — a plan for a foreign function must not
     invalidate it (that selectivity is what Fig 9's cache column
     measures). *)

@@ -12,14 +12,45 @@ type options = {
 let default_options =
   { emit_bb_addr_map = false; pgo_layout = true; plans = []; prefetch_sites = [] }
 
+let intra_problem (f : Ir.Func.t) =
+  let n = Ir.Func.num_blocks f in
+  let sizes = Array.init n (fun i -> Lower.block_code_bytes (Ir.Func.block f i)) in
+  let weights = Ir.Cfg.estimate_frequencies ~use_pgo:true f in
+  let edges = Ir.Cfg.edge_frequencies ~freqs:weights ~use_pgo:true f in
+  Layout.Problem.make ~sizes ~weights ~edges ~entry:0
+
+(* Ext-TSP block orders, memoized by physical function: IR is immutable
+   between builds, so the optimized build reuses every order the
+   metadata build computed for the same function. Per-function
+   lowering fans out on the pool, so the memo is guarded by a mutex;
+   two domains racing on one function compute the same order. *)
+module PhysFuncTbl = Hashtbl.Make (struct
+  type t = Ir.Func.t
+
+  let equal = ( == )
+
+  let hash = Hashtbl.hash
+end)
+
+let exttsp_orders : int list PhysFuncTbl.t = PhysFuncTbl.create 1024
+
+let exttsp_orders_m = Mutex.create ()
+
 let intra_order ~use_pgo (f : Ir.Func.t) =
   let n = Ir.Func.num_blocks f in
   if (not use_pgo) || f.attrs.has_inline_asm || n = 1 then List.init n Fun.id
   else begin
-    let sizes = Array.init n (fun i -> Lower.block_code_bytes (Ir.Func.block f i)) in
-    let weights = Ir.Cfg.estimate_frequencies ~use_pgo:true f in
-    let edges = Ir.Cfg.edge_frequencies ~freqs:weights ~use_pgo:true f in
-    Layout.Exttsp.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0)
+    Mutex.lock exttsp_orders_m;
+    let cached = PhysFuncTbl.find_opt exttsp_orders f in
+    Mutex.unlock exttsp_orders_m;
+    match cached with
+    | Some order -> order
+    | None ->
+      let order = Layout.Exttsp.order (intra_problem f) in
+      Mutex.lock exttsp_orders_m;
+      PhysFuncTbl.replace exttsp_orders f order;
+      Mutex.unlock exttsp_orders_m;
+      order
   end
 
 (* Call frame information model (paper §4.4): one 32-byte CIE per
@@ -45,7 +76,10 @@ let compile_func options (f : Ir.Func.t) =
   (* Hand-written assembly is never reordered: its layout directives
      (if any slipped through) are dropped, like the real backend. *)
   let plan = if f.attrs.has_inline_asm then None else Directive.find options.plans f.name in
-  let default_order = intra_order ~use_pgo:options.pgo_layout f in
+  (* A plan fixes the layout; the default order is only needed without. *)
+  let default_order =
+    match plan with Some _ -> [] | None -> intra_order ~use_pgo:options.pgo_layout f
+  in
   let prefetch_blocks =
     List.filter_map
       (fun (fn, bb) -> if String.equal fn f.name then Some bb else None)

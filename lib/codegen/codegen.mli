@@ -37,8 +37,14 @@ val default_options : options
 (** [intra_order ~use_pgo f] is the compile-time block order for [f]:
     Ext-TSP over estimated frequencies, or source order when [use_pgo]
     is false or the function carries inline assembly (which is never
-    reordered). *)
+    reordered). Ext-TSP orders are memoized by physical function, so a
+    function compiled by several builds is laid out once. *)
 val intra_order : use_pgo:bool -> Ir.Func.t -> int list
+
+(** [intra_problem f] is the Ext-TSP problem {!intra_order} solves for
+    [f]: block code sizes, PGO-estimated block and edge frequencies,
+    entry block 0. *)
+val intra_problem : Ir.Func.t -> Layout.Problem.t
 
 (** [compile_unit ?ctx options u] emits the object file of unit [u]:
     per-function text sections (respecting [options.plans]), address-map

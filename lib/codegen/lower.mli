@@ -20,8 +20,9 @@ val lower_block : ?prefetch:bool -> func:string -> Ir.Block.t -> Isa.t list
     produces the text sections of [f] — one per cluster when [plan] is
     given ([Error]s from {!Directive.validate} are raised as
     [Invalid_argument]), otherwise a single section laying blocks out in
-    [default_order]. When [plan] leaves blocks unlisted they form the
-    trailing cold cluster. When [emit_bb_addr_map] is set, a
+    [default_order] (ignored when [plan] is given). When [plan] leaves
+    blocks unlisted they form the trailing cold cluster. When
+    [emit_bb_addr_map] is set, a
     [.llvm_bb_addr_map.<func>] section is appended. Blocks listed in
     [prefetch_blocks] get a software prefetch inserted ahead of each
     delinquent load (paper §3.5). *)

@@ -63,7 +63,12 @@ let estimate_frequencies ~use_pgo f =
         (fun b ->
           List.iter
             (fun (s, p) ->
-              if s <> 0 then next.(s) <- min max_freq (next.(s) +. (freq.(b) *. p)))
+              (* [min max_freq v], without boxing both floats for the
+                 polymorphic compare. *)
+              if s <> 0 then begin
+                let v = next.(s) +. (freq.(b) *. p) in
+                next.(s) <- (if max_freq <= v then max_freq else v)
+              end)
             probs.(b))
         order;
       let delta = ref 0.0 in

@@ -34,6 +34,28 @@ let landing_pads f =
   Array.to_list f.blocks
   |> List.filter_map (fun (b : Block.t) -> if b.is_landing_pad then Some b.id else None)
 
+(* The bytes [pp] prints through [Format.asprintf], without the
+   formatter: in these vertical boxes every break is a newline indented
+   to its box (2 for blocks, 4 for a block's lines), and no text is
+   ever wrapped. *)
+let render b f =
+  Buffer.add_string b "func ";
+  Buffer.add_string b f.name;
+  Buffer.add_string b (Printf.sprintf " (%d blocks):\n  " (Array.length f.blocks));
+  Array.iter
+    (fun (blk : Block.t) ->
+      Buffer.add_char b '.';
+      Text.add_int b blk.id;
+      Buffer.add_string b (if blk.is_landing_pad then " (lp):\n    " else ":\n    ");
+      List.iter
+        (fun i ->
+          Inst.render b i;
+          Buffer.add_string b "\n    ")
+        blk.body;
+      Term.render b blk.term;
+      Buffer.add_string b "\n  ")
+    f.blocks
+
 let pp fmt f =
   Format.fprintf fmt "@[<v 2>func %s (%d blocks):@ " f.name (Array.length f.blocks);
   Array.iter (fun b -> Format.fprintf fmt "%a@ " Block.pp b) f.blocks;

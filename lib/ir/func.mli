@@ -39,3 +39,8 @@ val calls : t -> (string * float) list
 val landing_pads : t -> int list
 
 val pp : Format.formatter -> t -> unit
+
+(** [render b f] appends to [b] exactly the bytes
+    [Format.asprintf "%a" pp f] returns, several times faster. Build
+    keys digest these bytes. *)
+val render : Buffer.t -> t -> unit

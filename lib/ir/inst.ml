@@ -22,12 +22,25 @@ let callees = function
   | VirtualCall { callees } -> Array.to_list callees
   | Compute _ | MemLoad _ | DelinquentLoad _ | MemStore _ | JumpTableData _ -> []
 
-let pp fmt = function
-  | Compute n -> Format.fprintf fmt "compute<%d>" n
-  | MemLoad n -> Format.fprintf fmt "load<%d>" n
+let render b i =
+  let tagged tag n close =
+    Buffer.add_string b tag;
+    Text.add_int b n;
+    Buffer.add_string b close
+  in
+  match i with
+  | Compute n -> tagged "compute<" n ">"
+  | MemLoad n -> tagged "load<" n ">"
   | DelinquentLoad { bytes; miss_prob } ->
-    Format.fprintf fmt "load.miss<%d,p=%.2f>" bytes miss_prob
-  | MemStore n -> Format.fprintf fmt "store<%d>" n
-  | DirectCall f -> Format.fprintf fmt "call %s" f
-  | VirtualCall { callees } -> Format.fprintf fmt "vcall<%d targets>" (Array.length callees)
-  | JumpTableData n -> Format.fprintf fmt "jumptable<%d>" n
+    tagged "load.miss<" bytes (Printf.sprintf ",p=%.2f>" miss_prob)
+  | MemStore n -> tagged "store<" n ">"
+  | DirectCall f ->
+    Buffer.add_string b "call ";
+    Buffer.add_string b f
+  | VirtualCall { callees } -> tagged "vcall<" (Array.length callees) " targets>"
+  | JumpTableData n -> tagged "jumptable<" n ">"
+
+let pp fmt i =
+  let b = Buffer.create 16 in
+  render b i;
+  Format.pp_print_string fmt (Buffer.contents b)

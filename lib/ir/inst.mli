@@ -30,4 +30,8 @@ val is_call : t -> bool
     call yields its single target with probability 1. *)
 val callees : t -> (string * float) list
 
+(** [render b i] appends [i]'s one-line text to [b]. *)
+val render : Buffer.t -> t -> unit
+
+(** [pp] prints the {!render} text. *)
 val pp : Format.formatter -> t -> unit

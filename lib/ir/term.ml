@@ -36,12 +36,28 @@ let map_blocks f = function
   | Switch s -> Switch { s with table = Array.map f s.table }
   | Return -> Return
 
-let pp fmt = function
-  | Jump b -> Format.fprintf fmt "jump .%d" b
+let render b = function
+  | Jump t ->
+    Buffer.add_string b "jump .";
+    Text.add_int b t
   | Branch { cond; taken; fallthrough; prob; _ } ->
-    Format.fprintf fmt "br.%s .%d (p=%.2f) else .%d" (Isa.Cond.to_string cond) taken prob
-      fallthrough
+    Buffer.add_string b "br.";
+    Buffer.add_string b (Isa.Cond.to_string cond);
+    Buffer.add_string b " .";
+    Text.add_int b taken;
+    Buffer.add_string b (Printf.sprintf " (p=%.2f) else ." prob);
+    Text.add_int b fallthrough
   | Switch { table; _ } ->
-    Format.fprintf fmt "switch [%s]"
-      (String.concat "; " (Array.to_list (Array.map string_of_int table)))
-  | Return -> Format.fprintf fmt "ret"
+    Buffer.add_string b "switch [";
+    Array.iteri
+      (fun i t ->
+        if i > 0 then Buffer.add_string b "; ";
+        Text.add_int b t)
+      table;
+    Buffer.add_char b ']'
+  | Return -> Buffer.add_string b "ret"
+
+let pp fmt t =
+  let b = Buffer.create 32 in
+  render b t;
+  Format.pp_print_string fmt (Buffer.contents b)

@@ -35,4 +35,9 @@ val successor_pgo_probs : t -> (int * float) list
 (** [map_blocks f t] renames block ids through [f]. *)
 val map_blocks : (int -> int) -> t -> t
 
+(** [render b t] appends [t]'s one-line text to [b]. It omits the PGO
+    estimates. *)
+val render : Buffer.t -> t -> unit
+
+(** [pp] prints the {!render} text. *)
 val pp : Format.formatter -> t -> unit

@@ -29,7 +29,7 @@ let last_merge_count () = !(merge_count ())
 
 (* Contribution of one edge given the jump distance in bytes. [dist] is
    (dst_start - src_end): 0 means fall-through. *)
-let edge_gain p w dist =
+let[@inline] edge_gain p w dist =
   if dist = 0 then p.fallthrough_weight *. w
   else if dist > 0 && dist <= p.forward_window then
     p.forward_weight *. w *. (1.0 -. (float_of_int dist /. float_of_int p.forward_window))
@@ -72,36 +72,16 @@ let rev_concat x y =
 
 (* [assemble cross ai bi] is reverse(cross) ++ reverse(ai) ++ bi — the
    bundle form of [List.rev_append cross (List.rev_append ai bi)], the
-   edge set of a candidate (a, b) merge. *)
-let assemble cross ai bi =
-  let nc = ebundle_len cross and na = ebundle_len ai and nb = ebundle_len bi in
-  let n = nc + na + nb in
-  let esrc = Array.make n 0 and edst = Array.make n 0 and ew = Array.make n 0.0 in
-  for i = 0 to nc - 1 do
-    let j = nc - 1 - i in
-    esrc.(i) <- cross.esrc.(j);
-    edst.(i) <- cross.edst.(j);
-    ew.(i) <- cross.ew.(j)
-  done;
-  for i = 0 to na - 1 do
-    let j = na - 1 - i and k = nc + i in
-    esrc.(k) <- ai.esrc.(j);
-    edst.(k) <- ai.edst.(j);
-    ew.(k) <- ai.ew.(j)
-  done;
-  Array.blit bi.esrc 0 esrc (nc + na) nb;
-  Array.blit bi.edst 0 edst (nc + na) nb;
-  Array.blit bi.ew 0 ew (nc + na) nb;
-  { esrc; edst; ew }
+   internal edge set of the chain an (a, b) merge makes. *)
+let assemble cross ai bi = rev_concat cross (rev_concat ai bi)
 
 type chain = {
-  cid : int;
   nodes : int array;
   size : int;  (** total code bytes *)
   weight : float;  (** total execution count *)
   score : float;  (** Ext-TSP score of internal edges under this order *)
   internal : ebundle;  (** edges with both ends inside *)
-  gen : int;  (** bumped via replacement; used to detect stale candidates *)
+  has_entry : bool;  (** holds the problem's entry node *)
 }
 
 (* Scratch state threaded through scoring to avoid re-allocating
@@ -128,10 +108,12 @@ let make_scratch n =
 let scratch = make_scratch
 
 (* Score the first [len] nodes of [arr] (ids in layout order) against
-   the bundle; edges with an endpoint outside contribute 0. Index loops
-   with the exact left-to-right accumulation order of the historical
-   List.fold_left. *)
-let score_arrangement p scratch sizes arr len (e : ebundle) =
+   the edge sequence reverse(cross) ++ reverse(ai) ++ bi — a candidate
+   merge's edge set, read in place rather than assembled; edges with an
+   endpoint outside contribute 0. One left-to-right accumulation over
+   that sequence: the exact float order of the historical
+   List.fold_left over the assembled list. *)
+let score_arrangement p scratch sizes arr len ~cross ~ai (bi : ebundle) =
   scratch.cur <- scratch.cur + 1;
   let cur = scratch.cur in
   let pos = scratch.pos and end_pos = scratch.end_pos and stamp = scratch.stamp in
@@ -144,8 +126,11 @@ let score_arrangement p scratch sizes arr len (e : ebundle) =
     Array.unsafe_set stamp n cur
   done;
   let acc = ref 0.0 in
-  let m = Array.length e.esrc in
-  for i = 0 to m - 1 do
+  let nc = ebundle_len cross and na = ebundle_len ai in
+  let nca = nc + na in
+  for k = 0 to nca + ebundle_len bi - 1 do
+    let e = if k < nc then cross else if k < nca then ai else bi in
+    let i = if k < nc then nc - 1 - k else if k < nca then nca - 1 - k else k - nca in
     let src = Array.unsafe_get e.esrc i and dst = Array.unsafe_get e.edst i in
     if Array.unsafe_get stamp src = cur && Array.unsafe_get stamp dst = cur then
       acc :=
@@ -155,13 +140,16 @@ let score_arrangement p scratch sizes arr len (e : ebundle) =
   done;
   !acc
 
+let score_bundle p scratch sizes arr len e =
+  score_arrangement p scratch sizes arr len ~cross:ebundle_empty ~ai:ebundle_empty e
+
 let score_into ?(params = default_params) scratch (p : Problem.t) arr =
-  score_arrangement params scratch p.sizes arr (Array.length arr) (Problem.flat p)
+  score_bundle params scratch p.sizes arr (Array.length arr) (Problem.flat p)
 
 let score ?(params = default_params) ~order (p : Problem.t) =
   let arr = Array.of_list order in
   let scratch = make_scratch (Array.length p.sizes) in
-  score_arrangement params scratch p.sizes arr (Array.length arr) (Problem.flat p)
+  score_bundle params scratch p.sizes arr (Array.length arr) (Problem.flat p)
 
 let score_norm ?(params = default_params) ~order (p : Problem.t) =
   let total = Problem.total_weight p in
@@ -173,12 +161,10 @@ let score_norm ?(params = default_params) ~order (p : Problem.t) =
    or profitable. Candidates are materialised into the shared
    [scratch.abuf] (never allocated); only the winner is copied out. *)
 let best_merge p scratch sizes entry a b cross =
-  let edges = assemble cross a.internal b.internal in
   let na = Array.length a.nodes and nb = Array.length b.nodes in
   let total = na + nb in
   let buf = scratch.abuf in
-  let entry_in arr = Array.exists (fun n -> n = entry) arr in
-  let constrained = entry_in a.nodes || entry_in b.nodes in
+  let constrained = a.has_entry || b.has_entry in
   (* Candidate descriptors: 0 = a++b, 1 = b++a, 2 = split (a[0..k) ++ b
      ++ a[k..)). Trial order and keep-first tie-breaking mirror the
      historical code exactly. *)
@@ -199,7 +185,7 @@ let best_merge p scratch sizes entry a b cross =
   let consider kind split first_node =
     if not (constrained && first_node <> entry) then begin
       fill kind split;
-      let s = score_arrangement p scratch sizes buf total edges in
+      let s = score_arrangement p scratch sizes buf total ~cross ~ai:a.internal b.internal in
       if !best_kind < 0 || s > !best_s then begin
         best_s := s;
         best_kind := kind;
@@ -237,85 +223,100 @@ let order ?(params = default_params) (problem : Problem.t) =
   else begin
     let edges = Problem.flat problem in
     let scratch = make_scratch n in
-    (* Chain state. [chains] maps live chain ids to chains; merging
-       allocates a fresh id so stale pqueue entries are detectable. *)
-    let chains : (int, chain) Hashtbl.t = Hashtbl.create (2 * n) in
-    let node_chain = Array.init n (fun i -> i) in
+    (* Chain state, indexed by chain id. Ids 0..n-1 are the singleton
+       chains; every merge takes the next fresh id (at most n - 1 merges,
+       so ids stay below 2n), which is how stale candidates are caught. *)
+    let dead =
+      { nodes = [||]; size = 0; weight = 0.0; score = 0.0; internal = ebundle_empty;
+        has_entry = false }
+    in
+    let chains = Array.make (2 * n) dead in
+    let live cid = chains.(cid) != dead in
     let next_cid = ref n in
     for i = 0 to n - 1 do
-      Hashtbl.replace chains i
-        { cid = i; nodes = [| i |]; size = sizes.(i); weight = weights.(i); score = 0.0;
-          internal = ebundle_empty; gen = 0 }
+      chains.(i) <-
+        { nodes = [| i |]; size = sizes.(i); weight = weights.(i); score = 0.0;
+          internal = ebundle_empty; has_entry = i = entry }
     done;
-    (* Cross edges per unordered chain pair, and neighbor sets. The keys
-       stay tuples on purpose: their Hashtbl iteration order seeds the
-       pqueue insertion order, which breaks exact-gain ties. *)
-    let pair_key a b = if a < b then (a, b) else (b, a)
+    (* Cross edges per unordered chain pair, keyed by the packed
+       (min, max) pair, and each chain's neighbours (every chain it has
+       shared a cross bundle with, dead or alive). Candidate gains use
+       the same keys. *)
+    let module T = Support.Packed.Tbl in
+    let pair_key a b =
+      if a < b then Support.Packed.pack_unsafe ~src:a ~dst:b
+      else Support.Packed.pack_unsafe ~src:b ~dst:a
     in
-    let cross : (int * int, ebundle) Hashtbl.t = Hashtbl.create (2 * n) in
-    let neighbors : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create (2 * n) in
-    let neighbor_set cid =
-      match Hashtbl.find_opt neighbors cid with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 8 in
-        Hashtbl.replace neighbors cid s;
-        s
-    in
+    let cross : ebundle T.t = T.create (2 * n) in
+    let neighbors = Array.make (2 * n) [] in
     let add_cross a b es =
       if a <> b && ebundle_len es > 0 then begin
         let key = pair_key a b in
-        let prev = Option.value ~default:ebundle_empty (Hashtbl.find_opt cross key) in
-        Hashtbl.replace cross key (rev_concat es prev);
-        Hashtbl.replace (neighbor_set a) b ();
-        Hashtbl.replace (neighbor_set b) a ()
+        match T.find_opt cross key with
+        | Some prev -> T.replace cross key (rev_concat es prev)
+        | None ->
+          T.replace cross key (rev_concat es ebundle_empty);
+          neighbors.(a) <- b :: neighbors.(a);
+          neighbors.(b) <- a :: neighbors.(b)
       end
     in
     for i = 0 to ebundle_len edges - 1 do
       let src = edges.esrc.(i) and dst = edges.edst.(i) in
-      add_cross node_chain.(src) node_chain.(dst) (ebundle_singleton src dst edges.ew.(i))
+      add_cross src dst (ebundle_singleton src dst edges.ew.(i))
     done;
     (* Candidate queue. Entries carry the chain ids they were computed
        for; an entry is stale if either id is no longer live. *)
-    let pq : (int * int) Support.Pqueue.t = Support.Pqueue.create () in
-    let candidates : (int * int, float) Hashtbl.t = Hashtbl.create (2 * n) in
+    let pq : int Support.Pqueue.t = Support.Pqueue.create () in
+    let candidates : float T.t = T.create (2 * n) in
     let eval_pair a_id b_id =
-      match Hashtbl.find_opt chains a_id, Hashtbl.find_opt chains b_id with
-      | Some a, Some b -> (
-        match Hashtbl.find_opt cross (pair_key a_id b_id) with
+      if not (live a_id && live b_id) then None
+      else
+        match T.find_opt cross (pair_key a_id b_id) with
         | None -> None
-        | Some es -> (
-          match best_merge params scratch sizes entry a b es with
-          | None -> None
-          | Some (gain, arr, s) -> Some (gain, arr, s)))
-      | None, _ | _, None -> None
+        | Some es -> best_merge params scratch sizes entry chains.(a_id) chains.(b_id) es
     in
+    (* A candidate is ranked by [eval_pair] in the orientation it was
+       pushed with, (merged, neighbour) after a merge, but [merge]
+       re-evaluates it as (min, max) = (neighbour, merged). The two
+       evaluations can differ (the split search only cuts the first
+       chain, and float sums follow the edge order), so the evaluation
+       that ranked a candidate is not reused for the merge itself: doing so
+       changed 466 of the 1143 layouts of the two programs the pinned
+       layout test covers. *)
     let push_pair a_id b_id =
+      let key = pair_key a_id b_id in
       match eval_pair a_id b_id with
-      | None -> Hashtbl.remove candidates (pair_key a_id b_id)
+      | None -> T.remove candidates key
       | Some (gain, _, _) ->
-        Hashtbl.replace candidates (pair_key a_id b_id) gain;
-        if params.use_pqueue then ignore (Support.Pqueue.add pq ~priority:gain (pair_key a_id b_id))
+        T.replace candidates key gain;
+        if params.use_pqueue then ignore (Support.Pqueue.add pq ~priority:gain key)
     in
-    Hashtbl.iter (fun (a, b) _ -> push_pair a b) cross;
-    let live cid = Hashtbl.mem chains cid in
+    (* Seed the queue in the cross table's iteration order. Equal gains
+       pop in push order, so that order is part of the output, and
+       [Packed.Tbl] keeps it by hashing keys as (min, max) tuples. *)
+    T.iter
+      (fun key _ -> push_pair (Support.Packed.src key) (Support.Packed.dst key))
+      cross;
     (* Pop the best candidate according to the configured strategy. *)
     let rec next_candidate () =
       if params.use_pqueue then
         match Support.Pqueue.pop_max pq with
         | None -> None
-        | Some ((a, b), gain) ->
+        | Some (key, gain) ->
+          let a = Support.Packed.src key and b = Support.Packed.dst key in
           if live a && live b
-             && (match Hashtbl.find_opt candidates (pair_key a b) with
+             && (match T.find_opt candidates key with
                 | Some g -> abs_float (g -. gain) < 1e-12
                 | None -> false)
           then Some (a, b)
           else next_candidate ()
       else begin
-        (* Linear rescan: the pre-Propeller O(n) retrieval. *)
+        (* Linear rescan: the pre-Propeller O(n) retrieval, keeping the
+           first of equal gains in table order. *)
         let best = ref None in
-        Hashtbl.iter
-          (fun (a, b) g ->
+        T.iter
+          (fun key g ->
+            let a = Support.Packed.src key and b = Support.Packed.dst key in
             if live a && live b then
               match !best with
               | Some (_, _, bg) when bg >= g -> ()
@@ -325,40 +326,32 @@ let order ?(params = default_params) (problem : Problem.t) =
       end
     in
     let merge a_id b_id =
+      let key = pair_key a_id b_id in
       match eval_pair a_id b_id with
       | None ->
         (* The candidate table was stale; drop it. *)
-        Hashtbl.remove candidates (pair_key a_id b_id)
+        T.remove candidates key
       | Some (_, arr, s) ->
         incr merge_count;
-        let a = Hashtbl.find chains a_id and b = Hashtbl.find chains b_id in
-        let key = pair_key a_id b_id in
-        let cross_ab = Option.value ~default:ebundle_empty (Hashtbl.find_opt cross key) in
-        let merged =
+        let a = chains.(a_id) and b = chains.(b_id) in
+        let cross_ab = Option.value ~default:ebundle_empty (T.find_opt cross key) in
+        let merged_id = !next_cid in
+        incr next_cid;
+        chains.(merged_id) <-
           {
-            cid = !next_cid;
             nodes = arr;
             size = a.size + b.size;
             weight = a.weight +. b.weight;
             score = s;
             internal = assemble cross_ab a.internal b.internal;
-            gen = 0;
-          }
-        in
-        incr next_cid;
-        Hashtbl.remove chains a_id;
-        Hashtbl.remove chains b_id;
-        Hashtbl.replace chains merged.cid merged;
-        Array.iter (fun nd -> node_chain.(nd) <- merged.cid) arr;
-        Hashtbl.remove cross key;
-        Hashtbl.remove candidates key;
+            has_entry = a.has_entry || b.has_entry;
+          };
+        chains.(a_id) <- dead;
+        chains.(b_id) <- dead;
+        T.remove cross key;
+        T.remove candidates key;
         (* Re-route cross edges of both old chains to the merged chain
            and refresh affected candidates. *)
-        let old_neighbors cid =
-          match Hashtbl.find_opt neighbors cid with
-          | None -> []
-          | Some s -> Hashtbl.fold (fun k () acc -> k :: acc) s []
-        in
         let touched = ref [] in
         List.iter
           (fun old_id ->
@@ -366,18 +359,18 @@ let order ?(params = default_params) (problem : Problem.t) =
               (fun nb ->
                 if nb <> a_id && nb <> b_id && live nb then begin
                   let k = pair_key old_id nb in
-                  (match Hashtbl.find_opt cross k with
+                  (match T.find_opt cross k with
                   | Some es ->
-                    Hashtbl.remove cross k;
-                    Hashtbl.remove candidates k;
-                    add_cross merged.cid nb es
+                    T.remove cross k;
+                    T.remove candidates k;
+                    add_cross merged_id nb es
                   | None -> ());
                   touched := nb :: !touched
                 end)
-              (old_neighbors old_id);
-            Hashtbl.remove neighbors old_id)
+              neighbors.(old_id);
+            neighbors.(old_id) <- [])
           [ a_id; b_id ];
-        List.sort_uniq compare !touched |> List.iter (fun nb -> push_pair merged.cid nb)
+        List.sort_uniq Int.compare !touched |> List.iter (fun nb -> push_pair merged_id nb)
     in
     let rec loop () =
       match next_candidate () with
@@ -388,16 +381,15 @@ let order ?(params = default_params) (problem : Problem.t) =
     in
     loop ();
     (* Final order: the entry chain first, then remaining chains by
-       decreasing hotness density, ties by smallest node id for
-       determinism. *)
-    let all = Hashtbl.fold (fun _ c acc -> c :: acc) chains [] in
+       decreasing hotness density, ties by smallest node id (a strict
+       total order, so the result does not depend on chain ids). *)
+    let all = List.filter (fun c -> c != dead) (Array.to_list chains) in
     let density c = if c.size = 0 then 0.0 else c.weight /. float_of_int c.size in
     let min_node c = Array.fold_left min max_int c.nodes in
-    let is_entry c = Array.exists (fun nd -> nd = entry) c.nodes in
     let sorted =
       List.sort
         (fun c1 c2 ->
-          match is_entry c2, is_entry c1 with
+          match c2.has_entry, c1.has_entry with
           | true, false -> 1
           | false, true -> -1
           | true, true | false, false ->

@@ -23,8 +23,10 @@ type params = {
           split-point search is quadratic). *)
   use_pqueue : bool;
       (** Retrieve the best merge from a priority queue (O(log n)) rather
-          than a linear rescan of all candidates. Results are identical;
-          only the running time differs. *)
+          than a linear rescan of all candidates. The two break ties
+          between equal gains in different orders (push order vs
+          candidate-table order), so their layouts can differ when
+          gains tie. *)
 }
 
 val default_params : params

@@ -23,3 +23,13 @@ val src : int -> int
 
 val dst : int -> int
 (** Second half of a packed key. *)
+
+val tuple_hash : int -> int
+(** [tuple_hash key] is [Hashtbl.hash (src key, dst key)], computed
+    without allocating the tuple. *)
+
+(** Hash tables over packed keys, hashed by {!tuple_hash}. Buckets,
+    resizes and so iteration order are exactly those of an
+    [(int * int, _) Hashtbl.t] fed the same operations, so code that
+    drops tuple keys keeps every order-dependent tie-break. *)
+module Tbl : Hashtbl.S with type key = int

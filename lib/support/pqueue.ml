@@ -7,10 +7,11 @@ type 'a t = {
   mutable size : int;
   mutable next_seq : int;
   mutable next_handle : int;
-  positions : (handle, int) Hashtbl.t; (* handle -> heap index *)
+  mutable positions : int array;
+      (* handle -> heap index, or -1 once removed; grows with [next_handle] *)
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; next_handle = 0; positions = Hashtbl.create 64 }
+let create () = { heap = [||]; size = 0; next_seq = 0; next_handle = 0; positions = [||] }
 
 let length t = t.size
 
@@ -22,7 +23,7 @@ let outranks a b = a.priority > b.priority || (a.priority = b.priority && a.seq 
 
 let set t i e =
   t.heap.(i) <- e;
-  Hashtbl.replace t.positions e.handle i
+  t.positions.(e.handle) <- i
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -56,9 +57,18 @@ let grow t =
     t.heap <- fresh
   end
 
+let grow_positions t h =
+  let cap = Array.length t.positions in
+  if h >= cap then begin
+    let fresh = Array.make (max 16 (cap * 2)) (-1) in
+    Array.blit t.positions 0 fresh 0 cap;
+    t.positions <- fresh
+  end
+
 let add t ~priority v =
   let h = t.next_handle in
   t.next_handle <- h + 1;
+  grow_positions t h;
   let e = { value = v; priority; seq = t.next_seq; handle = h } in
   t.next_seq <- t.next_seq + 1;
   if Array.length t.heap = 0 then t.heap <- Array.make 16 e else grow t;
@@ -67,11 +77,14 @@ let add t ~priority v =
   sift_up t (t.size - 1);
   h
 
-let mem t h = Hashtbl.mem t.positions h
+(* Heap index of a live handle, or -1 (dead, negative or never issued). *)
+let position t h = if h >= 0 && h < t.next_handle then t.positions.(h) else -1
+
+let mem t h = position t h >= 0
 
 let remove_at t i =
   let last = t.size - 1 in
-  Hashtbl.remove t.positions t.heap.(i).handle;
+  t.positions.(t.heap.(i).handle) <- -1;
   if i <> last then begin
     set t i t.heap.(last);
     t.size <- last;
@@ -81,19 +94,17 @@ let remove_at t i =
   else t.size <- last
 
 let remove t h =
-  match Hashtbl.find_opt t.positions h with
-  | None -> invalid_arg "Pqueue.remove: dead handle"
-  | Some i -> remove_at t i
+  let i = position t h in
+  if i < 0 then invalid_arg "Pqueue.remove: dead handle" else remove_at t i
 
 let update t h ~priority =
-  match Hashtbl.find_opt t.positions h with
-  | None -> invalid_arg "Pqueue.update: dead handle"
-  | Some i ->
+  let i = position t h in
+  if i < 0 then invalid_arg "Pqueue.update: dead handle"
+  else begin
     t.heap.(i) <- { (t.heap.(i)) with priority };
     sift_up t i;
-    (match Hashtbl.find_opt t.positions h with
-    | Some j -> sift_down t j
-    | None -> assert false)
+    sift_down t t.positions.(h)
+  end
 
 let pop_max t =
   if t.size = 0 then None

@@ -27,7 +27,8 @@ val add : 'a t -> priority:float -> 'a -> handle
     if the handle is dead. *)
 val remove : 'a t -> handle -> unit
 
-(** [mem t h] is [true] if the handle is still live. *)
+(** [mem t h] is [true] if the handle is still live; [false] for a
+    removed, popped or never-issued handle. *)
 val mem : 'a t -> handle -> bool
 
 (** [update t h ~priority] changes the priority of a live entry. *)

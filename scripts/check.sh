@@ -403,4 +403,16 @@ scripts/bench_diff.sh bench/baseline.json "$out_dir/bench.json" 5 || {
   exit 1
 }
 
-echo "OK: build + tests + trace smoke + sampled smoke + fidelity smoke + policy smoke + search smoke + fault smoke + fleet smoke + bench gate all green"
+echo "== relinkbench golden-digest smoke =="
+# A short cold-clang run at the default seed checks every relinked
+# image digest and counter set against relinkbench/golden.json, so any
+# layout drift fails here, not only in the benchmark.
+python3 relinkbench/run.py --workload cold-clang --seconds 5 \
+  >"$out_dir/relinkbench.log" 2>&1 || true
+grep -q '"failed":0' "$out_dir/relinkbench.log" || {
+  echo "FAIL: relinkbench cold-clang smoke failed an op" >&2
+  cat "$out_dir/relinkbench.log" >&2
+  exit 1
+}
+
+echo "OK: build + tests + trace smoke + sampled smoke + fidelity smoke + policy smoke + search smoke + fault smoke + fleet smoke + bench gate + relinkbench smoke all green"

@@ -199,6 +199,39 @@ let test_unit_action_key_sensitivity () =
   let k3 = Buildsys.Driver.unit_action_key u { Codegen.default_options with plans = [ foreign_plan ] } in
   check tb "foreign plan does not invalidate" true (Support.Digesting.equal k1 k3)
 
+(* [Ir.Func.pp] omits the PGO estimates that intra-function layout
+   reads, so the key carries them separately: a program whose only
+   change is a [pgo_prob] must recompile that unit, and the cached
+   build must link the image a fresh build links. *)
+let test_action_key_tracks_pgo_probs () =
+  let program pgo_prob =
+    let callee = diamond_func ~name:"callee" ~prob:0.5 ~pgo_prob () in
+    let main =
+      Ir.Func.make ~name:"main"
+        [|
+          Ir.Block.make ~id:0 ~body:[ Ir.Inst.DirectCall "callee" ]
+            ~term:(Ir.Term.Jump 1) ();
+          compute_block ~id:1 ~bytes:5 ~term:Ir.Term.Return;
+        |]
+    in
+    Ir.Program.make ~name:"pgoprog" ~main:"main"
+      [ Ir.Cunit.make ~name:"u_main" [ main ]; Ir.Cunit.make ~name:"u_callee" [ callee ] ]
+  in
+  let image (r : Buildsys.Driver.result) = Linker.Binary.image_digest r.binary in
+  let build env p =
+    Buildsys.Driver.build env ~name:"img" ~program:p ~codegen_options:Codegen.default_options
+      ~link_options:Linker.Link.default_options
+  in
+  let env = Buildsys.Driver.make_env () in
+  let before = build env (program 0.9) in
+  let cached = build env (program 0.1) in
+  let fresh = build (Buildsys.Driver.make_env ()) (program 0.1) in
+  check tb "the estimate change moves the layout" false
+    (Support.Digesting.equal (image before) (image fresh));
+  check ti "only the changed unit recompiles" 1 cached.cache_misses;
+  check tb "cached build = fresh build" true
+    (Support.Digesting.equal (image cached) (image fresh))
+
 let test_costmodel_monotonic () =
   check tb "codegen grows with code" true
     (Buildsys.Costmodel.codegen_seconds ~code_bytes:1_000_000
@@ -377,6 +410,8 @@ let suite =
     Alcotest.test_case "driver: rebuilds hit cache" `Quick test_build_caches_objects;
     Alcotest.test_case "driver: plans invalidate only their unit" `Quick test_plan_invalidates_only_its_unit;
     Alcotest.test_case "driver: action key sensitivity" `Quick test_unit_action_key_sensitivity;
+    Alcotest.test_case "driver: action key tracks PGO estimates" `Quick
+      test_action_key_tracks_pgo_probs;
     Alcotest.test_case "cost models monotonic" `Quick test_costmodel_monotonic;
     Alcotest.test_case "cache: digest-verified reads catch rot" `Quick test_cache_find_verified;
     Alcotest.test_case "scheduler: stragglers + speculation" `Quick test_scheduler_stragglers;

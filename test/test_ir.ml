@@ -224,8 +224,54 @@ let test_loop_headers_nested () =
   in
   check Alcotest.(list int) "both headers found" [ 1; 2 ] (Ir.Cfg.loop_headers f)
 
+(* Build keys digest [Ir.Func.render]'s bytes, which must be exactly
+   what [Ir.Func.pp] prints through Format: on every function of
+   generated programs, and on the shapes they rarely draw (lines past
+   the margin, landing pads, empty bodies, non-finite probabilities,
+   extreme ints). *)
+let test_func_render_matches_pp () =
+  let same (f : Ir.Func.t) =
+    let b = Buffer.create 256 in
+    Ir.Func.render b f;
+    check ts f.name (Format.asprintf "%a" Ir.Func.pp f) (Buffer.contents b)
+  in
+  let _, program = medium_program () in
+  Ir.Program.iter_funcs program same;
+  Ir.Program.iter_funcs (Codegen.Inline.program program) same;
+  let long = String.make 120 'x' in
+  same
+    (Ir.Func.make ~name:long
+       [|
+         Ir.Block.make ~id:0
+           ~body:
+             [
+               Ir.Inst.DirectCall long;
+               Ir.Inst.DelinquentLoad { bytes = 7; miss_prob = Float.nan };
+               Ir.Inst.VirtualCall { callees = [| ("a", 0.5); ("b", 0.5) |] };
+               Ir.Inst.JumpTableData 16;
+               Ir.Inst.MemStore 3;
+               Ir.Inst.MemLoad 4;
+               Ir.Inst.Compute (-3);
+               Ir.Inst.Compute max_int;
+               Ir.Inst.Compute min_int;
+             ]
+           ~term:(branch ~taken:1 ~fallthrough:2 ~prob:Float.infinity ())
+           ();
+         Ir.Block.make ~is_landing_pad:true ~id:1 ~body:[]
+           ~term:
+             (Ir.Term.Switch
+                {
+                  table = Array.init 40 (fun i -> 1 + (i mod 2));
+                  probs = Array.make 40 0.025;
+                  pgo_probs = Array.make 40 0.025;
+                })
+           ();
+         compute_block ~id:2 ~bytes:1 ~term:Ir.Term.Return;
+       |])
+
 let suite =
   [
+    Alcotest.test_case "func render = pp bytes" `Quick test_func_render_matches_pp;
     Alcotest.test_case "inst sizes" `Quick test_inst_sizes;
     Alcotest.test_case "inst callees" `Quick test_inst_callees;
     Alcotest.test_case "term successors" `Quick test_term_successors;

@@ -110,6 +110,56 @@ let test_exttsp_window_decay () =
   let s2 = Layout.Exttsp.score ~order:[ 0; 1; 2 ] (score_problem ~sizes:[| 10; 100; 10 |] ~edges) in
   check tb "in window positive" true (s2 > 0.0 && s2 < 10.0)
 
+(* --- pinned layouts on real programs ------------------------------ *)
+
+(* Two programs of the relink family the benchmark draws: clang's
+   shape at a quarter of its units and functions per unit, seeded as
+   program k of the default run (seed 101), after cross-module
+   inlining. *)
+let relink_family_program k =
+  let clang = Progen.Suite.clang in
+  let run = Support.Rng.next (Support.Rng.create 101L) in
+  let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) k) in
+  Progen.Generate.program
+    {
+      clang with
+      Progen.Spec.num_units = clang.num_units / 4;
+      funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
+      seed;
+    }
+  |> Codegen.Inline.program
+
+(* MD5 of every function's Ext-TSP block order, in program order. *)
+let layouts_digest ~use_pqueue program =
+  let params = { Layout.Exttsp.default_params with use_pqueue } in
+  let b = Buffer.create 65536 in
+  Ir.Program.iter_funcs program (fun f ->
+      Buffer.add_string b f.name;
+      List.iter
+        (fun i -> Buffer.add_string b (" " ^ string_of_int i))
+        (Layout.Exttsp.order ~params (Codegen.intra_problem f));
+      Buffer.add_char b '\n');
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Both retrieval modes lay these programs out identically. A change to
+   Ext-TSP's bookkeeping must reproduce every layout byte for byte; only
+   a deliberate layout change may update a digest. *)
+let pinned_layouts =
+  [ (0, "9a91d3062f1b4ed4bcecf1cc53cdb0ca"); (1, "6596f1a6a2755f36211accc47f35cb44") ]
+
+let test_exttsp_pinned_layouts () =
+  List.iter
+    (fun (k, expected) ->
+      let program = relink_family_program k in
+      List.iter
+        (fun use_pqueue ->
+          check ts
+            (Printf.sprintf "program %d, use_pqueue=%b" k use_pqueue)
+            expected
+            (layouts_digest ~use_pqueue program))
+        [ true; false ])
+    pinned_layouts
+
 let test_exttsp_merge_count () =
   let sizes = [| 10; 10; 10 |] in
   let weights = [| 1.0; 1.0; 1.0 |] in
@@ -327,6 +377,7 @@ let suite =
     Alcotest.test_case "exttsp: fallthrough scoring" `Quick test_exttsp_score_fallthrough_beats_jump;
     Alcotest.test_case "exttsp: distance windows" `Quick test_exttsp_window_decay;
     Alcotest.test_case "exttsp: merge count" `Quick test_exttsp_merge_count;
+    Alcotest.test_case "exttsp: pinned relink-family layouts" `Quick test_exttsp_pinned_layouts;
     QCheck_alcotest.to_alcotest policy_contract_law;
     QCheck_alcotest.to_alcotest policy_nonzero_entry_law;
     QCheck_alcotest.to_alcotest local_search_dominates_law;

@@ -124,6 +124,39 @@ let test_pqueue_remove () =
   Alcotest.check_raises "double remove" (Invalid_argument "Pqueue.remove: dead handle")
     (fun () -> Support.Pqueue.remove q h)
 
+(* The handle index is a growable array: handles issued past its first
+   capacity, and updates and removals after it grew, must behave like
+   the first few; [mem] is total, false for any handle the queue does
+   not hold. *)
+let test_pqueue_handle_index () =
+  let q = Support.Pqueue.create () in
+  let handles = Array.init 100 (fun i -> Support.Pqueue.add q ~priority:(float_of_int i) i) in
+  check tb "late handle live" true (Support.Pqueue.mem q handles.(99));
+  Support.Pqueue.update q handles.(3) ~priority:1000.0;
+  Support.Pqueue.remove q handles.(99);
+  Support.Pqueue.remove q handles.(50);
+  check tb "removed late handle dead" false (Support.Pqueue.mem q handles.(99));
+  Support.Pqueue.update q handles.(98) ~priority:(-1.0);
+  (match Support.Pqueue.pop_max q with
+  | Some (v, p) ->
+    check ti "updated early entry first" 3 v;
+    check tf "its priority" 1000.0 p
+  | None -> Alcotest.fail "empty");
+  check tb "popped handle dead" false (Support.Pqueue.mem q handles.(3));
+  check ti "length" 97 (Support.Pqueue.length q);
+  let rec drain last =
+    match Support.Pqueue.pop_max q with Some (v, _) -> drain v | None -> last
+  in
+  check ti "demoted late entry last" 98 (drain (-1));
+  (* Handles from a longer-lived queue were never issued by [q]. *)
+  let other = Support.Pqueue.create () in
+  let foreign = Array.init 300 (fun i -> Support.Pqueue.add other ~priority:0.0 i) in
+  check tb "never-issued handle" false (Support.Pqueue.mem q foreign.(299));
+  (* Handles are ints underneath; forge a negative one. *)
+  check tb "negative handle" false (Support.Pqueue.mem q (Obj.magic (-1) : Support.Pqueue.handle));
+  Alcotest.check_raises "update never-issued" (Invalid_argument "Pqueue.update: dead handle")
+    (fun () -> Support.Pqueue.update q foreign.(299) ~priority:1.0)
+
 let pqueue_sorted_law =
   QCheck.Test.make ~count:200 ~name:"pqueue drains sorted"
     QCheck.(list (pair (float_range (-100.) 100.) small_int))
@@ -277,6 +310,43 @@ let packed_order_law =
       compare (Support.Packed.pack ~src:s1 ~dst:d1) (Support.Packed.pack ~src:s2 ~dst:d2)
       = compare (s1, d1) (s2, d2))
 
+let packed_tuple_hash_law =
+  QCheck.Test.make ~count:2000 ~name:"packed tuple_hash = Hashtbl.hash of the pair"
+    QCheck.(
+      pair
+        (oneof [ int_range 0 4096; int_range 0 Support.Packed.max_addr ])
+        (oneof [ int_range 0 4096; int_range 0 Support.Packed.max_addr ]))
+    (fun (src, dst) ->
+      Support.Packed.tuple_hash (Support.Packed.pack ~src ~dst) = Hashtbl.hash (src, dst))
+
+(* Same replace/remove sequence into a tuple-keyed Hashtbl and a
+   Packed.Tbl: iteration must visit the keys in the same order, through
+   resizes. *)
+let packed_tbl_order_law =
+  QCheck.Test.make ~count:100 ~name:"Packed.Tbl iterates like a tuple-keyed Hashtbl"
+    QCheck.(list (triple bool (int_range 0 60) (int_range 0 60)))
+    (fun ops ->
+      let tuples = Hashtbl.create 4 and packed = Support.Packed.Tbl.create 4 in
+      List.iter
+        (fun (add, a, b) ->
+          let k = Support.Packed.pack ~src:a ~dst:b in
+          if add then begin
+            Hashtbl.replace tuples (a, b) ();
+            Support.Packed.Tbl.replace packed k ()
+          end
+          else begin
+            Hashtbl.remove tuples (a, b);
+            Support.Packed.Tbl.remove packed k
+          end)
+        ops;
+      let seen_tuples = Hashtbl.fold (fun k () acc -> k :: acc) tuples [] in
+      let seen_packed =
+        Support.Packed.Tbl.fold
+          (fun k () acc -> (Support.Packed.src k, Support.Packed.dst k) :: acc)
+          packed []
+      in
+      seen_tuples = seen_packed)
+
 let test_packed_bounds () =
   check ti "max_addr round-trips" Support.Packed.max_addr
     (Support.Packed.src
@@ -304,6 +374,7 @@ let suite =
     Alcotest.test_case "pqueue: fifo ties" `Quick test_pqueue_ties_fifo;
     Alcotest.test_case "pqueue: update" `Quick test_pqueue_update;
     Alcotest.test_case "pqueue: remove" `Quick test_pqueue_remove;
+    Alcotest.test_case "pqueue: handle index growth" `Quick test_pqueue_handle_index;
     QCheck_alcotest.to_alcotest pqueue_sorted_law;
     QCheck_alcotest.to_alcotest shuffle_permutation_law;
     QCheck_alcotest.to_alcotest pqueue_update_law;
@@ -319,4 +390,6 @@ let suite =
     Alcotest.test_case "packed: bounds" `Quick test_packed_bounds;
     QCheck_alcotest.to_alcotest packed_roundtrip_law;
     QCheck_alcotest.to_alcotest packed_order_law;
+    QCheck_alcotest.to_alcotest packed_tuple_hash_law;
+    QCheck_alcotest.to_alcotest packed_tbl_order_law;
   ]
