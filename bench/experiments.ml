@@ -358,7 +358,7 @@ let ablation_split () =
         ~codegen_options:cg ~link_options:ld
     in
     let image = Exec.Image.build wb.program build.binary in
-    let core = Uarch.Core.create (Workbench.core_config wb.spec) in
+    let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
     in
@@ -465,13 +465,13 @@ let ablation_prefetch () =
   let run prefetch =
     let env = Buildsys.Driver.make_env () in
     Propeller.Pipeline.run
-      ~config:{ (Workbench.pipeline_config wb.spec) with prefetch }
+      ~config:{ (Propeller.Pipeline.config_of_spec wb.spec) with prefetch }
       ~env ~program:wb.program ~name:"mysql.pf" ()
   in
   let plain = run false and pf = run true in
   let measure (r : Propeller.Pipeline.result) =
     let image = Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r) in
-    let core = Uarch.Core.create (Workbench.core_config wb.spec) in
+    let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
     let stats = Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core) in
     (stats, Uarch.Core.counters core)
   in
@@ -507,7 +507,7 @@ let ablation_rounds () =
   let env = Buildsys.Driver.make_env () in
   let rounds =
     Propeller.Pipeline.run_rounds ~rounds:2
-      ~config:(Workbench.pipeline_config wb.spec)
+      ~config:(Propeller.Pipeline.config_of_spec wb.spec)
       ~env ~program:wb.program ~name:"clang.rounds" ()
   in
   let base_cycles = (Workbench.measure wb Workbench.Base).counters.cycles in
@@ -517,7 +517,7 @@ let ablation_rounds () =
         let image =
           Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r)
         in
-        let core = Uarch.Core.create (Workbench.core_config wb.spec) in
+        let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
         let (_ : Exec.Interp.stats) =
           Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
         in
@@ -559,7 +559,7 @@ let ablation_inter () =
         ~codegen_options:cg ~link_options:ld
     in
     let image = Exec.Image.build wb.program b.binary in
-    let core = Uarch.Core.create (Workbench.core_config wb.spec) in
+    let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
     in
@@ -659,8 +659,8 @@ let layout_search () =
         let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
         let res =
           Diagnostics.Lsearch.analyze
-            ~pipeline:(Workbench.pipeline_config spec)
-            ~core:(Workbench.core_config spec)
+            ~pipeline:(Propeller.Pipeline.config_of_spec spec)
+            ~core:(Diagnostics.Measure.core_config spec)
             ~requests:spec.requests ~budget:14
             ~seed:(Int64.to_int spec.seed land 0xffff)
             ~ctx ~program ~name:spec.name ()

@@ -1,6 +1,6 @@
 (* Machine-readable bench output: one BENCH_*.json per run, stable
    schema (EXPERIMENTS.md "Bench JSON schema"), so successive PRs
-   accumulate a perf trajectory and `propeller_stat diff` can gate
+   accumulate a perf trajectory and `propeller stat diff` can gate
    regressions in CI. Everything here is a function of the simulated
    run: same seeds, byte-identical file. *)
 
@@ -110,7 +110,7 @@ let parallel_json (spec : Progen.Spec.t) ~jobs_sweep =
   | [] -> None
   | sweep ->
     let program = Codegen.Inline.program (Progen.Generate.program spec) in
-    let config = Workbench.pipeline_config spec in
+    let config = Propeller.Pipeline.config_of_spec spec in
     let points = List.map (fun j -> sweep_point ~config ~program ~spec j) sweep in
     let cold_1 =
       match points with (_, _, cold_s, _, _) :: _ -> cold_s | [] -> 0.0
@@ -171,7 +171,7 @@ let faulted_run ~config ~program ~(spec : Progen.Spec.t) plan =
    allowlist ignores it. *)
 let resilience_json (spec : Progen.Spec.t) =
   let program = Codegen.Inline.program (Progen.Generate.program spec) in
-  let config = Workbench.pipeline_config spec in
+  let config = Propeller.Pipeline.config_of_spec spec in
   let plan = fault_plan spec in
   let clean_digest, _ = faulted_run ~config ~program ~spec None in
   let d1, r1 = faulted_run ~config ~program ~spec (Some plan) in
@@ -208,7 +208,7 @@ let selfspeed_reps = 3
    the timed reps so allocation is attributed per warm relink. *)
 let selfspeed_json (spec : Progen.Spec.t) =
   let program = Codegen.Inline.program (Progen.Generate.program spec) in
-  let config = Workbench.pipeline_config spec in
+  let config = Propeller.Pipeline.config_of_spec spec in
   Support.Pool.with_pool ~jobs:1 (fun pool ->
       let recorder = Obs.Recorder.create () in
       let env =
@@ -302,8 +302,8 @@ let fidelity_json (spec : Progen.Spec.t) =
   let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
   let fid =
     Diagnostics.Fidelity.analyze
-      ~pipeline:(Workbench.pipeline_config spec)
-      ~core:(Workbench.core_config spec)
+      ~pipeline:(Propeller.Pipeline.config_of_spec spec)
+      ~core:(Diagnostics.Measure.core_config spec)
       ~requests:spec.requests ~ctx ~program ~name:spec.name ()
   in
   Diagnostics.Fidelity.to_json fid
@@ -318,8 +318,8 @@ let layout_search_json (spec : Progen.Spec.t) =
   let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
   let res =
     Diagnostics.Lsearch.analyze
-      ~pipeline:(Workbench.pipeline_config spec)
-      ~core:(Workbench.core_config spec)
+      ~pipeline:(Propeller.Pipeline.config_of_spec spec)
+      ~core:(Diagnostics.Measure.core_config spec)
       ~requests:spec.requests ~budget:layout_search_budget
       ~seed:(Int64.to_int spec.seed land 0xffff)
       ~ctx ~program ~name:spec.name ()

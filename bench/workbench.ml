@@ -19,13 +19,6 @@ type t = {
 let interp_config (spec : Progen.Spec.t) =
   { Exec.Interp.default_config with requests = spec.requests }
 
-let pipeline_config (spec : Progen.Spec.t) =
-  {
-    Propeller.Pipeline.default_config with
-    profile_run = interp_config spec;
-    hugepages = spec.hugepages;
-  }
-
 let is_asm program f =
   match Ir.Program.find_func program f with
   | Some fn -> fn.Ir.Func.attrs.has_inline_asm
@@ -34,20 +27,6 @@ let is_asm program f =
 let bolt_hazards (spec : Progen.Spec.t) =
   { Boltsim.Driver.rseq = spec.hazards.has_rseq; fips_check = spec.hazards.has_fips_check }
 
-let log2i v =
-  let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
-  go v 0
-
-(* Pressure-preserving measurement core: programs generated at 1/2^k
-   scale are measured with TLB pages shrunk by the same factor
-   (DESIGN.md 6). *)
-let core_config (spec : Progen.Spec.t) =
-  {
-    Uarch.Core.default_config with
-    hugepages = spec.hugepages;
-    page_scale_bits = log2i spec.scale;
-  }
-
 let build spec =
   (* Phase 1 includes ThinLTO-style cross-unit inlining — the transform
      that makes instrumented profiles stale (paper 2.2). *)
@@ -55,7 +34,7 @@ let build spec =
   let env = Buildsys.Driver.make_env () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:spec.Progen.Spec.name in
   let prop =
-    Propeller.Pipeline.run ~config:(pipeline_config spec) ~env ~program
+    Propeller.Pipeline.run ~config:(Propeller.Pipeline.config_of_spec spec) ~env ~program
       ~name:spec.Progen.Spec.name ()
   in
   (* The BM build shares codegen flags with the baseline, so its object
@@ -98,13 +77,12 @@ let measure wb variant =
   match List.assoc_opt key wb.measured with
   | Some m -> m
   | None ->
-    let image = Exec.Image.build wb.program (binary wb variant) in
-    let core = Uarch.Core.create (core_config wb.spec) in
-    let stats =
-      Exec.Interp.run_tape ~ctx:wb.env.Buildsys.Driver.ctx image (interp_config wb.spec)
-        ~drain:(Uarch.Core.consume core)
+    let stats, counters =
+      Diagnostics.Measure.run ~ctx:wb.env.Buildsys.Driver.ctx
+        ~core:(Diagnostics.Measure.core_config wb.spec) ~requests:wb.spec.requests wb.program
+        (binary wb variant)
     in
-    let m = { stats; counters = Uarch.Core.counters core } in
+    let m = { stats; counters } in
     wb.measured <- (key, m) :: wb.measured;
     m
 

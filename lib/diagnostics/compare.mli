@@ -89,5 +89,5 @@ val render : outcome -> string
 val render_verdicts : outcome -> string
 
 (** [render_notes o] is the informational half: the NOTE lines
-    ([propeller_stat diff] routes these to stderr). *)
+    ([propeller stat diff] routes these to stderr). *)
 val render_notes : outcome -> string

@@ -2,7 +2,7 @@
     µarch counter deltas, computed from one {!Propeller.Pipeline}
     result.
 
-    This is what [propeller_stat] prints, what the bench JSON emitter
+    This is what [propeller run --json] prints, what the bench JSON emitter
     embeds per benchmark, and what {!publish} pushes into a recorder's
     metrics registry as [diag.*] gauges — so a trace/metrics export of
     an instrumented run carries the run's quality verdict alongside its

@@ -19,7 +19,7 @@ type t
 
 val create : ?flight_capacity:int -> unit -> t
 
-(** The process-wide default recorder (what [propeller_driver --trace]
+(** The process-wide default recorder (what [propeller run --trace]
     exports). *)
 val global : t
 

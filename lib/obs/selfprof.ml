@@ -267,7 +267,7 @@ let to_json t =
       ("spans", Json.List (List.map row_json (rows t)));
     ]
 
-(* Re-read an exported self-profile (propeller_stat top --from FILE). *)
+(* Re-read an exported self-profile (propeller stat top --from FILE). *)
 let rows_of_json json =
   match Json.member "spans" json with
   | Some (Json.List spans) -> (

@@ -85,7 +85,7 @@ type hotspot = {
 val hotspots : ?limit:int -> t -> hotspot list
 
 (** [hotspots_of_rows rows] ranks pre-loaded rows (the [--from FILE]
-    path of [propeller_stat top]). *)
+    path of [propeller stat top]). *)
 val hotspots_of_rows : ?limit:int -> row list -> hotspot list
 
 (** [folded t] is flamegraph.pl-compatible folded-stack output: one
@@ -100,6 +100,6 @@ val to_json : t -> Json.t
     not a self-profile tree. *)
 val rows_of_json : Json.t -> (row list, string) result
 
-(** [render_hotspots hs] is the aligned text table [propeller_stat top]
+(** [render_hotspots hs] is the aligned text table [propeller stat top]
     prints (top [limit] rows, default 15). *)
 val render_hotspots : ?limit:int -> hotspot list -> string

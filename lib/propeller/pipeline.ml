@@ -21,6 +21,13 @@ let default_config =
     sampler = Perfmon.Sampler.default_config;
   }
 
+let config_of_spec (spec : Progen.Spec.t) =
+  {
+    default_config with
+    profile_run = { Exec.Interp.default_config with requests = spec.requests };
+    hugepages = spec.hugepages;
+  }
+
 type phase_times = {
   metadata_build_s : float;
   profiling_s : float;

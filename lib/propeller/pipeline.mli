@@ -23,6 +23,11 @@ type config = {
 
 val default_config : config
 
+(** [config_of_spec spec] is {!default_config} profiling under [spec]'s
+    request count, with text mapped on 2M pages when [spec]'s
+    production does. *)
+val config_of_spec : Progen.Spec.t -> config
+
 type phase_times = {
   metadata_build_s : float;  (** Phase 2: distributed codegen + link. *)
   profiling_s : float;  (** Load test (modelled, §5.6). *)

@@ -244,7 +244,7 @@ let test_compare_schema_gained_key_noted () =
        o.Diagnostics.Compare.notes)
 
 let test_diff_stdout_parseable () =
-  (* The `propeller_stat diff` contract: verdict/MISSING lines go to
+  (* The `propeller stat diff` contract: verdict/MISSING lines go to
      stdout, NOTE lines to stderr. On a mixed-schema diff (older
      baseline, current file with a gained judged metric) every stdout
      line must parse as `<mark> <metric> ...` with a fixed mark, and no
