@@ -112,23 +112,6 @@ let test_exttsp_window_decay () =
 
 (* --- pinned layouts on real programs ------------------------------ *)
 
-(* Two programs of the relink family the benchmark draws: clang's
-   shape at a quarter of its units and functions per unit, seeded as
-   program k of the default run (seed 101), after cross-module
-   inlining. *)
-let relink_family_program k =
-  let clang = Progen.Suite.clang in
-  let run = Support.Rng.next (Support.Rng.create 101L) in
-  let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) k) in
-  Progen.Generate.program
-    {
-      clang with
-      Progen.Spec.num_units = clang.num_units / 4;
-      funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
-      seed;
-    }
-  |> Codegen.Inline.program
-
 (* MD5 of every function's Ext-TSP block order, in program order. *)
 let layouts_digest ~use_pqueue program =
   let params = { Layout.Exttsp.default_params with use_pqueue } in

@@ -226,6 +226,105 @@ let test_link_stats () =
     (stats.peak_mem_bytes >= 2 * stats.input_bytes);
   check tb "time positive" true (stats.cpu_seconds > 0.0)
 
+(* --- pinned outputs on real programs ------------------------------ *)
+
+(* MD5 of the retained address maps: every entry of every function map,
+   in emitted order. *)
+let bb_maps_digest (maps : Objfile.Bbmap.t) =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (fm : Objfile.Bbmap.func_map) ->
+      Buffer.add_string b fm.func;
+      List.iter
+        (fun (e : Objfile.Bbmap.entry) ->
+          Printf.bprintf b " %d:%d:%d:%b:%b" e.bb_id e.offset e.size e.can_fallthrough
+            e.is_landing_pad)
+        fm.entries;
+      Buffer.add_char b '\n')
+    maps;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The four links of one program: the metadata build, the optimized
+   build with WPA's plans and ordering file, the metadata build without
+   relaxation, and the optimized build keeping its relocations. *)
+let pinned_links ~requests program =
+  let env = Buildsys.Driver.make_env () in
+  let r =
+    Propeller.Pipeline.run
+      ~config:
+        {
+          Propeller.Pipeline.default_config with
+          profile_run = { Exec.Interp.default_config with requests };
+        }
+      ~env ~program ~name:"pin" ()
+  in
+  let cg_meta, ld_meta = Propeller.Pipeline.metadata_options in
+  let cg_opt, ld_opt = Propeller.Pipeline.optimize_options r.wpa in
+  let meta = Codegen.compile_program cg_meta program in
+  let opt = Codegen.compile_program cg_opt program in
+  let link options objs =
+    Linker.Link.link ~options ~name:"pin" ~entry:(Ir.Program.main program) objs
+  in
+  [
+    ("metadata", link ld_meta meta);
+    ("optimized", link ld_opt opt);
+    ("no-relax", link { ld_meta with relax = false } meta);
+    ("emit-relocs", link { ld_opt with emit_relocs = true } opt);
+  ]
+
+let pinned_line (name, { Linker.Link.binary; stats }) =
+  Printf.sprintf "%s %s %s iters=%d deleted=%d shrunk=%d out=%d" name
+    (Support.Digesting.to_hex (Linker.Binary.image_digest binary))
+    (bb_maps_digest binary.bb_maps) stats.relax_iters stats.deleted_jumps
+    stats.shrunk_branches stats.output_bytes
+
+(* Image digest, address-map digest and relaxation/size figures of
+   every link above, for program 0 of the relink family and for
+   505.mcf. Any change to the linker's working form must reproduce
+   them exactly; only a deliberate output change may update a line. *)
+let pinned_outputs =
+  [
+    ( "relink-family 0",
+      [
+        "metadata 0f291096107384bf1f76cb03fcaa0781 0e2ce4feb3adf039a84d4bda118a9a06 iters=6 \
+         deleted=7193 shrunk=4634 out=1283097";
+        "optimized 350fac0994917511644b14e521839c9b d41d8cd98f00b204e9800998ecf8427e iters=6 \
+         deleted=7219 shrunk=4594 out=1235464";
+        "no-relax 3c2a8729e657551aa67af2f3b9990c50 859ba858ec19c1f4d084065663d8c915 iters=1 \
+         deleted=0 shrunk=0 out=1332877";
+        "emit-relocs 36f2f02ac847c715baea1a78b22fe50f d41d8cd98f00b204e9800998ecf8427e iters=6 \
+         deleted=7219 shrunk=4594 out=1724416";
+      ] );
+    ( "505.mcf",
+      [
+        "metadata 2256935acbdab553ef1ddf6b7f4fa431 f15559920adcead5c175c03f21103cf7 iters=4 \
+         deleted=992 shrunk=646 out=104996";
+        "optimized 01f861ba9e743d3177eaaaaec467893f d41d8cd98f00b204e9800998ecf8427e iters=5 \
+         deleted=1010 shrunk=637 out=100697";
+        "no-relax 4cfcdba1c59767e5dbb497c66b8cd857 87e7ea29f8b67752d7e13455f67014c8 iters=1 \
+         deleted=0 shrunk=0 out=111850";
+        "emit-relocs 9d5c4a99bd17dcc5d5b05528ea10d8dd d41d8cd98f00b204e9800998ecf8427e iters=5 \
+         deleted=1010 shrunk=637 out=166937";
+      ] );
+  ]
+
+let test_pinned_outputs () =
+  let mcf = Option.get (Progen.Suite.by_name "505.mcf") in
+  let programs =
+    [
+      ("relink-family 0", (relink_family_program 0, Progen.Suite.clang.requests / 16));
+      ("505.mcf", (Codegen.Inline.program (Progen.Generate.program mcf), 40));
+    ]
+  in
+  List.iter
+    (fun (label, expected) ->
+      let program, requests = List.assoc label programs in
+      check
+        Alcotest.(list string)
+        label expected
+        (List.map pinned_line (pinned_links ~requests program)))
+    pinned_outputs
+
 (* --- Orderfile ----------------------------------------------------- *)
 
 let test_orderfile_roundtrip () =
@@ -266,4 +365,5 @@ let suite =
     Alcotest.test_case "hugepage text alignment" `Quick test_text_alignment;
     Alcotest.test_case "find block by address" `Quick test_find_block_by_addr;
     Alcotest.test_case "link stats" `Quick test_link_stats;
+    Alcotest.test_case "pinned outputs on real programs" `Quick test_pinned_outputs;
   ]

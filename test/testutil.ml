@@ -68,6 +68,23 @@ let medium_program ?(seed = 7L) () =
   in
   (spec, Progen.Generate.program spec)
 
+(* Program [k] of the relink family the benchmark draws: clang's
+   shape at a quarter of its units and functions per unit, seeded as
+   program k of the default run (seed 101), after cross-module
+   inlining. *)
+let relink_family_program k =
+  let clang = Progen.Suite.clang in
+  let run = Support.Rng.next (Support.Rng.create 101L) in
+  let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) k) in
+  Progen.Generate.program
+    {
+      clang with
+      Progen.Spec.num_units = clang.num_units / 4;
+      funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
+      seed;
+    }
+  |> Codegen.Inline.program
+
 let compile_and_link ?(codegen = Codegen.default_options) ?(link = Linker.Link.default_options)
     ?(name = "test") program =
   let objs = Codegen.compile_program codegen program in
