@@ -17,15 +17,16 @@ type t = {
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;
-  uid : int;  (** Distinguishes binaries for internal caching. *)
+  by_addr : index;
 }
 
-let next_uid = ref 0
+(* Built on first use. Domains that race to build it compute equal
+   arrays, so whichever store wins is the same index. *)
+and index = block_info array option Atomic.t
 
 let make ~name ~entry_symbol ~sections ~symbols ~blocks ~text_start ~text_end ~bb_maps =
-  incr next_uid;
   { name; entry_symbol; sections; symbols; blocks; text_start; text_end; bb_maps;
-    uid = !next_uid }
+    by_addr = Atomic.make None }
 
 let symbol_addr t s = Hashtbl.find_opt t.symbols s
 
@@ -42,17 +43,16 @@ let text_bytes t = size_of_kind t Objfile.Section.Text
 
 let num_symbols t = Hashtbl.length t.symbols
 
-(* Sorted block array for address lookups, built lazily per binary via
-   memo table keyed on physical identity. *)
-let sorted_blocks_cache : (int, block_info array) Hashtbl.t = Hashtbl.create 8
-
+(* The blocks sorted by address, for address lookups. Blocks at equal
+   addresses (emptied by relaxation) keep the order this sort of the
+   table's sequence gives them, which the image digest records. *)
 let sorted_blocks t =
-  match Hashtbl.find_opt sorted_blocks_cache t.uid with
+  match Atomic.get t.by_addr with
   | Some arr -> arr
   | None ->
     let arr = Array.of_seq (Seq.map snd (Hashtbl.to_seq t.blocks)) in
     Array.sort (fun (a : block_info) (b : block_info) -> compare a.addr b.addr) arr;
-    Hashtbl.replace sorted_blocks_cache t.uid arr;
+    Atomic.set t.by_addr (Some arr);
     arr
 
 let find_block_by_addr t addr =

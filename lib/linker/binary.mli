@@ -30,10 +30,14 @@ type t = {
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;  (** Merged metadata, if retained. *)
-  uid : int;  (** Unique per constructed binary; used for caching. *)
+  by_addr : index;  (** Address-ordered blocks, built on first lookup. *)
 }
 
-(** [make ...] assembles a binary, assigning it a fresh [uid]. *)
+(** The lazily built index behind {!find_block_by_addr}; it lives and
+    dies with its binary. *)
+and index
+
+(** [make ...] assembles a binary. *)
 val make :
   name:string ->
   entry_symbol:string ->
@@ -87,7 +91,7 @@ val symbols_sorted : t -> (string * int) list
 (** [image_digest t] is a content digest of the observable image: the
     placed section list, every block's final address/size/instructions
     (in address order), and the sorted symbol table. Binaries built from
-    the same inputs digest equal regardless of [uid] or construction
+    the same inputs digest equal regardless of construction
     order — the byte-identity oracle behind the [--jobs] determinism
     tests. *)
 val image_digest : t -> Support.Digesting.t

@@ -32,17 +32,29 @@ type stats = {
 
 type outcome = { binary : Binary.t; stats : stats }
 
-(* Mutable working form of a text section during relaxation. Branch
-   targets are resolved to piece/section references up front so the
-   relaxation sweeps never consult a symbol table. *)
+(* Mutable working form of a text section during relaxation. Only Jcc
+   and Jmp ever change encoding or die, so a piece keeps mutable state
+   for its branches alone and hands its fragment's own instruction list
+   to the output when none of them changed. Branch targets are resolved
+   to piece/section references up front so the relaxation sweeps never
+   consult a symbol table. *)
 type wpiece = {
   block : int;
-  insts : winst array;
+  src : Isa.t list;  (** The fragment's instructions, as compiled. *)
+  branches : wbranch array;  (** Its Jcc and Jmp, in instruction order. *)
+  mutable size : int;  (** Bytes of the live instructions. *)
+  mutable touched : bool;  (** Some branch died or changed. *)
   mutable paddr : int;
   is_landing_pad : bool;
 }
 
-and winst = { mutable i : Isa.t; mutable dead : bool; mutable tgt : wtarget }
+and wbranch = {
+  mutable i : Isa.t;
+  mutable dead : bool;
+  mutable tgt : wtarget;
+  pre_bytes : int;  (** Non-branch bytes since the previous branch or piece start. *)
+  pre_count : int;  (** Non-branch instructions in that run. *)
+}
 
 and wtarget = No_target | To_piece of wpiece | To_sec_addr of int ref
 
@@ -56,16 +68,17 @@ type wsec = {
   had_bbmap : bool;
 }
 
+(* Placeholder for unfilled piece slots. *)
+let absent =
+  { block = -1; src = []; branches = [||]; size = 0; touched = false; paddr = 0;
+    is_landing_pad = false }
+
 let align_up v a = if a <= 1 then v else (v + a - 1) / a * a
 
-let winst_size w = if w.dead then 0 else Isa.size w.i
+let sec_size s = Array.fold_left (fun acc p -> acc + p.size) 0 s.pieces
 
-let piece_size p = Array.fold_left (fun acc w -> acc + winst_size w) 0 p.insts
-
-let sec_size s = Array.fold_left (fun acc p -> acc + piece_size p) 0 s.pieces
-
-let target_addr w =
-  match w.tgt with
+let target_addr b =
+  match b.tgt with
   | No_target -> invalid_arg "Link.target_addr: no target"
   | To_piece p -> p.paddr
   | To_sec_addr a -> !a
@@ -80,65 +93,126 @@ let assign_addresses base sections =
       Array.iter
         (fun p ->
           p.paddr <- !cur;
-          cur := !cur + piece_size p)
+          cur := !cur + p.size)
         s.pieces)
     sections;
   !cur
 
-(* Working-form instruction array straight from the fragment's list:
-   counted fill, no intermediate cons cell per instruction (the linker
-   rebuilds this form on every relink). *)
-let winsts_of_list insts =
-  match insts with
-  | [] -> [||]
-  | first :: _ ->
-    let n = List.length insts in
-    let arr = Array.make n { i = first; dead = true; tgt = No_target } in
-    List.iteri (fun k i -> arr.(k) <- { i; dead = false; tgt = No_target }) insts;
-    arr
+(* One walk over a piece's instructions: its byte size, its relocation
+   count (branches and direct calls) and its branches, each with the
+   run of non-branch instructions before it. *)
+let wpiece_of_piece (p : Objfile.Fragment.piece) =
+  let rec walk insts ~size ~relocs ~run_bytes ~run_count ~nb acc =
+    match insts with
+    | [] -> (size, relocs, nb, acc)
+    | (Isa.Jcc _ | Isa.Jmp _) as i :: rest ->
+      let b = { i; dead = false; tgt = No_target; pre_bytes = run_bytes; pre_count = run_count } in
+      walk rest ~size:(size + Isa.size i) ~relocs:(relocs + 1) ~run_bytes:0 ~run_count:0
+        ~nb:(nb + 1) (b :: acc)
+    | i :: rest ->
+      let sz = Isa.size i in
+      let relocs = match i with Isa.Call _ -> relocs + 1 | _ -> relocs in
+      walk rest ~size:(size + sz) ~relocs ~run_bytes:(run_bytes + sz)
+        ~run_count:(run_count + 1) ~nb acc
+  in
+  let size, relocs, nb, rev = walk p.insts ~size:0 ~relocs:0 ~run_bytes:0 ~run_count:0 ~nb:0 [] in
+  let branches =
+    match rev with
+    | [] -> [||]
+    | last :: _ ->
+      let arr = Array.make nb last in
+      List.iteri (fun k b -> arr.(nb - 1 - k) <- b) rev;
+      arr
+  in
+  ( { block = p.block; src = p.insts; branches; size; touched = false; paddr = 0;
+      is_landing_pad = p.is_landing_pad },
+    relocs )
 
-let wpieces_of_frag (frag : Objfile.Fragment.t) =
-  match frag.pieces with
-  | [] -> [||]
-  | (first : Objfile.Fragment.piece) :: _ ->
-    let n = List.length frag.pieces in
-    let dummy = { block = first.block; insts = [||]; paddr = 0; is_landing_pad = false } in
-    let arr = Array.make n dummy in
-    List.iteri
-      (fun k (p : Objfile.Fragment.piece) ->
-        arr.(k) <-
-          {
-            block = p.block;
-            insts = winsts_of_list p.insts;
-            paddr = 0;
-            is_landing_pad = p.is_landing_pad;
-          })
-      frag.pieces;
-    arr
+let bbmap_prefix = ".llvm_bb_addr_map."
 
-let gather_text_sections objs =
-  List.concat_map
-    (fun (o : Objfile.File.t) ->
-      List.filter_map
-        (fun (s : Objfile.Section.t) ->
-          match s.contents with
-          | Objfile.Section.Code frag ->
-            let had_bbmap =
-              Option.is_some (Objfile.File.find_section o (".llvm_bb_addr_map." ^ frag.func))
-            in
-            Some
-              {
-                sname = s.name;
-                ssymbol = s.symbol;
-                sfunc = frag.func;
-                salign = s.align;
-                pieces = wpieces_of_frag frag;
-                saddr = ref 0;
-                had_bbmap;
-              }
-          | Objfile.Section.Map _ | Objfile.Section.Raw _ -> None)
-        o.sections)
-    objs
+(* [name = bbmap_prefix ^ func], without building the concatenation. *)
+let is_bbmap_of ~func name =
+  let pl = String.length bbmap_prefix and fl = String.length func in
+  String.length name = pl + fl
+  && String.starts_with ~prefix:bbmap_prefix name
+  &&
+  let rec eq k = k >= fl || (Char.equal name.[pl + k] func.[k] && eq (k + 1)) in
+  eq 0
+
+(* Input-side totals the output needs, summed in the gather pass. *)
+type totals = {
+  mutable input_bytes : int;
+  mutable num_input_sections : int;
+  mutable relocs : int;
+  mutable rodata : int;
+  mutable data : int;
+  mutable eh_frame : int;
+}
+
+(* The single pass over the inputs: every code section's working form,
+   in input order, plus the totals above. Address-map presence is only
+   looked up when the map is kept. *)
+let gather options objs =
+  let t =
+    { input_bytes = 0; num_input_sections = 0; relocs = 0; rodata = 0; data = 0; eh_frame = 0 }
+  in
+  let texts =
+    List.concat_map
+      (fun (o : Objfile.File.t) ->
+        let text_sections = ref 0 in
+        let secs =
+          List.filter_map
+            (fun (s : Objfile.Section.t) ->
+              t.num_input_sections <- t.num_input_sections + 1;
+              if s.kind = Objfile.Section.Text then incr text_sections;
+              let size, sec =
+                match s.contents with
+                | Objfile.Section.Code frag ->
+                  let n = List.length frag.pieces in
+                  let pieces = Array.make n absent in
+                  let size = ref 0 in
+                  List.iteri
+                    (fun k piece ->
+                      let wp, relocs = wpiece_of_piece piece in
+                      pieces.(k) <- wp;
+                      size := !size + wp.size;
+                      t.relocs <- t.relocs + relocs)
+                    frag.pieces;
+                  let had_bbmap =
+                    options.keep_bb_addr_map
+                    && List.exists
+                         (fun (m : Objfile.Section.t) -> is_bbmap_of ~func:frag.func m.name)
+                         o.sections
+                  in
+                  ( !size,
+                    Some
+                      {
+                        sname = s.name;
+                        ssymbol = s.symbol;
+                        sfunc = frag.func;
+                        salign = s.align;
+                        pieces;
+                        saddr = ref 0;
+                        had_bbmap;
+                      } )
+                | Objfile.Section.Map _ | Objfile.Section.Raw _ -> (Objfile.Section.size s, None)
+              in
+              t.input_bytes <- t.input_bytes + size;
+              (match s.kind with
+              | Objfile.Section.Rodata -> t.rodata <- t.rodata + size
+              | Data -> t.data <- t.data + size
+              | Eh_frame -> t.eh_frame <- t.eh_frame + size
+              | Text | Bb_addr_map | Rela | Debug | Symtab -> ());
+              sec)
+            o.sections
+        in
+        (* Two DWARF range relocations per text section beyond the
+           first, as {!Objfile.File.num_relocations} counts them. *)
+        t.relocs <- t.relocs + (2 * max 0 (!text_sections - 1));
+        secs)
+      objs
+  in
+  (texts, t)
 
 let order_text_sections options all =
   match options.ordering with
@@ -154,80 +228,179 @@ let order_text_sections options all =
     let key s = match s.ssymbol with Some sym -> Hashtbl.find rank sym | None -> max_int in
     List.stable_sort (fun a b -> compare (key a) (key b)) ranked @ unranked
 
-(* Resolve every branch target to its piece/section once. Blocks are
-   indexed by a packed (dense function index, block id) int key — the
-   resolution loop runs once per branch instruction per link, and a
-   tuple key would allocate on every probe. *)
+(* A function's placed pieces, indexed by block id (IR block ids are
+   dense, see [Ir.Func.make]); [absent] marks unused slots. *)
+type wfunc = { mutable by_block : wpiece array }
+
+let find_block wf block =
+  if block >= 0 && block < Array.length wf.by_block then
+    let p = wf.by_block.(block) in
+    if p == absent then None else Some p
+  else None
+
+(* Register every section and block, then resolve every branch target
+   to its piece/section in one walk of the instructions. A target in
+   the branch's own function is indexed straight from the section's
+   function, with no hash probe. Calls are resolved only to check them:
+   relaxation never moves them. *)
 let resolve_targets sections =
   let syms : (string, int ref) Hashtbl.t = Hashtbl.create 1024 in
-  let func_idx : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let idx_of_func f =
-    match Hashtbl.find_opt func_idx f with
-    | Some i -> i
+  let funcs : (string, wfunc) Hashtbl.t = Hashtbl.create 256 in
+  let func_of s =
+    match Hashtbl.find_opt funcs s.sfunc with
+    | Some wf -> wf
     | None ->
-      let i = Hashtbl.length func_idx in
-      Hashtbl.add func_idx f i;
-      i
+      let wf = { by_block = [||] } in
+      Hashtbl.add funcs s.sfunc wf;
+      wf
   in
-  let blocks : (int, wpiece) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
-    (fun s ->
-      (match s.ssymbol with
-      | Some sym ->
-        if Hashtbl.mem syms sym then raise (Link_error ("duplicate symbol " ^ sym));
-        Hashtbl.add syms sym s.saddr
-      | None -> ());
-      let fi = idx_of_func s.sfunc in
+  let wfuncs =
+    List.map
+      (fun s ->
+        (match s.ssymbol with
+        | Some sym ->
+          if Hashtbl.mem syms sym then raise (Link_error ("duplicate symbol " ^ sym));
+          Hashtbl.add syms sym s.saddr
+        | None -> ());
+        let wf = func_of s in
+        Array.iter
+          (fun p ->
+            let n = Array.length wf.by_block in
+            if p.block >= n then begin
+              let grown = Array.make (max (2 * n) (p.block + 1)) absent in
+              Array.blit wf.by_block 0 grown 0 n;
+              wf.by_block <- grown
+            end;
+            if wf.by_block.(p.block) != absent then
+              raise (Link_error (Printf.sprintf "block %s#%d defined twice" s.sfunc p.block));
+            wf.by_block.(p.block) <- p)
+          s.pieces;
+        wf)
+      sections
+  in
+  let block_target s wf func block =
+    let wf =
+      if func == s.sfunc || String.equal func s.sfunc then Some wf
+      else Hashtbl.find_opt funcs func
+    in
+    match Option.bind wf (fun wf -> find_block wf block) with
+    | Some piece -> To_piece piece
+    | None -> raise (Link_error (Printf.sprintf "unresolved block target %s#%d" func block))
+  in
+  let func_target f =
+    match Hashtbl.find_opt syms f with
+    | Some addr -> To_sec_addr addr
+    | None -> raise (Link_error ("unresolved function symbol " ^ f))
+  in
+  List.iter2
+    (fun s wf ->
       Array.iter
         (fun p ->
-          let key = Support.Packed.pack ~src:fi ~dst:p.block in
-          if Hashtbl.mem blocks key then
-            raise (Link_error (Printf.sprintf "block %s#%d defined twice" s.sfunc p.block));
-          Hashtbl.add blocks key p)
-        s.pieces)
-    sections;
-  List.iter
-    (fun s ->
-      Array.iter
-        (fun p ->
-          Array.iter
-            (fun w ->
-              (* Match the instruction directly — [Isa.branch_target]
-                 would box an option per probe, once per instruction per
-                 relink. *)
-              match w.i with
+          (* [k] counts the branches passed: the walk meets them in the
+             order [p.branches] holds them. *)
+          let rec walk k = function
+            | [] -> ()
+            | i :: rest -> (
+              match i with
+              | Isa.Jcc { target; _ } | Isa.Jmp { target; _ } ->
+                p.branches.(k).tgt <-
+                  (match target with
+                  | Isa.Target.Block { func; block } -> block_target s wf func block
+                  | Isa.Target.Func f -> func_target f);
+                walk (k + 1) rest
+              | Isa.Call (Isa.Target.Block { func; block }) ->
+                ignore (block_target s wf func block);
+                walk k rest
+              | Isa.Call (Isa.Target.Func f) ->
+                ignore (func_target f);
+                walk k rest
               | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.IndirectCall | Isa.IndirectJmp
-              | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> ()
-              | Isa.Jcc { target = Isa.Target.Block { func; block }; _ }
-              | Isa.Jmp { target = Isa.Target.Block { func; block }; _ }
-              | Isa.Call (Isa.Target.Block { func; block }) -> (
-                match Hashtbl.find_opt func_idx func with
-                | None ->
-                  raise (Link_error (Printf.sprintf "unresolved block target %s#%d" func block))
-                | Some fi -> (
-                  match Hashtbl.find_opt blocks (Support.Packed.pack ~src:fi ~dst:block) with
-                  | Some piece -> w.tgt <- To_piece piece
-                  | None ->
-                    raise
-                      (Link_error (Printf.sprintf "unresolved block target %s#%d" func block))))
-              | Isa.Jcc { target = Isa.Target.Func f; _ }
-              | Isa.Jmp { target = Isa.Target.Func f; _ }
-              | Isa.Call (Isa.Target.Func f) -> (
-                match Hashtbl.find_opt syms f with
-                | Some addr -> w.tgt <- To_sec_addr addr
-                | None -> raise (Link_error ("unresolved function symbol " ^ f))))
-            p.insts)
+              | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> walk k rest)
+          in
+          walk 0 p.src)
         s.pieces)
-    sections;
+    sections wfuncs;
   syms
 
-(* Index of the next live instruction at or after [j], or [-1]. Top
-   level so the sweep's inner scan costs no closure per conditional
-   branch. *)
-let rec next_live_idx insts n j =
-  if j >= n then -1 else if insts.(j).dead then next_live_idx insts n (j + 1) else j
+(* Index of the next live branch at or after [j] when only dead
+   branches lie between, or [-1] when a (never deleted) non-branch
+   instruction or the piece end comes first. *)
+let rec next_live_branch bs n j =
+  if j >= n then -1
+  else
+    let b = bs.(j) in
+    if b.pre_count > 0 then -1 else if b.dead then next_live_branch bs n (j + 1) else j
 
-(* One relaxation sweep; returns whether anything changed. Rules:
+(* Relax one piece's branches, walking its addresses from [p.paddr];
+   returns whether anything changed. *)
+let relax_piece p ~deleted ~shrunk =
+  let changed = ref false in
+  let bs = p.branches in
+  let n = Array.length bs in
+  let addr = ref p.paddr in
+  let kill b size =
+    b.dead <- true;
+    p.size <- p.size - size;
+    p.touched <- true;
+    incr deleted;
+    changed := true
+  in
+  let shrink b i ~saved =
+    b.i <- i;
+    p.size <- p.size - saved;
+    p.touched <- true;
+    incr shrunk;
+    changed := true
+  in
+  for k = 0 to n - 1 do
+    let b = bs.(k) in
+    addr := !addr + b.pre_bytes;
+    if not b.dead then begin
+      let size = Isa.size b.i in
+      let after = !addr + size in
+      (match b.i with
+      | Isa.Jmp { target; encoding } ->
+        let tgt = target_addr b in
+        if tgt = after then kill b size
+        else if encoding = Isa.Long && Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short))
+        then shrink b (Isa.Jmp { target; encoding = Isa.Short }) ~saved:(size - Isa.jmp_size Isa.Short)
+      | Isa.Jcc { cond; target; encoding } ->
+        let tgt = target_addr b in
+        let reversed =
+          match next_live_branch bs n (k + 1) with
+          | -1 -> false
+          | j -> (
+            let jb = bs.(j) in
+            match jb.i with
+            | Isa.Jmp { target = jmp_target; _ } ->
+              let jmp_size = Isa.size jb.i in
+              if tgt = after + jmp_size then begin
+                b.i <- Isa.Jcc { cond = Isa.Cond.negate cond; target = jmp_target; encoding };
+                b.tgt <- jb.tgt;
+                kill jb jmp_size;
+                true
+              end
+              else false
+            | Isa.Jcc _ -> false
+            | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
+            | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ ->
+              assert false)
+        in
+        if (not reversed) && encoding = Isa.Long
+           && Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short))
+        then
+          shrink b (Isa.Jcc { cond; target; encoding = Isa.Short })
+            ~saved:(size - Isa.jcc_size Isa.Short)
+      | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.IndirectJmp
+      | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false);
+      if not b.dead then addr := !addr + Isa.size b.i
+    end
+  done;
+  !changed
+
+(* One relaxation sweep over every branch; returns whether anything
+   changed. Each piece walks from the address assigned before the
+   sweep, and targets read those same addresses. Rules:
    1. an unconditional jump whose target is the next address is dead;
    2. a conditional branch that skips exactly over a live trailing jump
       gets its condition reversed, takes the jump's destination, and
@@ -239,75 +412,26 @@ let relax_sweep sections ~deleted ~shrunk =
     (fun s ->
       Array.iter
         (fun p ->
-          let addr = ref p.paddr in
-          let n = Array.length p.insts in
-          Array.iteri
-            (fun idx w ->
-              if not w.dead then begin
-                let size = Isa.size w.i in
-                let after = !addr + size in
-                (match w.i with
-                | Isa.Jmp { target; encoding } ->
-                  let tgt = target_addr w in
-                  if tgt = after then begin
-                    w.dead <- true;
-                    incr deleted;
-                    changed := true
-                  end
-                  else if
-                    encoding = Isa.Long
-                    && Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short))
-                  then begin
-                    w.i <- Isa.Jmp { target; encoding = Isa.Short };
-                    incr shrunk;
-                    changed := true
-                  end
-                | Isa.Jcc { cond; target; encoding } ->
-                  let tgt = target_addr w in
-                  let next_live = next_live_idx p.insts n (idx + 1) in
-                  let reversed =
-                    match next_live with
-                    | -1 -> false
-                    | j -> (
-                      match p.insts.(j).i with
-                      | Isa.Jmp _ ->
-                        let jmp_size = Isa.size p.insts.(j).i in
-                        if tgt = after + jmp_size then begin
-                          w.i <-
-                            Isa.Jcc
-                              { cond = Isa.Cond.negate cond;
-                                target =
-                                  (match Isa.branch_target p.insts.(j).i with
-                                  | Some t -> t
-                                  | None -> assert false);
-                                encoding };
-                          w.tgt <- p.insts.(j).tgt;
-                          p.insts.(j).dead <- true;
-                          incr deleted;
-                          changed := true;
-                          true
-                        end
-                        else false
-                      | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Jcc _ | Isa.Call _
-                      | Isa.IndirectCall | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch
-                      | Isa.Nop _ | Isa.InlineData _ -> false)
-                  in
-                  if (not reversed) && encoding = Isa.Long then begin
-                    let tgt = target_addr w in
-                    if Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short)) then begin
-                      w.i <- Isa.Jcc { cond; target; encoding = Isa.Short };
-                      incr shrunk;
-                      changed := true
-                    end
-                  end
-                | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
-                | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> ());
-                addr := !addr + winst_size w
-              end)
-            p.insts)
+          if Array.length p.branches > 0 && relax_piece p ~deleted ~shrunk then changed := true)
         s.pieces)
     sections;
   !changed
+
+(* The piece's final instructions: the fragment's own list when no
+   branch changed, else that list with the branches' final state. *)
+let final_insts p =
+  if not p.touched then p.src
+  else
+    let rec build k = function
+      | [] -> []
+      | ((Isa.Jcc _ | Isa.Jmp _) :: rest) ->
+        let b = p.branches.(k) in
+        if b.dead then build (k + 1) rest else b.i :: build (k + 1) rest
+      | i :: rest -> i :: build k rest
+    in
+    build 0 p.src
+
+let rec last_inst = function [] -> None | [ i ] -> Some i | _ :: rest -> last_inst rest
 
 let symtab_bytes syms =
   Hashtbl.fold (fun name _ acc -> acc + 24 + String.length name + 1) syms 0
@@ -316,11 +440,9 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   let recorder =
     match recorder with Some r -> r | None -> Obs.Recorder.global
   in
-  let input_bytes = List.fold_left (fun acc o -> acc + Objfile.File.total_size o) 0 objs in
-  let num_input_sections =
-    List.fold_left (fun acc (o : Objfile.File.t) -> acc + List.length o.sections) 0 objs
-  in
-  let texts = order_text_sections options (gather_text_sections objs) in
+  let gathered, totals = gather options objs in
+  let input_bytes = totals.input_bytes and num_input_sections = totals.num_input_sections in
+  let texts = order_text_sections options gathered in
   let syms = resolve_targets texts in
   if not (Hashtbl.mem syms entry) then raise (Link_error ("undefined entry symbol " ^ entry));
   let text_base = align_up options.base_addr options.text_align in
@@ -332,54 +454,42 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   in
   let relax_iters = fix 1 in
   let text_end = assign_addresses text_base texts in
-  (* Final block infos and symbol addresses. *)
+  (* Final block infos and, for retained metadata, the address map
+     re-encoded against final addresses. *)
   let blocks = Hashtbl.create 4096 in
-  List.iter
-    (fun s ->
-      Array.iter
-        (fun p ->
-          let insts =
-            Array.fold_right (fun w acc -> if w.dead then acc else w.i :: acc) p.insts []
-          in
-          Hashtbl.replace blocks (s.sfunc, p.block)
-            { Binary.func = s.sfunc; block = p.block; addr = p.paddr; size = piece_size p; insts })
-        s.pieces)
-    texts;
+  let bb_maps =
+    List.filter_map
+      (fun s ->
+        let entries = ref [] in
+        Array.iter
+          (fun p ->
+            let insts = final_insts p in
+            Hashtbl.add blocks (s.sfunc, p.block)
+              { Binary.func = s.sfunc; block = p.block; addr = p.paddr; size = p.size; insts };
+            if s.had_bbmap then begin
+              let can_fallthrough =
+                match last_inst insts with
+                | Some (Isa.Jmp _ | Isa.Ret | Isa.IndirectJmp) -> false
+                | Some _ | None -> true
+              in
+              entries :=
+                {
+                  Objfile.Bbmap.bb_id = p.block;
+                  offset = p.paddr - !(s.saddr);
+                  size = p.size;
+                  can_fallthrough;
+                  is_landing_pad = p.is_landing_pad;
+                }
+                :: !entries
+            end)
+          s.pieces;
+        match s.ssymbol with
+        | Some sym when s.had_bbmap -> Some { Objfile.Bbmap.func = sym; entries = List.rev !entries }
+        | Some _ | None -> None)
+      texts
+  in
   let final_syms = Hashtbl.create (Hashtbl.length syms) in
   Hashtbl.iter (fun sym addr -> Hashtbl.replace final_syms sym !addr) syms;
-  (* Re-encoded address map for retained metadata. *)
-  let bb_maps =
-    if not options.keep_bb_addr_map then []
-    else
-      List.filter_map
-        (fun s ->
-          match s.ssymbol with
-          | Some sym when s.had_bbmap ->
-            let entries =
-              Array.to_list s.pieces
-              |> List.map (fun p ->
-                     let last_live =
-                       Array.fold_left
-                         (fun acc w -> if w.dead then acc else Some w.i)
-                         None p.insts
-                     in
-                     let can_fallthrough =
-                       match last_live with
-                       | Some (Isa.Jmp _ | Isa.Ret | Isa.IndirectJmp) -> false
-                       | Some _ | None -> true
-                     in
-                     {
-                       Objfile.Bbmap.bb_id = p.block;
-                       offset = p.paddr - !(s.saddr);
-                       size = piece_size p;
-                       can_fallthrough;
-                       is_landing_pad = p.is_landing_pad;
-                     })
-            in
-            Some { Objfile.Bbmap.func = sym; entries }
-          | Some _ | None -> None)
-        texts
-  in
   (* Placed sections: text in layout order, then aggregated non-text. *)
   let placed_texts =
     List.map
@@ -393,9 +503,6 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
         })
       texts
   in
-  let sum_kind kind =
-    List.fold_left (fun acc o -> acc + Objfile.File.size_by_kind o kind) 0 objs
-  in
   let cur = ref (align_up text_end 4096) in
   let mk sec_name kind size =
     if size = 0 then None
@@ -405,18 +512,14 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
       Some p
     end
   in
-  let reloc_bytes =
-    if options.emit_relocs then
-      24 * List.fold_left (fun acc o -> acc + Objfile.File.num_relocations o) 0 objs
-    else 0
-  in
+  let reloc_bytes = if options.emit_relocs then 24 * totals.relocs else 0 in
   let bbmap_bytes = if options.keep_bb_addr_map then Objfile.Bbmap.encoded_size bb_maps else 0 in
   let non_text =
     List.filter_map Fun.id
       [
-        mk ".rodata" Objfile.Section.Rodata (sum_kind Objfile.Section.Rodata);
-        mk ".data" Objfile.Section.Data (sum_kind Objfile.Section.Data);
-        mk ".eh_frame" Objfile.Section.Eh_frame (sum_kind Objfile.Section.Eh_frame);
+        mk ".rodata" Objfile.Section.Rodata totals.rodata;
+        mk ".data" Objfile.Section.Data totals.data;
+        mk ".eh_frame" Objfile.Section.Eh_frame totals.eh_frame;
         mk ".llvm_bb_addr_map" Objfile.Section.Bb_addr_map bbmap_bytes;
         mk ".rela.text" Objfile.Section.Rela reloc_bytes;
         mk ".symtab" Objfile.Section.Symtab (symtab_bytes final_syms);
