@@ -345,12 +345,20 @@ let relax_piece p ~deleted ~shrunk =
     incr deleted;
     changed := true
   in
-  let shrink b i ~saved =
+  let recode b i =
+    p.size <- p.size + Isa.size i - Isa.size b.i;
     b.i <- i;
-    p.size <- p.size - saved;
     p.touched <- true;
-    incr shrunk;
     changed := true
+  in
+  (* Rules 3 and 4 for a branch not deleted or reversed this sweep. *)
+  let fit b ~at ~tgt ~short ~long = function
+    | Isa.Long ->
+      if Isa.fits_short (tgt - (at + Isa.size short)) then begin
+        recode b short;
+        incr shrunk
+      end
+    | Isa.Short -> if not (Isa.fits_short (tgt - (at + Isa.size short))) then recode b long
   in
   for k = 0 to n - 1 do
     let b = bs.(k) in
@@ -362,8 +370,10 @@ let relax_piece p ~deleted ~shrunk =
       | Isa.Jmp { target; encoding } ->
         let tgt = target_addr b in
         if tgt = after then kill b size
-        else if encoding = Isa.Long && Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short))
-        then shrink b (Isa.Jmp { target; encoding = Isa.Short }) ~saved:(size - Isa.jmp_size Isa.Short)
+        else
+          fit b ~at:!addr ~tgt encoding
+            ~short:(Isa.Jmp { target; encoding = Isa.Short })
+            ~long:(Isa.Jmp { target; encoding = Isa.Long })
       | Isa.Jcc { cond; target; encoding } ->
         let tgt = target_addr b in
         let reversed =
@@ -386,11 +396,10 @@ let relax_piece p ~deleted ~shrunk =
             | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ ->
               assert false)
         in
-        if (not reversed) && encoding = Isa.Long
-           && Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short))
-        then
-          shrink b (Isa.Jcc { cond; target; encoding = Isa.Short })
-            ~saved:(size - Isa.jcc_size Isa.Short)
+        if not reversed then
+          fit b ~at:!addr ~tgt encoding
+            ~short:(Isa.Jcc { cond; target; encoding = Isa.Short })
+            ~long:(Isa.Jcc { cond; target; encoding = Isa.Long })
       | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.IndirectJmp
       | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false);
       if not b.dead then addr := !addr + Isa.size b.i
@@ -405,7 +414,11 @@ let relax_piece p ~deleted ~shrunk =
    2. a conditional branch that skips exactly over a live trailing jump
       gets its condition reversed, takes the jump's destination, and
       kills the jump;
-   3. long branches whose displacement fits rel8 shrink to short. *)
+   3. long branches whose displacement fits rel8 shrink to short;
+   4. short branches whose displacement no longer fits rel8 grow back
+      to long. Section alignment can stretch a displacement: when code
+      ahead of a target shrinks, an aligned section after it may stay
+      put. A reversal can also hand a short branch a far destination. *)
 let relax_sweep sections ~deleted ~shrunk =
   let changed = ref false in
   List.iter

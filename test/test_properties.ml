@@ -315,12 +315,139 @@ let sampler_period_law =
         r.profile.Perfmon.Lbr.ranges;
       !ok)
 
+(* --- relaxation under adversarial layouts ---------------------------- *)
+
+(* Small programs of three Table 2 shapes: each keeps its shape's block
+   counts and sizes at two to four units. *)
+let adversarial_shapes = [| "505.mcf"; "531.deepsjeng"; "clang" |]
+
+let adversarial_arb =
+  QCheck.make
+    ~print:(fun (shape, seed, units, shuffle) ->
+      Printf.sprintf "shape=%s seed=%d units=%d shuffle=%d" adversarial_shapes.(shape) seed units
+        shuffle)
+    QCheck.Gen.(
+      quad (int_bound (Array.length adversarial_shapes - 1)) (int_range 1 10_000) (int_range 2 4)
+        (int_range 1 10_000))
+
+(* A random split of every function into a primary cluster, up to two
+   extra clusters and an implicit cold one, each in random block order:
+   many sections, so a shuffled ordering file scatters their branches. *)
+let scatter_plan rng (f : Ir.Func.t) =
+  let n = Ir.Func.num_blocks f in
+  if n < 2 then None
+  else begin
+    let ids = Array.init (n - 1) (fun i -> i + 1) in
+    Support.Rng.shuffle rng ids;
+    let rest = ref (Array.to_list ids) in
+    let take () =
+      let k = Support.Rng.int rng (List.length !rest + 1) in
+      let taken = List.filteri (fun i _ -> i < k) !rest in
+      rest := List.filteri (fun i _ -> i >= k) !rest;
+      taken
+    in
+    let primary = { Codegen.Directive.kind = Codegen.Directive.Primary; blocks = 0 :: take () } in
+    let extras =
+      List.filter_map
+        (fun e ->
+          match take () with
+          | [] -> None
+          | blocks -> Some { Codegen.Directive.kind = Codegen.Directive.Extra e; blocks })
+        [ 1; 2 ]
+    in
+    Some { Codegen.Directive.func = f.name; clusters = primary :: extras }
+  end
+
+let logical (s : Exec.Interp.stats) =
+  [ s.blocks_executed; s.calls; s.returns; s.indirect_jumps; s.dloads; s.requests_completed ]
+
+(* Final address of a branch target in a linked image. *)
+let target_addr binary = function
+  | Isa.Target.Block { func; block } ->
+    (Linker.Binary.block_info_exn binary ~func ~block).Linker.Binary.addr
+  | Isa.Target.Func f -> Option.get (Linker.Binary.symbol_addr binary f)
+
+(* Relaxation's output contract on one image: every Short branch
+   reaches its target, and no rule still applies (no live jump to its
+   own fall-through, no Long branch that fits rel8). *)
+let relaxed_encodings_ok binary =
+  Hashtbl.fold
+    (fun _ (b : Linker.Binary.block_info) ok ->
+      let addr = ref b.addr in
+      ok
+      && List.for_all
+           (fun i ->
+             let at = !addr in
+             let after = at + Isa.size i in
+             addr := after;
+             match i with
+             | Isa.Jmp { target; encoding } -> (
+               let tgt = target_addr binary target in
+               tgt <> after
+               &&
+               match encoding with
+               | Isa.Short -> Isa.fits_short (tgt - after)
+               | Isa.Long -> not (Isa.fits_short (tgt - (at + Isa.jmp_size Isa.Short))))
+             | Isa.Jcc { target; encoding; _ } -> (
+               let tgt = target_addr binary target in
+               match encoding with
+               | Isa.Short -> Isa.fits_short (tgt - after)
+               | Isa.Long -> not (Isa.fits_short (tgt - (at + Isa.jcc_size Isa.Short))))
+             | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
+             | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> true)
+           b.insts)
+    binary.Linker.Binary.blocks true
+
+(* ROADMAP item 3: scatter every function into random clusters, link
+   them under a shuffled ordering file, and the relaxed image must keep
+   every encoding in range, reach a fixpoint, and execute the logical
+   trace of the same objects linked in input order. *)
+let adversarial_relax_law =
+  QCheck.Test.make ~count:200 ~name:"relaxation holds under shuffled ordering files"
+    adversarial_arb
+    (fun (shape, seed, units, shuffle) ->
+      let program =
+        Progen.Generate.program
+          {
+            (Option.get (Progen.Suite.by_name adversarial_shapes.(shape))) with
+            Progen.Spec.seed = Int64.of_int seed;
+            num_units = units;
+          }
+      in
+      let rng = Support.Rng.create (Int64.of_int shuffle) in
+      let plans =
+        Ir.Program.fold_funcs program [] (fun acc f ->
+            match scatter_plan rng f with Some p -> p :: acc | None -> acc)
+      in
+      let objs = Codegen.compile_program { Codegen.default_options with plans } program in
+      let symbols =
+        Array.of_list
+          (List.concat_map (fun o -> List.map fst (Objfile.File.defined_symbols o)) objs)
+      in
+      Support.Rng.shuffle rng symbols;
+      let link ordering =
+        Linker.Link.link
+          ~options:{ Linker.Link.default_options with ordering }
+          ~name:"adv" ~entry:(Ir.Program.main program) objs
+      in
+      let run binary =
+        Exec.Interp.run (Exec.Image.build program binary)
+          { Exec.Interp.default_config with requests = 10 }
+          Exec.Event.null
+      in
+      let base = link None in
+      let shuffled = link (Some (Array.to_list symbols)) in
+      shuffled.stats.relax_iters < 32
+      && relaxed_encodings_ok shuffled.binary
+      && logical (run shuffled.binary) = logical (run base.binary))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest relayout_invariance_law;
     QCheck_alcotest.to_alcotest link_determinism_law;
     QCheck_alcotest.to_alcotest bbmap_truth_law;
     QCheck_alcotest.to_alcotest relax_monotone_law;
+    QCheck_alcotest.to_alcotest adversarial_relax_law;
     QCheck_alcotest.to_alcotest pipeline_no_regression_law;
     QCheck_alcotest.to_alcotest jobs_invariance_law;
     QCheck_alcotest.to_alcotest fault_tolerance_law;
