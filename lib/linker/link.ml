@@ -41,6 +41,7 @@ type outcome = { binary : Binary.t; stats : stats }
 type wpiece = {
   block : int;
   src : Isa.t list;  (** The fragment's instructions, as compiled. *)
+  sites : Isa.t array;  (** Its Jcc, Jmp and Call, in instruction order. *)
   branches : wbranch array;  (** Its Jcc and Jmp, in instruction order. *)
   mutable size : int;  (** Bytes of the live instructions. *)
   mutable touched : bool;  (** Some branch died or changed. *)
@@ -70,7 +71,7 @@ type wsec = {
 
 (* Placeholder for unfilled piece slots. *)
 let absent =
-  { block = -1; src = []; branches = [||]; size = 0; touched = false; paddr = 0;
+  { block = -1; src = []; sites = [||]; branches = [||]; size = 0; touched = false; paddr = 0;
     is_landing_pad = false }
 
 let align_up v a = if a <= 1 then v else (v + a - 1) / a * a
@@ -99,34 +100,40 @@ let assign_addresses base sections =
   !cur
 
 (* One walk over a piece's instructions: its byte size, its relocation
-   count (branches and direct calls) and its branches, each with the
+   sites (branches and direct calls) and its branches, each with the
    run of non-branch instructions before it. *)
 let wpiece_of_piece (p : Objfile.Fragment.piece) =
-  let rec walk insts ~size ~relocs ~run_bytes ~run_count ~nb acc =
+  let rec walk insts ~size ~run_bytes ~run_count ~nsites sites ~nb branches =
     match insts with
-    | [] -> (size, relocs, nb, acc)
+    | [] -> (size, nsites, sites, nb, branches)
     | (Isa.Jcc _ | Isa.Jmp _) as i :: rest ->
       let b = { i; dead = false; tgt = No_target; pre_bytes = run_bytes; pre_count = run_count } in
-      walk rest ~size:(size + Isa.size i) ~relocs:(relocs + 1) ~run_bytes:0 ~run_count:0
-        ~nb:(nb + 1) (b :: acc)
+      walk rest ~size:(size + Isa.size i) ~run_bytes:0 ~run_count:0 ~nsites:(nsites + 1)
+        (i :: sites) ~nb:(nb + 1) (b :: branches)
+    | Isa.Call _ as i :: rest ->
+      let sz = Isa.size i in
+      walk rest ~size:(size + sz) ~run_bytes:(run_bytes + sz) ~run_count:(run_count + 1)
+        ~nsites:(nsites + 1) (i :: sites) ~nb branches
     | i :: rest ->
       let sz = Isa.size i in
-      let relocs = match i with Isa.Call _ -> relocs + 1 | _ -> relocs in
-      walk rest ~size:(size + sz) ~relocs ~run_bytes:(run_bytes + sz)
-        ~run_count:(run_count + 1) ~nb acc
+      walk rest ~size:(size + sz) ~run_bytes:(run_bytes + sz) ~run_count:(run_count + 1)
+        ~nsites sites ~nb branches
   in
-  let size, relocs, nb, rev = walk p.insts ~size:0 ~relocs:0 ~run_bytes:0 ~run_count:0 ~nb:0 [] in
-  let branches =
+  let size, nsites, sites, nb, branches =
+    walk p.insts ~size:0 ~run_bytes:0 ~run_count:0 ~nsites:0 [] ~nb:0 []
+  in
+  (* Both lists are reversed. *)
+  let array_of_rev n rev =
     match rev with
     | [] -> [||]
     | last :: _ ->
-      let arr = Array.make nb last in
-      List.iteri (fun k b -> arr.(nb - 1 - k) <- b) rev;
+      let arr = Array.make n last in
+      List.iteri (fun k x -> arr.(n - 1 - k) <- x) rev;
       arr
   in
-  ( { block = p.block; src = p.insts; branches; size; touched = false; paddr = 0;
-      is_landing_pad = p.is_landing_pad },
-    relocs )
+  { block = p.block; src = p.insts; sites = array_of_rev nsites sites;
+    branches = array_of_rev nb branches; size; touched = false; paddr = 0;
+    is_landing_pad = p.is_landing_pad }
 
 let bbmap_prefix = ".llvm_bb_addr_map."
 
@@ -173,10 +180,10 @@ let gather options objs =
                   let size = ref 0 in
                   List.iteri
                     (fun k piece ->
-                      let wp, relocs = wpiece_of_piece piece in
+                      let wp = wpiece_of_piece piece in
                       pieces.(k) <- wp;
                       size := !size + wp.size;
-                      t.relocs <- t.relocs + relocs)
+                      t.relocs <- t.relocs + Array.length wp.sites)
                     frag.pieces;
                   let had_bbmap =
                     options.keep_bb_addr_map
@@ -232,15 +239,13 @@ let order_text_sections options all =
    dense, see [Ir.Func.make]); [absent] marks unused slots. *)
 type wfunc = { mutable by_block : wpiece array }
 
+(* The piece of [block], or [absent]. *)
 let find_block wf block =
-  if block >= 0 && block < Array.length wf.by_block then
-    let p = wf.by_block.(block) in
-    if p == absent then None else Some p
-  else None
+  if block >= 0 && block < Array.length wf.by_block then wf.by_block.(block) else absent
 
 (* Register every section and block, then resolve every branch target
-   to its piece/section in one walk of the instructions. A target in
-   the branch's own function is indexed straight from the section's
+   to its piece/section in one walk of the relocation sites. A target
+   in the branch's own function is indexed straight from the section's
    function, with no hash probe. Calls are resolved only to check them:
    relaxation never moves them. *)
 let resolve_targets sections =
@@ -279,13 +284,16 @@ let resolve_targets sections =
       sections
   in
   let block_target s wf func block =
-    let wf =
-      if func == s.sfunc || String.equal func s.sfunc then Some wf
-      else Hashtbl.find_opt funcs func
+    let piece =
+      if func == s.sfunc || String.equal func s.sfunc then find_block wf block
+      else
+        match Hashtbl.find_opt funcs func with
+        | Some wf -> find_block wf block
+        | None -> absent
     in
-    match Option.bind wf (fun wf -> find_block wf block) with
-    | Some piece -> To_piece piece
-    | None -> raise (Link_error (Printf.sprintf "unresolved block target %s#%d" func block))
+    if piece == absent then
+      raise (Link_error (Printf.sprintf "unresolved block target %s#%d" func block));
+    To_piece piece
   in
   let func_target f =
     match Hashtbl.find_opt syms f with
@@ -296,28 +304,23 @@ let resolve_targets sections =
     (fun s wf ->
       Array.iter
         (fun p ->
-          (* [k] counts the branches passed: the walk meets them in the
-             order [p.branches] holds them. *)
-          let rec walk k = function
-            | [] -> ()
-            | i :: rest -> (
+          (* [k] counts the branches passed: the sites hold them in the
+             order [p.branches] does. *)
+          let k = ref 0 in
+          Array.iter
+            (fun i ->
               match i with
               | Isa.Jcc { target; _ } | Isa.Jmp { target; _ } ->
-                p.branches.(k).tgt <-
+                p.branches.(!k).tgt <-
                   (match target with
                   | Isa.Target.Block { func; block } -> block_target s wf func block
                   | Isa.Target.Func f -> func_target f);
-                walk (k + 1) rest
-              | Isa.Call (Isa.Target.Block { func; block }) ->
-                ignore (block_target s wf func block);
-                walk k rest
-              | Isa.Call (Isa.Target.Func f) ->
-                ignore (func_target f);
-                walk k rest
+                incr k
+              | Isa.Call (Isa.Target.Block { func; block }) -> ignore (block_target s wf func block)
+              | Isa.Call (Isa.Target.Func f) -> ignore (func_target f)
               | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.IndirectCall | Isa.IndirectJmp
-              | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> walk k rest)
-          in
-          walk 0 p.src)
+              | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false)
+            p.sites)
         s.pieces)
     sections wfuncs;
   syms
@@ -331,35 +334,28 @@ let rec next_live_branch bs n j =
     let b = bs.(j) in
     if b.pre_count > 0 then -1 else if b.dead then next_live_branch bs n (j + 1) else j
 
-(* Relax one piece's branches, walking its addresses from [p.paddr];
-   returns whether anything changed. *)
-let relax_piece p ~deleted ~shrunk =
-  let changed = ref false in
+(* Relaxation tallies: the [stats] counters, and whether the current
+   sweep changed anything. *)
+type tally = { mutable deleted : int; mutable shrunk : int; mutable changed : bool }
+
+let kill t p b size =
+  b.dead <- true;
+  p.size <- p.size - size;
+  p.touched <- true;
+  t.deleted <- t.deleted + 1;
+  t.changed <- true
+
+let recode t p b i =
+  p.size <- p.size + Isa.size i - Isa.size b.i;
+  b.i <- i;
+  p.touched <- true;
+  t.changed <- true
+
+(* Relax one piece's branches, walking its addresses from [p.paddr]. *)
+let relax_piece t p =
   let bs = p.branches in
   let n = Array.length bs in
   let addr = ref p.paddr in
-  let kill b size =
-    b.dead <- true;
-    p.size <- p.size - size;
-    p.touched <- true;
-    incr deleted;
-    changed := true
-  in
-  let recode b i =
-    p.size <- p.size + Isa.size i - Isa.size b.i;
-    b.i <- i;
-    p.touched <- true;
-    changed := true
-  in
-  (* Rules 3 and 4 for a branch not deleted or reversed this sweep. *)
-  let fit b ~at ~tgt ~short ~long = function
-    | Isa.Long ->
-      if Isa.fits_short (tgt - (at + Isa.size short)) then begin
-        recode b short;
-        incr shrunk
-      end
-    | Isa.Short -> if not (Isa.fits_short (tgt - (at + Isa.size short))) then recode b long
-  in
   for k = 0 to n - 1 do
     let b = bs.(k) in
     addr := !addr + b.pre_bytes;
@@ -367,14 +363,20 @@ let relax_piece p ~deleted ~shrunk =
       let size = Isa.size b.i in
       let after = !addr + size in
       (match b.i with
-      | Isa.Jmp { target; encoding } ->
+      | Isa.Jmp { target; encoding } -> (
         let tgt = target_addr b in
-        if tgt = after then kill b size
+        if tgt = after then kill t p b size
         else
-          fit b ~at:!addr ~tgt encoding
-            ~short:(Isa.Jmp { target; encoding = Isa.Short })
-            ~long:(Isa.Jmp { target; encoding = Isa.Long })
-      | Isa.Jcc { cond; target; encoding } ->
+          match encoding with
+          | Isa.Long ->
+            if Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short)) then begin
+              recode t p b (Isa.Jmp { target; encoding = Isa.Short });
+              t.shrunk <- t.shrunk + 1
+            end
+          | Isa.Short ->
+            if not (Isa.fits_short (tgt - after)) then
+              recode t p b (Isa.Jmp { target; encoding = Isa.Long }))
+      | Isa.Jcc { cond; target; encoding } -> (
         let tgt = target_addr b in
         let reversed =
           match next_live_branch bs n (k + 1) with
@@ -387,7 +389,7 @@ let relax_piece p ~deleted ~shrunk =
               if tgt = after + jmp_size then begin
                 b.i <- Isa.Jcc { cond = Isa.Cond.negate cond; target = jmp_target; encoding };
                 b.tgt <- jb.tgt;
-                kill jb jmp_size;
+                kill t p jb jmp_size;
                 true
               end
               else false
@@ -397,15 +399,20 @@ let relax_piece p ~deleted ~shrunk =
               assert false)
         in
         if not reversed then
-          fit b ~at:!addr ~tgt encoding
-            ~short:(Isa.Jcc { cond; target; encoding = Isa.Short })
-            ~long:(Isa.Jcc { cond; target; encoding = Isa.Long })
+          match encoding with
+          | Isa.Long ->
+            if Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short)) then begin
+              recode t p b (Isa.Jcc { cond; target; encoding = Isa.Short });
+              t.shrunk <- t.shrunk + 1
+            end
+          | Isa.Short ->
+            if not (Isa.fits_short (tgt - after)) then
+              recode t p b (Isa.Jcc { cond; target; encoding = Isa.Long }))
       | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.IndirectJmp
       | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false);
       if not b.dead then addr := !addr + Isa.size b.i
     end
-  done;
-  !changed
+  done
 
 (* One relaxation sweep over every branch; returns whether anything
    changed. Each piece walks from the address assigned before the
@@ -419,16 +426,10 @@ let relax_piece p ~deleted ~shrunk =
       to long. Section alignment can stretch a displacement: when code
       ahead of a target shrinks, an aligned section after it may stay
       put. A reversal can also hand a short branch a far destination. *)
-let relax_sweep sections ~deleted ~shrunk =
-  let changed = ref false in
-  List.iter
-    (fun s ->
-      Array.iter
-        (fun p ->
-          if Array.length p.branches > 0 && relax_piece p ~deleted ~shrunk then changed := true)
-        s.pieces)
-    sections;
-  !changed
+let relax_sweep t sections =
+  t.changed <- false;
+  List.iter (fun s -> Array.iter (fun p -> if Array.length p.branches > 0 then relax_piece t p) s.pieces) sections;
+  t.changed
 
 (* The piece's final instructions: the fragment's own list when no
    branch changed, else that list with the branches' final state. *)
@@ -459,10 +460,10 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   let syms = resolve_targets texts in
   if not (Hashtbl.mem syms entry) then raise (Link_error ("undefined entry symbol " ^ entry));
   let text_base = align_up options.base_addr options.text_align in
-  let deleted = ref 0 and shrunk = ref 0 in
+  let tally = { deleted = 0; shrunk = 0; changed = false } in
   let rec fix iters =
     ignore (assign_addresses text_base texts);
-    if options.relax && iters < 32 && relax_sweep texts ~deleted ~shrunk then fix (iters + 1)
+    if options.relax && iters < 32 && relax_sweep tally texts then fix (iters + 1)
     else iters
   in
   let relax_iters = fix 1 in
@@ -548,8 +549,8 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
       output_bytes = Binary.total_size binary;
       num_input_sections;
       relax_iters;
-      deleted_jumps = !deleted;
-      shrunk_branches = !shrunk;
+      deleted_jumps = tally.deleted;
+      shrunk_branches = tally.shrunk;
       peak_mem_bytes = Costmodel.peak_mem ~input_bytes ~num_sections:num_input_sections;
       cpu_seconds =
         Costmodel.cpu_seconds ~input_bytes ~num_sections:num_input_sections ~relax_iters;
@@ -557,8 +558,8 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   in
   Obs.Recorder.incr_counter recorder "linker.links";
   Obs.Recorder.add_counter recorder "linker.relax.iters" relax_iters;
-  Obs.Recorder.add_counter recorder "linker.relax.deleted_jumps" !deleted;
-  Obs.Recorder.add_counter recorder "linker.relax.shrunk_branches" !shrunk;
+  Obs.Recorder.add_counter recorder "linker.relax.deleted_jumps" tally.deleted;
+  Obs.Recorder.add_counter recorder "linker.relax.shrunk_branches" tally.shrunk;
   Obs.Recorder.add_counter recorder "linker.symbols.resolved" (Hashtbl.length final_syms);
   Obs.Recorder.observe recorder "linker.cpu_seconds" stats.cpu_seconds;
   { binary; stats }

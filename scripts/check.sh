@@ -2,7 +2,8 @@
 # Repo health check: hygiene, build, the tier-1 suite (the CLI cram
 # tests under test/ included), one observability smoke run of the
 # propeller tool, the bench regression gate and the relinkbench
-# golden-digest smoke. Run from the repository root.
+# golden-digest smokes (cold and warm relinks). Run from the
+# repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,7 +79,7 @@ propeller stat diff bench/baseline.json "$out_dir/bench.json" || {
   exit 1
 }
 
-echo "== relinkbench golden-digest smoke =="
+echo "== relinkbench golden-digest smokes =="
 # A short cold-clang run at the default seed checks every relinked
 # image digest and counter set against relinkbench/golden.json, so any
 # layout drift fails here, not only in the benchmark.
@@ -89,5 +90,14 @@ grep -q '"failed":0' "$out_dir/relinkbench.log" || {
   cat "$out_dir/relinkbench.log" >&2
   exit 1
 }
+# A short warm-clang run, where the linker dominates an op: every warm
+# relink must match its cold digest and compile no object.
+python3 relinkbench/run.py --workload warm-clang --seconds 5 \
+  >"$out_dir/relinkbench-warm.log" 2>&1 || true
+grep -q '"failed":0' "$out_dir/relinkbench-warm.log" || {
+  echo "FAIL: relinkbench warm-clang smoke failed an op" >&2
+  cat "$out_dir/relinkbench-warm.log" >&2
+  exit 1
+}
 
-echo "OK: hygiene + build + tests + run smoke + bench gate + relinkbench smoke all green"
+echo "OK: hygiene + build + tests + run smoke + bench gate + relinkbench smokes all green"
