@@ -428,7 +428,9 @@ let relax_piece t p =
       put. A reversal can also hand a short branch a far destination. *)
 let relax_sweep t sections =
   t.changed <- false;
-  List.iter (fun s -> Array.iter (fun p -> if Array.length p.branches > 0 then relax_piece t p) s.pieces) sections;
+  List.iter
+    (fun s -> Array.iter (fun p -> if Array.length p.branches > 0 then relax_piece t p) s.pieces)
+    sections;
   t.changed
 
 (* The piece's final instructions: the fragment's own list when no
@@ -498,7 +500,8 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
             end)
           s.pieces;
         match s.ssymbol with
-        | Some sym when s.had_bbmap -> Some { Objfile.Bbmap.func = sym; entries = List.rev !entries }
+        | Some sym when s.had_bbmap ->
+          Some { Objfile.Bbmap.func = sym; entries = List.rev !entries }
         | Some _ | None -> None)
       texts
   in

@@ -218,6 +218,20 @@ let test_find_block_by_addr () =
       | None -> Alcotest.fail "lookup failed")
     binary.blocks
 
+(* The address index belongs to its binary: once the binary is
+   unreachable, so are the blocks the index sorted. *)
+let[@inline never] index_a_block weak =
+  let { Linker.Link.binary; _ } = link_program (call_program ()) in
+  match Linker.Binary.find_block_by_addr binary binary.text_start with
+  | Some b -> Weak.set weak 0 (Some b)
+  | None -> Alcotest.fail "no block at text start"
+
+let test_block_index_not_retained () =
+  let weak = Weak.create 1 in
+  index_a_block weak;
+  Gc.full_major ();
+  check tb "index dies with its binary" false (Weak.check weak 0)
+
 let test_link_stats () =
   let _, program = medium_program () in
   let { Linker.Link.stats; _ } = link_program program in
@@ -364,6 +378,7 @@ let suite =
     Alcotest.test_case "optimized link drops bb map" `Quick test_po_drops_bbmap;
     Alcotest.test_case "hugepage text alignment" `Quick test_text_alignment;
     Alcotest.test_case "find block by address" `Quick test_find_block_by_addr;
+    Alcotest.test_case "block index dies with its binary" `Quick test_block_index_not_retained;
     Alcotest.test_case "link stats" `Quick test_link_stats;
     Alcotest.test_case "pinned outputs on real programs" `Quick test_pinned_outputs;
   ]
