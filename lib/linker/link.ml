@@ -53,6 +53,7 @@ and wbranch = {
   mutable i : Isa.t;
   mutable dead : bool;
   mutable tgt : wtarget;
+  mutable pinned : bool;  (** Grown back to long (rule 4): never shrinks again. *)
   pre_bytes : int;  (** Non-branch bytes since the previous branch or piece start. *)
   pre_count : int;  (** Non-branch instructions in that run. *)
 }
@@ -107,7 +108,10 @@ let wpiece_of_piece (p : Objfile.Fragment.piece) =
     match insts with
     | [] -> (size, nsites, sites, nb, branches)
     | (Isa.Jcc _ | Isa.Jmp _) as i :: rest ->
-      let b = { i; dead = false; tgt = No_target; pre_bytes = run_bytes; pre_count = run_count } in
+      let b =
+        { i; dead = false; tgt = No_target; pinned = false; pre_bytes = run_bytes;
+          pre_count = run_count }
+      in
       walk rest ~size:(size + Isa.size i) ~run_bytes:0 ~run_count:0 ~nsites:(nsites + 1)
         (i :: sites) ~nb:(nb + 1) (b :: branches)
     | Isa.Call _ as i :: rest ->
@@ -336,7 +340,12 @@ let rec next_live_branch bs n j =
 
 (* Relaxation tallies: the [stats] counters, and whether the current
    sweep changed anything. *)
-type tally = { mutable deleted : int; mutable shrunk : int; mutable changed : bool }
+type tally = {
+  mutable deleted : int;
+  mutable shrunk : int;
+  mutable grown : int;
+  mutable changed : bool;
+}
 
 let kill t p b size =
   b.dead <- true;
@@ -350,6 +359,11 @@ let recode t p b i =
   b.i <- i;
   p.touched <- true;
   t.changed <- true
+
+let grow t p b i =
+  recode t p b i;
+  b.pinned <- true;
+  t.grown <- t.grown + 1
 
 (* Relax one piece's branches, walking its addresses from [p.paddr]. *)
 let relax_piece t p =
@@ -369,13 +383,13 @@ let relax_piece t p =
         else
           match encoding with
           | Isa.Long ->
-            if Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short)) then begin
+            if (not b.pinned) && Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short)) then begin
               recode t p b (Isa.Jmp { target; encoding = Isa.Short });
               t.shrunk <- t.shrunk + 1
             end
           | Isa.Short ->
             if not (Isa.fits_short (tgt - after)) then
-              recode t p b (Isa.Jmp { target; encoding = Isa.Long }))
+              grow t p b (Isa.Jmp { target; encoding = Isa.Long }))
       | Isa.Jcc { cond; target; encoding } -> (
         let tgt = target_addr b in
         let reversed =
@@ -401,13 +415,13 @@ let relax_piece t p =
         if not reversed then
           match encoding with
           | Isa.Long ->
-            if Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short)) then begin
+            if (not b.pinned) && Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short)) then begin
               recode t p b (Isa.Jcc { cond; target; encoding = Isa.Short });
               t.shrunk <- t.shrunk + 1
             end
           | Isa.Short ->
             if not (Isa.fits_short (tgt - after)) then
-              recode t p b (Isa.Jcc { cond; target; encoding = Isa.Long }))
+              grow t p b (Isa.Jcc { cond; target; encoding = Isa.Long }))
       | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.IndirectJmp
       | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false);
       if not b.dead then addr := !addr + Isa.size b.i
@@ -423,9 +437,12 @@ let relax_piece t p =
       kills the jump;
    3. long branches whose displacement fits rel8 shrink to short;
    4. short branches whose displacement no longer fits rel8 grow back
-      to long. Section alignment can stretch a displacement: when code
-      ahead of a target shrinks, an aligned section after it may stay
-      put. A reversal can also hand a short branch a far destination. *)
+      to long, and stay long. Section alignment can stretch a
+      displacement: when code ahead of a target shrinks, an aligned
+      section after it may stay put. A reversal can also hand a short
+      branch a far destination. Through alignment two branches can
+      each fit rel8 only while the other is long; pinning a grown
+      branch long ends that cycle, so the sweeps always converge. *)
 let relax_sweep t sections =
   t.changed <- false;
   List.iter
@@ -462,7 +479,7 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   let syms = resolve_targets texts in
   if not (Hashtbl.mem syms entry) then raise (Link_error ("undefined entry symbol " ^ entry));
   let text_base = align_up options.base_addr options.text_align in
-  let tally = { deleted = 0; shrunk = 0; changed = false } in
+  let tally = { deleted = 0; shrunk = 0; grown = 0; changed = false } in
   let rec fix iters =
     ignore (assign_addresses text_base texts);
     if options.relax && iters < 32 && relax_sweep tally texts then fix (iters + 1)
@@ -563,6 +580,8 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   Obs.Recorder.add_counter recorder "linker.relax.iters" relax_iters;
   Obs.Recorder.add_counter recorder "linker.relax.deleted_jumps" tally.deleted;
   Obs.Recorder.add_counter recorder "linker.relax.shrunk_branches" tally.shrunk;
+  if tally.grown > 0 then
+    Obs.Recorder.add_counter recorder "linker.relax.grown_branches" tally.grown;
   Obs.Recorder.add_counter recorder "linker.symbols.resolved" (Hashtbl.length final_syms);
   Obs.Recorder.observe recorder "linker.cpu_seconds" stats.cpu_seconds;
   { binary; stats }

@@ -45,7 +45,10 @@ type outcome = { binary : Binary.t; stats : stats }
     Raises {!Link_error} on duplicate or unresolved symbols.
     Relaxation-iteration, deleted-jump, shrunk-branch and
     resolved-symbol counters are recorded on the context's recorder
-    (default {!Obs.Recorder.global}). *)
+    (default {!Obs.Recorder.global}), and [linker.relax.grown_branches]
+    when relaxation had to grow a short branch back to long (section
+    alignment or a branch reversal put it out of rel8 range); such a
+    branch stays long. *)
 val link :
   ?ctx:Support.Ctx.t ->
   ?options:options ->

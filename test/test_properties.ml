@@ -368,35 +368,48 @@ let target_addr binary = function
   | Isa.Target.Func f -> Option.get (Linker.Binary.symbol_addr binary f)
 
 (* Relaxation's output contract on one image: every Short branch
-   reaches its target, and no rule still applies (no live jump to its
-   own fall-through, no Long branch that fits rel8). *)
-let relaxed_encodings_ok binary =
-  Hashtbl.fold
-    (fun _ (b : Linker.Binary.block_info) ok ->
-      let addr = ref b.addr in
-      ok
-      && List.for_all
-           (fun i ->
-             let at = !addr in
-             let after = at + Isa.size i in
-             addr := after;
-             match i with
-             | Isa.Jmp { target; encoding } -> (
-               let tgt = target_addr binary target in
-               tgt <> after
-               &&
-               match encoding with
-               | Isa.Short -> Isa.fits_short (tgt - after)
-               | Isa.Long -> not (Isa.fits_short (tgt - (at + Isa.jmp_size Isa.Short))))
-             | Isa.Jcc { target; encoding; _ } -> (
-               let tgt = target_addr binary target in
-               match encoding with
-               | Isa.Short -> Isa.fits_short (tgt - after)
-               | Isa.Long -> not (Isa.fits_short (tgt - (at + Isa.jcc_size Isa.Short))))
-             | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
-             | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> true)
-           b.insts)
-    binary.Linker.Binary.blocks true
+   reaches its target, no live jump targets its own fall-through, and
+   no Long branch fits rel8 unless relaxation pinned it long after
+   growing it back (a grown branch never shrinks again, so at most
+   [grown] Long branches may still fit). *)
+let relaxed_encodings_ok ~grown binary =
+  let long_fits = ref 0 in
+  let ok =
+    Hashtbl.fold
+      (fun _ (b : Linker.Binary.block_info) ok ->
+        let addr = ref b.addr in
+        let long_fit tgt ~at short =
+          if Isa.fits_short (tgt - (at + short)) then incr long_fits
+        in
+        ok
+        && List.for_all
+             (fun i ->
+               let at = !addr in
+               let after = at + Isa.size i in
+               addr := after;
+               match i with
+               | Isa.Jmp { target; encoding } -> (
+                 let tgt = target_addr binary target in
+                 tgt <> after
+                 &&
+                 match encoding with
+                 | Isa.Short -> Isa.fits_short (tgt - after)
+                 | Isa.Long ->
+                   long_fit tgt ~at (Isa.jmp_size Isa.Short);
+                   true)
+               | Isa.Jcc { target; encoding; _ } -> (
+                 let tgt = target_addr binary target in
+                 match encoding with
+                 | Isa.Short -> Isa.fits_short (tgt - after)
+                 | Isa.Long ->
+                   long_fit tgt ~at (Isa.jcc_size Isa.Short);
+                   true)
+               | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
+               | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> true)
+             b.insts)
+      binary.Linker.Binary.blocks true
+  in
+  ok && !long_fits <= grown
 
 (* Relaxation under adversarial layouts: scatter every function into
    random clusters, link them under a shuffled ordering file, and the
@@ -426,22 +439,31 @@ let adversarial_relax_law =
           (List.concat_map (fun o -> List.map fst (Objfile.File.defined_symbols o)) objs)
       in
       Support.Rng.shuffle rng symbols;
+      (* Each link records on its own recorder, so its grown-branch
+         count can be read back. *)
       let link ordering =
-        Linker.Link.link
-          ~options:{ Linker.Link.default_options with ordering }
-          ~name:"adv" ~entry:(Ir.Program.main program) objs
+        let recorder = Obs.Recorder.create () in
+        let o =
+          Linker.Link.link
+            ~ctx:(Support.Ctx.create ~recorder ())
+            ~options:{ Linker.Link.default_options with ordering }
+            ~name:"adv" ~entry:(Ir.Program.main program) objs
+        in
+        (o, Obs.Metrics.counter (Obs.Recorder.metrics recorder) "linker.relax.grown_branches")
       in
       let run binary =
         Exec.Interp.run (Exec.Image.build program binary)
           { Exec.Interp.default_config with requests = 10 }
           Exec.Event.null
       in
-      let base = link None in
-      let shuffled = link (Some (Array.to_list symbols)) in
+      let ((base : Linker.Link.outcome), _) as base_link = link None in
+      let ((shuffled : Linker.Link.outcome), _) as shuffled_link =
+        link (Some (Array.to_list symbols))
+      in
       List.for_all
-        (fun (o : Linker.Link.outcome) ->
-          o.stats.relax_iters < 32 && relaxed_encodings_ok o.binary)
-        [ base; shuffled ]
+        (fun ((o : Linker.Link.outcome), grown) ->
+          o.stats.relax_iters < 32 && relaxed_encodings_ok ~grown o.binary)
+        [ base_link; shuffled_link ]
       && logical (run shuffled.binary) = logical (run base.binary))
 
 let suite =
