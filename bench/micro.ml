@@ -134,11 +134,38 @@ let resolve_batch_kernel () =
   let resolver, addrs = Lazy.force resolve_fixture in
   ignore (Inspect.Resolve.resolve_batch resolver addrs : int array)
 
+(* Every tape of a 20-request run of the mcf image, copied as the
+   engine drains it, so the kernel times the µarch model alone. *)
+let mcf_tapes =
+  lazy
+    (let _, _, _, image, _ = Lazy.force mcf_artifacts in
+     let tapes = ref [] in
+     let copy (t : Exec.Event.tape) =
+       tapes :=
+         {
+           t with
+           tags = Bytes.sub t.tags 0 t.len;
+           a = Array.sub t.a 0 t.len;
+           b = Array.sub t.b 0 t.len;
+           c = Array.sub t.c 0 t.len;
+         }
+         :: !tapes
+     in
+     ignore
+       (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:copy
+         : Exec.Interp.stats);
+     List.rev !tapes)
+
+let uarch_consume_kernel () =
+  let core = Uarch.Core.create Uarch.Core.default_config in
+  List.iter (Uarch.Core.consume core) (Lazy.force mcf_tapes)
+
 let fastpath_kernels =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
     ("exttsp_score_flat_1000", exttsp_score_kernel);
     ("resolve_batch_mcf_8k", resolve_batch_kernel);
+    ("uarch_consume_mcf", uarch_consume_kernel);
   ]
 
 (* Median-of-3 batch averages on the wall clock: coarser than
@@ -198,6 +225,7 @@ let tests () =
     Test.make ~name:"lbr_bump_packed_8k" (Staged.stage lbr_bump_kernel);
     Test.make ~name:"exttsp_score_flat_1000" (Staged.stage exttsp_score_kernel);
     Test.make ~name:"resolve_batch_mcf_8k" (Staged.stage resolve_batch_kernel);
+    Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
   ]
 
 let run () =

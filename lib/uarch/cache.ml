@@ -5,10 +5,10 @@ let l1i_params = { sets = 64; ways = 8; line_bytes = 64 }
 let l2_params = { sets = 1024; ways = 16; line_bytes = 64 }
 
 type t = {
-  p : params;
-  tags : int array;  (** [sets * ways], -1 = invalid *)
-  lru : int array;  (** per-entry last-use stamp *)
-  mutable clock : int;
+  ways : int;
+  tags : int array;
+      (** [sets * ways]; each set holds its lines most recent first,
+          -1 = empty way. *)
   line_shift : int;
   set_mask : int;
 }
@@ -17,55 +17,39 @@ let log2 v =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go v 0
 
-let create p =
+let create (p : params) =
   {
-    p;
+    ways = p.ways;
     tags = Array.make (p.sets * p.ways) (-1);
-    lru = Array.make (p.sets * p.ways) 0;
-    clock = 0;
     line_shift = log2 p.line_bytes;
     set_mask = p.sets - 1;
   }
 
-let line t addr = addr lsr t.line_shift
+(* The way in [w..last] holding [ln], or -1. Top-level with annotated
+   arguments so the probe allocates nothing: a local closure would be
+   built on every call, and an unannotated [=] becomes [caml_equal]. *)
+let rec find (tags : int array) (ln : int) (w : int) (last : int) : int =
+  if w > last then -1
+  else if Array.unsafe_get tags w = ln then w
+  else find tags ln (w + 1) last
 
+(* Move-to-front LRU: a hit at way [w] shifts the ways before it down
+   by one, a miss drops the last way. The set always holds its [ways]
+   most recently used distinct lines, which is exactly what
+   least-recently-used eviction keeps. *)
 let access t addr =
   let ln = addr lsr t.line_shift in
-  let set = ln land t.set_mask in
-  let base = set * t.p.ways in
-  t.clock <- t.clock + 1;
-  let ways = t.p.ways in
-  (* Int sentinel instead of an option: this probe runs several times
-     per fetched line and must not allocate. *)
-  let rec find w =
-    if w >= ways then -1
-    else if Array.unsafe_get t.tags (base + w) = ln then w
-    else find (w + 1)
-  in
-  let hit = find 0 in
-  if hit >= 0 then begin
-    t.lru.(base + hit) <- t.clock;
-    true
-  end
+  let tags = t.tags in
+  let base = (ln land t.set_mask) * t.ways in
+  if Array.unsafe_get tags base = ln then true
   else begin
-    (* Evict LRU way. *)
-    let victim = ref 0 and oldest = ref max_int in
-    for w = 0 to t.p.ways - 1 do
-      if t.tags.(base + w) = -1 && !oldest > -1 then begin
-        victim := w;
-        oldest := -1
-      end
-      else if !oldest > -1 && t.lru.(base + w) < !oldest then begin
-        victim := w;
-        oldest := t.lru.(base + w)
-      end
+    let last = base + t.ways - 1 in
+    let hit = find tags ln (base + 1) last in
+    for w = (if hit < 0 then last else hit) downto base + 1 do
+      Array.unsafe_set tags w (Array.unsafe_get tags (w - 1))
     done;
-    t.tags.(base + !victim) <- ln;
-    t.lru.(base + !victim) <- t.clock;
-    false
+    Array.unsafe_set tags base ln;
+    hit >= 0
   end
 
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.lru 0 (Array.length t.lru) 0;
-  t.clock <- 0
+let reset t = Array.fill t.tags 0 (Array.length t.tags) (-1)

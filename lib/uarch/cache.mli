@@ -1,4 +1,5 @@
-(** Set-associative cache with LRU replacement, used for L1i and L2. *)
+(** Set-associative cache with LRU replacement, used for L1i, L2, L3
+    and, with other geometries, for the DSB, BTB and iTLB. *)
 
 type params = {
   sets : int;  (** Power of two. *)
@@ -19,9 +20,5 @@ val create : params -> t
 (** [access t addr] touches the line containing [addr]; returns [true]
     on hit. *)
 val access : t -> int -> bool
-
-(** [line t addr] is the line index of [addr] (for consumers that dedupe
-    per-line work). *)
-val line : t -> int -> int
 
 val reset : t -> unit

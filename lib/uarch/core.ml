@@ -51,6 +51,7 @@ type t = {
          stores unboxed. Synced into [c.cycles] on every read. *)
   hugepages : bool;
   mutable last_page : int;
+  mutable last_line : int;  (** Last 64B line the previous fetch touched. *)
 }
 
 (* Penalty model (cycles). Values are in the range hardware manuals and
@@ -78,6 +79,11 @@ let dsb_switch_penalty = 2.0
 let dmiss_penalty = 80.0 (* average L3/DRAM data stall *)
 
 let create (config : config) =
+  let d = config.dsb in
+  (* [fetch]'s repeated-line shortcut needs a line's two 32B windows in
+     one window or in different DSB sets. *)
+  if d.Dsb.windows / d.ways * d.window_bytes < 64 then
+    invalid_arg "Core.create: a line's DSB windows share a set";
   {
     l1i = Cache.create config.l1i;
     l2 = Cache.create config.l2;
@@ -106,6 +112,7 @@ let create (config : config) =
       };
     cyc = [| 0.0 |];
     last_page = -1;
+    last_line = -1;
   }
 
 let[@inline] add_cycles t x = Array.unsafe_set t.cyc 0 (Array.unsafe_get t.cyc 0 +. x)
@@ -121,12 +128,19 @@ let cycles t = Array.unsafe_get t.cyc 0
 let fetch t addr len insts =
   let c = t.c in
   c.fetch_events <- c.fetch_events + 1;
-  let insts = max 1 insts in
+  let insts = if insts < 1 then 1 else insts in
   c.instructions <- c.instructions + insts;
   add_cycles t (float_of_int insts /. decode_width);
-  (* Touch every 64B line in [addr, addr+len). *)
+  (* Touch every 64B line in [addr, addr+len), except a first line that
+     the previous fetch touched last: only [fetch] touches L1i, iTLB
+     and DSB, so that line is still the most recent way in L1i and in
+     both its DSB windows (different sets, or one window), and its page
+     is [last_page]. Probing it again would hit everywhere and change
+     no state. *)
   let first_line = addr lsr 6 and last_line = (addr + len - 1) lsr 6 in
-  for ln = first_line to last_line do
+  let start = if first_line = t.last_line then first_line + 1 else first_line in
+  if last_line >= first_line then t.last_line <- last_line;
+  for ln = start to last_line do
     let a = ln lsl 6 in
     let l1_hit = Cache.access t.l1i a in
     (* iTLB lookup per page transition. *)
@@ -218,6 +232,7 @@ let reset t =
   Btb.reset t.btb;
   Dsb.reset t.dsb;
   t.last_page <- -1;
+  t.last_line <- -1;
   t.cyc.(0) <- 0.0;
   let c = t.c in
   c.instructions <- 0;

@@ -47,6 +47,9 @@ type counters = {
 
 type t
 
+(** [create config] builds a cold core. Raises [Invalid_argument] when
+    the two 32-byte DSB windows of a 64-byte line could share a set
+    (DSB sets times window bytes below 64). *)
 val create : config -> t
 
 (** [sink t] is the event sink to attach to {!Exec.Interp.run}. *)

@@ -2,8 +2,8 @@
 # Repo health check: hygiene, build, the tier-1 suite (the CLI cram
 # tests under test/ included), one observability smoke run of the
 # propeller tool, the bench regression gate and the relinkbench
-# golden-digest smokes (cold and warm relinks). Run from the
-# repository root.
+# golden-digest smokes (cold and warm relinks, simulated batches). Run
+# from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -97,6 +97,16 @@ python3 relinkbench/run.py --workload warm-clang --seconds 5 \
 grep -q '"failed":0' "$out_dir/relinkbench-warm.log" || {
   echo "FAIL: relinkbench warm-clang smoke failed an op" >&2
   cat "$out_dir/relinkbench-warm.log" >&2
+  exit 1
+}
+# A short simulate-mcf run: every simulated batch's counters and
+# cycles must match relinkbench/golden.json, so any change to what the
+# µarch model computes fails here.
+python3 relinkbench/run.py --workload simulate-mcf --seconds 5 \
+  >"$out_dir/relinkbench-sim.log" 2>&1 || true
+grep -q '"failed":0' "$out_dir/relinkbench-sim.log" || {
+  echo "FAIL: relinkbench simulate-mcf smoke failed an op" >&2
+  cat "$out_dir/relinkbench-sim.log" >&2
   exit 1
 }
 

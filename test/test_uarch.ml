@@ -156,6 +156,400 @@ let test_core_hugepage_itlb () =
   let _, c2m = core_run ~hugepages:true program binary 30 in
   check tb "hugepages reduce iTLB misses" true (c2m.t1_itlb_miss <= c4k.t1_itlb_miss)
 
+(* --- Reference model ---------------------------------------------- *)
+
+(* A stamp-LRU cache, the replacement rule [Uarch.Cache] implemented
+   before it kept move-to-front order: every way remembers when it was
+   last used, and a miss fills the first empty way, else evicts the
+   way with the smallest stamp. Kept here only as the oracle. *)
+module Ref_cache = struct
+  type t = {
+    ways : int;
+    tags : int array;
+    lru : int array;
+    mutable clock : int;
+    shift : int;
+    mask : int;
+  }
+
+  let create (p : Uarch.Cache.params) =
+    let rec log2 v = if v <= 1 then 0 else 1 + log2 (v lsr 1) in
+    {
+      ways = p.ways;
+      tags = Array.make (p.sets * p.ways) (-1);
+      lru = Array.make (p.sets * p.ways) 0;
+      clock = 0;
+      shift = log2 p.line_bytes;
+      mask = p.sets - 1;
+    }
+
+  let access t addr =
+    let ln = addr lsr t.shift in
+    let base = (ln land t.mask) * t.ways in
+    t.clock <- t.clock + 1;
+    let hit = ref (-1) in
+    for w = t.ways - 1 downto 0 do
+      if t.tags.(base + w) = ln then hit := w
+    done;
+    if !hit >= 0 then begin
+      t.lru.(base + !hit) <- t.clock;
+      true
+    end
+    else begin
+      let victim = ref 0 and oldest = ref max_int in
+      for w = 0 to t.ways - 1 do
+        if t.tags.(base + w) = -1 && !oldest > -1 then begin
+          victim := w;
+          oldest := -1
+        end
+        else if !oldest > -1 && t.lru.(base + w) < !oldest then begin
+          victim := w;
+          oldest := t.lru.(base + w)
+        end
+      done;
+      t.tags.(base + !victim) <- ln;
+      t.lru.(base + !victim) <- t.clock;
+      false
+    end
+end
+
+let pow2 k = 1 lsl k
+
+(* A geometry within sets 1-8, ways 1-16, line bytes 1-64, and an
+   address stream dense enough in its sets to hit and to evict. *)
+let geometry_stream_gen =
+  QCheck.Gen.(
+    let* sets = map pow2 (int_range 0 3) in
+    let* ways = int_range 1 16 in
+    let* line_bytes = map pow2 (int_range 0 6) in
+    let span = 2 * sets * ways * line_bytes in
+    let* addrs = list_size (int_range 1 400) (int_range 0 (span - 1)) in
+    return ({ Uarch.Cache.sets; ways; line_bytes }, addrs))
+
+let show_geometry (p : Uarch.Cache.params) addrs =
+  Printf.sprintf "sets=%d ways=%d line=%d addrs=[%s]" p.sets p.ways p.line_bytes
+    (String.concat ";" (List.map string_of_int addrs))
+
+let cache_equals_reference_law =
+  QCheck.Test.make ~count:500 ~name:"cache hits equal the stamp-LRU reference"
+    (QCheck.make ~print:(fun (p, addrs) -> show_geometry p addrs) geometry_stream_gen)
+    (fun (p, addrs) ->
+      let c = Uarch.Cache.create p and r = Ref_cache.create p in
+      List.for_all (fun a -> Uarch.Cache.access c a = Ref_cache.access r a) addrs)
+
+(* The 2 MiB side is one fully associative set of [entries_2m] ways
+   over 2 MiB pages, shrunk by [page_scale_bits] and clamped at
+   16 KiB; the 4 KiB side is clamped at 512 B. *)
+let tlb_equals_reference_law =
+  let gen =
+    QCheck.Gen.(
+      let* hugepages = bool in
+      let* entries_2m = int_range 1 16 in
+      let* page_scale_bits = int_range 0 9 in
+      let* addrs = list_size (int_range 1 400) (int_range 0 ((1 lsl 22) - 1)) in
+      return (hugepages, entries_2m, page_scale_bits, addrs))
+  in
+  let print (h, e, b, addrs) =
+    Printf.sprintf "hugepages=%b entries_2m=%d page_scale_bits=%d addrs=%d" h e b
+      (List.length addrs)
+  in
+  QCheck.Test.make ~count:300 ~name:"tlb hits equal the stamp-LRU reference"
+    (QCheck.make ~print gen)
+    (fun (hugepages, entries_2m, page_scale_bits, addrs) ->
+      let p = { Uarch.Tlb.skylake with entries_2m } in
+      let t = Uarch.Tlb.create ~page_scale_bits p ~hugepages in
+      let r =
+        Ref_cache.create
+          (if hugepages then
+             {
+               Uarch.Cache.sets = 1;
+               ways = entries_2m;
+               line_bytes = pow2 (max 14 (21 - page_scale_bits));
+             }
+           else
+             {
+               Uarch.Cache.sets = p.entries_4k / p.ways_4k;
+               ways = p.ways_4k;
+               line_bytes = pow2 (max 9 (12 - page_scale_bits));
+             })
+      in
+      List.for_all (fun a -> Uarch.Tlb.access t a = Ref_cache.access r a) addrs)
+
+(* A small front end, so that short random tapes miss in every level. *)
+let small_config ~hugepages ~page_scale_bits =
+  {
+    Uarch.Core.l1i = { Uarch.Cache.sets = 4; ways = 2; line_bytes = 64 };
+    l2 = { Uarch.Cache.sets = 8; ways = 2; line_bytes = 64 };
+    l3 = { Uarch.Cache.sets = 16; ways = 2; line_bytes = 64 };
+    itlb = { Uarch.Tlb.entries_4k = 8; ways_4k = 2; entries_2m = 2 };
+    btb = { Uarch.Btb.entries = 16; ways = 2 };
+    dsb = { Uarch.Dsb.windows = 8; ways = 2; window_bytes = 32 };
+    hugepages;
+    page_scale_bits;
+  }
+
+(* [fetch] as the model ran it before the repeated-line shortcut, over
+   reference caches: every line of every fetch is probed. It counts
+   the integer counters only. *)
+module Ref_core = struct
+  type t = {
+    l1i : Ref_cache.t;
+    l2 : Ref_cache.t;
+    l3 : Ref_cache.t;
+    tlb : Ref_cache.t;
+    btb : Ref_cache.t;
+    dsb : Ref_cache.t;
+    page_bits : int;
+    mutable last_page : int;
+    c : Uarch.Core.counters;
+  }
+
+  let create (cfg : Uarch.Core.config) =
+    let page_bits =
+      if cfg.hugepages then max 14 (21 - cfg.page_scale_bits) else max 9 (12 - cfg.page_scale_bits)
+    in
+    let tlb_sets, tlb_ways =
+      if cfg.hugepages then (1, cfg.itlb.entries_2m)
+      else (cfg.itlb.entries_4k / cfg.itlb.ways_4k, cfg.itlb.ways_4k)
+    in
+    let ref_cache sets ways line_bytes = Ref_cache.create { Uarch.Cache.sets; ways; line_bytes } in
+    {
+      l1i = Ref_cache.create cfg.l1i;
+      l2 = Ref_cache.create cfg.l2;
+      l3 = Ref_cache.create cfg.l3;
+      tlb = ref_cache tlb_sets tlb_ways (pow2 page_bits);
+      btb = ref_cache (cfg.btb.entries / cfg.btb.ways) cfg.btb.ways 1;
+      dsb = ref_cache (cfg.dsb.windows / cfg.dsb.ways) cfg.dsb.ways cfg.dsb.window_bytes;
+      page_bits;
+      last_page = -1;
+      c =
+        {
+          instructions = 0;
+          fetch_events = 0;
+          i1_l1i_miss = 0;
+          i2_l2_code_miss = 0;
+          i3_l3_code_miss = 0;
+          t1_itlb_miss = 0;
+          t2_itlb_stall_miss = 0;
+          b1_baclears = 0;
+          b2_taken_branches = 0;
+          dsb_misses = 0;
+          cond_branches = 0;
+          dmisses = 0;
+          cycles = 0.0;
+        };
+    }
+
+  let fetch r addr len insts =
+    let c = r.c in
+    c.fetch_events <- c.fetch_events + 1;
+    c.instructions <- c.instructions + max 1 insts;
+    for ln = addr lsr 6 to (addr + len - 1) lsr 6 do
+      let a = ln lsl 6 in
+      let l1_hit = Ref_cache.access r.l1i a in
+      if a lsr r.page_bits <> r.last_page then begin
+        r.last_page <- a lsr r.page_bits;
+        if not (Ref_cache.access r.tlb a) then begin
+          c.t1_itlb_miss <- c.t1_itlb_miss + 1;
+          if not l1_hit then c.t2_itlb_stall_miss <- c.t2_itlb_stall_miss + 1
+        end
+      end;
+      if not l1_hit then begin
+        c.i1_l1i_miss <- c.i1_l1i_miss + 1;
+        if not (Ref_cache.access r.l2 a) then begin
+          c.i2_l2_code_miss <- c.i2_l2_code_miss + 1;
+          if not (Ref_cache.access r.l3 a) then c.i3_l3_code_miss <- c.i3_l3_code_miss + 1
+        end
+      end;
+      List.iter
+        (fun w -> if not (Ref_cache.access r.dsb w) then c.dsb_misses <- c.dsb_misses + 1)
+        [ a; a + 32 ]
+    done
+
+  let sink r =
+    {
+      Exec.Event.null with
+      on_fetch = fetch r;
+      on_branch =
+        (fun ~src ~dst:_ ~kind ~taken ->
+          let c = r.c in
+          if kind = Exec.Event.Cond then c.cond_branches <- c.cond_branches + 1;
+          if taken then begin
+            c.b2_taken_branches <- c.b2_taken_branches + 1;
+            if not (Ref_cache.access r.btb src) then c.b1_baclears <- c.b1_baclears + 1
+          end);
+      on_dmiss = (fun ~src:_ -> r.c.dmisses <- r.c.dmisses + 1);
+    }
+end
+
+type ev =
+  | Fetch of int * int * int
+  | Branch of int * int * int * bool
+  | Dmiss of int
+  | Request of int
+
+(* Random events over 64 KiB of text. A fetch starts at a fresh
+   address, at the end of the previous fetch (so it often begins on
+   the line the previous one ended on), or inside the previous fetch's
+   last line; lengths up to 600 B cross lines and, at small page
+   sizes, pages. *)
+let tape_gen =
+  QCheck.Gen.(
+    let ev prev_end =
+      frequency
+        [
+          ( 6,
+            let* start =
+              frequency
+                [
+                  (2, int_range 0 0xffff);
+                  (3, return prev_end);
+                  (2, map (fun d -> max 0 (prev_end - d)) (int_range 1 63));
+                ]
+            in
+            let* len = frequency [ (3, int_range 1 40); (2, int_range 41 600) ] in
+            let* insts = int_range 0 12 in
+            return (Fetch (start, len, insts)) );
+          ( 4,
+            let* src = int_range 0 0xffff and* dst = int_range 0 0xffff in
+            let* kind = int_range 0 4 and* taken = bool in
+            return (Branch (src, dst, kind, taken)) );
+          (1, map (fun src -> Dmiss src) (int_range 0 0xffff));
+          (1, map (fun i -> Request i) (int_range 0 100));
+        ]
+    in
+    let* n = int_range 1 600 in
+    let rec go k prev_end acc =
+      if k = 0 then return (List.rev acc)
+      else
+        let* e = ev prev_end in
+        let prev_end = match e with Fetch (s, l, _) -> s + l | _ -> prev_end in
+        go (k - 1) prev_end (e :: acc)
+    in
+    let* evs = go n 0 [] in
+    let* hugepages = bool and* page_scale_bits = int_range 0 7 in
+    let* cuts = list_size (int_range 0 3) (int_range 0 n) in
+    return (evs, hugepages, page_scale_bits, List.sort_uniq compare cuts))
+
+(* [evs] written onto consecutive tapes, a new tape at each cut. *)
+let tapes_of evs cuts =
+  let tapes = ref [] and cur = ref (Exec.Event.create_tape ()) in
+  List.iteri
+    (fun i e ->
+      if List.mem i cuts && !cur.len > 0 then begin
+        tapes := !cur :: !tapes;
+        cur := Exec.Event.create_tape ()
+      end;
+      let t = !cur in
+      let tag, a, b, c =
+        match e with
+        | Fetch (s, l, n) -> (Exec.Event.tag_fetch, s, l, n)
+        | Branch (s, d, k, tk) ->
+          ( Exec.Event.tag_branch,
+            s,
+            d,
+            Exec.Event.encode_branch_meta ~kind:(Exec.Event.kind_of_int k) ~taken:tk )
+        | Dmiss s -> (Exec.Event.tag_dmiss, s, 0, 0)
+        | Request r -> (Exec.Event.tag_request, r, 0, 0)
+      in
+      Bytes.set t.tags t.len tag;
+      t.a.(t.len) <- a;
+      t.b.(t.len) <- b;
+      t.c.(t.len) <- c;
+      t.len <- t.len + 1)
+    evs;
+  List.rev (!cur :: !tapes)
+
+let consume_equals_sink_law =
+  let print (evs, h, b, cuts) =
+    Printf.sprintf "%d events hugepages=%b page_scale_bits=%d cuts=%d" (List.length evs) h b
+      (List.length cuts)
+  in
+  QCheck.Test.make ~count:300
+    ~name:"consume = replay through sink = reference, on random tapes"
+    (QCheck.make ~print tape_gen)
+    (fun (evs, hugepages, page_scale_bits, cuts) ->
+      let config = small_config ~hugepages ~page_scale_bits in
+      let tapes = tapes_of evs cuts in
+      let fast = Uarch.Core.create config and slow = Uarch.Core.create config in
+      let reference = Ref_core.create config in
+      List.iter (Uarch.Core.consume fast) tapes;
+      List.iter
+        (fun t ->
+          Exec.Event.replay t (Uarch.Core.sink slow);
+          Exec.Event.replay t (Ref_core.sink reference))
+        tapes;
+      let f = Uarch.Core.counters fast and s = Uarch.Core.counters slow in
+      f = s
+      && Float.equal f.cycles s.cycles
+      && Uarch.Core.counters_assoc f = Uarch.Core.counters_assoc reference.c)
+
+(* [reset] also forgets the line the last fetch touched: the same
+   fetch after a reset misses L1i again. *)
+let test_core_reset_forgets_last_line () =
+  let tape = List.hd (tapes_of [ Fetch (0x1000, 16, 4) ] []) in
+  let core = Uarch.Core.create Uarch.Core.default_config in
+  Uarch.Core.consume core tape;
+  Uarch.Core.reset core;
+  Uarch.Core.consume core tape;
+  check ti "cold L1i miss after reset" 1 (Uarch.Core.counters core).i1_l1i_miss
+
+(* The shortcut is exact only when a line's two DSB windows cannot
+   share a set, so [create] refuses a DSB of one set of 32 B windows. *)
+let test_core_rejects_shared_dsb_set () =
+  let dsb = { Uarch.Dsb.windows = 8; ways = 8; window_bytes = 32 } in
+  Alcotest.check_raises "one-set DSB"
+    (Invalid_argument "Core.create: a line's DSB windows share a set") (fun () ->
+      ignore (Uarch.Core.create { Uarch.Core.default_config with dsb } : Uarch.Core.t))
+
+(* --- Steady-state allocation ---------------------------------------- *)
+
+(* Every tape a 505.mcf run emits, copied as it is drained. *)
+let mcf_tapes =
+  lazy
+    (let program = Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")) in
+     let _, { Linker.Link.binary; _ } = compile_and_link program in
+     let image = Exec.Image.build program binary in
+     let tapes = ref [] in
+     let copy (t : Exec.Event.tape) =
+       tapes :=
+         {
+           t with
+           tags = Bytes.sub t.tags 0 t.len;
+           a = Array.sub t.a 0 t.len;
+           b = Array.sub t.b 0 t.len;
+           c = Array.sub t.c 0 t.len;
+         }
+         :: !tapes
+     in
+     ignore
+       (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:copy
+         : Exec.Interp.stats);
+     Array.of_list (List.rev !tapes))
+
+(* Draining tapes into the model allocates nothing per event: the words
+   allocated while [n] real 505.mcf tapes drain into one core stay
+   under a bound that does not grow with [n]. One closure or box per
+   cache probe costs thousands of words per tape. *)
+let test_consume_allocation () =
+  let tapes = Lazy.force mcf_tapes in
+  let core = Uarch.Core.create Uarch.Core.default_config in
+  let drain n =
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Uarch.Core.consume core tapes.(i mod Array.length tapes)
+    done;
+    Gc.minor_words () -. w0
+  in
+  ignore (drain 1 : float);
+  check tb "several tapes" true (Array.length tapes >= 4);
+  List.iter
+    (fun n ->
+      let words = drain n in
+      if words > 64.0 then
+        Alcotest.failf "draining %d tapes allocated %.0f words" n words)
+    [ 1; 4; 4 * Array.length tapes ]
+
 (* --- Heatmap ------------------------------------------------------ *)
 
 let test_heatmap_accumulates () =
@@ -197,4 +591,11 @@ let suite =
     Alcotest.test_case "core: deterministic" `Quick test_core_counters_deterministic;
     Alcotest.test_case "core: hugepage iTLB" `Quick test_core_hugepage_itlb;
     Alcotest.test_case "heatmap" `Quick test_heatmap_accumulates;
+    QCheck_alcotest.to_alcotest cache_equals_reference_law;
+    QCheck_alcotest.to_alcotest tlb_equals_reference_law;
+    QCheck_alcotest.to_alcotest consume_equals_sink_law;
+    Alcotest.test_case "core: reset forgets the last line" `Quick test_core_reset_forgets_last_line;
+    Alcotest.test_case "core: DSB windows of a line in two sets" `Quick
+      test_core_rejects_shared_dsb_set;
+    Alcotest.test_case "core: consume allocation bounded" `Quick test_consume_allocation;
   ]
