@@ -39,92 +39,16 @@
    the object records the winner, its cycles vs the Ext-TSP candidate,
    and the measured Ext-TSP-score-vs-cycles disagreement. Simulated
    clocks only, fully deterministic. Informational only: Compare's
-   judged allowlist ignores it. *)
-let schema_version = 9
+   judged allowlist ignores it.
+   v10: drops the wall-clock "selfspeed" and "parallel" objects and
+   config.jobs_sweep. relinkbench measures relink and simulation speed
+   (scaled for host speed), and scripts/check.sh gates on its smokes. *)
+let schema_version = 10
 
 let counters_json (c : Uarch.Core.counters) =
   Obs.Json.Obj
     (List.map (fun (k, v) -> (k, Obs.Json.Int v)) (Uarch.Core.counters_assoc c)
     @ [ ("cycles", Obs.Json.Float c.cycles) ])
-
-(* One sweep point: a fresh env + pool at the given width, a cold
-   pipeline run (empty caches), then a warm rerun of the identical
-   input (every layout and object action should hit). Wall-clock is
-   real time (Unix.gettimeofday); everything else — digests, cache
-   accounting — is deterministic and must agree across widths. *)
-let sweep_point ~config ~program ~(spec : Progen.Spec.t) jobs =
-  Support.Pool.with_pool ~jobs (fun pool ->
-      let recorder = Obs.Recorder.create () in
-      let env =
-        Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ~pool ()) ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let cold = Propeller.Pipeline.run ~config ~env ~program ~name:spec.name () in
-      let t1 = Unix.gettimeofday () in
-      let obj_cache = env.Buildsys.Driver.obj_cache in
-      let h0 = Buildsys.Cache.hits obj_cache and m0 = Buildsys.Cache.misses obj_cache in
-      let warm = Propeller.Pipeline.run ~config ~env ~program ~name:spec.name () in
-      let t2 = Unix.gettimeofday () in
-      let digest =
-        Support.Digesting.to_hex
-          (Linker.Binary.image_digest (Propeller.Pipeline.optimized_binary cold))
-      in
-      let warm_digest =
-        Support.Digesting.to_hex
-          (Linker.Binary.image_digest (Propeller.Pipeline.optimized_binary warm))
-      in
-      let layout_hit_rate =
-        let h = warm.wpa.layout_cache_hits and m = warm.wpa.layout_cache_misses in
-        if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-      in
-      let obj_hit_rate =
-        (* Warm-delta rate, like the layout one: lookups of the rerun only. *)
-        let h = Buildsys.Cache.hits obj_cache - h0
-        and m = Buildsys.Cache.misses obj_cache - m0 in
-        if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-      in
-      let critical_path_s =
-        Buildsys.Scheduler.critical_path cold.optimized_build.codegen_report
-      in
-      ( digest,
-        warm_digest,
-        t1 -. t0,
-        t2 -. t1,
-        fun ~cold_1 ->
-          Obs.Json.Obj
-            [
-              ("jobs", Obs.Json.Int jobs);
-              ("cold_wall_s", Obs.Json.Float (t1 -. t0));
-              ("warm_wall_s", Obs.Json.Float (t2 -. t1));
-              ( "speedup_vs_jobs1",
-                Obs.Json.Float (if t1 -. t0 > 0.0 then cold_1 /. (t1 -. t0) else 1.0) );
-              ("layout_cache_hit_rate_warm", Obs.Json.Float layout_hit_rate);
-              ("obj_cache_hit_rate_warm", Obs.Json.Float obj_hit_rate);
-              ("critical_path_s", Obs.Json.Float critical_path_s);
-              ("image_digest", Obs.Json.String digest);
-              ("warm_equals_cold", Obs.Json.Bool (String.equal digest warm_digest));
-            ] ))
-
-let parallel_json (spec : Progen.Spec.t) ~jobs_sweep =
-  match jobs_sweep with
-  | [] -> None
-  | sweep ->
-    let program = Codegen.Inline.program (Progen.Generate.program spec) in
-    let config = Propeller.Pipeline.config_of_spec spec in
-    let points = List.map (fun j -> sweep_point ~config ~program ~spec j) sweep in
-    let cold_1 =
-      match points with (_, _, cold_s, _, _) :: _ -> cold_s | [] -> 0.0
-    in
-    let digests = List.map (fun (d, _, _, _, _) -> d) points in
-    let consistent =
-      match digests with [] -> true | d :: rest -> List.for_all (String.equal d) rest
-    in
-    Some
-      (Obs.Json.Obj
-         [
-           ("sweep", Obs.Json.List (List.map (fun (_, _, _, _, f) -> f ~cold_1) points));
-           ("digests_consistent", Obs.Json.Bool consistent);
-         ])
 
 (* The canonical fault plan of a benchmark's resilience drill: rates
    high enough that every fault class fires on small programs, seeded
@@ -198,51 +122,6 @@ let resilience_json (spec : Progen.Spec.t) =
       ( "degradation_free_invariant_ok",
         Obs.Json.Bool (degraded_total > 0 || String.equal d1 clean_digest) );
     ]
-
-let selfspeed_reps = 3
-
-(* The optimizer-speed drill: one cold pipeline run to warm the relink
-   caches, then [selfspeed_reps] timed warm reruns (the steady-state
-   iteration loop a developer actually sits in), then one timed
-   simulator pass over the optimized image. GC words are read around
-   the timed reps so allocation is attributed per warm relink. *)
-let selfspeed_json (spec : Progen.Spec.t) =
-  let program = Codegen.Inline.program (Progen.Generate.program spec) in
-  let config = Propeller.Pipeline.config_of_spec spec in
-  Support.Pool.with_pool ~jobs:1 (fun pool ->
-      let recorder = Obs.Recorder.create () in
-      let env =
-        Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ~pool ()) ()
-      in
-      let cold = Propeller.Pipeline.run ~config ~env ~program ~name:spec.name () in
-      let gc0 = Obs.Hostclock.gc_snapshot () in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to selfspeed_reps do
-        ignore
-          (Propeller.Pipeline.run ~config ~env ~program ~name:spec.name ()
-            : Propeller.Pipeline.result)
-      done;
-      let relink_s = Unix.gettimeofday () -. t0 in
-      let gc1 = Obs.Hostclock.gc_snapshot () in
-      let alloc_per_relink =
-        Obs.Hostclock.allocated_words (Obs.Hostclock.gc_delta ~before:gc0 ~after:gc1)
-        /. float_of_int selfspeed_reps
-      in
-      let image = Exec.Image.build program (Propeller.Pipeline.optimized_binary cold) in
-      let t1 = Unix.gettimeofday () in
-      let stats = Exec.Interp.run image (Workbench.interp_config spec) Exec.Event.null in
-      let interp_s = Unix.gettimeofday () -. t1 in
-      let per_sec dur n = if dur > 0.0 then float_of_int n /. dur else 0.0 in
-      Obs.Json.Obj
-        [
-          ("warm_relinks_timed", Obs.Json.Int selfspeed_reps);
-          ("relinks_per_sec", Obs.Json.Float (per_sec relink_s selfspeed_reps));
-          ( "requests_per_sec",
-            Obs.Json.Float (per_sec interp_s stats.Exec.Interp.requests_completed) );
-          ("alloc_words_per_relink", Obs.Json.Float alloc_per_relink);
-          ("relink_wall_s", Obs.Json.Float relink_s);
-          ("interp_wall_s", Obs.Json.Float interp_s);
-        ])
 
 (* The fleet drill: the continuous profile -> relink -> canary loop on
    a small quiesced fleet (steady traffic, dense sampling, single-round
@@ -326,7 +205,7 @@ let layout_search_json (spec : Progen.Spec.t) =
   in
   Diagnostics.Lsearch.to_json res
 
-let benchmark_json ?(jobs_sweep = []) (spec : Progen.Spec.t) =
+let benchmark_json (spec : Progen.Spec.t) =
   let wb = Workbench.get spec in
   let prop_pct = Workbench.improvement_pct wb Workbench.Prop in
   let bolt_ok = wb.bolt.Boltsim.Driver.startup_ok in
@@ -339,7 +218,7 @@ let benchmark_json ?(jobs_sweep = []) (spec : Progen.Spec.t) =
   let size_totals binary = Inspect.Size.totals_json (Inspect.Size.measure binary) in
   let json =
     Obs.Json.Obj
-      ([
+      [
         ("name", Obs.Json.String spec.name);
         ("seed", Obs.Json.Int (Int64.to_int spec.seed));
         ("scale", Obs.Json.Int spec.scale);
@@ -365,15 +244,10 @@ let benchmark_json ?(jobs_sweep = []) (spec : Progen.Spec.t) =
           Obs.Json.Obj
             [ ("base", counters_json base); ("propeller", counters_json prop) ] );
         ("resilience", resilience_json spec);
-        ("selfspeed", selfspeed_json spec);
         ("fleet", fleet_json spec);
         ("fidelity", fidelity_json spec);
         ("layout_search", layout_search_json spec);
       ]
-      @
-      match parallel_json spec ~jobs_sweep with
-      | Some p -> [ ("parallel", p) ]
-      | None -> [])
   in
   (json, prop_pct, bolt_pct)
 
@@ -386,13 +260,13 @@ let geomean_pct pcts =
     let ratios = List.map (fun p -> 1.0 +. (p /. 100.0)) pcts in
     Some ((Support.Stats.geomean ratios -. 1.0) *. 100.0)
 
-let emit ?(jobs_sweep = []) ~file ~specs ~requests () =
+let emit ~file ~specs ~requests () =
   let specs =
     match requests with
     | None -> specs
     | Some r -> List.map (fun (s : Progen.Spec.t) -> { s with Progen.Spec.requests = r }) specs
   in
-  let rows = List.map (benchmark_json ~jobs_sweep) specs in
+  let rows = List.map benchmark_json specs in
   let prop_pcts = List.map (fun (_, p, _) -> p) rows in
   let bolt_pcts = List.filter_map (fun (_, _, b) -> b) rows in
   let opt_float = function Some f -> Obs.Json.Float f | None -> Obs.Json.Null in
@@ -409,7 +283,6 @@ let emit ?(jobs_sweep = []) ~file ~specs ~requests () =
                   (List.map (fun (s : Progen.Spec.t) -> Obs.Json.String s.name) specs) );
               ( "requests_override",
                 match requests with Some r -> Obs.Json.Int r | None -> Obs.Json.Null );
-              ("jobs_sweep", Obs.Json.List (List.map (fun j -> Obs.Json.Int j) jobs_sweep));
             ] );
         ("benchmarks", Obs.Json.List (List.map (fun (j, _, _) -> j) rows));
         ("micro", Micro.json ());

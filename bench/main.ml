@@ -63,14 +63,13 @@ type options = {
   mutable json_bench : string list;
   mutable json_requests : int option;
   mutable jobs : int option;
-  mutable jobs_sweep : int list;
   mutable names : string list;  (* experiments, in order *)
 }
 
 let usage_exit () =
   Printf.eprintf
     "usage: main.exe [--json-out FILE] [--json-bench A,B] [--json-requests N] [--jobs N] \
-     [--jobs-sweep 1,2,8] [experiment ...]\n";
+     [experiment ...]\n";
   exit 2
 
 let parse_args argv =
@@ -80,7 +79,6 @@ let parse_args argv =
       json_bench = [ "505.mcf" ];
       json_requests = None;
       jobs = None;
-      jobs_sweep = [ 1; 2; 4 ];
       names = [];
     }
   in
@@ -105,11 +103,7 @@ let parse_args argv =
     | "--jobs" :: n :: rest ->
       o.jobs <- Some (positive "--jobs" n);
       go rest
-    | "--jobs-sweep" :: ns :: rest ->
-      o.jobs_sweep <-
-        List.map (positive "--jobs-sweep") (String.split_on_char ',' ns);
-      go rest
-    | ("--json-out" | "--json-bench" | "--json-requests" | "--jobs" | "--jobs-sweep") :: [] ->
+    | ("--json-out" | "--json-bench" | "--json-requests" | "--jobs") :: [] ->
       usage_exit ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" -> usage_exit ()
     | name :: rest ->
@@ -129,7 +123,7 @@ let emit_json o file =
           exit 2)
       o.json_bench
   in
-  Jsonout.emit ~jobs_sweep:o.jobs_sweep ~file ~specs ~requests:o.json_requests ()
+  Jsonout.emit ~file ~specs ~requests:o.json_requests ()
 
 let () =
   let o = parse_args Sys.argv in

@@ -77,7 +77,7 @@ let profile_source_term =
    resolves it against the registry at use, and the registry is the
    single source of truth for what is valid. *)
 let layout_policy_term =
-  let names = Layout.Policy.names () in
+  let names = Layout.Policy.names in
   opt
     (enum_conv ~what:"layout policy" (List.map (fun n -> (n, n)) names))
     "exttsp" [ "layout-policy" ] "NAME"

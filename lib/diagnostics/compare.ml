@@ -1,6 +1,6 @@
 type direction = Higher | Lower
 
-type rule = { suffix : string; direction : direction; tolerance_scale : float }
+type rule = { suffix : string; direction : direction }
 
 type verdict = {
   metric : string;
@@ -14,10 +14,7 @@ type verdict = {
 
 type outcome = { verdicts : verdict list; missing : string list; notes : string list }
 
-(* Wall-clock judged metrics (the selfspeed group) carry a widened
-   tolerance: machine noise moves them tens of percent run to run, so
-   only order-of-magnitude collapses should gate. *)
-let rule ?(scale = 1.0) suffix direction = { suffix; direction; tolerance_scale = scale }
+let rule suffix direction = { suffix; direction }
 
 let judged =
   let r = rule in
@@ -31,14 +28,11 @@ let judged =
     r "layout_quality.exttsp_norm" Higher;
     r "layout_quality.fall_through_rate" Higher;
     r "layout_quality.blocks_missing" Lower;
-    r ~scale:10.0 "selfspeed.relinks_per_sec" Higher;
-    r ~scale:10.0 "selfspeed.requests_per_sec" Higher;
   ]
 
 (* The canary judgment allowlist: the per-machine time-series a fleet
    rollout compares between the canary slice and the control slice.
-   All three are simulated (no wall-clock noise), so they judge at the
-   caller's raw threshold. *)
+   All three are simulated (no wall-clock noise). *)
 let fleet_rules =
   [
     rule "fleet.cycles_per_request" Lower;
@@ -125,7 +119,6 @@ let compare ?(threshold_pct = 5.0) ?(rules = judged) ~baseline ~current () =
               let worse =
                 match rule.direction with Higher -> -.delta_pct | Lower -> delta_pct
               in
-              let effective = threshold_pct *. rule.tolerance_scale in
               verdicts :=
                 {
                   metric = key;
@@ -133,8 +126,8 @@ let compare ?(threshold_pct = 5.0) ?(rules = judged) ~baseline ~current () =
                   current = cur;
                   delta_pct;
                   direction = rule.direction;
-                  regressed = worse > effective;
-                  improved = -.worse > effective;
+                  regressed = worse > threshold_pct;
+                  improved = -.worse > threshold_pct;
                 }
                 :: !verdicts))
         keys;

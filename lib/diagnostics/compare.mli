@@ -18,11 +18,8 @@
 
 type direction = Higher | Lower  (** Which way is better. *)
 
-(** One allowlist entry. [tolerance_scale] multiplies the caller's
-    threshold for this metric — wall-clock metrics (selfspeed) use 10.0
-    so machine noise doesn't gate, while a real order-of-magnitude
-    collapse still does. *)
-type rule = { suffix : string; direction : direction; tolerance_scale : float }
+(** One allowlist entry: a flattened-path suffix and its better direction. *)
+type rule = { suffix : string; direction : direction }
 
 type verdict = {
   metric : string;  (** Flattened path. *)

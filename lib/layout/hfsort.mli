@@ -9,8 +9,7 @@
     Takes the same {!Problem.t} as the block-level policies: [sizes] are
     code bytes, [weights] are profile samples per function, [edges] are
     [(caller, callee, weight)] call arcs. The problem's [entry] is
-    ignored — function ordering has no pinned entry (the block-level
-    [callchain] policy in {!Policy} adds the pin). *)
+    ignored — function ordering has no pinned entry. *)
 
 (** [order ?max_cluster_size problem] returns a permutation of
     [0 .. n-1]. [max_cluster_size] is the byte cap beyond which clusters

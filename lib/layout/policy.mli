@@ -2,25 +2,16 @@
 
     A policy is a named function from a {!Problem.t} to a layout — a
     permutation of [0 .. n-1] with the problem's entry first. All
-    policies registered here are deterministic: any randomness is drawn
+    policies here are deterministic: any randomness is drawn
     from {!Support.Rng} streams derived from [params.seed], so the same
     (problem, params) pair always yields the same layout on any number
     of domains.
 
-    Registered policies (see {!all}):
+    The policies (see {!all}):
     - ["exttsp"] — Ext-TSP chain merging with priority-queue retrieval
       (paper §3.3/§4.7); the default everywhere.
     - ["exttsp-linear"] — Ext-TSP with linear candidate rescan; same
       layouts, different running time (the §4.7 ablation).
-    - ["callchain"] — C³/hfsort call-chain clustering lifted to block
-      granularity: blocks cluster onto their hottest predecessor, entry
-      pinned first.
-    - ["greedy"] — greedy fall-through chaining: follow the heaviest
-      untaken successor edge from the entry, restarting from the hottest
-      unplaced block.
-    - ["hillclimb"] — random-restart hill climbing: [params.restarts]
-      seeded shuffles, each improved by first-improvement adjacent
-      swaps, best Ext-TSP score wins.
     - ["local-search"] — seeded local search over a swap / segment-move
       / segment-reverse neighborhood, starting from the Ext-TSP layout
       ([params.steps] proposals, greedy acceptance). Never scores below
@@ -31,15 +22,12 @@
 
 type params = {
   exttsp : Exttsp.params;  (** Ext-TSP knobs; also the scoring objective. *)
-  max_cluster_size : int;  (** Cluster byte cap for ["callchain"]. *)
-  seed : int;  (** Root seed for stochastic policies. *)
-  restarts : int;  (** Restart count for ["hillclimb"]. *)
-  steps : int;  (** Proposal budget for ["local-search"] / "hillclimb". *)
+  seed : int;  (** Root seed for ["local-search"]. *)
+  steps : int;  (** Proposal budget for ["local-search"]. *)
 }
 
 val default_params : params
-(** [{ exttsp = Exttsp.default_params; max_cluster_size = 1 lsl 20;
-      seed = 1; restarts = 4; steps = 256 }] *)
+(** [{ exttsp = Exttsp.default_params; seed = 1; steps = 256 }] *)
 
 type t = {
   name : string;
@@ -47,18 +35,14 @@ type t = {
       (** Returns a permutation of [0 .. size-1], entry first. *)
 }
 
-(** [register p] adds a policy to the registry; a policy with the same
-    name replaces the old one (insertion position preserved). *)
-val register : t -> unit
+(** [all] lists the policies, default first. *)
+val all : t list
 
-(** [find name] looks up a registered policy. *)
+(** [names] lists the policy names in the order of {!all}. *)
+val names : string list
+
+(** [find name] looks up a policy by name. *)
 val find : string -> t option
-
-(** [all ()] lists registered policies in registration order. *)
-val all : unit -> t list
-
-(** [names ()] lists registered policy names in registration order. *)
-val names : unit -> string list
 
 (** [order_batch ?params ~pool policy problems] solves every problem
     across the domain pool and returns [(order, exttsp_score)] per

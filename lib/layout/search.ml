@@ -24,7 +24,6 @@ let backward_windows = [| 160; 320; 640; 1280; 2560 |]
 let weight_scales = [| 0.5; 0.8; 1.25; 2.0 |]
 let split_chains = [| 8; 16; 24; 48 |]
 let step_budgets = [| 256; 512; 1024; 2048 |]
-let restart_counts = [| 2; 4; 8 |]
 
 let mutate rng (c : candidate) =
   let p = c.params in
@@ -50,20 +49,16 @@ let mutate rng (c : candidate) =
       params = { p with exttsp = { e with max_split_chain = Support.Rng.choose rng split_chains } }
     }
   | 5 ->
-    (* Reseed the stochastic policies and resize their budgets. *)
+    (* Reseed local search and resize its budget. *)
     { c with
       params =
-        { p with
-          seed = Support.Rng.int rng 0x3fffffff;
-          steps = Support.Rng.choose rng step_budgets;
-          restarts = Support.Rng.choose rng restart_counts;
-        }
+        { p with seed = Support.Rng.int rng 0x3fffffff; steps = Support.Rng.choose rng step_budgets }
     }
-  | 6 -> { c with policy = Support.Rng.choose rng (Array.of_list (Policy.names ())) }
+  | 6 -> { c with policy = Support.Rng.choose rng (Array.of_list Policy.names) }
   | _ ->
     (* Compound: switch policy and reseed in one step, so policy
        switches are not stuck with the incumbent's seed. *)
-    { policy = Support.Rng.choose rng (Array.of_list (Policy.names ()));
+    { policy = Support.Rng.choose rng (Array.of_list Policy.names);
       params = { p with seed = Support.Rng.int rng 0x3fffffff };
     }
 
@@ -132,7 +127,7 @@ let run ?recorder ?(seed = 1) ?(round_size = 4) ~budget ~evaluate () =
   let opening =
     List.map
       (fun name -> { policy = name; params = { Policy.default_params with seed } })
-      (Policy.names ())
+      Policy.names
   in
   run_round 0 opening;
   let round = ref 0 in

@@ -27,7 +27,7 @@ let resolve_policy name =
   | None ->
     invalid_arg
       (Printf.sprintf "unknown layout policy %S (registered: %s)" name
-         (String.concat ", " (Layout.Policy.names ())))
+         (String.concat ", " Layout.Policy.names))
 
 (* The two profile regimes WPA can be driven by. An Lbr profile feeds
    Dcfg directly; a Sampled one is first synthesized into LBR shape
@@ -168,10 +168,10 @@ let layout_params_str config =
   let pp = config.policy_params in
   let p = pp.Layout.Policy.exttsp in
   Printf.sprintf
-    "|policy=%s|fw=%d|bw=%d|ftw=%h|fww=%h|bww=%h|msc=%d|pq=%b|mcs=%d|seed=%d|rst=%d|steps=%d|thr=%d|split=%b"
+    "|policy=%s|fw=%d|bw=%d|ftw=%h|fww=%h|bww=%h|msc=%d|pq=%b|seed=%d|steps=%d|thr=%d|split=%b"
     config.layout_policy p.forward_window p.backward_window p.fallthrough_weight
-    p.forward_weight p.backward_weight p.max_split_chain p.use_pqueue pp.max_cluster_size
-    pp.seed pp.restarts pp.steps config.split_threshold config.split_functions
+    p.forward_weight p.backward_weight p.max_split_chain p.use_pqueue pp.seed pp.steps
+    config.split_threshold config.split_functions
 
 (* Per-function "|b<bb>:<size>" block-shape segments from the address
    map, built in one pass over the block index (the per-function scan of

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repo health check: hygiene, build, the tier-1 suite (the CLI cram
 # tests under test/ included), one observability smoke run of the
-# propeller tool, the bench regression gate and the relinkbench
-# golden-digest smokes (cold and warm relinks, simulated batches). Run
-# from the repository root.
+# propeller tool, the bench regression gate on simulated metrics, and
+# the relinkbench smokes (cold and warm relinks, simulated batches),
+# which check golden digests and gate speed. Run from the repository
+# root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,8 +58,9 @@ test -s "$out_dir/top.log" || { echo "FAIL: stat top printed nothing" >&2; exit 
 echo "== bench regression gate =="
 # Emit a fresh bench JSON for the small progen workload and diff it
 # against the committed golden baseline; >5% regression fails the check.
-# --jobs 1 pins the judged metrics to the sequential path (the parallel
-# sweep inside the JSON is informational and not diffed).
+# Every judged metric is simulated, so it reads the same at any --jobs
+# width; --jobs 1 keeps the run to one domain. Speed is gated on the
+# relinkbench smokes below.
 dune exec bench/main.exe -- --jobs 1 \
   --json-out "$out_dir/bench.json" --json-bench 505.mcf --json-requests 40 \
   >"$out_dir/bench.log" 2>&1 || {
@@ -79,35 +81,21 @@ propeller stat diff bench/baseline.json "$out_dir/bench.json" || {
   exit 1
 }
 
-echo "== relinkbench golden-digest smokes =="
-# A short cold-clang run at the default seed checks every relinked
-# image digest and counter set against relinkbench/golden.json, so any
-# layout drift fails here, not only in the benchmark.
-python3 relinkbench/run.py --workload cold-clang --seconds 5 \
-  >"$out_dir/relinkbench.log" 2>&1 || true
-grep -q '"failed":0' "$out_dir/relinkbench.log" || {
-  echo "FAIL: relinkbench cold-clang smoke failed an op" >&2
-  cat "$out_dir/relinkbench.log" >&2
-  exit 1
-}
-# A short warm-clang run, where the linker dominates an op: every warm
-# relink must match its cold digest and compile no object.
-python3 relinkbench/run.py --workload warm-clang --seconds 5 \
-  >"$out_dir/relinkbench-warm.log" 2>&1 || true
-grep -q '"failed":0' "$out_dir/relinkbench-warm.log" || {
-  echo "FAIL: relinkbench warm-clang smoke failed an op" >&2
-  cat "$out_dir/relinkbench-warm.log" >&2
-  exit 1
-}
-# A short simulate-mcf run: every simulated batch's counters and
-# cycles must match relinkbench/golden.json, so any change to what the
-# µarch model computes fails here.
-python3 relinkbench/run.py --workload simulate-mcf --seconds 5 \
-  >"$out_dir/relinkbench-sim.log" 2>&1 || true
-grep -q '"failed":0' "$out_dir/relinkbench-sim.log" || {
-  echo "FAIL: relinkbench simulate-mcf smoke failed an op" >&2
-  cat "$out_dir/relinkbench-sim.log" >&2
+echo "== relinkbench smokes and speed gate =="
+# Short runs at the default seeds check every op against
+# relinkbench/golden.json: cold-clang every relinked image digest and
+# counter set, warm-clang also warm == cold digests and that no object
+# is compiled, simulate-mcf every simulated batch's counters and cycles.
+# smoke_gate.py fails on any failed op, and on op_ms_p50 (scaled to
+# nominal host speed), alloc_mw_per_op or peak_rss_mib worse than
+# bench/relinkbench_smoke.json by more than BENCHMARK.json's bound.
+for w in cold-clang warm-clang simulate-mcf; do
+  python3 relinkbench/run.py --workload "$w" --seconds 5 \
+    >"$out_dir/relinkbench-$w.log" 2>&1 || true
+done
+python3 scripts/smoke_gate.py bench/relinkbench_smoke.json "$out_dir"/relinkbench-*.log || {
+  echo "FAIL: relinkbench smokes vs bench/relinkbench_smoke.json" >&2
   exit 1
 }
 
-echo "OK: hygiene + build + tests + run smoke + bench gate + relinkbench smokes all green"
+echo "OK: hygiene + build + tests + run smoke + bench gate + relinkbench smokes and speed gate all green"

@@ -214,34 +214,52 @@ let test_compare_schema_guard () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-object input must error"
 
+(* A current file that gained a judged metric the baseline lacks. *)
+let with_fall_through json v =
+  match json with
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (fields
+      @ [ ("layout_quality", Obs.Json.Obj [ ("fall_through_rate", Obs.Json.Float v) ]) ])
+  | _ -> assert false
+
+let contains_sub s sub =
+  let ls = String.length s and lb = String.length sub in
+  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
+  go 0
+
 let test_compare_schema_gained_key_noted () =
-  (* A baseline predating the selfspeed group: the current file's new
+  (* A baseline predating a judged metric: the current file's new
      judged metric is reported as a NOTE, not judged and not missing. *)
   let baseline = bench_json ~prop:10.0 ~cov:0.5 () in
-  let add_selfspeed json v =
-    match json with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (fields
-        @ [
-            ( "selfspeed",
-              Obs.Json.Obj [ ("relinks_per_sec", Obs.Json.Float v) ] );
-          ])
-    | _ -> assert false
-  in
-  let current = add_selfspeed (bench_json ~schema:2 ~prop:10.0 ~cov:0.5 ()) 4.2 in
-  let contains_sub s sub =
-    let ls = String.length s and lb = String.length sub in
-    let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-    go 0
-  in
+  let current = with_fall_through (bench_json ~schema:2 ~prop:10.0 ~cov:0.5 ()) 0.42 in
   let o = run_compare ~baseline ~current () in
   check tb "ok" true (Diagnostics.Compare.ok o);
   check ti "nothing missing" 0 (List.length o.Diagnostics.Compare.missing);
   check tb "gained key noted" true
+    (List.exists (fun n -> contains_sub n "fall_through_rate") o.Diagnostics.Compare.notes)
+
+let read_json path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Obs.Json.parse s with Ok j -> j | Error e -> Alcotest.failf "%s: %s" path e
+
+let test_compare_v9_baseline () =
+  (* The last v9 bench/baseline.json still carries the wall-clock
+     selfspeed object, which v10 dropped. Against the v10 baseline it
+     must compare ok: selfspeed is no longer judged, so it is neither
+     missing nor given a verdict. *)
+  let baseline = read_json "baseline_v9.json" and current = read_json "../bench/baseline.json" in
+  check tb "v9 has selfspeed" true (contains_sub (Obs.Json.to_string baseline) "selfspeed");
+  let o = run_compare ~baseline ~current () in
+  check tb "ok" true (Diagnostics.Compare.ok o);
+  check ti "nothing missing" 0 (List.length o.Diagnostics.Compare.missing);
+  check tb "verdicts present" true (o.Diagnostics.Compare.verdicts <> []);
+  check tb "no selfspeed verdict" false
     (List.exists
-       (fun n -> contains_sub n "relinks_per_sec")
-       o.Diagnostics.Compare.notes)
+       (fun v -> contains_sub v.Diagnostics.Compare.metric "selfspeed.")
+       o.Diagnostics.Compare.verdicts)
 
 let test_diff_stdout_parseable () =
   (* The `propeller stat diff` contract: verdict/MISSING lines go to
@@ -250,14 +268,7 @@ let test_diff_stdout_parseable () =
      line must parse as `<mark> <metric> ...` with a fixed mark, and no
      NOTE may leak into the parseable half. *)
   let baseline = bench_json ~prop:10.0 ~cov:0.5 () in
-  let current =
-    match bench_json ~schema:2 ~prop:8.0 ~cov:0.5 () with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (fields
-        @ [ ("selfspeed", Obs.Json.Obj [ ("relinks_per_sec", Obs.Json.Float 4.2) ]) ])
-    | _ -> assert false
-  in
+  let current = with_fall_through (bench_json ~schema:2 ~prop:8.0 ~cov:0.5 ()) 0.42 in
   let o = run_compare ~baseline ~current () in
   let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   let stdout_lines = lines (Diagnostics.Compare.render_verdicts o) in
@@ -282,22 +293,6 @@ let test_diff_stdout_parseable () =
       check tb (Printf.sprintf "note %S marked NOTE" l) true
         (String.length l >= 4 && String.sub l 0 4 = "NOTE"))
     note_lines
-
-let test_compare_selfspeed_widened_tolerance () =
-  (* selfspeed carries a 10x tolerance_scale: a -30% wall-clock wobble
-     passes at the default 5% threshold (effective 50%), while the same
-     move on speedup_pct would regress. A -60% collapse still gates. *)
-  let with_selfspeed v =
-    Obs.Json.Obj
-      [
-        ("schema_version", Obs.Json.Int 5);
-        ("selfspeed", Obs.Json.Obj [ ("relinks_per_sec", Obs.Json.Float v) ]);
-      ]
-  in
-  let o = run_compare ~baseline:(with_selfspeed 10.0) ~current:(with_selfspeed 7.0) () in
-  check tb "30% wobble tolerated" true (Diagnostics.Compare.ok o);
-  let o = run_compare ~baseline:(with_selfspeed 10.0) ~current:(with_selfspeed 4.0) () in
-  check tb "60% collapse gated" false (Diagnostics.Compare.ok o)
 
 (* --- Fidelity (ISSUE 8): LBR-vs-sampled gap report ----------------- *)
 
@@ -373,9 +368,8 @@ let suite =
     Alcotest.test_case "compare: schema guard" `Quick test_compare_schema_guard;
     Alcotest.test_case "compare: gained key noted" `Quick test_compare_schema_gained_key_noted;
     Alcotest.test_case "compare: diff stdout parseable" `Quick test_diff_stdout_parseable;
+    Alcotest.test_case "compare: v9 baseline vs v10" `Quick test_compare_v9_baseline;
     Alcotest.test_case "fidelity: metric bounds" `Quick test_fidelity_bounds;
     Alcotest.test_case "fidelity: JSON round-trip" `Quick test_fidelity_json_roundtrip;
     Alcotest.test_case "fidelity: deterministic" `Quick test_fidelity_deterministic;
-    Alcotest.test_case "compare: selfspeed tolerance" `Quick
-      test_compare_selfspeed_widened_tolerance;
   ]
