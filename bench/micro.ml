@@ -92,8 +92,8 @@ let exec_test =
 
 (* The flat-data fast-path kernels (ISSUE 9). Each gets a bechamel
    entry below AND a lightweight self-timed measurement ([json]) that
-   rides along in the bench JSON, so a selfspeed regression can be
-   attributed to the kernel that caused it. *)
+   rides along in the bench JSON, so a slowdown in a relinkbench smoke
+   can be traced to the kernel that caused it. *)
 
 (* 4k synthetic branch pairs, then a second pass over the same pairs:
    half the bumps insert, half hit — the collector's steady-state mix. *)
