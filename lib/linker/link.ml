@@ -35,13 +35,17 @@ type outcome = { binary : Binary.t; stats : stats }
 (* Mutable working form of a text section during relaxation. Only Jcc
    and Jmp ever change encoding or die, so a piece keeps mutable state
    for its branches alone and hands its fragment's own instruction list
-   to the output when none of them changed. Branch targets are resolved
-   to piece/section references up front so the relaxation sweeps never
+   to the output when none of them changed. Sizes, relocation sites and
+   the runs between branches come from the fragment's index, computed
+   once when the object was made. Branch targets are resolved to
+   piece/section references up front so the relaxation sweeps never
    consult a symbol table. *)
 type wpiece = {
   block : int;
   src : Isa.t list;  (** The fragment's instructions, as compiled. *)
-  sites : Isa.t array;  (** Its Jcc, Jmp and Call, in instruction order. *)
+  sites : Isa.t array;  (** The fragment's Jcc, Jmp and Call, in instruction order. *)
+  site_lo : int;  (** This piece's sites are [sites.(site_lo)] to [sites.(site_hi - 1)]. *)
+  site_hi : int;
   branches : wbranch array;  (** Its Jcc and Jmp, in instruction order. *)
   mutable size : int;  (** Bytes of the live instructions. *)
   mutable touched : bool;  (** Some branch died or changed. *)
@@ -72,8 +76,8 @@ type wsec = {
 
 (* Placeholder for unfilled piece slots. *)
 let absent =
-  { block = -1; src = []; sites = [||]; branches = [||]; size = 0; touched = false; paddr = 0;
-    is_landing_pad = false }
+  { block = -1; src = []; sites = [||]; site_lo = 0; site_hi = 0; branches = [||]; size = 0;
+    touched = false; paddr = 0; is_landing_pad = false }
 
 let align_up v a = if a <= 1 then v else (v + a - 1) / a * a
 
@@ -100,44 +104,31 @@ let assign_addresses base sections =
     sections;
   !cur
 
-(* One walk over a piece's instructions: its byte size, its relocation
-   sites (branches and direct calls) and its branches, each with the
-   run of non-branch instructions before it. *)
-let wpiece_of_piece (p : Objfile.Fragment.piece) =
-  let rec walk insts ~size ~run_bytes ~run_count ~nsites sites ~nb branches =
-    match insts with
-    | [] -> (size, nsites, sites, nb, branches)
-    | (Isa.Jcc _ | Isa.Jmp _) as i :: rest ->
-      let b =
-        { i; dead = false; tgt = No_target; pinned = false; pre_bytes = run_bytes;
-          pre_count = run_count }
-      in
-      walk rest ~size:(size + Isa.size i) ~run_bytes:0 ~run_count:0 ~nsites:(nsites + 1)
-        (i :: sites) ~nb:(nb + 1) (b :: branches)
-    | Isa.Call _ as i :: rest ->
-      let sz = Isa.size i in
-      walk rest ~size:(size + sz) ~run_bytes:(run_bytes + sz) ~run_count:(run_count + 1)
-        ~nsites:(nsites + 1) (i :: sites) ~nb branches
-    | i :: rest ->
-      let sz = Isa.size i in
-      walk rest ~size:(size + sz) ~run_bytes:(run_bytes + sz) ~run_count:(run_count + 1)
-        ~nsites sites ~nb branches
+(* Index of the first Jcc or Jmp in [sites] at or after [s]. *)
+let rec next_branch_site sites s =
+  match sites.(s) with
+  | Isa.Jcc _ | Isa.Jmp _ -> s
+  | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.IndirectJmp
+  | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> next_branch_site sites (s + 1)
+
+(* The working form of piece [k] of a fragment with index [ix]: its
+   size and sites are the index's, and only its branches get fresh
+   mutable state. *)
+let wpiece_of_piece (ix : Objfile.Fragment.index) k (p : Objfile.Fragment.piece) =
+  let site_lo = ix.site_start.(k) and site_hi = ix.site_start.(k + 1) in
+  let b0 = ix.branch_start.(k) in
+  let site = ref site_lo in
+  let branches =
+    Array.init
+      (ix.branch_start.(k + 1) - b0)
+      (fun j ->
+        let s = next_branch_site ix.sites !site in
+        site := s + 1;
+        { i = ix.sites.(s); dead = false; tgt = No_target; pinned = false;
+          pre_bytes = ix.pre_bytes.(b0 + j); pre_count = ix.pre_count.(b0 + j) })
   in
-  let size, nsites, sites, nb, branches =
-    walk p.insts ~size:0 ~run_bytes:0 ~run_count:0 ~nsites:0 [] ~nb:0 []
-  in
-  (* Both lists are reversed. *)
-  let array_of_rev n rev =
-    match rev with
-    | [] -> [||]
-    | last :: _ ->
-      let arr = Array.make n last in
-      List.iteri (fun k x -> arr.(n - 1 - k) <- x) rev;
-      arr
-  in
-  { block = p.block; src = p.insts; sites = array_of_rev nsites sites;
-    branches = array_of_rev nb branches; size; touched = false; paddr = 0;
-    is_landing_pad = p.is_landing_pad }
+  { block = p.block; src = p.insts; sites = ix.sites; site_lo; site_hi; branches;
+    size = ix.sizes.(k); touched = false; paddr = 0; is_landing_pad = p.is_landing_pad }
 
 let bbmap_prefix = ".llvm_bb_addr_map."
 
@@ -179,23 +170,17 @@ let gather options objs =
               let size, sec =
                 match s.contents with
                 | Objfile.Section.Code frag ->
-                  let n = List.length frag.pieces in
-                  let pieces = Array.make n absent in
-                  let size = ref 0 in
-                  List.iteri
-                    (fun k piece ->
-                      let wp = wpiece_of_piece piece in
-                      pieces.(k) <- wp;
-                      size := !size + wp.size;
-                      t.relocs <- t.relocs + Array.length wp.sites)
-                    frag.pieces;
+                  let ix = frag.index in
+                  let pieces = Array.make (Array.length ix.sizes) absent in
+                  List.iteri (fun k piece -> pieces.(k) <- wpiece_of_piece ix k piece) frag.pieces;
+                  t.relocs <- t.relocs + Array.length ix.sites;
                   let had_bbmap =
                     options.keep_bb_addr_map
                     && List.exists
                          (fun (m : Objfile.Section.t) -> is_bbmap_of ~func:frag.func m.name)
                          o.sections
                   in
-                  ( !size,
+                  ( ix.bytes,
                     Some
                       {
                         sname = s.name;
@@ -311,20 +296,19 @@ let resolve_targets sections =
           (* [k] counts the branches passed: the sites hold them in the
              order [p.branches] does. *)
           let k = ref 0 in
-          Array.iter
-            (fun i ->
-              match i with
-              | Isa.Jcc { target; _ } | Isa.Jmp { target; _ } ->
-                p.branches.(!k).tgt <-
-                  (match target with
-                  | Isa.Target.Block { func; block } -> block_target s wf func block
-                  | Isa.Target.Func f -> func_target f);
-                incr k
-              | Isa.Call (Isa.Target.Block { func; block }) -> ignore (block_target s wf func block)
-              | Isa.Call (Isa.Target.Func f) -> ignore (func_target f)
-              | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.IndirectCall | Isa.IndirectJmp
-              | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false)
-            p.sites)
+          for site = p.site_lo to p.site_hi - 1 do
+            match p.sites.(site) with
+            | Isa.Jcc { target; _ } | Isa.Jmp { target; _ } ->
+              p.branches.(!k).tgt <-
+                (match target with
+                | Isa.Target.Block { func; block } -> block_target s wf func block
+                | Isa.Target.Func f -> func_target f);
+              incr k
+            | Isa.Call (Isa.Target.Block { func; block }) -> ignore (block_target s wf func block)
+            | Isa.Call (Isa.Target.Func f) -> ignore (func_target f)
+            | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.IndirectCall | Isa.IndirectJmp
+            | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false
+          done)
         s.pieces)
     sections wfuncs;
   syms

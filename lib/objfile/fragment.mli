@@ -3,7 +3,13 @@
     A fragment is a contiguous run of lowered basic blocks belonging to a
     single function — a *basic block cluster* in Propeller terms (paper
     §4.1). With plain function sections the fragment holds every block of
-    the function; with basic block sections it holds one cluster. *)
+    the function; with basic block sections it holds one cluster.
+
+    A fragment carries its relocation index, computed once by {!make}
+    from the final pieces, as an ELF object carries its section sizes in
+    the section headers and its relocation sites in [.rela.text]. Every
+    link of a cached object reads the index instead of walking the
+    instructions again. *)
 
 type piece = {
   block : int;  (** IR block id this code was lowered from. *)
@@ -11,8 +17,28 @@ type piece = {
   is_landing_pad : bool;
 }
 
-type t = { func : string; pieces : piece list }
+(** The relocation index: flat arrays over the pieces, their relocation
+    sites (every [Jcc], [Jmp] and [Call], in instruction order) and
+    their branches (the [Jcc] and [Jmp] sites alone). Piece [k]'s sites
+    are [sites.(site_start.(k))] up to [sites.(site_start.(k + 1) - 1)],
+    and its branches are numbered [branch_start.(k)] up to
+    [branch_start.(k + 1) - 1]. *)
+type index = {
+  bytes : int;  (** Byte size of the whole fragment. *)
+  sizes : int array;  (** Byte size of each piece. *)
+  site_start : int array;  (** Length [pieces + 1]. *)
+  sites : Isa.t array;
+  branch_start : int array;  (** Length [pieces + 1]. *)
+  pre_bytes : int array;
+      (** For each branch: bytes of the non-branch instructions since
+          the previous branch or the piece start. *)
+  pre_count : int array;  (** For each branch: the count of those instructions. *)
+}
 
+type t = private { func : string; pieces : piece list; index : index }
+
+(** [make ~func pieces] builds a fragment and its index. Raises
+    [Invalid_argument] when [pieces] is empty. *)
 val make : func:string -> piece list -> t
 
 (** [byte_size f] sums instruction sizes over all pieces. *)
@@ -28,6 +54,3 @@ val num_relocations : t -> int
 
 (** [block_ids f] lists block ids in piece order. *)
 val block_ids : t -> int list
-
-(** [map_insts f frag] rewrites every instruction (e.g. for relaxation). *)
-val map_insts : (Isa.t -> Isa.t) -> t -> t

@@ -110,11 +110,137 @@ let test_file_extra_section_relocs () =
   let o = Objfile.File.make ~name:"u.o" ~unit_name:"u" [ sec "f" (frag "f"); sec "f.cold" (frag "f") ] in
   check ti "2 dwarf relocs for extra section" 2 (Objfile.File.num_relocations o)
 
+(* --- The relocation index ------------------------------------------ *)
+
+(* The index as a plain walk of each piece's instructions gives it:
+   sizes, the relocation sites, and for each branch the run of other
+   instructions since the previous branch. *)
+let check_index_is_walk (f : Objfile.Fragment.t) =
+  let ix = f.index in
+  let size p = List.fold_left (fun acc i -> acc + Isa.size i) 0 p.Objfile.Fragment.insts in
+  let sites p = List.filter (fun i -> Option.is_some (Isa.branch_target i)) p.Objfile.Fragment.insts in
+  let runs p =
+    let _, _, rev =
+      List.fold_left
+        (fun (bytes, count, acc) i ->
+          if Isa.is_branch i then (0, 0, (bytes, count) :: acc)
+          else (bytes + Isa.size i, count + 1, acc))
+        (0, 0, []) p.Objfile.Fragment.insts
+    in
+    List.rev rev
+  in
+  let starts lens = List.rev (List.fold_left (fun acc n -> (List.hd acc + n) :: acc) [ 0 ] lens) in
+  let arr = Array.to_list in
+  check ti "bytes" (List.fold_left (fun acc p -> acc + size p) 0 f.pieces) ix.bytes;
+  check ti "byte_size" ix.bytes (Objfile.Fragment.byte_size f);
+  check Alcotest.(list int) "sizes" (List.map size f.pieces) (arr ix.sizes);
+  check Alcotest.(list int) "site starts"
+    (starts (List.map (fun p -> List.length (sites p)) f.pieces))
+    (arr ix.site_start);
+  check Alcotest.(list string) "sites"
+    (List.map Isa.to_string (List.concat_map sites f.pieces))
+    (List.map Isa.to_string (arr ix.sites));
+  check ti "relocations" (Array.length ix.sites) (Objfile.Fragment.num_relocations f);
+  check Alcotest.(list int) "branch starts"
+    (starts (List.map (fun p -> List.length (runs p)) f.pieces))
+    (arr ix.branch_start);
+  let all_runs = List.concat_map runs f.pieces in
+  check Alcotest.(list int) "pre bytes" (List.map fst all_runs) (arr ix.pre_bytes);
+  check Alcotest.(list int) "pre counts" (List.map snd all_runs) (arr ix.pre_count);
+  check Alcotest.(list int) "piece offsets"
+    (List.rev (List.tl (List.rev (starts (List.map size f.pieces)))))
+    (List.map snd (Objfile.Fragment.piece_offsets f))
+
+let gen_piece =
+  let open QCheck.Gen in
+  let target =
+    oneof
+      [
+        map2
+          (fun func block -> Isa.Target.Block { func; block })
+          (oneofl [ "f"; "g" ]) (int_bound 9);
+        map (fun f -> Isa.Target.Func f) (oneofl [ "f"; "g" ]);
+      ]
+  in
+  let encoding = oneofl [ Isa.Short; Isa.Long ] in
+  let inst =
+    oneof
+      [
+        map (fun n -> Isa.Alu n) (int_range 1 15);
+        map (fun n -> Isa.Load n) (int_range 1 15);
+        map (fun n -> Isa.Store n) (int_range 1 15);
+        map3
+          (fun cond target encoding -> Isa.Jcc { cond; target; encoding })
+          (oneofl Isa.Cond.[ Eq; Ne; Lt; Ge; Le; Gt ])
+          target encoding;
+        map2 (fun target encoding -> Isa.Jmp { target; encoding }) target encoding;
+        map (fun t -> Isa.Call t) target;
+        oneofl [ Isa.IndirectCall; Isa.IndirectJmp; Isa.Ret; Isa.Prefetch ];
+        map (fun n -> Isa.Nop n) (int_range 1 9);
+        map (fun n -> Isa.InlineData n) (int_range 1 64);
+      ]
+  in
+  (* A landing pad that starts its section begins with a one-byte Nop,
+     as codegen pads it. *)
+  map3
+    (fun block insts is_landing_pad ->
+      let insts = if is_landing_pad then Isa.Nop 1 :: insts else insts in
+      { Objfile.Fragment.block; insts; is_landing_pad })
+    (int_bound 20)
+    (list_size (int_bound 12) inst)
+    bool
+
+let fragment_index_law =
+  QCheck.Test.make ~count:300 ~name:"fragment index = instruction walk"
+    (QCheck.make
+       ~print:(fun pieces ->
+         String.concat " | "
+           (List.map
+              (fun (p : Objfile.Fragment.piece) ->
+                String.concat "; " (List.map Isa.to_string p.insts))
+              pieces))
+       QCheck.Gen.(list_size (int_range 1 6) gen_piece))
+    (fun pieces ->
+      check_index_is_walk (Objfile.Fragment.make ~func:"f" pieces);
+      true)
+
+(* Every fragment codegen emits for two real programs: whole-function
+   sections, and clusters that split each function's even blocks from
+   the cold rest. *)
+let test_fragment_index_real_programs () =
+  let mcf = Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")) in
+  let split program =
+    Ir.Program.fold_funcs program [] (fun acc f ->
+        let even = List.filter (fun b -> b mod 2 = 0) (List.init (Ir.Func.num_blocks f) Fun.id) in
+        {
+          Codegen.Directive.func = f.name;
+          clusters = [ { Codegen.Directive.kind = Codegen.Directive.Primary; blocks = even } ];
+        }
+        :: acc)
+  in
+  List.iter
+    (fun program ->
+      List.iter
+        (fun options ->
+          List.iter
+            (fun (o : Objfile.File.t) ->
+              List.iter
+                (fun s -> Option.iter check_index_is_walk (Objfile.Section.fragment s))
+                o.sections)
+            (Codegen.compile_program options program))
+        [
+          { Codegen.default_options with emit_bb_addr_map = true };
+          { Codegen.default_options with emit_bb_addr_map = true; plans = split program };
+        ])
+    [ relink_family_program 0; Codegen.Inline.program mcf ]
+
 let suite =
   [
     Alcotest.test_case "fragment sizes and offsets" `Quick test_fragment_sizes;
     Alcotest.test_case "fragment relocations" `Quick test_fragment_relocs;
     Alcotest.test_case "fragment rejects empty" `Quick test_fragment_rejects_empty;
+    QCheck_alcotest.to_alcotest fragment_index_law;
+    Alcotest.test_case "fragment index on real programs" `Quick test_fragment_index_real_programs;
     Alcotest.test_case "bbmap lookup" `Quick test_bbmap_lookup;
     Alcotest.test_case "bbmap encoded size" `Quick test_bbmap_encoded_size;
     Alcotest.test_case "symname conventions" `Quick test_symname_roundtrips;
