@@ -77,15 +77,16 @@ type result = {
     score, and the policy that produced it. *)
 type block_layout = { blocks : int list; score : float; policy : string }
 
-(** [block_layout ?policy ?params ?split_threshold dcfg dfunc] computes
-    the hot-block order of one function under the named layout policy
-    (default ["exttsp"]) and its Ext-TSP score; shared with the BOLT
+(** [block_layout ?policy ?params ?split_threshold shapes dfunc]
+    computes the hot-block order of one function under the named layout
+    policy (default ["exttsp"]) and its Ext-TSP score, taking block
+    sizes from [shapes] (see {!Dcfg.shapes}); shared with the BOLT
     baseline (same objective, different delivery). *)
 val block_layout :
   ?policy:string ->
   ?params:Layout.Policy.params ->
   ?split_threshold:int ->
-  Dcfg.t ->
+  (string, Dcfg.shape) Hashtbl.t ->
   Dcfg.dfunc ->
   block_layout
 
@@ -93,19 +94,16 @@ val block_layout :
     layout key, shared by every function of one analysis. *)
 val layout_params_str : config -> string
 
-(** [layout_shape_strs dcfg] renders each function's block-shape key
-    segment from the address map, in one pass over the block index. *)
-val layout_shape_strs : Dcfg.t -> (string, string) Hashtbl.t
-
-(** [layout_key ~params_str ~shape_strs dfunc] is the content-addressed
+(** [layout_key ~params_str ~shapes dfunc] is the content-addressed
     key of one function's layout problem: a digest over the function's
     sampled counts and edges, its block shapes from the address map
-    ([shape_strs]), and the layout configuration ([params_str]). Two
-    profiles that agree on a function produce the same key, so warm
-    relinks reuse its cached (plan, score). *)
+    ([shapes], which need hold only the keyed functions), and the
+    layout configuration ([params_str]). Two profiles that agree on a
+    function produce the same key, so warm relinks reuse its cached
+    (plan, score). *)
 val layout_key :
   params_str:string ->
-  shape_strs:(string, string) Hashtbl.t ->
+  shapes:(string, Dcfg.shape) Hashtbl.t ->
   Dcfg.dfunc ->
   Support.Digesting.t
 
