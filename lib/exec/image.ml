@@ -50,9 +50,14 @@ let cumulative w =
   done;
   cum
 
+(* A function's blocks stay [[||]] in [blocks] until it is first
+   entered; [infos] and [first_uid] hold what compiling it needs. *)
 type t = {
   funcs : (string, int) Hashtbl.t;
-  blocks : xblock array array;  (** [blocks.(func_idx).(block_id)] *)
+  blocks : xblock array array;  (** [blocks.(func_idx).(block_id)], once compiled. *)
+  ir : Ir.Func.t array;
+  infos : Linker.Binary.block_info array array;  (** Checked at build time. *)
+  first_uid : int array;  (** Uid of the function's block 0. *)
   entry : int;
   nblocks : int;
 }
@@ -150,72 +155,78 @@ let compile_ops ~resolve (ir_block : Ir.Block.t) (insts : Isa.t list) =
   in
   Array.of_list (loop 0 0 0 ir_calls ir_loads ~saw_prefetch:false [] insts)
 
-let build program binary =
-  let nf = Ir.Program.num_funcs program in
-  let funcs = Hashtbl.create nf in
-  (* First pass: assign every function its dense index, so call sites
-     can resolve forward references during block compilation. *)
-  let idx = ref 0 in
-  Ir.Program.iter_funcs program (fun f ->
-      Hashtbl.replace funcs f.name !idx;
-      incr idx);
+(* Compile function [fi]: its blocks' ops, then its terminator targets
+   (intra-function block ids) resolved to direct xblock references, so
+   the interpreter never re-indexes the block table on a transition. *)
+let compile t fi =
+  let f = t.ir.(fi) and infos = t.infos.(fi) in
   let resolve name =
-    match Hashtbl.find_opt funcs name with
+    match Hashtbl.find_opt t.funcs name with
     | Some i -> i
-    | None -> invalid_arg ("Image.build: call to unknown function " ^ name)
+    | None -> invalid_arg ("Image.block: call to unknown function " ^ name)
   in
-  let blocks = Array.make nf [||] in
-  let uid = ref 0 in
-  let fi = ref 0 in
-  Ir.Program.iter_funcs program (fun f ->
-      let me = !fi in
-      incr fi;
-      blocks.(me) <-
-        Array.init (Ir.Func.num_blocks f) (fun b ->
-            let info =
-              match Linker.Binary.block_info binary ~func:f.name ~block:b with
-              | Some i -> i
-              | None ->
-                invalid_arg
-                  (Printf.sprintf "Image.build: block %s#%d not in binary" f.name b)
-            in
-            let ir_block = Ir.Func.block f b in
-            incr uid;
-            {
-              addr = info.addr;
-              size = info.size;
-              ops = compile_ops ~resolve ir_block info.insts;
-              term = ir_block.term;
-              term_cum =
-                (match ir_block.term with
-                | Ir.Term.Switch { probs; _ } -> cumulative probs
-                | Ir.Term.Jump _ | Ir.Term.Branch _ | Ir.Term.Return -> [||]);
-              uid = !uid;
-              succ0 = dummy_xblock;
-              succ1 = dummy_xblock;
-              succ_tab = [||];
-            }));
-  (* Second pass: resolve terminator targets (intra-function block ids)
-     to direct xblock references, so the interpreter never re-indexes
-     the block table on a transition. *)
+  let fb =
+    Array.mapi
+      (fun b (info : Linker.Binary.block_info) ->
+        let ir_block = Ir.Func.block f b in
+        {
+          addr = info.addr;
+          size = info.size;
+          ops = compile_ops ~resolve ir_block info.insts;
+          term = ir_block.term;
+          term_cum =
+            (match ir_block.term with
+            | Ir.Term.Switch { probs; _ } -> cumulative probs
+            | Ir.Term.Jump _ | Ir.Term.Branch _ | Ir.Term.Return -> [||]);
+          uid = t.first_uid.(fi) + b;
+          succ0 = dummy_xblock;
+          succ1 = dummy_xblock;
+          succ_tab = [||];
+        })
+      infos
+  in
   Array.iter
-    (fun fb ->
-      Array.iter
-        (fun xb ->
-          match xb.term with
-          | Ir.Term.Jump next -> xb.succ0 <- fb.(next)
-          | Ir.Term.Branch { taken; fallthrough; _ } ->
-            xb.succ0 <- fb.(taken);
-            xb.succ1 <- fb.(fallthrough)
-          | Ir.Term.Switch { table; _ } -> xb.succ_tab <- Array.map (fun b -> fb.(b)) table
-          | Ir.Term.Return -> ())
-        fb)
-    blocks;
+    (fun xb ->
+      match xb.term with
+      | Ir.Term.Jump next -> xb.succ0 <- fb.(next)
+      | Ir.Term.Branch { taken; fallthrough; _ } ->
+        xb.succ0 <- fb.(taken);
+        xb.succ1 <- fb.(fallthrough)
+      | Ir.Term.Switch { table; _ } -> xb.succ_tab <- Array.map (fun b -> fb.(b)) table
+      | Ir.Term.Return -> ())
+    fb;
+  t.blocks.(fi) <- fb;
+  fb
+
+let build program binary =
+  let ir = Array.of_list (List.rev (Ir.Program.fold_funcs program [] (fun acc f -> f :: acc))) in
+  let nf = Array.length ir in
+  let funcs = Hashtbl.create nf in
+  Array.iteri (fun i (f : Ir.Func.t) -> Hashtbl.replace funcs f.name i) ir;
+  (* Every block must be in the binary, and uids number the blocks in
+     program order from 1. *)
+  let first_uid = Array.make nf 0 in
+  let nblocks = ref 0 in
+  let infos =
+    Array.mapi
+      (fun fi (f : Ir.Func.t) ->
+        first_uid.(fi) <- !nblocks + 1;
+        nblocks := !nblocks + Ir.Func.num_blocks f;
+        Array.init (Ir.Func.num_blocks f) (fun b ->
+            match Linker.Binary.block_info binary ~func:f.name ~block:b with
+            | Some i -> i
+            | None ->
+              invalid_arg (Printf.sprintf "Image.build: block %s#%d not in binary" f.name b)))
+      ir
+  in
   {
     funcs;
-    blocks;
+    blocks = Array.make nf [||];
+    ir;
+    infos;
+    first_uid;
     entry = Hashtbl.find funcs (Ir.Program.main program);
-    nblocks = Array.fold_left (fun acc a -> acc + Array.length a) 0 blocks;
+    nblocks = !nblocks;
   }
 
 let func_index t name =
@@ -223,10 +234,12 @@ let func_index t name =
   | Some i -> i
   | None -> invalid_arg ("Image.func_index: unknown function " ^ name)
 
-let[@inline] block t ~func_idx ~block = t.blocks.(func_idx).(block)
+let[@inline] block t ~func_idx ~block =
+  let fb = t.blocks.(func_idx) in
+  (if Array.length fb = 0 then compile t func_idx else fb).(block)
 
 let entry_func t = t.entry
 
-let num_funcs t = Array.length t.blocks
+let num_funcs t = Array.length t.ir
 
 let num_blocks t = t.nblocks

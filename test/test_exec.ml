@@ -227,6 +227,72 @@ let test_steady_state_allocation () =
   if slope > 8.0 then
     Alcotest.failf "steady-state allocation too high: %.2f words/request" slope
 
+(* --- Functions compile on first entry ------------------------------ *)
+
+let relink0_image =
+  lazy
+    (let program = relink_family_program 0 in
+     let _, { Linker.Link.binary; _ } = compile_and_link program in
+     (program, binary))
+
+(* Every event of a run, in emission order, as one digest. *)
+let run_digest image =
+  let b = Buffer.create 65536 in
+  let drain (t : Exec.Event.tape) =
+    for k = 0 to t.len - 1 do
+      Printf.bprintf b "%c %d %d %d\n" (Bytes.get t.tags k) t.a.(k) t.b.(k) t.c.(k)
+    done
+  in
+  let stats =
+    Exec.Interp.run_tape image
+      { Exec.Interp.default_config with requests = Progen.Suite.clang.requests / 16 }
+      ~drain
+  in
+  (stats, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Entering every function, in program order, numbers the blocks
+   1..num_blocks in that order: the uids the stateless coins read do
+   not depend on which functions a run entered first. *)
+let force_all program image =
+  let uids = ref [] in
+  Ir.Program.iter_funcs program (fun f ->
+      let func_idx = Exec.Image.func_index image f.name in
+      for block = 0 to Ir.Func.num_blocks f - 1 do
+        uids := (Exec.Image.block image ~func_idx ~block).uid :: !uids
+      done);
+  List.rev !uids
+
+let test_image_forced_uids () =
+  let program, binary = Lazy.force relink0_image in
+  let image = Exec.Image.build program binary in
+  let n = Exec.Image.num_blocks image in
+  check ti "every block numbered" (Ir.Program.fold_funcs program 0 (fun acc f -> acc + Ir.Func.num_blocks f)) n;
+  check Alcotest.(list int) "uids in program order" (List.init n (fun i -> i + 1))
+    (force_all program image)
+
+let test_image_lazy_equals_forced () =
+  let program, binary = Lazy.force relink0_image in
+  let fresh = Exec.Image.build program binary in
+  let forced = Exec.Image.build program binary in
+  ignore (force_all program forced : int list);
+  let fresh_stats, fresh_tape = run_digest fresh in
+  let forced_stats, forced_tape = run_digest forced in
+  check tb "same stats" true (fresh_stats = forced_stats);
+  check ts "same event tape" forced_tape fresh_tape
+
+(* The last block of the last function: a profiling run never needs
+   it compiled, but the check at build time still finds it missing. *)
+let test_image_missing_block_raises_at_build () =
+  let program, binary = Lazy.force relink0_image in
+  let last = Ir.Program.fold_funcs program None (fun _ f -> Some f) |> Option.get in
+  let block = Ir.Func.num_blocks last - 1 in
+  let blocks = Hashtbl.copy binary.blocks in
+  Hashtbl.remove blocks (last.name, block);
+  match Exec.Image.build program { binary with blocks } with
+  | _ -> Alcotest.fail "expected a missing-block failure"
+  | exception Invalid_argument msg ->
+    check ts "message" (Printf.sprintf "Image.build: block %s#%d not in binary" last.name block) msg
+
 let suite =
   [
     Alcotest.test_case "image matches binary" `Quick test_image_block_fidelity;
@@ -241,4 +307,7 @@ let suite =
     Alcotest.test_case "step budget" `Quick test_step_budget;
     Alcotest.test_case "inline data not fetched" `Quick test_inline_data_not_fetched;
     Alcotest.test_case "steady-state allocation bounded" `Quick test_steady_state_allocation;
+    Alcotest.test_case "forced image: uids in program order" `Quick test_image_forced_uids;
+    Alcotest.test_case "fresh image runs as a forced one" `Quick test_image_lazy_equals_forced;
+    Alcotest.test_case "missing block raises at build" `Quick test_image_missing_block_raises_at_build;
   ]
