@@ -63,6 +63,8 @@ let to_string v =
 
 exception Bad of int * string
 
+let max_depth = 1000
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -149,9 +151,13 @@ let parse s =
       | None -> (
         match float_of_string_opt text with Some f -> Float f | None -> fail "bad number")
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects open around the value; the
+     recursion is bounded by it, not by the input's size. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
+    | Some ('[' | '{') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | None -> fail "unexpected end of input"
     | Some '"' -> String (parse_string ())
     | Some 't' -> literal "true" (Bool true)
@@ -165,11 +171,11 @@ let parse s =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           incr pos;
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
@@ -188,7 +194,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -205,7 +211,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected %C" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then raise (Bad (!pos, "trailing garbage"));
     v

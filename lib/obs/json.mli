@@ -18,7 +18,9 @@ val to_string : t -> string
 
 (** [parse s] reads one JSON value (surrounding whitespace allowed).
     Numbers with a fraction or exponent parse as [Float], others as
-    [Int]. Returns a descriptive error with a byte offset on failure. *)
+    [Int]. Returns a descriptive error with a byte offset on failure,
+    including for arrays and objects nested more than 1000 deep. It
+    never raises. *)
 val parse : string -> (t, string) result
 
 (** [member name v] looks up a field of an [Obj]. *)

@@ -188,6 +188,101 @@ let test_json_roundtrip () =
     check tb "garbage is rejected" true
       (match Obs.Json.parse "{\"a\": }" with Error _ -> true | Ok _ -> false)
 
+(* --- Parser totality ------------------------------------------------ *)
+
+(* [parse] is total: any input gives [Ok] or [Error], never an
+   exception. *)
+let total text =
+  match Obs.Json.parse text with
+  | Ok _ | Error _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "parse raised %s on %S" (Printexc.to_string e)
+      (if String.length text > 80 then String.sub text 0 80 ^ "..." else text)
+
+let gen_json =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "b"; "traceEvents"; "\xff\xfe"; "" ] in
+  let leaf =
+    oneof
+      [
+        return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) int;
+        map (fun f -> Obs.Json.Float f) float;
+        map (fun s -> Obs.Json.String s) (string_size ~gen:char (int_bound 12));
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (n - 1))));
+               (* Duplicate keys are likely: the key pool is small. *)
+               ( 2,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4) (pair key (self (n - 1)))) );
+             ])
+
+let json_truncated_law =
+  QCheck.Test.make ~count:500 ~name:"json: truncated documents never raise"
+    (QCheck.make
+       ~print:(fun (v, cut) -> Printf.sprintf "%s cut at %d" (Obs.Json.to_string v) cut)
+       QCheck.Gen.(pair gen_json nat))
+    (fun (v, cut) ->
+      let text = Obs.Json.to_string v in
+      total (String.sub text 0 (cut mod (String.length text + 1))))
+
+(* Random bytes, including non-UTF-8 and control bytes, alone and
+   spliced into a valid document. *)
+let json_bytes_law =
+  QCheck.Test.make ~count:500 ~name:"json: random bytes never raise"
+    (QCheck.make ~print:(fun (a, _, _) -> String.escaped a)
+       QCheck.Gen.(triple (string_size ~gen:char (int_bound 64)) gen_json nat))
+    (fun (bytes, v, at) ->
+      let text = Obs.Json.to_string v in
+      let at = at mod (String.length text + 1) in
+      total bytes
+      && total (String.sub text 0 at ^ bytes ^ String.sub text at (String.length text - at)))
+
+let test_json_hostile_inputs () =
+  let deep = 1_000_000 in
+  let nest opening closing = String.make deep opening ^ String.make deep closing in
+  let objects =
+    let b = Buffer.create (7 * deep) in
+    for _ = 1 to deep do
+      Buffer.add_string b "{\"a\":"
+    done;
+    Buffer.add_string b "0";
+    Buffer.add_string b (String.make deep '}');
+    Buffer.contents b
+  in
+  List.iter
+    (fun (label, text) -> check tb label true (total text))
+    [
+      ("deep arrays", nest '[' ']');
+      ("deep unterminated arrays", String.make deep '[');
+      ("deep objects", objects);
+      ("duplicate keys", "{\"a\":1,\"a\":[2],\"a\":{\"a\":3}}");
+      ("non-UTF-8 string", "\"\xff\xc0\x80\xed\xa0\x80\"");
+      ("non-UTF-8 key", "{\"\xfe\":\"\xc3\"}");
+      ("escape at the end", "\"\\u12");
+      ("bad escape", "\"\\uZZZZ\"");
+      ("lone minus", "-");
+      ("huge integer", String.make 400 '9');
+    ];
+  check tb "duplicate keys parse" true
+    (Result.is_ok (Obs.Json.parse "{\"a\":1,\"a\":2}"));
+  (* Nesting is bounded, so the recursion never outgrows the stack. *)
+  check tb "1000 levels parse" true
+    (Result.is_ok (Obs.Json.parse (String.make 1000 '[' ^ String.make 1000 ']')));
+  check tb "1001 levels are an error" true
+    (Result.is_error (Obs.Json.parse (String.make 1001 '[' ^ String.make 1001 ']')));
+  check tb "a million levels are an error" true (Result.is_error (Obs.Json.parse (nest '[' ']')))
+
 (* --- Determinism -------------------------------------------------- *)
 
 (* Two identical pipeline runs against fresh recorders must export
@@ -271,6 +366,9 @@ let suite =
     Alcotest.test_case "metrics: small-count percentiles" `Quick test_histogram_small_counts;
     Alcotest.test_case "trace: chrome JSON well-formed" `Quick test_chrome_trace_well_formed;
     Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
+    QCheck_alcotest.to_alcotest json_truncated_law;
+    QCheck_alcotest.to_alcotest json_bytes_law;
+    Alcotest.test_case "json: hostile inputs never raise" `Quick test_json_hostile_inputs;
     Alcotest.test_case "pipeline: telemetry deterministic" `Quick
       test_pipeline_telemetry_deterministic;
     Alcotest.test_case "pipeline: phase spans" `Quick test_pipeline_phase_spans;
