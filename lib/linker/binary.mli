@@ -90,8 +90,11 @@ val symbols_sorted : t -> (string * int) list
 
 (** [image_digest t] is a content digest of the observable image: the
     placed section list, every block's final address/size/instructions
-    (in address order), and the sorted symbol table. Binaries built from
-    the same inputs digest equal regardless of construction
-    order — the byte-identity oracle behind the [--jobs] determinism
-    tests. *)
+    (in address order), and the sorted symbol table — the byte-identity
+    oracle behind the [--jobs] determinism tests. It does not yet
+    depend on the image alone: blocks that share an address (zero-size
+    blocks that relaxation emptied) are serialized in [blocks] hash-table
+    order, so two binaries with the same image can digest differently,
+    for example under randomized [Hashtbl] seeds. Ordering such ties by
+    [(func, block)] is step A of ROADMAP item 1. *)
 val image_digest : t -> Support.Digesting.t
