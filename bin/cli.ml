@@ -13,8 +13,8 @@ let opt c default names docv doc = Arg.(value & opt c default & info names ~docv
 
 let jobs_term =
   opt Arg.(some int) None [ "j"; "jobs" ] "N"
-    "Domain pool width for per-function/per-unit fan-out (default $(b,PROPELLER_JOBS) or \
-     1). Outputs are byte-identical for any N."
+    "Domain pool width for per-function/per-unit fan-out (default 1). Outputs are \
+     byte-identical for any N."
 
 let seed_term =
   opt Arg.(some int) None [ "seed" ] "N"

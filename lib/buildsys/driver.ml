@@ -38,18 +38,6 @@ type fault_stats = {
   backoff_seconds : float;
 }
 
-let no_faults =
-  {
-    injected = 0;
-    retried = 0;
-    degraded = 0;
-    fallbacks = 0;
-    corrupt_evicted = 0;
-    stragglers = 0;
-    speculated = 0;
-    backoff_seconds = 0.0;
-  }
-
 type result = {
   binary : Linker.Binary.t;
   objs : Objfile.File.t list;

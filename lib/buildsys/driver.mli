@@ -59,14 +59,14 @@ val pool : env -> Support.Pool.t
 
 (** [make_env ()] builds a fresh env with empty caches. [ctx] defaults
     to {!Support.Ctx.default} (global recorder, global pool sized by
-    [--jobs] / [PROPELLER_JOBS], no fault plan); pass an explicit
+    [--jobs], no fault plan); pass an explicit
     context to isolate a run's telemetry or to arm fault injection.
     Results commit in index order, so build outputs are byte-identical
     for any pool width. *)
 val make_env : ?workers:int -> ?mem_limit:int -> ?ctx:Support.Ctx.t -> unit -> env
 
-(** Fault accounting of one build. All zero ({!no_faults}) when the
-    env's context carries no active plan. *)
+(** Fault accounting of one build. All zero when the env's context
+    carries no active plan. *)
 type fault_stats = {
   injected : int;
       (** Total injected events: failed attempts, rot flips,
@@ -81,8 +81,6 @@ type fault_stats = {
   backoff_seconds : float;  (** Total modelled backoff wait. *)
 }
 
-val no_faults : fault_stats
-
 type result = {
   binary : Linker.Binary.t;
   objs : Objfile.File.t list;  (** One per unit, in program unit order. *)
@@ -92,7 +90,7 @@ type result = {
   cpu_seconds : float;  (** Total backend compute + link time. *)
   codegen_report : Scheduler.result;  (** The codegen fan-out. *)
   link_stats : Linker.Link.stats;
-  faults : fault_stats;  (** Fault accounting; {!no_faults} when clean. *)
+  faults : fault_stats;  (** Fault accounting; all zero when clean. *)
 }
 
 (** [unit_action_key u options] is the content-addressed action key of

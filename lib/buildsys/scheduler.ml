@@ -112,7 +112,3 @@ let schedule ?mem_limit ?faults ~workers actions =
 
 let critical_path r =
   List.fold_left (fun acc p -> Float.max acc p.action.cpu_seconds) 0.0 r.placements
-
-let worker_timeline r w =
-  List.filter (fun p -> p.worker = w) r.placements
-  |> List.stable_sort (fun (a : placement) (b : placement) -> compare a.start b.start)

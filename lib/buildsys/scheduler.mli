@@ -51,9 +51,6 @@ type result = {
     schedule at any worker count. *)
 val schedule : ?mem_limit:int -> ?faults:Faultsim.Plan.t -> workers:int -> action list -> result
 
-(** [worker_timeline r w] is worker [w]'s placements in start order. *)
-val worker_timeline : result -> int -> placement list
-
 (** [critical_path r] is the longest single action's cost — the floor
     the makespan cannot beat no matter how many workers are added (the
     Amdahl bound the [--jobs] sweep report quotes against measured

@@ -173,5 +173,3 @@ let render_verdicts o =
 
 let render_notes o =
   String.concat "" (List.map (fun n -> Printf.sprintf "NOTE      %s\n" n) o.notes)
-
-let render o = render_verdicts o ^ render_notes o

@@ -73,13 +73,7 @@ val regressions : outcome -> verdict list
     affect it. *)
 val ok : outcome -> bool
 
-(** [render o] is a plain-text report (one line per judged metric,
-    regressions marked, NOTE lines last). CLI consumers should prefer
-    the split pair below so informational notes never pollute a piped
-    stdout. *)
-val render : outcome -> string
-
-(** [render_verdicts o] is the machine-parseable half of {!render}:
+(** [render_verdicts o] is the machine-parseable half of the report:
     verdict and MISSING lines only — every line starts with a fixed
     mark ([ok]/[improved]/[REGRESSED]/[MISSING]), so piped consumers
     can split on whitespace. *)

@@ -75,23 +75,3 @@ let replay tape sink =
     | '\002' -> sink.on_dmiss ~src:(Array.unsafe_get a i)
     | _ -> sink.on_request (Array.unsafe_get a i)
   done
-
-let tee a b =
-  {
-    on_fetch =
-      (fun addr len insts ->
-        a.on_fetch addr len insts;
-        b.on_fetch addr len insts);
-    on_branch =
-      (fun ~src ~dst ~kind ~taken ->
-        a.on_branch ~src ~dst ~kind ~taken;
-        b.on_branch ~src ~dst ~kind ~taken);
-    on_dmiss =
-      (fun ~src ->
-        a.on_dmiss ~src;
-        b.on_dmiss ~src);
-    on_request =
-      (fun i ->
-        a.on_request i;
-        b.on_request i);
-  }

@@ -29,9 +29,6 @@ type sink = {
 (** A sink that ignores everything. *)
 val null : sink
 
-(** [tee a b] duplicates events to both sinks. *)
-val tee : sink -> sink -> sink
-
 (** {1 Flat event tape}
 
     The zero-allocation transport between the engine and its hottest

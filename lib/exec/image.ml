@@ -240,6 +240,4 @@ let[@inline] block t ~func_idx ~block =
 
 let entry_func t = t.entry
 
-let num_funcs t = Array.length t.ir
-
 let num_blocks t = t.nblocks

@@ -71,6 +71,4 @@ val block : t -> func_idx:int -> block:int -> xblock
 (** [entry_func t] is the index of the program's main. *)
 val entry_func : t -> int
 
-val num_funcs : t -> int
-
 val num_blocks : t -> int

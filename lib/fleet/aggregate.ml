@@ -41,22 +41,22 @@ let create ?(window = 4) ?(decay = 0.5) ?(lbr_depth = 32) () =
   in
   { window; decay; branch_weight; batches = []; resolvers = Hashtbl.create 8 }
 
+let index_order res =
+  let locs = Array.init (Inspect.Resolve.num_blocks res) (Inspect.Resolve.location_at res) in
+  Array.stable_sort
+    (fun (a : Inspect.Resolve.location) b ->
+      match compare a.block_addr b.block_addr with 0 -> String.compare a.func b.func | c -> c)
+    locs;
+  locs
+
 let register t binary =
   let hex = Support.Digesting.to_hex (Linker.Binary.image_digest binary) in
   if not (Hashtbl.mem t.resolvers hex) then begin
-    let res = Inspect.Resolve.create binary in
-    let locs =
-      List.concat_map (Inspect.Resolve.blocks_of_func res) (Inspect.Resolve.funcs res)
-      |> List.sort (fun (a : Inspect.Resolve.location) b ->
-             compare a.block_addr b.block_addr)
-      |> Array.of_list
-    in
+    let locs = index_order (Inspect.Resolve.create binary) in
     let laddrs = Array.map (fun (l : Inspect.Resolve.location) -> l.block_addr) locs in
     let lsizes = Array.map (fun (l : Inspect.Resolve.location) -> l.block_size) locs in
     Hashtbl.add t.resolvers hex { locs; laddrs; lsizes }
   end
-
-let registered t digest = Hashtbl.mem t.resolvers digest
 
 let push t ~round shards =
   let shards =

@@ -48,13 +48,16 @@ type stats = {
     aggregate. *)
 val create : ?window:int -> ?decay:float -> ?lbr_depth:int -> unit -> t
 
+(** [index_order res] is every placed block of [res]'s image as a
+    location, ordered by address, then by function name; blocks of one
+    function at one address keep [res]'s address order. This is the
+    range-walk order {!register} indexes. *)
+val index_order : Inspect.Resolve.t -> Inspect.Resolve.location array
+
 (** [register t binary] indexes an image for shard translation. Every
     image a shard can be collected on — deployed generations and
     canary candidates, including rejected ones — must be registered. *)
 val register : t -> Linker.Binary.t -> unit
-
-(** [registered t digest] is true when [digest] (hex) is indexed. *)
-val registered : t -> string -> bool
 
 (** [push t ~round shards] stores one serve round's shards (internally
     sorted by machine id — push order never matters) and expires

@@ -64,7 +64,7 @@ let serve ?ctx ?(source = Perfmon.Source.Lbr)
   (* Direct tape drains for the hot consumers; the software sampler
      stays a closure sink behind the replay adapter. The collectors are
      independent state machines over disjoint event kinds, so draining
-     them one after the other observes exactly what the tee did. *)
+     them one after the other observes exactly what one shared sink would. *)
   let drain =
     match source with
     | Perfmon.Source.Lbr ->

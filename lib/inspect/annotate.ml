@@ -26,10 +26,6 @@ type t = {
   functions : func_report list;
 }
 
-let taken_ratio r =
-  let total = r.taken_out + r.fallthrough_out in
-  if total = 0 then 0.0 else float_of_int r.taken_out /. float_of_int total
-
 let mispredict_rate r =
   if r.taken_out = 0 then 0.0 else float_of_int r.mispredicted /. float_of_int r.taken_out
 

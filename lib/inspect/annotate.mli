@@ -42,9 +42,6 @@ type t = {
     layout. Only functions that received samples are listed. *)
 val analyze : binary:Linker.Binary.t -> profile:Perfmon.Lbr.profile -> t
 
-(** [taken_ratio r] is taken / (taken + fall-through) exit weight. *)
-val taken_ratio : block_row -> float
-
 (** [mispredict_rate r] is mispredicted / taken exit weight. *)
 val mispredict_rate : block_row -> float
 

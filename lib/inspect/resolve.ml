@@ -26,8 +26,6 @@ type t = {
   others : Linker.Binary.placed array;  (* non-text sections, address order *)
 }
 
-let binary t = t.bin
-
 let fragment_of_symbol = function
   | None -> Primary
   | Some s ->
@@ -139,6 +137,10 @@ let resolve t addr =
       | Some p -> Noncode p.name
       | None -> Outside
     end
+
+let location_at t i =
+  let b = t.blocks.(i) in
+  location_of ~sec:(section_at t b.addr) b b.addr
 
 let blocks_of_func t func =
   Array.to_list t.blocks

@@ -8,7 +8,10 @@
 
     Resolution is total: every address classifies as code, alignment
     padding inside the text segment, a placed non-text section, or
-    outside the image. *)
+    outside the image. It is not always right: block lookups use
+    {!Support.Isearch.covering}, so next to a zero-size block that
+    shares its start with a non-empty one, some bytes of the non-empty
+    block resolve as [Padding] instead of [Code]. *)
 
 (** Which cluster of its function a block landed in (paper §3.4
     naming: [foo], [foo.cold], [foo.N]). *)
@@ -39,8 +42,6 @@ type t
     lookups are O(log n). *)
 val create : Linker.Binary.t -> t
 
-val binary : t -> Linker.Binary.t
-
 (** [resolve t addr] classifies [addr]. *)
 val resolve : t -> int -> resolution
 
@@ -56,12 +57,17 @@ val num_blocks : t -> int
 
 val find_block_index : t -> int -> int
 (** [find_block_index t addr] is the address-order index of the block
-    covering [addr], or [-1] when no block covers it (equivalently:
-    {!resolve} would not return [Code _]). *)
+    covering [addr], or [-1] when the search finds none (equivalently:
+    {!resolve} would not return [Code _]); see the known miss of
+    {!Support.Isearch}. *)
 
 val block_at : t -> int -> Linker.Binary.block_info
 (** The block at an address-order index returned by
     {!find_block_index}/{!resolve_batch}. *)
+
+val location_at : t -> int -> location
+(** [location_at t i] is {!block_at}[ t i] as a location at its first
+    byte ([offset = 0]), with its placed section and fragment. *)
 
 val resolve_batch : t -> int array -> int array
 (** [resolve_batch t queries] resolves a whole batch of addresses to

@@ -11,6 +11,3 @@ let num_funcs u = List.length u.funcs
 let num_blocks u = List.fold_left (fun acc f -> acc + Func.num_blocks f) 0 u.funcs
 
 let mem u fname = List.exists (fun (f : Func.t) -> String.equal f.name fname) u.funcs
-
-let pp fmt u =
-  Format.fprintf fmt "@[<v 2>unit %s (%d funcs)@]" u.name (List.length u.funcs)

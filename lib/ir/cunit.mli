@@ -20,5 +20,3 @@ val num_blocks : t -> int
 
 (** [mem u fname] tells whether the unit defines function [fname]. *)
 val mem : t -> string -> bool
-
-val pp : Format.formatter -> t -> unit

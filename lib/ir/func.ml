@@ -30,10 +30,6 @@ let code_bytes f = Array.fold_left (fun acc b -> acc + Block.body_bytes b) 0 f.b
 
 let calls f = Array.to_list f.blocks |> List.concat_map Block.calls
 
-let landing_pads f =
-  Array.to_list f.blocks
-  |> List.filter_map (fun (b : Block.t) -> if b.is_landing_pad then Some b.id else None)
-
 (* The bytes [pp] prints through [Format.asprintf], without the
    formatter: in these vertical boxes every break is a newline indented
    to its box (2 for blocks, 4 for a block's lines), and no text is

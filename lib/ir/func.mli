@@ -35,9 +35,6 @@ val code_bytes : t -> int
     all blocks; used to build static call graphs. *)
 val calls : t -> (string * float) list
 
-(** [landing_pads f] lists ids of landing-pad blocks. *)
-val landing_pads : t -> int list
-
 val pp : Format.formatter -> t -> unit
 
 (** [render b f] appends to [b] exactly the bytes

@@ -13,10 +13,6 @@ let byte_size = function
   | DirectCall _ -> 5
   | VirtualCall _ -> 3
 
-let is_call = function
-  | DirectCall _ | VirtualCall _ -> true
-  | Compute _ | MemLoad _ | DelinquentLoad _ | MemStore _ | JumpTableData _ -> false
-
 let callees = function
   | DirectCall f -> [ (f, 1.0) ]
   | VirtualCall { callees } -> Array.to_list callees

@@ -23,9 +23,6 @@ type t =
     bytes, virtual calls 3, data verbatim. *)
 val byte_size : t -> int
 
-(** [is_call i] is true for direct and virtual calls. *)
-val is_call : t -> bool
-
 (** [callees i] enumerates possible callees with probabilities; a direct
     call yields its single target with probability 1. *)
 val callees : t -> (string * float) list

@@ -54,6 +54,3 @@ let num_funcs t = List.fold_left (fun acc u -> acc + Cunit.num_funcs u) 0 t.unit
 let num_blocks t = List.fold_left (fun acc u -> acc + Cunit.num_blocks u) 0 t.units
 
 let code_bytes t = List.fold_left (fun acc u -> acc + Cunit.code_bytes u) 0 t.units
-
-let func_names t =
-  List.concat_map (fun (u : Cunit.t) -> List.map (fun (f : Func.t) -> f.name) u.funcs) t.units

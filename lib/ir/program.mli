@@ -35,6 +35,3 @@ val num_blocks : t -> int
 
 (** [code_bytes t] sums function body bytes over the program. *)
 val code_bytes : t -> int
-
-(** [func_names t] lists all function names in unit order. *)
-val func_names : t -> string list

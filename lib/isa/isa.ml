@@ -118,5 +118,3 @@ let to_string = function
   | Ret -> "ret"
   | Nop n -> Printf.sprintf "nop%d" n
   | InlineData n -> Printf.sprintf ".data %d" n
-
-let pp fmt i = Format.pp_print_string fmt (to_string i)

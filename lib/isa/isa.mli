@@ -93,5 +93,3 @@ val branch_target : t -> Target.t option
 val with_target : t -> Target.t -> t
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

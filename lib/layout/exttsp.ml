@@ -399,10 +399,3 @@ let order ?(params = default_params) (problem : Problem.t) =
     in
     List.concat_map (fun c -> Array.to_list c.nodes) sorted
   end
-
-let order_batch ?(params = default_params) ~pool problems =
-  Support.Pool.map_array pool (Array.length problems) (fun i ->
-      let p = problems.(i) in
-      let o = order ~params p in
-      let s = score ~params ~order:o p in
-      (o, s))

@@ -64,14 +64,5 @@ val score_into : ?params:params -> scratch -> Problem.t -> int array -> float
 
 (** Number of chain merges performed by the last {!order} call on this
     domain; exposed for the benches' work accounting. The counter is
-    domain-local, so concurrent {!order_batch} tasks don't race. *)
+    domain-local, so concurrent [Policy.order_batch] tasks don't race. *)
 val last_merge_count : unit -> int
-
-(** [order_batch ?params ~pool problems] solves every problem across
-    the domain pool and returns [(order, score)] per problem, in input
-    order. Each problem is computed exactly as {!order} + {!score}
-    would sequentially, and results commit in index order, so the
-    output is identical for any pool width (the §3.4 sharding
-    contract). *)
-val order_batch :
-  ?params:params -> pool:Support.Pool.t -> Problem.t array -> (int list * float) array

@@ -41,8 +41,6 @@ let total_size t = List.fold_left (fun acc p -> acc + p.size) 0 t.sections
 
 let text_bytes t = size_of_kind t Objfile.Section.Text
 
-let num_symbols t = Hashtbl.length t.symbols
-
 (* The blocks sorted by address, for address lookups. Blocks at equal
    addresses (emptied by relaxation) keep the order this sort of the
    table's sequence gives them, which the image digest records. *)

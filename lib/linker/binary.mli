@@ -67,11 +67,11 @@ val total_size : t -> int
 (** [text_bytes t] is the size of executable code. *)
 val text_bytes : t -> int
 
-(** [num_symbols t] counts global symbols. *)
-val num_symbols : t -> int
-
-(** [find_block_by_addr t addr] maps a virtual address to the placed
-    block covering it, if any; O(log n). *)
+(** [find_block_by_addr t addr] is a placed block covering the virtual
+    address [addr], found by binary search; O(log n). It can return
+    [None] for a covered address: when a non-empty block sorts before
+    a zero-size block at the same start, a probe may land on the empty
+    one and go right (the known miss of {!Support.Isearch}). *)
 val find_block_by_addr : t -> int -> block_info option
 
 (** [funcs t] lists function names with placed blocks. *)

@@ -28,6 +28,4 @@ let lookup t ~func ~offset =
   | Some fm ->
     List.find_opt (fun e -> offset >= e.offset && offset < e.offset + e.size) fm.entries
 
-let merge maps = List.concat maps
-
 let num_entries t = List.fold_left (fun acc fm -> acc + List.length fm.entries) 0 t

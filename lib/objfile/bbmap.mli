@@ -32,7 +32,4 @@ val encoded_size : t -> int
     relative to symbol [func], if any. *)
 val lookup : t -> func:string -> offset:int -> entry option
 
-(** [merge maps] concatenates per-object maps into a program-wide map. *)
-val merge : t list -> t
-
 val num_entries : t -> int

@@ -18,11 +18,6 @@ let defined_symbols o =
       match s.symbol with Some sym -> Some (sym, s.name) | None -> None)
     o.sections
 
-let bb_addr_map o =
-  List.concat_map
-    (fun (s : Section.t) -> match s.contents with Section.Map m -> m | Section.Code _ | Section.Raw _ -> [])
-    o.sections
-
 let size_by_kind o kind =
   List.fold_left
     (fun acc (s : Section.t) -> if s.kind = kind then acc + Section.size s else acc)

@@ -21,9 +21,6 @@ val find_section : t -> string -> Section.t option
     section carrying a symbol. *)
 val defined_symbols : t -> (string * string) list
 
-(** [bb_addr_map o] merges all address-map payloads of the object. *)
-val bb_addr_map : t -> Bbmap.t
-
 (** [size_by_kind o kind] sums the sizes of sections of [kind]. *)
 val size_by_kind : t -> Section.kind -> int
 

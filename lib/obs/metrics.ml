@@ -44,44 +44,41 @@ type summary = {
   p99 : float;
 }
 
-(* Summary statistics, kept local so obs has no library dependencies:
-   Support sits *above* obs in the stack (Support.Ctx carries an
-   Obs.Recorder.t), so obs cannot call into Support.Stats. The
-   algorithms are identical (same interpolated percentile, same
-   population stddev), keeping exported summaries byte-stable. *)
-module Summ = struct
-  let sum = List.fold_left ( +. ) 0.0
+(* Summary statistics. Obs sits below Support in the stack
+   (Support.Ctx carries an Obs.Recorder.t), so these are the one copy:
+   Support.Stats forwards to them. *)
+let sum = List.fold_left ( +. ) 0.0
 
-  let mean = function [] -> 0.0 | xs -> sum xs /. float_of_int (List.length xs)
+let mean = function [] -> 0.0 | xs -> sum xs /. float_of_int (List.length xs)
 
-  (* Linear interpolation between closest ranks (numpy's "linear").
-     Small samples stay exact: any percentile of 1 sample is that
-     sample, p50 of 2 samples is their midpoint (== median), p100 is
-     the max — the old nearest-rank rule returned the *lower* sample
-     for p50 of 2, disagreeing with [median]. *)
-  let percentile p xs =
-    let arr = Array.of_list xs in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    if n = 0 then invalid_arg "Metrics.percentile: empty sample list";
-    if n = 1 then arr.(0)
-    else begin
-      let rank = p /. 100.0 *. float_of_int (n - 1) in
-      let lo = max 0 (min (n - 1) (int_of_float (floor rank))) in
-      let hi = min (n - 1) (lo + 1) in
-      arr.(lo) +. ((rank -. float_of_int lo) *. (arr.(hi) -. arr.(lo)))
-    end
+(* Linear interpolation between closest ranks (numpy's "linear").
+   Small samples stay exact: any percentile of 1 sample is that
+   sample, p50 of 2 samples is their midpoint (== median), p100 is
+   the max. *)
+let percentile p xs =
+  let arr = Array.of_list xs in
+  Array.sort compare arr;
+  let n = Array.length arr in
+  if n = 0 then invalid_arg "Metrics.percentile: empty sample list";
+  if n = 1 then arr.(0)
+  else begin
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = max 0 (min (n - 1) (int_of_float (floor rank))) in
+    let hi = min (n - 1) (lo + 1) in
+    arr.(lo) +. ((rank -. float_of_int lo) *. (arr.(hi) -. arr.(lo)))
+  end
 
-  let stddev xs =
-    let m = mean xs in
-    sqrt (mean (List.map (fun x -> (x -. m) *. (x -. m)) xs))
+let stddev xs =
+  let m = mean xs in
+  sqrt (mean (List.map (fun x -> (x -. m) *. (x -. m)) xs))
 
-  let median xs =
+let median = function
+  | [] -> 0.0
+  | xs ->
     let arr = Array.of_list xs in
     Array.sort compare arr;
     let n = Array.length arr in
     if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
-end
 
 let summarize = function
   | [] -> None
@@ -89,22 +86,20 @@ let summarize = function
     Some
       {
         count = List.length xs;
-        sum = Summ.sum xs;
-        mean = Summ.mean xs;
-        stddev = Summ.stddev xs;
+        sum = sum xs;
+        mean = mean xs;
+        stddev = stddev xs;
         min = List.fold_left Float.min Float.infinity xs;
         max = List.fold_left Float.max Float.neg_infinity xs;
-        median = Summ.median xs;
-        p90 = Summ.percentile 90.0 xs;
-        p99 = Summ.percentile 99.0 xs;
+        median = median xs;
+        p90 = percentile 90.0 xs;
+        p99 = percentile 99.0 xs;
       }
 
 let summary t name =
   match Hashtbl.find_opt t.histograms name with
   | None -> None
   | Some r -> summarize !r
-
-let percentile = Summ.percentile
 
 let sorted_bindings tbl value =
   Hashtbl.fold (fun k r acc -> (k, value r) :: acc) tbl []

@@ -45,11 +45,32 @@ type summary = {
 (** [summary t name] summarizes a histogram; [None] when empty. *)
 val summary : t -> string -> summary option
 
-(** [percentile p xs] is the linear-interpolation percentile the
-    summaries use (numpy's "linear"; exact for 1–2 samples), shared
-    with {!Timeseries} so every percentile in an export follows one
-    rule. Raises [Invalid_argument] on the empty list. *)
+(** {2 Summary statistics}
+
+    The one implementation of the rules the summaries use, shared with
+    {!Timeseries} and [Support.Stats] so every figure in an export or a
+    bench report follows the same rule. *)
+
+(** [percentile p xs] is the [p]-th percentile (0..100) by linear
+    interpolation between closest ranks on a sorted copy (numpy's
+    "linear"): any percentile of a singleton is that sample, and
+    [percentile 50.] equals {!median} for every length. Raises
+    [Invalid_argument] on the empty list. *)
 val percentile : float -> float list -> float
+
+(** [median xs] is the middle element of a sorted copy, or the mean of
+    the two middle elements for even lengths; 0 for the empty list. *)
+val median : float list -> float
+
+(** [sum xs] sums the list. *)
+val sum : float list -> float
+
+(** [mean xs] is the arithmetic mean; 0 for the empty list. *)
+val mean : float list -> float
+
+(** [stddev xs] is the population standard deviation; 0 for the empty
+    list and for singletons. *)
+val stddev : float list -> float
 
 (** Sorted views for exporters. *)
 val counters : t -> (string * int) list

@@ -18,8 +18,6 @@ let create ?flight_capacity () =
 
 let global = create ()
 
-let clock t = t.clk
-
 let metrics t = t.metrics
 
 let trace t = t.trace
@@ -87,7 +85,5 @@ let trace_json t = Json.to_string (Trace.to_chrome_json t.trace)
 let metrics_json t = Json.to_string (Metrics.to_json t.metrics)
 
 let metrics_report t = Metrics.report t.metrics
-
-let selfprof_json t = Json.to_string (Selfprof.to_json t.selfprof)
 
 let flight_dump t = Flight.dump t.flight

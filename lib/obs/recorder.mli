@@ -23,8 +23,6 @@ val create : ?flight_capacity:int -> unit -> t
     exports). *)
 val global : t
 
-val clock : t -> Clock.t
-
 val metrics : t -> Metrics.t
 
 val trace : t -> Trace.t
@@ -96,10 +94,6 @@ val metrics_json : t -> string
 
 (** [metrics_report t] is the plain-text metrics report. *)
 val metrics_report : t -> string
-
-(** [selfprof_json t] is the self-profile as compact JSON
-    ([--self-profile-out]). *)
-val selfprof_json : t -> string
 
 (** [flight_dump t] is the deterministic postmortem text of the last K
     events. *)

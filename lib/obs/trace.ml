@@ -36,8 +36,6 @@ let create clk =
     thread_names = [];
   }
 
-let clock t = t.clk
-
 let with_span ?(args = []) t name f =
   let o = { oid = t.next_id; oname = name; ostart = Clock.now t.clk; oargs = args } in
   t.next_id <- t.next_id + 1;

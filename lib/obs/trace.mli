@@ -31,8 +31,6 @@ type t
 
 val create : Clock.t -> t
 
-val clock : t -> Clock.t
-
 (** [with_span t name ?args f] opens a span, runs [f], and closes the
     span when [f] returns (or raises — the span is closed either way,
     so the trace stays well-nested). *)

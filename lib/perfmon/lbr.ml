@@ -152,8 +152,6 @@ let distinct_edges profile =
 
 let branch_total profile = pair_total profile.branches
 
-let range_total profile = pair_total profile.ranges
-
 let mispredict_total profile = pair_total profile.mispredicts
 
 let mispredict_count profile ~src ~dst = find_pair profile.mispredicts ~src ~dst

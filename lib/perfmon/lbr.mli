@@ -91,9 +91,6 @@ val distinct_edges : profile -> int
     records (the denominator of profile-mismatch rates). *)
 val branch_total : profile -> int
 
-(** [range_total p] sums the counts of all sequential-range records. *)
-val range_total : profile -> int
-
 (** [mispredict_total p] sums all mispredicted records. *)
 val mispredict_total : profile -> int
 

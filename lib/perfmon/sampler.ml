@@ -85,10 +85,6 @@ let collector config profile =
         stack := []);
   }
 
-(* pprof-style encoding estimate: a location id + count per leaf entry,
-   a frame word per recorded frame. *)
-let raw_bytes profile = (profile.num_samples * 16) + (profile.num_frames * 8)
-
 let distinct_leaves profile = Hashtbl.length profile.leaves
 
 let table_total tbl = Hashtbl.fold (fun _ n acc -> acc + n) tbl 0

@@ -39,9 +39,6 @@ val create_profile : unit -> profile
     frames from a previous request. *)
 val collector : config -> profile -> Exec.Event.sink
 
-(** Simulated size of the encoded sample file (perf.data analogue). *)
-val raw_bytes : profile -> int
-
 val distinct_leaves : profile -> int
 
 (** Sum of all leaf sample counts (= num_samples). *)

@@ -2,11 +2,4 @@ type t = Lbr | Sampled
 
 let to_string = function Lbr -> "lbr" | Sampled -> "sampled"
 
-let of_string = function
-  | "lbr" -> Some Lbr
-  | "sampled" -> Some Sampled
-  | _ -> None
-
 let all = [ Lbr; Sampled ]
-
-let equal a b = a = b

@@ -10,10 +10,5 @@ type t = Lbr | Sampled
 
 val to_string : t -> string
 
-(** Case-sensitive; accepts exactly the strings [to_string] produces. *)
-val of_string : string -> t option
-
 (** All sources, in declaration order — for CLI enums and help text. *)
 val all : t list
-
-val equal : t -> t -> bool

@@ -44,12 +44,16 @@ type t = {
 val interval_index : Linker.Binary.t -> mblock array
 
 (** [find_in blocks addr] binary-searches an address-sorted block array
-    for the block containing [addr], returning its index and the block. *)
+    for a block containing [addr], returning its index and the block.
+    Like {!Support.Isearch.covering} it can miss: when a non-empty
+    block sorts before a zero-size block at the same start, a probe
+    inside the non-empty one may land on the empty one, go right and
+    return [None]. *)
 val find_in : mblock array -> int -> (int * mblock) option
 
 (** [find_idx blocks addr] is the index form of {!find_in}: the index of
-    the containing block, or [-1]. Allocation-free — the DCFG build
-    calls it twice per LBR pair. *)
+    the containing block, or [-1] (with {!find_in}'s miss).
+    Allocation-free — the DCFG build calls it twice per LBR pair. *)
 val find_idx : mblock array -> int -> int
 
 (** [build ~profile ~binary] reconstructs the DCFG from the binary's
@@ -89,7 +93,8 @@ val num_blocks : t -> int
 
 val num_edges : t -> int
 
-(** [find_block t addr] maps an address to its block. *)
+(** [find_block t addr] maps an address to its block by {!find_in},
+    so it shares that search's miss next to zero-size blocks. *)
 val find_block : t -> int -> mblock option
 
 (** [func_arcs t] aggregates call arcs to function granularity (hfsort

@@ -116,7 +116,7 @@ let run_round ?(config = default_config) ~env ~program ~name ~round ~prev () =
     (* Hot consumers drain the flat event tape directly; the software
        sampler keeps its closure sink behind the replay adapter. LBR and
        PEBS observe disjoint event kinds, so sequential drains see
-       exactly what the tee composition did. *)
+       exactly what one sink feeding both would. *)
     let drain =
       let pebs_c =
         if config.prefetch then Some (Perfmon.Pebs.collector_state config.pebs pebs_profile)

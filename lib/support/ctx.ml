@@ -1,7 +1,6 @@
 type t = {
   recorder : Obs.Recorder.t;
   pool : Pool.t;
-  jobs : int;
   faults : Faultsim.Plan.t option;
 }
 
@@ -13,13 +12,11 @@ let create ?recorder ?pool ?jobs ?faults () =
     | None, Some j -> Pool.create ~jobs:j ()
     | None, None -> Pool.global ()
   in
-  { recorder; pool; jobs = Pool.jobs pool; faults }
+  { recorder; pool; faults }
 
 let default () = create ()
 
 let with_recorder t recorder = { t with recorder }
-
-let with_faults t faults = { t with faults }
 
 let faults_active t =
   match t.faults with Some p -> Faultsim.Plan.is_active p | None -> false

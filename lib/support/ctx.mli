@@ -7,7 +7,7 @@
     [Linker.Link.link], [Uarch.Core.publish],
     [Diagnostics.Report.publish] — six hand-maintained copies of the
     same plumbing). A [Ctx.t] collapses that sprawl into one record —
-    telemetry scope, domain pool, pool width, and the fault-injection
+    telemetry scope, domain pool and the fault-injection
     plan of this run — passed explicitly as [?ctx].
 
     Every entry point takes [?ctx] directly; the transitional
@@ -16,7 +16,6 @@
 type t = {
   recorder : Obs.Recorder.t;  (** Telemetry scope (spans, counters). *)
   pool : Pool.t;  (** Domain pool for per-function/per-unit fan-out. *)
-  jobs : int;  (** The pool's width, denormalized for reporting. *)
   faults : Faultsim.Plan.t option;
       (** The seeded fault plan driving this run's injected action
           failures, stragglers, cache rot and shard drops; [None]
@@ -25,7 +24,7 @@ type t = {
 
 (** [create ()] assembles a context. [recorder] defaults to
     {!Obs.Recorder.global}; [pool] defaults to {!Pool.global} (sized by
-    [--jobs] / [PROPELLER_JOBS]) unless [jobs] is given, in which case
+    [--jobs]) unless [jobs] is given, in which case
     a fresh pool of that width is created (caller shuts it down, or
     relies on the pool's at-exit backstop). [faults] defaults to no
     injection. *)
@@ -44,9 +43,6 @@ val default : unit -> t
 
 (** [with_recorder t r] is [t] recording into [r] instead. *)
 val with_recorder : t -> Obs.Recorder.t -> t
-
-(** [with_faults t plan] is [t] with the fault plan replaced. *)
-val with_faults : t -> Faultsim.Plan.t option -> t
 
 (** [faults_active t] is true when a plan is present and any of its
     rates is positive. *)

@@ -6,8 +6,6 @@ let compare a b =
   let c = Int64.compare a.hi b.hi in
   if c <> 0 then c else Int64.compare a.lo b.lo
 
-let hash a = Int64.to_int (Int64.logxor a.hi a.lo)
-
 let mask32 = 0xFFFFFFFF
 
 (* One FNV-1a stream, computed in 32-bit halves on native ints: Int64
@@ -64,5 +62,3 @@ let concat ds =
   let buf = Buffer.create (32 * List.length ds) in
   List.iter (fun d -> Buffer.add_string buf (to_hex d)) ds;
   of_string (Buffer.contents buf)
-
-let pp fmt d = Format.pp_print_string fmt (to_hex d)

@@ -10,8 +10,6 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-
 (** [to_hex d] renders the digest as a 32-char lowercase hex string. *)
 val to_hex : t -> string
 
@@ -21,5 +19,3 @@ val of_string : string -> t
 (** [concat ds] combines digests in order; used for action keys built from
     (tool id, input digests, flags). *)
 val concat : t list -> t
-
-val pp : Format.formatter -> t -> unit

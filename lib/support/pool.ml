@@ -1,12 +1,12 @@
-(* One contiguous slice of a batch's index space, owned by one worker.
-   The owner pops from [lo]; thieves pop from [hi - 1]. Both ends move
-   under the segment mutex — the critical section is a couple of loads
-   and a store, so contention stays negligible next to task bodies. *)
-type segment = { seg_m : Mutex.t; mutable lo : int; mutable hi : int }
+(* One worker's share of a batch: a contiguous index range whose next
+   unclaimed index is [next]. Every worker claims from it with one
+   fetch-and-add, so a claim takes no lock; the cursor may run past
+   [stop], which just means the share is drained. *)
+type share = { next : int Atomic.t; stop : int }
 
 type batch = {
   run : int -> unit;
-  segments : segment array;
+  shares : share array;
   mutable finished_workers : int;  (* guarded by the pool mutex *)
   (* First (lowest task index) exception observed, guarded by the pool
      mutex; re-raised by the coordinator so failure is deterministic. *)
@@ -33,24 +33,13 @@ type t = {
 
 (* --- defaults and the shared pool --------------------------------- *)
 
-let env_jobs () =
-  match Sys.getenv_opt "PROPELLER_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> Some j
-    | Some _ | None -> None)
+let default_jobs_ref = ref 1
 
-let default_jobs_override = ref None
-
-let default_jobs () =
-  match !default_jobs_override with
-  | Some j -> j
-  | None -> ( match env_jobs () with Some j -> j | None -> 1)
+let default_jobs () = !default_jobs_ref
 
 let set_default_jobs j =
   if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
-  default_jobs_override := Some j
+  default_jobs_ref := j
 
 let jobs t = t.n_jobs
 
@@ -78,31 +67,6 @@ let create ?jobs () =
    inside a task run inline on the calling domain. *)
 let inside_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-let take_own (s : segment) =
-  Mutex.lock s.seg_m;
-  let r =
-    if s.lo < s.hi then begin
-      let i = s.lo in
-      s.lo <- s.lo + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock s.seg_m;
-  r
-
-let steal_from (s : segment) =
-  Mutex.lock s.seg_m;
-  let r =
-    if s.lo < s.hi then begin
-      s.hi <- s.hi - 1;
-      Some s.hi
-    end
-    else None
-  in
-  Mutex.unlock s.seg_m;
-  r
-
 let record_error pool b idx e bt =
   Mutex.lock pool.m;
   (match b.first_error with
@@ -114,43 +78,27 @@ let run_task pool b idx =
   try b.run idx
   with e -> record_error pool b idx e (Printexc.get_raw_backtrace ())
 
-(* Drain the batch as worker [w]: own segment first, then steal from
-   the victim with the most remaining work (a scan is fine at pool
-   widths; the paper's backends are O(10) wide, not O(10^3)). *)
+(* Drain the batch as worker [w]: its own share first, then the other
+   shares in the order [w + 1], [w + 2], ... (mod jobs). A task claimed
+   from another worker's share counts as a steal. *)
 let run_worker pool b w =
   let flag = Domain.DLS.get inside_task in
   flag := true;
   Fun.protect ~finally:(fun () -> flag := false) @@ fun () ->
-  let rec own () =
-    match take_own b.segments.(w) with
-    | Some i ->
-      run_task pool b i;
-      b.batch_tasks.(w) <- b.batch_tasks.(w) + 1;
-      own ()
-    | None -> steal ()
-  and steal () =
-    let victim = ref (-1) and best = ref 0 in
-    Array.iteri
-      (fun v s ->
-        if v <> w then begin
-          let remaining = s.hi - s.lo in
-          if remaining > !best then begin
-            best := remaining;
-            victim := v
-          end
-        end)
-      b.segments;
-    if !victim < 0 then ()
-    else
-      match steal_from b.segments.(!victim) with
-      | Some i ->
+  let n = Array.length b.shares in
+  for k = 0 to n - 1 do
+    let s = b.shares.((w + k) mod n) in
+    let rec drain () =
+      let i = Atomic.fetch_and_add s.next 1 in
+      if i < s.stop then begin
         run_task pool b i;
         b.batch_tasks.(w) <- b.batch_tasks.(w) + 1;
-        b.batch_steals.(w) <- b.batch_steals.(w) + 1;
-        steal ()
-      | None -> steal ()  (* lost the race; rescan *)
-  in
-  own ()
+        if k > 0 then b.batch_steals.(w) <- b.batch_steals.(w) + 1;
+        drain ()
+      end
+    in
+    drain ()
+  done
 
 let worker_loop pool wid =
   let my_gen = ref 0 in
@@ -228,12 +176,11 @@ let run_sequential pool total run =
   pool.cum_tasks.(0) <- pool.cum_tasks.(0) + total;
   pool.cum_batches <- pool.cum_batches + 1
 
-let make_segments n_jobs total =
+let make_shares n_jobs total =
   let base = total / n_jobs and extra = total mod n_jobs in
   Array.init n_jobs (fun w ->
       let lo = (w * base) + min w extra in
-      let len = base + if w < extra then 1 else 0 in
-      { seg_m = Mutex.create (); lo; hi = lo + len })
+      { next = Atomic.make lo; stop = lo + base + if w < extra then 1 else 0 })
 
 let run_batch pool ~total run =
   if total = 0 then ()
@@ -255,7 +202,7 @@ let run_batch pool ~total run =
       let b =
         {
           run;
-          segments = make_segments pool.n_jobs total;
+          shares = make_shares pool.n_jobs total;
           finished_workers = 0;
           first_error = None;
           batch_tasks = Array.make pool.n_jobs 0;

@@ -1,10 +1,11 @@
-(** A fixed-size work-stealing domain pool (OCaml 5 [Domain]s).
+(** A fixed-size domain pool (OCaml 5 [Domain]s).
 
     The pool runs batches of independent, integer-indexed tasks. Tasks
-    are split into one contiguous segment per worker; a worker drains
-    its own segment from the front and, when empty, steals from the
-    back of the most loaded victim — classic work stealing, hand-rolled
-    on [Domain]/[Mutex]/[Condition] (no external deps).
+    are split into one contiguous share per worker, each with an atomic
+    cursor. A worker claims the tasks of its own share one
+    [Atomic.fetch_and_add] at a time, then claims what is left of the
+    other shares in turn. Claims take no lock; the only mutex guards the
+    batch hand-off and the barrier at its end.
 
     {b Determinism guarantee}: results are committed in task-index
     order, so every [map_*]/[map_reduce] result is identical for any
@@ -26,8 +27,7 @@
 type t
 
 (** [default_jobs ()] is the pool width used when none is given
-    explicitly: the last {!set_default_jobs} value, else the
-    [PROPELLER_JOBS] environment variable, else 1. *)
+    explicitly: the last {!set_default_jobs} value, else 1. *)
 val default_jobs : unit -> int
 
 (** [set_default_jobs j] sets the process-wide default (the [--jobs N]
@@ -62,9 +62,9 @@ val map_reduce : t -> n:int -> task:(int -> 'a) -> init:'b -> fold:('b -> 'a -> 
 val parallel_iter : t -> n:int -> (int -> unit) -> unit
 
 (** Cumulative fan-out telemetry since the last {!reset_stats}: how
-    many tasks each worker executed, how many of those were stolen from
-    another worker's segment, and the number of batches run. Per-domain
-    assignment is scheduling-dependent — informational only, never part
+    many tasks each worker executed, how many of those it claimed from
+    another worker's share (steals), and the number of batches run.
+    Per-domain assignment is scheduling-dependent — informational only, never part
     of judged output. *)
 type stats = { tasks_per_worker : int array; steals : int; batches : int }
 

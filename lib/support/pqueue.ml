@@ -15,8 +15,6 @@ let create () = { heap = [||]; size = 0; next_seq = 0; next_handle = 0; position
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 (* Entry [a] outranks [b] on higher priority; earlier insertion wins ties
    to keep pop order deterministic. *)
 let outranks a b = a.priority > b.priority || (a.priority = b.priority && a.seq < b.seq)
@@ -113,10 +111,3 @@ let pop_max t =
     remove_at t 0;
     Some (e.value, e.priority)
   end
-
-let peek_max t = if t.size = 0 then None else Some (t.heap.(0).value, t.heap.(0).priority)
-
-let iter t f =
-  for i = 0 to t.size - 1 do
-    f t.heap.(i).value
-  done

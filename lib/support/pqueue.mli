@@ -17,8 +17,6 @@ val create : unit -> 'a t
 (** [length t] is the number of live entries. *)
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 (** [add t ~priority v] inserts [v] and returns a handle for later
     update/removal. *)
 val add : 'a t -> priority:float -> 'a -> handle
@@ -37,9 +35,3 @@ val update : 'a t -> handle -> priority:float -> unit
 (** [pop_max t] removes and returns the highest-priority entry, or [None]
     if empty. *)
 val pop_max : 'a t -> ('a * float) option
-
-(** [peek_max t] returns the highest-priority entry without removing it. *)
-val peek_max : 'a t -> ('a * float) option
-
-(** [iter t f] applies [f] to every live value (heap order, unspecified). *)
-val iter : 'a t -> ('a -> unit) -> unit

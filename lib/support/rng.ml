@@ -49,11 +49,6 @@ let geometric t p =
   let rec loop n = if n >= 10_000 || bool t p then n else loop (n + 1) in
   loop 1
 
-let pareto t ~alpha ~xmin =
-  let u = 1.0 -. float t in
-  let u = if u <= 0.0 then 1e-12 else u in
-  xmin /. (u ** (1.0 /. alpha))
-
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))

@@ -35,10 +35,6 @@ val bool : t -> float -> bool
     success probability [p]; capped at 10_000 to bound loops. *)
 val geometric : t -> float -> int
 
-(** [pareto t ~alpha ~xmin] samples a Pareto-distributed float; used for
-    heavy-tailed hotness distributions typical of warehouse workloads. *)
-val pareto : t -> alpha:float -> xmin:float -> float
-
 (** [choose t arr] picks a uniform element of [arr]. [arr] must be
     non-empty. *)
 val choose : t -> 'a array -> 'a

@@ -1,47 +1,18 @@
-let sum = List.fold_left ( +. ) 0.0
+let sum = Obs.Metrics.sum
 
-let mean = function
-  | [] -> 0.0
-  | xs -> sum xs /. float_of_int (List.length xs)
+let mean = Obs.Metrics.mean
+
+let percentile = Obs.Metrics.percentile
+
+let stddev = Obs.Metrics.stddev
+
+let median = Obs.Metrics.median
 
 let geomean = function
   | [] -> 0.0
   | xs ->
     let logs = List.map (fun x -> if x <= 0.0 then neg_infinity else log x) xs in
     exp (mean logs)
-
-(* Linear interpolation between closest ranks, matching Obs.Metrics'
-   summaries (the two implementations must agree byte for byte; obs
-   cannot depend on this module). Exact for small samples: p of 1
-   sample is that sample, p50 of 2 is their midpoint (== median). *)
-let percentile p xs =
-  match xs with
-  | [] -> invalid_arg "Stats.percentile: empty"
-  | xs ->
-    let arr = Array.of_list xs in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    if n = 1 then arr.(0)
-    else begin
-      let rank = p /. 100.0 *. float_of_int (n - 1) in
-      let lo = max 0 (min (n - 1) (int_of_float (floor rank))) in
-      let hi = min (n - 1) (lo + 1) in
-      arr.(lo) +. ((rank -. float_of_int lo) *. (arr.(hi) -. arr.(lo)))
-    end
-
-let stddev = function
-  | [] -> 0.0
-  | xs ->
-    let m = mean xs in
-    sqrt (mean (List.map (fun x -> (x -. m) *. (x -. m)) xs))
-
-let median = function
-  | [] -> 0.0
-  | xs ->
-    let arr = Array.of_list xs in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.0
 
 let ratio_pct a b = if b = 0.0 then 0.0 else (a -. b) /. b *. 100.0
 
@@ -62,16 +33,3 @@ let pearson pairs =
       pairs;
     let denom = sqrt (!vx /. n) *. sqrt (!vy /. n) in
     if denom = 0.0 then 0.0 else !cov /. n /. denom
-
-let pp_bytes fmt n =
-  let f = float_of_int n in
-  if f >= 1.0e9 then Format.fprintf fmt "%.1f GB" (f /. 1.0e9)
-  else if f >= 1.0e6 then Format.fprintf fmt "%.0f MB" (f /. 1.0e6)
-  else if f >= 1.0e3 then Format.fprintf fmt "%.0f KB" (f /. 1.0e3)
-  else Format.fprintf fmt "%d B" n
-
-let pp_count fmt n =
-  let f = float_of_int n in
-  if f >= 1.0e6 then Format.fprintf fmt "%.1f M" (f /. 1.0e6)
-  else if f >= 1.0e3 then Format.fprintf fmt "%.0f K" (f /. 1.0e3)
-  else Format.fprintf fmt "%d" n

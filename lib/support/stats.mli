@@ -1,4 +1,7 @@
-(** Small statistics helpers used by benches and the cost models. *)
+(** Small statistics helpers used by benches and the cost models.
+    [sum], [mean], [percentile], [stddev] and [median] are
+    {!Obs.Metrics}'s, so a bench figure and an exported summary follow
+    one rule. *)
 
 (** [mean xs] is the arithmetic mean; 0 for the empty list. *)
 val mean : float list -> float
@@ -8,7 +11,7 @@ val geomean : float list -> float
 
 (** [percentile p xs] is the [p]-th percentile (0..100) by linear
     interpolation between closest ranks on a sorted copy (numpy's
-    "linear" method, matching [Obs.Metrics] summaries): exact for small
+    "linear" method): exact for small
     samples — any percentile of a singleton is that sample, and
     [percentile 50.] equals {!median} for every length. Raises
     [Invalid_argument] on empty input. *)
@@ -33,9 +36,3 @@ val ratio_pct : float -> float -> float
 (** Pearson correlation coefficient of paired samples, in [-1, 1].
     0 for fewer than two pairs or when either side is constant. *)
 val pearson : (float * float) list -> float
-
-(** Human-readable byte counts, e.g. [72 MB], [413 MB], [1.7 GB]. *)
-val pp_bytes : Format.formatter -> int -> unit
-
-(** Human-readable counts, e.g. [160 K], [2.1 M]. *)
-val pp_count : Format.formatter -> int -> unit

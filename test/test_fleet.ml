@@ -202,6 +202,30 @@ let test_decayed_shards_fade () =
   check tb "decayed aggregate still nonempty at age 2" true
     (Perfmon.Lbr.branch_total p2 > 0)
 
+(* The index order is the per-function construction it replaced:
+   each function's blocks in address order, concatenated in name order,
+   then stable-sorted by address. Relink-family program 2's metadata
+   image has five zero-size blocks, each sharing its address with a
+   block of its own function, so the test pins that tied blocks keep
+   the resolver's order (sorting ties by block id fails it). *)
+let test_index_order_matches_per_function () =
+  let program = relink_family_program 2 in
+  let cg_meta, ld_meta = Propeller.Pipeline.metadata_options in
+  let objs = Codegen.compile_program cg_meta program in
+  let { Linker.Link.binary; _ } =
+    Linker.Link.link ~options:ld_meta ~name:"index" ~entry:(Ir.Program.main program) objs
+  in
+  let res = Inspect.Resolve.create binary in
+  let old =
+    List.concat_map (Inspect.Resolve.blocks_of_func res) (Inspect.Resolve.funcs res)
+    |> List.sort (fun (a : Inspect.Resolve.location) b -> compare a.block_addr b.block_addr)
+  in
+  let locs = Fleet.Aggregate.index_order res in
+  check tb "the image has zero-size blocks" true
+    (Array.exists (fun (l : Inspect.Resolve.location) -> l.block_size = 0) locs);
+  check ti "one location per block" (Inspect.Resolve.num_blocks res) (Array.length locs);
+  check tb "same locations in the same order" true (Array.to_list locs = old)
+
 let suite =
   [
     Alcotest.test_case "deterministic across jobs" `Quick test_deterministic_across_jobs;
@@ -212,4 +236,6 @@ let suite =
     Alcotest.test_case "permuted aggregate relinks same image" `Quick
       test_permuted_aggregate_relinks_same_image;
     Alcotest.test_case "decayed shards fade" `Quick test_decayed_shards_fade;
+    Alcotest.test_case "index order matches per-function build" `Quick
+      test_index_order_matches_per_function;
   ]

@@ -109,7 +109,7 @@ let test_shutdown_idempotent () =
   let got = Support.Pool.map_array pool 5 (fun i -> i + 1) in
   check tb "post-shutdown batches run inline" true (got = [| 1; 2; 3; 4; 5 |])
 
-let test_default_jobs_env_and_override () =
+let test_default_jobs_override () =
   let saved = Support.Pool.default_jobs () in
   Support.Pool.set_default_jobs 3;
   check ti "set_default_jobs visible" 3 (Support.Pool.default_jobs ());
@@ -120,6 +120,42 @@ let test_default_jobs_env_and_override () =
      Alcotest.fail "jobs=0 accepted"
    with Invalid_argument _ -> ());
   Support.Pool.set_default_jobs saved
+
+(* The claim law on batches whose cost is skewed by index, so shares
+   drain unevenly and workers claim from each other: every index runs
+   exactly once, results come back in index order, every task is
+   accounted to one worker, and a steal is a task, so there are at most
+   [n]. The same batch at jobs 1 runs with no steals. *)
+let claim_law =
+  QCheck.Test.make ~count:30 ~name:"claims: each index once, in order, steals bounded"
+    QCheck.(pair (int_range 2 4) (int_range 0 2000))
+    (fun (jobs, n) ->
+      let task i =
+        (* The first quarter of the batch is 200 times dearer. *)
+        let acc = ref i in
+        for k = 1 to (if 4 * i < n then 2000 else 10) do
+          acc := Sys.opaque_identity ((!acc * 31) + k) land 0xffff
+        done;
+        !acc
+      in
+      let expected = Array.init n task in
+      let run jobs =
+        Support.Pool.with_pool ~jobs (fun pool ->
+            let runs = Array.init n (fun _ -> Atomic.make 0) in
+            let got = Support.Pool.map_array pool n (fun i -> Atomic.incr runs.(i); task i) in
+            let st = Support.Pool.stats pool in
+            if not (Array.for_all (fun c -> Atomic.get c = 1) runs) then
+              QCheck.Test.fail_reportf "jobs=%d n=%d: an index ran other than once" jobs n;
+            if got <> expected then
+              QCheck.Test.fail_reportf "jobs=%d n=%d: results out of index order" jobs n;
+            if Array.fold_left ( + ) 0 st.tasks_per_worker <> n then
+              QCheck.Test.fail_reportf "jobs=%d n=%d: tasks_per_worker does not sum to n" jobs n;
+            if st.steals > n then
+              QCheck.Test.fail_reportf "jobs=%d n=%d: %d steals" jobs n st.steals;
+            st.steals)
+      in
+      ignore (run jobs);
+      run 1 = 0)
 
 let suite =
   [
@@ -133,5 +169,6 @@ let suite =
     Alcotest.test_case "jobs=1 is the sequential path" `Quick test_jobs1_runs_inline_in_order;
     Alcotest.test_case "stats account all tasks" `Quick test_stats_account_all_tasks;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
-    Alcotest.test_case "default jobs plumbing" `Quick test_default_jobs_env_and_override;
+    Alcotest.test_case "default jobs plumbing" `Quick test_default_jobs_override;
+    QCheck_alcotest.to_alcotest claim_law;
   ]
