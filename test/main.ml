@@ -24,6 +24,7 @@ let () =
       ("diagnostics", Test_diagnostics.suite);
       ("inspect", Test_inspect.suite);
       ("integration", Test_integration.suite);
+      ("addr-index", Test_addr_index.suite);
       ("fleet", Test_fleet.suite);
       ("properties", Test_properties.suite);
     ]
