@@ -34,62 +34,31 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
   let dcfg = Propeller.Dcfg.build_of_blocks ~profile ~binary in
   let hot = Propeller.Dcfg.hot_funcs dcfg in
   let shapes = Propeller.Dcfg.shapes dcfg hot in
-  let skipped = ref 0 in
+  let rewritable = List.filter (fun (d : Propeller.Dcfg.dfunc) -> not (is_asm d.dname)) hot in
+  let idx = Linker.Binary.index binary in
   let plans =
-    List.filter_map
+    List.map
       (fun (d : Propeller.Dcfg.dfunc) ->
-        if is_asm d.dname then begin
-          incr skipped;
-          None
-        end
-        else begin
-          let hot_order =
-            if options.reorder_blocks then (Propeller.Wpa.block_layout shapes d).blocks
-            else begin
-              let bbs = Hashtbl.fold (fun bb _ acc -> bb :: acc) d.dblocks [] in
-              List.sort_uniq compare (0 :: bbs)
-            end
-          in
-          (* All blocks the binary has for this function. *)
-          let all = ref [] in
-          Hashtbl.iter
-            (fun (f, bb) (_ : Linker.Binary.block_info) ->
-              if String.equal f d.dname then all := bb :: !all)
-            binary.blocks;
-          let rest =
-            List.sort_uniq compare !all |> List.filter (fun bb -> not (List.mem bb hot_order))
-          in
-          if options.split_functions then Some (d.dname, hot_order, rest)
-          else Some (d.dname, hot_order @ rest, [])
-        end)
-      hot
+        let hot_order =
+          if options.reorder_blocks then (Propeller.Wpa.block_layout shapes d).blocks
+          else begin
+            let bbs = Hashtbl.fold (fun bb _ acc -> bb :: acc) d.dblocks [] in
+            List.sort_uniq compare (0 :: bbs)
+          end
+        in
+        (* Every other block the binary has for this function. *)
+        let rest =
+          Array.to_list (Linker.Binary.func_blocks idx d.dname)
+          |> List.map (fun i -> idx.ordered.(i).Linker.Binary.block)
+          |> List.sort_uniq compare
+          |> List.filter (fun bb -> not (List.mem bb hot_order))
+        in
+        if options.split_functions then (d.dname, hot_order, rest)
+        else (d.dname, hot_order @ rest, []))
+      rewritable
   in
   let func_order =
-    if options.reorder_functions then begin
-      let names = Array.of_list (List.map (fun (f, _, _) -> f) plans) in
-      let name_idx = Hashtbl.create 64 in
-      Array.iteri (fun i nm -> Hashtbl.replace name_idx nm i) names;
-      let fsizes =
-        Array.map
-          (fun nm ->
-            let d = Hashtbl.find dcfg.funcs nm in
-            Hashtbl.fold (fun _ (b : Propeller.Dcfg.mblock) acc -> acc + b.msize) d.dblocks 0)
-          names
-      in
-      let fsamples =
-        Array.map (fun nm -> float_of_int (Hashtbl.find dcfg.funcs nm).dsamples) names
-      in
-      let arcs =
-        Propeller.Dcfg.func_arcs dcfg
-        |> List.filter_map (fun (a, b, w) ->
-               match Hashtbl.find_opt name_idx a, Hashtbl.find_opt name_idx b with
-               | Some ai, Some bi -> Some (ai, bi, w)
-               | None, _ | _, None -> None)
-      in
-      Layout.Hfsort.order
-        (Layout.Problem.make ~sizes:fsizes ~weights:fsamples ~edges:arcs ~entry:0)
-      |> List.map (fun i -> names.(i))
-    end
+    if options.reorder_functions then Propeller.Dcfg.function_order dcfg rewritable
     else List.map (fun (f, _, _) -> f) plans
   in
   let rw = Rewrite.rewrite ~binary ~plans ~func_order ~peephole:options.peephole ~name in
@@ -105,7 +74,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
     binary = rw.binary;
     startup_ok = not (hazards.rseq || hazards.fips_check);
     rewritten_funcs = rw.rewritten_funcs;
-    skipped_funcs = !skipped;
+    skipped_funcs = List.length hot - List.length rewritable;
     conversion_mem_bytes = Costmodel.conversion_mem ~text_bytes ~profile_bytes;
     conversion_seconds =
       Costmodel.conversion_seconds ~text_bytes

@@ -54,20 +54,10 @@ let canonical_insts (binary : Linker.Binary.t) (info : Linker.Binary.block_info)
       | Isa.Nop _ | Isa.InlineData _) -> explicit_ft (List.map long_form insts)
 
 let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
-  (* Group placed blocks by function, in old address order. *)
-  let by_func : (string, Linker.Binary.block_info list ref) Hashtbl.t = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun _ (info : Linker.Binary.block_info) ->
-      match Hashtbl.find_opt by_func info.func with
-      | Some l -> l := info :: !l
-      | None -> Hashtbl.add by_func info.func (ref [ info ]))
-    binary.blocks;
+  let idx = Linker.Binary.index binary in
   let old_order f =
-    match Hashtbl.find_opt by_func f with
-    | None -> []
-    | Some l ->
-      List.sort (fun (a : Linker.Binary.block_info) b -> compare a.addr b.addr) !l
-      |> List.map (fun (i : Linker.Binary.block_info) -> i.block)
+    Array.to_list (Linker.Binary.func_blocks idx f)
+    |> List.map (fun i -> idx.ordered.(i).Linker.Binary.block)
   in
   let plan_tbl = Hashtbl.create 256 in
   List.iter (fun (f, hot, cold) -> Hashtbl.replace plan_tbl f (hot, cold)) plans;
@@ -104,15 +94,13 @@ let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
     func_order;
   (* Remaining functions in old address order of their entries. *)
   let rest =
-    Hashtbl.fold
-      (fun f _ acc ->
-        if Hashtbl.mem optimized f then acc
-        else begin
-          match Linker.Binary.block_info binary ~func:f ~block:0 with
-          | Some e -> (e.addr, f) :: acc
-          | None -> acc
-        end)
-      by_func []
+    Linker.Binary.funcs binary
+    |> List.filter_map (fun f ->
+           if Hashtbl.mem optimized f then None
+           else
+             Option.map
+               (fun (e : Linker.Binary.block_info) -> (e.addr, f))
+               (Linker.Binary.block_info binary ~func:f ~block:0))
     |> List.sort compare
   in
   List.iter

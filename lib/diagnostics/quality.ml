@@ -36,7 +36,7 @@ let concentration ~mass counts =
     float_of_int (walk 0 0) /. float_of_int n
 
 let analyze ?pebs ~(dcfg : Propeller.Dcfg.t) ~(profile : Perfmon.Lbr.profile) () =
-  let blocks = dcfg.Propeller.Dcfg.block_index in
+  let blocks = dcfg.Propeller.Dcfg.block_index.mblocks in
   let mapped_blocks = Array.length blocks in
   let sampled_blocks = ref 0 in
   let mapped_bytes = ref 0 in

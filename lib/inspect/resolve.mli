@@ -38,8 +38,9 @@ type resolution =
 
 type t
 
-(** [create binary] builds the resolver's sorted indices once;
-    lookups are O(log n). *)
+(** [create binary] reads the binary's address index
+    ({!Linker.Binary.index}) and sorts its placed sections once;
+    lookups are O(log n), all through {!Support.Isearch.covering}. *)
 val create : Linker.Binary.t -> t
 
 (** [resolve t addr] classifies [addr]. *)
@@ -79,7 +80,8 @@ val section_at : t -> int -> Linker.Binary.placed option
 
 (** [blocks_of_func t func] lists the function's placed blocks as
     locations in final address order — primary and cold/cluster
-    fragments interleaved exactly as laid out. *)
+    fragments interleaved exactly as laid out. It reads the index's
+    per-function entry, so it costs the function's blocks only. *)
 val blocks_of_func : t -> string -> location list
 
 (** [funcs t] lists function names with placed blocks, sorted. *)

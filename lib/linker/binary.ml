@@ -8,6 +8,13 @@ type placed = {
   symbol : string option;
 }
 
+type index = {
+  ordered : block_info array;
+  addrs : int array;
+  sizes : int array;
+  by_func : (string, int array) Hashtbl.t;
+}
+
 type t = {
   name : string;
   entry_symbol : string;
@@ -17,12 +24,12 @@ type t = {
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;
-  by_addr : index;
+  by_addr : cell;
 }
 
 (* Built on first use. Domains that race to build it compute equal
    arrays, so whichever store wins is the same index. *)
-and index = block_info array option Atomic.t
+and cell = index option Atomic.t
 
 let make ~name ~entry_symbol ~sections ~symbols ~blocks ~text_start ~text_end ~bb_maps =
   { name; entry_symbol; sections; symbols; blocks; text_start; text_end; bb_maps;
@@ -41,38 +48,45 @@ let total_size t = List.fold_left (fun acc p -> acc + p.size) 0 t.sections
 
 let text_bytes t = size_of_kind t Objfile.Section.Text
 
-(* The blocks sorted by address, for address lookups. Blocks at equal
-   addresses (emptied by relaxation) keep the order this sort of the
-   table's sequence gives them, which the image digest records. *)
-let sorted_blocks t =
+(* Blocks at equal addresses (emptied by relaxation) keep the order
+   this sort of the table's sequence gives them, which the image digest
+   records. *)
+let build_index blocks =
+  let ordered = Array.of_seq (Seq.map snd (Hashtbl.to_seq blocks)) in
+  Array.sort (fun (a : block_info) (b : block_info) -> compare a.addr b.addr) ordered;
+  let rev = Hashtbl.create 256 in
+  Array.iteri
+    (fun i (b : block_info) ->
+      Hashtbl.replace rev b.func (i :: Option.value ~default:[] (Hashtbl.find_opt rev b.func)))
+    ordered;
+  {
+    ordered;
+    addrs = Array.map (fun (b : block_info) -> b.addr) ordered;
+    sizes = Array.map (fun (b : block_info) -> b.size) ordered;
+    by_func =
+      Hashtbl.of_seq
+        (Seq.map (fun (f, l) -> (f, Array.of_list (List.rev l))) (Hashtbl.to_seq rev));
+  }
+
+let index t =
   match Atomic.get t.by_addr with
-  | Some arr -> arr
+  | Some idx -> idx
   | None ->
-    let arr = Array.of_seq (Seq.map snd (Hashtbl.to_seq t.blocks)) in
-    Array.sort (fun (a : block_info) (b : block_info) -> compare a.addr b.addr) arr;
-    Atomic.set t.by_addr (Some arr);
-    arr
+    let idx = build_index t.blocks in
+    Atomic.set t.by_addr (Some idx);
+    idx
+
+let func_blocks idx f = Option.value ~default:[||] (Hashtbl.find_opt idx.by_func f)
 
 let find_block_by_addr t addr =
-  let arr = sorted_blocks t in
-  let rec search lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let b = arr.(mid) in
-      if addr < b.addr then search lo (mid - 1)
-      else if addr >= b.addr + b.size then search (mid + 1) hi
-      else Some b
-    end
-  in
-  search 0 (Array.length arr - 1)
+  let idx = index t in
+  match Support.Isearch.covering ~addrs:idx.addrs ~sizes:idx.sizes addr with
+  | -1 -> None
+  | i -> Some idx.ordered.(i)
 
-let funcs t =
-  let seen = Hashtbl.create 64 in
-  Hashtbl.iter (fun (f, _) _ -> Hashtbl.replace seen f ()) t.blocks;
-  Hashtbl.fold (fun f () acc -> f :: acc) seen [] |> List.sort compare
+let funcs t = Hashtbl.fold (fun f _ acc -> f :: acc) (index t).by_func [] |> List.sort compare
 
-let blocks_in_address_order t = Array.to_list (sorted_blocks t)
+let blocks_in_address_order t = Array.to_list (index t).ordered
 
 let symbols_sorted t =
   Hashtbl.fold (fun name addr acc -> (name, addr) :: acc) t.symbols []
@@ -103,10 +117,10 @@ let image_digest t =
       Printf.bprintf b "|S%s:%s@%d+%d:%s" (kind_tag s.kind) s.name s.addr s.size
         (Option.value ~default:"-" s.symbol))
     t.sections;
-  List.iter
+  Array.iter
     (fun (bi : block_info) ->
       Printf.bprintf b "|B%s#%d@%d+%d" bi.func bi.block bi.addr bi.size;
       List.iter (fun i -> Printf.bprintf b ";%s" (Isa.to_string i)) bi.insts)
-    (blocks_in_address_order t);
+    (index t).ordered;
   List.iter (fun (nm, addr) -> Printf.bprintf b "|Y%s=%d" nm addr) (symbols_sorted t);
   Support.Digesting.of_string (Buffer.contents b)

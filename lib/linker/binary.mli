@@ -21,6 +21,25 @@ type placed = {
   symbol : string option;
 }
 
+(** The address index of a linked image: the one structure every
+    address-to-block lookup reads — {!find_block_by_addr},
+    {!blocks_in_address_order}, {!funcs} and {!image_digest} here,
+    [Inspect.Resolve], [Propeller.Dcfg.build_of_blocks] and the BOLT
+    rewrite outside. It is built on first use, once per binary, and
+    dies with it. Read it; never mutate it. *)
+type index = private {
+  ordered : block_info array;
+      (** Every placed block by address. Blocks that share an address
+          (zero-size blocks that relaxation emptied) come in the order
+          an unstable sort of the [blocks] table's sequence leaves
+          them, so in hash-table order; breaking such ties by
+          [(func, block)] is step A of ROADMAP item 1. *)
+  addrs : int array;  (** [ordered.(i).addr], for {!Support.Isearch}. *)
+  sizes : int array;  (** [ordered.(i).size]. *)
+  by_func : (string, int array) Hashtbl.t;
+      (** Function -> the ascending indices of its blocks in [ordered]. *)
+}
+
 type t = {
   name : string;
   entry_symbol : string;
@@ -30,12 +49,11 @@ type t = {
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;  (** Merged metadata, if retained. *)
-  by_addr : index;  (** Address-ordered blocks, built on first lookup. *)
+  by_addr : cell;  (** The {!index}, built on first use. *)
 }
 
-(** The lazily built index behind {!find_block_by_addr}; it lives and
-    dies with its binary. *)
-and index
+(** Where {!index} keeps the index it built. *)
+and cell
 
 (** [make ...] assembles a binary. *)
 val make :
@@ -67,20 +85,25 @@ val total_size : t -> int
 (** [text_bytes t] is the size of executable code. *)
 val text_bytes : t -> int
 
+(** [index t] is [t]'s address index, built on the first call. *)
+val index : t -> index
+
+(** [func_blocks idx f] is [idx.by_func]'s entry for [f]: the indices
+    of [f]'s blocks in [idx.ordered], ascending; empty when [f] has no
+    placed block. *)
+val func_blocks : index -> string -> int array
+
 (** [find_block_by_addr t addr] is a placed block covering the virtual
-    address [addr], found by binary search; O(log n). It can return
-    [None] for a covered address: when a non-empty block sorts before
-    a zero-size block at the same start, a probe may land on the empty
-    one and go right (the known miss of {!Support.Isearch}). *)
+    address [addr]: {!Support.Isearch.covering} over the {!index}, so
+    O(log n), and with its known miss next to zero-size blocks. *)
 val find_block_by_addr : t -> int -> block_info option
 
-(** [funcs t] lists function names with placed blocks. *)
+(** [funcs t] lists function names with placed blocks, sorted. *)
 val funcs : t -> string list
 
-(** [blocks_in_address_order t] lists every placed block sorted by final
-    virtual address — the deterministic iteration order introspection
-    tools need (the raw [blocks] table iterates in hash order). Shares
-    the cached sorted index of {!find_block_by_addr}. *)
+(** [blocks_in_address_order t] is [(index t).ordered] as a list — the
+    deterministic iteration order introspection tools need (the raw
+    [blocks] table iterates in hash order). *)
 val blocks_in_address_order : t -> block_info list
 
 (** [symbols_sorted t] lists (symbol, address) pairs sorted by address,

@@ -14,12 +14,13 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
   if binary.Linker.Binary.bb_maps = [] then
     invalid_arg "Autofdo.synthesize: binary has no .llvm_bb_addr_map";
   let period = max 1 period in
-  let blocks = Dcfg.interval_index binary in
+  let index = Dcfg.interval_index binary in
+  let blocks = index.mblocks in
   let n = Array.length blocks in
   let resid = Array.make n 0 in
   Hashtbl.iter
     (fun leaf c ->
-      match Dcfg.find_in blocks leaf with
+      match Dcfg.find_in index leaf with
       | Some (i, _) -> resid.(i) <- resid.(i) + c
       | None -> ())
     samples.Perfmon.Sampler.leaves;
@@ -231,7 +232,7 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
   let cov_est = ref 0 and cov_arc = ref 0 in
   Hashtbl.iter
     (fun centry total ->
-      match Dcfg.find_in blocks centry with
+      match Dcfg.find_in index centry with
       | Some (i, b) when b.Dcfg.lo = centry && b.Dcfg.bb = 0 && est.(i) > 0 ->
         cov_est := !cov_est + est.(i);
         cov_arc := !cov_arc + total
@@ -243,7 +244,7 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
   Hashtbl.iter
     (fun (site, centry) c ->
       let w =
-        match Dcfg.find_in blocks centry with
+        match Dcfg.find_in index centry with
         | Some (i, b) when b.Dcfg.lo = centry && b.Dcfg.bb = 0 && est.(i) > 0 ->
           let total = max 1 (Hashtbl.find arc_in centry) in
           est.(i) * c / total

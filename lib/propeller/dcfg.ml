@@ -7,11 +7,13 @@ type dfunc = {
   mutable dsamples : int;
 }
 
+type index = { mblocks : mblock array; los : int array; msizes : int array }
+
 type t = {
   funcs : (string, dfunc) Hashtbl.t;
   call_arcs : (string * int * string, int ref) Hashtbl.t;
       (** (caller, caller bb, callee) -> count *)
-  block_index : mblock array;
+  block_index : index;
 }
 
 type shape = { blocks : (int * int) list; sizes : int array }
@@ -31,32 +33,23 @@ let interval_index (binary : Linker.Binary.t) =
               :: !items)
           fm.entries)
     binary.bb_maps;
-  let arr = Array.of_list !items in
-  Array.sort (fun a b -> compare a.lo b.lo) arr;
-  arr
+  let mblocks = Array.of_list !items in
+  Array.sort (fun a b -> compare a.lo b.lo) mblocks;
+  {
+    mblocks;
+    los = Array.map (fun b -> b.lo) mblocks;
+    msizes = Array.map (fun b -> b.msize) mblocks;
+  }
 
-(* Index form of the interval search: [-1] for "no block". The DCFG
-   build runs it twice per LBR pair, so the hot path avoids the option
-   and tuple of [find_in]. *)
-let find_idx arr addr =
-  let rec search lo hi =
-    if lo > hi then -1
-    else begin
-      let mid = (lo + hi) / 2 in
-      let b = arr.(mid) in
-      if addr < b.lo then search lo (mid - 1)
-      else if addr >= b.lo + b.msize then search (mid + 1) hi
-      else mid
-    end
-  in
-  search 0 (Array.length arr - 1)
+let find_idx idx addr = Support.Isearch.covering ~addrs:idx.los ~sizes:idx.msizes addr
 
-let find_in arr addr =
-  match find_idx arr addr with
+let find_in idx addr =
+  match find_idx idx addr with
   | -1 -> None
-  | i -> Some (i, arr.(i))
+  | i -> Some (i, idx.mblocks.(i))
 
-let build_with ~profile blocks =
+let build_with ~profile idx =
+  let blocks = idx.mblocks in
   let funcs : (string, dfunc) Hashtbl.t = Hashtbl.create 1024 in
   let dfunc_of owner =
     match Hashtbl.find_opt funcs owner with
@@ -88,9 +81,9 @@ let build_with ~profile blocks =
      address); the block containing src-1 is the source block. *)
   Perfmon.Lbr.iter_pairs
     (fun ~src ~dst n ->
-      let si = find_idx blocks (src - 1) in
+      let si = find_idx idx (src - 1) in
       if si >= 0 then begin
-        let di = find_idx blocks dst in
+        let di = find_idx idx dst in
         if di >= 0 then begin
           let sb = blocks.(si) and db = blocks.(di) in
           note_block db n;
@@ -123,11 +116,11 @@ let build_with ~profile blocks =
      edges and block counts. *)
   Perfmon.Lbr.iter_pairs
     (fun ~src:range_lo ~dst:range_hi n ->
-      match find_idx blocks range_lo with
+      match find_idx idx range_lo with
       | -1 -> ()
       | i0 -> walk_range note_block note_edge blocks range_hi n i0)
     profile.Perfmon.Lbr.ranges;
-  { funcs; call_arcs; block_index = blocks }
+  { funcs; call_arcs; block_index = idx }
 
 let build ~profile ~(binary : Linker.Binary.t) =
   if binary.bb_maps = [] then
@@ -139,18 +132,14 @@ let build ~profile ~(binary : Linker.Binary.t) =
    recursive disassembler would reconstruct; BOLT-style tools consume
    profiles through this path. *)
 let build_of_blocks ~profile ~(binary : Linker.Binary.t) =
-  let items = ref [] in
-  Hashtbl.iter
-    (fun (func, bb) (info : Linker.Binary.block_info) ->
-      ignore func;
-      ignore bb;
-      items :=
-        { lo = info.addr; msize = info.size; owner = info.func; bb = info.block; count = 0 }
-        :: !items)
-    binary.blocks;
-  let arr = Array.of_list !items in
-  Array.sort (fun a b -> compare a.lo b.lo) arr;
-  build_with ~profile arr
+  let idx = Linker.Binary.index binary in
+  let mblocks =
+    Array.map
+      (fun (b : Linker.Binary.block_info) ->
+        { lo = b.addr; msize = b.size; owner = b.func; bb = b.block; count = 0 })
+      idx.ordered
+  in
+  build_with ~profile { mblocks; los = idx.addrs; msizes = idx.sizes }
 
 (* One pass over the block index. Blocks of one section are adjacent
    and share their owner string, so the owner is looked up only where
@@ -166,7 +155,7 @@ let shapes t funcs =
         last_cell := Hashtbl.find_opt owned b.owner
       end;
       match !last_cell with Some cell -> cell := (b.bb, b.msize) :: !cell | None -> ())
-    t.block_index;
+    t.block_index.mblocks;
   let shapes = Hashtbl.create (Hashtbl.length owned) in
   Hashtbl.iter
     (fun name cell ->
@@ -206,3 +195,22 @@ let func_arcs t =
     t.call_arcs;
   Hashtbl.fold (fun (caller, callee) r acc -> (caller, callee, float_of_int !r) :: acc) agg []
   |> List.sort compare
+
+let function_order t funcs =
+  let names = Array.of_list (List.map (fun d -> d.dname) funcs) in
+  let name_idx = Hashtbl.create 64 in
+  Array.iteri (fun i nm -> Hashtbl.replace name_idx nm i) names;
+  let sizes =
+    Array.of_list
+      (List.map (fun d -> Hashtbl.fold (fun _ b acc -> acc + b.msize) d.dblocks 0) funcs)
+  in
+  let weights = Array.of_list (List.map (fun d -> float_of_int d.dsamples) funcs) in
+  let edges =
+    func_arcs t
+    |> List.filter_map (fun (caller, callee, w) ->
+           match (Hashtbl.find_opt name_idx caller, Hashtbl.find_opt name_idx callee) with
+           | Some a, Some b -> Some (a, b, w)
+           | None, _ | _, None -> None)
+  in
+  Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0)
+  |> List.map (fun i -> names.(i))

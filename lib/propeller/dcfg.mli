@@ -29,32 +29,40 @@ type dfunc = {
   mutable dsamples : int;
 }
 
+(** An address-sorted block index with flat start/size arrays for
+    {!Support.Isearch.covering}. Built from the binary's
+    [.llvm_bb_addr_map] ({!interval_index}, Propeller's path, which
+    reads no disassembly) or from the binary's own address index
+    ({!build_of_blocks}). *)
+type index = {
+  mblocks : mblock array;  (** Address order. *)
+  los : int array;  (** [mblocks.(i).lo]. *)
+  msizes : int array;  (** [mblocks.(i).msize]. *)
+}
+
 type t = {
   funcs : (string, dfunc) Hashtbl.t;
   call_arcs : (string * int * string, int ref) Hashtbl.t;
       (** (caller, caller bb, callee) -> count; block granularity so the
           inter-procedural layout can place callees near call sites. *)
-  block_index : mblock array;  (** All mapped blocks, address-sorted. *)
+  block_index : index;  (** All mapped blocks. *)
 }
 
-(** [interval_index binary] builds the address-sorted block array from
-    the binary's [.llvm_bb_addr_map], counts zeroed. Shared with profile
-    synthesis ({!Autofdo}), which needs the address->block mapping
-    without a full DCFG. *)
-val interval_index : Linker.Binary.t -> mblock array
+(** [interval_index binary] builds the block index of the binary's
+    [.llvm_bb_addr_map], counts zeroed. Shared with profile synthesis
+    ({!Autofdo}), which needs the address->block mapping without a full
+    DCFG. *)
+val interval_index : Linker.Binary.t -> index
 
-(** [find_in blocks addr] binary-searches an address-sorted block array
-    for a block containing [addr], returning its index and the block.
-    Like {!Support.Isearch.covering} it can miss: when a non-empty
-    block sorts before a zero-size block at the same start, a probe
-    inside the non-empty one may land on the empty one, go right and
-    return [None]. *)
-val find_in : mblock array -> int -> (int * mblock) option
+(** [find_in idx addr] is the index and block of a block containing
+    [addr]: {!Support.Isearch.covering}, with its known miss next to
+    zero-size blocks. *)
+val find_in : index -> int -> (int * mblock) option
 
-(** [find_idx blocks addr] is the index form of {!find_in}: the index of
-    the containing block, or [-1] (with {!find_in}'s miss).
-    Allocation-free — the DCFG build calls it twice per LBR pair. *)
-val find_idx : mblock array -> int -> int
+(** [find_idx idx addr] is the index form of {!find_in}: the index of
+    the containing block, or [-1]. Allocation-free — the DCFG build
+    calls it twice per LBR pair. *)
+val find_idx : index -> int -> int
 
 (** [build ~profile ~binary] reconstructs the DCFG from the binary's
     [.llvm_bb_addr_map] (Propeller's path). Raises [Invalid_argument]
@@ -63,7 +71,8 @@ val build : profile:Perfmon.Lbr.profile -> binary:Linker.Binary.t -> t
 
 (** [build_of_blocks ~profile ~binary] reconstructs the DCFG from the
     binary's placed blocks — the (idealised) product of disassembly,
-    used by the BOLT baseline, which has no metadata section. *)
+    used by the BOLT baseline, which has no metadata section. It reads
+    {!Linker.Binary.index} and sorts nothing. *)
 val build_of_blocks : profile:Perfmon.Lbr.profile -> binary:Linker.Binary.t -> t
 
 (** The address-map shape of one function: the part of the block index
@@ -93,10 +102,16 @@ val num_blocks : t -> int
 
 val num_edges : t -> int
 
-(** [find_block t addr] maps an address to its block by {!find_in},
-    so it shares that search's miss next to zero-size blocks. *)
+(** [find_block t addr] maps an address to its block by {!find_in}. *)
 val find_block : t -> int -> mblock option
 
 (** [func_arcs t] aggregates call arcs to function granularity (hfsort
     input), sorted for determinism. *)
 val func_arcs : t -> (string * string * float) list
+
+(** [function_order t funcs] is the names of [funcs] in hfsort (C3)
+    order: sizes are the mapped bytes of each function's sampled
+    blocks, weights its samples, edges the {!func_arcs} among [funcs].
+    WPA's global function order and BOLT's [-reorder-functions=hfsort]
+    both build this problem. *)
+val function_order : t -> dfunc list -> string list

@@ -5,7 +5,6 @@ type config = {
   layout_policy : string;
   policy_params : Layout.Policy.params;
   split_threshold : int;
-  hfsort_max_cluster : int;
   split_functions : bool;
 }
 
@@ -15,7 +14,6 @@ let default_config =
     layout_policy = "exttsp";
     policy_params = Layout.Policy.default_params;
     split_threshold = 0;
-    hfsort_max_cluster = 1 lsl 20;
     split_functions = true;
   }
 
@@ -146,7 +144,7 @@ let plan_of_order config (dcfg : Dcfg.t) (d : Dcfg.dfunc) ordered_bbs =
     let all_bbs = ref [] in
     Array.iter
       (fun (b : Dcfg.mblock) -> if String.equal b.owner d.dname then all_bbs := b.bb :: !all_bbs)
-      dcfg.block_index;
+      dcfg.block_index.mblocks;
     let rest =
       List.sort_uniq compare !all_bbs |> List.filter (fun bb -> not (List.mem bb ordered_bbs))
     in
@@ -333,31 +331,7 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
                plan))
       in
       (* Global function order: C3 over the hot call graph. *)
-      let hot_names = Array.map (fun (d : Dcfg.dfunc) -> d.dname) funcs in
-      let name_idx = Hashtbl.create 64 in
-      Array.iteri (fun i nm -> Hashtbl.replace name_idx nm i) hot_names;
-      let fsizes =
-        Array.map
-          (fun nm ->
-            let d = Hashtbl.find dcfg.funcs nm in
-            Hashtbl.fold (fun _ (b : Dcfg.mblock) acc -> acc + b.msize) d.dblocks 0)
-          hot_names
-      in
-      let fsamples =
-        Array.map (fun nm -> float_of_int (Hashtbl.find dcfg.funcs nm).dsamples) hot_names
-      in
-      let arcs =
-        Dcfg.func_arcs dcfg
-        |> List.filter_map (fun (caller, callee, w) ->
-               match Hashtbl.find_opt name_idx caller, Hashtbl.find_opt name_idx callee with
-               | Some a, Some b -> Some (a, b, w)
-               | None, _ | _, None -> None)
-      in
-      let func_order =
-        Layout.Hfsort.order ~max_cluster_size:config.hfsort_max_cluster
-          (Layout.Problem.make ~sizes:fsizes ~weights:fsamples ~edges:arcs ~entry:0)
-      in
-      let primaries = List.map (fun i -> hot_names.(i)) func_order in
+      let primaries = Dcfg.function_order dcfg hot in
       let colds =
         if config.split_functions then List.map Objfile.Symname.cold primaries else []
       in

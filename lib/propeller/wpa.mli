@@ -25,7 +25,6 @@ type config = {
           names. *)
   policy_params : Layout.Policy.params;
   split_threshold : int;  (** Block counts <= threshold are cold. *)
-  hfsort_max_cluster : int;
   split_functions : bool;  (** Emit [.cold] clusters at all (§4.6). *)
 }
 

@@ -226,6 +226,56 @@ let test_index_order_matches_per_function () =
   check ti "one location per block" (Inspect.Resolve.num_blocks res) (Array.length locs);
   check tb "same locations in the same order" true (Array.to_list locs = old)
 
+(* --- Aggregate: out-of-image shards ------------------------------- *)
+
+(* Shards whose every address lies outside the registered image's text
+   — below [text_start] or above [text_end] up to the largest packable
+   address — decode to nothing: merging never raises, the merged tables
+   are empty, and each branch and range pair is counted as dropped. *)
+let shard_decoding_fuzz =
+  let _, { Linker.Link.binary; _ } = metadata_link (call_program ()) in
+  let digest = Support.Digesting.to_hex (Linker.Binary.image_digest binary) in
+  let outside =
+    QCheck.Gen.(
+      oneof
+        [
+          int_bound (binary.text_start - 1);
+          int_range (binary.text_end + 1) Support.Packed.max_addr;
+        ])
+  in
+  let pairs = QCheck.Gen.(list_size (0 -- 20) (triple outside outside (1 -- 50))) in
+  QCheck.Test.make ~count:200 ~name:"out-of-image shard pairs all drop"
+    (QCheck.make QCheck.Gen.(triple pairs pairs pairs))
+    (fun (branches, ranges, mispredicts) ->
+      let profile = Perfmon.Lbr.create_profile () in
+      let add tbl = List.iter (fun (src, dst, n) -> Perfmon.Lbr.add_pair tbl ~src ~dst n) in
+      add profile.branches branches;
+      add profile.ranges ranges;
+      add profile.mispredicts mispredicts;
+      let shard =
+        {
+          Fleet.Machine.machine = 0;
+          generation = 0;
+          digest;
+          requests = 1;
+          cycles = 0.0;
+          cycles_per_request = 0.0;
+          fall_through_rate = 0.0;
+          mispredict_rate = 0.0;
+          profile;
+        }
+      in
+      let agg = Fleet.Aggregate.create () in
+      Fleet.Aggregate.register agg binary;
+      Fleet.Aggregate.push agg ~round:0 [ shard ];
+      let merged, stats = Fleet.Aggregate.merged agg ~target:digest in
+      Support.Itab.length merged.branches = 0
+      && Support.Itab.length merged.ranges = 0
+      && Support.Itab.length merged.mispredicts = 0
+      && stats.translated_pairs = 0
+      && stats.dropped_pairs
+         = Support.Itab.length profile.branches + Support.Itab.length profile.ranges)
+
 let suite =
   [
     Alcotest.test_case "deterministic across jobs" `Quick test_deterministic_across_jobs;
@@ -238,4 +288,5 @@ let suite =
     Alcotest.test_case "decayed shards fade" `Quick test_decayed_shards_fade;
     Alcotest.test_case "index order matches per-function build" `Quick
       test_index_order_matches_per_function;
+    QCheck_alcotest.to_alcotest shard_decoding_fuzz;
   ]

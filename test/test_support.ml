@@ -360,6 +360,43 @@ let test_packed_bounds () =
   rejects "oversized dst" (fun () ->
       Support.Packed.pack ~src:0 ~dst:(Support.Packed.max_addr + 1))
 
+(* --- Isearch ----------------------------------------------------- *)
+
+(* On sorted, disjoint intervals with no zero-size one, the midpoint
+   search has no miss: it finds exactly what a linear scan finds, for
+   every probe — the first and last byte of each interval, the bytes
+   just outside it, and arbitrary addresses. *)
+let isearch_linear_law =
+  QCheck.Test.make ~count:300 ~name:"isearch covering equals a linear scan"
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 60) (pair (int_bound 8) (int_range 1 9)))
+        (list_of_size Gen.(0 -- 40) (int_bound 700)))
+    (fun (layout, extra) ->
+      let next = ref 0 in
+      let spans =
+        List.map
+          (fun (gap, size) ->
+            let addr = !next + gap in
+            next := addr + size;
+            (addr, size))
+          layout
+      in
+      let addrs = Array.of_list (List.map fst spans) in
+      let sizes = Array.of_list (List.map snd spans) in
+      let linear p =
+        let found = ref (-1) in
+        Array.iteri (fun i a -> if !found < 0 && a <= p && p < a + sizes.(i) then found := i) addrs;
+        !found
+      in
+      let probes =
+        Array.of_list
+          (extra
+          @ List.concat_map (fun (a, size) -> [ a - 1; a; a + size - 1; a + size ]) spans)
+      in
+      Array.for_all (fun p -> Support.Isearch.covering ~addrs ~sizes p = linear p) probes
+      && Support.Isearch.covering_batch ~addrs ~sizes probes = Array.map linear probes)
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
@@ -392,4 +429,5 @@ let suite =
     QCheck_alcotest.to_alcotest packed_order_law;
     QCheck_alcotest.to_alcotest packed_tuple_hash_law;
     QCheck_alcotest.to_alcotest packed_tbl_order_law;
+    QCheck_alcotest.to_alcotest isearch_linear_law;
   ]
