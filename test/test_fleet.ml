@@ -276,6 +276,70 @@ let shard_decoding_fuzz =
       && stats.dropped_pairs
          = Support.Itab.length profile.branches + Support.Itab.length profile.ranges)
 
+(* Shards whose every address lies inside the image's text but in the
+   alignment padding between blocks decode to nothing as well: such an
+   address is covered by no block, so every branch and range pair drops
+   and is counted, and merging never raises. *)
+let padding_shard_fuzz =
+  let _, { Linker.Link.binary; _ } = metadata_link (call_program ()) in
+  let digest = Support.Digesting.to_hex (Linker.Binary.image_digest binary) in
+  (* Every text byte that lies past the end of every block before it
+     and before the next block's start. *)
+  let padding =
+    let gaps = ref [] and hi = ref binary.text_start in
+    let skip_to a =
+      for k = !hi to a - 1 do
+        gaps := k :: !gaps
+      done
+    in
+    List.iter
+      (fun (b : Linker.Binary.block_info) ->
+        skip_to b.addr;
+        hi := max !hi (b.addr + b.size))
+      (Linker.Binary.blocks_in_address_order binary);
+    skip_to binary.text_end;
+    Array.of_list (List.rev !gaps)
+  in
+  assert (Array.length padding > 0);
+  let pad = QCheck.Gen.oneofa padding in
+  let pairs = QCheck.Gen.(list_size (1 -- 20) (triple pad pad (1 -- 50))) in
+  QCheck.Test.make ~count:200 ~name:"padding shard pairs all drop"
+    (QCheck.make QCheck.Gen.(triple pairs pairs pairs))
+    (fun (branches, ranges, mispredicts) ->
+      let profile = Perfmon.Lbr.create_profile () in
+      let add tbl = List.iter (fun (src, dst, n) -> Perfmon.Lbr.add_pair tbl ~src ~dst n) in
+      add profile.branches branches;
+      add profile.ranges ranges;
+      add profile.mispredicts mispredicts;
+      let shard =
+        {
+          Fleet.Machine.machine = 0;
+          generation = 0;
+          digest;
+          requests = 1;
+          cycles = 0.0;
+          cycles_per_request = 0.0;
+          fall_through_rate = 0.0;
+          mispredict_rate = 0.0;
+          profile;
+        }
+      in
+      let agg = Fleet.Aggregate.create () in
+      Fleet.Aggregate.register agg binary;
+      Fleet.Aggregate.push agg ~round:0 [ shard ];
+      let merged, stats = Fleet.Aggregate.merged agg ~target:digest in
+      List.for_all
+        (fun a ->
+          binary.text_start <= a && a < binary.text_end
+          && Linker.Binary.find_block_by_addr binary a = None)
+        (List.concat_map (fun (s, d, _) -> [ s; d ]) (branches @ ranges))
+      && Support.Itab.length merged.branches = 0
+      && Support.Itab.length merged.ranges = 0
+      && Support.Itab.length merged.mispredicts = 0
+      && stats.translated_pairs = 0
+      && stats.dropped_pairs
+         = Support.Itab.length profile.branches + Support.Itab.length profile.ranges)
+
 let suite =
   [
     Alcotest.test_case "deterministic across jobs" `Quick test_deterministic_across_jobs;
@@ -289,4 +353,5 @@ let suite =
     Alcotest.test_case "index order matches per-function build" `Quick
       test_index_order_matches_per_function;
     QCheck_alcotest.to_alcotest shard_decoding_fuzz;
+    QCheck_alcotest.to_alcotest padding_shard_fuzz;
   ]
