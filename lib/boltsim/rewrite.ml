@@ -157,7 +157,8 @@ let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
   let final =
     Linker.Binary.make ~name:linked.name ~entry_symbol:linked.entry_symbol
       ~sections:(old_text :: linked.sections) ~symbols:linked.symbols ~blocks:linked.blocks
-      ~text_start:binary.text_start ~text_end:linked.text_end ~bb_maps:[]
+      ~positions:linked.positions ~text_start:binary.text_start ~text_end:linked.text_end
+      ~bb_maps:[]
   in
   {
     binary = final;

@@ -212,11 +212,10 @@ let build program binary =
       (fun fi (f : Ir.Func.t) ->
         first_uid.(fi) <- !nblocks + 1;
         nblocks := !nblocks + Ir.Func.num_blocks f;
+        let pos = Linker.Binary.block_positions binary f.name in
         Array.init (Ir.Func.num_blocks f) (fun b ->
-            match Linker.Binary.block_info binary ~func:f.name ~block:b with
-            | Some i -> i
-            | None ->
-              invalid_arg (Printf.sprintf "Image.build: block %s#%d not in binary" f.name b)))
+            if b < Array.length pos && pos.(b) >= 0 then binary.blocks.(pos.(b))
+            else invalid_arg (Printf.sprintf "Image.build: block %s#%d not in binary" f.name b)))
       ir
   in
   {

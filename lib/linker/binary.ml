@@ -20,7 +20,8 @@ type t = {
   entry_symbol : string;
   sections : placed list;
   symbols : (string, int) Hashtbl.t;
-  blocks : (string * int, block_info) Hashtbl.t;
+  blocks : block_info array;
+  positions : (string, int array) Hashtbl.t;
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;
@@ -31,15 +32,22 @@ type t = {
    arrays, so whichever store wins is the same index. *)
 and cell = index option Atomic.t
 
-let make ~name ~entry_symbol ~sections ~symbols ~blocks ~text_start ~text_end ~bb_maps =
-  { name; entry_symbol; sections; symbols; blocks; text_start; text_end; bb_maps;
+let make ~name ~entry_symbol ~sections ~symbols ~blocks ~positions ~text_start ~text_end
+    ~bb_maps =
+  { name; entry_symbol; sections; symbols; blocks; positions; text_start; text_end; bb_maps;
     by_addr = Atomic.make None }
 
 let symbol_addr t s = Hashtbl.find_opt t.symbols s
 
-let block_info t ~func ~block = Hashtbl.find_opt t.blocks (func, block)
+let block_positions t func = Option.value ~default:[||] (Hashtbl.find_opt t.positions func)
 
-let block_info_exn t ~func ~block = Hashtbl.find t.blocks (func, block)
+let block_info t ~func ~block =
+  let pos = block_positions t func in
+  if block >= 0 && block < Array.length pos && pos.(block) >= 0 then Some t.blocks.(pos.(block))
+  else None
+
+let block_info_exn t ~func ~block =
+  match block_info t ~func ~block with Some b -> b | None -> raise Not_found
 
 let size_of_kind t kind =
   List.fold_left (fun acc p -> if p.kind = kind then acc + p.size else acc) 0 t.sections
@@ -48,11 +56,17 @@ let total_size t = List.fold_left (fun acc p -> acc + p.size) 0 t.sections
 
 let text_bytes t = size_of_kind t Objfile.Section.Text
 
-(* Blocks at equal addresses (emptied by relaxation) keep the order
-   this sort of the table's sequence gives them, which the image digest
-   records. *)
+(* Blocks at equal addresses (emptied by relaxation) keep the order an
+   unstable sort of a (func, block) table's sequence gives them, which
+   the image digest records (image-v1). [blocks] is already in address
+   order, so the table is replayed only for that tie order: the blocks
+   are added in link order to a table created as the link once created
+   it, then sorted by address. Step A of ROADMAP item 1 breaks ties by
+   (func, block) and deletes this replay. *)
 let build_index blocks =
-  let ordered = Array.of_seq (Seq.map snd (Hashtbl.to_seq blocks)) in
+  let table = Hashtbl.create 4096 in
+  Array.iter (fun (b : block_info) -> Hashtbl.add table (b.func, b.block) b) blocks;
+  let ordered = Array.of_seq (Hashtbl.to_seq_values table) in
   Array.sort (fun (a : block_info) (b : block_info) -> compare a.addr b.addr) ordered;
   let rev = Hashtbl.create 256 in
   Array.iteri

@@ -26,14 +26,18 @@ type placed = {
     {!blocks_in_address_order}, {!funcs} and {!image_digest} here,
     [Inspect.Resolve], [Propeller.Dcfg.build_of_blocks] and the BOLT
     rewrite outside. It is built on first use, once per binary, and
-    dies with it. Read it; never mutate it. *)
+    dies with it; only these readers pay for it. Read it; never mutate
+    it. *)
 type index = private {
   ordered : block_info array;
       (** Every placed block by address. Blocks that share an address
           (zero-size blocks that relaxation emptied) come in the order
-          an unstable sort of the [blocks] table's sequence leaves
-          them, so in hash-table order; breaking such ties by
-          [(func, block)] is step A of ROADMAP item 1. *)
+          an unstable sort of a [(func, block)] hash table's sequence
+          leaves them, so in hash-table order: building the index
+          replays that table from [blocks], as the link used to fill
+          it, to keep this order (the image-v1 digests). Breaking such
+          ties by [(func, block)] is step A of ROADMAP item 1, which
+          deletes the replay. *)
   addrs : int array;  (** [ordered.(i).addr], for {!Support.Isearch}. *)
   sizes : int array;  (** [ordered.(i).size]. *)
   by_func : (string, int array) Hashtbl.t;
@@ -45,7 +49,13 @@ type t = {
   entry_symbol : string;
   sections : placed list;  (** In final layout order. *)
   symbols : (string, int) Hashtbl.t;  (** Global symbol -> address. *)
-  blocks : (string * int, block_info) Hashtbl.t;  (** (func, block id). *)
+  blocks : block_info array;
+      (** Every placed block in link order, which is address order:
+          the order the link lays pieces out. *)
+  positions : (string, int array) Hashtbl.t;
+      (** Function -> its blocks' positions in [blocks], indexed by
+          block id; [-1] marks an id with no placed block. Read it
+          through {!block_positions}. *)
   text_start : int;
   text_end : int;
   bb_maps : Objfile.Bbmap.t;  (** Merged metadata, if retained. *)
@@ -61,7 +71,8 @@ val make :
   entry_symbol:string ->
   sections:placed list ->
   symbols:(string, int) Hashtbl.t ->
-  blocks:(string * int, block_info) Hashtbl.t ->
+  blocks:block_info array ->
+  positions:(string, int array) Hashtbl.t ->
   text_start:int ->
   text_end:int ->
   bb_maps:Objfile.Bbmap.t ->
@@ -70,7 +81,13 @@ val make :
 (** [symbol_addr t s] resolves a global symbol. *)
 val symbol_addr : t -> string -> int option
 
-(** [block_info t ~func ~block] looks a placed block up. *)
+(** [block_positions t f] is [f]'s entry in [t.positions]: block id ->
+    position in [t.blocks], or [-1]; empty when [f] has no placed
+    block. Read it once to look up many blocks of one function. *)
+val block_positions : t -> string -> int array
+
+(** [block_info t ~func ~block] looks a placed block up through
+    {!block_positions}: one hash of [func], no table of blocks. *)
 val block_info : t -> func:string -> block:int -> block_info option
 
 (** [block_info_exn t ~func ~block] raises [Not_found] when absent. *)
@@ -102,8 +119,9 @@ val find_block_by_addr : t -> int -> block_info option
 val funcs : t -> string list
 
 (** [blocks_in_address_order t] is [(index t).ordered] as a list — the
-    deterministic iteration order introspection tools need (the raw
-    [blocks] table iterates in hash order). *)
+    order introspection tools and the image digest share ([blocks] is
+    in address order too, but orders blocks that share an address by
+    link order). *)
 val blocks_in_address_order : t -> block_info list
 
 (** [symbols_sorted t] lists (symbol, address) pairs sorted by address,
@@ -116,8 +134,9 @@ val symbols_sorted : t -> (string * int) list
     (in address order), and the sorted symbol table — the byte-identity
     oracle behind the [--jobs] determinism tests. It does not yet
     depend on the image alone: blocks that share an address (zero-size
-    blocks that relaxation emptied) are serialized in [blocks] hash-table
-    order, so two binaries with the same image can digest differently,
-    for example under randomized [Hashtbl] seeds. Ordering such ties by
-    [(func, block)] is step A of ROADMAP item 1. *)
+    blocks that relaxation emptied) are serialized in the hash-table
+    order the {!index} replays, so two binaries with the same image can
+    digest differently, for example under randomized [Hashtbl] seeds.
+    Ordering such ties by [(func, block)] is step A of ROADMAP item 1.
+    The first call builds the {!index}. *)
 val image_digest : t -> Support.Digesting.t

@@ -3,7 +3,6 @@ type piece = { block : int; insts : Isa.t list; is_landing_pad : bool }
 type index = {
   bytes : int;
   sizes : int array;
-  site_start : int array;
   sites : Isa.t array;
   branch_start : int array;
   pre_bytes : int array;
@@ -31,13 +30,12 @@ let index_of pieces =
     pieces;
   let nsites = !nsites and nbranches = !nbranches in
   let sizes = Array.make n 0 in
-  let site_start = Array.make (n + 1) nsites and branch_start = Array.make (n + 1) nbranches in
+  let branch_start = Array.make (n + 1) nbranches in
   let sites = Array.make nsites (Isa.Nop 0) in
   let pre_bytes = Array.make nbranches 0 and pre_count = Array.make nbranches 0 in
   let ns = ref 0 and nb = ref 0 and bytes = ref 0 in
   List.iteri
     (fun k p ->
-      site_start.(k) <- !ns;
       branch_start.(k) <- !nb;
       let size = ref 0 and run_bytes = ref 0 and run_count = ref 0 in
       List.iter
@@ -66,7 +64,7 @@ let index_of pieces =
       sizes.(k) <- !size;
       bytes := !bytes + !size)
     pieces;
-  { bytes = !bytes; sizes; site_start; sites; branch_start; pre_bytes; pre_count }
+  { bytes = !bytes; sizes; sites; branch_start; pre_bytes; pre_count }
 
 let make ~func pieces =
   if pieces = [] then invalid_arg (Printf.sprintf "Fragment.make %s: empty" func);

@@ -19,14 +19,12 @@ type piece = {
 
 (** The relocation index: flat arrays over the pieces, their relocation
     sites (every [Jcc], [Jmp] and [Call], in instruction order) and
-    their branches (the [Jcc] and [Jmp] sites alone). Piece [k]'s sites
-    are [sites.(site_start.(k))] up to [sites.(site_start.(k + 1) - 1)],
-    and its branches are numbered [branch_start.(k)] up to
-    [branch_start.(k + 1) - 1]. *)
+    their branches (the [Jcc] and [Jmp] sites alone). The sites of
+    every piece come in piece order, and piece [k]'s branches are
+    numbered [branch_start.(k)] up to [branch_start.(k + 1) - 1]. *)
 type index = {
   bytes : int;  (** Byte size of the whole fragment. *)
   sizes : int array;  (** Byte size of each piece. *)
-  site_start : int array;  (** Length [pieces + 1]. *)
   sites : Isa.t array;
   branch_start : int array;  (** Length [pieces + 1]. *)
   pre_bytes : int array;

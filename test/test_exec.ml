@@ -286,9 +286,11 @@ let test_image_missing_block_raises_at_build () =
   let program, binary = Lazy.force relink0_image in
   let last = Ir.Program.fold_funcs program None (fun _ f -> Some f) |> Option.get in
   let block = Ir.Func.num_blocks last - 1 in
-  let blocks = Hashtbl.copy binary.blocks in
-  Hashtbl.remove blocks (last.name, block);
-  match Exec.Image.build program { binary with blocks } with
+  let positions = Hashtbl.copy binary.positions in
+  let pos = Array.copy (Hashtbl.find positions last.name) in
+  pos.(block) <- -1;
+  Hashtbl.replace positions last.name pos;
+  match Exec.Image.build program { binary with positions } with
   | _ -> Alcotest.fail "expected a missing-block failure"
   | exception Invalid_argument msg ->
     check ts "message" (Printf.sprintf "Image.build: block %s#%d not in binary" last.name block) msg

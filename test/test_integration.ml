@@ -32,9 +32,9 @@ let test_pm_layout_matches_baseline () =
   let _, program = medium_program () in
   let _, { Linker.Link.binary = base; _ } = compile_and_link program in
   let _, { Linker.Link.binary = pm; _ } = metadata_link program in
-  Hashtbl.iter
-    (fun key (b : Linker.Binary.block_info) ->
-      let p = Hashtbl.find pm.blocks key in
+  Array.iter
+    (fun (b : Linker.Binary.block_info) ->
+      let p = Linker.Binary.block_info_exn pm ~func:b.func ~block:b.block in
       check ti "same addr" b.addr p.Linker.Binary.addr;
       check ti "same size" b.size p.Linker.Binary.size)
     base.blocks

@@ -134,9 +134,6 @@ let check_index_is_walk (f : Objfile.Fragment.t) =
   check ti "bytes" (List.fold_left (fun acc p -> acc + size p) 0 f.pieces) ix.bytes;
   check ti "byte_size" ix.bytes (Objfile.Fragment.byte_size f);
   check Alcotest.(list int) "sizes" (List.map size f.pieces) (arr ix.sizes);
-  check Alcotest.(list int) "site starts"
-    (starts (List.map (fun p -> List.length (sites p)) f.pieces))
-    (arr ix.site_start);
   check Alcotest.(list string) "sites"
     (List.map Isa.to_string (List.concat_map sites f.pieces))
     (List.map Isa.to_string (arr ix.sites));

@@ -160,10 +160,10 @@ let test_sampler_arcs_land_on_entries () =
     (Hashtbl.fold (fun _ c acc -> acc + c) p.arcs 0);
   (* Every recorded callee entry is a real function entry address. *)
   let entries =
-    Hashtbl.fold
-      (fun (fname, _) (info : Linker.Binary.block_info) acc ->
-        if String.length fname > 0 then info.addr :: acc else acc)
-      binary.blocks []
+    Array.fold_left
+      (fun acc (info : Linker.Binary.block_info) ->
+        if String.length info.func > 0 then info.addr :: acc else acc)
+      [] binary.blocks
   in
   Hashtbl.iter
     (fun (_, centry) _ ->
