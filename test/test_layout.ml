@@ -112,34 +112,46 @@ let test_exttsp_window_decay () =
 
 (* --- pinned layouts on real programs ------------------------------ *)
 
-(* MD5 of every function's Ext-TSP block order, in program order. *)
+(* MD5 of every function's Ext-TSP block order, in program order, and
+   the merges those orders took in total. *)
 let layouts_digest ~use_pqueue program =
   let params = { Layout.Exttsp.default_params with use_pqueue } in
   let b = Buffer.create 65536 in
+  let merges = ref 0 in
   Ir.Program.iter_funcs program (fun f ->
       Buffer.add_string b f.name;
       List.iter
         (fun i -> Buffer.add_string b (" " ^ string_of_int i))
         (Layout.Exttsp.order ~params (Codegen.intra_problem f));
+      merges := !merges + Layout.Exttsp.last_merge_count ();
       Buffer.add_char b '\n');
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !merges)
 
-(* Both retrieval modes lay these programs out identically. A change to
-   Ext-TSP's bookkeeping must reproduce every layout byte for byte; only
-   a deliberate layout change may update a digest. *)
+let mcf_program () =
+  Codegen.Inline.program (Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")))
+
+(* A change to Ext-TSP's bookkeeping must reproduce every layout byte
+   for byte and take the same number of merges; only a deliberate layout
+   change may update a pin. Each pin is (digest, summed merges), and
+   holds under both retrievals. *)
 let pinned_layouts =
-  [ (0, "9a91d3062f1b4ed4bcecf1cc53cdb0ca"); (1, "6596f1a6a2755f36211accc47f35cb44") ]
+  [
+    ("relink 0", (fun () -> relink_family_program 0), ("9a91d3062f1b4ed4bcecf1cc53cdb0ca", 8917));
+    ("relink 1", (fun () -> relink_family_program 1), ("6596f1a6a2755f36211accc47f35cb44", 8401));
+    ("relink 2", (fun () -> relink_family_program 2), ("37913cf3d904c7f5578c6a932d8dd3cb", 7173));
+    ("relink 3", (fun () -> relink_family_program 3), ("fc797e12d74d22cc376e91bd6df132e8", 8323));
+    ("505.mcf", mcf_program, ("8993e0cd548b9f280a0d0795d8027049", 1188));
+  ]
 
 let test_exttsp_pinned_layouts () =
   List.iter
-    (fun (k, expected) ->
-      let program = relink_family_program k in
+    (fun (name, program, (digest, merges)) ->
+      let program = program () in
       List.iter
         (fun use_pqueue ->
-          check ts
-            (Printf.sprintf "program %d, use_pqueue=%b" k use_pqueue)
-            expected
-            (layouts_digest ~use_pqueue program))
+          let d, m = layouts_digest ~use_pqueue program in
+          check ts (Printf.sprintf "%s layouts, use_pqueue=%b" name use_pqueue) digest d;
+          check ti (Printf.sprintf "%s merges, use_pqueue=%b" name use_pqueue) merges m)
         [ true; false ])
     pinned_layouts
 
