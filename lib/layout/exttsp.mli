@@ -9,6 +9,21 @@
     by gain instead of being rescanned linearly. Both strategies are
     implemented; the bench compares them ([ablation_inter]).
 
+    Picking a merge is cheap for a second reason: every candidate
+    arrangement of chains [a] and [b] is "[b] inserted at cut [c] of
+    [a]" ([c = |a|] is a++b, [c = 0] is b++a, the rest split [a]), and
+    is scored only from state that no candidate changes. Each node
+    records its chain, byte offset and rank there; each chain caches its
+    internal edges' distances and gains. A cut then costs one pass over
+    the pair's cross edges and each chain's internal edges, filling
+    nothing and allocating nothing: only a cut that separates an edge of
+    [a] re-evaluates that edge's gain.
+
+    Float contract: a cut's score adds edge gains in the order
+    reverse(cross), reverse(a's internal edges), b's internal edges —
+    the order of the merged chain's internal edges. Layouts are pinned
+    to that order, since a different summation can flip a comparison.
+
     Takes a {!Problem.t}; the produced order is a permutation of
     [0 .. n-1] with the problem's entry node first. *)
 
@@ -20,7 +35,7 @@ type params = {
   backward_weight : float;
   max_split_chain : int;
       (** Chains longer than this are only merged by concatenation (the
-          split-point search is quadratic). *)
+          split-point search costs cuts × edges of the pair). *)
   use_pqueue : bool;
       (** Retrieve the best merge from a priority queue (O(log n)) rather
           than a linear rescan of all candidates. The two break ties
