@@ -96,11 +96,18 @@ let retry_cost t ~attempts ~cpu_seconds =
 
 (* --- spec strings ------------------------------------------------- *)
 
+(* The shortest of 15 or 17 significant digits that reads back as [f]:
+   short values print as %g would, and every value round-trips. *)
+let float_spec f =
+  let s = Printf.sprintf "%.15g" f in
+  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+
 let to_spec t =
   Printf.sprintf
-    "seed=%d,action=%g,persist=%g,straggle=%g,straggle-factor=%g,corrupt=%g,shard-drop=%g,shards=%d,attempts=%d,backoff=%g,backoff-mult=%g"
-    t.seed t.action_fail t.persist t.straggle t.straggle_factor t.corrupt t.shard_drop
-    t.shards t.max_attempts t.backoff_base t.backoff_mult
+    "seed=%d,action=%s,persist=%s,straggle=%s,straggle-factor=%s,corrupt=%s,shard-drop=%s,shards=%d,attempts=%d,backoff=%s,backoff-mult=%s"
+    t.seed (float_spec t.action_fail) (float_spec t.persist) (float_spec t.straggle)
+    (float_spec t.straggle_factor) (float_spec t.corrupt) (float_spec t.shard_drop) t.shards
+    t.max_attempts (float_spec t.backoff_base) (float_spec t.backoff_mult)
 
 let of_spec s =
   let parse_int key v =
@@ -110,8 +117,8 @@ let of_spec s =
   in
   let parse_float key v =
     match float_of_string_opt (String.trim v) with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "%s: number expected, got %S" key v)
+    | Some f when Float.is_finite f -> Ok f
+    | Some _ | None -> Error (Printf.sprintf "%s: finite number expected, got %S" key v)
   in
   let parse_rate key v =
     match parse_float key v with

@@ -54,12 +54,14 @@ val is_active : t -> bool
 (** [of_spec s] parses a [--faults] plan spec: comma-separated [k=v]
     pairs over the keys [seed], [action], [persist], [straggle],
     [straggle-factor], [corrupt], [shard-drop], [shards], [attempts],
-    [backoff], [backoff-mult]; unset keys keep {!default}s. Rates must
-    lie in [0, 1]. E.g. ["seed=7,action=0.2,corrupt=0.05"]. *)
+    [backoff], [backoff-mult]; unset keys keep {!default}s. Numbers
+    must be finite ([nan] and [inf] are rejected) and rates must lie in
+    [0, 1]. E.g. ["seed=7,action=0.2,corrupt=0.05"]. Total: any string
+    gives [Ok] or [Error], never an exception. *)
 val of_spec : string -> (t, string) result
 
-(** [to_spec t] renders the canonical spec string; round-trips through
-    {!of_spec}. *)
+(** [to_spec t] renders the canonical spec string: [of_spec (to_spec t)]
+    is [Ok t] for every plan {!of_spec} accepts. *)
 val to_spec : t -> string
 
 (* Decisions — all pure and stateless. *)
