@@ -29,6 +29,31 @@ let exttsp_test name ~use_pqueue ~n =
   let params = { Layout.Exttsp.default_params with use_pqueue } in
   Test.make ~name (Staged.stage (fun () -> ignore (Layout.Exttsp.order ~params problem)))
 
+(* Every multi-block function of relink program 0: clang's shape at a
+   quarter of its units and functions per unit, seeded as program 0 of
+   the relink benchmark's default run (seed 101), after inlining. Times
+   Ext-TSP on the problems a cold relink solves, not a synthetic graph. *)
+let exttsp_relink_test () =
+  let clang = Progen.Suite.clang in
+  let run = Support.Rng.next (Support.Rng.create 101L) in
+  let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) 0) in
+  let program =
+    Codegen.Inline.program
+      (Progen.Generate.program
+         {
+           clang with
+           Progen.Spec.num_units = clang.num_units / 4;
+           funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
+           seed;
+         })
+  in
+  let problems = ref [] in
+  Ir.Program.iter_funcs program (fun f ->
+      if Ir.Func.num_blocks f > 1 then problems := Codegen.intra_problem f :: !problems);
+  let problems = List.rev !problems in
+  Test.make ~name:"exttsp_relink_prog0"
+    (Staged.stage (fun () -> List.iter (fun p -> ignore (Layout.Exttsp.order p)) problems))
+
 let hfsort_test =
   let n = 2000 in
   let rng = Support.Rng.create 7L in
@@ -216,6 +241,7 @@ let tests () =
     exttsp_test "exttsp_linear_300" ~use_pqueue:false ~n:300;
     exttsp_test "exttsp_pqueue_1000" ~use_pqueue:true ~n:1000;
     exttsp_test "exttsp_linear_1000" ~use_pqueue:false ~n:1000;
+    exttsp_relink_test ();
     hfsort_test;
     pqueue_test;
     link_test;
