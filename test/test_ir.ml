@@ -153,6 +153,102 @@ let test_cfg_pgo_vs_true () =
   check tb "true says block1 cold" true (t.(1) < 0.2);
   check tb "pgo says block1 hot" true (p.(1) > 0.8)
 
+(* [Ir.Cfg.estimate_frequencies] as it was written over per-block
+   (successor, probability) lists, kept as the oracle for its
+   bit-for-bit result. *)
+let ref_estimate_frequencies ~use_pgo f =
+  let n = Ir.Func.num_blocks f in
+  let freq = Array.make n 0.0 in
+  freq.(0) <- 1.0;
+  let probs_of b =
+    let term = (Ir.Func.block f b).Ir.Block.term in
+    if use_pgo then Ir.Term.successor_pgo_probs term else Ir.Term.successor_probs term
+  in
+  let probs = Array.init n probs_of in
+  let order = Array.of_list (Ir.Cfg.reverse_postorder f) in
+  let next = Array.make n 0.0 in
+  let rec sweep k =
+    if k <= 24 then begin
+      Array.fill next 0 n 0.0;
+      next.(0) <- 1.0;
+      Array.iter
+        (fun b ->
+          List.iter
+            (fun (s, p) ->
+              if s <> 0 then begin
+                let v = next.(s) +. (freq.(b) *. p) in
+                next.(s) <- (if 1.0e6 <= v then 1.0e6 else v)
+              end)
+            probs.(b))
+        order;
+      let delta = ref 0.0 in
+      for i = 0 to n - 1 do
+        delta := !delta +. abs_float (next.(i) -. freq.(i));
+        freq.(i) <- next.(i)
+      done;
+      if !delta > 1e-4 *. float_of_int n then sweep (k + 1)
+    end
+  in
+  sweep 1;
+  freq
+
+(* Random CFGs with every terminator kind, switch tables with repeated
+   targets, self-loops, back edges to the entry and unreachable blocks
+   (targets are drawn freely, so many blocks have no path from 0). *)
+let random_cfg_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 14 in
+    let target = int_bound (n - 1) in
+    let prob = oneof [ float_bound_inclusive 1.0; oneofl [ 0.0; 0.5; 1.0 ] ] in
+    let term =
+      frequency
+        [
+          (2, map (fun b -> Ir.Term.Jump b) target);
+          ( 3,
+            map2
+              (fun (taken, fallthrough) (prob, pgo_prob) ->
+                branch ~taken ~fallthrough ~prob ~pgo_prob ())
+              (pair target target) (pair prob prob) );
+          ( 2,
+            let* k = int_range 1 5 in
+            let* table = array_repeat k target in
+            let* probs = array_repeat k prob in
+            let* pgo_probs = array_repeat k prob in
+            return (Ir.Term.Switch { table; probs; pgo_probs }) );
+          (1, return Ir.Term.Return);
+        ]
+    in
+    let* terms = array_repeat n term in
+    return
+      (Ir.Func.make ~name:"rand"
+         (Array.mapi (fun id term -> compute_block ~id ~bytes:4 ~term) terms)))
+
+(* [Ir.Cfg.edge_frequencies] as it was written, over the same lists. *)
+let ref_edge_frequencies ~freqs ~use_pgo f =
+  let edges = ref [] in
+  for b = Ir.Func.num_blocks f - 1 downto 0 do
+    let term = (Ir.Func.block f b).Ir.Block.term in
+    let probs =
+      if use_pgo then Ir.Term.successor_pgo_probs term else Ir.Term.successor_probs term
+    in
+    List.iter (fun (s, p) -> edges := (b, s, freqs.(b) *. p) :: !edges) (List.rev probs)
+  done;
+  !edges
+
+let frequencies_match_reference_law =
+  QCheck.Test.make ~count:500 ~name:"cfg frequencies equal the list-based reference"
+    (QCheck.make ~print:(Format.asprintf "%a" Ir.Func.pp) random_cfg_gen)
+    (fun f ->
+      List.for_all
+        (fun use_pgo ->
+          let bits a = Array.map Int64.bits_of_float a in
+          let freqs = Ir.Cfg.estimate_frequencies ~use_pgo f in
+          let edge_bits = List.map (fun (s, d, w) -> (s, d, Int64.bits_of_float w)) in
+          bits freqs = bits (ref_estimate_frequencies ~use_pgo f)
+          && edge_bits (Ir.Cfg.edge_frequencies ~freqs ~use_pgo f)
+             = edge_bits (ref_edge_frequencies ~freqs ~use_pgo f))
+        [ true; false ])
+
 let test_cfg_edge_frequencies () =
   let f = diamond_func ~prob:0.3 () in
   let edges = Ir.Cfg.edge_frequencies ~use_pgo:false f in
@@ -288,6 +384,7 @@ let suite =
     Alcotest.test_case "cfg frequencies: diamond" `Quick test_cfg_frequencies_diamond;
     Alcotest.test_case "cfg frequencies: loop" `Quick test_cfg_frequencies_loop;
     Alcotest.test_case "cfg frequencies: pgo vs true" `Quick test_cfg_pgo_vs_true;
+    QCheck_alcotest.to_alcotest frequencies_match_reference_law;
     Alcotest.test_case "cfg edge frequencies" `Quick test_cfg_edge_frequencies;
     Alcotest.test_case "cfg dominators: diamond" `Quick test_dominators_diamond;
     Alcotest.test_case "cfg dominators: chain" `Quick test_dominators_chain;
