@@ -31,28 +31,41 @@ let exttsp_test name ~use_pqueue ~n =
 
 (* Every multi-block function of relink program 0: clang's shape at a
    quarter of its units and functions per unit, seeded as program 0 of
-   the relink benchmark's default run (seed 101), after inlining. Times
-   Ext-TSP on the problems a cold relink solves, not a synthetic graph. *)
+   the relink benchmark's default run (seed 101), after inlining. *)
+let relink_prog0_funcs =
+  lazy
+    (let clang = Progen.Suite.clang in
+     let run = Support.Rng.next (Support.Rng.create 101L) in
+     let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) 0) in
+     let program =
+       Codegen.Inline.program
+         (Progen.Generate.program
+            {
+              clang with
+              Progen.Spec.num_units = clang.num_units / 4;
+              funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
+              seed;
+            })
+     in
+     let funcs = ref [] in
+     Ir.Program.iter_funcs program (fun f -> if Ir.Func.num_blocks f > 1 then funcs := f :: !funcs);
+     List.rev !funcs)
+
+(* Ext-TSP on the problems a cold relink solves, not a synthetic graph;
+   the problems are built before timing. *)
 let exttsp_relink_test () =
-  let clang = Progen.Suite.clang in
-  let run = Support.Rng.next (Support.Rng.create 101L) in
-  let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) 0) in
-  let program =
-    Codegen.Inline.program
-      (Progen.Generate.program
-         {
-           clang with
-           Progen.Spec.num_units = clang.num_units / 4;
-           funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
-           seed;
-         })
-  in
-  let problems = ref [] in
-  Ir.Program.iter_funcs program (fun f ->
-      if Ir.Func.num_blocks f > 1 then problems := Codegen.intra_problem f :: !problems);
-  let problems = List.rev !problems in
+  let problems = List.map Codegen.intra_problem (Lazy.force relink_prog0_funcs) in
   Test.make ~name:"exttsp_relink_prog0"
     (Staged.stage (fun () -> List.iter (fun p -> ignore (Layout.Exttsp.order p)) problems))
+
+(* The other half of the codegen layout layer on the same functions:
+   block frequencies, edge frequencies and the flat edges Ext-TSP
+   starts from. *)
+let intra_problem_test () =
+  let funcs = Lazy.force relink_prog0_funcs in
+  Test.make ~name:"intra_problem_prog0"
+    (Staged.stage (fun () ->
+         List.iter (fun f -> ignore (Layout.Problem.flat (Codegen.intra_problem f))) funcs))
 
 let hfsort_test =
   let n = 2000 in
@@ -224,16 +237,18 @@ let json () =
              fastpath_kernels) );
     ]
 
+(* 5 000 adds of priorities from 97 values (so ties are common),
+   then 5 000 pops: Ext-TSP's push-once, pop-best use of the queue. *)
 let pqueue_test =
   Test.make ~name:"pqueue_10k_ops"
     (Staged.stage (fun () ->
          let q = Support.Pqueue.create () in
-         let handles = Array.init 1000 (fun i -> Support.Pqueue.add q ~priority:(float_of_int (i * 7 mod 97)) i) in
-         Array.iteri
-           (fun i h -> if i mod 3 = 0 then Support.Pqueue.update q h ~priority:(float_of_int i))
-           handles;
-         let rec drain () = match Support.Pqueue.pop_max q with Some _ -> drain () | None -> () in
-         drain ()))
+         for i = 0 to 4_999 do
+           Support.Pqueue.add q ~priority:(float_of_int (i * 7 mod 97)) i
+         done;
+         while Support.Pqueue.length q > 0 do
+           ignore (Support.Pqueue.pop_max q)
+         done))
 
 let tests () =
   [
@@ -242,6 +257,7 @@ let tests () =
     exttsp_test "exttsp_pqueue_1000" ~use_pqueue:true ~n:1000;
     exttsp_test "exttsp_linear_1000" ~use_pqueue:false ~n:1000;
     exttsp_relink_test ();
+    intra_problem_test ();
     hfsort_test;
     pqueue_test;
     link_test;

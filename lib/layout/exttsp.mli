@@ -14,15 +14,26 @@
     [a]" ([c = |a|] is a++b, [c = 0] is b++a, the rest split [a]), and
     is scored only from state that no candidate changes. Each node
     records its chain, byte offset and rank there; each chain caches its
-    internal edges' distances and gains. A cut then costs one pass over
-    the pair's cross edges and each chain's internal edges, filling
-    nothing and allocating nothing: only a cut that separates an edge of
-    [a] re-evaluates that edge's gain.
+    internal edges' distances, gains and end ranks, and each live chain
+    keeps its live neighbours, in ascending id, with the bundle of cross
+    edges it shares with each. A cut then costs one pass over the pair's
+    cross edges and each chain's internal edges, filling nothing and
+    allocating nothing, and a cut that provably cannot beat the best one
+    so far is skipped: floating-point addition never decreases when an
+    operand grows, so a cut whose running sum after [a]'s edges is no
+    larger than the best's, or whose error-bounded estimate of that sum
+    is no larger, cannot win.
 
     Float contract: a cut's score adds edge gains in the order
     reverse(cross), reverse(a's internal edges), b's internal edges —
     the order of the merged chain's internal edges. Layouts are pinned
     to that order, since a different summation can flip a comparison.
+
+    Tie contract: equal gains pop in push order. The first pushes
+    follow the iteration order of a table of cross bundles keyed by
+    (min, max) node pairs, hashed as tuples; after a merge the new
+    pairs are pushed in ascending neighbour id. Each pair is pushed at
+    most once, since a merged chain takes a fresh id.
 
     Takes a {!Problem.t}; the produced order is a permutation of
     [0 .. n-1] with the problem's entry node first. *)
@@ -52,7 +63,8 @@ val order : ?params:params -> Problem.t -> int list
 
 (** [score ?params ~order problem] evaluates the Ext-TSP objective of a
     given layout (higher is better), over the problem's cached flat
-    edges. *)
+    edges. Raises [Invalid_argument] if [order] holds a node outside
+    [0, n). *)
 val score : ?params:params -> order:int list -> Problem.t -> float
 
 (** [score_norm ?params ~order problem] is {!score} divided by the total
@@ -74,7 +86,8 @@ val scratch : int -> scratch
 (** [score_into ?params scratch problem arr] scores the arrangement
     [arr] (all of it) against the problem's flat edges, reusing
     [scratch]. Equivalent to {!score} with [order = Array.to_list arr]
-    but allocation-free. *)
+    but allocation-free. Raises [Invalid_argument] if [arr] holds a node
+    outside [0, n) or [scratch] was made for fewer nodes. *)
 val score_into : ?params:params -> scratch -> Problem.t -> int array -> float
 
 (** Number of chain merges performed by the last {!order} call on this

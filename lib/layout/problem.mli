@@ -33,7 +33,12 @@ type t = {
 
 (** [make ~sizes ~weights ~edges ~entry] packages one problem. The
     caches start empty; arrays are owned by the problem and must not be
-    mutated afterwards. *)
+    mutated afterwards. Raises [Invalid_argument] when [sizes] and
+    [weights] differ in length, when [entry] lies outside [0, n) for
+    n > 0 nodes, when an edge endpoint lies outside [0, n), or when an
+    edge weight is infinite or NaN (Ext-TSP's pruning needs finite
+    gains). Self-edges and weights <= 0 are accepted, and {!flat} drops
+    them. *)
 val make :
   sizes:int array -> weights:float array -> edges:(int * int * float) list -> entry:int -> t
 
@@ -43,7 +48,8 @@ val size : t -> int
 (** [flat t] is the deduplicated flat-edge form, computed on first use
     and cached. Duplicate (src, dst) pairs are accumulated in input
     order; self-edges and weights <= 0 are dropped; the result is
-    sorted by (src, dst). *)
+    sorted by (src, dst). Built by a stable sort of the kept edges by
+    packed (src, dst) key, so it allocates no table. *)
 val flat : t -> flat
 
 (** [total_weight t] is the sum of non-self edge weights in input

@@ -1,113 +1,97 @@
-type handle = int
-
-type 'a entry = { value : 'a; mutable priority : float; seq : int; handle : handle }
-
-type 'a t = {
-  mutable heap : 'a entry array; (* dense binary max-heap in [0, size) *)
+(* A dense binary max-heap in [0, size) over three parallel arrays:
+   entry [i] has priority [prio.(i)], push sequence number [seq.(i)] and
+   key [key.(i)]. The float array is unboxed and both sifts move a hole
+   rather than swapping entries, so neither allocates. Entry i outranks
+   entry j on a higher priority, or an equal one pushed earlier. *)
+type t = {
+  mutable prio : float array;
+  mutable seq : int array;
+  mutable key : int array;
   mutable size : int;
   mutable next_seq : int;
-  mutable next_handle : int;
-  mutable positions : int array;
-      (* handle -> heap index, or -1 once removed; grows with [next_handle] *)
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; next_handle = 0; positions = [||] }
+let create () = { prio = [||]; seq = [||]; key = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
-(* Entry [a] outranks [b] on higher priority; earlier insertion wins ties
-   to keep pop order deterministic. *)
-let outranks a b = a.priority > b.priority || (a.priority = b.priority && a.seq < b.seq)
-
-let set t i e =
-  t.heap.(i) <- e;
-  t.positions.(e.handle) <- i
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if outranks t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      set t i t.heap.(parent);
-      set t parent tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.size && outranks t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.size && outranks t.heap.(r) t.heap.(!best) then best := r;
-  if !best <> i then begin
-    let tmp = t.heap.(i) in
-    set t i t.heap.(!best);
-    set t !best tmp;
-    sift_down t !best
-  end
-
 let grow t =
-  let cap = Array.length t.heap in
-  if t.size >= cap then begin
-    let new_cap = max 16 (cap * 2) in
-    let fresh = Array.make new_cap t.heap.(0) in
-    Array.blit t.heap 0 fresh 0 t.size;
-    t.heap <- fresh
-  end
+  let cap = max 16 (2 * t.size) in
+  let extend a fill =
+    let fresh = Array.make cap fill in
+    Array.blit a 0 fresh 0 t.size;
+    fresh
+  in
+  t.prio <- extend t.prio 0.0;
+  t.seq <- extend t.seq 0;
+  t.key <- extend t.key 0
 
-let grow_positions t h =
-  let cap = Array.length t.positions in
-  if h >= cap then begin
-    let fresh = Array.make (max 16 (cap * 2)) (-1) in
-    Array.blit t.positions 0 fresh 0 cap;
-    t.positions <- fresh
-  end
+let add t ~priority key =
+  if t.size = Array.length t.prio then grow t;
+  let prio = t.prio and seq = t.seq and keys = t.key in
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  (* Move the hole up from the end while the new entry outranks its
+     parent. *)
+  let i = ref t.size in
+  while
+    !i > 0
+    &&
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prio parent in
+    priority > pp || (priority = pp && s < Array.unsafe_get seq parent)
+  do
+    let parent = (!i - 1) / 2 in
+    Array.unsafe_set prio !i (Array.unsafe_get prio parent);
+    Array.unsafe_set seq !i (Array.unsafe_get seq parent);
+    Array.unsafe_set keys !i (Array.unsafe_get keys parent);
+    i := parent
+  done;
+  Array.unsafe_set prio !i priority;
+  Array.unsafe_set seq !i s;
+  Array.unsafe_set keys !i key;
+  t.size <- t.size + 1
 
-let add t ~priority v =
-  let h = t.next_handle in
-  t.next_handle <- h + 1;
-  grow_positions t h;
-  let e = { value = v; priority; seq = t.next_seq; handle = h } in
-  t.next_seq <- t.next_seq + 1;
-  if Array.length t.heap = 0 then t.heap <- Array.make 16 e else grow t;
-  set t t.size e;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  h
-
-(* Heap index of a live handle, or -1 (dead, negative or never issued). *)
-let position t h = if h >= 0 && h < t.next_handle then t.positions.(h) else -1
-
-let mem t h = position t h >= 0
-
-let remove_at t i =
-  let last = t.size - 1 in
-  t.positions.(t.heap.(i).handle) <- -1;
-  if i <> last then begin
-    set t i t.heap.(last);
-    t.size <- last;
-    sift_up t i;
-    sift_down t i
-  end
-  else t.size <- last
-
-let remove t h =
-  let i = position t h in
-  if i < 0 then invalid_arg "Pqueue.remove: dead handle" else remove_at t i
-
-let update t h ~priority =
-  let i = position t h in
-  if i < 0 then invalid_arg "Pqueue.update: dead handle"
-  else begin
-    t.heap.(i) <- { (t.heap.(i)) with priority };
-    sift_up t i;
-    sift_down t t.positions.(h)
-  end
+let max_priority t =
+  if t.size = 0 then invalid_arg "Pqueue.max_priority: empty queue" else t.prio.(0)
 
 let pop_max t =
-  if t.size = 0 then None
-  else begin
-    let e = t.heap.(0) in
-    remove_at t 0;
-    Some (e.value, e.priority)
-  end
+  if t.size = 0 then invalid_arg "Pqueue.pop_max: empty queue";
+  let prio = t.prio and seq = t.seq and keys = t.key in
+  let top = Array.unsafe_get keys 0 in
+  let size = t.size - 1 in
+  t.size <- size;
+  if size > 0 then begin
+    (* Re-seat the last entry: move the hole down from the root while a
+       child outranks it. *)
+    let p = Array.unsafe_get prio size and s = Array.unsafe_get seq size in
+    let k = Array.unsafe_get keys size in
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= size then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < size
+             &&
+             let pr = Array.unsafe_get prio r and pl = Array.unsafe_get prio l in
+             pr > pl || (pr = pl && Array.unsafe_get seq r < Array.unsafe_get seq l)
+          then r
+          else l
+        in
+        let pc = Array.unsafe_get prio c in
+        if pc > p || (pc = p && Array.unsafe_get seq c < s) then begin
+          Array.unsafe_set prio !i pc;
+          Array.unsafe_set seq !i (Array.unsafe_get seq c);
+          Array.unsafe_set keys !i (Array.unsafe_get keys c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    Array.unsafe_set prio !i p;
+    Array.unsafe_set seq !i s;
+    Array.unsafe_set keys !i k
+  end;
+  top

@@ -1,37 +1,29 @@
-(** Mutable max-priority queue with stable handles.
+(** Max-priority queue of integer keys.
 
     Ext-TSP's "logarithmic time retrieval of the most profitable action"
-    (paper §4.7) needs a heap whose entries can be re-prioritised or
-    removed when chain merges invalidate candidate gains. This is a binary
-    heap with an index side-table providing O(log n) insert, remove,
-    update and pop-max. Ties are broken by insertion order so the layout
-    algorithms are deterministic. *)
+    (paper §4.7) pushes each candidate merge once, as a (gain, key)
+    entry, and pops the best. This is a binary heap over parallel
+    arrays of priority, push sequence number and key: O(log n) add and
+    pop, and neither allocates (the arrays double when full). Equal
+    priorities pop in push order, so the layout algorithms are
+    deterministic. Priorities must not be NaN. *)
 
-type 'a t
-
-type handle
+type t
 
 (** [create ()] returns an empty queue. *)
-val create : unit -> 'a t
+val create : unit -> t
 
-(** [length t] is the number of live entries. *)
-val length : 'a t -> int
+(** [length t] is the number of entries. *)
+val length : t -> int
 
-(** [add t ~priority v] inserts [v] and returns a handle for later
-    update/removal. *)
-val add : 'a t -> priority:float -> 'a -> handle
+(** [add t ~priority key] pushes [key] with [priority]. *)
+val add : t -> priority:float -> int -> unit
 
-(** [remove t h] removes the entry behind [h]. Raises [Invalid_argument]
-    if the handle is dead. *)
-val remove : 'a t -> handle -> unit
+(** [max_priority t] is the priority of the entry {!pop_max} would
+    return. Raises [Invalid_argument] if [t] is empty. *)
+val max_priority : t -> float
 
-(** [mem t h] is [true] if the handle is still live; [false] for a
-    removed, popped or never-issued handle. *)
-val mem : 'a t -> handle -> bool
-
-(** [update t h ~priority] changes the priority of a live entry. *)
-val update : 'a t -> handle -> priority:float -> unit
-
-(** [pop_max t] removes and returns the highest-priority entry, or [None]
-    if empty. *)
-val pop_max : 'a t -> ('a * float) option
+(** [pop_max t] removes the entry with the highest priority, the
+    earliest pushed among equals, and returns its key. Raises
+    [Invalid_argument] if [t] is empty. *)
+val pop_max : t -> int
