@@ -194,6 +194,11 @@ let mcf_tapes =
          : Exec.Interp.stats);
      List.rev !tapes)
 
+(* One fresh core, as every simulated batch builds; [uarch_consume_mcf]
+   includes one too. *)
+let uarch_create_kernel () =
+  ignore (Sys.opaque_identity (Uarch.Core.create Uarch.Core.default_config) : Uarch.Core.t)
+
 let uarch_consume_kernel () =
   let core = Uarch.Core.create Uarch.Core.default_config in
   List.iter (Uarch.Core.consume core) (Lazy.force mcf_tapes)
@@ -203,6 +208,7 @@ let fastpath_kernels =
     ("lbr_bump_packed_8k", lbr_bump_kernel);
     ("exttsp_score_flat_1000", exttsp_score_kernel);
     ("resolve_batch_mcf_8k", resolve_batch_kernel);
+    ("uarch_create_default", uarch_create_kernel);
     ("uarch_consume_mcf", uarch_consume_kernel);
   ]
 
@@ -267,6 +273,7 @@ let tests () =
     Test.make ~name:"lbr_bump_packed_8k" (Staged.stage lbr_bump_kernel);
     Test.make ~name:"exttsp_score_flat_1000" (Staged.stage exttsp_score_kernel);
     Test.make ~name:"resolve_batch_mcf_8k" (Staged.stage resolve_batch_kernel);
+    Test.make ~name:"uarch_create_default" (Staged.stage uarch_create_kernel);
     Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
   ]
 

@@ -177,6 +177,19 @@ and goto st depth xb nxt kindc =
    end);
   exec_block st depth nxt
 
+(* Each domain keeps one tape between runs, so a run allocates none. A
+   run takes it out of the slot and puts it back after its final flush;
+   a run nested inside a drain finds the slot empty and makes its own. *)
+let spare_tape : Event.tape option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let take_tape () =
+  match Domain.DLS.get spare_tape with
+  | Some tape ->
+    Domain.DLS.set spare_tape None;
+    tape.len <- 0;
+    tape
+  | None -> Event.create_tape ()
+
 (* The drain-based entry point: the engine writes the flat event tape
    and hands full tapes to [drain]. [run] below adapts a closure sink
    onto it, so both observe the identical stream. *)
@@ -190,7 +203,7 @@ let run_tape_internal ?ctx image config ~record ~drain =
   let st =
     {
       image;
-      tape = Event.create_tape ();
+      tape = take_tape ();
       record;
       drain;
       depth_limit = config.call_depth_limit;
@@ -227,6 +240,7 @@ let run_tape_internal ?ctx image config ~record ~drain =
     emit_request st r
   done;
   flush st;
+  Domain.DLS.set spare_tape (Some st.tape);
   {
     blocks_executed = st.s_blocks;
     bytes_fetched = st.s_bytes;

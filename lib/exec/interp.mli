@@ -53,5 +53,11 @@ val run : ?ctx:Support.Ctx.t -> Image.t -> config -> Event.sink -> stats
     returns). Hot consumers pair this with their [consume] drains
     ([Uarch.Core.consume], [Perfmon.Lbr.consume]) to process events
     without closure indirection or float boxing; {!Event.replay} adapts
-    a tape back onto any closure sink. *)
+    a tape back onto any closure sink.
+
+    Each domain keeps one spare tape: a run takes it, and puts it back
+    after its final flush, so runs one after another on a domain
+    allocate no tape. A run started inside [drain] (a nested run) finds
+    no spare and makes its own; its events go to its own [drain] only,
+    and the outer run's tape is left as it was. *)
 val run_tape : ?ctx:Support.Ctx.t -> Image.t -> config -> drain:(Event.tape -> unit) -> stats

@@ -12,6 +12,9 @@ val skylake : params
 
 type t
 
+(** [create p] builds an empty BTB of [p.entries / p.ways] sets.
+    Raises [Invalid_argument] unless [p.ways >= 1] and [p.entries] is a
+    power-of-two multiple of [p.ways]. *)
 val create : params -> t
 
 (** [taken t ~src] records a taken branch at [src]; returns [true] when

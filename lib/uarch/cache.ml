@@ -4,11 +4,17 @@ let l1i_params = { sets = 64; ways = 8; line_bytes = 64 }
 
 let l2_params = { sets = 1024; ways = 16; line_bytes = 64 }
 
+(* A set's lines, most recent first, are [mru.(s)] then the [ways - 1]
+   words of [rest] from [s * (ways - 1)]; -1 marks an empty way. A line
+   reaches [rest] only when a miss pushes it out of [mru], so an empty
+   [mru.(s)] means set [s] is empty. [rest] stays [||] until the first
+   miss on a set that already holds a line (never when [ways = 1]), so
+   a cold cache costs one word per set, and a cache whose sets each
+   see one line never builds the rest. *)
 type t = {
-  ways : int;
-  tags : int array;
-      (** [sets * ways]; each set holds its lines most recent first,
-          -1 = empty way. *)
+  rest_ways : int;  (** [ways - 1]. *)
+  mru : int array;
+  mutable rest : int array;
   line_shift : int;
   set_mask : int;
 }
@@ -17,10 +23,16 @@ let log2 v =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
   go v 0
 
+let is_pow2 n = n >= 1 && n land (n - 1) = 0
+
 let create (p : params) =
+  if not (is_pow2 p.sets && is_pow2 p.line_bytes && p.ways >= 1) then
+    invalid_arg
+      (Printf.sprintf "Cache.create: sets=%d ways=%d line_bytes=%d" p.sets p.ways p.line_bytes);
   {
-    ways = p.ways;
-    tags = Array.make (p.sets * p.ways) (-1);
+    rest_ways = p.ways - 1;
+    mru = Array.make p.sets (-1);
+    rest = [||];
     line_shift = log2 p.line_bytes;
     set_mask = p.sets - 1;
   }
@@ -33,23 +45,36 @@ let rec find (tags : int array) (ln : int) (w : int) (last : int) : int =
   else if Array.unsafe_get tags w = ln then w
   else find tags ln (w + 1) last
 
-(* Move-to-front LRU: a hit at way [w] shifts the ways before it down
-   by one, a miss drops the last way. The set always holds its [ways]
-   most recently used distinct lines, which is exactly what
-   least-recently-used eviction keeps. *)
+let build_rest t =
+  t.rest <- Array.make (Array.length t.mru * t.rest_ways) (-1);
+  t.rest
+
+(* Move-to-front LRU: the probed line becomes the MRU line and the old
+   MRU line goes to the front of [rest]; on a hit at [rest] way [w] the
+   ways before it shift down by one, on a miss the last way drops out.
+   The set always holds its [ways] most recently used distinct lines,
+   which is exactly what least-recently-used eviction keeps. *)
 let access t addr =
   let ln = addr lsr t.line_shift in
-  let tags = t.tags in
-  let base = (ln land t.set_mask) * t.ways in
-  if Array.unsafe_get tags base = ln then true
+  let set = ln land t.set_mask in
+  let m = Array.unsafe_get t.mru set in
+  if m = ln then true
   else begin
-    let last = base + t.ways - 1 in
-    let hit = find tags ln (base + 1) last in
-    for w = (if hit < 0 then last else hit) downto base + 1 do
-      Array.unsafe_set tags w (Array.unsafe_get tags (w - 1))
-    done;
-    Array.unsafe_set tags base ln;
-    hit >= 0
+    Array.unsafe_set t.mru set ln;
+    if m < 0 || t.rest_ways = 0 then false
+    else begin
+      let rest = if Array.length t.rest = 0 then build_rest t else t.rest in
+      let base = set * t.rest_ways in
+      let last = base + t.rest_ways - 1 in
+      let hit = find rest ln base last in
+      for w = (if hit < 0 then last else hit) downto base + 1 do
+        Array.unsafe_set rest w (Array.unsafe_get rest (w - 1))
+      done;
+      Array.unsafe_set rest base m;
+      hit >= 0
+    end
   end
 
-let reset t = Array.fill t.tags 0 (Array.length t.tags) (-1)
+let reset t =
+  Array.fill t.mru 0 (Array.length t.mru) (-1);
+  Array.fill t.rest 0 (Array.length t.rest) (-1)

@@ -80,6 +80,7 @@ let dmiss_penalty = 80.0 (* average L3/DRAM data stall *)
 
 let create (config : config) =
   let d = config.dsb in
+  let dsb = Dsb.create d in
   (* [fetch]'s repeated-line shortcut needs a line's two 32B windows in
      one window or in different DSB sets. *)
   if d.Dsb.windows / d.ways * d.window_bytes < 64 then
@@ -92,7 +93,7 @@ let create (config : config) =
       Tlb.create ~page_scale_bits:config.page_scale_bits config.itlb
         ~hugepages:config.hugepages;
     btb = Btb.create config.btb;
-    dsb = Dsb.create config.dsb;
+    dsb;
     hugepages = config.hugepages;
     c =
       {

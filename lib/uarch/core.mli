@@ -47,9 +47,15 @@ type counters = {
 
 type t
 
-(** [create config] builds a cold core. Raises [Invalid_argument] when
-    the two 32-byte DSB windows of a 64-byte line could share a set
-    (DSB sets times window bytes below 64). *)
+(** [create config] builds a cold core. It allocates one word per set
+    of each structure (the sets' most recent lines) plus a few records:
+    about 10 500 words for {!default_config}. A structure builds the
+    rest of its ways only when some set first needs a second line (see
+    {!Cache}), so an L2 or L3 whose sets each see one line never does.
+    Raises [Invalid_argument] on a geometry {!Cache.create},
+    {!Tlb.create}, {!Btb.create} or {!Dsb.create} rejects, and when the
+    two 32-byte DSB windows of a 64-byte line could share a set (DSB
+    sets times window bytes below 64). *)
 val create : config -> t
 
 (** [sink t] is the event sink to attach to {!Exec.Interp.run}. *)

@@ -13,6 +13,10 @@ val skylake : params
 
 type t
 
+(** [create p] builds an empty DSB of [p.windows / p.ways] sets.
+    Raises [Invalid_argument] unless [p.ways >= 1], [p.windows] is a
+    power-of-two multiple of [p.ways] and [p.window_bytes] is a power
+    of two. *)
 val create : params -> t
 
 (** [access t addr] touches the window containing [addr]; [true] on

@@ -8,6 +8,10 @@ let skylake = { entries_4k = 128; ways_4k = 8; entries_2m = 8 }
 type t = { cache : Cache.t; page_bits : int }
 
 let create ?(page_scale_bits = 0) p ~hugepages =
+  if p.ways_4k < 1 || p.entries_4k mod p.ways_4k <> 0 || p.entries_2m < 1 then
+    invalid_arg
+      (Printf.sprintf "Tlb.create: entries_4k=%d ways_4k=%d entries_2m=%d" p.entries_4k p.ways_4k
+         p.entries_2m);
   (* Pressure-preserving scaling: programs generated at 1/2^k of their
      real size keep realistic TLB pressure when page reach shrinks by
      the same factor. Clamped so pages stay larger than cache lines. *)

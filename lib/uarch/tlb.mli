@@ -18,7 +18,9 @@ type t
     pressure-preserving counterpart to generating programs at reduced
     scale (a 1/64-scale program with 1/64-reach pages sees the paper's
     TLB pressure). Page sizes are clamped to >= 512 B (4K side) and
-    >= 16 KiB (2M side). *)
+    >= 16 KiB (2M side). Raises [Invalid_argument] unless [ways_4k]
+    and [entries_2m] are at least 1 and [entries_4k] is a multiple of
+    [ways_4k], or when {!Cache.create} rejects the side it builds. *)
 val create : ?page_scale_bits:int -> params -> hugepages:bool -> t
 
 (** [access t addr] returns [true] on hit. *)

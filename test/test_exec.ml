@@ -235,18 +235,19 @@ let relink0_image =
      let _, { Linker.Link.binary; _ } = compile_and_link program in
      (program, binary))
 
+(* Every event on a drained tape, appended to [b]. *)
+let record_events b (t : Exec.Event.tape) =
+  for k = 0 to t.len - 1 do
+    Printf.bprintf b "%c %d %d %d\n" (Bytes.get t.tags k) t.a.(k) t.b.(k) t.c.(k)
+  done
+
 (* Every event of a run, in emission order, as one digest. *)
 let run_digest image =
   let b = Buffer.create 65536 in
-  let drain (t : Exec.Event.tape) =
-    for k = 0 to t.len - 1 do
-      Printf.bprintf b "%c %d %d %d\n" (Bytes.get t.tags k) t.a.(k) t.b.(k) t.c.(k)
-    done
-  in
   let stats =
     Exec.Interp.run_tape image
       { Exec.Interp.default_config with requests = Progen.Suite.clang.requests / 16 }
-      ~drain
+      ~drain:(record_events b)
   in
   (stats, Digest.to_hex (Digest.string (Buffer.contents b)))
 
@@ -280,6 +281,50 @@ let test_image_lazy_equals_forced () =
   check tb "same stats" true (fresh_stats = forced_stats);
   check ts "same event tape" forced_tape fresh_tape
 
+(* Runs one after another on a domain share one tape: once a run has
+   put the domain's spare tape back, the next allocates less than one
+   tape (3 int arrays and a tag byte per event of capacity). *)
+let test_run_tape_reuses_tape () =
+  let _, program = medium_program () in
+  let _, image = build_image program in
+  let run () =
+    ignore
+      (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:ignore
+        : Exec.Interp.stats)
+  in
+  run ();
+  let words = allocated_words run in
+  let tape_words = float_of_int ((3 * Exec.Event.tape_capacity) + (Exec.Event.tape_capacity / 8)) in
+  if words >= tape_words then
+    Alcotest.failf "a second run allocated %.0f words, a tape is %.0f" words tape_words
+
+(* A run started from a drain (a nested run) writes its own tape: the
+   outer drain, reading its tape after the nested run returned, and
+   the nested drain each see what their run gives alone. *)
+let test_nested_run_tape () =
+  let program, binary = Lazy.force relink0_image in
+  let outer = Exec.Image.build program binary in
+  let _, inner = build_image (call_program ()) in
+  let config = { Exec.Interp.default_config with requests = 20 } in
+  let alone image =
+    let b = Buffer.create 65536 in
+    ignore (Exec.Interp.run_tape image config ~drain:(record_events b) : Exec.Interp.stats);
+    Digest.string (Buffer.contents b)
+  in
+  let outer_alone = alone outer and inner_alone = alone inner in
+  let ob = Buffer.create 65536 and ib = Buffer.create 4096 and flushes = ref 0 in
+  let drain t =
+    incr flushes;
+    if !flushes = 1 then
+      ignore (Exec.Interp.run_tape inner config ~drain:(record_events ib) : Exec.Interp.stats);
+    record_events ob t
+  in
+  ignore (Exec.Interp.run_tape outer config ~drain : Exec.Interp.stats);
+  check tb "the outer run flushed more than once" true (!flushes > 1);
+  check ts "outer stream" (Digest.to_hex outer_alone) (Digest.to_hex (Digest.string (Buffer.contents ob)));
+  check ts "nested stream" (Digest.to_hex inner_alone) (Digest.to_hex (Digest.string (Buffer.contents ib)));
+  check ts "a later run" (Digest.to_hex outer_alone) (Digest.to_hex (alone outer))
+
 (* The last block of the last function: a profiling run never needs
    it compiled, but the check at build time still finds it missing. *)
 let test_image_missing_block_raises_at_build () =
@@ -312,4 +357,6 @@ let suite =
     Alcotest.test_case "forced image: uids in program order" `Quick test_image_forced_uids;
     Alcotest.test_case "fresh image runs as a forced one" `Quick test_image_lazy_equals_forced;
     Alcotest.test_case "missing block raises at build" `Quick test_image_missing_block_raises_at_build;
+    Alcotest.test_case "a second run reuses the tape" `Quick test_run_tape_reuses_tape;
+    Alcotest.test_case "a nested run writes its own tape" `Quick test_nested_run_tape;
   ]

@@ -51,6 +51,40 @@ let test_cache_reset () =
   Uarch.Cache.reset c;
   check tb "cold after reset" false (Uarch.Cache.access c 4096)
 
+(* Every geometry no cache can model is refused when it is built, not
+   read out of bounds or modelled as another geometry on first use. *)
+let test_bad_geometries_rejected () =
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let cache sets ways line_bytes () =
+    ignore (Uarch.Cache.create { Uarch.Cache.sets; ways; line_bytes } : Uarch.Cache.t)
+  in
+  rejects "cache ways=0" (cache 4 0 64);
+  rejects "cache sets=0" (cache 0 4 64);
+  rejects "cache sets=3" (cache 3 4 64);
+  rejects "cache line_bytes=48" (cache 4 4 48);
+  rejects "cache line_bytes=0" (cache 4 4 0);
+  let tlb p ~hugepages () = ignore (Uarch.Tlb.create p ~hugepages : Uarch.Tlb.t) in
+  rejects "tlb entries_2m=0" (tlb { Uarch.Tlb.skylake with entries_2m = 0 } ~hugepages:true);
+  rejects "tlb ways_4k=0" (tlb { Uarch.Tlb.skylake with ways_4k = 0 } ~hugepages:false);
+  rejects "tlb entries_4k=100" (tlb { Uarch.Tlb.skylake with entries_4k = 100 } ~hugepages:false);
+  let btb entries ways () = ignore (Uarch.Btb.create { Uarch.Btb.entries; ways } : Uarch.Btb.t) in
+  rejects "btb entries=2 ways=4" (btb 2 4);
+  rejects "btb ways=0" (btb 4096 0);
+  let dsb p () = ignore (Uarch.Dsb.create p : Uarch.Dsb.t) in
+  rejects "dsb ways=0" (dsb { Uarch.Dsb.skylake with ways = 0 });
+  rejects "dsb window_bytes=48" (dsb { Uarch.Dsb.skylake with window_bytes = 48 });
+  let core config () = ignore (Uarch.Core.create config : Uarch.Core.t) in
+  let d = Uarch.Core.default_config in
+  rejects "core dsb ways=0" (core { d with dsb = { d.dsb with ways = 0 } });
+  rejects "core btb ways=0" (core { d with btb = { d.btb with ways = 0 } });
+  rejects "core l3 sets=0" (core { d with l3 = { d.l3 with sets = 0 } });
+  rejects "core itlb entries_2m=0"
+    (core { d with hugepages = true; itlb = { d.itlb with entries_2m = 0 } })
+
 (* --- TLB ---------------------------------------------------------- *)
 
 let test_tlb_4k () =
@@ -211,31 +245,61 @@ module Ref_cache = struct
       t.lru.(base + !victim) <- t.clock;
       false
     end
+
+  let reset t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.lru 0 (Array.length t.lru) 0
 end
 
 let pow2 k = 1 lsl k
 
-(* A geometry within sets 1-8, ways 1-16, line bytes 1-64, and an
-   address stream dense enough in its sets to hit and to evict. *)
+type cache_op = Access of int | Reset
+
+(* A geometry within sets 1-1024, ways 1-16, line bytes 1-64, and a
+   stream of probes with an occasional reset. Half the probes fall
+   anywhere in twice the cache's capacity: dense in a few sets, sparse
+   in many, where most sets see one line. The other half land in up to
+   four hot sets, with tags enough to hit and to evict there, so the
+   first set to need a second line often does so mid-stream. *)
 let geometry_stream_gen =
   QCheck.Gen.(
-    let* sets = map pow2 (int_range 0 3) in
+    let* sets = map pow2 (int_range 0 10) in
     let* ways = int_range 1 16 in
     let* line_bytes = map pow2 (int_range 0 6) in
-    let span = 2 * sets * ways * line_bytes in
-    let* addrs = list_size (int_range 1 400) (int_range 0 (span - 1)) in
-    return ({ Uarch.Cache.sets; ways; line_bytes }, addrs))
+    let* hot = array_size (int_range 1 4) (int_range 0 (sets - 1)) in
+    let op =
+      frequency
+        [
+          (20, map (fun a -> Access a) (int_range 0 ((2 * sets * ways * line_bytes) - 1)));
+          ( 20,
+            let* set = oneofa hot
+            and* tag = int_range 0 ((2 * ways) - 1)
+            and* off = int_range 0 (line_bytes - 1) in
+            return (Access ((((tag * sets) + set) * line_bytes) + off)) );
+          (1, return Reset);
+        ]
+    in
+    let* ops = list_size (int_range 1 400) op in
+    return ({ Uarch.Cache.sets; ways; line_bytes }, ops))
 
-let show_geometry (p : Uarch.Cache.params) addrs =
-  Printf.sprintf "sets=%d ways=%d line=%d addrs=[%s]" p.sets p.ways p.line_bytes
-    (String.concat ";" (List.map string_of_int addrs))
+let show_geometry (p : Uarch.Cache.params) ops =
+  Printf.sprintf "sets=%d ways=%d line=%d ops=[%s]" p.sets p.ways p.line_bytes
+    (String.concat ";"
+       (List.map (function Access a -> string_of_int a | Reset -> "reset") ops))
 
 let cache_equals_reference_law =
   QCheck.Test.make ~count:500 ~name:"cache hits equal the stamp-LRU reference"
-    (QCheck.make ~print:(fun (p, addrs) -> show_geometry p addrs) geometry_stream_gen)
-    (fun (p, addrs) ->
+    (QCheck.make ~print:(fun (p, ops) -> show_geometry p ops) geometry_stream_gen)
+    (fun (p, ops) ->
       let c = Uarch.Cache.create p and r = Ref_cache.create p in
-      List.for_all (fun a -> Uarch.Cache.access c a = Ref_cache.access r a) addrs)
+      List.for_all
+        (function
+          | Access a -> Uarch.Cache.access c a = Ref_cache.access r a
+          | Reset ->
+            Uarch.Cache.reset c;
+            Ref_cache.reset r;
+            true)
+        ops)
 
 (* The 2 MiB side is one fully associative set of [entries_2m] ways
    over 2 MiB pages, shrunk by [page_scale_bits] and clamped at
@@ -527,19 +591,69 @@ let mcf_tapes =
          : Exec.Interp.stats);
      Array.of_list (List.rev !tapes))
 
+(* [Core.reset] leaves no trace of what the core drained before: a core
+   that drained some 505.mcf tapes and was reset counts the same as a
+   fresh core on other tapes. Under the default geometry the L2 and L3
+   hold one line per set on mcf and L1i, DSB and BTB fill; in the
+   small front end every structure holds several lines per set. *)
+let core_reset_equals_fresh_law =
+  let configs =
+    [|
+      Uarch.Core.default_config;
+      { Uarch.Core.default_config with hugepages = true; page_scale_bits = 3 };
+      small_config ~hugepages:false ~page_scale_bits:0;
+    |]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* k = int_bound (Array.length configs - 1) in
+      let* before = list_size (int_range 1 6) nat and* after = list_size (int_range 1 6) nat in
+      return (k, before, after))
+  in
+  let print (k, before, after) =
+    let show l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "config=%d before=[%s] after=[%s]" k (show before) (show after)
+  in
+  QCheck.Test.make ~count:30 ~name:"a reset core counts as a fresh one, on 505.mcf tapes"
+    (QCheck.make ~print gen)
+    (fun (k, before, after) ->
+      let tapes = Lazy.force mcf_tapes in
+      let tape i = tapes.(i mod Array.length tapes) in
+      let used = Uarch.Core.create configs.(k) and fresh = Uarch.Core.create configs.(k) in
+      List.iter (fun i -> Uarch.Core.consume used (tape i)) before;
+      Uarch.Core.reset used;
+      List.iter
+        (fun i ->
+          Uarch.Core.consume used (tape i);
+          Uarch.Core.consume fresh (tape i))
+        after;
+      let u = Uarch.Core.counters used and f = Uarch.Core.counters fresh in
+      u = f && Float.equal u.cycles f.cycles)
+
+(* A fresh core costs one word per set of each structure, about 10 500
+   words: the ways past a set's most recent line are built only when
+   some set first needs a second line. Filling every way up front
+   costs over 150 000. *)
+let test_create_allocation () =
+  let words =
+    allocated_words (fun () ->
+        ignore (Uarch.Core.create Uarch.Core.default_config : Uarch.Core.t))
+  in
+  if words > 16384.0 then Alcotest.failf "Core.create allocated %.0f words" words
+
 (* Draining tapes into the model allocates nothing per event: the words
    allocated while [n] real 505.mcf tapes drain into one core stay
    under a bound that does not grow with [n]. One closure or box per
-   cache probe costs thousands of words per tape. *)
+   cache probe costs thousands of words per tape. Words are counted on
+   both heaps, so a large array built inside [consume] shows too. *)
 let test_consume_allocation () =
   let tapes = Lazy.force mcf_tapes in
   let core = Uarch.Core.create Uarch.Core.default_config in
   let drain n =
-    let w0 = Gc.minor_words () in
-    for i = 0 to n - 1 do
-      Uarch.Core.consume core tapes.(i mod Array.length tapes)
-    done;
-    Gc.minor_words () -. w0
+    allocated_words (fun () ->
+        for i = 0 to n - 1 do
+          Uarch.Core.consume core tapes.(i mod Array.length tapes)
+        done)
   in
   ignore (drain 1 : float);
   check tb "several tapes" true (Array.length tapes >= 4);
@@ -582,6 +696,7 @@ let suite =
     Alcotest.test_case "cache: capacity" `Quick test_cache_capacity;
     Alcotest.test_case "cache: LRU eviction" `Quick test_cache_lru;
     Alcotest.test_case "cache: reset" `Quick test_cache_reset;
+    Alcotest.test_case "bad geometries rejected" `Quick test_bad_geometries_rejected;
     Alcotest.test_case "tlb: 4k pages" `Quick test_tlb_4k;
     Alcotest.test_case "tlb: hugepage reach" `Quick test_tlb_2m_reach;
     Alcotest.test_case "tlb: page scaling" `Quick test_tlb_page_scaling;
@@ -598,4 +713,6 @@ let suite =
     Alcotest.test_case "core: DSB windows of a line in two sets" `Quick
       test_core_rejects_shared_dsb_set;
     Alcotest.test_case "core: consume allocation bounded" `Quick test_consume_allocation;
+    Alcotest.test_case "core: create allocation bounded" `Quick test_create_allocation;
+    QCheck_alcotest.to_alcotest core_reset_equals_fresh_law;
   ]

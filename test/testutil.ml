@@ -105,3 +105,18 @@ let run_with_profile ?(requests = 40) program binary =
       (Perfmon.Lbr.collector Perfmon.Lbr.default_config profile)
   in
   (stats, profile)
+
+(* Words [f ()] allocates on the minor and major heaps alike, counted
+   as relinkbench's child counts an op: minor + major - promoted. An
+   array over 256 words goes straight to the major heap, which
+   [Gc.minor_words] alone never sees. A minor collection before each
+   reading flushes the runtime's counters. *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let w0 = words () in
+  f ();
+  words () -. w0
