@@ -203,12 +203,23 @@ let uarch_consume_kernel () =
   let core = Uarch.Core.create Uarch.Core.default_config in
   List.iter (Uarch.Core.consume core) (Lazy.force mcf_tapes)
 
+(* The engine half of a simulated batch: the run [mcf_tapes] copies,
+   with a drain that drops each tape. Beside [uarch_consume_mcf] it
+   splits a batch into engine and model. [exec_50_requests_mcf] runs
+   with [Event.null], which skips the tape writes. *)
+let exec_tape_kernel () =
+  let _, _, _, image, _ = Lazy.force mcf_artifacts in
+  ignore
+    (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:ignore
+      : Exec.Interp.stats)
+
 let fastpath_kernels =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
     ("exttsp_score_flat_1000", exttsp_score_kernel);
     ("resolve_batch_mcf_8k", resolve_batch_kernel);
     ("uarch_create_default", uarch_create_kernel);
+    ("exec_tape_mcf", exec_tape_kernel);
     ("uarch_consume_mcf", uarch_consume_kernel);
   ]
 
@@ -274,6 +285,7 @@ let tests () =
     Test.make ~name:"exttsp_score_flat_1000" (Staged.stage exttsp_score_kernel);
     Test.make ~name:"resolve_batch_mcf_8k" (Staged.stage resolve_batch_kernel);
     Test.make ~name:"uarch_create_default" (Staged.stage uarch_create_kernel);
+    Test.make ~name:"exec_tape_mcf" (Staged.stage exec_tape_kernel);
     Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
   ]
 

@@ -80,11 +80,11 @@ let dmiss_penalty = 80.0 (* average L3/DRAM data stall *)
 
 let create (config : config) =
   let d = config.dsb in
-  let dsb = Dsb.create d in
-  (* [fetch]'s repeated-line shortcut needs a line's two 32B windows in
-     one window or in different DSB sets. *)
-  if d.Dsb.windows / d.ways * d.window_bytes < 64 then
+  (* The DSB's line entries stand for a line's two 32B windows only
+     when those windows sit in two different sets. *)
+  if d.Dsb.ways >= 1 && d.windows / d.ways * d.window_bytes < 64 then
     invalid_arg "Core.create: a line's DSB windows share a set";
+  let dsb = Dsb.create d in
   {
     l1i = Cache.create config.l1i;
     l2 = Cache.create config.l2;
@@ -135,9 +135,8 @@ let fetch t addr len insts =
   (* Touch every 64B line in [addr, addr+len), except a first line that
      the previous fetch touched last: only [fetch] touches L1i, iTLB
      and DSB, so that line is still the most recent way in L1i and in
-     both its DSB windows (different sets, or one window), and its page
-     is [last_page]. Probing it again would hit everywhere and change
-     no state. *)
+     the DSB, and its page is [last_page]. Probing it again would hit
+     everywhere and change no state. *)
   let first_line = addr lsr 6 and last_line = (addr + len - 1) lsr 6 in
   let start = if first_line = t.last_line then first_line + 1 else first_line in
   if last_line >= first_line then t.last_line <- last_line;
@@ -166,13 +165,16 @@ let fetch t addr len insts =
         end
       end
     end;
+    (* The line's two 32B windows, [a] and [a + 32], sit in an even
+       DSB set and the odd set after it. Only this probe reaches the
+       DSB, so both sets see the same lines in the same order and
+       their LRU states move in lockstep: the second window hits
+       exactly when the first did. One line entry stands for both
+       ({!Dsb}). A miss is two window misses, and the penalty is added
+       twice, as two window probes would, so [cycles] rounds alike. *)
     if not (Dsb.access t.dsb a) then begin
-      c.dsb_misses <- c.dsb_misses + 1;
-      add_cycles t dsb_switch_penalty
-    end;
-    (* A second DSB window per line (two 32B windows per 64B line). *)
-    if not (Dsb.access t.dsb (a + 32)) then begin
-      c.dsb_misses <- c.dsb_misses + 1;
+      c.dsb_misses <- c.dsb_misses + 2;
+      add_cycles t dsb_switch_penalty;
       add_cycles t dsb_switch_penalty
     end
   done

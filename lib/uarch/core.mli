@@ -39,7 +39,7 @@ type counters = {
   mutable t2_itlb_stall_miss : int;
   mutable b1_baclears : int;
   mutable b2_taken_branches : int;
-  mutable dsb_misses : int;
+  mutable dsb_misses : int;  (** 32-byte window misses: two per missed line. *)
   mutable cond_branches : int;
   mutable dmisses : int;  (** Uncovered delinquent-load data misses. *)
   mutable cycles : float;
@@ -53,9 +53,11 @@ type t
     rest of its ways only when some set first needs a second line (see
     {!Cache}), so an L2 or L3 whose sets each see one line never does.
     Raises [Invalid_argument] on a geometry {!Cache.create},
-    {!Tlb.create}, {!Btb.create} or {!Dsb.create} rejects, and when the
-    two 32-byte DSB windows of a 64-byte line could share a set (DSB
-    sets times window bytes below 64). *)
+    {!Tlb.create}, {!Btb.create} or {!Dsb.create} rejects, and first of
+    all when the two 32-byte DSB windows of a 64-byte line would share
+    a set (DSB sets times window bytes below 64): the DSB keeps one
+    entry per line, which stands for both windows only when they sit in
+    two sets. *)
 val create : config -> t
 
 (** [sink t] is the event sink to attach to {!Exec.Interp.run}. *)

@@ -9,6 +9,8 @@ type t = {
 }
 
 let create ~lo ~hi ~rows ~cols ~total_requests =
+  if rows < 1 || cols < 1 then
+    invalid_arg (Printf.sprintf "Heatmap.create: rows=%d cols=%d" rows cols);
   {
     lo;
     hi = max (lo + 1) hi;
@@ -31,7 +33,9 @@ let sink t =
         end);
     on_branch = (fun ~src:_ ~dst:_ ~kind:_ ~taken:_ -> ());
     on_dmiss = (fun ~src:_ -> ());
-    on_request = (fun r -> t.col <- r / t.requests_per_col);
+    (* Request [r] completed, so the fetches that follow are request
+       [r + 1]'s. *)
+    on_request = (fun r -> t.col <- (r + 1) / t.requests_per_col);
   }
 
 let cell t ~row ~col = t.grid.(row).(col)

@@ -7,7 +7,10 @@
 type t
 
 (** [create ~lo ~hi ~rows ~cols ~total_requests] builds a collector for
-    addresses in [\[lo, hi)]. *)
+    addresses in [\[lo, hi)]. Column [c] holds the fetches of requests
+    [c * k] to [c * k + k - 1], where [k = max 1 (total_requests / cols)];
+    the last column also holds every later request. Raises
+    [Invalid_argument] unless [rows >= 1] and [cols >= 1]. *)
 val create : lo:int -> hi:int -> rows:int -> cols:int -> total_requests:int -> t
 
 (** [sink t] attaches the collector to an execution run. *)

@@ -77,6 +77,10 @@ let test_bad_geometries_rejected () =
   let dsb p () = ignore (Uarch.Dsb.create p : Uarch.Dsb.t) in
   rejects "dsb ways=0" (dsb { Uarch.Dsb.skylake with ways = 0 });
   rejects "dsb window_bytes=48" (dsb { Uarch.Dsb.skylake with window_bytes = 48 });
+  rejects "dsb window_bytes=16" (dsb { Uarch.Dsb.skylake with window_bytes = 16 });
+  rejects "dsb window_bytes=64" (dsb { Uarch.Dsb.skylake with window_bytes = 64 });
+  rejects "dsb one set" (dsb { Uarch.Dsb.windows = 8; ways = 8; window_bytes = 32 });
+  rejects "dsb sets=3" (dsb { Uarch.Dsb.windows = 6; ways = 2; window_bytes = 32 });
   let core config () = ignore (Uarch.Core.create config : Uarch.Core.t) in
   let d = Uarch.Core.default_config in
   rejects "core dsb ways=0" (core { d with dsb = { d.dsb with ways = 0 } });
@@ -339,6 +343,58 @@ let tlb_equals_reference_law =
       in
       List.for_all (fun a -> Uarch.Tlb.access t a = Ref_cache.access r a) addrs)
 
+type line_op = Line of int | Line_reset
+
+(* The front end probes a line's two 32-byte windows back to back, and
+   nothing else probes the DSB. Then the windows' two sets move in
+   lockstep, so the second window hits exactly when the first did, and
+   one probe of the line's entry hits exactly when both window probes
+   of a stamp-LRU cache over the 32-byte windows hit. Half the lines
+   fall anywhere in twice the DSB's capacity; the other half land in up
+   to three hot line sets, with tags enough to hit and to evict
+   there. *)
+let dsb_equals_two_windows_law =
+  let gen =
+    QCheck.Gen.(
+      let* sets = map pow2 (int_range 1 7) in
+      let* ways = int_range 1 8 in
+      let line_sets = sets / 2 in
+      let* hot = array_size (int_range 1 3) (int_range 0 (line_sets - 1)) in
+      let op =
+        frequency
+          [
+            (20, map (fun l -> Line l) (int_range 0 ((sets * ways) - 1)));
+            ( 20,
+              let* set = oneofa hot and* tag = int_range 0 ((2 * ways) - 1) in
+              return (Line ((tag * line_sets) + set)) );
+            (1, return Line_reset);
+          ]
+      in
+      let* ops = list_size (int_range 1 400) op in
+      return (sets, ways, ops))
+  in
+  let print (sets, ways, ops) =
+    Printf.sprintf "sets=%d ways=%d ops=[%s]" sets ways
+      (String.concat ";"
+         (List.map (function Line l -> string_of_int l | Line_reset -> "reset") ops))
+  in
+  QCheck.Test.make ~count:500 ~name:"dsb line hits equal both window hits of the reference"
+    (QCheck.make ~print gen)
+    (fun (sets, ways, ops) ->
+      let d = Uarch.Dsb.create { Uarch.Dsb.windows = sets * ways; ways; window_bytes = 32 } in
+      let r = Ref_cache.create { Uarch.Cache.sets; ways; line_bytes = 32 } in
+      List.for_all
+        (function
+          | Line l ->
+            let first = Ref_cache.access r (l * 64) in
+            let second = Ref_cache.access r ((l * 64) + 32) in
+            first = second && Uarch.Dsb.access d (l * 64) = (first && second)
+          | Line_reset ->
+            Uarch.Dsb.reset d;
+            Ref_cache.reset r;
+            true)
+        ops)
+
 (* A small front end, so that short random tapes miss in every level. *)
 let small_config ~hugepages ~page_scale_bits =
   {
@@ -352,9 +408,10 @@ let small_config ~hugepages ~page_scale_bits =
     page_scale_bits;
   }
 
-(* [fetch] as the model ran it before the repeated-line shortcut, over
-   reference caches: every line of every fetch is probed. It counts
-   the integer counters only. *)
+(* [fetch] as the model ran it before the repeated-line shortcut and
+   the DSB's line entries, over reference caches: every line of every
+   fetch is probed, and so are both 32-byte DSB windows of each line.
+   It counts the integer counters only. *)
 module Ref_core = struct
   type t = {
     l1i : Ref_cache.t;
@@ -558,8 +615,9 @@ let test_core_reset_forgets_last_line () =
   Uarch.Core.consume core tape;
   check ti "cold L1i miss after reset" 1 (Uarch.Core.counters core).i1_l1i_miss
 
-(* The shortcut is exact only when a line's two DSB windows cannot
-   share a set, so [create] refuses a DSB of one set of 32 B windows. *)
+(* One DSB entry stands for a line's two windows only when they sit in
+   two sets, so [create] refuses a DSB of one set of 32 B windows, and
+   says so before [Dsb.create] rejects the geometry on its own. *)
 let test_core_rejects_shared_dsb_set () =
   let dsb = { Uarch.Dsb.windows = 8; ways = 8; window_bytes = 32 } in
   Alcotest.check_raises "one-set DSB"
@@ -666,29 +724,58 @@ let test_consume_allocation () =
 
 (* --- Heatmap ------------------------------------------------------ *)
 
+(* Request [r]'s fetches are those after request [r - 1] completed;
+   with 20 requests in 4 columns, column [c] holds requests [5c] to
+   [5c + 4], so each column's bytes equal what its requests fetched. *)
 let test_heatmap_accumulates () =
   let program = call_program () in
   let _, { Linker.Link.binary; _ } = compile_and_link program in
-  let hm =
-    Uarch.Heatmap.create ~lo:binary.text_start ~hi:binary.text_end ~rows:8 ~cols:4
-      ~total_requests:20
+  let lo = binary.text_start and hi = binary.text_end in
+  let hm = Uarch.Heatmap.create ~lo ~hi ~rows:8 ~cols:4 ~total_requests:20 in
+  let per_request = Array.make 21 0 and current = ref 0 in
+  let h = Uarch.Heatmap.sink hm in
+  let sink =
+    {
+      h with
+      Exec.Event.on_fetch =
+        (fun addr len insts ->
+          h.on_fetch addr len insts;
+          if addr >= lo && addr < hi then
+            per_request.(!current) <- per_request.(!current) + len);
+      on_request =
+        (fun r ->
+          h.on_request r;
+          current := r + 1);
+    }
   in
   let image = Exec.Image.build program binary in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } (Uarch.Heatmap.sink hm)
+    Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } sink
   in
+  check ti "every request completed" 20 !current;
   check tb "some rows touched" true (Uarch.Heatmap.occupied_rows hm > 0);
-  let total = ref 0 in
-  for r = 0 to 7 do
-    for c = 0 to 3 do
-      total := !total + Uarch.Heatmap.cell hm ~row:r ~col:c
-    done
+  for col = 0 to 3 do
+    let got = ref 0 and want = ref 0 in
+    for row = 0 to 7 do
+      got := !got + Uarch.Heatmap.cell hm ~row ~col
+    done;
+    for r = 5 * col to (5 * col) + 4 do
+      want := !want + per_request.(r)
+    done;
+    check tb (Printf.sprintf "column %d fetched" col) true (!want > 0);
+    check ti (Printf.sprintf "column %d bytes" col) !want !got
   done;
-  check tb "bytes recorded" true (!total > 0);
   let rendered = Uarch.Heatmap.render hm in
   check ti "8 rows rendered" 8 (List.length (String.split_on_char '\n' rendered) - 1);
   check tb "csv has header" true
-    (String.length (Uarch.Heatmap.to_csv hm) > String.length "row,col,bytes\n")
+    (String.length (Uarch.Heatmap.to_csv hm) > String.length "row,col,bytes\n");
+  let rejects name f =
+    match f () with
+    | (_ : Uarch.Heatmap.t) -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "cols=0" (fun () -> Uarch.Heatmap.create ~lo ~hi ~rows:8 ~cols:0 ~total_requests:20);
+  rejects "rows=0" (fun () -> Uarch.Heatmap.create ~lo ~hi ~rows:0 ~cols:4 ~total_requests:20)
 
 let suite =
   [
@@ -708,6 +795,7 @@ let suite =
     Alcotest.test_case "heatmap" `Quick test_heatmap_accumulates;
     QCheck_alcotest.to_alcotest cache_equals_reference_law;
     QCheck_alcotest.to_alcotest tlb_equals_reference_law;
+    QCheck_alcotest.to_alcotest dsb_equals_two_windows_law;
     QCheck_alcotest.to_alcotest consume_equals_sink_law;
     Alcotest.test_case "core: reset forgets the last line" `Quick test_core_reset_forgets_last_line;
     Alcotest.test_case "core: DSB windows of a line in two sets" `Quick
