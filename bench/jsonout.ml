@@ -42,8 +42,11 @@
    judged allowlist ignores it.
    v10: drops the wall-clock "selfspeed" and "parallel" objects and
    config.jobs_sweep. relinkbench measures relink and simulation speed
-   (scaled for host speed), and scripts/check.sh gates on its smokes. *)
-let schema_version = 10
+   (scaled for host speed), and scripts/check.sh gates on its smokes.
+   v11: drops the per-benchmark "fleet" object; the simulated fleet
+   plane is gone, and run_rounds plus the ablation_rounds bench cover
+   the paper's one extra profiling round (§4.6). *)
+let schema_version = 11
 
 let counters_json (c : Uarch.Core.counters) =
   Obs.Json.Obj
@@ -123,55 +126,6 @@ let resilience_json (spec : Progen.Spec.t) =
         Obs.Json.Bool (degraded_total > 0 || String.equal d1 clean_digest) );
     ]
 
-(* The fleet drill: the continuous profile -> relink -> canary loop on
-   a small quiesced fleet (steady traffic, dense sampling, single-round
-   window) so the fixed point is reachable within the drill. Fixed
-   per-machine request count, independent of --json-requests, so the
-   trajectory is comparable across bench files. *)
-let fleet_json (spec : Progen.Spec.t) =
-  let program = Progen.Generate.program spec in
-  let config =
-    {
-      Fleet.Rollout.default_config with
-      machines = 4;
-      cycles = 3;
-      canary = 1;
-      requests = 60;
-      jitter_pct = 0.0;
-      window = 1;
-      lbr = { Fleet.Rollout.default_config.lbr with Perfmon.Lbr.period = 1 };
-    }
-  in
-  let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
-  let r = Fleet.Rollout.run ~config ~ctx ~program ~name:spec.name () in
-  let cycle_json (c : Fleet.Rollout.cycle_report) =
-    Obs.Json.Obj
-      [
-        ("cycle", Obs.Json.Int c.cycle);
-        ("verdict", Obs.Json.String (Fleet.Rollout.verdict_to_string c.verdict));
-        ("cycles_per_request", Obs.Json.Float c.cycles_per_request);
-        ("fall_through_rate", Obs.Json.Float c.fall_through_rate);
-        ("mispredict_rate", Obs.Json.Float c.mispredict_rate);
-        ("requests", Obs.Json.Int c.requests);
-      ]
-  in
-  Obs.Json.Obj
-    [
-      ("machines", Obs.Json.Int config.machines);
-      ("cycles", Obs.Json.Int config.cycles);
-      ("requests_per_machine", Obs.Json.Int config.requests);
-      ("trajectory", Obs.Json.List (List.map cycle_json r.reports));
-      ("promotions", Obs.Json.Int r.promotions);
-      ("rollbacks", Obs.Json.Int r.rollbacks);
-      ("converged", Obs.Json.Bool r.converged);
-      ( "converged_after_relinks",
-        match r.converged_after_relinks with
-        | Some n -> Obs.Json.Int n
-        | None -> Obs.Json.Null );
-      ("final_generation", Obs.Json.Int r.final_generation);
-      ("final_digest", Obs.Json.String r.final_digest);
-    ]
-
 (* The profile-source fidelity gap: how much layout quality hardware
    branch records buy over portable software samples, on this very
    workload. Runs both pipelines (shared metadata build) plus the
@@ -244,7 +198,6 @@ let benchmark_json (spec : Progen.Spec.t) =
           Obs.Json.Obj
             [ ("base", counters_json base); ("propeller", counters_json prop) ] );
         ("resilience", resilience_json spec);
-        ("fleet", fleet_json spec);
         ("fidelity", fidelity_json spec);
         ("layout_search", layout_search_json spec);
       ]

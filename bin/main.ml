@@ -4,7 +4,6 @@
      propeller run -b clang --json           the same run as a diagnostics report
      propeller wpa -b clang --cc-out cc_prof.txt --ld-out ld_prof.txt
      propeller bolt -b clang --lite          the monolithic post-link baseline
-     propeller fleet --machines 4 --cycles 3 --seed 7
      propeller stat {diff,top,fidelity,search} ...
      propeller inspect {annotate,size,paths,diff,validate} ... *)
 
@@ -226,86 +225,6 @@ let bolt_cmd =
       const bolt $ Cli.benchmark_term $ Cli.requests_term
       $ Cli.flag [ "lite" ] "Lightning-BOLT selective processing.")
 
-(* --- fleet ---------------------------------------------------------- *)
-
-(* The continuous profiling loop over a simulated machine fleet (paper
-   §2, Fig 1). Everything runs on simulated clocks: the same flags
-   produce byte-identical reports at any --jobs width. *)
-let fleet benchmark requests profile_source machines cycles canary fleet_requests jitter
-    lbr_period window decay threshold sabotage_cycle json json_out (common : Cli.common) =
-  let ctx = Cli.context common in
-  let recorder = ctx.Support.Ctx.recorder in
-  Cli.with_flight_guard recorder @@ fun () ->
-  let spec = Cli.lookup_spec ~benchmark ~requests in
-  let config =
-    {
-      Fleet.Rollout.default_config with
-      machines;
-      cycles;
-      canary;
-      requests = Option.value fleet_requests ~default:spec.requests;
-      jitter_pct = jitter;
-      lbr = { Fleet.Rollout.default_config.lbr with Perfmon.Lbr.period = lbr_period };
-      profile_source;
-      seed = Option.value common.seed ~default:Fleet.Rollout.default_config.seed;
-      window;
-      decay;
-      threshold_pct = threshold;
-      sabotage_cycle;
-      core = Diagnostics.Measure.core_config spec;
-    }
-  in
-  if not json then
-    Printf.printf "fleet loop on %s: %d machines, %d cycles...\n%!" spec.name machines cycles;
-  let program = Progen.Generate.program spec in
-  let result = Fleet.Rollout.run ~config ~ctx ~program ~name:spec.name () in
-  (* A rollback is a caught degradation: surface the flight recorder's
-     verdict trail the same way fault drills do. *)
-  if result.rollbacks > 0 && not json then begin
-    prerr_endline "rollback occurred; flight recorder dump follows:";
-    prerr_string (Obs.Recorder.flight_dump recorder)
-  end;
-  let rendered_json = Cli.json_string (Fleet.Rollout.to_json result) in
-  print_string (if json then rendered_json else Fleet.Rollout.report result);
-  Option.iter
-    (fun file ->
-      Cli.write_file file rendered_json;
-      if not json then Printf.printf "fleet report: %s (valid JSON)\n" file)
-    json_out;
-  Cli.export recorder common
-
-let fleet_cmd =
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Run the continuous profile/relink/canary loop on a simulated fleet and report its \
-          health: sharded aggregation, canary-judged relinks.")
-    Term.(
-      const fleet $ Cli.benchmark_term $ Cli.requests_term $ Cli.profile_source_term
-      $ Cli.opt Arg.int 4 [ "machines" ] "N" "Fleet size (at least 2)."
-      $ Cli.opt Arg.int 3 [ "cycles" ] "K" "Optimization cycles to run."
-      $ Cli.opt Arg.int 1 [ "canary" ] "N"
-          "Canary slice size for candidate pushes (clamped to machines - 1)."
-      $ Cli.opt Arg.(some int) None [ "fleet-requests" ] "R"
-          "Mean requests per machine per serve round (default: the benchmark's request \
-           count). Per-round traffic jitters deterministically around this mean."
-      $ Cli.opt Arg.float 0.2 [ "jitter" ] "F"
-          "Traffic spread around the per-round request mean, as a fraction in [0,1]."
-      $ Cli.opt Arg.int 13 [ "lbr-period" ] "N"
-          "Taken branches between LBR samples on the fleet tier. Production fleets sample \
-           sparsely per machine and recover density by merging shards; the simulated fleet \
-           defaults denser so per-round profiles are stable."
-      $ Cli.opt Arg.int 4 [ "window" ] "ROUNDS" "Profile aggregation window, in serve rounds."
-      $ Cli.opt Arg.float 0.5 [ "decay" ] "F" "Per-round decay of older profile shards, in [0,1]."
-      $ Cli.opt Arg.float 5.0 [ "threshold" ] "PCT" "Canary-vs-control regression threshold."
-      $ Cli.opt Arg.(some int) None [ "sabotage-cycle" ] "C"
-          "Deploy a deliberately pathological candidate at cycle $(docv) — the \
-           stale-profile drill; the canary judge must catch it and roll back."
-      $ Cli.flag [ "json" ] "Print the fleet report as JSON instead of text."
-      $ Cli.opt Arg.(some string) None [ "json-out" ] "FILE"
-          "Also write the JSON fleet report to $(docv)."
-      $ Cli.common_term)
-
 (* --- stat ----------------------------------------------------------- *)
 
 let stat_diff baseline_file current_file threshold quiet =
@@ -476,6 +395,6 @@ let stat_cmd =
 let cmd =
   Cmd.group
     (Cmd.info "propeller" ~doc:"Profile guided, relinking optimizer")
-    [ run_cmd; wpa_cmd; bolt_cmd; fleet_cmd; stat_cmd; Inspect_cmd.cmd ]
+    [ run_cmd; wpa_cmd; bolt_cmd; stat_cmd; Inspect_cmd.cmd ]
 
 let () = exit (Cmd.eval cmd)

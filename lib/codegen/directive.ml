@@ -47,14 +47,6 @@ let find t func = List.find_opt (fun p -> String.equal p.func func) t
 
 let kind_to_text = function Primary -> "primary" | Cold -> "cold" | Extra n -> string_of_int n
 
-let kind_of_text = function
-  | "primary" -> Ok Primary
-  | "cold" -> Ok Cold
-  | s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok (Extra n)
-    | Some _ | None -> Error (Printf.sprintf "bad cluster kind %S" s))
-
 let to_text t =
   let buf = Buffer.create 1024 in
   List.iter
@@ -68,43 +60,3 @@ let to_text t =
         p.clusters)
     t;
   Buffer.contents buf
-
-let of_text s =
-  let lines = String.split_on_char '\n' s in
-  let finish cur acc =
-    match cur with
-    | None -> acc
-    | Some (func, clusters) -> { func; clusters = List.rev clusters } :: acc
-  in
-  let rec loop cur acc = function
-    | [] -> Ok (List.rev (finish cur acc))
-    | line :: rest ->
-      let line = String.trim line in
-      if line = "" then loop cur acc rest
-      else if String.length line >= 2 && String.sub line 0 2 = "!!" then begin
-        match cur with
-        | None -> Error "cluster line before any function line"
-        | Some (func, clusters) -> (
-          let parts =
-            String.split_on_char ' ' (String.sub line 2 (String.length line - 2))
-            |> List.filter (fun x -> x <> "")
-          in
-          match parts with
-          | [] -> Error "empty cluster line"
-          | kind_text :: blocks_text -> (
-            match kind_of_text kind_text with
-            | Error e -> Error e
-            | Ok kind -> (
-              let blocks = List.map int_of_string_opt blocks_text in
-              if List.exists Option.is_none blocks then
-                Error (Printf.sprintf "bad block id in %S" line)
-              else
-                let blocks = List.map Option.get blocks in
-                loop (Some (func, { kind; blocks } :: clusters)) acc rest)))
-      end
-      else if line.[0] = '!' then
-        let acc = finish cur acc in
-        loop (Some (String.sub line 1 (String.length line - 1), [])) acc rest
-      else Error (Printf.sprintf "unparsable line %S" line)
-  in
-  loop None [] lines

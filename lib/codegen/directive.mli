@@ -32,5 +32,3 @@ val find : t -> string -> func_plan option
 (** Serialization in the spirit of the [cc_prof.txt] exchange format:
     ["!func"] introduces a function, ["!!kind 0 3 7"] one cluster. *)
 val to_text : t -> string
-
-val of_text : string -> (t, string) result

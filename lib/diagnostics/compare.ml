@@ -30,16 +30,6 @@ let judged =
     r "layout_quality.blocks_missing" Lower;
   ]
 
-(* The canary judgment allowlist: the per-machine time-series a fleet
-   rollout compares between the canary slice and the control slice.
-   All three are simulated (no wall-clock noise). *)
-let fleet_rules =
-  [
-    rule "fleet.cycles_per_request" Lower;
-    rule "fleet.fall_through_rate" Higher;
-    rule "fleet.mispredict_rate" Lower;
-  ]
-
 (* Flatten numeric leaves to dotted paths. List elements keyed by their
    "name" member when present (stable under reordering), else by index. *)
 let flatten json =
@@ -70,14 +60,14 @@ let suffix_matches key rule =
   && String.sub key (lk - ls) ls = rule.suffix
   && (lk = ls || key.[lk - ls - 1] = '.')
 
-let judge rules key = List.find_opt (suffix_matches key) rules
+let judge key = List.find_opt (suffix_matches key) judged
 
 let schema_version json =
   match Obs.Json.member "schema_version" json with
   | Some (Obs.Json.Int v) -> Ok v
   | _ -> Error "missing or non-integer schema_version"
 
-let compare ?(threshold_pct = 5.0) ?(rules = judged) ~baseline ~current () =
+let compare ?(threshold_pct = 5.0) ~baseline ~current () =
   match (baseline, current) with
   | Obs.Json.Obj _, Obs.Json.Obj _ -> (
     match (schema_version baseline, schema_version current) with
@@ -107,7 +97,7 @@ let compare ?(threshold_pct = 5.0) ?(rules = judged) ~baseline ~current () =
       let verdicts = ref [] and missing = ref [] in
       List.iter
         (fun key ->
-          match judge rules key with
+          match judge key with
           | None -> ()
           | Some rule -> (
             let base = Hashtbl.find fb key in
@@ -136,7 +126,7 @@ let compare ?(threshold_pct = 5.0) ?(rules = judged) ~baseline ~current () =
       let gained =
         Hashtbl.fold
           (fun k v acc ->
-            if judge rules k <> None && not (Hashtbl.mem fb k) then (k, v) :: acc else acc)
+            if judge k <> None && not (Hashtbl.mem fb k) then (k, v) :: acc else acc)
           fc []
         |> List.sort Stdlib.compare
       in

@@ -45,21 +45,13 @@ type outcome = {
 (** The allowlist of judged metrics. *)
 val judged : rule list
 
-(** The canary-judgment allowlist of a fleet rollout: per-machine
-    time-series aggregates ([fleet.cycles_per_request],
-    [fleet.fall_through_rate], [fleet.mispredict_rate]) compared
-    between a canary slice and its control slice. *)
-val fleet_rules : rule list
-
-(** [compare ?threshold_pct ?rules ~baseline ~current] diffs two parsed
-    bench JSON trees under the [rules] allowlist (default {!judged};
-    fleet rollouts pass {!fleet_rules}). Errors on non-object input or
-    when the baseline's schema_version is *newer* than the current
-    file's; an older baseline degrades gracefully (see [notes]).
-    [threshold_pct] defaults to 5.0. *)
+(** [compare ?threshold_pct ~baseline ~current] diffs two parsed
+    bench JSON trees under the {!judged} allowlist. Errors on
+    non-object input or when the baseline's schema_version is *newer*
+    than the current file's; an older baseline degrades gracefully (see
+    [notes]). [threshold_pct] defaults to 5.0. *)
 val compare :
   ?threshold_pct:float ->
-  ?rules:rule list ->
   baseline:Obs.Json.t ->
   current:Obs.Json.t ->
   unit ->

@@ -24,7 +24,7 @@ type t = {
 
 (* Ground-truth measurement of one binary: simulated cycles from the
    core model and the achieved fall-through rate from the interpreter's
-   retired-branch statistics (same definition as Fleet.Machine). *)
+   retired-branch statistics. *)
 let measure ~ctx ~core ~requests ~program binary =
   let image = Exec.Image.build program binary in
   let c = Uarch.Core.create core in

@@ -51,8 +51,8 @@ val resolve : t -> int -> resolution
     The allocation-free face of the resolver: blocks addressed by their
     position in final address order, lookups over sorted flat int
     arrays ({!Support.Isearch}). The fast path for bulk consumers
-    (annotation, fleet profile translation) that resolve every record
-    of a profile and only need the owning block. *)
+    (annotation) that resolve every record of a profile and only need
+    the owning block. *)
 
 val num_blocks : t -> int
 
@@ -65,10 +65,6 @@ val find_block_index : t -> int -> int
 val block_at : t -> int -> Linker.Binary.block_info
 (** The block at an address-order index returned by
     {!find_block_index}/{!resolve_batch}. *)
-
-val location_at : t -> int -> location
-(** [location_at t i] is {!block_at}[ t i] as a location at its first
-    byte ([offset = 0]), with its placed section and fragment. *)
 
 val resolve_batch : t -> int array -> int array
 (** [resolve_batch t queries] resolves a whole batch of addresses to

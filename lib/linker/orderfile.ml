@@ -8,16 +8,4 @@ let to_text syms =
     syms;
   Buffer.contents buf
 
-let of_text s =
-  let seen = Hashtbl.create 64 in
-  String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None
-         else if Hashtbl.mem seen line then None
-         else begin
-           Hashtbl.add seen line ();
-           Some line
-         end)
-
 let validate ~known syms = List.partition known syms

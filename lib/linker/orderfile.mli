@@ -1,13 +1,10 @@
 (** Symbol ordering files ([--symbol-ordering-file], the [ld_prof.txt]
-    of Fig 1): one symbol per line, ['#'] comments and blank lines
-    ignored, duplicates dropped (first occurrence wins) — the semantics
-    modern linkers implement. *)
+    of Fig 1): one symbol per line. Modern linkers reading one ignore
+    ['#'] comments and blank lines and keep the first of duplicates.
+    The tool writes these files; nothing here reads them back. *)
 
 (** [to_text syms] renders an ordering file with a header comment. *)
 val to_text : string list -> string
-
-(** [of_text s] parses an ordering file. *)
-val of_text : string -> string list
 
 (** [validate ~known syms] partitions the ordering into symbols the
     binary defines and spurious leftovers (e.g. stale profiles naming

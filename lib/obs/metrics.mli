@@ -48,8 +48,8 @@ val summary : t -> string -> summary option
 (** {2 Summary statistics}
 
     The one implementation of the rules the summaries use, shared with
-    {!Timeseries} and [Support.Stats] so every figure in an export or a
-    bench report follows the same rule. *)
+    [Support.Stats] so every figure in an export or a bench report
+    follows the same rule. *)
 
 (** [percentile p xs] is the [p]-th percentile (0..100) by linear
     interpolation between closest ranks on a sorted copy (numpy's

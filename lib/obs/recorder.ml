@@ -46,12 +46,11 @@ let with_span ?args t name f =
       Flight.record t.flight ~sim:(Clock.now t.clk) Flight.Span_end name "")
     (fun () -> Trace.with_span ?args t.trace name f)
 
-let emit_span ?pid ?tid ?args t name ~start ~duration =
+let emit_span ?tid ?args t name ~start ~duration =
   Flight.record t.flight ~sim:(Clock.now t.clk) Flight.Span_complete name
-    (Printf.sprintf "start=%.6f dur=%.6f%s%s" start duration
-       (match pid with None -> "" | Some pid -> Printf.sprintf " pid=%d" pid)
+    (Printf.sprintf "start=%.6f dur=%.6f%s" start duration
        (match tid with None -> "" | Some tid -> Printf.sprintf " tid=%d" tid));
-  Trace.complete ?pid ?tid ?args t.trace name ~start ~duration
+  Trace.complete ?tid ?args t.trace name ~start ~duration
 
 let now t = Clock.now t.clk
 

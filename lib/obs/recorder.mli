@@ -48,11 +48,9 @@ val reset : t -> unit
 val with_span : ?args:(string * Trace.arg) list -> t -> string -> (unit -> 'a) -> 'a
 
 (** [emit_span t name ~start ~duration] forwards to {!Trace.complete}:
-    an externally-timed span, placed on process [pid] / lane [tid]
-    (per-domain fan-out reporting for parallel phases; per-machine
-    process groups for fleet runs). *)
+    an externally-timed span, placed on lane [tid] (per-domain fan-out
+    reporting for parallel phases). *)
 val emit_span :
-  ?pid:int ->
   ?tid:int ->
   ?args:(string * Trace.arg) list ->
   t ->

@@ -6,7 +6,6 @@ type span = {
   start : float;
   duration : float;
   depth : int;
-  pid : int;
   tid : int;
   args : (string * arg) list;
 }
@@ -21,20 +20,9 @@ type t = {
   mutable completed : span list;  (* reverse completion order *)
   mutable samples : counter_sample list;  (* reverse order *)
   mutable next_id : int;
-  mutable process_names : (int * string) list;  (* pid -> display name *)
-  mutable thread_names : ((int * int) * string) list;  (* (pid, tid) -> name *)
 }
 
-let create clk =
-  {
-    clk;
-    stack = [];
-    completed = [];
-    samples = [];
-    next_id = 0;
-    process_names = [];
-    thread_names = [];
-  }
+let create clk = { clk; stack = []; completed = []; samples = []; next_id = 0 }
 
 let with_span ?(args = []) t name f =
   let o = { oid = t.next_id; oname = name; ostart = Clock.now t.clk; oargs = args } in
@@ -51,24 +39,17 @@ let with_span ?(args = []) t name f =
           start = o.ostart;
           duration = Clock.now t.clk -. o.ostart;
           depth;
-          pid = 1;
           tid = 1;
           args = o.oargs;
         }
         :: t.completed)
     f
 
-let complete ?(pid = 1) ?(tid = 1) ?(args = []) t name ~start ~duration =
+let complete ?(tid = 1) ?(args = []) t name ~start ~duration =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   t.completed <-
-    { id; name; start; duration; depth = List.length t.stack; pid; tid; args } :: t.completed
-
-let set_process_name t ~pid name =
-  t.process_names <- (pid, name) :: List.remove_assoc pid t.process_names
-
-let set_thread_name t ~pid ~tid name =
-  t.thread_names <- ((pid, tid), name) :: List.remove_assoc (pid, tid) t.thread_names
+    { id; name; start; duration; depth = List.length t.stack; tid; args } :: t.completed
 
 let set_args t args =
   match t.stack with
@@ -102,7 +83,7 @@ let span_event s =
       ("ph", Json.String "X");
       ("ts", Json.Int (usec s.start));
       ("dur", Json.Int (usec s.duration));
-      ("pid", Json.Int s.pid);
+      ("pid", Json.Int 1);
       ("tid", Json.Int s.tid);
     ]
   in
@@ -120,32 +101,6 @@ let counter_event c =
       ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) c.values));
     ]
 
-(* Perfetto groups lanes by these "ph":"M" metadata events; they carry
-   no timestamp and sort to the head of the event list, one per named
-   pid/tid, pid-ascending so exports stay byte-stable. *)
-let metadata_events t =
-  let process (pid, name) =
-    Json.Obj
-      [
-        ("name", Json.String "process_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
-      ]
-  in
-  let thread ((pid, tid), name) =
-    Json.Obj
-      [
-        ("name", Json.String "thread_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int tid);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
-      ]
-  in
-  List.map process (List.sort compare t.process_names)
-  @ List.map thread (List.sort compare t.thread_names)
-
 let to_chrome_json t =
   let samples =
     List.stable_sort (fun a b -> compare (a.ts, a.cname) (b.ts, b.cname)) t.samples
@@ -154,8 +109,7 @@ let to_chrome_json t =
     [
       ( "traceEvents",
         Json.List
-          (metadata_events t @ List.map span_event (spans t)
-          @ List.map counter_event samples) );
+          (List.map span_event (spans t) @ List.map counter_event samples) );
       ("displayTimeUnit", Json.String "ms");
     ]
 
@@ -163,6 +117,4 @@ let reset t =
   t.stack <- [];
   t.completed <- [];
   t.samples <- [];
-  t.next_id <- 0;
-  t.process_names <- [];
-  t.thread_names <- []
+  t.next_id <- 0

@@ -7,9 +7,9 @@
 
     {!to_chrome_json} exports everything in the Chrome trace-event
     format (an object with a ["traceEvents"] array of ["ph":"X"]
-    complete-duration events and ["ph":"C"] counter events), directly
-    loadable in Perfetto / chrome://tracing. Timestamps are integral
-    microseconds of simulated time. *)
+    complete-duration events and ["ph":"C"] counter events, all on
+    process 1), directly loadable in Perfetto / chrome://tracing.
+    Timestamps are integral microseconds of simulated time. *)
 
 type arg = Int of int | Float of float | Str of string
 
@@ -19,9 +19,6 @@ type span = {
   start : float;  (** Simulated seconds at open. *)
   duration : float;  (** Simulated seconds between open and close. *)
   depth : int;  (** Nesting depth; 0 for top-level spans. *)
-  pid : int;  (** Chrome-trace process group; 1 for the coordinator,
-                  one pid per fleet machine so Perfetto groups their
-                  lanes under a named process. *)
   tid : int;  (** Chrome-trace lane; 1 for stack spans, one lane per
                   pool domain for parallel fan-out spans. *)
   args : (string * arg) list;
@@ -36,15 +33,12 @@ val create : Clock.t -> t
     so the trace stays well-nested). *)
 val with_span : ?args:(string * arg) list -> t -> string -> (unit -> 'a) -> 'a
 
-(** [complete ?pid ?tid ?args t name ~start ~duration] records an
-    already-timed span on process [pid] (default 1), lane [tid]
-    (default 1). This is how parallel phases report per-domain fan-out
-    — the coordinator commits one span per worker domain after the
-    batch, keeping the trace deterministic in structure while exposing
-    the concurrency in Perfetto — and how fleet runs give every
-    simulated machine its own process group. *)
+(** [complete ?tid ?args t name ~start ~duration] records an
+    already-timed span on lane [tid] (default 1). This is how parallel
+    phases report per-domain fan-out — the coordinator commits one span
+    per worker domain after the batch, keeping the trace deterministic
+    in structure while exposing the concurrency in Perfetto. *)
 val complete :
-  ?pid:int ->
   ?tid:int ->
   ?args:(string * arg) list ->
   t ->
@@ -52,15 +46,6 @@ val complete :
   start:float ->
   duration:float ->
   unit
-
-(** [set_process_name t ~pid name] attaches a human-readable name to a
-    Chrome-trace process group, exported as a ["ph":"M"]
-    ["process_name"] metadata event; the last call per pid wins. *)
-val set_process_name : t -> pid:int -> string -> unit
-
-(** [set_thread_name t ~pid ~tid name] names one lane of a process
-    group (["thread_name"] metadata). *)
-val set_thread_name : t -> pid:int -> tid:int -> string -> unit
 
 (** [set_args t args] appends [args] to the innermost open span (for
     values only known at the end of the work). No-op when no span is

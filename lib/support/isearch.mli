@@ -2,11 +2,10 @@
 
     The one covering search of the code base: every address-to-block
     lookup ([Linker.Binary.find_block_by_addr], [Propeller.Dcfg]'s
-    address-map index, [Inspect.Resolve] for blocks and sections,
-    [Fleet.Aggregate]) calls it. Intervals are given as parallel
-    [addrs] (ascending start addresses) and [sizes] arrays; a query
-    returns the index of the interval covering it. Intervals are
-    assumed disjoint.
+    address-map index, [Inspect.Resolve] for blocks and sections)
+    calls it. Intervals are given as parallel [addrs] (ascending start
+    addresses) and [sizes] arrays; a query returns the index of the
+    interval covering it. Intervals are assumed disjoint.
 
     {b Known miss.} The search compares the probe with the midpoint
     interval only. When a non-empty interval starting at [a] sorts

@@ -15,7 +15,6 @@ let () =
       ("perfmon", Test_perfmon.suite);
       ("uarch", Test_uarch.suite);
       ("obs", Test_obs.suite);
-      ("timeseries", Test_timeseries.suite);
       ("selfprof", Test_selfprof.suite);
       ("buildsys", Test_buildsys.suite);
       ("propeller", Test_propeller.suite);
@@ -25,6 +24,5 @@ let () =
       ("inspect", Test_inspect.suite);
       ("integration", Test_integration.suite);
       ("addr-index", Test_addr_index.suite);
-      ("fleet", Test_fleet.suite);
       ("properties", Test_properties.suite);
     ]

@@ -185,33 +185,6 @@ let test_inline_asm_plan_ignored () =
 
 (* --- Directive serialization -------------------------------------- *)
 
-let test_directive_roundtrip () =
-  let t =
-    [
-      {
-        Codegen.Directive.func = "foo";
-        clusters =
-          [
-            { Codegen.Directive.kind = Codegen.Directive.Primary; blocks = [ 0; 3; 1 ] };
-            { Codegen.Directive.kind = Codegen.Directive.Cold; blocks = [ 2 ] };
-            { Codegen.Directive.kind = Codegen.Directive.Extra 1; blocks = [ 4; 5 ] };
-          ];
-      };
-      {
-        Codegen.Directive.func = "bar";
-        clusters = [ { Codegen.Directive.kind = Codegen.Directive.Primary; blocks = [ 0 ] } ];
-      };
-    ]
-  in
-  match Codegen.Directive.of_text (Codegen.Directive.to_text t) with
-  | Ok t' -> check tb "round trip" true (t = t')
-  | Error e -> Alcotest.fail e
-
-let test_directive_parse_errors () =
-  check tb "cluster before func" true (Result.is_error (Codegen.Directive.of_text "!!primary 0"));
-  check tb "garbage" true (Result.is_error (Codegen.Directive.of_text "hello"));
-  check tb "bad block id" true (Result.is_error (Codegen.Directive.of_text "!f\n!!primary x"))
-
 let test_directive_validate () =
   let plan clusters = { Codegen.Directive.func = "f"; clusters } in
   let primary blocks = { Codegen.Directive.kind = Codegen.Directive.Primary; blocks } in
@@ -246,8 +219,6 @@ let suite =
     Alcotest.test_case "compile unit sections" `Quick test_compile_unit_sections;
     Alcotest.test_case "eh_frame grows with clusters" `Quick test_eh_frame_grows_with_clusters;
     Alcotest.test_case "inline asm plan ignored" `Quick test_inline_asm_plan_ignored;
-    Alcotest.test_case "directive round trip" `Quick test_directive_roundtrip;
-    Alcotest.test_case "directive parse errors" `Quick test_directive_parse_errors;
     Alcotest.test_case "directive validation" `Quick test_directive_validate;
     Alcotest.test_case "directive symbols" `Quick test_directive_symbols;
   ]

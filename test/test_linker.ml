@@ -393,16 +393,6 @@ let test_pinned_outputs () =
 
 (* --- Orderfile ----------------------------------------------------- *)
 
-let test_orderfile_roundtrip () =
-  let syms = [ "main"; "foo"; "foo.cold"; "bar.2" ] in
-  check Alcotest.(list string) "round trip" syms
-    (Linker.Orderfile.of_text (Linker.Orderfile.to_text syms))
-
-let test_orderfile_parsing () =
-  let text = "# comment\nmain\n\n  foo  \nmain\n# more\nbar\n" in
-  check Alcotest.(list string) "comments, blanks, dups handled" [ "main"; "foo"; "bar" ]
-    (Linker.Orderfile.of_text text)
-
 let test_orderfile_validate () =
   let known = function "a" | "b" -> true | _ -> false in
   let ok, stale = Linker.Orderfile.validate ~known [ "a"; "zzz"; "b" ] in
@@ -412,8 +402,6 @@ let test_orderfile_validate () =
 let suite =
   [
     Alcotest.test_case "addresses disjoint and bounded" `Quick test_addresses_disjoint_sorted;
-    Alcotest.test_case "orderfile round trip" `Quick test_orderfile_roundtrip;
-    Alcotest.test_case "orderfile parsing" `Quick test_orderfile_parsing;
     Alcotest.test_case "orderfile validate" `Quick test_orderfile_validate;
     Alcotest.test_case "entry resolution" `Quick test_entry_resolution;
     Alcotest.test_case "relaxation deletes fallthroughs" `Quick test_relaxation_deletes_fallthrough;

@@ -281,6 +281,32 @@ let test_run_rounds () =
   in
   check tb "round 2 at least as good" true (cycles r2 <= cycles r1 *. 1.01)
 
+(* Paper §4.6's extra profiling round settles the global function order:
+   on 505.mcf with every taken branch sampled, round 3 orders functions
+   exactly as round 2 did. Only the order is pinned. A few function
+   plans keep moving every round, so the image digest does not repeat
+   (EXPERIMENTS.md, "Iterated profiling"). *)
+let test_run_rounds_ordering_settles () =
+  let requests = 60 in
+  let program =
+    Progen.Generate.program
+      { (Option.get (Progen.Suite.by_name "505.mcf")) with Progen.Spec.requests }
+  in
+  let config =
+    {
+      Propeller.Pipeline.default_config with
+      lbr = { Propeller.Pipeline.default_config.lbr with Perfmon.Lbr.period = 1 };
+      profile_run = { Exec.Interp.default_config with requests };
+    }
+  in
+  match
+    Propeller.Pipeline.run_rounds ~rounds:3 ~config ~env:(Buildsys.Driver.make_env ()) ~program
+      ~name:"mcf" ()
+  with
+  | [ _; r2; r3 ] ->
+    check Alcotest.(list string) "round 3 ordering = round 2" r2.wpa.ordering r3.wpa.ordering
+  | rs -> Alcotest.failf "expected 3 rounds, got %d" (List.length rs)
+
 (* --- Incremental relink cache -------------------------------------- *)
 
 let test_incremental_layout_cache () =
@@ -550,6 +576,8 @@ let suite =
     Alcotest.test_case "wpa: incremental layout cache" `Quick test_incremental_layout_cache;
     Alcotest.test_case "wpa: resource model" `Quick test_wpa_resource_model;
     Alcotest.test_case "pipeline: multi-round" `Slow test_run_rounds;
+    Alcotest.test_case "pipeline: extra round settles the ordering" `Slow
+      test_run_rounds_ordering_settles;
     Alcotest.test_case "wpa: shard-drop accounting" `Quick test_wpa_shard_drop_accounting;
     Alcotest.test_case "sampled: pipeline shape" `Quick test_sampled_pipeline_shape;
     Alcotest.test_case "sampled: deterministic relink" `Quick test_sampled_pipeline_deterministic;
