@@ -29,24 +29,27 @@ let exttsp_test name ~use_pqueue ~n =
   let params = { Layout.Exttsp.default_params with use_pqueue } in
   Test.make ~name (Staged.stage (fun () -> ignore (Layout.Exttsp.order ~params problem)))
 
-(* Every multi-block function of relink program 0: clang's shape at a
-   quarter of its units and functions per unit, seeded as program 0 of
-   the relink benchmark's default run (seed 101), after inlining. *)
-let relink_prog0_funcs =
+(* Relink program 0: clang's shape at a quarter of its units and
+   functions per unit, seeded as program 0 of the relink benchmark's
+   default run (seed 101), after inlining. *)
+let relink_prog0 =
   lazy
     (let clang = Progen.Suite.clang in
      let run = Support.Rng.next (Support.Rng.create 101L) in
      let seed = Support.Rng.next (Support.Rng.split (Support.Rng.create run) 0) in
-     let program =
-       Codegen.Inline.program
-         (Progen.Generate.program
-            {
-              clang with
-              Progen.Spec.num_units = clang.num_units / 4;
-              funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
-              seed;
-            })
-     in
+     Codegen.Inline.program
+       (Progen.Generate.program
+          {
+            clang with
+            Progen.Spec.num_units = clang.num_units / 4;
+            funcs_per_unit_mean = clang.funcs_per_unit_mean /. 4.0;
+            seed;
+          }))
+
+(* Every multi-block function of relink program 0. *)
+let relink_prog0_funcs =
+  lazy
+    (let program = Lazy.force relink_prog0 in
      let funcs = ref [] in
      Ir.Program.iter_funcs program (fun f -> if Ir.Func.num_blocks f > 1 then funcs := f :: !funcs);
      List.rev !funcs)
@@ -213,6 +216,23 @@ let exec_tape_kernel () =
     (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:ignore
       : Exec.Interp.stats)
 
+(* The digest layer of a cold relink of program 0: every function
+   digest (past the memo), every unit action key under the metadata
+   options, and every object digest of the metadata build. The objects
+   are compiled before timing. *)
+let unit_keys_fixture =
+  lazy
+    (let program = Lazy.force relink_prog0 in
+     let options, _ = Propeller.Pipeline.metadata_options in
+     (program, options, Codegen.compile_program options program))
+
+let unit_keys_kernel () =
+  let program, options, objs = Lazy.force unit_keys_fixture in
+  let digest d = ignore (d : Support.Digesting.t) in
+  Ir.Program.iter_funcs program (fun f -> digest (Buildsys.Driver.func_digest_uncached f));
+  List.iter (fun u -> digest (Buildsys.Driver.unit_action_key u options)) (Ir.Program.units program);
+  List.iter (fun o -> digest (Buildsys.Driver.obj_digest_uncached o)) objs
+
 let fastpath_kernels =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
@@ -221,6 +241,7 @@ let fastpath_kernels =
     ("uarch_create_default", uarch_create_kernel);
     ("exec_tape_mcf", exec_tape_kernel);
     ("uarch_consume_mcf", uarch_consume_kernel);
+    ("unit_keys_relink_prog0", unit_keys_kernel);
   ]
 
 (* Median-of-3 batch averages on the wall clock: coarser than
@@ -287,6 +308,7 @@ let tests () =
     Test.make ~name:"uarch_create_default" (Staged.stage uarch_create_kernel);
     Test.make ~name:"exec_tape_mcf" (Staged.stage exec_tape_kernel);
     Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
+    Test.make ~name:"unit_keys_relink_prog0" (Staged.stage unit_keys_kernel);
   ]
 
 let run () =

@@ -52,25 +52,27 @@ type result = {
 
 let tool_digest = Support.Digesting.of_string "propeller-backend-v1"
 
-(* The exact PGO estimates of [f], as float bit patterns in block
-   order. [Ir.Func.pp] leaves them out, but [Codegen.intra_order] lays
-   blocks out by them, so they follow the printed IR in the function's
-   digest input. *)
-let add_pgo_bits b (f : Ir.Func.t) =
-  let add p = Buffer.add_int64_le b (Int64.bits_of_float p) in
+(* A function's digest input is its printed IR ([Ir.Func.pp]'s bytes,
+   streamed by [Ir.Func.feed]) then its exact PGO estimates as float
+   bit patterns in block order: [pp] leaves them out, but
+   [Codegen.intra_order] lays blocks out by them. *)
+let func_digest_uncached (f : Ir.Func.t) =
+  let st = Support.Digesting.init () in
+  Ir.Func.feed st f;
+  let add p = Support.Digesting.add_int64_le st (Int64.bits_of_float p) in
   Array.iter
     (fun (blk : Ir.Block.t) ->
       match blk.term with
       | Ir.Term.Branch { pgo_prob; _ } -> add pgo_prob
       | Ir.Term.Switch { pgo_probs; _ } -> Array.iter add pgo_probs
       | Ir.Term.Jump _ | Ir.Term.Return -> ())
-    f.blocks
+    f.blocks;
+  Support.Digesting.finish st
 
-(* Function digests (printed IR, then PGO estimates) are memoized
-   structurally: units are immutable between builds, so the Phase-4
-   rebuild re-digests nothing. Key computation fans out across units on
-   the pool, so the memo is guarded by a mutex (writes are rare after
-   the first build). *)
+(* Function digests are memoized structurally: units are immutable
+   between builds, so the Phase-4 rebuild re-digests nothing. Key
+   computation fans out across units on the pool, so the memo is
+   guarded by a mutex (writes are rare after the first build). *)
 let func_digests : (Ir.Func.t, Support.Digesting.t) Hashtbl.t =
   Hashtbl.create 1024
 
@@ -83,10 +85,7 @@ let func_digest f =
   match cached with
   | Some d -> d
   | None ->
-    let b = Buffer.create 4096 in
-    Ir.Func.render b f;
-    add_pgo_bits b f;
-    let d = Support.Digesting.of_string (Buffer.contents b) in
+    let d = func_digest_uncached f in
     Mutex.lock func_digests_m;
     Hashtbl.replace func_digests f d;
     Mutex.unlock func_digests_m;
@@ -121,18 +120,22 @@ let unit_action_key (u : Ir.Cunit.t) (options : Codegen.options) =
    and sensitive to the object's shape — the rot we detect is a flipped
    *stored* digest (Cache.corrupt), not adversarial tampering. *)
 let obj_digest_uncached (o : Objfile.File.t) =
-  Support.Digesting.of_string
-    (String.concat "|"
-       (o.name :: o.unit_name
-       :: string_of_bool o.has_inline_asm
-       :: List.map
-            (fun (s : Objfile.Section.t) ->
-              Printf.sprintf "%s:%s:%d:%s:%d" s.name
-                (Objfile.Section.kind_to_string s.kind)
-                s.align
-                (Option.value s.symbol ~default:"")
-                (Objfile.Section.size s))
-            o.sections))
+  let module D = Support.Digesting in
+  let st = D.init () in
+  let str sep s = D.add_char st sep; D.add_string st s in
+  let int sep n = D.add_char st sep; D.add_int st n in
+  D.add_string st o.name;
+  str '|' o.unit_name;
+  str '|' (string_of_bool o.has_inline_asm);
+  List.iter
+    (fun (s : Objfile.Section.t) ->
+      str '|' s.name;
+      str ':' (Objfile.Section.kind_to_string s.kind);
+      int ':' s.align;
+      str ':' (Option.value s.symbol ~default:"");
+      int ':' (Objfile.Section.size s))
+    o.sections;
+  D.finish st
 
 (* Objects are immutable once built, so their digest is a pure function
    of physical identity — memoized, the verified read of every warm

@@ -102,6 +102,12 @@ type result = {
     measures). *)
 val unit_action_key : Ir.Cunit.t -> Codegen.options -> Support.Digesting.t
 
+(** The digests unit keys and verified cache reads take through memos:
+    a function's printed IR then PGO bits, and an object's fields. *)
+val func_digest_uncached : Ir.Func.t -> Support.Digesting.t
+
+val obj_digest_uncached : Objfile.File.t -> Support.Digesting.t
+
 (** [build env ~name ~program ~codegen_options ~link_options] compiles
     every unit (through the cache) and links the result. With an
     active fault plan in [env.ctx] the build additionally runs the

@@ -109,6 +109,3 @@ let schedule ?mem_limit ?faults ~workers actions =
     stragglers = !stragglers;
     speculated = !speculated;
   }
-
-let critical_path r =
-  List.fold_left (fun acc p -> Float.max acc p.action.cpu_seconds) 0.0 r.placements

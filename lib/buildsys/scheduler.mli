@@ -51,12 +51,6 @@ type result = {
     schedule at any worker count. *)
 val schedule : ?mem_limit:int -> ?faults:Faultsim.Plan.t -> workers:int -> action list -> result
 
-(** [critical_path r] is the longest single action's cost — the floor
-    the makespan cannot beat no matter how many workers are added (the
-    Amdahl bound the [--jobs] sweep report quotes against measured
-    speedups). 0 for an empty schedule. *)
-val critical_path : result -> float
-
 (** [plan_memo_hits ()] counts LPT plans served from the memoized sort
     (the sorted task list is cached per action list, so repeated builds
     of the same program don't replan from scratch). *)

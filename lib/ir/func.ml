@@ -30,27 +30,34 @@ let code_bytes f = Array.fold_left (fun acc b -> acc + Block.body_bytes b) 0 f.b
 
 let calls f = Array.to_list f.blocks |> List.concat_map Block.calls
 
-(* The bytes [pp] prints through [Format.asprintf], without the
-   formatter: in these vertical boxes every break is a newline indented
-   to its box (2 for blocks, 4 for a block's lines), and no text is
-   ever wrapped. *)
-let render b f =
-  Buffer.add_string b "func ";
-  Buffer.add_string b f.name;
-  Buffer.add_string b (Printf.sprintf " (%d blocks):\n  " (Array.length f.blocks));
-  Array.iter
-    (fun (blk : Block.t) ->
-      Buffer.add_char b '.';
-      Text.add_int b blk.id;
-      Buffer.add_string b (if blk.is_landing_pad then " (lp):\n    " else ":\n    ");
-      List.iter
-        (fun i ->
-          Inst.render b i;
-          Buffer.add_string b "\n    ")
-        blk.body;
-      Term.render b blk.term;
-      Buffer.add_string b "\n  ")
-    f.blocks
+module D = Support.Digesting
+
+let rec feed_body st = function
+  | [] -> ()
+  | i :: rest ->
+    Inst.feed st i;
+    D.add_string st "\n    ";
+    feed_body st rest
+
+(* The bytes [pp] prints through [Format.asprintf], fed straight into a
+   digest: in these vertical boxes every break is a newline indented to
+   its box (2 for blocks, 4 for a block's lines), and no text is ever
+   wrapped. *)
+let feed st f =
+  D.add_string st "func ";
+  D.add_string st f.name;
+  D.add_string st " (";
+  D.add_int st (Array.length f.blocks);
+  D.add_string st " blocks):\n  ";
+  for b = 0 to Array.length f.blocks - 1 do
+    let blk = f.blocks.(b) in
+    D.add_char st '.';
+    D.add_int st blk.id;
+    D.add_string st (if blk.is_landing_pad then " (lp):\n    " else ":\n    ");
+    feed_body st blk.body;
+    Term.feed st blk.term;
+    D.add_string st "\n  "
+  done
 
 let pp fmt f =
   Format.fprintf fmt "@[<v 2>func %s (%d blocks):@ " f.name (Array.length f.blocks);

@@ -37,7 +37,7 @@ val calls : t -> (string * float) list
 
 val pp : Format.formatter -> t -> unit
 
-(** [render b f] appends to [b] exactly the bytes
-    [Format.asprintf "%a" pp f] returns, several times faster. Build
-    keys digest these bytes. *)
-val render : Buffer.t -> t -> unit
+(** [feed st f] feeds [st] exactly the bytes
+    [Format.asprintf "%a" pp f] returns, with no intermediate string.
+    Build keys digest these bytes. *)
+val feed : Support.Digesting.state -> t -> unit

@@ -18,25 +18,27 @@ let callees = function
   | VirtualCall { callees } -> Array.to_list callees
   | Compute _ | MemLoad _ | DelinquentLoad _ | MemStore _ | JumpTableData _ -> []
 
-let render b i =
-  let tagged tag n close =
-    Buffer.add_string b tag;
-    Text.add_int b n;
-    Buffer.add_string b close
-  in
-  match i with
-  | Compute n -> tagged "compute<" n ">"
-  | MemLoad n -> tagged "load<" n ">"
-  | DelinquentLoad { bytes; miss_prob } ->
-    tagged "load.miss<" bytes (Printf.sprintf ",p=%.2f>" miss_prob)
-  | MemStore n -> tagged "store<" n ">"
-  | DirectCall f ->
-    Buffer.add_string b "call ";
-    Buffer.add_string b f
-  | VirtualCall { callees } -> tagged "vcall<" (Array.length callees) " targets>"
-  | JumpTableData n -> tagged "jumptable<" n ">"
+module D = Support.Digesting
 
-let pp fmt i =
-  let b = Buffer.create 16 in
-  render b i;
-  Format.pp_print_string fmt (Buffer.contents b)
+let tagged st tag n close = D.add_string st tag; D.add_int st n; D.add_string st close
+
+(* The bytes [pp] prints, fed straight into a digest. *)
+let feed st = function
+  | Compute n -> tagged st "compute<" n ">"
+  | MemLoad n -> tagged st "load<" n ">"
+  | DelinquentLoad { bytes; miss_prob } ->
+    tagged st "load.miss<" bytes ",p="; D.add_fixed2 st miss_prob; D.add_char st '>'
+  | MemStore n -> tagged st "store<" n ">"
+  | DirectCall f -> D.add_string st "call "; D.add_string st f
+  | VirtualCall { callees } -> tagged st "vcall<" (Array.length callees) " targets>"
+  | JumpTableData n -> tagged st "jumptable<" n ">"
+
+let pp fmt = function
+  | Compute n -> Format.fprintf fmt "compute<%d>" n
+  | MemLoad n -> Format.fprintf fmt "load<%d>" n
+  | DelinquentLoad { bytes; miss_prob } ->
+    Format.fprintf fmt "load.miss<%d,p=%.2f>" bytes miss_prob
+  | MemStore n -> Format.fprintf fmt "store<%d>" n
+  | DirectCall f -> Format.fprintf fmt "call %s" f
+  | VirtualCall { callees } -> Format.fprintf fmt "vcall<%d targets>" (Array.length callees)
+  | JumpTableData n -> Format.fprintf fmt "jumptable<%d>" n

@@ -27,8 +27,8 @@ val byte_size : t -> int
     call yields its single target with probability 1. *)
 val callees : t -> (string * float) list
 
-(** [render b i] appends [i]'s one-line text to [b]. *)
-val render : Buffer.t -> t -> unit
-
-(** [pp] prints the {!render} text. *)
+(** [pp] prints [i]'s one-line text. *)
 val pp : Format.formatter -> t -> unit
+
+(** [feed st i] feeds [st] the bytes [pp] prints. *)
+val feed : Support.Digesting.state -> t -> unit

@@ -36,28 +36,33 @@ let map_blocks f = function
   | Switch s -> Switch { s with table = Array.map f s.table }
   | Return -> Return
 
-let render b = function
-  | Jump t ->
-    Buffer.add_string b "jump .";
-    Text.add_int b t
-  | Branch { cond; taken; fallthrough; prob; _ } ->
-    Buffer.add_string b "br.";
-    Buffer.add_string b (Isa.Cond.to_string cond);
-    Buffer.add_string b " .";
-    Text.add_int b taken;
-    Buffer.add_string b (Printf.sprintf " (p=%.2f) else ." prob);
-    Text.add_int b fallthrough
-  | Switch { table; _ } ->
-    Buffer.add_string b "switch [";
-    Array.iteri
-      (fun i t ->
-        if i > 0 then Buffer.add_string b "; ";
-        Text.add_int b t)
-      table;
-    Buffer.add_char b ']'
-  | Return -> Buffer.add_string b "ret"
+module D = Support.Digesting
 
-let pp fmt t =
-  let b = Buffer.create 32 in
-  render b t;
-  Format.pp_print_string fmt (Buffer.contents b)
+(* The bytes [pp] prints, fed straight into a digest. *)
+let feed st t =
+  match t with
+  | Jump t -> D.add_string st "jump ."; D.add_int st t
+  | Branch { cond; taken; fallthrough; prob; _ } ->
+    D.add_string st "br.";
+    D.add_string st (Isa.Cond.to_string cond);
+    D.add_string st " .";
+    D.add_int st taken;
+    D.add_string st " (p=";
+    D.add_fixed2 st prob;
+    D.add_string st ") else .";
+    D.add_int st fallthrough
+  | Switch { table; _ } ->
+    D.add_string st "switch [";
+    Array.iteri (fun i t -> if i > 0 then D.add_string st "; "; D.add_int st t) table;
+    D.add_char st ']'
+  | Return -> D.add_string st "ret"
+
+let pp fmt = function
+  | Jump t -> Format.fprintf fmt "jump .%d" t
+  | Branch { cond; taken; fallthrough; prob; _ } ->
+    Format.fprintf fmt "br.%s .%d (p=%.2f) else .%d" (Isa.Cond.to_string cond) taken prob
+      fallthrough
+  | Switch { table; _ } ->
+    Format.fprintf fmt "switch [%s]"
+      (String.concat "; " (List.map string_of_int (Array.to_list table)))
+  | Return -> Format.pp_print_string fmt "ret"

@@ -35,9 +35,8 @@ val successor_pgo_probs : t -> (int * float) list
 (** [map_blocks f t] renames block ids through [f]. *)
 val map_blocks : (int -> int) -> t -> t
 
-(** [render b t] appends [t]'s one-line text to [b]. It omits the PGO
-    estimates. *)
-val render : Buffer.t -> t -> unit
-
-(** [pp] prints the {!render} text. *)
+(** [pp] prints [t]'s one-line text. It omits the PGO estimates. *)
 val pp : Format.formatter -> t -> unit
+
+(** [feed st t] feeds [st] the bytes [pp] prints. *)
+val feed : Support.Digesting.state -> t -> unit

@@ -7,5 +7,3 @@ let to_text syms =
       Buffer.add_char buf '\n')
     syms;
   Buffer.contents buf
-
-let validate ~known syms = List.partition known syms

@@ -5,8 +5,3 @@
 
 (** [to_text syms] renders an ordering file with a header comment. *)
 val to_text : string list -> string
-
-(** [validate ~known syms] partitions the ordering into symbols the
-    binary defines and spurious leftovers (e.g. stale profiles naming
-    deleted functions); linkers warn about the latter. *)
-val validate : known:(string -> bool) -> string list -> string list * string list

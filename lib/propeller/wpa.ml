@@ -173,42 +173,32 @@ let layout_params_str config =
    ([params_str], precomputed). Warm relinks whose profile deltas miss
    this function reuse the cached (plan, score) verbatim. *)
 let layout_key ~params_str ~shapes (d : Dcfg.dfunc) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "layout-v1|";
-  Buffer.add_string b d.dname;
-  Buffer.add_string b params_str;
+  let module D = Support.Digesting in
+  let st = D.init () in
+  let item tag x sep y =
+    D.add_string st tag;
+    D.add_int st x;
+    D.add_char st sep;
+    D.add_int st y
+  in
+  D.add_string st "layout-v1|";
+  D.add_string st d.dname;
+  D.add_string st params_str;
   (match Hashtbl.find_opt shapes d.dname with
-  | Some (s : Dcfg.shape) ->
-    List.iter
-      (fun (bb, size) ->
-        Buffer.add_string b "|b";
-        Buffer.add_string b (string_of_int bb);
-        Buffer.add_char b ':';
-        Buffer.add_string b (string_of_int size))
-      s.blocks
+  | Some (s : Dcfg.shape) -> List.iter (fun (bb, size) -> item "|b" bb ':' size) s.blocks
   | None -> ());
   let sampled =
     Hashtbl.fold (fun bb (blk : Dcfg.mblock) acc -> (bb, blk.count) :: acc) d.dblocks []
     |> List.sort compare
   in
-  List.iter
-    (fun (bb, c) ->
-      Buffer.add_string b "|c";
-      Buffer.add_string b (string_of_int bb);
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int c))
-    sampled;
-  let edges = Support.Itab.sorted_items d.dedges in
+  List.iter (fun (bb, c) -> item "|c" bb ':' c) sampled;
   Array.iter
     (fun (key, w) ->
-      Buffer.add_string b "|e";
-      Buffer.add_string b (string_of_int (Support.Packed.src key));
-      Buffer.add_char b '>';
-      Buffer.add_string b (string_of_int (Support.Packed.dst key));
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int w))
-    edges;
-  Support.Digesting.of_string (Buffer.contents b)
+      item "|e" (Support.Packed.src key) '>' (Support.Packed.dst key);
+      D.add_char st ':';
+      D.add_int st w)
+    (Support.Itab.sorted_items d.dedges);
+  D.finish st
 
 let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
     ~(binary : Linker.Binary.t) () =

@@ -77,6 +77,20 @@ for key in '"micro"' '"layout_search"'; do
     exit 1
   }
 done
+# The micro timings are informational, but the kernel list is not: a
+# kernel added or dropped must re-record bench/baseline.json's micro
+# object, so its timings never go stale unnoticed.
+python3 - "$out_dir/bench.json" bench/baseline.json <<'EOF' || {
+import json, sys
+fresh, base = ([k["name"] for k in json.load(open(p))["micro"]["kernels"]] for p in sys.argv[1:])
+if fresh != base:
+    print("fresh micro kernels:   ", fresh, file=sys.stderr)
+    print("baseline micro kernels:", base, file=sys.stderr)
+    sys.exit(1)
+EOF
+  echo "FAIL: bench micro kernels differ from bench/baseline.json; re-record its micro object" >&2
+  exit 1
+}
 propeller stat diff bench/baseline.json "$out_dir/bench.json" || {
   echo "FAIL: bench regression vs bench/baseline.json" >&2
   exit 1

@@ -93,16 +93,6 @@ let test_scheduler_empty () =
   check tb "empty wall" true (r.wall_seconds = 0.0);
   check ti "no actions" 0 r.num_actions
 
-let test_scheduler_critical_path () =
-  let r =
-    Buildsys.Scheduler.schedule ~workers:3
-      [ action "a" 2.0 1; action "b" 7.5 1; action "c" 1.0 1 ]
-  in
-  check tb "critical path = longest action" true
-    (abs_float (Buildsys.Scheduler.critical_path r -. 7.5) < 1e-9);
-  check tb "empty schedule has zero critical path" true
-    (Buildsys.Scheduler.critical_path (Buildsys.Scheduler.schedule ~workers:2 []) = 0.0)
-
 let test_scheduler_plan_memo () =
   let actions = [ action "m1" 2.0 1; action "m2" 3.0 1; action "m3" 1.0 1 ] in
   let h0 = Buildsys.Scheduler.plan_memo_hits () in
@@ -231,6 +221,137 @@ let test_action_key_tracks_pgo_probs () =
   check ti "only the changed unit recompiles" 1 cached.cache_misses;
   check tb "cached build = fresh build" true
     (Support.Digesting.equal (image cached) (image fresh))
+
+(* The hex of [concat] over every unit action key of [program], in
+   unit order. *)
+let unit_keys_hex program options =
+  Support.Digesting.to_hex
+    (Support.Digesting.concat
+       (List.map
+          (fun u -> Buildsys.Driver.unit_action_key u options)
+          (Ir.Program.units program)))
+
+(* Cached objects are found by these keys, and fault-plan decisions
+   read their hex, so a change to how keys are built must leave every
+   byte as it is: relink programs 0 and 1 under the metadata options,
+   and program 0 under the optimize options its pipeline run derived. *)
+let test_pinned_unit_keys () =
+  let meta, _ = Propeller.Pipeline.metadata_options in
+  List.iter
+    (fun (k, expected) ->
+      check ts (Printf.sprintf "metadata keys of relink %d" k) expected
+        (unit_keys_hex (relink_family_program k) meta))
+    [ (0, "af8629f32d65c8e6ba5c07fd153afcaa"); (1, "9be0509268938ff2cffc2c53795099e6") ];
+  let _, r = Lazy.force relink0_run in
+  let opt, _ = Propeller.Pipeline.optimize_options ~hugepages:Progen.Suite.clang.hugepages r.wpa in
+  check ts "optimize keys of relink 0" "04963ad7409860835d3b9d1c73e295f9"
+    (unit_keys_hex (relink_family_program 0) opt)
+
+(* --- Streamed digests ---------------------------------------------- *)
+
+(* The string forms the build digested before digests were streamed:
+   a function's printed IR followed by its PGO estimates' float bits,
+   and an object's fields and sections joined by '|'. *)
+let func_digest_ref (f : Ir.Func.t) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Format.asprintf "%a" Ir.Func.pp f);
+  let add p = Buffer.add_int64_le b (Int64.bits_of_float p) in
+  Array.iter
+    (fun (blk : Ir.Block.t) ->
+      match blk.term with
+      | Ir.Term.Branch { pgo_prob; _ } -> add pgo_prob
+      | Ir.Term.Switch { pgo_probs; _ } -> Array.iter add pgo_probs
+      | Ir.Term.Jump _ | Ir.Term.Return -> ())
+    f.blocks;
+  Support.Digesting.of_string (Buffer.contents b)
+
+let obj_digest_ref (o : Objfile.File.t) =
+  Support.Digesting.of_string
+    (String.concat "|"
+       (o.name :: o.unit_name
+       :: string_of_bool o.has_inline_asm
+       :: List.map
+            (fun (s : Objfile.Section.t) ->
+              Printf.sprintf "%s:%s:%d:%s:%d" s.name
+                (Objfile.Section.kind_to_string s.kind)
+                s.align
+                (Option.value s.symbol ~default:"")
+                (Objfile.Section.size s))
+            o.sections))
+
+let digest_programs =
+  lazy
+    (let mcf = Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")) in
+     [
+       relink_family_program 0;
+       relink_family_program 1;
+       mcf;
+       Codegen.Inline.program mcf;
+     ])
+
+(* The shapes generated programs rarely draw: lines past the margin,
+   landing pads, empty bodies, non-finite and tied probabilities,
+   extreme ints, distinct PGO estimates. *)
+let odd_func () =
+  let long = String.make 120 'x' in
+  Ir.Func.make ~name:long
+    [|
+      Ir.Block.make ~id:0
+        ~body:
+          [
+            Ir.Inst.DirectCall long;
+            Ir.Inst.DelinquentLoad { bytes = 7; miss_prob = Float.nan };
+            Ir.Inst.DelinquentLoad { bytes = 1; miss_prob = -0.0 };
+            Ir.Inst.DelinquentLoad { bytes = 2; miss_prob = 0.125 };
+            Ir.Inst.VirtualCall { callees = [| ("a", 0.5); ("b", 0.5) |] };
+            Ir.Inst.JumpTableData 16;
+            Ir.Inst.MemStore 3;
+            Ir.Inst.MemLoad 4;
+            Ir.Inst.Compute (-3);
+            Ir.Inst.Compute max_int;
+            Ir.Inst.Compute min_int;
+          ]
+        ~term:(branch ~taken:1 ~fallthrough:2 ~prob:Float.infinity ~pgo_prob:(-0.001) ())
+        ();
+      Ir.Block.make ~is_landing_pad:true ~id:1 ~body:[]
+        ~term:
+          (Ir.Term.Switch
+             {
+               table = Array.init 40 (fun i -> 1 + (i mod 2));
+               probs = Array.make 40 0.025;
+               pgo_probs = Array.init 40 (fun i -> float_of_int i /. 780.0);
+             })
+        ();
+      compute_block ~id:2 ~bytes:1 ~term:Ir.Term.Return;
+    |]
+
+(* The streamed function digest equals the digest of the printed IR
+   and PGO bits, on every function of real programs and on odd ones. *)
+let test_streamed_func_digest () =
+  let same (f : Ir.Func.t) =
+    check ts f.name
+      (Support.Digesting.to_hex (func_digest_ref f))
+      (Support.Digesting.to_hex (Buildsys.Driver.func_digest_uncached f))
+  in
+  List.iter (fun p -> Ir.Program.iter_funcs p same) (Lazy.force digest_programs);
+  same (odd_func ())
+
+(* The streamed object digest equals the digest of the joined string,
+   on every object of those programs with and without address maps. *)
+let test_streamed_obj_digest () =
+  let meta, _ = Propeller.Pipeline.metadata_options in
+  List.iter
+    (fun options ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun (o : Objfile.File.t) ->
+              check ts o.name
+                (Support.Digesting.to_hex (obj_digest_ref o))
+                (Support.Digesting.to_hex (Buildsys.Driver.obj_digest_uncached o)))
+            (Codegen.compile_program options p))
+        (Lazy.force digest_programs))
+    [ meta; Codegen.default_options ]
 
 let test_costmodel_monotonic () =
   check tb "codegen grows with code" true
@@ -404,7 +525,6 @@ let suite =
     Alcotest.test_case "scheduler: parallel" `Quick test_scheduler_parallel;
     Alcotest.test_case "scheduler: memory limit" `Quick test_scheduler_mem_limit;
     Alcotest.test_case "scheduler: empty" `Quick test_scheduler_empty;
-    Alcotest.test_case "scheduler: critical path" `Quick test_scheduler_critical_path;
     Alcotest.test_case "scheduler: LPT plan memo" `Quick test_scheduler_plan_memo;
     QCheck_alcotest.to_alcotest scheduler_makespan_law;
     Alcotest.test_case "driver: rebuilds hit cache" `Quick test_build_caches_objects;
@@ -412,6 +532,11 @@ let suite =
     Alcotest.test_case "driver: action key sensitivity" `Quick test_unit_action_key_sensitivity;
     Alcotest.test_case "driver: action key tracks PGO estimates" `Quick
       test_action_key_tracks_pgo_probs;
+    Alcotest.test_case "driver: pinned unit keys of relink programs" `Quick test_pinned_unit_keys;
+    Alcotest.test_case "driver: streamed function digest = printed IR + PGO bits" `Quick
+      test_streamed_func_digest;
+    Alcotest.test_case "driver: streamed object digest = joined string" `Quick
+      test_streamed_obj_digest;
     Alcotest.test_case "cost models monotonic" `Quick test_costmodel_monotonic;
     Alcotest.test_case "cache: digest-verified reads catch rot" `Quick test_cache_find_verified;
     Alcotest.test_case "scheduler: stragglers + speculation" `Quick test_scheduler_stragglers;

@@ -391,18 +391,9 @@ let test_pinned_outputs () =
         (List.map pinned_line (pinned_links ~requests program)))
     pinned_outputs
 
-(* --- Orderfile ----------------------------------------------------- *)
-
-let test_orderfile_validate () =
-  let known = function "a" | "b" -> true | _ -> false in
-  let ok, stale = Linker.Orderfile.validate ~known [ "a"; "zzz"; "b" ] in
-  check Alcotest.(list string) "known" [ "a"; "b" ] ok;
-  check Alcotest.(list string) "stale" [ "zzz" ] stale
-
 let suite =
   [
     Alcotest.test_case "addresses disjoint and bounded" `Quick test_addresses_disjoint_sorted;
-    Alcotest.test_case "orderfile validate" `Quick test_orderfile_validate;
     Alcotest.test_case "entry resolution" `Quick test_entry_resolution;
     Alcotest.test_case "relaxation deletes fallthroughs" `Quick test_relaxation_deletes_fallthrough;
     Alcotest.test_case "relaxation preserves targets" `Quick test_relaxation_preserves_targets;

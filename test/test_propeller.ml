@@ -161,22 +161,6 @@ let test_wpa_block_layout_hot_first () =
   check tb "loop body adjacent to entry" true
     (match order with 0 :: 1 :: _ -> true | _ -> false)
 
-(* Relink-family program 0 through one pipeline run under the settings
-   the relink benchmark uses: the WPA configuration and the run. *)
-let relink0_run =
-  lazy
-    (let clang = Progen.Suite.clang in
-     let config =
-       {
-         Propeller.Pipeline.default_config with
-         profile_run = { Exec.Interp.default_config with requests = clang.requests / 16 };
-         hugepages = clang.hugepages;
-       }
-     in
-     let env = Buildsys.Driver.make_env () in
-     ( config.wpa,
-       Propeller.Pipeline.run ~config ~env ~program:(relink_family_program 0) ~name:"pin" () ))
-
 (* The layout keys of every hot function of that run, in hot-function
    order. A warm relink reuses a cached layout only when its key
    matches, so a change to how keys are built must leave them as they

@@ -135,10 +135,10 @@ let test_digest_concat_order () =
     (Support.Digesting.equal (Support.Digesting.concat [ a; b ]) (Support.Digesting.concat [ b; a ]))
 
 (* Int64 reference for the FNV-1a streams in Support.Digesting. The
-   production loop runs in 32-bit halves on native ints (the boxed
-   Int64 version dominated warm-relink allocation); digest hex feeds
-   cache keys and fault plans, so it must stay bit-identical to this
-   original formulation. *)
+   production streams advance together in one unboxed state (an
+   earlier version ran them in 32-bit halves on native ints); digest
+   hex feeds cache keys and fault plans, so it must stay bit-identical
+   to this original formulation. *)
 let fnv64_ref ~offset s =
   let h = ref offset in
   String.iter
@@ -171,6 +171,106 @@ let digest_reference_law =
     (fun s ->
       String.equal (digest_hex_ref s)
         (Support.Digesting.to_hex (Support.Digesting.of_string s)))
+
+(* --- Streaming digests ---------------------------------------------- *)
+
+let streamed_hex feed =
+  let st = Support.Digesting.init () in
+  feed st;
+  Support.Digesting.to_hex (Support.Digesting.finish st)
+
+let string_hex s = Support.Digesting.to_hex (Support.Digesting.of_string s)
+
+(* Each writer feeds the bytes of the string form it stands for. *)
+let test_digest_writers () =
+  let module D = Support.Digesting in
+  List.iter
+    (fun n ->
+      check ts (string_of_int n) (string_hex (string_of_int n))
+        (streamed_hex (fun st -> D.add_int st n)))
+    [ 0; 7; 10; 99; 100; -1; -10; max_int; min_int ];
+  List.iter
+    (fun v ->
+      let b = Buffer.create 8 in
+      Buffer.add_int64_le b v;
+      check ts (Int64.to_string v) (string_hex (Buffer.contents b))
+        (streamed_hex (fun st -> D.add_int64_le st v)))
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x0102030405060708L; Int64.bits_of_float 0.3 ];
+  let a = D.of_string "a" and b = D.of_string "b" in
+  check ts "concat digests the joined hex" (string_hex (D.to_hex a ^ D.to_hex b))
+    (D.to_hex (D.concat [ a; b ]))
+
+(* Feeding [s] in arbitrary pieces, single bytes through [add_char],
+   digests like [of_string s]; [finish] leaves the state as it was. *)
+let digest_chunking_law =
+  QCheck.Test.make ~count:500
+    ~name:"digesting: any chunking through add_string/add_char = of_string"
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let module D = Support.Digesting in
+      let st = D.init () in
+      let n = String.length s and pos = ref 0 in
+      List.iter
+        (fun c ->
+          let len = min c (n - !pos) in
+          if len = 1 then D.add_char st s.[!pos] else D.add_string st (String.sub s !pos len);
+          pos := !pos + len)
+        cuts;
+      while !pos < n do
+        D.add_char st s.[!pos];
+        incr pos
+      done;
+      let d = D.finish st in
+      D.equal d (D.finish st) && D.equal d (D.of_string s))
+
+let fixed2_exact x =
+  String.equal
+    (streamed_hex (fun st -> Support.Digesting.add_fixed2 st x))
+    (string_hex (Printf.sprintf "%.2f" x))
+
+(* Where a fast [%.2f] goes wrong: the sign of zero and of small
+   negatives ([-0.00]), every multiple of 0.005 near zero and one ulp
+   either side of it, exact binary midpoints ([0.125] prints [0.12]),
+   magnitudes around the fast path's bound, and non-finite values. *)
+let fixed2_edges =
+  let steps =
+    List.concat_map
+      (fun k ->
+        let a = float_of_int k *. 0.005 and b = float_of_int k /. 200.0 in
+        [ a; Float.pred a; Float.succ a; b; Float.pred b; Float.succ b ])
+      (List.init 4001 (fun i -> i - 2000))
+  in
+  let midpoints = List.init 1601 (fun i -> float_of_int (i - 800) /. 8.0) in
+  [
+    0.0; -0.0; -0.001; -0.004; -0.0049999; -1e-300; 5e-324; -5e-324; Float.min_float;
+    Float.nan; Float.infinity; Float.neg_infinity; 1e12 +. 0.005; 9.999999999999e12; 1e13;
+    -1e13; 1e15 +. 0.125; 1e300; Float.max_float; -.Float.max_float;
+  ]
+  @ steps @ midpoints
+
+let test_fixed2_edges () =
+  List.iter
+    (fun x -> check tb (Printf.sprintf "%h prints %.2f" x x) true (fixed2_exact x))
+    fixed2_edges
+
+let fixed2_law =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, float);
+          (3, float_range (-1000.0) 1000.0);
+          (2, float_range (-0.01) 0.01);
+          (2, map (fun k -> float_of_int k /. 200.0) (int_range (-200_000) 200_000));
+          (1, map (fun k -> Float.succ (float_of_int k *. 0.005)) (int_range (-200_000) 200_000));
+          (1, map (fun k -> Float.pred (float_of_int k *. 0.005)) (int_range (-200_000) 200_000));
+          (1, map (fun k -> float_of_int k /. 8.0) (int_range (-8000) 8000));
+          (1, oneofl [ -0.0; 0.0; -0.001; Float.nan; Float.infinity; Float.neg_infinity ]);
+        ])
+  in
+  QCheck.Test.make ~count:20_000 ~name:"digesting: add_fixed2 = Printf %.2f"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    fixed2_exact
 
 let test_stats () =
   check tf "mean" 2.0 (Support.Stats.mean [ 1.0; 2.0; 3.0 ]);
@@ -343,6 +443,11 @@ let suite =
     Alcotest.test_case "digest: concat order" `Quick test_digest_concat_order;
     Alcotest.test_case "digest: Int64 reference identity" `Quick test_digest_int64_reference;
     QCheck_alcotest.to_alcotest digest_reference_law;
+    Alcotest.test_case "digest: streaming writers = their string forms" `Quick
+      test_digest_writers;
+    QCheck_alcotest.to_alcotest digest_chunking_law;
+    Alcotest.test_case "digest: add_fixed2 = Printf %.2f at the edges" `Quick test_fixed2_edges;
+    QCheck_alcotest.to_alcotest fixed2_law;
     Alcotest.test_case "stats: basics" `Quick test_stats;
     Alcotest.test_case "stats: geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats: stddev" `Quick test_stats_stddev;
