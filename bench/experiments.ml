@@ -121,7 +121,7 @@ let table5 () =
 let fig4_row (spec : Progen.Spec.t) =
   let wb = Workbench.get spec in
   let s = scale_of wb in
-  let profile_bytes = Perfmon.Lbr.raw_bytes Perfmon.Lbr.default_config wb.prop.profile in
+  let profile_bytes = Perfmon.Lbr.raw_bytes wb.prop.profile in
   let prop_mem =
     Buildsys.Costmodel.wpa_mem ~profile_bytes:(profile_bytes * s)
       ~dcfg_blocks:(wb.prop.wpa.dcfg_blocks * s) ~dcfg_edges:(wb.prop.wpa.dcfg_edges * s)

@@ -155,7 +155,7 @@ let wpa benchmark requests cc_out ld_out =
   let profile = Cli.lbr_profile ~requests:spec.requests program pm.binary in
   Printf.printf "profile: %d samples, %d records, ~%d raw bytes\n%!" profile.num_samples
     profile.num_records
-    (Perfmon.Lbr.raw_bytes Perfmon.Lbr.default_config profile);
+    (Perfmon.Lbr.raw_bytes profile);
   let wpa = Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary:pm.binary () in
   Printf.printf "WPA: %d hot funcs, DCFG %d blocks / %d edges, score %.1f\n%!" wpa.hot_funcs
     wpa.dcfg_blocks wpa.dcfg_edges wpa.layout_score;

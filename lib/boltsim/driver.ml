@@ -1,14 +1,11 @@
 type options = {
   lite : bool;
-  reorder_blocks : bool;
-  reorder_functions : bool;
   split_functions : bool;
   peephole : bool;
 }
 
 let fast_options =
-  { lite = true; reorder_blocks = true; reorder_functions = true; split_functions = true;
-    peephole = false }
+  { lite = true; split_functions = true; peephole = false }
 
 let perf_options = { fast_options with lite = false; peephole = true }
 
@@ -39,13 +36,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
   let plans =
     List.map
       (fun (d : Propeller.Dcfg.dfunc) ->
-        let hot_order =
-          if options.reorder_blocks then (Propeller.Wpa.block_layout shapes d).blocks
-          else begin
-            let bbs = Hashtbl.fold (fun bb _ acc -> bb :: acc) d.dblocks [] in
-            List.sort_uniq compare (0 :: bbs)
-          end
-        in
+        let hot_order = (Propeller.Wpa.block_layout shapes d).blocks in
         (* Every other block the binary has for this function. *)
         let rest =
           Array.to_list (Linker.Binary.func_blocks idx d.dname)
@@ -57,10 +48,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
         else (d.dname, hot_order @ rest, []))
       rewritable
   in
-  let func_order =
-    if options.reorder_functions then Propeller.Dcfg.function_order dcfg rewritable
-    else List.map (fun (f, _, _) -> f) plans
-  in
+  let func_order = Propeller.Dcfg.function_order dcfg rewritable in
   let rw = Rewrite.rewrite ~binary ~plans ~func_order ~peephole:options.peephole ~name in
   let text_bytes = Linker.Binary.text_bytes binary in
   let hot_text_bytes =
@@ -69,7 +57,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
         Hashtbl.fold (fun _ (b : Propeller.Dcfg.mblock) a -> a + b.msize) d.dblocks acc)
       0 hot
   in
-  let profile_bytes = Perfmon.Lbr.raw_bytes Perfmon.Lbr.default_config profile in
+  let profile_bytes = Perfmon.Lbr.raw_bytes profile in
   {
     binary = rw.binary;
     startup_ok = not (hazards.rseq || hazards.fips_check);

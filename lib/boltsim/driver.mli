@@ -5,14 +5,14 @@
     algorithms (Ext-TSP blocks, hfsort functions, hot/cold splitting) —
     but through the disassemble-and-rewrite delivery mechanism, with
     its memory/time profile and its failure modes on hardened binaries
-    (paper §5.8). *)
+    (paper §5.8). Blocks are always reordered with Ext-TSP
+    ([-reorder-blocks=cache+]) and functions with hfsort
+    ([-reorder-functions=hfsort]). *)
 
 type options = {
   lite : bool;
       (** Lightning-BOLT selective processing (lower memory); the paper
           disables it ([-lite=0]) when measuring peak performance. *)
-  reorder_blocks : bool;  (** [-reorder-blocks=cache+] (Ext-TSP). *)
-  reorder_functions : bool;  (** [-reorder-functions=hfsort]. *)
   split_functions : bool;  (** [-split-functions=3 -split-all-cold]. *)
   peephole : bool;  (** The extra disassembly-level optimizations. *)
 }

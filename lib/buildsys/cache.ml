@@ -14,7 +14,6 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable corruptions : int;
   mutable stored : int;
   mutable tick : int;  (* LRU clock: bumped on every find/add *)
 }
@@ -29,7 +28,6 @@ let create ?capacity_bytes () =
     hits = 0;
     misses = 0;
     evictions = 0;
-    corruptions = 0;
     stored = 0;
     tick = 0;
   }
@@ -116,7 +114,6 @@ let find_verified c key ~digest_of =
          warehouse CAS treats a checksum failure. *)
       remove_entry c key e;
       c.misses <- c.misses + 1;
-      c.corruptions <- c.corruptions + 1;
       `Corrupt)
 
 let corrupt c key =
@@ -131,33 +128,14 @@ let corrupt c key =
     e.stored_digest <- Some flipped;
     true
 
-let find_or_add c key ~size compute =
-  match find c key with
-  | Some v -> (v, true)
-  | None ->
-    let v = compute () in
-    add c key ~size v;
-    (v, false)
-
 let hits c = c.hits
 
 let misses c = c.misses
 
 let evictions c = c.evictions
 
-let corruptions c = c.corruptions
-
 let stored_bytes c = c.stored
 
 let hit_rate c =
   let total = c.hits + c.misses in
   if total = 0 then 0.0 else float_of_int c.hits /. float_of_int total
-
-let num_entries c = Hashtbl.length c.entries
-
-let mem c key = Hashtbl.mem c.entries key
-
-let reset_stats c =
-  c.hits <- 0;
-  c.misses <- 0;
-  c.evictions <- 0

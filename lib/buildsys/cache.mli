@@ -53,15 +53,6 @@ val find_verified :
     does not check digests and is unaffected. *)
 val corrupt : 'a t -> Support.Digesting.t -> bool
 
-(** [corruptions c] counts verified reads that failed the digest check
-    (each also counted as a miss and an eviction of the rotten entry). *)
-val corruptions : 'a t -> int
-
-(** [find_or_add c key ~size compute] returns [(artifact, hit)]: the
-    cached artifact when [key] is present ([hit = true]), otherwise
-    [compute ()], stored under [key] ([hit = false]). *)
-val find_or_add : 'a t -> Support.Digesting.t -> size:('a -> int) -> (unit -> 'a) -> 'a * bool
-
 val hits : 'a t -> int
 
 val misses : 'a t -> int
@@ -74,13 +65,3 @@ val stored_bytes : 'a t -> int
 
 (** [hit_rate c] is [hits / (hits + misses)]; 0 before any lookup. *)
 val hit_rate : 'a t -> float
-
-(** [num_entries c] counts stored artifacts. *)
-val num_entries : 'a t -> int
-
-(** [mem c key] is presence without touching any counter or LRU state. *)
-val mem : 'a t -> Support.Digesting.t -> bool
-
-(** [reset_stats c] zeroes the hit/miss/eviction counters; contents
-    (and their [stored_bytes] accounting) survive. *)
-val reset_stats : 'a t -> unit

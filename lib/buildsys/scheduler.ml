@@ -21,15 +21,9 @@ type result = {
    the build coordinator, never from pool workers. *)
 let sort_memo : (action list, action list) Hashtbl.t = Hashtbl.create 64
 
-let memo_hits = ref 0
-
-let plan_memo_hits () = !memo_hits
-
 let lpt_order actions =
   match Hashtbl.find_opt sort_memo actions with
-  | Some sorted ->
-    incr memo_hits;
-    sorted
+  | Some sorted -> sorted
   | None ->
     let sorted =
       List.stable_sort

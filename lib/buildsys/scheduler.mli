@@ -50,8 +50,3 @@ type result = {
     labels, not on schedule state), so the same plan replays the same
     schedule at any worker count. *)
 val schedule : ?mem_limit:int -> ?faults:Faultsim.Plan.t -> workers:int -> action list -> result
-
-(** [plan_memo_hits ()] counts LPT plans served from the memoized sort
-    (the sorted task list is cached per action list, so repeated builds
-    of the same program don't replan from scratch). *)
-val plan_memo_hits : unit -> int

@@ -15,7 +15,6 @@ module Lower = Lower
 
 module Inline = Inline
 
-
 type options = {
   emit_bb_addr_map : bool;
       (** Emit profile-mapping metadata (the "PM" build of Fig 6). *)
@@ -34,16 +33,10 @@ type options = {
 
 val default_options : options
 
-(** [intra_order ~use_pgo f] is the compile-time block order for [f]:
-    Ext-TSP over estimated frequencies, or source order when [use_pgo]
-    is false or the function carries inline assembly (which is never
-    reordered). Ext-TSP orders are memoized by physical function, so a
-    function compiled by several builds is laid out once. *)
-val intra_order : use_pgo:bool -> Ir.Func.t -> int list
-
-(** [intra_problem f] is the Ext-TSP problem {!intra_order} solves for
-    [f]: block code sizes, PGO-estimated block and edge frequencies,
-    entry block 0. *)
+(** [intra_problem f] is the Ext-TSP problem that orders [f]'s blocks
+    under [pgo_layout]: block code sizes, PGO-estimated block and edge
+    frequencies, entry block 0. The order is memoized per physical
+    function; a function with inline assembly is never reordered. *)
 val intra_problem : Ir.Func.t -> Layout.Problem.t
 
 (** [compile_unit ?ctx options u] emits the object file of unit [u]:

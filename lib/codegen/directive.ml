@@ -47,16 +47,27 @@ let find t func = List.find_opt (fun p -> String.equal p.func func) t
 
 let kind_to_text = function Primary -> "primary" | Cold -> "cold" | Extra n -> string_of_int n
 
-let to_text t =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf ("!" ^ p.func ^ "\n");
-      List.iter
-        (fun c ->
-          Buffer.add_string buf ("!!" ^ kind_to_text c.kind);
-          List.iter (fun b -> Buffer.add_string buf (" " ^ string_of_int b)) c.blocks;
-          Buffer.add_char buf '\n')
-        p.clusters)
-    t;
-  Buffer.contents buf
+(* Every unit key renders its unit's plans, and a metadata build's units
+   have none: those take no buffer. *)
+let to_text = function
+  | [] -> ""
+  | t ->
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun p ->
+        Buffer.add_char buf '!';
+        Buffer.add_string buf p.func;
+        Buffer.add_char buf '\n';
+        List.iter
+          (fun c ->
+            Buffer.add_string buf "!!";
+            Buffer.add_string buf (kind_to_text c.kind);
+            List.iter
+              (fun b ->
+                Buffer.add_char buf ' ';
+                Buffer.add_string buf (string_of_int b))
+              c.blocks;
+            Buffer.add_char buf '\n')
+          p.clusters)
+      t;
+    Buffer.contents buf

@@ -8,31 +8,16 @@
 
     Inlining is also where instrumented-PGO profiles go stale (paper
     §2.2): the inlined copy's branches execute in a new context the
-    training run never attributed, modelled by extra noise
-    ([dilution_noise]) on the PGO estimates of cloned blocks — while
-    the *true* probabilities (what hardware profiling later observes)
-    are preserved. *)
+    training run never attributed, modelled by extra noise on the PGO
+    estimates of cloned blocks — while the *true* probabilities (what
+    hardware profiling later observes) are preserved.
 
-type config = {
-  max_callee_blocks : int;  (** Only small callees are inlined. *)
-  max_inlines_per_func : int;  (** Growth budget per caller. *)
-  hot_site_freq : float;
-      (** Minimum PGO-estimated block frequency of the call site. *)
-  dilution_noise : float;
-      (** Extra uniform noise applied to cloned PGO estimates. *)
-  seed : int64;
-}
+    A call site is inlined when its block's PGO-estimated frequency is
+    at least 0.8 per call of the caller and the callee has at most 4
+    blocks and no inline assembly; each caller takes at most 4 sites.
+    Cloned PGO estimates move by up to ±0.2, drawn from a stream seeded
+    by the caller's name. *)
 
-val default_config : config
-
-(** [func ?config ~program f] inlines eligible call sites of [f];
-    returns the rewritten function and how many sites were inlined. *)
-val func : ?config:config -> program:Ir.Program.t -> Ir.Func.t -> Ir.Func.t * int
-
-(** [program ?config p] applies {!func} to every function. The
+(** [program p] inlines the hot call sites of every function. The
     returned program is a valid {!Ir.Program.t} (revalidated). *)
-val program : ?config:config -> Ir.Program.t -> Ir.Program.t
-
-(** [stats_of_last_run ()] is the number of call sites inlined by the
-    most recent {!program} call on this domain. *)
-val stats_of_last_run : unit -> int
+val program : Ir.Program.t -> Ir.Program.t

@@ -11,11 +11,6 @@
     algorithms should assume. *)
 val block_code_bytes : Ir.Block.t -> int
 
-(** [lower_block ?prefetch ~func b] lowers body and terminator of one
-    block; [prefetch] inserts a software prefetch before each
-    delinquent load. *)
-val lower_block : ?prefetch:bool -> func:string -> Ir.Block.t -> Isa.t list
-
 (** [lower_func ~emit_bb_addr_map ~plan ~default_order ?prefetch_blocks f]
     produces the text sections of [f] — one per cluster when [plan] is
     given ([Error]s from {!Directive.validate} are raised as

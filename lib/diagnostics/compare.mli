@@ -42,11 +42,8 @@ type outcome = {
           current file gained over an older baseline. Never fail {!ok}. *)
 }
 
-(** The allowlist of judged metrics. *)
-val judged : rule list
-
 (** [compare ?threshold_pct ~baseline ~current] diffs two parsed
-    bench JSON trees under the {!judged} allowlist. Errors on
+    bench JSON trees under the allowlist of judged metrics. Errors on
     non-object input or when the baseline's schema_version is *newer*
     than the current file's; an older baseline degrades gracefully (see
     [notes]). [threshold_pct] defaults to 5.0. *)

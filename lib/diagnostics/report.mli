@@ -22,10 +22,6 @@ type uarch_delta = {
   dsb_miss_pct : float;
 }
 
-(** [delta ~base ~opt] is the counter movement of [opt] relative to
-    [base], in percent ({!Support.Stats.ratio_pct} per counter). *)
-val delta : base:Uarch.Core.counters -> opt:Uarch.Core.counters -> uarch_delta
-
 type t = {
   name : string;
   quality : Quality.t;

@@ -64,9 +64,6 @@ val tag_request : char
 val kind_to_int : branch_kind -> int
 (** Dense 0-4 code of a branch kind (stable across runs). *)
 
-val kind_of_int : int -> branch_kind
-(** Inverse of {!kind_to_int}; raises [Invalid_argument] otherwise. *)
-
 val encode_branch_meta : kind:branch_kind -> taken:bool -> int
 (** The [c] operand of a branch event. *)
 

@@ -228,10 +228,6 @@ let build program binary =
     nblocks = !nblocks;
   }
 
-let func_index t name =
-  match Hashtbl.find_opt t.funcs name with
-  | Some i -> i
-  | None -> invalid_arg ("Image.func_index: unknown function " ^ name)
 
 let[@inline] block t ~func_idx ~block =
   let fb = t.blocks.(func_idx) in

@@ -61,9 +61,6 @@ type t
     although functions compile later. *)
 val build : Ir.Program.t -> Linker.Binary.t -> t
 
-(** [func_index t name] is the dense index of a function. *)
-val func_index : t -> string -> int
-
 (** [block t ~func_idx ~block] fetches a compiled block, compiling its
     function on the first call that enters it. *)
 val block : t -> func_idx:int -> block:int -> xblock

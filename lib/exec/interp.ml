@@ -17,8 +17,6 @@ type stats = {
   requests_completed : int;
 }
 
-let taken_branches s = s.cond_taken + s.uncond_jumps + s.indirect_jumps + s.calls + s.returns
-
 exception Out_of_steps
 
 (* Branch-event [c] operands, precomputed (see Event.encode_branch_meta). *)

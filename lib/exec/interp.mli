@@ -35,10 +35,6 @@ type stats = {
   requests_completed : int;
 }
 
-(** [taken_branches s] counts all physically taken transfers — the
-    [br_inst_retired.near_taken] proxy (Table 4, B2). *)
-val taken_branches : stats -> int
-
 (** [run ?ctx image config sink] executes and returns aggregate
     counters, under an ["exec:run"] span on the context's recorder
     (default {!Obs.Recorder.global}). Events are delivered to [sink] in

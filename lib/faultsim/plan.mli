@@ -44,17 +44,15 @@ type t = {
   backoff_mult : float;  (** Exponential backoff multiplier. *)
 }
 
-(** All rates zero (nothing injected), seed 0, 16 shards, 4 attempts,
-    0.5 s base backoff doubling per retry. *)
-val default : t
-
 (** [is_active t] is true when any fault rate is positive. *)
 val is_active : t -> bool
 
 (** [of_spec s] parses a [--faults] plan spec: comma-separated [k=v]
     pairs over the keys [seed], [action], [persist], [straggle],
     [straggle-factor], [corrupt], [shard-drop], [shards], [attempts],
-    [backoff], [backoff-mult]; unset keys keep {!default}s. Numbers
+    [backoff], [backoff-mult]; unset keys keep the no-fault defaults
+    (every rate 0, seed 0, 16 shards, 4 attempts, 0.5 s base backoff
+    doubling per retry). Numbers
     must be finite ([nan] and [inf] are rejected) and rates must lie in
     [0, 1]. E.g. ["seed=7,action=0.2,corrupt=0.05"]. Total: any string
     gives [Ok] or [Error], never an exception. *)
@@ -65,10 +63,6 @@ val of_spec : string -> (t, string) result
 val to_spec : t -> string
 
 (* Decisions — all pure and stateless. *)
-
-(** [attempt_fails t ~key ~attempt] — does attempt [attempt] (1-based)
-    of the action identified by [key] fail transiently? *)
-val attempt_fails : t -> key:string -> attempt:int -> bool
 
 (** [attempts_for t ~key] is the attempt on which action [key] first
     succeeds, in [1 .. max_attempts]; an action whose whole budget

@@ -42,9 +42,6 @@ type t = {
     layout. Only functions that received samples are listed. *)
 val analyze : binary:Linker.Binary.t -> profile:Perfmon.Lbr.profile -> t
 
-(** [mispredict_rate r] is mispredicted / taken exit weight. *)
-val mispredict_rate : block_row -> float
-
 (** [to_text ?top ?func t] renders the listing; [top] bounds the number
     of functions (default 10), [func] selects one by name. *)
 val to_text : ?top:int -> ?func:string -> t -> string

@@ -1,13 +1,5 @@
 let successors f b = Term.successors (Func.block f b).term
 
-let predecessors f =
-  let n = Func.num_blocks f in
-  let preds = Array.make n [] in
-  for b = n - 1 downto 0 do
-    List.iter (fun s -> preds.(s) <- b :: preds.(s)) (successors f b)
-  done;
-  preds
-
 let reverse_postorder f =
   let n = Func.num_blocks f in
   let visited = Array.make n false in
@@ -26,18 +18,6 @@ let reverse_postorder f =
   done;
   !order @ !unreachable
 
-let reachable f =
-  let n = Func.num_blocks f in
-  let visited = Array.make n false in
-  let rec dfs b =
-    if not visited.(b) then begin
-      visited.(b) <- true;
-      List.iter dfs (successors f b)
-    end
-  in
-  dfs 0;
-  visited
-
 (* Damped fixpoint over edge probabilities. Loop back-edges would need a
    linear solve for exactness; a couple dozen sweeps in reverse postorder
    converge well enough for layout heuristics while staying linear in CFG
@@ -46,7 +26,7 @@ let reachable f =
    The successors are laid out once in compressed sparse-row form, rows
    in sweep order: row [r] is block [order.(r)], its (successor,
    probability) pairs at [succ.(k)], [prob.(k)] for k in
-   [start.(r), start.(r + 1)), in {!Term.successor_probs} order. *)
+   [start.(r), start.(r + 1)), in {!Term.successors} order. *)
 let estimate_frequencies ~use_pgo f =
   let n = Func.num_blocks f in
   let order = Array.of_list (reverse_postorder f) in
@@ -131,68 +111,3 @@ let edge_frequencies ?freqs ~use_pgo f =
     | Term.Return -> ()
   done;
   !edges
-
-(* Cooper-Harvey-Kennedy iterative dominators over the reverse postorder. *)
-let immediate_dominators f =
-  let n = Func.num_blocks f in
-  let rpo = Array.of_list (reverse_postorder f) in
-  let reach = reachable f in
-  let rpo_pos = Array.make n (-1) in
-  Array.iteri (fun i b -> rpo_pos.(b) <- i) rpo;
-  let preds = predecessors f in
-  let idom = Array.make n (-1) in
-  idom.(0) <- 0;
-  let intersect a b =
-    (* Walk up the (partially built) dominator tree in rpo positions. *)
-    let rec go a b =
-      if a = b then a
-      else if rpo_pos.(a) > rpo_pos.(b) then go idom.(a) b
-      else go a idom.(b)
-    in
-    go a b
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun b ->
-        if b <> 0 && reach.(b) then begin
-          let processed = List.filter (fun p -> reach.(p) && idom.(p) >= 0) preds.(b) in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if idom.(b) <> new_idom then begin
-              idom.(b) <- new_idom;
-              changed := true
-            end
-        end)
-      rpo
-  done;
-  idom
-
-let dominates f a b =
-  let idom = immediate_dominators f in
-  if idom.(b) < 0 || idom.(a) < 0 then false
-  else begin
-    let rec up x = if x = a then true else if x = 0 then a = 0 else up idom.(x) in
-    up b
-  end
-
-let loop_headers f =
-  let idom = immediate_dominators f in
-  let doms_of b =
-    (* The set of dominators of b, by walking idoms. *)
-    let rec up x acc = if x = 0 then 0 :: acc else up idom.(x) (x :: acc) in
-    if idom.(b) < 0 then [] else up b []
-  in
-  let headers = Hashtbl.create 8 in
-  for b = 0 to Func.num_blocks f - 1 do
-    if idom.(b) >= 0 then begin
-      let doms = doms_of b in
-      List.iter
-        (fun s -> if List.mem s doms then Hashtbl.replace headers s ())
-        (successors f b)
-    end
-  done;
-  Hashtbl.fold (fun h () acc -> h :: acc) headers [] |> List.sort compare

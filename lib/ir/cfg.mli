@@ -1,24 +1,9 @@
 (** Control-flow-graph analyses over a single {!Func.t}. *)
 
-(** [successors f b] is the successor ids of block [b]. *)
-val successors : Func.t -> int -> int list
-
-(** [predecessors f] is an array mapping each block id to its predecessor
-    ids (deterministic order). *)
-val predecessors : Func.t -> int list array
-
-(** [reverse_postorder f] is the block ids of [f] in reverse postorder
-    from the entry; unreachable blocks are appended in id order (they
-    still occupy space in the binary). *)
-val reverse_postorder : Func.t -> int list
-
-(** [reachable f] marks blocks reachable from the entry. *)
-val reachable : Func.t -> bool array
-
 (** [estimate_frequencies ~use_pgo f] computes per-block execution
     frequencies relative to one function invocation by propagating edge
-    probabilities ([use_pgo] selects {!Term.successor_pgo_probs} over the
-    true probabilities). Cyclic flow is resolved by damped fixpoint
+    probabilities ([use_pgo] selects the PGO-estimated [pgo_prob]/[pgo_probs]
+    over the true probabilities). Cyclic flow is resolved by damped fixpoint
     iteration, capped to keep the analysis linear in practice. *)
 val estimate_frequencies : use_pgo:bool -> Func.t -> float array
 
@@ -26,16 +11,3 @@ val estimate_frequencies : use_pgo:bool -> Func.t -> float array
     triples from block frequencies ([freqs] if supplied, otherwise
     {!estimate_frequencies} is run). *)
 val edge_frequencies : ?freqs:float array -> use_pgo:bool -> Func.t -> (int * int * float) list
-
-(** [immediate_dominators f] computes idoms by the Cooper-Harvey-Kennedy
-    iterative algorithm. [idom.(0) = 0]; unreachable blocks get [-1]. *)
-val immediate_dominators : Func.t -> int array
-
-(** [dominates f a b] tells whether [a] dominates [b] (reflexive).
-    [false] when either block is unreachable. *)
-val dominates : Func.t -> int -> int -> bool
-
-(** [loop_headers f] lists the targets of natural back edges (an edge
-    [b -> h] where [h] dominates [b]), in ascending order — the blocks a
-    backend would consider for loop alignment. *)
-val loop_headers : Func.t -> int list

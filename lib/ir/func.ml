@@ -20,8 +20,6 @@ let make ~name ?(attrs = default_attrs) blocks =
     blocks;
   { name; blocks; attrs }
 
-let entry f = f.blocks.(0)
-
 let block f i = f.blocks.(i)
 
 let num_blocks f = Array.length f.blocks

@@ -14,14 +14,10 @@ type t = {
   attrs : attrs;
 }
 
-val default_attrs : attrs
-
 (** [make ~name ?attrs blocks] checks the block-id invariant and that all
     terminator targets are in range; raises [Invalid_argument]
     otherwise. *)
 val make : name:string -> ?attrs:attrs -> Block.t array -> t
-
-val entry : t -> Block.t
 
 val block : t -> int -> Block.t
 
@@ -35,6 +31,8 @@ val code_bytes : t -> int
     all blocks; used to build static call graphs. *)
 val calls : t -> (string * float) list
 
+(** [pp] prints the readable IR: the form {!feed} streams into a digest,
+    and the reference the digest laws compare it against. *)
 val pp : Format.formatter -> t -> unit
 
 (** [feed st f] feeds [st] exactly the bytes

@@ -3,20 +3,17 @@ type t = {
   main : string;
   units : Cunit.t list;
   by_name : (string, Func.t) Hashtbl.t;
-  unit_of : (string, string) Hashtbl.t;
 }
 
 let make ~name ~main units =
   let by_name = Hashtbl.create 1024 in
-  let unit_of = Hashtbl.create 1024 in
   List.iter
     (fun (u : Cunit.t) ->
       List.iter
         (fun (f : Func.t) ->
           if Hashtbl.mem by_name f.name then
             invalid_arg (Printf.sprintf "Program.make %s: duplicate function %s" name f.name);
-          Hashtbl.replace by_name f.name f;
-          Hashtbl.replace unit_of f.name u.name)
+          Hashtbl.replace by_name f.name f)
         u.funcs)
     units;
   if not (Hashtbl.mem by_name main) then
@@ -30,7 +27,7 @@ let make ~name ~main units =
               (Printf.sprintf "Program.make %s: %s calls undefined %s" name f.name callee))
         (Func.calls f))
     by_name;
-  { name; main; units; by_name; unit_of }
+  { name; main; units; by_name }
 
 let name t = t.name
 
@@ -39,10 +36,6 @@ let main t = t.main
 let units t = t.units
 
 let find_func t fname = Hashtbl.find_opt t.by_name fname
-
-let find_func_exn t fname = Hashtbl.find t.by_name fname
-
-let unit_of_func t fname = Hashtbl.find_opt t.unit_of fname
 
 let iter_funcs t f = List.iter (fun (u : Cunit.t) -> List.iter f u.funcs) t.units
 

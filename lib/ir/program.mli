@@ -16,13 +16,6 @@ val units : t -> Cunit.t list
 (** [find_func t fname] resolves a function by name. *)
 val find_func : t -> string -> Func.t option
 
-(** [find_func_exn t fname] like {!find_func} but raises [Not_found]. *)
-val find_func_exn : t -> string -> Func.t
-
-(** [unit_of_func t fname] is the name of the compilation unit defining
-    [fname]. *)
-val unit_of_func : t -> string -> string option
-
 (** [iter_funcs t f] applies [f] to every function, in unit order. *)
 val iter_funcs : t -> (Func.t -> unit) -> unit
 

@@ -16,20 +16,6 @@ let successors = function
   | Switch { table; _ } -> Array.to_list table
   | Return -> []
 
-let successor_probs = function
-  | Jump b -> [ (b, 1.0) ]
-  | Branch { taken; fallthrough; prob; _ } -> [ (taken, prob); (fallthrough, 1.0 -. prob) ]
-  | Switch { table; probs; _ } -> Array.to_list (Array.map2 (fun b p -> (b, p)) table probs)
-  | Return -> []
-
-let successor_pgo_probs = function
-  | Jump b -> [ (b, 1.0) ]
-  | Branch { taken; fallthrough; pgo_prob; _ } ->
-    [ (taken, pgo_prob); (fallthrough, 1.0 -. pgo_prob) ]
-  | Switch { table; pgo_probs; _ } ->
-    Array.to_list (Array.map2 (fun b p -> (b, p)) table pgo_probs)
-  | Return -> []
-
 let map_blocks f = function
   | Jump b -> Jump (f b)
   | Branch b -> Branch { b with taken = f b.taken; fallthrough = f b.fallthrough }

@@ -26,12 +26,6 @@ type t =
 (** [successors t] lists successor block ids in deterministic order. *)
 val successors : t -> int list
 
-(** [successor_probs t] pairs each successor with its true probability. *)
-val successor_probs : t -> (int * float) list
-
-(** [successor_pgo_probs t] pairs each successor with the PGO estimate. *)
-val successor_pgo_probs : t -> (int * float) list
-
 (** [map_blocks f t] renames block ids through [f]. *)
 val map_blocks : (int -> int) -> t -> t
 

@@ -16,33 +16,14 @@ module Cond = struct
     | Ge -> "ge"
     | Le -> "le"
     | Gt -> "g"
-
-  let equal a b = a = b
 end
 
 module Target = struct
   type t = Block of { func : string; block : int } | Func of string
 
-  let equal a b =
-    match a, b with
-    | Block a, Block b -> String.equal a.func b.func && a.block = b.block
-    | Func a, Func b -> String.equal a b
-    | Block _, Func _ | Func _, Block _ -> false
-
-  let compare a b =
-    match a, b with
-    | Block a, Block b ->
-      let c = String.compare a.func b.func in
-      if c <> 0 then c else Int.compare a.block b.block
-    | Func a, Func b -> String.compare a b
-    | Block _, Func _ -> -1
-    | Func _, Block _ -> 1
-
-  let symbol = function
+  let to_string = function
     | Block { func; block } -> Printf.sprintf "%s#%d" func block
     | Func f -> f
-
-  let to_string = symbol
 end
 
 type encoding = Short | Long
@@ -75,29 +56,6 @@ let size = function
   | Ret -> 1
 
 let fits_short offset = offset >= -128 && offset <= 127
-
-let is_branch = function
-  | Jcc _ | Jmp _ -> true
-  | Alu _ | Load _ | Store _ | Call _ | IndirectCall | IndirectJmp | Ret | Prefetch | Nop _
-  | InlineData _ -> false
-
-let is_control_transfer = function
-  | Jcc _ | Jmp _ | Call _ | IndirectCall | IndirectJmp | Ret -> true
-  | Alu _ | Load _ | Store _ | Prefetch | Nop _ | InlineData _ -> false
-
-let branch_target = function
-  | Jcc { target; _ } | Jmp { target; _ } | Call target -> Some target
-  | Alu _ | Load _ | Store _ | IndirectCall | IndirectJmp | Ret | Prefetch | Nop _
-  | InlineData _ -> None
-
-let with_target i target =
-  match i with
-  | Jcc j -> Jcc { j with target }
-  | Jmp j -> Jmp { j with target }
-  | Call _ -> Call target
-  | Alu _ | Load _ | Store _ | IndirectCall | IndirectJmp | Ret | Prefetch | Nop _
-  | InlineData _ ->
-    invalid_arg "Isa.with_target: not a branching instruction"
 
 let to_string = function
   | Alu n -> Printf.sprintf "alu%d" n

@@ -19,8 +19,6 @@ module Cond : sig
   val negate : t -> t
 
   val to_string : t -> string
-
-  val equal : t -> t -> bool
 end
 
 (** Branch target, symbolic until link time. *)
@@ -29,16 +27,6 @@ module Target : sig
     | Block of { func : string; block : int }
         (** A basic block, identified by owning function and block id. *)
     | Func of string  (** A function entry, by symbol name. *)
-
-  val equal : t -> t -> bool
-
-  val compare : t -> t -> int
-
-  val to_string : t -> string
-
-  (** [symbol t] is the link-time symbol name the target resolves
-      through: ["func"] or ["func#block"]. *)
-  val symbol : t -> string
 end
 
 (** Short/long encoding of a PC-relative branch. Codegen with basic block
@@ -78,18 +66,5 @@ val jmp_size : encoding -> int
 (** [fits_short offset] tells whether a PC-relative displacement fits the
     rel8 short form. [offset] is (target - end_of_instruction). *)
 val fits_short : int -> bool
-
-(** [is_branch i] is true for [Jcc] and [Jmp]. *)
-val is_branch : t -> bool
-
-(** [is_control_transfer i] is true for branches, calls and returns. *)
-val is_control_transfer : t -> bool
-
-(** [branch_target i] is the symbolic target of a branch/call, if any. *)
-val branch_target : t -> Target.t option
-
-(** [with_target i target] replaces the symbolic target of a branch/call.
-    Raises [Invalid_argument] for non-branching instructions. *)
-val with_target : t -> Target.t -> t
 
 val to_string : t -> string

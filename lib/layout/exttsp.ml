@@ -182,10 +182,6 @@ let score ?(params = default_params) ~order (p : Problem.t) =
   score_bundle params (scratch (Array.length p.sizes)) p.sizes (Array.of_list order)
     (Problem.flat p)
 
-let score_norm ?(params = default_params) ~order (p : Problem.t) =
-  let total = Problem.total_weight p in
-  if total <= 0.0 then 0.0 else score ~params ~order p /. total
-
 (* Evaluate every way to merge chain [a] (id [a_id]) with chain [b]
    across the edges [cross] between them. Each arrangement is "b
    inserted at cut c of a": a[0..c) ++ b ++ a[c..). c = |a| is a++b,

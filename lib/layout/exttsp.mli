@@ -67,13 +67,6 @@ val order : ?params:params -> Problem.t -> int list
     [0, n). *)
 val score : ?params:params -> order:int list -> Problem.t -> float
 
-(** [score_norm ?params ~order problem] is {!score} divided by the total
-    (non-self) edge weight — a layout-quality figure in
-    [0, fallthrough_weight] that is comparable across programs of
-    different sizes and sample counts. 1.0 means every observed transfer
-    is a rewarded fall-through; 0 when no edges carry weight. *)
-val score_norm : ?params:params -> order:int list -> Problem.t -> float
-
 (** Reusable scoring scratch for layouts held as arrays: position maps
     sized for [n] nodes, so search loops that score hundreds of
     candidate arrangements of one problem allocate nothing per

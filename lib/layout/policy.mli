@@ -7,7 +7,7 @@
     (problem, params) pair always yields the same layout on any number
     of domains.
 
-    The policies (see {!all}):
+    The policies:
     - ["exttsp"] — Ext-TSP chain merging with priority-queue retrieval
       (paper §3.3/§4.7); the default everywhere.
     - ["exttsp-linear"] — Ext-TSP with linear candidate rescan; same
@@ -35,10 +35,7 @@ type t = {
       (** Returns a permutation of [0 .. size-1], entry first. *)
 }
 
-(** [all] lists the policies, default first. *)
-val all : t list
-
-(** [names] lists the policy names in the order of {!all}. *)
+(** [names] lists the policy names, default first. *)
 val names : string list
 
 (** [find name] looks up a policy by name. *)

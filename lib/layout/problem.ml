@@ -6,7 +6,6 @@ type t = {
   edges : (int * int * float) list;
   entry : int;
   mutable flat_cache : flat option;
-  mutable total_cache : float option;
 }
 
 let make ~sizes ~weights ~edges ~entry =
@@ -23,7 +22,7 @@ let make ~sizes ~weights ~edges ~entry =
       if not (Float.is_finite w) then
         invalid_arg (Printf.sprintf "Problem.make: edge %d -> %d has weight %g" src dst w))
     edges;
-  { sizes; weights; edges; entry; flat_cache = None; total_cache = None }
+  { sizes; weights; edges; entry; flat_cache = None }
 
 let size t = Array.length t.sizes
 
@@ -73,13 +72,3 @@ let flat t =
     let f = dedupe t.edges in
     t.flat_cache <- Some f;
     f
-
-let total_weight t =
-  match t.total_cache with
-  | Some w -> w
-  | None ->
-    let w =
-      List.fold_left (fun acc (src, dst, w) -> if src <> dst then acc +. w else acc) 0.0 t.edges
-    in
-    t.total_cache <- Some w;
-    w

@@ -28,7 +28,6 @@ type t = {
       (** [(src, dst, weight)] transfer frequencies; duplicates allowed. *)
   entry : int;  (** Node pinned to the front of every layout. *)
   mutable flat_cache : flat option;  (** Use {!flat}, not this field. *)
-  mutable total_cache : float option;  (** Use {!total_weight}. *)
 }
 
 (** [make ~sizes ~weights ~edges ~entry] packages one problem. The
@@ -51,7 +50,3 @@ val size : t -> int
     sorted by (src, dst). Built by a stable sort of the kept edges by
     packed (src, dst) key, so it allocates no table. *)
 val flat : t -> flat
-
-(** [total_weight t] is the sum of non-self edge weights in input
-    order (the normalizer of [Exttsp.score_norm]), cached. *)
-val total_weight : t -> float

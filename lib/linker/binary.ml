@@ -100,8 +100,6 @@ let find_block_by_addr t addr =
 
 let funcs t = Hashtbl.fold (fun f _ acc -> f :: acc) (index t).by_func [] |> List.sort compare
 
-let blocks_in_address_order t = Array.to_list (index t).ordered
-
 let symbols_sorted t =
   Hashtbl.fold (fun name addr acc -> (name, addr) :: acc) t.symbols []
   |> List.sort (fun (na, aa) (nb, ab) ->

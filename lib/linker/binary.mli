@@ -22,8 +22,8 @@ type placed = {
 }
 
 (** The address index of a linked image: the one structure every
-    address-to-block lookup reads — {!find_block_by_addr},
-    {!blocks_in_address_order}, {!funcs} and {!image_digest} here,
+    address-to-block lookup reads — {!find_block_by_addr}, {!funcs}
+    and {!image_digest} here,
     [Inspect.Resolve], [Propeller.Dcfg.build_of_blocks] and the BOLT
     rewrite outside. It is built on first use, once per binary, and
     dies with it; only these readers pay for it. Read it; never mutate
@@ -117,17 +117,6 @@ val find_block_by_addr : t -> int -> block_info option
 
 (** [funcs t] lists function names with placed blocks, sorted. *)
 val funcs : t -> string list
-
-(** [blocks_in_address_order t] is [(index t).ordered] as a list — the
-    order introspection tools and the image digest share ([blocks] is
-    in address order too, but orders blocks that share an address by
-    link order). *)
-val blocks_in_address_order : t -> block_info list
-
-(** [symbols_sorted t] lists (symbol, address) pairs sorted by address,
-    ties broken by name — a stable walk of the symbol table for listings
-    and diffs. *)
-val symbols_sorted : t -> (string * int) list
 
 (** [image_digest t] is a content digest of the observable image: the
     placed section list, every block's final address/size/instructions

@@ -21,11 +21,3 @@ let encoded_size t =
     (fun acc fm ->
       acc + 9 + List.fold_left (fun acc e -> acc + entry_size e) 0 fm.entries)
     0 t
-
-let lookup t ~func ~offset =
-  match List.find_opt (fun fm -> String.equal fm.func func) t with
-  | None -> None
-  | Some fm ->
-    List.find_opt (fun e -> offset >= e.offset && offset < e.offset + e.size) fm.entries
-
-let num_entries t = List.fold_left (fun acc fm -> acc + List.length fm.entries) 0 t

@@ -27,9 +27,3 @@ type t = func_map list
     header (address + count) plus ULEB128-encoded id/offset/size/flags
     per entry. *)
 val encoded_size : t -> int
-
-(** [lookup t ~func ~offset] finds the entry covering byte [offset]
-    relative to symbol [func], if any. *)
-val lookup : t -> func:string -> offset:int -> entry option
-
-val num_entries : t -> int

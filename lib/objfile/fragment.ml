@@ -79,7 +79,3 @@ let piece_offsets f =
       (0, 0, []) f.pieces
   in
   List.rev rev
-
-let num_relocations f = Array.length f.index.sites
-
-let block_ids f = List.map (fun p -> p.block) f.pieces

@@ -45,10 +45,3 @@ val byte_size : t -> int
 (** [piece_offsets f] pairs each piece with its byte offset from the
     fragment start, under the current encodings. *)
 val piece_offsets : t -> (piece * int) list
-
-(** [num_relocations f] counts instructions whose target needs a static
-    relocation (branches and direct calls with symbolic targets). *)
-val num_relocations : t -> int
-
-(** [block_ids f] lists block ids in piece order. *)
-val block_ids : t -> int list

@@ -20,8 +20,6 @@ let size s =
 
 let is_text s = s.kind = Text
 
-let fragment s = match s.contents with Code f -> Some f | Map _ | Raw _ -> None
-
 let kind_to_string = function
   | Text -> "text"
   | Bb_addr_map -> "bb_addr_map"

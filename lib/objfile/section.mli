@@ -33,7 +33,4 @@ val size : t -> int
 (** [is_text s] is true for executable sections. *)
 val is_text : t -> bool
 
-(** [fragment s] extracts the code fragment of a text section. *)
-val fragment : t -> Fragment.t option
-
 val kind_to_string : kind -> string

@@ -6,16 +6,6 @@ let cluster f n =
   if n < 1 then invalid_arg "Symname.cluster: n must be >= 1";
   Printf.sprintf "%s.%d" f n
 
-let block ~func ~block = Printf.sprintf "%s#%d" func block
-
-let parse_block s =
-  match String.rindex_opt s '#' with
-  | None -> None
-  | Some i -> (
-    let func = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    match int_of_string_opt rest with Some b -> Some (func, b) | None -> None)
-
 let is_cold s =
   String.length s > 5 && String.equal (String.sub s (String.length s - 5) 5) ".cold"
 

@@ -14,12 +14,6 @@ val cold : string -> string
 (** [cluster f n] is [f ^ "." ^ n] for extra clusters, [n >= 1]. *)
 val cluster : string -> int -> string
 
-(** [block ~func ~block] is the internal per-block symbol. *)
-val block : func:string -> block:int -> string
-
-(** [parse_block s] inverts {!block}. *)
-val parse_block : string -> (string * int) option
-
 (** [owner s] strips cluster suffixes, recovering the function a cluster
     symbol belongs to ([foo.cold] -> [foo], [foo.2] -> [foo]). *)
 val owner : string -> string

@@ -1,6 +1,6 @@
-type t = { start : float; mutable now : float }
+type t = { mutable now : float }
 
-let create ?(start = 0.0) () = { start; now = start }
+let create () = { now = 0.0 }
 
 let now t = t.now
 
@@ -8,4 +8,3 @@ let advance t dt =
   if dt < 0.0 then invalid_arg "Clock.advance: negative duration";
   t.now <- t.now +. dt
 
-let reset t = t.now <- t.start

@@ -7,8 +7,8 @@
 
 type t
 
-(** [create ()] starts a clock at [start] (default 0) seconds. *)
-val create : ?start:float -> unit -> t
+(** [create ()] starts a clock at 0 seconds. *)
+val create : unit -> t
 
 (** [now t] is the current simulated time, in seconds. *)
 val now : t -> float
@@ -16,6 +16,3 @@ val now : t -> float
 (** [advance t dt] moves the clock forward by [dt] seconds; negative
     [dt] raises [Invalid_argument] (simulated time is monotonic). *)
 val advance : t -> float -> unit
-
-(** [reset t] rewinds to the creation start time. *)
-val reset : t -> unit

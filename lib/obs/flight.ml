@@ -1,9 +1,8 @@
 (* Bounded ring buffer of the last K telemetry events, kept cheap
    enough to stay always-on. The dump is the postmortem artifact: what
    the run was doing just before a crash or a fault-path degradation.
-   Dump *content* is replay-deterministic (simulated time, kinds,
-   names, details); host timestamps ride along in the JSON export only,
-   marked informational. *)
+   Dump content is replay-deterministic (simulated time, kinds, names,
+   details). *)
 
 type kind = Span_begin | Span_end | Span_complete | Counter | Gauge | Observe | Note
 
@@ -19,7 +18,6 @@ let kind_to_string = function
 type event = {
   seq : int;  (* 0-based record index since creation/reset *)
   sim : float;  (* simulated seconds *)
-  host : float;  (* host seconds; informational *)
   kind : kind;
   name : string;
   detail : string;
@@ -33,12 +31,8 @@ let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
   { slots = Array.make capacity None; capacity; recorded = 0 }
 
-let capacity t = t.capacity
-
-let recorded t = t.recorded
-
 let record t ~sim kind name detail =
-  let ev = { seq = t.recorded; sim; host = Hostclock.now (); kind; name; detail } in
+  let ev = { seq = t.recorded; sim; kind; name; detail } in
   t.slots.(t.recorded mod t.capacity) <- Some ev;
   t.recorded <- t.recorded + 1
 
@@ -49,10 +43,6 @@ let events t =
       match t.slots.((t.recorded - n + i) mod t.capacity) with
       | Some ev -> ev
       | None -> assert false)
-
-let reset t =
-  Array.fill t.slots 0 t.capacity None;
-  t.recorded <- 0
 
 let event_line ev =
   Printf.sprintf "  #%-6d t=%.6fs %-13s %s%s" ev.seq ev.sim (kind_to_string ev.kind) ev.name
@@ -70,23 +60,3 @@ let dump t =
       Buffer.add_char buf '\n')
     evs;
   Buffer.contents buf
-
-let event_json ev =
-  Json.Obj
-    [
-      ("seq", Json.Int ev.seq);
-      ("sim_s", Json.Float ev.sim);
-      ("host_unix_s", Json.Float ev.host);  (* informational: varies run to run *)
-      ("kind", Json.String (kind_to_string ev.kind));
-      ("name", Json.String ev.name);
-      ("detail", Json.String ev.detail);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("tool", Json.String "propeller-flight");
-      ("capacity", Json.Int t.capacity);
-      ("recorded", Json.Int t.recorded);
-      ("events", Json.List (List.map event_json (events t)));
-    ]

@@ -5,21 +5,9 @@
     Always on and O(1) per event, so instrumented code records
     unconditionally. The text {!dump} contains only replay-deterministic
     fields (sequence number, simulated time, kind, name, detail) — two
-    identical runs dump identical bytes. Host timestamps are captured
-    per event but surface only in {!to_json}, marked informational. *)
+    identical runs dump identical bytes. *)
 
 type kind = Span_begin | Span_end | Span_complete | Counter | Gauge | Observe | Note
-
-val kind_to_string : kind -> string
-
-type event = {
-  seq : int;  (** Record index since creation/reset (monotonic). *)
-  sim : float;  (** Simulated seconds at record time. *)
-  host : float;  (** Host seconds at record time; informational. *)
-  kind : kind;
-  name : string;
-  detail : string;
-}
 
 type t
 
@@ -27,20 +15,7 @@ type t
     512) events; older events are overwritten. *)
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
-
-(** [recorded t] is the total number of events ever recorded (not
-    capped by capacity). *)
-val recorded : t -> int
-
 val record : t -> sim:float -> kind -> string -> string -> unit
-
-(** [events t] lists the surviving events, oldest first. *)
-val events : t -> event list
-
-val reset : t -> unit
 
 (** [dump t] is the deterministic postmortem text (no host times). *)
 val dump : t -> string
-
-val to_json : t -> Json.t

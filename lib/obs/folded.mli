@@ -4,9 +4,6 @@
     profiles, flow-decomposed hot paths) so their outputs stay
     byte-compatible with each other and with flamegraph.pl. *)
 
-(** [add buf ~path ~weight] appends one folded line. *)
-val add : Buffer.t -> path:string -> weight:int -> unit
-
 (** [to_string rows] renders [(path, weight)] rows in list order. *)
 val to_string : (string * int) list -> string
 

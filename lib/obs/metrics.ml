@@ -22,11 +22,7 @@ let add_counter t name n =
 
 let incr_counter t name = add_counter t name 1
 
-let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
 let set_gauge t name v = cell t.gauges (fun () -> ref 0.0) name := v
-
-let gauge t name = Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
 
 let observe t name v =
   let r = cell t.histograms (fun () -> ref []) name in
@@ -96,11 +92,6 @@ let summarize = function
         p99 = percentile 99.0 xs;
       }
 
-let summary t name =
-  match Hashtbl.find_opt t.histograms name with
-  | None -> None
-  | Some r -> summarize !r
-
 let sorted_bindings tbl value =
   Hashtbl.fold (fun k r acc -> (k, value r) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -114,11 +105,6 @@ let summaries t =
     (fun k r acc -> match summarize !r with Some s -> (k, s) :: acc | None -> acc)
     t.histograms []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms
 
 let summary_json (s : summary) =
   Json.Obj

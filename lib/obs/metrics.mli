@@ -20,12 +20,7 @@ val incr_counter : t -> string -> unit
 
 val add_counter : t -> string -> int -> unit
 
-(** [counter t name] is the current value; 0 when never bumped. *)
-val counter : t -> string -> int
-
 val set_gauge : t -> string -> float -> unit
-
-val gauge : t -> string -> float option
 
 (** [observe t name v] appends one histogram observation. *)
 val observe : t -> string -> float -> unit
@@ -41,9 +36,6 @@ type summary = {
   p90 : float;
   p99 : float;
 }
-
-(** [summary t name] summarizes a histogram; [None] when empty. *)
-val summary : t -> string -> summary option
 
 (** {2 Summary statistics}
 
@@ -62,25 +54,8 @@ val percentile : float -> float list -> float
     the two middle elements for even lengths; 0 for the empty list. *)
 val median : float list -> float
 
-(** [sum xs] sums the list. *)
-val sum : float list -> float
-
 (** [mean xs] is the arithmetic mean; 0 for the empty list. *)
 val mean : float list -> float
-
-(** [stddev xs] is the population standard deviation; 0 for the empty
-    list and for singletons. *)
-val stddev : float list -> float
-
-(** Sorted views for exporters. *)
-val counters : t -> (string * int) list
-
-val gauges : t -> (string * float) list
-
-val summaries : t -> (string * summary) list
-
-(** [reset t] drops every metric. *)
-val reset : t -> unit
 
 (** [to_json t] is the metrics report as a JSON tree. *)
 val to_json : t -> Json.t

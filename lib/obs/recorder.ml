@@ -18,24 +18,11 @@ let create ?flight_capacity () =
 
 let global = create ()
 
-let metrics t = t.metrics
-
 let trace t = t.trace
 
 let selfprof t = t.selfprof
 
-let flight t = t.flight
-
 let enable_self_profile t = Selfprof.enable t.selfprof
-
-let self_profile_enabled t = Selfprof.enabled t.selfprof
-
-let reset t =
-  Clock.reset t.clk;
-  Metrics.reset t.metrics;
-  Trace.reset t.trace;
-  Selfprof.reset t.selfprof;
-  Flight.reset t.flight
 
 let with_span ?args t name f =
   Flight.record t.flight ~sim:(Clock.now t.clk) Flight.Span_begin name "";

@@ -23,27 +23,14 @@ val create : ?flight_capacity:int -> unit -> t
     exports). *)
 val global : t
 
-val metrics : t -> Metrics.t
-
 val trace : t -> Trace.t
 
 (** [selfprof t] is the host-time/GC self-profile of this scope. *)
 val selfprof : t -> Selfprof.t
 
-(** [flight t] is the scope's flight recorder (always on). *)
-val flight : t -> Flight.t
-
 (** [enable_self_profile t] arms span-attributed host-clock and GC
     profiling ([--self-profile]); off by default and free when off. *)
 val enable_self_profile : t -> unit
-
-val self_profile_enabled : t -> bool
-
-(** [reset t] clears the metrics, the trace, the clock, the
-    self-profile and the flight buffer. *)
-val reset : t -> unit
-
-(* Conveniences that forward to the underlying components. *)
 
 val with_span : ?args:(string * Trace.arg) list -> t -> string -> (unit -> 'a) -> 'a
 

@@ -50,12 +50,6 @@ let create () = { enabled = false; stack = []; paths = Hashtbl.create 64 }
 
 let enable t = t.enabled <- true
 
-let enabled t = t.enabled
-
-let reset t =
-  t.stack <- [];
-  Hashtbl.reset t.paths
-
 let enter t name =
   if not t.enabled then None
   else begin
@@ -110,10 +104,6 @@ let leave t frame =
       parent.child_host_s <- parent.child_host_s +. dt;
       parent.child_alloc_words <- parent.child_alloc_words +. words
     | [] -> ())
-
-let with_span t name f =
-  let fr = enter t name in
-  Fun.protect ~finally:(fun () -> leave t fr) f
 
 (* --- Views -------------------------------------------------------- *)
 

@@ -27,12 +27,6 @@ val create : unit -> t
     disable — a half-profiled run renders a misleading profile). *)
 val enable : t -> unit
 
-val enabled : t -> bool
-
-(** [reset t] drops all accumulated frames and aggregates; the enabled
-    flag is preserved. *)
-val reset : t -> unit
-
 (** An open frame, as returned by {!enter}: [None] when profiling is
     disabled. *)
 type frame
@@ -43,9 +37,6 @@ type frame
 val enter : t -> string -> frame option
 
 val leave : t -> frame option -> unit
-
-(** [with_span t name f] runs [f] inside a frame (closed on raise). *)
-val with_span : t -> string -> (unit -> 'a) -> 'a
 
 (** One aggregated span path. Inclusive fields ([host_s],
     [alloc_words], GC words/collections) cover the whole subtree;
@@ -64,11 +55,6 @@ type row = {
   minor_collections : int;
   major_collections : int;
 }
-
-(** [rows t] lists every path, sorted by path (deterministic order). *)
-val rows : t -> row list
-
-val num_paths : t -> int
 
 (** A hotspot: rows merged by leaf span name, ranked by self host
     seconds (allocation words break ties). *)

@@ -64,8 +64,6 @@ let spans t =
     (fun a b -> if a.start = b.start then compare a.id b.id else compare a.start b.start)
     t.completed
 
-let find_spans t name = List.filter (fun s -> String.equal s.name name) (spans t)
-
 let num_events t = List.length t.completed + List.length t.samples
 
 let usec seconds = int_of_float (Float.round (seconds *. 1e6))
@@ -112,9 +110,3 @@ let to_chrome_json t =
           (List.map span_event (spans t) @ List.map counter_event samples) );
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let reset t =
-  t.stack <- [];
-  t.completed <- [];
-  t.samples <- [];
-  t.next_id <- 0

@@ -56,18 +56,7 @@ val set_args : t -> (string * arg) list -> unit
     simulated time, e.g. [counter t "buildsys.cache" ["hits", 12.; ...]]. *)
 val counter : t -> string -> (string * float) list -> unit
 
-(** [spans t] lists completed spans sorted by (start time, id) —
-    parents precede their children. *)
-val spans : t -> span list
-
-(** [find_spans t name] is [spans t] filtered by exact name. *)
-val find_spans : t -> string -> span list
-
 (** [num_events t] counts exportable events (spans + counter samples). *)
 val num_events : t -> int
 
 val to_chrome_json : t -> Json.t
-
-(** [reset t] drops all recorded spans and counter samples (open spans
-    included). *)
-val reset : t -> unit

@@ -1,6 +1,9 @@
-type config = { period : int; buffer_depth : int }
+type config = { period : int }
 
-let default_config = { period = 101; buffer_depth = 32 }
+let default_config = { period = 101 }
+
+(* Records per LBR buffer, as on Intel. *)
+let depth = 32
 
 (* Address-pair tables are flat int->int maps over packed
    (src lsl 31) lor dst keys (Support.Packed): one immediate key per
@@ -44,7 +47,6 @@ let pair_total tbl = Support.Itab.fold (fun _ n acc -> acc + n) tbl 0
    transfers never mispredict. *)
 type collector = {
   period : int;
-  depth : int;
   ring_src : int array;
   ring_dst : int array;
   ring_mis : bool array;
@@ -56,11 +58,9 @@ type collector = {
   profile : profile;
 }
 
-let collector_state config profile =
-  let depth = config.buffer_depth in
+let collector_state (config : config) profile =
   {
     period = config.period;
-    depth;
     ring_src = Array.make depth 0;
     ring_dst = Array.make depth 0;
     ring_mis = Array.make depth false;
@@ -77,10 +77,10 @@ let sample c =
   p.num_samples <- p.num_samples + 1;
   let n = c.filled in
   (* Oldest-to-newest traversal of the ring. *)
-  let start = (c.head - n + (2 * c.depth)) mod c.depth in
+  let start = (c.head - n + (2 * depth)) mod depth in
   let prev_dst = ref (-1) in
   for k = 0 to n - 1 do
-    let i = (start + k) mod c.depth in
+    let i = (start + k) mod depth in
     p.num_records <- p.num_records + 1;
     let src = c.ring_src.(i) and dst = c.ring_dst.(i) in
     add_pair p.branches ~src ~dst 1;
@@ -110,8 +110,8 @@ let[@inline] on_branch_coded c ~src ~dst ~kindc ~taken =
     c.ring_src.(c.head) <- src;
     c.ring_dst.(c.head) <- dst;
     c.ring_mis.(c.head) <- mispredicted;
-    c.head <- (c.head + 1) mod c.depth;
-    if c.filled < c.depth then c.filled <- c.filled + 1;
+    c.head <- (c.head + 1) mod depth;
+    if c.filled < depth then c.filled <- c.filled + 1;
     c.since_sample <- c.since_sample + 1;
     if c.since_sample >= c.period then begin
       c.since_sample <- 0;
@@ -145,27 +145,12 @@ let collector config profile =
     on_request = (fun _ -> ());
   }
 
-let raw_bytes config profile = profile.num_samples * ((24 * config.buffer_depth) + 64)
+let raw_bytes profile = profile.num_samples * ((24 * depth) + 64)
 
 let distinct_edges profile =
   Support.Itab.length profile.branches + Support.Itab.length profile.ranges
-
-let branch_total profile = pair_total profile.branches
 
 let mispredict_total profile = pair_total profile.mispredicts
 
 let mispredict_count profile ~src ~dst = find_pair profile.mispredicts ~src ~dst
 
-let mispredict_rate profile ~src ~dst =
-  match find_pair profile.branches ~src ~dst with
-  | 0 -> 0.0
-  | n -> float_of_int (mispredict_count profile ~src ~dst) /. float_of_int n
-
-let merge_table dst src = Support.Itab.iter (fun k v -> Support.Itab.add dst k v) src
-
-let merge a b =
-  merge_table a.branches b.branches;
-  merge_table a.ranges b.ranges;
-  merge_table a.mispredicts b.mispredicts;
-  a.num_samples <- a.num_samples + b.num_samples;
-  a.num_records <- a.num_records + b.num_records

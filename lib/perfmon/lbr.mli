@@ -17,12 +17,9 @@
     Tables are flat {!Support.Itab} maps over packed
     [(src lsl 31) lor dst] keys ({!Support.Packed}) — one immediate int
     per pair, so steady-state collection allocates nothing. Use
-    {!iter_pairs}/{!find_pair}/{!add_pair} to consume or build them. *)
+    {!iter_pairs}/{!add_pair} to consume or build them. *)
 
-type config = {
-  period : int;  (** Taken branches between samples. *)
-  buffer_depth : int;  (** LBR depth (32 on Intel). *)
-}
+type config = { period : int  (** Taken branches between samples. *) }
 
 val default_config : config
 
@@ -51,14 +48,8 @@ val add_pair : Support.Itab.t -> src:int -> dst:int -> int -> unit
 (** [add_pair tbl ~src ~dst n] bumps the pair's count by [n]. Raises
     [Invalid_argument] when an address exceeds {!Support.Packed.max_addr}. *)
 
-val find_pair : Support.Itab.t -> src:int -> dst:int -> int
-(** The pair's count, or [0] when absent (or unpackable). *)
-
 val iter_pairs : (src:int -> dst:int -> int -> unit) -> Support.Itab.t -> unit
 (** [iter_pairs f tbl] applies [f ~src ~dst count] to every pair. *)
-
-val pair_total : Support.Itab.t -> int
-(** Sum of all counts in a pair table. *)
 
 (** {1 Collection} *)
 
@@ -80,16 +71,12 @@ val collector : config -> profile -> Exec.Event.sink
 (** {1 Aggregates} *)
 
 (** [raw_bytes p] models the on-disk [perf.data] size: every sample
-    carries the full LBR buffer (24 B per record + header). *)
-val raw_bytes : config -> profile -> int
+    carries the full 32-record LBR buffer (24 B per record + header). *)
+val raw_bytes : profile -> int
 
 (** [distinct_edges p] counts distinct aggregated pairs (memory driver
     for profile conversion). *)
 val distinct_edges : profile -> int
-
-(** [branch_total p] sums the counts of all aggregated taken-branch
-    records (the denominator of profile-mismatch rates). *)
-val branch_total : profile -> int
 
 (** [mispredict_total p] sums all mispredicted records. *)
 val mispredict_total : profile -> int
@@ -97,13 +84,3 @@ val mispredict_total : profile -> int
 (** [mispredict_count p ~src ~dst] is the number of sampled records of
     the (src, dst) pair whose MISPRED bit was set (0 when unseen). *)
 val mispredict_count : profile -> src:int -> dst:int -> int
-
-(** [mispredict_rate p ~src ~dst] is the per-branch mispredict rate:
-    mispredicted records of the pair over all its records. 0 for pairs
-    never sampled (annotation views render those as clean, which is the
-    perf-annotate convention). *)
-val mispredict_rate : profile -> src:int -> dst:int -> float
-
-(** [merge a b] accumulates profile [b] into [a] (multi-shard collection,
-    as production profiles arrive from many machines). *)
-val merge : profile -> profile -> unit

@@ -26,13 +26,3 @@ let consume c (tape : Exec.Event.tape) =
     if Bytes.unsafe_get tags i = Exec.Event.tag_dmiss then
       on_dmiss_addr c (Array.unsafe_get a i)
   done
-
-let collector config profile =
-  let c = collector_state config profile in
-  { Exec.Event.null with Exec.Event.on_dmiss = (fun ~src -> on_dmiss_addr c src) }
-
-let total profile = Support.Itab.fold (fun _ c acc -> acc + c) profile.misses 0
-
-let merge a b =
-  Support.Itab.iter (fun k v -> Support.Itab.add a.misses k v) b.misses;
-  a.num_samples <- a.num_samples + b.num_samples

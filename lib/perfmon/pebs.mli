@@ -23,15 +23,5 @@ type collector
 val collector_state : config -> profile -> collector
 
 val consume : collector -> Exec.Event.tape -> unit
-(** [consume c tape] drains a flat event tape directly (pairs with
-    {!Exec.Interp.run_tape}); identical observations to the closure
-    sink. *)
-
-(** [collector config profile] is a sink sampling into [profile]. *)
-val collector : config -> profile -> Exec.Event.sink
-
-(** [total p] sums sample counts. *)
-val total : profile -> int
-
-(** [merge a b] accumulates [b] into [a]. *)
-val merge : profile -> profile -> unit
+(** [consume c tape] drains a flat event tape (pairs with
+    {!Exec.Interp.run_tape}). *)

@@ -86,23 +86,3 @@ let collector config profile =
   }
 
 let distinct_leaves profile = Hashtbl.length profile.leaves
-
-let table_total tbl = Hashtbl.fold (fun _ n acc -> acc + n) tbl 0
-
-let leaf_total profile = table_total profile.leaves
-
-let arc_total profile = table_total profile.arcs
-
-let merge_table dst src =
-  Hashtbl.iter
-    (fun k v ->
-      match Hashtbl.find_opt dst k with
-      | Some c -> Hashtbl.replace dst k (c + v)
-      | None -> Hashtbl.add dst k v)
-    src
-
-let merge a b =
-  merge_table a.leaves b.leaves;
-  merge_table a.arcs b.arcs;
-  a.num_samples <- a.num_samples + b.num_samples;
-  a.num_frames <- a.num_frames + b.num_frames

@@ -40,12 +40,3 @@ val create_profile : unit -> profile
 val collector : config -> profile -> Exec.Event.sink
 
 val distinct_leaves : profile -> int
-
-(** Sum of all leaf sample counts (= num_samples). *)
-val leaf_total : profile -> int
-
-(** Sum of all call-arc crossing counts. *)
-val arc_total : profile -> int
-
-(** Accumulate [b] into [a]. *)
-val merge : profile -> profile -> unit

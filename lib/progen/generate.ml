@@ -123,14 +123,6 @@ let make_skeleton rng (spec : Spec.t) ~name ~unit_idx ~hot =
     sk_freq;
   }
 
-let hot_units (spec : Spec.t) =
-  let rng = Support.Rng.split (Support.Rng.create spec.seed) 0xC01D in
-  let hot = ref 0 in
-  for u = 0 to spec.num_units - 1 do
-    if u = 0 || not (Support.Rng.bool rng spec.cold_unit_fraction) then incr hot
-  done;
-  !hot
-
 (* Straight-line filler summing to [target] bytes. A small fraction of
    loads are delinquent (poor data locality): post-link prefetch
    insertion targets (paper 3.5). *)

@@ -9,7 +9,3 @@
     Generation is deterministic in [spec.seed]. *)
 
 val program : Spec.t -> Ir.Program.t
-
-(** [hot_units spec] is the number of units generated hot (the
-    complement of the Table 2 "% Cold" target). Exposed for tests. *)
-val hot_units : Spec.t -> int

@@ -59,11 +59,6 @@ val interval_index : Linker.Binary.t -> index
     zero-size blocks. *)
 val find_in : index -> int -> (int * mblock) option
 
-(** [find_idx idx addr] is the index form of {!find_in}: the index of
-    the containing block, or [-1]. Allocation-free — the DCFG build
-    calls it twice per LBR pair. *)
-val find_idx : index -> int -> int
-
 (** [build ~profile ~binary] reconstructs the DCFG from the binary's
     [.llvm_bb_addr_map] (Propeller's path). Raises [Invalid_argument]
     when [binary] has no address map. *)
@@ -105,13 +100,9 @@ val num_edges : t -> int
 (** [find_block t addr] maps an address to its block by {!find_in}. *)
 val find_block : t -> int -> mblock option
 
-(** [func_arcs t] aggregates call arcs to function granularity (hfsort
-    input), sorted for determinism. *)
-val func_arcs : t -> (string * string * float) list
-
 (** [function_order t funcs] is the names of [funcs] in hfsort (C3)
     order: sizes are the mapped bytes of each function's sampled
-    blocks, weights its samples, edges the {!func_arcs} among [funcs].
+    blocks, weights its samples, edges the call arcs among [funcs].
     WPA's global function order and BOLT's [-reorder-functions=hfsort]
     both build this problem. *)
 val function_order : t -> dfunc list -> string list

@@ -6,7 +6,7 @@ type result = {
 }
 
 let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg : Dcfg.t)
-    ~split_threshold ~entry_func =
+    ~entry_func =
   let hot = Dcfg.hot_funcs dcfg in
   let shapes = Dcfg.shapes dcfg hot in
   (* Global node universe: hot blocks of hot functions; entries always
@@ -24,7 +24,7 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
       let bbs =
         Hashtbl.fold
           (fun bb (b : Dcfg.mblock) acc ->
-            if bb = 0 || b.count > split_threshold then (bb, b) :: acc else acc)
+            if bb = 0 || b.count > 0 then (bb, b) :: acc else acc)
           d.dblocks []
         |> List.sort compare
       in

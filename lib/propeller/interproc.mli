@@ -12,14 +12,13 @@ type result = {
   global_nodes : int;  (** Size of the merged graph (cost driver). *)
 }
 
-(** [layout ~policy ~params ~dcfg ~split_threshold ~entry_func] computes
-    the global layout over blocks with count > [split_threshold], using
+(** [layout ~policy ~params ~dcfg ~entry_func] computes the global
+    layout over the sampled blocks and every hot function's entry, using
     [policy] to order the merged graph. [result.score] is always the
     Ext-TSP objective under [params.exttsp], whichever policy ran. *)
 val layout :
   policy:Layout.Policy.t ->
   params:Layout.Policy.params ->
   dcfg:Dcfg.t ->
-  split_threshold:int ->
   entry_func:string ->
   result

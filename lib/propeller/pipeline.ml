@@ -185,7 +185,7 @@ let run_round ?(config = default_config) ~env ~program ~name ~round ~prev () =
     in
     let prefetch =
       if config.prefetch then
-        Some (Prefetch.analyze ~pebs:pebs_profile ~binary:metadata_build.binary ())
+        Some (Prefetch.analyze ~pebs:pebs_profile ~binary:metadata_build.binary)
       else None
     in
     Obs.Recorder.advance rec_ wpa.cpu_seconds;

@@ -1,11 +1,13 @@
-type config = { coverage : float; min_samples : int }
+(* Nominate the hottest blocks covering this fraction of all sampled
+   misses (prefetching rare sites wastes code bytes), ignoring blocks
+   with fewer samples than [min_samples]. *)
+let coverage = 0.9
 
-let default_config = { coverage = 0.9; min_samples = 2 }
+let min_samples = 2
 
 type result = { sites : (string * int) list; sampled_misses : int; covered_misses : int }
 
-let analyze ?(config = default_config) ~(pebs : Perfmon.Pebs.profile)
-    ~(binary : Linker.Binary.t) () =
+let analyze ~(pebs : Perfmon.Pebs.profile) ~(binary : Linker.Binary.t) =
   (* Attribute miss samples to machine blocks via the address map. *)
   let empty = Perfmon.Lbr.create_profile () in
   let dcfg = Dcfg.build ~profile:empty ~binary in
@@ -29,11 +31,11 @@ let analyze ?(config = default_config) ~(pebs : Perfmon.Pebs.profile)
            let c = compare b a in
            if c <> 0 then c else compare ka kb)
   in
-  let budget = int_of_float (config.coverage *. float_of_int !total) in
+  let budget = int_of_float (coverage *. float_of_int !total) in
   let rec take acc covered = function
     | [] -> (List.rev acc, covered)
     | (key, c) :: rest ->
-      if covered >= budget || c < config.min_samples then (List.rev acc, covered)
+      if covered >= budget || c < min_samples then (List.rev acc, covered)
       else take (key :: acc) (covered + c) rest
   in
   let sites, covered = take [] 0 ranked in

@@ -7,16 +7,9 @@
 
     The analysis maps PEBS miss samples back to machine basic blocks
     through the BB address map (no disassembly, like the layout path)
-    and nominates the blocks responsible for the top share of misses. *)
-
-type config = {
-  coverage : float;
-      (** Nominate the hottest blocks covering this fraction of all
-          sampled misses (prefetching rare sites wastes code bytes). *)
-  min_samples : int;  (** Ignore blocks below this sample count. *)
-}
-
-val default_config : config
+    and nominates the hottest blocks covering 90% of the sampled misses,
+    skipping blocks with fewer than 2 samples (prefetching rare sites
+    wastes code bytes). *)
 
 type result = {
   sites : (string * int) list;  (** (function, block) directives. *)
@@ -24,7 +17,6 @@ type result = {
   covered_misses : int;  (** Samples attributed to nominated sites. *)
 }
 
-(** [analyze ?config ~pebs ~binary ()] computes insertion directives
-    against a metadata binary. *)
-val analyze :
-  ?config:config -> pebs:Perfmon.Pebs.profile -> binary:Linker.Binary.t -> unit -> result
+(** [analyze ~pebs ~binary] computes insertion directives against a
+    metadata binary. *)
+val analyze : pebs:Perfmon.Pebs.profile -> binary:Linker.Binary.t -> result

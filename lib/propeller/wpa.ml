@@ -4,7 +4,6 @@ type config = {
   mode : mode;
   layout_policy : string;
   policy_params : Layout.Policy.params;
-  split_threshold : int;
   split_functions : bool;
 }
 
@@ -13,7 +12,6 @@ let default_config =
     mode = Intra;
     layout_policy = "exttsp";
     policy_params = Layout.Policy.default_params;
-    split_threshold = 0;
     split_functions = true;
   }
 
@@ -109,23 +107,18 @@ let layout_instance shapes (d : Dcfg.dfunc) bb_arr (part : Layout.Split.t) =
   let entry = Hashtbl.find idx_of 0 in
   (hot_arr, Layout.Problem.make ~sizes ~weights ~edges ~entry)
 
-type block_layout = { blocks : int list; score : float; policy : string }
+type block_layout = { blocks : int list; score : float }
 
-(* Layout over one function's sampled blocks under the named policy.
-   Returns the hot block order, the Ext-TSP score of that order and the
-   policy that produced it; shared by Propeller's WPA and the BOLT
-   baseline (its cache+ algorithm is the same objective). *)
-let block_layout ?(policy = "exttsp") ?(params = Layout.Policy.default_params)
-    ?(split_threshold = 0) shapes (d : Dcfg.dfunc) =
-  let pol = resolve_policy policy in
+(* Ext-TSP layout over one function's sampled blocks: the hot block
+   order and its score; the BOLT baseline's (its cache+ algorithm is
+   the same objective). *)
+let block_layout shapes (d : Dcfg.dfunc) =
   let bb_arr, counts = layout_prelude d in
-  let part =
-    Layout.Split.partition ~counts ~threshold:(float_of_int split_threshold) ()
-  in
+  let part = Layout.Split.partition ~counts () in
   let hot_arr, problem = layout_instance shapes d bb_arr part in
-  let order = pol.order ~params problem in
-  let score = Layout.Exttsp.score ~params:params.exttsp ~order problem in
-  { blocks = List.map (fun i -> hot_arr.(i)) order; score; policy }
+  let order = Layout.Exttsp.order problem in
+  let score = Layout.Exttsp.score ~order problem in
+  { blocks = List.map (fun i -> hot_arr.(i)) order; score }
 
 (* Wrap a hot-block order into the function's cluster directive; the
    cold remainder becomes the implicit .cold cluster in codegen. *)
@@ -156,15 +149,17 @@ let plan_of_order config (dcfg : Dcfg.t) (d : Dcfg.dfunc) ordered_bbs =
   end
 
 (* Config half of the layout key, shared by every function of one
-   analysis — rendered once, not per hot function. *)
+   analysis — rendered once, not per hot function. [thr=0] names the
+   cold-block threshold, a constant: every sampled block is hot. It
+   stays in the string, so the pinned layout keys hold. *)
 let layout_params_str config =
   let pp = config.policy_params in
   let p = pp.Layout.Policy.exttsp in
   Printf.sprintf
-    "|policy=%s|fw=%d|bw=%d|ftw=%h|fww=%h|bww=%h|msc=%d|pq=%b|seed=%d|steps=%d|thr=%d|split=%b"
+    "|policy=%s|fw=%d|bw=%d|ftw=%h|fww=%h|bww=%h|msc=%d|pq=%b|seed=%d|steps=%d|thr=0|split=%b"
     config.layout_policy p.forward_window p.backward_window p.fallthrough_weight
     p.forward_weight p.backward_weight p.max_split_chain p.use_pqueue pp.seed pp.steps
-    config.split_threshold config.split_functions
+    config.split_functions
 
 (* Content-addressed key of one function's layout problem: everything
    [plan_of_order (block_layout ...)] can read — the function's sampled
@@ -275,9 +270,7 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
       in
       let preludes = Array.map (fun i -> layout_prelude funcs.(i)) miss_idx in
       let parts =
-        Layout.Split.partition_batch ~pool
-          ~threshold:(float_of_int config.split_threshold)
-          ~counts:(Array.map snd preludes) ()
+        Layout.Split.partition_batch ~pool ~counts:(Array.map snd preludes) ()
       in
       let hot_and_insts =
         Array.init (Array.length miss_idx) (fun j ->
@@ -330,14 +323,13 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
       let r =
         Interproc.layout
           ~policy:(resolve_policy config.layout_policy)
-          ~params:config.policy_params ~dcfg ~split_threshold:config.split_threshold
-          ~entry_func:binary.entry_symbol
+          ~params:config.policy_params ~dcfg ~entry_func:binary.entry_symbol
       in
       score := r.score;
       (r.plans, r.ordering)
   in
   let h1, m1, e1 = cache_snapshot () in
-  let profile_bytes = Perfmon.Lbr.raw_bytes Perfmon.Lbr.default_config profile in
+  let profile_bytes = Perfmon.Lbr.raw_bytes profile in
   {
     plans;
     ordering;

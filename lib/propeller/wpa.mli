@@ -24,7 +24,6 @@ type config = {
           ["exttsp"]); {!analyze} raises [Invalid_argument] on unknown
           names. *)
   policy_params : Layout.Policy.params;
-  split_threshold : int;  (** Block counts <= threshold are cold. *)
   split_functions : bool;  (** Emit [.cold] clusters at all (§4.6). *)
 }
 
@@ -72,22 +71,15 @@ type result = {
           should count against [fault.degraded]. *)
 }
 
-(** One function's hot-block layout: the block order, its Ext-TSP
-    score, and the policy that produced it. *)
-type block_layout = { blocks : int list; score : float; policy : string }
+(** One function's hot-block layout: the block order and its Ext-TSP
+    score. *)
+type block_layout = { blocks : int list; score : float }
 
-(** [block_layout ?policy ?params ?split_threshold shapes dfunc]
-    computes the hot-block order of one function under the named layout
-    policy (default ["exttsp"]) and its Ext-TSP score, taking block
-    sizes from [shapes] (see {!Dcfg.shapes}); shared with the BOLT
-    baseline (same objective, different delivery). *)
-val block_layout :
-  ?policy:string ->
-  ?params:Layout.Policy.params ->
-  ?split_threshold:int ->
-  (string, Dcfg.shape) Hashtbl.t ->
-  Dcfg.dfunc ->
-  block_layout
+(** [block_layout shapes dfunc] computes the Ext-TSP hot-block order of
+    one function (default parameters; every sampled block is hot) and
+    its score, taking block sizes from [shapes] (see {!Dcfg.shapes});
+    the BOLT baseline's layout (same objective, different delivery). *)
+val block_layout : (string, Dcfg.shape) Hashtbl.t -> Dcfg.dfunc -> block_layout
 
 (** [layout_params_str config] renders the configuration half of the
     layout key, shared by every function of one analysis. *)

@@ -91,9 +91,6 @@ let find_default t ~default key =
 
 let find t key = find_default t ~default:0 key
 
-let mem t key =
-  key >= 0 && Array.unsafe_get t.keys (slot t key) <> empty_key
-
 let iter f t =
   let keys = t.keys and vals = t.vals in
   for i = 0 to Array.length keys - 1 do

@@ -31,8 +31,6 @@ val find : t -> int -> int
 val find_default : t -> default:int -> int -> int
 (** [find_default t ~default key] is [key]'s value, or [default]. *)
 
-val mem : t -> int -> bool
-
 val iter : (int -> int -> unit) -> t -> unit
 (** [iter f t] applies [f key value] in slot order. *)
 

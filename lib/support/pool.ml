@@ -243,16 +243,6 @@ let map_array pool n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_list pool f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (map_array pool (Array.length arr) (fun i -> f arr.(i)))
-
-let map_reduce pool ~n ~task ~init ~fold = Array.fold_left fold init (map_array pool n task)
-
-let parallel_iter pool ~n f =
-  if n < 0 then invalid_arg "Pool.parallel_iter: negative size";
-  run_batch pool ~total:n f
-
 let stats pool =
   { tasks_per_worker = Array.copy pool.cum_tasks; steals = pool.cum_steals; batches = pool.cum_batches }
 

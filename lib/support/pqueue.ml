@@ -52,9 +52,6 @@ let add t ~priority key =
   Array.unsafe_set keys !i key;
   t.size <- t.size + 1
 
-let max_priority t =
-  if t.size = 0 then invalid_arg "Pqueue.max_priority: empty queue" else t.prio.(0)
-
 let pop_max t =
   if t.size = 0 then invalid_arg "Pqueue.pop_max: empty queue";
   let prio = t.prio and seq = t.seq and keys = t.key in

@@ -19,10 +19,6 @@ val length : t -> int
 (** [add t ~priority key] pushes [key] with [priority]. *)
 val add : t -> priority:float -> int -> unit
 
-(** [max_priority t] is the priority of the entry {!pop_max} would
-    return. Raises [Invalid_argument] if [t] is empty. *)
-val max_priority : t -> float
-
 (** [pop_max t] removes the entry with the highest priority, the
     earliest pushed among equals, and returns its key. Raises
     [Invalid_argument] if [t] is empty. *)

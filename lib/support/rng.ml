@@ -53,14 +53,6 @@ let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let[@inline] hash_float k1 k2 =
   let h = mix64 (Int64.add (Int64.of_int k1) (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (k2 + 1)))) in
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0

@@ -39,9 +39,6 @@ val geometric : t -> float -> int
     non-empty. *)
 val choose : t -> 'a array -> 'a
 
-(** [shuffle t arr] shuffles [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit
-
 (** [hash_choice key1 key2 p] is a stateless biased coin: returns [true]
     with probability [p], determined only by the two integer keys. The
     execution engine uses it so that a program's control flow is a pure

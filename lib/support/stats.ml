@@ -1,10 +1,6 @@
-let sum = Obs.Metrics.sum
-
 let mean = Obs.Metrics.mean
 
 let percentile = Obs.Metrics.percentile
-
-let stddev = Obs.Metrics.stddev
 
 let median = Obs.Metrics.median
 

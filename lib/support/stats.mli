@@ -1,10 +1,7 @@
 (** Small statistics helpers used by benches and the cost models.
-    [sum], [mean], [percentile], [stddev] and [median] are
+    [percentile] and [median] are
     {!Obs.Metrics}'s, so a bench figure and an exported summary follow
     one rule. *)
-
-(** [mean xs] is the arithmetic mean; 0 for the empty list. *)
-val mean : float list -> float
 
 (** [geomean xs] is the geometric mean of positive values; 0 for empty. *)
 val geomean : float list -> float
@@ -16,13 +13,6 @@ val geomean : float list -> float
     [percentile 50.] equals {!median} for every length. Raises
     [Invalid_argument] on empty input. *)
 val percentile : float -> float list -> float
-
-(** [sum xs] sums the list. *)
-val sum : float list -> float
-
-(** [stddev xs] is the population standard deviation; 0 for the empty
-    list (and for singletons, by the formula). *)
-val stddev : float list -> float
 
 (** [median xs] is the true median: the middle element of a sorted copy,
     or the mean of the two middle elements for even lengths; 0 for the

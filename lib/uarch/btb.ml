@@ -13,4 +13,3 @@ let create p =
 
 let taken t ~src = not (Cache.access t.cache src)
 
-let reset t = Cache.reset t.cache

@@ -21,4 +21,3 @@ val create : params -> t
     it resteered (BTB miss). *)
 val taken : t -> src:int -> bool
 
-val reset : t -> unit

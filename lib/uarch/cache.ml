@@ -75,6 +75,3 @@ let access t addr =
     end
   end
 
-let reset t =
-  Array.fill t.mru 0 (Array.length t.mru) (-1);
-  Array.fill t.rest 0 (Array.length t.rest) (-1)

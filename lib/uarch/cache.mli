@@ -30,5 +30,3 @@ val create : params -> t
     on hit. *)
 val access : t -> int -> bool
 
-(** [reset t] empties every set; the arrays already built are kept. *)
-val reset : t -> unit

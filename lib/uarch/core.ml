@@ -227,31 +227,6 @@ let consume t (tape : Exec.Event.tape) =
     | _ -> ()
   done
 
-let reset t =
-  Cache.reset t.l1i;
-  Cache.reset t.l2;
-  Cache.reset t.l3;
-  Tlb.reset t.itlb;
-  Btb.reset t.btb;
-  Dsb.reset t.dsb;
-  t.last_page <- -1;
-  t.last_line <- -1;
-  t.cyc.(0) <- 0.0;
-  let c = t.c in
-  c.instructions <- 0;
-  c.fetch_events <- 0;
-  c.i1_l1i_miss <- 0;
-  c.i2_l2_code_miss <- 0;
-  c.i3_l3_code_miss <- 0;
-  c.t1_itlb_miss <- 0;
-  c.t2_itlb_stall_miss <- 0;
-  c.b1_baclears <- 0;
-  c.b2_taken_branches <- 0;
-  c.dsb_misses <- 0;
-  c.cond_branches <- 0;
-  c.dmisses <- 0;
-  c.cycles <- 0.0
-
 let counters_assoc (c : counters) =
   [
     ("instructions", c.instructions);

@@ -74,9 +74,6 @@ val counters : t -> counters
 (** [cycles t] is the modelled front-end-bound cycle count. *)
 val cycles : t -> float
 
-(** [reset t] clears all structures and counters (fresh run). *)
-val reset : t -> unit
-
 (** [counters_assoc c] lists the integer event counters in a fixed,
     documented order (exporters and the diagnostics layer iterate this
     instead of hand-listing fields). [cycles] is not included: it is a

@@ -16,4 +16,3 @@ let create p =
 
 let access t addr = Cache.access t.cache addr
 
-let reset t = Cache.reset t.cache

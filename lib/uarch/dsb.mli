@@ -41,4 +41,3 @@ val create : params -> t
     (they never differ). *)
 val access : t -> int -> bool
 
-val reset : t -> unit

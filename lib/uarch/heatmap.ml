@@ -40,10 +40,6 @@ let sink t =
 
 let cell t ~row ~col = t.grid.(row).(col)
 
-let rows t = t.rows
-
-let cols t = t.cols
-
 let shades = [| ' '; '.'; ':'; '*'; '#'; '@' |]
 
 let render t =
@@ -63,17 +59,6 @@ let render t =
       Buffer.add_char buf shades.(min shade (Array.length shades - 1))
     done;
     Buffer.add_char buf '\n'
-  done;
-  Buffer.contents buf
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "row,col,bytes\n";
-  for r = 0 to t.rows - 1 do
-    for c = 0 to t.cols - 1 do
-      if t.grid.(r).(c) > 0 then
-        Buffer.add_string buf (Printf.sprintf "%d,%d,%d\n" r c t.grid.(r).(c))
-    done
   done;
   Buffer.contents buf
 

@@ -16,20 +16,14 @@ val create : lo:int -> hi:int -> rows:int -> cols:int -> total_requests:int -> t
 (** [sink t] attaches the collector to an execution run. *)
 val sink : t -> Exec.Event.sink
 
-(** [cell t ~row ~col] is the accumulated byte count of a cell. *)
+(** [cell t ~row ~col] is the accumulated byte count of a cell: what
+    {!render} shades on a log scale, exact. *)
 val cell : t -> row:int -> col:int -> int
-
-val rows : t -> int
-
-val cols : t -> int
 
 (** [render t] draws the map, dark-to-light density (space, [.], [:],
     [*], [#], [@]), one row per line, highest addresses first (like the
     paper's Y axis). *)
 val render : t -> string
-
-(** [to_csv t] emits "row,col,count" lines for non-zero cells. *)
-val to_csv : t -> string
 
 (** [occupied_rows t] counts address buckets that were ever touched — a
     scalar "code footprint spread" for comparisons. *)

@@ -25,4 +25,3 @@ let page t addr = addr lsr t.page_bits
 
 let access t addr = Cache.access t.cache addr
 
-let reset t = Cache.reset t.cache

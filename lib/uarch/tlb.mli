@@ -29,4 +29,3 @@ val access : t -> int -> bool
 (** [page t addr] is the page number (dedupe key). *)
 val page : t -> int -> int
 
-val reset : t -> unit

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo health check: hygiene, build, the tier-1 suite (the CLI cram
+# Repo health check: hygiene, the export scan, build, the tier-1 suite (the CLI cram
 # tests under test/ included), one observability smoke run of the
 # propeller tool, the bench regression gate on simulated metrics, and
 # the relinkbench smokes (cold relinks at --jobs 1 and 2, warm relinks,
@@ -21,6 +21,11 @@ if git status --porcelain | awk '{print $2}' | grep -q '^_build/'; then
   echo "FAIL: _build/ paths are staged or modified in git status" >&2
   exit 1
 fi
+
+echo "== export scan =="
+# Every value a lib/ interface exports needs a reader outside test/ or
+# an allowlist entry with its reason (scripts/export_scan.py).
+python3 scripts/export_scan.py
 
 echo "== dune build =="
 dune build
@@ -117,4 +122,4 @@ python3 scripts/smoke_gate.py bench/relinkbench_smoke.json "$out_dir"/relinkbenc
   exit 1
 }
 
-echo "OK: hygiene + build + tests + run smoke + bench gate + relinkbench smokes and speed gate all green"
+echo "OK: hygiene + export scan + build + tests + run smoke + bench gate + relinkbench smokes and speed gate all green"

@@ -5,9 +5,19 @@ let lower_default f =
     ~default_order:(List.init (Ir.Func.num_blocks f) Fun.id)
     f
 
+(* The code pieces of some sections, in section order. *)
+let pieces secs =
+  List.concat_map
+    (fun s -> match fragment s with Some (frag : Objfile.Fragment.t) -> frag.pieces | None -> [])
+    secs
+
+(* The lowered code of block [b] of [f] in its default lowering. *)
+let lowered_block (f : Ir.Func.t) b =
+  (List.find (fun (p : Objfile.Fragment.piece) -> p.block = b) (pieces (lower_default f))).insts
+
 let test_lower_block_explicit_fallthrough () =
   let f = diamond_func () in
-  let insts = Codegen.Lower.lower_block ~func:"diamond" (Ir.Func.block f 0) in
+  let insts = lowered_block f 0 in
   (* Body + jcc(taken) + jmp(fallthrough): explicit fall-through, long
      encodings (4.2). *)
   match List.rev insts with
@@ -17,23 +27,24 @@ let test_lower_block_explicit_fallthrough () =
 
 let test_lower_return_and_switch () =
   let f = diamond_func () in
-  let ret_insts = Codegen.Lower.lower_block ~func:"diamond" (Ir.Func.block f 3) in
+  let ret_insts = lowered_block f 3 in
   check tb "ends in ret" true (List.nth ret_insts (List.length ret_insts - 1) = Isa.Ret);
   let sw =
-    Ir.Block.make ~id:0 ~body:[]
-      ~term:(Ir.Term.Switch { table = [| 0 |]; probs = [| 1.0 |]; pgo_probs = [| 1.0 |] })
-      ()
+    Ir.Func.make ~name:"s"
+      [|
+        Ir.Block.make ~id:0 ~body:[]
+          ~term:(Ir.Term.Switch { table = [| 0 |]; probs = [| 1.0 |]; pgo_probs = [| 1.0 |] })
+          ();
+      |]
   in
-  let insts = Codegen.Lower.lower_block ~func:"s" sw in
+  let insts = lowered_block sw 0 in
   check tb "switch dispatches indirectly" true (List.mem Isa.IndirectJmp insts)
 
 let test_block_code_bytes_consistent () =
   let f = diamond_func () in
   for b = 0 to Ir.Func.num_blocks f - 1 do
     let blk = Ir.Func.block f b in
-    let lowered =
-      List.fold_left (fun acc i -> acc + Isa.size i) 0 (Codegen.Lower.lower_block ~func:f.name blk)
-    in
+    let lowered = List.fold_left (fun acc i -> acc + Isa.size i) 0 (lowered_block f b) in
     check ti "sizing shortcut matches lowering" lowered (Codegen.Lower.block_code_bytes blk)
   done
 
@@ -61,8 +72,10 @@ let test_lower_with_plan_clusters () =
   let names = List.map (fun (s : Objfile.Section.t) -> Option.get s.symbol) secs in
   check Alcotest.(list string) "symbols" [ "diamond"; "diamond.cold" ] names;
   let cold = List.nth secs 1 in
-  (match Objfile.Section.fragment cold with
-  | Some frag -> check Alcotest.(list int) "cold blocks" [ 1; 3 ] (Objfile.Fragment.block_ids frag)
+  (match fragment cold with
+  | Some frag ->
+    check Alcotest.(list int) "cold blocks" [ 1; 3 ]
+      (List.map (fun (p : Objfile.Fragment.piece) -> p.block) frag.pieces)
   | None -> Alcotest.fail "no fragment")
 
 let test_lower_invalid_plan_rejected () =
@@ -99,7 +112,7 @@ let test_lower_landing_pad_nop () =
   in
   let secs = Codegen.Lower.lower_func ~emit_bb_addr_map:false ~plan:(Some plan) ~default_order:[] f in
   let cold = List.nth secs 1 in
-  match Objfile.Section.fragment cold with
+  match fragment cold with
   | Some { pieces = p :: _; _ } ->
     (* Landing pad at section start must get the non-zero-offset nop (4.5). *)
     check tb "nop injected" true (List.hd p.insts = Isa.Nop 1)
@@ -128,29 +141,37 @@ let test_bbmap_emitted () =
     walk 0 fm.entries
   | _ -> Alcotest.fail "no bb map"
 
+(* The block order codegen emits [f] in, with or without PGO layout. *)
+let intra_order ~use_pgo f =
+  let o =
+    Codegen.compile_unit { Codegen.default_options with pgo_layout = use_pgo }
+      (Ir.Cunit.make ~name:"u" [ f ])
+  in
+  List.map (fun (p : Objfile.Fragment.piece) -> p.block) (pieces o.Objfile.File.sections)
+
 let test_intra_order_pgo () =
   (* With a strongly-biased branch, PGO layout puts the hot side next. *)
   let f = diamond_func ~prob:0.95 ~pgo_prob:0.95 () in
-  (match Codegen.intra_order ~use_pgo:true f with
+  (match intra_order ~use_pgo:true f with
   | 0 :: 1 :: _ -> ()
   | o -> Alcotest.failf "hot side not adjacent: %s" (String.concat "," (List.map string_of_int o)));
   (* Without PGO the source order is kept. *)
-  check Alcotest.(list int) "source order" [ 0; 1; 2; 3 ] (Codegen.intra_order ~use_pgo:false f)
+  check Alcotest.(list int) "source order" [ 0; 1; 2; 3 ] (intra_order ~use_pgo:false f)
 
 let test_intra_order_inline_asm_pinned () =
   let f = diamond_func ~prob:0.95 () in
   let f = { f with Ir.Func.attrs = { f.attrs with has_inline_asm = true } } in
   check Alcotest.(list int) "asm never reordered" [ 0; 1; 2; 3 ]
-    (Codegen.intra_order ~use_pgo:true f)
+    (intra_order ~use_pgo:true f)
 
 let test_compile_unit_sections () =
   let u = Ir.Cunit.make ~name:"u" ~rodata:128 ~data:64 [ diamond_func (); loop_func () ] in
   let o = Codegen.compile_unit { Codegen.default_options with emit_bb_addr_map = true } u in
-  check ti "two text sections" 2 (Objfile.File.num_text_sections o);
-  check tb "has eh_frame" true (Objfile.File.size_by_kind o Objfile.Section.Eh_frame > 0);
-  check ti "rodata carried" 128 (Objfile.File.size_by_kind o Objfile.Section.Rodata);
-  check ti "data carried" 64 (Objfile.File.size_by_kind o Objfile.Section.Data);
-  check tb "bb maps" true (Objfile.File.size_by_kind o Objfile.Section.Bb_addr_map > 0)
+  check ti "two text sections" 2 (num_text_sections o);
+  check tb "has eh_frame" true (size_by_kind o Objfile.Section.Eh_frame > 0);
+  check ti "rodata carried" 128 (size_by_kind o Objfile.Section.Rodata);
+  check ti "data carried" 64 (size_by_kind o Objfile.Section.Data);
+  check tb "bb maps" true (size_by_kind o Objfile.Section.Bb_addr_map > 0)
 
 let test_eh_frame_grows_with_clusters () =
   let u = Ir.Cunit.make ~name:"u" [ diamond_func () ] in
@@ -165,8 +186,8 @@ let test_eh_frame_grows_with_clusters () =
   in
   let split = Codegen.compile_unit { Codegen.default_options with plans = split_plan } u in
   check tb "split pays CFI overhead (4.4)" true
-    (Objfile.File.size_by_kind split Objfile.Section.Eh_frame
-    > Objfile.File.size_by_kind plain Objfile.Section.Eh_frame)
+    (size_by_kind split Objfile.Section.Eh_frame
+    > size_by_kind plain Objfile.Section.Eh_frame)
 
 let test_inline_asm_plan_ignored () =
   let f = diamond_func () in
@@ -181,7 +202,7 @@ let test_inline_asm_plan_ignored () =
     ]
   in
   let o = Codegen.compile_unit { Codegen.default_options with plans = plan } u in
-  check ti "asm function stays in one section" 1 (Objfile.File.num_text_sections o)
+  check ti "asm function stays in one section" 1 (num_text_sections o)
 
 (* --- Directive serialization -------------------------------------- *)
 
@@ -197,6 +218,25 @@ let test_directive_validate () =
     (Result.is_error (Codegen.Directive.validate ~num_blocks:2 (plan [ primary [ 0; 5 ] ])));
   check tb "primary must start at 0" true
     (Result.is_error (Codegen.Directive.validate ~num_blocks:4 (plan [ primary [ 1; 0 ] ])))
+
+(* The cc_prof text a unit key digests: nothing for no plans. *)
+let test_directive_text () =
+  check ts "no plans" "" (Codegen.Directive.to_text []);
+  check ts "clusters"
+    "!f\n!!primary 0 2\n!!cold 1 3\n!!2 4\n!g\n!!primary 0\n"
+    (Codegen.Directive.to_text
+       [
+         {
+           Codegen.Directive.func = "f";
+           clusters =
+             [
+               { kind = Codegen.Directive.Primary; blocks = [ 0; 2 ] };
+               { kind = Codegen.Directive.Cold; blocks = [ 1; 3 ] };
+               { kind = Codegen.Directive.Extra 2; blocks = [ 4 ] };
+             ];
+         };
+         { func = "g"; clusters = [ { kind = Codegen.Directive.Primary; blocks = [ 0 ] } ] };
+       ])
 
 let test_directive_symbols () =
   let c kind = { Codegen.Directive.kind; blocks = [] } in
@@ -221,4 +261,5 @@ let suite =
     Alcotest.test_case "inline asm plan ignored" `Quick test_inline_asm_plan_ignored;
     Alcotest.test_case "directive validation" `Quick test_directive_validate;
     Alcotest.test_case "directive symbols" `Quick test_directive_symbols;
+    Alcotest.test_case "directive text" `Quick test_directive_text;
   ]

@@ -10,8 +10,11 @@ let run ?(requests = 20) image sink =
 let test_image_block_fidelity () =
   let program = call_program () in
   let binary, image = build_image program in
+  (* Functions are indexed in program order. *)
+  let next = ref 0 in
   Ir.Program.iter_funcs program (fun f ->
-      let fi = Exec.Image.func_index image f.name in
+      let fi = !next in
+      incr next;
       for b = 0 to Ir.Func.num_blocks f - 1 do
         let xb = Exec.Image.block image ~func_idx:fi ~block:b in
         let info = Linker.Binary.block_info_exn binary ~func:f.name ~block:b in
@@ -256,8 +259,10 @@ let run_digest image =
    not depend on which functions a run entered first. *)
 let force_all program image =
   let uids = ref [] in
+  let next = ref 0 in
   Ir.Program.iter_funcs program (fun f ->
-      let func_idx = Exec.Image.func_index image f.name in
+      let func_idx = !next in
+      incr next;
       for block = 0 to Ir.Func.num_blocks f - 1 do
         uids := (Exec.Image.block image ~func_idx ~block).uid :: !uids
       done);

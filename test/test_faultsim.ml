@@ -30,9 +30,9 @@ let test_spec_defaults () =
     check ti "seed" 7 p.Faultsim.Plan.seed;
     check tb "action" true (Float.equal p.Faultsim.Plan.action_fail 0.3);
     check tb "persist default" true
-      (Float.equal p.Faultsim.Plan.persist Faultsim.Plan.default.persist);
-    check ti "shards default" Faultsim.Plan.default.shards p.Faultsim.Plan.shards;
-    check ti "attempts default" Faultsim.Plan.default.max_attempts
+      (Float.equal p.Faultsim.Plan.persist no_faults.persist);
+    check ti "shards default" no_faults.shards p.Faultsim.Plan.shards;
+    check ti "attempts default" no_faults.max_attempts
       p.Faultsim.Plan.max_attempts
 
 let test_spec_errors () =
@@ -102,16 +102,16 @@ let of_spec_total_law =
       | Ok p -> finite_plan p && Faultsim.Plan.of_spec (Faultsim.Plan.to_spec p) = Ok p)
 
 let test_is_active () =
-  check tb "default inactive" false (Faultsim.Plan.is_active Faultsim.Plan.default);
+  check tb "default inactive" false (Faultsim.Plan.is_active no_faults);
   check tb "seed alone inactive" false
-    (Faultsim.Plan.is_active { Faultsim.Plan.default with seed = 99 });
+    (Faultsim.Plan.is_active { no_faults with seed = 99 });
   check tb "one positive rate activates" true
-    (Faultsim.Plan.is_active { Faultsim.Plan.default with corrupt = 0.01 })
+    (Faultsim.Plan.is_active { no_faults with corrupt = 0.01 })
 
 (* --- backoff schedule --------------------------------------------- *)
 
 let test_backoff_schedule () =
-  let p = Faultsim.Plan.default in
+  let p = no_faults in
   (* Defaults: 0.5 s base, doubling — a geometric schedule. *)
   check tf "retry 1" 0.5 (Faultsim.Plan.backoff_seconds p ~retry:1);
   check tf "retry 2" 1.0 (Faultsim.Plan.backoff_seconds p ~retry:2);
@@ -125,7 +125,7 @@ let test_backoff_schedule () =
       ignore (Faultsim.Plan.backoff_seconds p ~retry:0))
 
 let test_retry_cost () =
-  let p = Faultsim.Plan.default in
+  let p = no_faults in
   check tf "no retries, no cost" 0.0 (Faultsim.Plan.retry_cost p ~attempts:1 ~cpu_seconds:3.0);
   (* attempts=3: two failed 2.0 s runs + backoffs 0.5 and 1.0. *)
   check tf "two retries" 5.5 (Faultsim.Plan.retry_cost p ~attempts:3 ~cpu_seconds:2.0)
@@ -135,7 +135,7 @@ let test_retry_cost () =
 let keys n = List.init n (Printf.sprintf "unit_%d")
 
 let test_attempts_bounds () =
-  let p = { Faultsim.Plan.default with action_fail = 0.5; max_attempts = 4 } in
+  let p = { no_faults with action_fail = 0.5; max_attempts = 4 } in
   List.iter
     (fun key ->
       let a = Faultsim.Plan.attempts_for p ~key in
@@ -145,19 +145,19 @@ let test_attempts_bounds () =
 let test_attempts_forced_success () =
   (* Even a certain-failure rate succeeds on the last attempt: the
      link must always complete. *)
-  let p = { Faultsim.Plan.default with action_fail = 1.0; max_attempts = 3 } in
+  let p = { no_faults with action_fail = 1.0; max_attempts = 3 } in
   List.iter
     (fun key -> check ti key 3 (Faultsim.Plan.attempts_for p ~key))
     (keys 20);
-  let q = { Faultsim.Plan.default with action_fail = 0.0 } in
+  let q = { no_faults with action_fail = 0.0 } in
   List.iter (fun key -> check ti key 1 (Faultsim.Plan.attempts_for q ~key)) (keys 20)
 
 let test_decision_determinism () =
-  let p = { Faultsim.Plan.default with action_fail = 0.3; corrupt = 0.3; straggle = 0.3 } in
+  let p = { no_faults with action_fail = 0.3; corrupt = 0.3; straggle = 0.3 } in
   List.iter
     (fun key ->
-      check tb "attempt replays" (Faultsim.Plan.attempt_fails p ~key ~attempt:1)
-        (Faultsim.Plan.attempt_fails p ~key ~attempt:1);
+      check ti "attempts replay" (Faultsim.Plan.attempts_for p ~key)
+        (Faultsim.Plan.attempts_for p ~key);
       check tb "corrupt replays" (Faultsim.Plan.corrupts p ~key)
         (Faultsim.Plan.corrupts p ~key);
       check tb "straggle replays" (Faultsim.Plan.straggles p ~key)
@@ -167,7 +167,7 @@ let test_decision_determinism () =
 let test_decision_distribution () =
   (* The keyed hash behaves like a uniform draw: over many keys the
      hit fraction tracks the configured rate. *)
-  let p = { Faultsim.Plan.default with corrupt = 0.3 } in
+  let p = { no_faults with corrupt = 0.3 } in
   let hits =
     List.length (List.filter (fun key -> Faultsim.Plan.corrupts p ~key) (keys 2000))
   in
@@ -176,13 +176,12 @@ let test_decision_distribution () =
     Alcotest.failf "corrupt fraction %.3f far from rate 0.3" frac
 
 let test_seed_independence () =
-  let p = { Faultsim.Plan.default with action_fail = 0.5 } in
+  let p = { no_faults with action_fail = 0.5 } in
   let q = { p with Faultsim.Plan.seed = p.Faultsim.Plan.seed + 1 } in
   let differs =
     List.exists
       (fun key ->
-        Faultsim.Plan.attempt_fails p ~key ~attempt:1
-        <> Faultsim.Plan.attempt_fails q ~key ~attempt:1)
+        Faultsim.Plan.attempts_for p ~key <> Faultsim.Plan.attempts_for q ~key)
       (keys 100)
   in
   check tb "seeds give independent streams" true differs
@@ -190,7 +189,7 @@ let test_seed_independence () =
 (* --- shards ------------------------------------------------------- *)
 
 let test_shard_assignment () =
-  let p = { Faultsim.Plan.default with shard_drop = 0.25; shards = 16 } in
+  let p = { no_faults with shard_drop = 0.25; shards = 16 } in
   List.iter
     (fun key ->
       let s = Faultsim.Plan.shard_of p ~key in
@@ -199,7 +198,7 @@ let test_shard_assignment () =
     (keys 100)
 
 let test_dropped_shards () =
-  let p = { Faultsim.Plan.default with shard_drop = 0.3; shards = 16 } in
+  let p = { no_faults with shard_drop = 0.3; shards = 16 } in
   let dropped = Faultsim.Plan.dropped_shards p in
   check tb "ascending" true (List.sort compare dropped = dropped);
   List.iter

@@ -1,12 +1,21 @@
 open Testutil
 
-(* A hot call site in main's entry; callee is a small diamond. *)
+(* A chain of [n] blocks, the last one returning. *)
+let chain_func ~name n =
+  Ir.Func.make ~name
+    (Array.init n (fun id ->
+         compute_block ~id ~bytes:4 ~term:(if id = n - 1 then Ir.Term.Return else Ir.Term.Jump (id + 1))))
+
+(* A hot call site in main's entry; callee is a small diamond (4
+   blocks), a one-block function or a chain of [callee_blocks]. *)
 let make_program ?(callee_blocks = 4) () =
   let callee =
-    if callee_blocks = 1 then
+    match callee_blocks with
+    | 1 ->
       Ir.Func.make ~name:"callee"
         [| Ir.Block.make ~id:0 ~body:[ Ir.Inst.Compute 9 ] ~term:Ir.Term.Return () |]
-    else diamond_func ~name:"callee" ()
+    | 4 -> diamond_func ~name:"callee" ()
+    | n -> chain_func ~name:"callee" n
   in
   let main =
     Ir.Func.make ~name:"main"
@@ -20,9 +29,13 @@ let make_program ?(callee_blocks = 4) () =
   Ir.Program.make ~name:"p" ~main:"main"
     [ Ir.Cunit.make ~name:"um" [ main ]; Ir.Cunit.make ~name:"uc" [ callee ] ]
 
-let inlined_main ?config program =
-  let main = Ir.Program.find_func_exn program "main" in
-  Codegen.Inline.func ?config ~program main
+(* [main] after inlining the whole program, and how many of its call
+   sites were inlined (every call in these programs is to "callee"). *)
+let inlined_main program =
+  let main p = Option.get (Ir.Program.find_func p "main") in
+  let main' = main (Codegen.Inline.program program) in
+  let calls f = List.length (List.filter (fun (c, _) -> c = "callee") (Ir.Func.calls f)) in
+  (main', calls (main program) - calls main')
 
 let test_inline_splices_callee () =
   let program = make_program () in
@@ -62,14 +75,15 @@ let test_inline_validates () =
      the whole program revalidates. *)
   let program = make_program () in
   let program' = Codegen.Inline.program program in
-  check ti "sites inlined program-wide" 1 (Codegen.Inline.stats_of_last_run ());
-  check tb "main still resolvable" true (Option.is_some (Ir.Program.find_func program' "main"))
+  check tb "main still resolvable" true (Option.is_some (Ir.Program.find_func program' "main"));
+  check ti "blocks program-wide" (Ir.Program.num_blocks program + 5) (Ir.Program.num_blocks program')
 
+(* Callees of up to 4 blocks are inlined, and no bigger. *)
 let test_inline_respects_size_cap () =
-  let program = make_program () in
-  let config = { Codegen.Inline.default_config with max_callee_blocks = 2 } in
-  let _, count = inlined_main ~config program in
-  check ti "big callee not inlined" 0 count
+  let _, count = inlined_main (make_program ~callee_blocks:5 ()) in
+  check ti "5-block callee not inlined" 0 count;
+  let _, count = inlined_main (make_program ~callee_blocks:4 ()) in
+  check ti "4-block callee inlined" 1 count
 
 let test_inline_respects_hot_gate () =
   (* Call site in a block the PGO estimate says is cold: not inlined. *)
@@ -96,12 +110,12 @@ let test_inline_respects_hot_gate () =
 
 let test_inline_skips_inline_asm_callee () =
   let program = make_program ~callee_blocks:1 () in
-  let callee = Ir.Program.find_func_exn program "callee" in
+  let callee = Option.get (Ir.Program.find_func program "callee") in
   let asm_callee = { callee with Ir.Func.attrs = { callee.attrs with has_inline_asm = true } } in
   let program =
     Ir.Program.make ~name:"p" ~main:"main"
       [
-        Ir.Cunit.make ~name:"um" [ Ir.Program.find_func_exn program "main" ];
+        Ir.Cunit.make ~name:"um" [ Option.get (Ir.Program.find_func program "main") ];
         Ir.Cunit.make ~name:"uc" [ asm_callee ];
       ]
   in
@@ -129,26 +143,26 @@ let test_inline_budget () =
   let program =
     Ir.Program.make ~name:"p" ~main:"main" [ Ir.Cunit.make ~name:"u" [ main; callee ] ]
   in
-  let config = { Codegen.Inline.default_config with max_inlines_per_func = 3 } in
-  let _, count = inlined_main ~config program in
-  check ti "budget respected" 3 count
+  let _, count = inlined_main program in
+  check ti "a caller stops after 4 inlines" 4 count
 
 let test_inline_preserves_true_probs_dilutes_pgo () =
   let program = make_program () in
-  let config = { Codegen.Inline.default_config with dilution_noise = 0.4 } in
-  let main', _ = inlined_main ~config program in
+  let main', _ = inlined_main program in
   (* The cloned diamond branch is at id 2 (cloned callee entry). *)
   match (Ir.Func.block main' 2).term with
-  | Ir.Term.Branch { prob; _ } ->
-    (* True probability is exactly the callee's 0.3. *)
-    check tf "true prob preserved" 0.3 prob
+  | Ir.Term.Branch { prob; pgo_prob; _ } ->
+    (* True probability is exactly the callee's 0.3; the PGO estimate
+       moved, by main's first draw of the noise stream. *)
+    check tf "true prob preserved" 0.3 prob;
+    check ts "cloned estimate moved" "0.44245993719724852" (Printf.sprintf "%.17g" pgo_prob)
   | t -> Alcotest.failf "expected branch, got %s" (Format.asprintf "%a" Ir.Term.pp t)
 
 let test_inline_program_runs () =
   (* The inlined program executes and terminates like the original. *)
   let _, program = medium_program () in
   let inlined = Codegen.Inline.program program in
-  check tb "inliner found sites" true (Codegen.Inline.stats_of_last_run () > 0);
+  check tb "inliner found sites" true (Ir.Program.num_blocks inlined > Ir.Program.num_blocks program);
   let _, { Linker.Link.binary; _ } = compile_and_link ~name:"inl" inlined in
   let image = Exec.Image.build inlined binary in
   let stats = Exec.Interp.run image { Exec.Interp.default_config with requests = 10 } Exec.Event.null in

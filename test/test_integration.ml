@@ -21,11 +21,6 @@ let test_progen_deterministic () =
   check ti "same blocks" (Ir.Program.num_blocks p1) (Ir.Program.num_blocks p2);
   check ti "same bytes" (Ir.Program.code_bytes p1) (Ir.Program.code_bytes p2)
 
-let test_progen_cold_units () =
-  let spec, program = medium_program () in
-  let hot = Progen.Generate.hot_units spec in
-  check tb "some units cold" true (hot < List.length (Ir.Program.units program))
-
 let test_pm_layout_matches_baseline () =
   (* The metadata build must not perturb the text layout: profiles
      taken on PM apply to the baseline/BM binaries (5 methodology). *)
@@ -129,7 +124,7 @@ let test_exploded_sections_cost_more () =
   in
   let total objs = List.fold_left (fun a o -> a + Objfile.File.total_size o) 0 objs in
   let sections objs =
-    List.fold_left (fun a o -> a + Objfile.File.num_text_sections o) 0 objs
+    List.fold_left (fun a o -> a + num_text_sections o) 0 objs
   in
   check tb "exploded objects bigger" true (total objs_exploded > total objs_plain);
   check tb "way more sections" true (sections objs_exploded > 4 * sections objs_plain)
@@ -168,7 +163,6 @@ let suite =
   [
     Alcotest.test_case "progen: table-2 shape" `Quick test_progen_shape;
     Alcotest.test_case "progen: deterministic" `Quick test_progen_deterministic;
-    Alcotest.test_case "progen: cold units" `Quick test_progen_cold_units;
     Alcotest.test_case "PM layout matches baseline" `Quick test_pm_layout_matches_baseline;
     Alcotest.test_case "profile addresses all map" `Quick test_profile_addresses_all_map;
     Alcotest.test_case "propeller improves frontend counters" `Slow test_propeller_improves_frontend_counters;

@@ -20,11 +20,33 @@ let test_term_successors () =
   let sw = Ir.Term.Switch { table = [| 1; 2; 3 |]; probs = [| 0.2; 0.3; 0.5 |]; pgo_probs = [| 0.4; 0.3; 0.3 |] } in
   check Alcotest.(list int) "switch" [ 1; 2; 3 ] (Ir.Term.successors sw)
 
+(* A terminator's (successor, probability) pairs, true or PGO-estimated:
+   the per-block lists the reference frequency estimator below walks. *)
+let successor_probs ~use_pgo = function
+  | Ir.Term.Jump b -> [ (b, 1.0) ]
+  | Ir.Term.Branch { taken; fallthrough; prob; pgo_prob; _ } ->
+    let p = if use_pgo then pgo_prob else prob in
+    [ (taken, p); (fallthrough, 1.0 -. p) ]
+  | Ir.Term.Switch { table; probs; pgo_probs } ->
+    Array.to_list (Array.map2 (fun b p -> (b, p)) table (if use_pgo then pgo_probs else probs))
+  | Ir.Term.Return -> []
+
+(* A branch's edge weights at unit block frequency are its taken and
+   fall-through probabilities, true or PGO-estimated. *)
 let test_term_probs () =
   let t = branch ~taken:1 ~fallthrough:2 ~prob:0.3 ~pgo_prob:0.9 () in
-  check tb "true probs" true (Ir.Term.successor_probs t = [ (1, 0.3); (2, 0.7) ]);
-  (match Ir.Term.successor_pgo_probs t with
-  | [ (1, p1); (2, p2) ] ->
+  let f =
+    Ir.Func.make ~name:"probs"
+      [|
+        compute_block ~id:0 ~bytes:4 ~term:t;
+        compute_block ~id:1 ~bytes:4 ~term:Ir.Term.Return;
+        compute_block ~id:2 ~bytes:4 ~term:Ir.Term.Return;
+      |]
+  in
+  let edges use_pgo = Ir.Cfg.edge_frequencies ~freqs:[| 1.0; 0.0; 0.0 |] ~use_pgo f in
+  check tb "true probs" true (List.sort compare (edges false) = [ (0, 1, 0.3); (0, 2, 0.7) ]);
+  (match List.sort compare (edges true) with
+  | [ (0, 1, p1); (0, 2, p2) ] ->
     check tf "pgo taken" 0.9 p1;
     check tb "pgo ft" true (abs_float (p2 -. 0.1) < 1e-9)
   | _ -> Alcotest.fail "bad pgo probs")
@@ -59,12 +81,12 @@ let test_func_validation () =
 let test_func_accessors () =
   let f = diamond_func () in
   check ti "blocks" 4 (Ir.Func.num_blocks f);
-  check ti "entry id" 0 (Ir.Func.entry f).Ir.Block.id;
+  check ti "entry id" 0 (Ir.Func.block f 0).Ir.Block.id;
   check ti "code bytes" (10 + 12 + 14 + 6) (Ir.Func.code_bytes f)
 
 let test_func_calls () =
   let p = call_program () in
-  let main = Ir.Program.find_func_exn p "main" in
+  let main = Option.get (Ir.Program.find_func p "main") in
   check tb "calls callee" true (List.mem_assoc "callee" (Ir.Func.calls main))
 
 let test_program_validation () =
@@ -97,39 +119,8 @@ let test_program_lookup () =
   let p = call_program () in
   check tb "find main" true (Option.is_some (Ir.Program.find_func p "main"));
   check tb "find nothing" true (Option.is_none (Ir.Program.find_func p "zzz"));
-  check (Alcotest.option ts) "unit of callee" (Some "u_callee") (Ir.Program.unit_of_func p "callee");
   check ti "funcs" 2 (Ir.Program.num_funcs p);
   check ti "blocks" 6 (Ir.Program.num_blocks p)
-
-let test_cfg_predecessors () =
-  let f = diamond_func () in
-  let preds = Ir.Cfg.predecessors f in
-  check Alcotest.(list int) "entry preds" [] preds.(0);
-  check Alcotest.(list int) "join preds" [ 1; 2 ] (List.sort compare preds.(3))
-
-let test_cfg_rpo () =
-  let f = diamond_func () in
-  let rpo = Ir.Cfg.reverse_postorder f in
-  check ti "covers all" 4 (List.length rpo);
-  check ti "entry first" 0 (List.hd rpo);
-  (* 3 must come after both 1 and 2. *)
-  let pos b = Option.get (List.find_index (fun x -> x = b) rpo) in
-  check tb "join last" true (pos 3 > pos 1 && pos 3 > pos 2)
-
-let test_cfg_unreachable () =
-  let f =
-    Ir.Func.make ~name:"unreach"
-      [|
-        compute_block ~id:0 ~bytes:4 ~term:(Ir.Term.Jump 2);
-        compute_block ~id:1 ~bytes:4 ~term:Ir.Term.Return;
-        compute_block ~id:2 ~bytes:4 ~term:Ir.Term.Return;
-      |]
-  in
-  let reach = Ir.Cfg.reachable f in
-  check tb "1 unreachable" false reach.(1);
-  check tb "2 reachable" true reach.(2);
-  (* RPO still lists every block. *)
-  check ti "rpo complete" 3 (List.length (Ir.Cfg.reverse_postorder f))
 
 let test_cfg_frequencies_diamond () =
   let f = diamond_func ~prob:0.3 () in
@@ -160,12 +151,19 @@ let ref_estimate_frequencies ~use_pgo f =
   let n = Ir.Func.num_blocks f in
   let freq = Array.make n 0.0 in
   freq.(0) <- 1.0;
-  let probs_of b =
-    let term = (Ir.Func.block f b).Ir.Block.term in
-    if use_pgo then Ir.Term.successor_pgo_probs term else Ir.Term.successor_probs term
+  let probs = Array.init n (fun b -> successor_probs ~use_pgo (Ir.Func.block f b).Ir.Block.term) in
+  (* Sweep in reverse postorder from the entry, then the unreachable
+     blocks in id order. *)
+  let visited = Array.make n false and rpo = ref [] in
+  let rec dfs b =
+    if not visited.(b) then begin
+      visited.(b) <- true;
+      List.iter dfs (Ir.Term.successors (Ir.Func.block f b).Ir.Block.term);
+      rpo := b :: !rpo
+    end
   in
-  let probs = Array.init n probs_of in
-  let order = Array.of_list (Ir.Cfg.reverse_postorder f) in
+  dfs 0;
+  let order = Array.of_list (!rpo @ List.filter (fun b -> not visited.(b)) (List.init n Fun.id)) in
   let next = Array.make n 0.0 in
   let rec sweep k =
     if k <= 24 then begin
@@ -228,9 +226,7 @@ let ref_edge_frequencies ~freqs ~use_pgo f =
   let edges = ref [] in
   for b = Ir.Func.num_blocks f - 1 downto 0 do
     let term = (Ir.Func.block f b).Ir.Block.term in
-    let probs =
-      if use_pgo then Ir.Term.successor_pgo_probs term else Ir.Term.successor_probs term
-    in
+    let probs = successor_probs ~use_pgo term in
     List.iter (fun (s, p) -> edges := (b, s, freqs.(b) *. p) :: !edges) (List.rev probs)
   done;
   !edges
@@ -258,68 +254,6 @@ let test_cfg_edge_frequencies () =
   check tb "0->1 weight" true (abs_float (w 0 1 -. 0.3) < 1e-3);
   check tb "0->2 weight" true (abs_float (w 0 2 -. 0.7) < 1e-3)
 
-let test_dominators_diamond () =
-  let f = diamond_func () in
-  let idom = Ir.Cfg.immediate_dominators f in
-  check ti "entry self-dominates" 0 idom.(0);
-  check ti "branch arms dominated by entry" 0 idom.(1);
-  check ti "other arm too" 0 idom.(2);
-  (* The join point's idom is the entry, not either arm. *)
-  check ti "join dominated by entry" 0 idom.(3);
-  check tb "entry dominates all" true
-    (Ir.Cfg.dominates f 0 3 && Ir.Cfg.dominates f 0 1 && Ir.Cfg.dominates f 0 2);
-  check tb "arm does not dominate join" false (Ir.Cfg.dominates f 1 3);
-  check tb "dominates is reflexive" true (Ir.Cfg.dominates f 2 2)
-
-let test_dominators_chain () =
-  let f =
-    Ir.Func.make ~name:"chain"
-      [|
-        compute_block ~id:0 ~bytes:4 ~term:(Ir.Term.Jump 1);
-        compute_block ~id:1 ~bytes:4 ~term:(Ir.Term.Jump 2);
-        compute_block ~id:2 ~bytes:4 ~term:Ir.Term.Return;
-      |]
-  in
-  let idom = Ir.Cfg.immediate_dominators f in
-  check ti "1's idom" 0 idom.(1);
-  check ti "2's idom" 1 idom.(2);
-  check tb "transitive dominance" true (Ir.Cfg.dominates f 0 2)
-
-let test_dominators_unreachable () =
-  let f =
-    Ir.Func.make ~name:"unreach"
-      [|
-        compute_block ~id:0 ~bytes:4 ~term:(Ir.Term.Jump 2);
-        compute_block ~id:1 ~bytes:4 ~term:Ir.Term.Return;
-        compute_block ~id:2 ~bytes:4 ~term:Ir.Term.Return;
-      |]
-  in
-  let idom = Ir.Cfg.immediate_dominators f in
-  check ti "unreachable marked" (-1) idom.(1);
-  check tb "unreachable dominates nothing" false (Ir.Cfg.dominates f 1 2)
-
-let test_loop_headers () =
-  let f = loop_func () in
-  check Alcotest.(list int) "loop body is the header" [ 1 ] (Ir.Cfg.loop_headers f);
-  check Alcotest.(list int) "diamond has no loops" [] (Ir.Cfg.loop_headers (diamond_func ()))
-
-let test_loop_headers_nested () =
-  (* 0 -> 1 -> 2; 2 -> 2 (inner self-loop), 2 -> 1 (outer), 2 -> 3 exit. *)
-  let f =
-    Ir.Func.make ~name:"nested"
-      [|
-        compute_block ~id:0 ~bytes:4 ~term:(Ir.Term.Jump 1);
-        compute_block ~id:1 ~bytes:4 ~term:(Ir.Term.Jump 2);
-        Ir.Block.make ~id:2 ~body:[]
-          ~term:
-            (Ir.Term.Switch
-               { table = [| 2; 1; 3 |]; probs = [| 0.5; 0.3; 0.2 |]; pgo_probs = [| 0.5; 0.3; 0.2 |] })
-          ();
-        compute_block ~id:3 ~bytes:4 ~term:Ir.Term.Return;
-      |]
-  in
-  check Alcotest.(list int) "both headers found" [ 1; 2 ] (Ir.Cfg.loop_headers f)
-
 let suite =
   [
     Alcotest.test_case "inst sizes" `Quick test_inst_sizes;
@@ -332,17 +266,9 @@ let suite =
     Alcotest.test_case "func calls" `Quick test_func_calls;
     Alcotest.test_case "program validation" `Quick test_program_validation;
     Alcotest.test_case "program lookup" `Quick test_program_lookup;
-    Alcotest.test_case "cfg predecessors" `Quick test_cfg_predecessors;
-    Alcotest.test_case "cfg reverse postorder" `Quick test_cfg_rpo;
-    Alcotest.test_case "cfg unreachable blocks" `Quick test_cfg_unreachable;
     Alcotest.test_case "cfg frequencies: diamond" `Quick test_cfg_frequencies_diamond;
     Alcotest.test_case "cfg frequencies: loop" `Quick test_cfg_frequencies_loop;
     Alcotest.test_case "cfg frequencies: pgo vs true" `Quick test_cfg_pgo_vs_true;
     QCheck_alcotest.to_alcotest frequencies_match_reference_law;
     Alcotest.test_case "cfg edge frequencies" `Quick test_cfg_edge_frequencies;
-    Alcotest.test_case "cfg dominators: diamond" `Quick test_dominators_diamond;
-    Alcotest.test_case "cfg dominators: chain" `Quick test_dominators_chain;
-    Alcotest.test_case "cfg dominators: unreachable" `Quick test_dominators_unreachable;
-    Alcotest.test_case "cfg loop headers" `Quick test_loop_headers;
-    Alcotest.test_case "cfg loop headers: nested" `Quick test_loop_headers_nested;
   ]

@@ -285,7 +285,7 @@ let policy_contract_law =
         (fun (pol : Layout.Policy.t) ->
           let order = pol.order (problem g) in
           is_permutation n order && List.hd order = 0)
-        Layout.Policy.all)
+        (List.filter_map Layout.Policy.find Layout.Policy.names))
 
 let policy_nonzero_entry_law =
   QCheck.Test.make ~count:60 ~name:"policies pin a non-zero entry" graph_arb
@@ -295,7 +295,7 @@ let policy_nonzero_entry_law =
         (fun (pol : Layout.Policy.t) ->
           let order = pol.order (problem ~entry g) in
           is_permutation n order && List.hd order = entry)
-        Layout.Policy.all)
+        (List.filter_map Layout.Policy.find Layout.Policy.names))
 
 (* local-search starts from the Ext-TSP layout and only accepts strict
    improvements, so it can never score below its seed. *)

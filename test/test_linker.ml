@@ -52,7 +52,7 @@ let test_relaxation_preserves_targets () =
     (fun (info : Linker.Binary.block_info) ->
       List.iter
         (fun i ->
-          match Isa.branch_target i with
+          match branch_target i with
           | Some (Isa.Target.Block { func; block }) ->
             let tgt = Linker.Binary.block_info_exn binary ~func ~block in
             check tb "target exists" true (tgt.size >= 0)
@@ -104,7 +104,7 @@ let test_jcc_reversal () =
   check tb "something relaxed" true (stats.deleted_jumps > 0);
   let b0 = Linker.Binary.block_info_exn binary ~func:"diamond" ~block:0 in
   (* Block 0's surviving terminator must be a single conditional. *)
-  let branches = List.filter Isa.is_branch b0.insts in
+  let branches = List.filter is_branch b0.insts in
   check ti "one branch remains" 1 (List.length branches)
 
 let test_ordering_file_respected () =
@@ -265,8 +265,7 @@ let test_find_block_by_addr () =
       | None -> Alcotest.fail "lookup failed");
       match Linker.Binary.find_block_by_addr binary (info.addr + info.size - 1) with
       | Some b ->
-        check ts "last byte maps back" (Objfile.Symname.block ~func:info.func ~block:info.block)
-          (Objfile.Symname.block ~func:b.func ~block:b.block)
+        check (Alcotest.pair ts ti) "last byte maps back" (info.func, info.block) (b.func, b.block)
       | None -> Alcotest.fail "lookup failed")
     binary.blocks
 

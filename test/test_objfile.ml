@@ -18,37 +18,17 @@ let test_fragment_sizes () =
 
 let test_fragment_relocs () =
   let f = simple_frag () in
-  check ti "one branch reloc" 1 (Objfile.Fragment.num_relocations f);
+  check ti "one branch reloc" 1 (Array.length f.index.sites);
   let with_call =
     Objfile.Fragment.make ~func:"g" [ piece 0 [ Isa.Call (Isa.Target.Func "f"); Isa.Ret ] ]
   in
-  check ti "calls relocate too" 1 (Objfile.Fragment.num_relocations with_call)
+  check ti "calls relocate too" 1 (Array.length with_call.index.sites)
 
 let test_fragment_rejects_empty () =
   try
     ignore (Objfile.Fragment.make ~func:"f" []);
     Alcotest.fail "expected failure"
   with Invalid_argument _ -> ()
-
-let test_bbmap_lookup () =
-  let map =
-    [
-      {
-        Objfile.Bbmap.func = "f";
-        entries =
-          [
-            { Objfile.Bbmap.bb_id = 0; offset = 0; size = 10; can_fallthrough = true; is_landing_pad = false };
-            { Objfile.Bbmap.bb_id = 3; offset = 10; size = 7; can_fallthrough = false; is_landing_pad = false };
-          ];
-      };
-    ]
-  in
-  (match Objfile.Bbmap.lookup map ~func:"f" ~offset:12 with
-  | Some e -> check ti "maps into second block" 3 e.bb_id
-  | None -> Alcotest.fail "lookup failed");
-  check tb "off the end" true (Objfile.Bbmap.lookup map ~func:"f" ~offset:17 = None);
-  check tb "unknown func" true (Objfile.Bbmap.lookup map ~func:"g" ~offset:0 = None);
-  check ti "entries" 2 (Objfile.Bbmap.num_entries map)
 
 let test_bbmap_encoded_size () =
   let entry off = { Objfile.Bbmap.bb_id = 1; offset = off; size = 10; can_fallthrough = true; is_landing_pad = false } in
@@ -66,10 +46,7 @@ let test_symname_roundtrips () =
   check ts "owner of plain" "foo" (Objfile.Symname.owner "foo");
   check ts "owner keeps interior dots" "a.b" (Objfile.Symname.owner "a.b");
   check tb "is_cold" true (Objfile.Symname.is_cold "foo.cold");
-  check tb "not cold" false (Objfile.Symname.is_cold "foo.col");
-  check tb "block parse" true (Objfile.Symname.parse_block "foo#12" = Some ("foo", 12));
-  check tb "block parse fails" true (Objfile.Symname.parse_block "foo" = None);
-  check ts "block format" "foo#3" (Objfile.Symname.block ~func:"foo" ~block:3)
+  check tb "not cold" false (Objfile.Symname.is_cold "foo.col")
 
 let symname_owner_law =
   QCheck.Test.make ~count:200 ~name:"owner inverts cold/cluster naming"
@@ -96,19 +73,9 @@ let test_file_accessors () =
   in
   let ro = Objfile.Section.make ~name:".rodata" ~kind:Objfile.Section.Rodata (Objfile.Section.Raw 64) in
   let o = Objfile.File.make ~name:"u.o" ~unit_name:"u" [ text; ro ] in
-  check ti "one text section" 1 (List.length (Objfile.File.text_sections o));
-  check ti "text bytes" 17 (Objfile.File.size_by_kind o Objfile.Section.Text);
-  check ti "total" (17 + 64) (Objfile.File.total_size o);
-  check tb "symbol defined" true (List.mem_assoc "f" (Objfile.File.defined_symbols o));
-  check tb "find section" true (Option.is_some (Objfile.File.find_section o ".rodata"));
-  check ti "relocs" 1 (Objfile.File.num_relocations o)
-
-let test_file_extra_section_relocs () =
-  (* A second text section adds two DWARF range relocations (4.3). *)
-  let sec sym frag = Objfile.Section.make ~name:(".text." ^ sym) ~kind:Objfile.Section.Text ~symbol:sym (Objfile.Section.Code frag) in
-  let frag sym = Objfile.Fragment.make ~func:sym [ piece 0 [ Isa.Ret ] ] in
-  let o = Objfile.File.make ~name:"u.o" ~unit_name:"u" [ sec "f" (frag "f"); sec "f.cold" (frag "f") ] in
-  check ti "2 dwarf relocs for extra section" 2 (Objfile.File.num_relocations o)
+  check ti "one text section" 1 (num_text_sections o);
+  check ti "text bytes" 17 (size_by_kind o Objfile.Section.Text);
+  check ti "total" (17 + 64) (Objfile.File.total_size o)
 
 (* --- The relocation index ------------------------------------------ *)
 
@@ -118,12 +85,12 @@ let test_file_extra_section_relocs () =
 let check_index_is_walk (f : Objfile.Fragment.t) =
   let ix = f.index in
   let size p = List.fold_left (fun acc i -> acc + Isa.size i) 0 p.Objfile.Fragment.insts in
-  let sites p = List.filter (fun i -> Option.is_some (Isa.branch_target i)) p.Objfile.Fragment.insts in
+  let sites p = List.filter (fun i -> Option.is_some (branch_target i)) p.Objfile.Fragment.insts in
   let runs p =
     let _, _, rev =
       List.fold_left
         (fun (bytes, count, acc) i ->
-          if Isa.is_branch i then (0, 0, (bytes, count) :: acc)
+          if is_branch i then (0, 0, (bytes, count) :: acc)
           else (bytes + Isa.size i, count + 1, acc))
         (0, 0, []) p.Objfile.Fragment.insts
     in
@@ -137,7 +104,6 @@ let check_index_is_walk (f : Objfile.Fragment.t) =
   check Alcotest.(list string) "sites"
     (List.map Isa.to_string (List.concat_map sites f.pieces))
     (List.map Isa.to_string (arr ix.sites));
-  check ti "relocations" (Array.length ix.sites) (Objfile.Fragment.num_relocations f);
   check Alcotest.(list int) "branch starts"
     (starts (List.map (fun p -> List.length (runs p)) f.pieces))
     (arr ix.branch_start);
@@ -222,7 +188,7 @@ let test_fragment_index_real_programs () =
           List.iter
             (fun (o : Objfile.File.t) ->
               List.iter
-                (fun s -> Option.iter check_index_is_walk (Objfile.Section.fragment s))
+                (fun s -> Option.iter check_index_is_walk (fragment s))
                 o.sections)
             (Codegen.compile_program options program))
         [
@@ -238,11 +204,9 @@ let suite =
     Alcotest.test_case "fragment rejects empty" `Quick test_fragment_rejects_empty;
     QCheck_alcotest.to_alcotest fragment_index_law;
     Alcotest.test_case "fragment index on real programs" `Quick test_fragment_index_real_programs;
-    Alcotest.test_case "bbmap lookup" `Quick test_bbmap_lookup;
     Alcotest.test_case "bbmap encoded size" `Quick test_bbmap_encoded_size;
     Alcotest.test_case "symname conventions" `Quick test_symname_roundtrips;
     QCheck_alcotest.to_alcotest symname_owner_law;
     Alcotest.test_case "section sizes" `Quick test_section_sizes;
     Alcotest.test_case "object accessors" `Quick test_file_accessors;
-    Alcotest.test_case "extra-section dwarf relocs" `Quick test_file_extra_section_relocs;
   ]

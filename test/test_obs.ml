@@ -11,9 +11,7 @@ let test_clock () =
   (try
      Obs.Clock.advance c (-1.0);
      Alcotest.fail "expected rejection of negative advance"
-   with Invalid_argument _ -> ());
-  Obs.Clock.reset c;
-  check tf "reset" 0.0 (Obs.Clock.now c)
+   with Invalid_argument _ -> ())
 
 (* --- Spans -------------------------------------------------------- *)
 
@@ -24,22 +22,21 @@ let test_span_nesting () =
       Obs.Clock.advance clk 1.0;
       Obs.Trace.with_span t "inner_a" (fun () -> Obs.Clock.advance clk 2.0);
       Obs.Trace.with_span t "inner_b" (fun () -> Obs.Clock.advance clk 3.0));
-  let spans = Obs.Trace.spans t in
+  let spans = trace_spans t in
   check ti "three spans" 3 (List.length spans);
   check (Alcotest.list ts) "parent precedes children in export order"
     [ "outer"; "inner_a"; "inner_b" ]
-    (List.map (fun (s : Obs.Trace.span) -> s.name) spans);
-  let find name = List.find (fun (s : Obs.Trace.span) -> s.name = name) spans in
+    (List.map (fun s -> s.sname) spans);
+  let find name = List.find (fun s -> s.sname = name) spans in
   let outer = find "outer" and a = find "inner_a" and b = find "inner_b" in
-  check ti "outer depth" 0 outer.depth;
-  check ti "inner depth" 1 a.depth;
-  check tf "outer covers the whole interval" 6.0 outer.duration;
-  check tf "inner_a start" 1.0 a.start;
-  check tf "inner_a duration" 2.0 a.duration;
-  check tf "inner_b starts after inner_a" 3.0 b.start;
+  check ti "outer depth" 0 outer.sdepth;
+  check ti "inner depth" 1 a.sdepth;
+  check tf "outer covers the whole interval" 6.0 outer.sdur;
+  check tf "inner_a start" 1.0 a.sstart;
+  check tf "inner_a duration" 2.0 a.sdur;
+  check tf "inner_b starts after inner_a" 3.0 b.sstart;
   check tb "children inside parent" true
-    (a.start >= outer.start
-    && b.start +. b.duration <= outer.start +. outer.duration)
+    (a.sstart >= outer.sstart && b.sstart +. b.sdur <= outer.sstart +. outer.sdur)
 
 let test_span_closed_on_exception () =
   let clk = Obs.Clock.create () in
@@ -49,50 +46,46 @@ let test_span_closed_on_exception () =
          Obs.Clock.advance clk 1.0;
          failwith "inner failure")
    with Failure _ -> ());
-  match Obs.Trace.spans t with
+  match trace_spans t with
   | [ s ] ->
-    check ts "span closed despite raise" "boom" s.name;
-    check tf "duration up to the raise" 1.0 s.duration
+    check ts "span closed despite raise" "boom" s.sname;
+    check tf "duration up to the raise" 1.0 s.sdur
   | l -> Alcotest.failf "expected exactly one span, got %d" (List.length l)
 
 (* --- Metrics ------------------------------------------------------ *)
 
 let test_counter_accounting () =
   let m = Obs.Metrics.create () in
-  check ti "unknown counter reads 0" 0 (Obs.Metrics.counter m "c");
+  check ti "unknown counter reads 0" 0 (counter (Obs.Metrics.to_json m) "c");
   Obs.Metrics.incr_counter m "c";
   Obs.Metrics.add_counter m "c" 41;
-  check ti "incr + add" 42 (Obs.Metrics.counter m "c");
+  check ti "incr + add" 42 (counter (Obs.Metrics.to_json m) "c");
   (try
      Obs.Metrics.add_counter m "c" (-1);
      Alcotest.fail "expected rejection of negative counter add"
    with Invalid_argument _ -> ());
   Obs.Metrics.set_gauge m "g" 2.5;
   Obs.Metrics.set_gauge m "g" 7.5;
-  check (Alcotest.option tf) "gauge is last-write-wins" (Some 7.5)
-    (Obs.Metrics.gauge m "g");
+  check tb "gauge is last-write-wins" true
+    (metric "gauges" "g" (Obs.Metrics.to_json m) = Some (Obs.Json.Float 7.5));
   Obs.Metrics.incr_counter m "b";
-  check
-    (Alcotest.list (Alcotest.pair ts ti))
-    "counters sorted by name"
-    [ ("b", 1); ("c", 42) ]
-    (Obs.Metrics.counters m)
+  check tb "counters sorted by name" true
+    (Obs.Json.member "counters" (Obs.Metrics.to_json m)
+    = Some (Obs.Json.Obj [ ("b", Obs.Json.Int 1); ("c", Obs.Json.Int 42) ]))
 
 let test_histogram_summary () =
   let m = Obs.Metrics.create () in
   check tb "empty histogram has no summary" true
-    (Obs.Metrics.summary m "h" = None);
+    (metric "histograms" "h" (Obs.Metrics.to_json m) = None);
   List.iter (Obs.Metrics.observe m "h") [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  match Obs.Metrics.summary m "h" with
-  | None -> Alcotest.fail "summary expected"
-  | Some s ->
-    check ti "count" 8 s.count;
-    check tf "sum" 40.0 s.sum;
-    check tf "mean" 5.0 s.mean;
-    check tf "stddev" 2.0 s.stddev;
-    check tf "min" 2.0 s.min;
-    check tf "max" 9.0 s.max;
-    check tf "median" 4.5 s.median
+  let s = summary_field m in
+  check tf "count" 8.0 (s "count");
+  check tf "sum" 40.0 (s "sum");
+  check tf "mean" 5.0 (s "mean");
+  check tf "stddev" 2.0 (s "stddev");
+  check tf "min" 2.0 (s "min");
+  check tf "max" 9.0 (s "max");
+  check tf "median" 4.5 (s "median")
 
 (* Interpolated percentiles are exact at tiny sample counts — the
    single-observation histograms phase timing produces must not report
@@ -101,16 +94,16 @@ let test_histogram_small_counts () =
   let summ vals =
     let m = Obs.Metrics.create () in
     List.iter (Obs.Metrics.observe m "h") vals;
-    Option.get (Obs.Metrics.summary m "h")
+    summary_field m
   in
   let s1 = summ [ 7.0 ] in
-  check tf "n=1 median" 7.0 s1.median;
-  check tf "n=1 p90" 7.0 s1.p90;
-  check tf "n=1 p99" 7.0 s1.p99;
+  check tf "n=1 median" 7.0 (s1 "median");
+  check tf "n=1 p90" 7.0 (s1 "p90");
+  check tf "n=1 p99" 7.0 (s1 "p99");
   let s2 = summ [ 1.0; 2.0 ] in
-  check tf "n=2 median interpolates" 1.5 s2.median;
-  check tf "n=2 p90" 1.9 s2.p90;
-  check tf "n=2 p99" 1.99 s2.p99;
+  check tf "n=2 median interpolates" 1.5 (s2 "median");
+  check tf "n=2 p90" 1.9 (s2 "p90");
+  check tf "n=2 p99" 1.99 (s2 "p99");
   (* Support.Stats must agree byte-for-byte (two implementations, one
      contract — obs cannot depend on support). *)
   List.iter
@@ -327,34 +320,34 @@ let test_pipeline_phase_spans () =
         }
       ~env ~program ~name:"testprog" ()
   in
-  let trace = Obs.Recorder.trace recorder in
+  let spans = trace_spans (Obs.Recorder.trace recorder) in
   let one name =
-    match Obs.Trace.find_spans trace name with
+    match List.filter (fun s -> s.sname = name) spans with
     | [ s ] -> s
     | l -> Alcotest.failf "expected one %S span, got %d" name (List.length l)
   in
+  (* The export keeps whole microseconds. *)
+  let tus = Alcotest.float 1e-6 in
   let meta = one "phase:metadata_build" in
   let prof = one "phase:profiling" in
   let wpa = one "phase:wpa" in
   let opt = one "phase:optimized_build" in
   (* Span durations are the phase_times, on the same simulated clock. *)
-  check tf "metadata span = phase time" result.times.metadata_build_s meta.duration;
-  check tf "profiling span = load-test window" result.times.profiling_s prof.duration;
-  check tf "wpa span = conversion time" result.times.conversion_s wpa.duration;
-  check tf "optimize span = phase time" result.times.optimize_build_s opt.duration;
+  check tus "metadata span = phase time" result.times.metadata_build_s meta.sdur;
+  check tus "profiling span = load-test window" result.times.profiling_s prof.sdur;
+  check tus "wpa span = conversion time" result.times.conversion_s wpa.sdur;
+  check tus "optimize span = phase time" result.times.optimize_build_s opt.sdur;
   check tb "phases are ordered on the clock" true
-    (meta.start +. meta.duration <= prof.start
-    && prof.start +. prof.duration <= wpa.start
-    && wpa.start +. wpa.duration <= opt.start);
+    (meta.sstart +. meta.sdur <= prof.sstart
+    && prof.sstart +. prof.sdur <= wpa.sstart
+    && wpa.sstart +. wpa.sdur <= opt.sstart);
   (* Cache traffic of all three builds (baseline-less run: pm + po)
      lands in the env recorder's counters. *)
-  let metrics = Obs.Recorder.metrics recorder in
+  let metrics = parse_json (Obs.Recorder.metrics_json recorder) in
   check ti "cache counters cover all units"
     (2 * List.length (Ir.Program.units program))
-    (Obs.Metrics.counter metrics "buildsys.cache.hits"
-    + Obs.Metrics.counter metrics "buildsys.cache.misses");
-  check tb "some relaxation recorded" true
-    (Obs.Metrics.counter metrics "linker.relax.iters" > 0)
+    (counter metrics "buildsys.cache.hits" + counter metrics "buildsys.cache.misses");
+  check tb "some relaxation recorded" true (counter metrics "linker.relax.iters" > 0)
 
 let suite =
   [

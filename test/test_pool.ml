@@ -6,10 +6,8 @@ open Testutil
 
 let test_empty_batch () =
   Support.Pool.with_pool ~jobs:4 (fun pool ->
-      check ti "0 tasks -> empty array" 0 (Array.length (Support.Pool.map_array pool 0 Fun.id));
-      check ti "map_list on [] is []" 0
-        (List.length (Support.Pool.map_list pool Fun.id ([] : int list)));
-      Support.Pool.parallel_iter pool ~n:0 (fun _ -> Alcotest.fail "task ran"))
+      check ti "0 tasks -> empty array" 0
+        (Array.length (Support.Pool.map_array pool 0 (fun _ -> Alcotest.fail "task ran"))))
 
 let test_map_identical_across_jobs () =
   let n = 500 in
@@ -22,29 +20,6 @@ let test_map_identical_across_jobs () =
           check tb (Printf.sprintf "map_array jobs=%d matches sequential" jobs) true
             (got = seq)))
     [ 1; 2; 4; 8 ]
-
-let test_map_reduce_index_order () =
-  (* fold is non-commutative (list cons), so the final value proves the
-     index-order commit. *)
-  let n = 100 in
-  let expected = List.init n (fun i -> i * 3) |> List.rev in
-  List.iter
-    (fun jobs ->
-      Support.Pool.with_pool ~jobs (fun pool ->
-          let got =
-            Support.Pool.map_reduce pool ~n ~task:(fun i -> i * 3) ~init:[]
-              ~fold:(fun acc x -> x :: acc)
-          in
-          check tb (Printf.sprintf "map_reduce jobs=%d in index order" jobs) true
-            (got = expected)))
-    [ 1; 4 ]
-
-let test_parallel_iter_fills_slots () =
-  Support.Pool.with_pool ~jobs:4 (fun pool ->
-      let n = 257 in
-      let slots = Array.make n (-1) in
-      Support.Pool.parallel_iter pool ~n (fun i -> slots.(i) <- 2 * i);
-      Array.iteri (fun i v -> check ti (Printf.sprintf "slot %d" i) (2 * i) v) slots)
 
 let test_exception_lowest_index_wins () =
   Support.Pool.with_pool ~jobs:4 (fun pool ->
@@ -72,8 +47,7 @@ let test_nested_map_reduce () =
          must run inline (no deadlock) and produce correct sums. *)
       let got =
         Support.Pool.map_array pool 8 (fun i ->
-            Support.Pool.map_reduce pool ~n:10 ~task:(fun j -> (i * 10) + j) ~init:0
-              ~fold:( + ))
+            Array.fold_left ( + ) 0 (Support.Pool.map_array pool 10 (fun j -> (i * 10) + j)))
       in
       let expected = Array.init 8 (fun i -> (i * 100) + 45) in
       check tb "nested batches correct" true (got = expected))
@@ -81,7 +55,7 @@ let test_nested_map_reduce () =
 let test_jobs1_runs_inline_in_order () =
   Support.Pool.with_pool ~jobs:1 (fun pool ->
       let trail = ref [] in
-      Support.Pool.parallel_iter pool ~n:20 (fun i -> trail := i :: !trail);
+      ignore (Support.Pool.map_array pool 20 (fun i -> trail := i :: !trail));
       check tb "jobs=1 executes 0..n-1 in order" true
         (List.rev !trail = List.init 20 Fun.id);
       let st = Support.Pool.stats pool in
@@ -101,18 +75,20 @@ let test_stats_account_all_tasks () =
       check ti "reset clears tasks" 0 (Array.fold_left ( + ) 0 st.tasks_per_worker))
 
 let test_shutdown_idempotent () =
-  let pool = Support.Pool.create ~jobs:3 () in
-  ignore (Support.Pool.map_array pool 50 Fun.id);
-  Support.Pool.shutdown pool;
-  Support.Pool.shutdown pool;
-  (* A shut-down pool degrades to inline sequential execution. *)
+  (* [with_pool] shuts its pool down, and so does [global ()] when the
+     default width changes under a pool someone still holds; a
+     shut-down pool degrades to inline sequential execution. *)
+  let pool =
+    Support.Pool.with_pool ~jobs:3 (fun pool ->
+        ignore (Support.Pool.map_array pool 50 Fun.id);
+        pool)
+  in
   let got = Support.Pool.map_array pool 5 (fun i -> i + 1) in
   check tb "post-shutdown batches run inline" true (got = [| 1; 2; 3; 4; 5 |])
 
 let test_default_jobs_override () =
-  let saved = Support.Pool.default_jobs () in
+  let saved = Support.Pool.jobs (Support.Pool.global ()) in
   Support.Pool.set_default_jobs 3;
-  check ti "set_default_jobs visible" 3 (Support.Pool.default_jobs ());
   let pool = Support.Pool.global () in
   check ti "global pool tracks default" 3 (Support.Pool.jobs pool);
   (try
@@ -161,8 +137,6 @@ let suite =
   [
     Alcotest.test_case "empty batch" `Quick test_empty_batch;
     Alcotest.test_case "map identical across jobs" `Quick test_map_identical_across_jobs;
-    Alcotest.test_case "map_reduce folds in index order" `Quick test_map_reduce_index_order;
-    Alcotest.test_case "parallel_iter fills every slot" `Quick test_parallel_iter_fills_slots;
     Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index_wins;
     Alcotest.test_case "pool survives failed batch" `Quick test_exception_pool_survives;
     Alcotest.test_case "nested map_reduce is safe" `Quick test_nested_map_reduce;

@@ -65,12 +65,10 @@ let test_pebs_sampling () =
   let image = Exec.Image.build program binary in
   let pebs = Perfmon.Pebs.create_profile () in
   let stats =
-    Exec.Interp.run image
-      { Exec.Interp.default_config with requests = 300 }
-      (Perfmon.Pebs.collector { Perfmon.Pebs.period = 7 } pebs)
+    run_pebs image { Exec.Interp.default_config with requests = 300 } { Perfmon.Pebs.period = 7 } pebs
   in
   check tb "samples collected" true (pebs.num_samples > 0);
-  check tb "sampling thins" true (Perfmon.Pebs.total pebs < stats.dmisses);
+  check tb "sampling thins" true (Support.Itab.fold (fun _ c acc -> acc + c) pebs.misses 0 < stats.dmisses);
   check tb "sampling ratio near period" true
     (abs (pebs.num_samples - (stats.dmisses / 7)) <= 1)
 
@@ -87,11 +85,9 @@ let test_analysis_finds_site () =
   let image = Exec.Image.build program binary in
   let pebs = Perfmon.Pebs.create_profile () in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image
-      { Exec.Interp.default_config with requests = 300 }
-      (Perfmon.Pebs.collector Perfmon.Pebs.default_config pebs)
+    run_pebs image { Exec.Interp.default_config with requests = 300 } Perfmon.Pebs.default_config pebs
   in
-  let r = Propeller.Prefetch.analyze ~pebs ~binary () in
+  let r = Propeller.Prefetch.analyze ~pebs ~binary in
   check tb "the loop body is nominated" true (List.mem ("main", 1) r.sites);
   check tb "coverage accounted" true (r.covered_misses > 0 && r.covered_misses <= r.sampled_misses)
 

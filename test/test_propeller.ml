@@ -38,7 +38,7 @@ let test_dcfg_reconstruction () =
   | None -> Alcotest.fail "main not in DCFG"
   | Some d ->
     let back_key = Support.Packed.pack ~src:1 ~dst:1 in
-    check tb "back edge recovered" true (Support.Itab.mem d.dedges back_key);
+    check tb "back edge recovered" true (Support.Itab.find d.dedges back_key > 0);
     check tb "back edge dominant" true
       (let back = Support.Itab.find d.dedges back_key in
        Support.Itab.fold (fun _ r acc -> acc && r <= back) d.dedges true);
@@ -67,9 +67,10 @@ let test_dcfg_call_arcs () =
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let _, profile = run_with_profile ~requests:100 program binary in
   let dcfg = Propeller.Dcfg.build ~profile ~binary in
-  let arcs = Propeller.Dcfg.func_arcs dcfg in
   check tb "main->callee arc seen" true
-    (List.exists (fun (a, b, w) -> a = "main" && b = "callee" && w > 0.0) arcs)
+    (Hashtbl.fold
+       (fun (a, _, b) w seen -> seen || (a = "main" && b = "callee" && !w > 0))
+       dcfg.call_arcs false)
 
 let test_dcfg_disasm_view_agrees () =
   let _, program, _, result = Lazy.force (fixture) in
@@ -123,7 +124,7 @@ let test_wpa_interproc_plans_valid () =
   check tb "produced plans" true (wpa.plans <> []);
   List.iter
     (fun (p : Codegen.Directive.func_plan) ->
-      let f = Ir.Program.find_func_exn program p.func in
+      let f = Option.get (Ir.Program.find_func program p.func) in
       match Codegen.Directive.validate ~num_blocks:(Ir.Func.num_blocks f) p with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
@@ -154,8 +155,7 @@ let test_wpa_block_layout_hot_first () =
   let dcfg = Propeller.Dcfg.build ~profile ~binary in
   let d = Hashtbl.find dcfg.funcs "main" in
   let shapes = Propeller.Dcfg.shapes dcfg [ d ] in
-  let { Propeller.Wpa.blocks = order; score; policy } = Propeller.Wpa.block_layout shapes d in
-  check ts "default policy reported" "exttsp" policy;
+  let { Propeller.Wpa.blocks = order; score } = Propeller.Wpa.block_layout shapes d in
   check tb "entry first" true (List.hd order = 0);
   check tb "positive score" true (score > 0.0);
   check tb "loop body adjacent to entry" true
@@ -246,7 +246,7 @@ let test_run_rounds () =
     (fun (r : Propeller.Pipeline.result) ->
       List.iter
         (fun (p : Codegen.Directive.func_plan) ->
-          let f = Ir.Program.find_func_exn program p.func in
+          let f = Option.get (Ir.Program.find_func program p.func) in
           match Codegen.Directive.validate ~num_blocks:(Ir.Func.num_blocks f) p with
           | Ok () -> ()
           | Error e -> Alcotest.fail e)
@@ -279,7 +279,7 @@ let test_run_rounds_ordering_settles () =
   let config =
     {
       Propeller.Pipeline.default_config with
-      lbr = { Propeller.Pipeline.default_config.lbr with Perfmon.Lbr.period = 1 };
+      lbr = { Perfmon.Lbr.period = 1 };
       profile_run = { Exec.Interp.default_config with requests };
     }
   in
@@ -516,7 +516,7 @@ let test_wpa_shard_drop_accounting () =
   check ti "no plan, nothing dropped" 0 clean.shards_dropped;
   check ti "no plan, no lost funcs" 0 clean.dropped_hot_funcs;
   (* Lose profile shards at rate 0.5 over 8 shards. *)
-  let plan = { Faultsim.Plan.default with shard_drop = 0.5; shards = 8 } in
+  let plan = { no_faults with shard_drop = 0.5; shards = 8 } in
   let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~faults:plan () in
   let faulted = Propeller.Wpa.analyze ~ctx ~profile:(Propeller.Wpa.Lbr profile) ~binary () in
   check ti "dropped shards reported"

@@ -33,7 +33,7 @@ let random_plan rng (f : Ir.Func.t) =
   if n < 2 then None
   else begin
     let ids = Array.init (n - 1) (fun i -> i + 1) in
-    Support.Rng.shuffle rng ids;
+    Testutil.shuffle rng ids;
     let keep = 1 + Support.Rng.int rng (n - 1) in
     let prefix = Array.to_list (Array.sub ids 0 (min keep (n - 1))) in
     Some
@@ -204,7 +204,7 @@ let fault_tolerance_law =
       let program = make_program input in
       let plan =
         {
-          Faultsim.Plan.default with
+          Testutil.no_faults with
           seed = fault_seed;
           action_fail = 0.3;
           persist = 0.15;
@@ -268,7 +268,7 @@ let selfprof_invariance_law =
             in
             ( Linker.Binary.image_digest (Propeller.Pipeline.optimized_binary r),
               Obs.Recorder.metrics_json recorder,
-              Obs.Flight.dump (Obs.Recorder.flight recorder) ))
+              Obs.Recorder.flight_dump recorder ))
       in
       let d_off, m_off, f_off = run false in
       let d_on, m_on, f_on = run true in
@@ -336,7 +336,7 @@ let scatter_plan rng (f : Ir.Func.t) =
   if n < 2 then None
   else begin
     let ids = Array.init (n - 1) (fun i -> i + 1) in
-    Support.Rng.shuffle rng ids;
+    Testutil.shuffle rng ids;
     let rest = ref (Array.to_list ids) in
     let take () =
       let k = Support.Rng.int rng (List.length !rest + 1) in
@@ -429,9 +429,12 @@ let adversarial_links (shape, seed, units, shuffle) =
   let objs = Codegen.compile_program { Codegen.default_options with plans } program in
   let symbols =
     Array.of_list
-      (List.concat_map (fun o -> List.map fst (Objfile.File.defined_symbols o)) objs)
+      (List.concat_map
+         (fun (o : Objfile.File.t) ->
+           List.filter_map (fun (s : Objfile.Section.t) -> s.symbol) o.sections)
+         objs)
   in
-  Support.Rng.shuffle rng symbols;
+  Testutil.shuffle rng symbols;
   let link ordering =
     let recorder = Obs.Recorder.create () in
     let (o : Linker.Link.outcome) =
@@ -440,7 +443,7 @@ let adversarial_links (shape, seed, units, shuffle) =
         ~options:{ Linker.Link.default_options with ordering }
         ~name:"adv" ~entry:(Ir.Program.main program) objs
     in
-    (o, Obs.Metrics.counter (Obs.Recorder.metrics recorder) "linker.relax.grown_branches")
+    (o, Testutil.recorder_counter recorder "linker.relax.grown_branches")
   in
   (program, link None, link (Some (Array.to_list symbols)))
 

@@ -11,6 +11,111 @@ let ts = Alcotest.string
 
 let tb = Alcotest.bool
 
+(* Fisher-Yates shuffle of [arr] in place, drawing from [rng]: the
+   random orderings the relaxation and symbol-order laws feed the
+   linker. *)
+let shuffle rng arr =
+  for i = Array.length arr - 1 downto 1 do
+    let j = Support.Rng.int rng (i + 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done
+
+(* The symbolic target of a branch or call, and whether an instruction
+   is a branch: the reference the relocation and relaxation checks walk
+   instructions with. *)
+let branch_target = function
+  | Isa.Jcc { target; _ } | Isa.Jmp { target; _ } | Isa.Call target -> Some target
+  | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.IndirectCall | Isa.IndirectJmp | Isa.Ret
+  | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ ->
+    None
+
+let is_branch = function Isa.Jcc _ | Isa.Jmp _ -> true | _ -> false
+
+(* The code fragment of a text section. *)
+let fragment (s : Objfile.Section.t) =
+  match s.contents with Objfile.Section.Code f -> Some f | Map _ | Raw _ -> None
+
+(* The bytes of an object's sections of one kind, and its number of
+   text sections. *)
+let size_by_kind (o : Objfile.File.t) kind =
+  List.fold_left
+    (fun acc (s : Objfile.Section.t) -> if s.kind = kind then acc + Objfile.Section.size s else acc)
+    0 o.sections
+
+let num_text_sections (o : Objfile.File.t) = List.length (List.filter Objfile.Section.is_text o.sections)
+
+(* Taken control transfers of a run: what one LBR record and the B2
+   counter each count. *)
+let taken_branches (s : Exec.Interp.stats) =
+  s.cond_taken + s.uncond_jumps + s.indirect_jumps + s.calls + s.returns
+
+(* A PEBS collection over a whole run, through the tape drain the
+   pipeline uses. *)
+let run_pebs image config pebs profile =
+  let c = Perfmon.Pebs.collector_state pebs profile in
+  Exec.Interp.run_tape image config ~drain:(Perfmon.Pebs.consume c)
+
+(* The plan with every fault rate at zero: [--faults] with no keys. *)
+let no_faults = Result.get_ok (Faultsim.Plan.of_spec "")
+
+(* --- Telemetry read back from its exports ---------------------------- *)
+
+let parse_json s =
+  match Obs.Json.parse s with Ok j -> j | Error e -> Alcotest.failf "JSON does not parse: %s" e
+
+(* Entry [name] of [section] ("counters", "gauges" or "histograms") of
+   a metrics export. *)
+let metric section name json = Option.bind (Obs.Json.member section json) (Obs.Json.member name)
+
+(* A counter of a metrics export; 0 when it was never bumped. *)
+let counter json name =
+  match metric "counters" name json with Some (Obs.Json.Int n) -> n | _ -> 0
+
+let recorder_counter r name = counter (parse_json (Obs.Recorder.metrics_json r)) name
+
+(* A summary field of histogram "h" in registry [m]'s export. *)
+let summary_field m field =
+  match Option.bind (metric "histograms" "h" (Obs.Metrics.to_json m)) (Obs.Json.member field) with
+  | Some (Obs.Json.Float f) -> f
+  | Some (Obs.Json.Int n) -> float_of_int n
+  | _ -> Alcotest.failf "histogram h has no summary %s" field
+
+(* A completed span as the Chrome trace export shows it, times in
+   seconds (the export keeps whole microseconds). *)
+type span = { sname : string; sdepth : int; sstart : float; sdur : float }
+
+let trace_spans t =
+  let int k j = match Obs.Json.member k j with Some (Obs.Json.Int n) -> n | _ -> -1 in
+  match Obs.Json.member "traceEvents" (Obs.Trace.to_chrome_json t) with
+  | Some (Obs.Json.List evs) ->
+    List.filter_map
+      (fun ev ->
+        match (Obs.Json.member "ph" ev, Obs.Json.member "name" ev, Obs.Json.member "args" ev) with
+        | Some (Obs.Json.String "X"), Some (Obs.Json.String sname), Some args ->
+          Some
+            {
+              sname;
+              sdepth = int "depth" args;
+              sstart = float_of_int (int "ts" ev) /. 1e6;
+              sdur = float_of_int (int "dur" ev) /. 1e6;
+            }
+        | _ -> None)
+      evs
+  | _ -> Alcotest.fail "trace export has no traceEvents"
+
+(* A self-profiler span, driven the way [Obs.Recorder.with_span] drives
+   it, and the profile's rows as its JSON export shows them. *)
+let selfprof_span sp name f =
+  let fr = Obs.Selfprof.enter sp name in
+  Fun.protect ~finally:(fun () -> Obs.Selfprof.leave sp fr) f
+
+let selfprof_rows sp =
+  match Obs.Selfprof.rows_of_json (Obs.Selfprof.to_json sp) with
+  | Ok rows -> rows
+  | Error e -> Alcotest.failf "self-profile export does not re-read: %s" e
+
 (* A block with [bytes] of pure compute. *)
 let compute_block ~id ~bytes ~term =
   Ir.Block.make ~id ~body:[ Ir.Inst.Compute bytes ] ~term ()
