@@ -83,6 +83,205 @@ let test_dcfg_disasm_view_agrees () =
     (Propeller.Dcfg.num_blocks via_blocks);
   check ti "same edges" (Propeller.Dcfg.num_edges via_map) (Propeller.Dcfg.num_edges via_blocks)
 
+(* --- flat DCFG = hash-table reference ----------------------------- *)
+
+(* A metadata build of [program] and one profiling run collecting LBR
+   records and stack samples together, as the pipeline's Phase 3 does
+   under either source. *)
+let profiled_metadata_build ~requests program =
+  let cg, ld = Propeller.Pipeline.metadata_options in
+  let objs = Codegen.compile_program cg program in
+  let { Linker.Link.binary; _ } =
+    Linker.Link.link ~options:ld ~name:"law" ~entry:(Ir.Program.main program) objs
+  in
+  let image = Exec.Image.build program binary in
+  let lbr = Perfmon.Lbr.create_profile () and samples = Perfmon.Sampler.create_profile () in
+  let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config lbr in
+  let sink = Perfmon.Sampler.collector Perfmon.Sampler.default_config samples in
+  let (_ : Exec.Interp.stats) =
+    Exec.Interp.run_tape image
+      { Exec.Interp.default_config with requests }
+      ~drain:(fun tape ->
+        Perfmon.Lbr.consume c tape;
+        Exec.Event.replay tape sink)
+  in
+  (binary, lbr, samples)
+
+let bits x = Int64.bits_of_float x
+
+(* The DCFG as sorted plain data: per sampled function its samples,
+   sampled (bb, count) and edges (src, dst, count); then the call arcs
+   (caller, caller bb, callee, count). *)
+let ref_view (d : Ref_dcfg.t) =
+  ( List.map
+      (fun (f : Ref_dcfg.dfunc) ->
+        ( f.dname,
+          f.dsamples,
+          Hashtbl.fold (fun bb (b : Ref_dcfg.mblock) acc -> (bb, b.count) :: acc) f.dblocks []
+          |> List.sort compare,
+          Array.to_list (Support.Itab.sorted_items f.dedges)
+          |> List.map (fun (k, w) -> (Support.Packed.src k, Support.Packed.dst k, w)) ))
+      (Ref_dcfg.hot_funcs d),
+    Hashtbl.fold (fun (a, bb, b) r acc -> (a, bb, b, !r) :: acc) d.call_arcs []
+    |> List.sort compare )
+
+let flat_view (d : Propeller.Dcfg.t) =
+  ( List.map
+      (fun (f : Propeller.Dcfg.dfunc) ->
+        ( f.dname,
+          f.dsamples,
+          Hashtbl.fold
+            (fun bb (b : Propeller.Dcfg.mblock) acc -> (bb, b.count) :: acc)
+            f.dblocks []
+          |> List.sort compare,
+          Array.to_list (Support.Itab.sorted_items f.dedges)
+          |> List.map (fun (k, w) -> (Support.Packed.src k, Support.Packed.dst k, w)) ))
+      (Propeller.Dcfg.hot_funcs d),
+    Hashtbl.fold (fun (a, bb, b) r acc -> (a, bb, b, !r) :: acc) d.call_arcs []
+    |> List.sort compare )
+
+let flat_function_order (d : Propeller.Dcfg.t) =
+  Propeller.Dcfg.function_order d (Propeller.Dcfg.hot_funcs d)
+
+let flat_interproc ~policy ~params (d : Propeller.Dcfg.t) ~entry_func =
+  let r = Propeller.Interproc.layout ~policy ~params ~dcfg:d ~entry_func in
+  (r.plans, r.ordering, bits r.score, r.global_nodes)
+
+(* No two entries of a block index share an (owner, bb): the reference
+   kept the first-noted block of such a pair, and the flat DCFG has no
+   such rule to reproduce. *)
+let check_unique_blocks what (idx : Ref_dcfg.index) =
+  let keys = Array.map (fun (b : Ref_dcfg.mblock) -> (b.owner, b.bb)) idx.mblocks in
+  Array.sort compare keys;
+  for i = 1 to Array.length keys - 1 do
+    if keys.(i) = keys.(i - 1) then
+      Alcotest.failf "%s: (%s, %d) mapped twice" what (fst keys.(i)) (snd keys.(i))
+  done
+
+(* Both DCFG builds, both WPA modes and both profile sources of one
+   profiled metadata binary against the reference, output for output. *)
+let check_flat_law what ~binary ~lbr ~sampled =
+  check_unique_blocks (what ^ " address map") (Ref_dcfg.interval_index binary);
+  let ref_of_blocks = Ref_dcfg.build_of_blocks ~profile:lbr ~binary in
+  check_unique_blocks (what ^ " placed blocks") ref_of_blocks.block_index;
+  let pairs =
+    [
+      ("address map", Ref_dcfg.build ~profile:lbr ~binary, Propeller.Dcfg.build ~profile:lbr ~binary);
+      ("placed blocks", ref_of_blocks, Propeller.Dcfg.build_of_blocks ~profile:lbr ~binary);
+    ]
+  in
+  List.iter
+    (fun (view, r, f) ->
+      let name = Printf.sprintf "%s, %s" what view in
+      check tb (name ^ ": dcfg") true (ref_view r = flat_view f);
+      check (Alcotest.list ts) (name ^ ": function order")
+        (Ref_dcfg.function_order r (Ref_dcfg.hot_funcs r))
+        (flat_function_order f);
+      (* WPA's Interproc mode below covers the address-map DCFG. *)
+      if view = "placed blocks" then begin
+        let policy = Option.get (Layout.Policy.find "exttsp") in
+        let params = Layout.Policy.default_params in
+        let rp = Ref_dcfg.interproc ~policy ~params ~dcfg:r ~entry_func:binary.entry_symbol in
+        check tb (name ^ ": interproc") true
+          ((rp.iplans, rp.iordering, bits rp.iscore, rp.global_nodes)
+          = flat_interproc ~policy ~params f ~entry_func:binary.entry_symbol)
+      end)
+    pairs;
+  (* The Sampled source is synthesized once and analyzed as the LBR
+     profile it resolves to. *)
+  let inputs =
+    ("lbr", lbr)
+    ::
+    (match sampled with
+    | Some (samples, program) ->
+      [
+        ( "sampled",
+          Propeller.Wpa.resolve_profile ~binary
+            (Propeller.Wpa.Sampled
+               { samples; program; period = Perfmon.Sampler.default_config.period }) );
+      ]
+    | None -> [])
+  in
+  List.iter
+    (fun (source, profile) ->
+      List.iter
+        (fun (mode, config) ->
+          let name = Printf.sprintf "%s, %s, %s" what source mode in
+          let profile = Propeller.Wpa.Lbr profile in
+          let want = Ref_dcfg.analyze ~config ~profile ~binary () in
+          let got = Propeller.Wpa.analyze ~config ~profile ~binary () in
+          check tb (name ^ ": plans") true (want.plans = got.plans);
+          check (Alcotest.list ts) (name ^ ": ordering") want.ordering got.ordering;
+          check tb (name ^ ": layout score") true (bits want.layout_score = bits got.layout_score);
+          check ti (name ^ ": hot funcs") want.hot_funcs got.hot_funcs;
+          check ti (name ^ ": dcfg blocks") want.dcfg_blocks got.dcfg_blocks;
+          check ti (name ^ ": dcfg edges") want.dcfg_edges got.dcfg_edges;
+          check ti (name ^ ": peak mem") want.peak_mem_bytes got.peak_mem_bytes;
+          check tb (name ^ ": cpu seconds") true (bits want.cpu_seconds = bits got.cpu_seconds))
+        ((if source = "lbr" then
+            [ ("intra unsplit", { Propeller.Wpa.default_config with split_functions = false }) ]
+          else [])
+        @ [
+            ("intra", Propeller.Wpa.default_config);
+            ("interproc", { Propeller.Wpa.default_config with mode = Propeller.Wpa.Interproc });
+          ]))
+    inputs
+
+let test_flat_law_relink_family () =
+  let requests = Progen.Suite.clang.requests / 16 in
+  for k = 0 to 11 do
+    let program = relink_family_program k in
+    let binary, lbr, samples = profiled_metadata_build ~requests program in
+    check_flat_law (Printf.sprintf "relink %d" k) ~binary ~lbr ~sampled:(Some (samples, program))
+  done
+
+let test_flat_law_mcf () =
+  let program =
+    Codegen.Inline.program (Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")))
+  in
+  let binary, lbr, samples = profiled_metadata_build ~requests:40 program in
+  check_flat_law "505.mcf" ~binary ~lbr ~sampled:(Some (samples, program))
+
+(* Round 2 of [run_rounds] profiles an image laid out by round 1: a
+   function's primary and .cold clusters (and, through the placed
+   blocks, its other clusters) sit apart in address order. *)
+let test_flat_law_round_two () =
+  let program = Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")) in
+  let config =
+    {
+      Propeller.Pipeline.default_config with
+      profile_run = { Exec.Interp.default_config with requests = 40 };
+    }
+  in
+  match
+    Propeller.Pipeline.run_rounds ~rounds:2 ~config ~env:(Buildsys.Driver.make_env ()) ~program
+      ~name:"law" ()
+  with
+  | [ _; r2 ] ->
+    let binary = r2.metadata_build.binary in
+    let idx = Ref_dcfg.interval_index binary in
+    let runs = ref 0 in
+    Array.iteri
+      (fun i (b : Ref_dcfg.mblock) ->
+        if i = 0 || not (String.equal b.owner idx.mblocks.(i - 1).owner) then incr runs)
+      idx.mblocks;
+    let owners =
+      List.length
+        (List.sort_uniq compare
+           (Array.to_list (Array.map (fun (b : Ref_dcfg.mblock) -> b.owner) idx.mblocks)))
+    in
+    check tb "some function is not contiguous in address order" true (!runs > owners);
+    check_flat_law "505.mcf round 2" ~binary ~lbr:r2.profile ~sampled:None
+  | rs -> Alcotest.failf "expected 2 rounds, got %d" (List.length rs)
+
+let flat_law_qcheck =
+  QCheck.Test.make ~count:6 ~name:"dcfg: flat = hash-table reference on random programs"
+    Test_properties.program_arb (fun p ->
+      let program = Test_properties.make_program p in
+      let binary, lbr, samples = profiled_metadata_build ~requests:30 program in
+      check_flat_law "qcheck" ~binary ~lbr ~sampled:(Some (samples, program));
+      true)
+
 (* --- WPA ---------------------------------------------------------- *)
 
 let test_wpa_plans_valid () =
@@ -547,6 +746,12 @@ let suite =
     Alcotest.test_case "dcfg: block mapping sane" `Quick test_dcfg_block_mapping;
     Alcotest.test_case "dcfg: call arcs" `Quick test_dcfg_call_arcs;
     Alcotest.test_case "dcfg: metadata = disassembly view" `Quick test_dcfg_disasm_view_agrees;
+    Alcotest.test_case "dcfg: flat = hash-table reference, relink programs 0-11" `Slow
+      test_flat_law_relink_family;
+    Alcotest.test_case "dcfg: flat = hash-table reference, 505.mcf" `Quick test_flat_law_mcf;
+    Alcotest.test_case "dcfg: flat = hash-table reference, round-2 image" `Quick
+      test_flat_law_round_two;
+    QCheck_alcotest.to_alcotest flat_law_qcheck;
     Alcotest.test_case "wpa: plans valid" `Quick test_wpa_plans_valid;
     Alcotest.test_case "wpa: ordering covers primaries" `Quick test_wpa_ordering_covers_primaries;
     Alcotest.test_case "wpa: interproc plans valid" `Quick test_wpa_interproc_plans_valid;
