@@ -29,33 +29,27 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
   (* "perf2bolt": disassemble and aggregate the profile against the
      reconstructed CFG. *)
   let dcfg = Propeller.Dcfg.build_of_blocks ~profile ~binary in
-  let hot = Propeller.Dcfg.hot_funcs dcfg in
-  let shapes = Propeller.Dcfg.shapes dcfg hot in
-  let rewritable = List.filter (fun (d : Propeller.Dcfg.dfunc) -> not (is_asm d.dname)) hot in
-  let idx = Linker.Binary.index binary in
+  let hot = Array.to_list dcfg.funcs in
+  let rewritable = List.filter (fun (d : Propeller.Dcfg.dfunc) -> not (is_asm d.name)) hot in
   let plans =
     List.map
       (fun (d : Propeller.Dcfg.dfunc) ->
-        let hot_order = (Propeller.Wpa.block_layout shapes d).blocks in
+        let hot_order = Propeller.Wpa.block_layout dcfg d in
         (* Every other block the binary has for this function. *)
-        let rest =
-          Array.to_list (Linker.Binary.func_blocks idx d.dname)
-          |> List.map (fun i -> idx.ordered.(i).Linker.Binary.block)
-          |> List.sort_uniq compare
-          |> List.filter (fun bb -> not (List.mem bb hot_order))
-        in
-        if options.split_functions then (d.dname, hot_order, rest)
-        else (d.dname, hot_order @ rest, []))
+        let rest = ref [] in
+        for r = d.last - 1 downto d.first do
+          let bb = (Propeller.Dcfg.block dcfg r).bb in
+          if not (List.mem bb hot_order) then rest := bb :: !rest
+        done;
+        if options.split_functions then (d.name, hot_order, !rest)
+        else (d.name, hot_order @ !rest, []))
       rewritable
   in
   let func_order = Propeller.Dcfg.function_order dcfg rewritable in
   let rw = Rewrite.rewrite ~binary ~plans ~func_order ~peephole:options.peephole ~name in
   let text_bytes = Linker.Binary.text_bytes binary in
   let hot_text_bytes =
-    List.fold_left
-      (fun acc (d : Propeller.Dcfg.dfunc) ->
-        Hashtbl.fold (fun _ (b : Propeller.Dcfg.mblock) a -> a + b.msize) d.dblocks acc)
-      0 hot
+    List.fold_left (fun acc d -> acc + Propeller.Dcfg.sampled_bytes dcfg d) 0 hot
   in
   let profile_bytes = Perfmon.Lbr.raw_bytes profile in
   {

@@ -42,34 +42,35 @@ let measure ~ctx ~core ~requests ~program binary =
   in
   (Uarch.Core.cycles c, ftr)
 
-(* Per-function weight fractions of one profile: each hot function's
-   share of total sample mass. Fractions, not raw counts — the two
-   sources operate at wildly different sampling scales and only the
-   shape of the distribution is comparable. *)
+(* Per-function weight fractions of one profile, name-sorted: each
+   sampled function's share of total sample mass. Fractions, not raw
+   counts — the two sources operate at wildly different sampling
+   scales and only the shape of the distribution is comparable. *)
 let weight_fractions (dcfg : Propeller.Dcfg.t) =
   let total =
-    Hashtbl.fold (fun _ (d : Propeller.Dcfg.dfunc) acc -> acc + d.dsamples) dcfg.funcs 0
+    Array.fold_left (fun acc (d : Propeller.Dcfg.dfunc) -> acc + d.samples) 0 dcfg.funcs
   in
-  let out = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun name (d : Propeller.Dcfg.dfunc) ->
-      if d.dsamples > 0 then
-        Hashtbl.replace out name (float_of_int d.dsamples /. float_of_int (max 1 total)))
-    dcfg.funcs;
-  out
+  Array.to_list
+    (Array.map
+       (fun (d : Propeller.Dcfg.dfunc) ->
+         (d.name, float_of_int d.samples /. float_of_int (max 1 total)))
+       dcfg.funcs)
 
+(* Pearson correlation over the union of two name-sorted fraction
+   lists, a function missing from one side counting 0 there. *)
 let correlate a b =
-  let names = Hashtbl.create 64 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) a;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) b;
-  let pairs =
-    Hashtbl.fold (fun k () acc -> k :: acc) names []
-    |> List.sort compare
-    |> List.map (fun k ->
-           ( Option.value ~default:0.0 (Hashtbl.find_opt a k),
-             Option.value ~default:0.0 (Hashtbl.find_opt b k) ))
+  let rec pairs acc a b =
+    match (a, b) with
+    | [], [] -> List.rev acc
+    | (_, x) :: a', [] -> pairs ((x, 0.0) :: acc) a' []
+    | [], (_, y) :: b' -> pairs ((0.0, y) :: acc) [] b'
+    | (ka, x) :: a', (kb, y) :: b' ->
+      let c = String.compare ka kb in
+      if c = 0 then pairs ((x, y) :: acc) a' b'
+      else if c < 0 then pairs ((x, 0.0) :: acc) a' b
+      else pairs ((0.0, y) :: acc) a b'
   in
-  Support.Stats.pearson pairs
+  Support.Stats.pearson (pairs [] a b)
 
 let analyze ?(pipeline = Propeller.Pipeline.default_config)
     ?(core = Uarch.Core.default_config) ?(requests = 40) ~ctx ~program ~name () =

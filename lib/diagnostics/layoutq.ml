@@ -13,17 +13,19 @@ type t = {
    sizes; edges are the profiled intra-function transfers. Returns
    (score, edge_weight, fall_through_weight, missing_blocks,
    placed_blocks). *)
-let score_func params (final : Linker.Binary.t) (d : Propeller.Dcfg.dfunc) =
+let score_func params (final : Linker.Binary.t) (dcfg : Propeller.Dcfg.t)
+    (d : Propeller.Dcfg.dfunc) =
   let placed = ref [] in
   let missing = ref 0 in
-  Hashtbl.iter
-    (fun bb (_ : Propeller.Dcfg.mblock) ->
-      match Linker.Binary.block_info final ~func:d.dname ~block:bb with
-      | Some info -> placed := (bb, info) :: !placed
-      | None -> incr missing)
-    d.dblocks;
+  for r = d.last - 1 downto d.first do
+    if Propeller.Dcfg.count dcfg r > 0 then begin
+      match Linker.Binary.block_info final ~func:d.name ~block:(Propeller.Dcfg.block dcfg r).bb with
+      | Some info -> placed := (r, info) :: !placed
+      | None -> incr missing
+    end
+  done;
   let placed =
-    List.sort
+    List.stable_sort
       (fun (_, (a : Linker.Binary.block_info)) (_, (b : Linker.Binary.block_info)) ->
         compare a.addr b.addr)
       !placed
@@ -32,8 +34,8 @@ let score_func params (final : Linker.Binary.t) (d : Propeller.Dcfg.dfunc) =
   | [] -> (0.0, 0, 0, !missing, 0)
   | _ ->
     let n = List.length placed in
-    let index = Hashtbl.create n in
-    List.iteri (fun i (bb, _) -> Hashtbl.replace index bb i) placed;
+    let index = Array.make (d.last - d.first) (-1) in
+    List.iteri (fun i (r, _) -> index.(r - d.first) <- i) placed;
     let sizes = Array.make n 0 in
     let addr_of = Array.make n 0 in
     List.iteri
@@ -44,19 +46,18 @@ let score_func params (final : Linker.Binary.t) (d : Propeller.Dcfg.dfunc) =
     let edges = ref [] in
     let edge_weight = ref 0 in
     let fall_through = ref 0 in
-    Support.Itab.iter
-      (fun key cnt ->
-        let src_bb = Support.Packed.src key and dst_bb = Support.Packed.dst key in
-        if src_bb <> dst_bb then
-          match (Hashtbl.find_opt index src_bb, Hashtbl.find_opt index dst_bb) with
-          | Some s, Some dst ->
-            edges := (s, dst, float_of_int cnt) :: !edges;
-            edge_weight := !edge_weight + cnt;
-            if addr_of.(dst) = addr_of.(s) + sizes.(s) then
-              fall_through := !fall_through + cnt
-          | None, _ | _, None -> ())
-      d.dedges;
-    (* Deterministic scoring input: dedges iteration order is arbitrary. *)
+    for k = d.efirst to d.elast - 1 do
+      let src = Support.Packed.src dcfg.edges.(k) and dst = Support.Packed.dst dcfg.edges.(k) in
+      let cnt = dcfg.edge_counts.(k) in
+      if src <> dst then begin
+        let s = index.(src - d.first) and t = index.(dst - d.first) in
+        if s >= 0 && t >= 0 then begin
+          edges := (s, t, float_of_int cnt) :: !edges;
+          edge_weight := !edge_weight + cnt;
+          if addr_of.(t) = addr_of.(s) + sizes.(s) then fall_through := !fall_through + cnt
+        end
+      end
+    done;
     let edges = List.sort compare !edges in
     let order = List.init n Fun.id in
     let problem = Layout.Problem.make ~sizes ~weights:(Array.make n 0.0) ~edges ~entry:0 in
@@ -70,15 +71,15 @@ let analyze ?(params = Layout.Exttsp.default_params) ~(dcfg : Propeller.Dcfg.t)
   let fall_through = ref 0 in
   let missing = ref 0 in
   let scored = ref 0 in
-  List.iter
+  Array.iter
     (fun d ->
-      let s, w, ft, m, placed = score_func params final d in
+      let s, w, ft, m, placed = score_func params final dcfg d in
       if placed > 0 then incr scored;
       score := !score +. s;
       edge_weight := !edge_weight + w;
       fall_through := !fall_through + ft;
       missing := !missing + m)
-    (Propeller.Dcfg.hot_funcs dcfg);
+    dcfg.Propeller.Dcfg.funcs;
   let fw = float_of_int !edge_weight in
   {
     exttsp_score = !score;

@@ -42,15 +42,13 @@ let analyze ?pebs ~(dcfg : Propeller.Dcfg.t) ~(profile : Perfmon.Lbr.profile) ()
   let mapped_bytes = ref 0 in
   let sampled_bytes = ref 0 in
   let mapped_funcs = Hashtbl.create 256 in
-  let sampled_funcs = Hashtbl.create 256 in
-  Array.iter
-    (fun (b : Propeller.Dcfg.mblock) ->
+  Array.iteri
+    (fun i (b : Propeller.Dcfg.mblock) ->
       mapped_bytes := !mapped_bytes + b.msize;
       Hashtbl.replace mapped_funcs b.owner ();
-      if b.count > 0 then begin
+      if dcfg.counts.(i) > 0 then begin
         incr sampled_blocks;
-        sampled_bytes := !sampled_bytes + b.msize;
-        Hashtbl.replace sampled_funcs b.owner ()
+        sampled_bytes := !sampled_bytes + b.msize
       end)
     blocks;
   (* Stale-profile detection from the raw records: an endpoint that maps
@@ -65,7 +63,7 @@ let analyze ?pebs ~(dcfg : Propeller.Dcfg.t) ~(profile : Perfmon.Lbr.profile) ()
       let maps addr = Propeller.Dcfg.find_block dcfg addr <> None in
       if not (maps (src - 1) && maps dst) then mismatch_records := !mismatch_records + n)
     profile.Perfmon.Lbr.branches;
-  let counts = Array.to_list (Array.map (fun (b : Propeller.Dcfg.mblock) -> b.count) blocks) in
+  let counts = Array.to_list dcfg.counts in
   {
     total_samples = profile.Perfmon.Lbr.num_samples;
     total_records = profile.Perfmon.Lbr.num_records;
@@ -73,7 +71,7 @@ let analyze ?pebs ~(dcfg : Propeller.Dcfg.t) ~(profile : Perfmon.Lbr.profile) ()
     sampled_blocks = !sampled_blocks;
     block_coverage = ratio !sampled_blocks mapped_blocks;
     byte_coverage = ratio !sampled_bytes !mapped_bytes;
-    func_coverage = ratio (Hashtbl.length sampled_funcs) (Hashtbl.length mapped_funcs);
+    func_coverage = ratio (Array.length dcfg.funcs) (Hashtbl.length mapped_funcs);
     mismatch_records = !mismatch_records;
     mismatch_rate = ratio !mismatch_records !total_branch;
     concentration_p90 = concentration ~mass:0.9 counts;

@@ -97,15 +97,17 @@ let analyze ~(binary : Linker.Binary.t) ~(profile : Perfmon.Lbr.profile) =
       end)
     items;
   let ft = fallthrough_exits resolver profile in
-  let func_report fname (d : Propeller.Dcfg.dfunc) =
+  let func_report (d : Propeller.Dcfg.dfunc) =
+    let fname = d.name in
+    (* Sample counts by block id; the function's ranks are bb-ascending. *)
+    let counts = Array.make ((Propeller.Dcfg.block dcfg (d.last - 1)).bb + 1) 0 in
+    for r = d.first to d.last - 1 do
+      counts.((Propeller.Dcfg.block dcfg r).bb) <- Propeller.Dcfg.count dcfg r
+    done;
     let rows =
       List.map
         (fun (l : Resolve.location) ->
-          let count =
-            match Hashtbl.find_opt d.Propeller.Dcfg.dblocks l.block with
-            | Some (mb : Propeller.Dcfg.mblock) -> mb.count
-            | None -> 0
-          in
+          let count = if l.block < Array.length counts then counts.(l.block) else 0 in
           {
             bb = l.block;
             addr = l.block_addr;
@@ -125,11 +127,10 @@ let analyze ~(binary : Linker.Binary.t) ~(profile : Perfmon.Lbr.profile) =
           (code + r.size, if r.fragment = Resolve.Cold then cold + r.size else cold))
         (0, 0) rows
     in
-    { fname; samples = d.Propeller.Dcfg.dsamples; code_bytes; cold_bytes; rows }
+    { fname; samples = d.samples; code_bytes; cold_bytes; rows }
   in
   let functions =
-    Propeller.Dcfg.hot_funcs dcfg
-    |> List.map (fun (d : Propeller.Dcfg.dfunc) -> func_report d.dname d)
+    Array.to_list (Array.map func_report dcfg.funcs)
     |> List.sort (fun a b ->
            match compare b.samples a.samples with
            | 0 -> String.compare a.fname b.fname

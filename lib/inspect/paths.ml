@@ -1,58 +1,51 @@
 type path = { pfunc : string; blocks : int list; weight : int }
 
-(* Residual out-edge adjacency for one function: src block id -> ordered
-   (dst, residual count) cells. Dst-ascending order makes the max-edge
-   scan deterministic regardless of hash order. *)
-let adjacency (d : Propeller.Dcfg.dfunc) =
-  let out : (int, (int * int ref) list ref) Hashtbl.t = Hashtbl.create 32 in
-  let edges =
-    Support.Itab.fold
-      (fun key r acc -> (Support.Packed.src key, Support.Packed.dst key, r) :: acc)
-      d.Propeller.Dcfg.dedges []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (s, dst, n) ->
-      if n > 0 then begin
-        match Hashtbl.find_opt out s with
-        | Some cell -> cell := !cell @ [ (dst, ref n) ]
-        | None -> Hashtbl.replace out s (ref [ (dst, ref n) ])
-      end)
-    edges;
+(* Residual out-edge adjacency for one function, by source block:
+   blocks are numbered by their place in the function's rank range, so
+   in block id order, and each source lists its (dst, residual count)
+   cells in dst order, which makes the max-edge scan deterministic. *)
+let adjacency (dcfg : Propeller.Dcfg.t) (d : Propeller.Dcfg.dfunc) =
+  let out = Array.make (d.last - d.first) [] in
+  for k = d.elast - 1 downto d.efirst do
+    let n = dcfg.edge_counts.(k) in
+    if n > 0 then begin
+      let s = Support.Packed.src dcfg.edges.(k) - d.first in
+      out.(s) <- (Support.Packed.dst dcfg.edges.(k) - d.first, ref n) :: out.(s)
+    end
+  done;
   out
 
 let best_out out src =
-  match Hashtbl.find_opt out src with
-  | None -> None
-  | Some cell ->
-    List.fold_left
-      (fun acc (dst, r) ->
-        if !r <= 0 then acc
-        else begin
-          match acc with
-          | Some (_, best) when !best >= !r -> acc
-          | _ -> Some (dst, r)
-        end)
-      None !cell
+  List.fold_left
+    (fun acc (dst, r) ->
+      if !r <= 0 then acc
+      else begin
+        match acc with
+        | Some (_, best) when !best >= !r -> acc
+        | _ -> Some (dst, r)
+      end)
+    None out.(src)
 
 (* The heaviest residual edge overall decides where a decomposition
-   round starts when the entry block has drained. *)
+   round starts when the entry block has drained; ties go to the lowest
+   source. *)
 let heaviest_source out =
-  Hashtbl.fold
-    (fun src cell acc ->
-      List.fold_left
-        (fun acc (_, r) ->
-          if !r <= 0 then acc
-          else begin
-            match acc with
-            | Some (_, best) when best > !r || (best = !r && fst (Option.get acc) <= src) -> acc
-            | _ -> Some (src, !r)
-          end)
-        acc !cell)
-    out None
+  let best = ref None in
+  Array.iteri
+    (fun src cell ->
+      List.iter
+        (fun (_, r) ->
+          match !best with
+          | Some (_, w) when w >= !r -> ()
+          | _ -> if !r > 0 then best := Some (src, !r))
+        cell)
+    out;
+  !best
 
-let decompose ~max_paths ~max_len (d : Propeller.Dcfg.dfunc) =
-  let out = adjacency d in
+let decompose ~max_paths ~max_len dcfg (d : Propeller.Dcfg.dfunc) =
+  let out = adjacency dcfg d in
+  let bb i = (Propeller.Dcfg.block dcfg (d.first + i)).bb in
+  (* The entry block, bb 0, is the function's first. *)
   let entry = 0 in
   let paths = ref [] in
   let rounds = ref 0 in
@@ -67,17 +60,17 @@ let decompose ~max_paths ~max_len (d : Propeller.Dcfg.dfunc) =
     match start with
     | None -> continue := false
     | Some start ->
-      let visited = Hashtbl.create 16 in
-      Hashtbl.replace visited start ();
+      let visited = Array.make (Array.length out) false in
+      visited.(start) <- true;
       let rec walk src acc_blocks acc_edges len =
         if len >= max_len then (List.rev acc_blocks, acc_edges)
         else begin
           match best_out out src with
           | None -> (List.rev acc_blocks, acc_edges)
           | Some (dst, r) ->
-            if Hashtbl.mem visited dst then (List.rev acc_blocks, acc_edges)
+            if visited.(dst) then (List.rev acc_blocks, acc_edges)
             else begin
-              Hashtbl.replace visited dst ();
+              visited.(dst) <- true;
               walk dst (dst :: acc_blocks) (r :: acc_edges) (len + 1)
             end
         end
@@ -88,13 +81,13 @@ let decompose ~max_paths ~max_len (d : Propeller.Dcfg.dfunc) =
       | _ ->
         let weight = List.fold_left (fun acc r -> min acc !r) max_int edges in
         List.iter (fun r -> r := !r - weight) edges;
-        paths := { pfunc = d.Propeller.Dcfg.dname; blocks; weight } :: !paths)
+        paths := { pfunc = d.name; blocks = List.map bb blocks; weight } :: !paths)
   done;
   List.rev !paths
 
 let extract ?(max_paths_per_func = 10) ?(max_len = 64) (dcfg : Propeller.Dcfg.t) =
-  Propeller.Dcfg.hot_funcs dcfg
-  |> List.concat_map (decompose ~max_paths:max_paths_per_func ~max_len)
+  Array.to_list dcfg.funcs
+  |> List.concat_map (decompose ~max_paths:max_paths_per_func ~max_len dcfg)
   |> List.sort (fun a b ->
          match compare b.weight a.weight with
          | 0 -> (

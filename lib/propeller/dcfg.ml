@@ -1,22 +1,19 @@
-type mblock = { lo : int; msize : int; owner : string; bb : int; mutable count : int }
-
-type dfunc = {
-  dname : string;
-  dblocks : (int, mblock) Hashtbl.t;
-  dedges : Support.Itab.t;  (** packed (src bb, dst bb) -> count *)
-  mutable dsamples : int;
-}
+type mblock = { lo : int; msize : int; owner : string; bb : int }
 
 type index = { mblocks : mblock array; los : int array; msizes : int array }
 
-type t = {
-  funcs : (string, dfunc) Hashtbl.t;
-  call_arcs : (string * int * string, int ref) Hashtbl.t;
-      (** (caller, caller bb, callee) -> count *)
-  block_index : index;
-}
+type dfunc = { name : string; first : int; last : int; efirst : int; elast : int; samples : int }
 
-type shape = { blocks : (int * int) list; sizes : int array }
+type t = {
+  block_index : index;
+  counts : int array;
+  order : int array;
+  funcs : dfunc array;
+  edges : int array;
+  edge_counts : int array;
+  arcs : int array;
+  arc_counts : int array;
+}
 
 let interval_index (binary : Linker.Binary.t) =
   let items = ref [] in
@@ -28,9 +25,7 @@ let interval_index (binary : Linker.Binary.t) =
         let owner = Objfile.Symname.owner fm.func in
         List.iter
           (fun (e : Objfile.Bbmap.entry) ->
-            items :=
-              { lo = sym_addr + e.offset; msize = e.size; owner; bb = e.bb_id; count = 0 }
-              :: !items)
+            items := { lo = sym_addr + e.offset; msize = e.size; owner; bb = e.bb_id } :: !items)
           fm.entries)
     binary.bb_maps;
   let mblocks = Array.of_list !items in
@@ -48,35 +43,49 @@ let find_in idx addr =
   | -1 -> None
   | i -> Some (i, idx.mblocks.(i))
 
+(* Position of [name] in the sorted [names], -1 when absent. *)
+let find_name names name =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else begin
+      let mid = (lo + hi) / 2 in
+      let c = String.compare names.(mid) name in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 (Array.length names)
+
+(* Execution covered [range_lo, range_hi): range_hi is the end address
+   of the next recorded branch, so a block *starting* exactly there
+   never ran. Top level, so that no closure is allocated per range. *)
+let rec walk_range blocks counts edges range_hi n i =
+  if i < Array.length blocks then begin
+    let b = blocks.(i) in
+    if b.lo < range_hi then begin
+      counts.(i) <- counts.(i) + n;
+      (if i + 1 < Array.length blocks then begin
+         let nxt = blocks.(i + 1) in
+         if nxt.lo = b.lo + b.msize && String.equal nxt.owner b.owner && nxt.lo < range_hi then
+           Support.Itab.add edges (Support.Packed.pack ~src:i ~dst:(i + 1)) n
+       end);
+      walk_range blocks counts edges range_hi n (i + 1)
+    end
+  end
+
+(* Packed keys and their counts, sorted by key. *)
+let sorted_pairs items =
+  let items = Array.of_list items in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) items;
+  (Array.map fst items, Array.map snd items)
+
 let build_with ~profile idx =
   let blocks = idx.mblocks in
-  let funcs : (string, dfunc) Hashtbl.t = Hashtbl.create 1024 in
-  let dfunc_of owner =
-    match Hashtbl.find_opt funcs owner with
-    | Some d -> d
-    | None ->
-      let d =
-        { dname = owner; dblocks = Hashtbl.create 16; dedges = Support.Itab.create 16; dsamples = 0 }
-      in
-      Hashtbl.replace funcs owner d;
-      d
-  in
-  let note_block (b : mblock) n =
-    b.count <- b.count + n;
-    let d = dfunc_of b.owner in
-    d.dsamples <- d.dsamples + n;
-    if not (Hashtbl.mem d.dblocks b.bb) then Hashtbl.replace d.dblocks b.bb b
-  in
-  let note_edge owner src_bb dst_bb n =
-    let d = dfunc_of owner in
-    Support.Itab.add d.dedges (Support.Packed.pack ~src:src_bb ~dst:dst_bb) n
-  in
-  let call_arcs : (string * int * string, int ref) Hashtbl.t = Hashtbl.create 256 in
-  let note_call caller caller_bb callee n =
-    match Hashtbl.find_opt call_arcs (caller, caller_bb, callee) with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace call_arcs (caller, caller_bb, callee) (ref n)
-  in
+  let n = Array.length blocks in
+  let counts = Array.make n 0 in
+  (* Edges and call arcs keyed by packed index positions while the
+     profile is read; they are re-keyed by rank once the sampled
+     functions are known. *)
+  let edge_acc = Support.Itab.create 256 and arc_acc = Support.Itab.create 64 in
   (* Taken-branch records: the branch retires at [src] (its end
      address); the block containing src-1 is the source block. *)
   Perfmon.Lbr.iter_pairs
@@ -86,41 +95,87 @@ let build_with ~profile idx =
         let di = find_idx idx dst in
         if di >= 0 then begin
           let sb = blocks.(si) and db = blocks.(di) in
-          note_block db n;
-          if String.equal sb.owner db.owner then note_edge sb.owner sb.bb db.bb n
-          else if db.bb = 0 && db.lo = dst then note_call sb.owner sb.bb db.owner n
+          counts.(di) <- counts.(di) + n;
+          let key = Support.Packed.pack ~src:si ~dst:di in
+          if String.equal sb.owner db.owner then Support.Itab.add edge_acc key n
+          else if db.bb = 0 && db.lo = dst then Support.Itab.add arc_acc key n
           (* otherwise: a return landing mid-block; not a CFG edge *)
         end
       end)
     profile.Perfmon.Lbr.branches;
-  (* Execution covered [range_lo, range_hi): range_hi is the end
-     address of the next recorded branch, so a block *starting* exactly
-     there never ran. Top-level recursion (via the pre-allocated
-     [note_block]/[note_edge] closures) — a nested [let rec] would
-     allocate a closure per LBR range entry. *)
-  let rec walk_range note_block note_edge blocks range_hi n i =
-    if i < Array.length blocks then begin
-      let b = blocks.(i) in
-      if b.lo < range_hi then begin
-        note_block b n;
-        (if i + 1 < Array.length blocks then begin
-           let nxt = blocks.(i + 1) in
-           if nxt.lo = b.lo + b.msize && String.equal nxt.owner b.owner && nxt.lo < range_hi
-           then note_edge b.owner b.bb nxt.bb n
-         end);
-        walk_range note_block note_edge blocks range_hi n (i + 1)
-      end
-    end
-  in
   (* Sequential ranges between consecutive LBR records: fall-through
      edges and block counts. *)
   Perfmon.Lbr.iter_pairs
     (fun ~src:range_lo ~dst:range_hi n ->
       match find_idx idx range_lo with
       | -1 -> ()
-      | i0 -> walk_range note_block note_edge blocks range_hi n i0)
+      | i0 -> walk_range blocks counts edge_acc range_hi n i0)
     profile.Perfmon.Lbr.ranges;
-  { funcs; call_arcs; block_index = idx }
+  let sampled = ref [] in
+  Array.iteri (fun i c -> if c > 0 then sampled := blocks.(i).owner :: !sampled) counts;
+  let names = Array.of_list (List.sort_uniq String.compare !sampled) in
+  (* Every mapped block of each sampled function, in address order. A
+     section's blocks are adjacent and share their owner string, so
+     the owner is looked up only where it changes. *)
+  let members = Array.make (Array.length names) [] in
+  let last_owner = ref "" and f = ref (-1) in
+  for i = n - 1 downto 0 do
+    let b = blocks.(i) in
+    if b.owner != !last_owner then begin
+      last_owner := b.owner;
+      f := find_name names b.owner
+    end;
+    if !f >= 0 then members.(!f) <- i :: members.(!f)
+  done;
+  let by_func =
+    Array.map
+      (fun l ->
+        let a = Array.of_list l in
+        Array.stable_sort (fun i j -> Int.compare blocks.(i).bb blocks.(j).bb) a;
+        a)
+      members
+  in
+  let order = Array.concat (Array.to_list by_func) in
+  let rank = Array.make n (-1) in
+  Array.iteri (fun r i -> rank.(i) <- r) order;
+  let edges, edge_counts =
+    sorted_pairs
+      (Support.Itab.fold
+         (fun key c acc ->
+           ( Support.Packed.pack
+               ~src:rank.(Support.Packed.src key)
+               ~dst:rank.(Support.Packed.dst key),
+             c )
+           :: acc)
+         edge_acc [])
+  in
+  let arcs, arc_counts =
+    sorted_pairs
+      (Support.Itab.fold
+         (fun key c acc ->
+           match rank.(Support.Packed.src key) with
+           | -1 -> acc
+           | caller ->
+             let callee = find_name names blocks.(Support.Packed.dst key).owner in
+             (Support.Packed.pack ~src:caller ~dst:callee, c) :: acc)
+         arc_acc [])
+  in
+  let next_rank = ref 0 and next_edge = ref 0 in
+  let funcs =
+    Array.mapi
+      (fun k a ->
+        let first = !next_rank in
+        let last = first + Array.length a in
+        next_rank := last;
+        let efirst = !next_edge in
+        while !next_edge < Array.length edges && Support.Packed.src edges.(!next_edge) < last do
+          incr next_edge
+        done;
+        let samples = Array.fold_left (fun acc i -> acc + counts.(i)) 0 a in
+        { name = names.(k); first; last; efirst; elast = !next_edge; samples })
+      by_func
+  in
+  { block_index = idx; counts; order; funcs; edges; edge_counts; arcs; arc_counts }
 
 let build ~profile ~(binary : Linker.Binary.t) =
   if binary.bb_maps = [] then
@@ -136,81 +191,73 @@ let build_of_blocks ~profile ~(binary : Linker.Binary.t) =
   let mblocks =
     Array.map
       (fun (b : Linker.Binary.block_info) ->
-        { lo = b.addr; msize = b.size; owner = b.func; bb = b.block; count = 0 })
+        { lo = b.addr; msize = b.size; owner = b.func; bb = b.block })
       idx.ordered
   in
   build_with ~profile { mblocks; los = idx.addrs; msizes = idx.sizes }
 
-(* One pass over the block index. Blocks of one section are adjacent
-   and share their owner string, so the owner is looked up only where
-   it changes. Each function's pairs gather in reverse address order. *)
-let shapes t funcs =
-  let owned : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.replace owned d.dname (ref [])) funcs;
-  let last_owner = ref "" and last_cell = ref None in
-  Array.iter
-    (fun b ->
-      if b.owner != !last_owner then begin
-        last_owner := b.owner;
-        last_cell := Hashtbl.find_opt owned b.owner
-      end;
-      match !last_cell with Some cell -> cell := (b.bb, b.msize) :: !cell | None -> ())
-    t.block_index.mblocks;
-  let shapes = Hashtbl.create (Hashtbl.length owned) in
-  Hashtbl.iter
-    (fun name cell ->
-      match !cell with
-      | [] -> ()
-      | rev ->
-        let top = List.fold_left (fun acc (bb, _) -> max acc bb) 0 rev in
-        let sizes = Array.make (top + 1) 16 in
-        List.iter (fun (bb, size) -> sizes.(bb) <- size) (List.rev rev);
-        Hashtbl.replace shapes name { blocks = List.sort compare rev; sizes })
-    owned;
-  shapes
+let block t r = t.block_index.mblocks.(t.order.(r))
 
-let block_size shapes func bb =
-  match Hashtbl.find_opt shapes func with
-  | Some s when bb >= 0 && bb < Array.length s.sizes -> s.sizes.(bb)
-  | Some _ | None -> 16
+let count t r = t.counts.(t.order.(r))
 
-let hot_funcs t =
-  Hashtbl.fold (fun _ d acc -> if d.dsamples > 0 then d :: acc else acc) t.funcs []
-  |> List.sort (fun a b -> compare a.dname b.dname)
+let hot_ranks t d =
+  let rec go r acc =
+    if r < d.first then acc
+    else go (r - 1) (if count t r > 0 || (block t r).bb = 0 then r :: acc else acc)
+  in
+  go (d.last - 1) []
+
+let sampled_bytes t d =
+  let bytes = ref 0 in
+  for r = d.first to d.last - 1 do
+    if count t r > 0 then bytes := !bytes + (block t r).msize
+  done;
+  !bytes
+
+let func_of_rank t r =
+  (* Invariant: funcs.(lo).first <= r < funcs.(hi).first. *)
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      if t.funcs.(mid).first <= r then go mid hi else go lo mid
+    end
+  in
+  go 0 (Array.length t.funcs)
 
 let num_blocks t =
-  Hashtbl.fold (fun _ d acc -> acc + Hashtbl.length d.dblocks) t.funcs 0
+  Array.fold_left (fun acc i -> if t.counts.(i) > 0 then acc + 1 else acc) 0 t.order
 
-let num_edges t = Hashtbl.fold (fun _ d acc -> acc + Support.Itab.length d.dedges) t.funcs 0
+let num_edges t = Array.length t.edges
 
 let find_block t addr = Option.map snd (find_in t.block_index addr)
 
-let func_arcs t =
-  let agg = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (caller, _, callee) r ->
-      match Hashtbl.find_opt agg (caller, callee) with
-      | Some a -> a := !a + !r
-      | None -> Hashtbl.add agg (caller, callee) (ref !r))
-    t.call_arcs;
-  Hashtbl.fold (fun (caller, callee) r acc -> (caller, callee, float_of_int !r) :: acc) agg []
-  |> List.sort compare
-
 let function_order t funcs =
-  let names = Array.of_list (List.map (fun d -> d.dname) funcs) in
-  let name_idx = Hashtbl.create 64 in
-  Array.iteri (fun i nm -> Hashtbl.replace name_idx nm i) names;
-  let sizes =
-    Array.of_list
-      (List.map (fun d -> Hashtbl.fold (fun _ b acc -> acc + b.msize) d.dblocks 0) funcs)
-  in
-  let weights = Array.of_list (List.map (fun d -> float_of_int d.dsamples) funcs) in
+  let sub = Array.make (Array.length t.funcs) (-1) in
+  List.iteri (fun i d -> sub.(func_of_rank t d.first) <- i) funcs;
+  let names = Array.of_list (List.map (fun d -> d.name) funcs) in
+  let sizes = Array.of_list (List.map (sampled_bytes t) funcs) in
+  let weights = Array.of_list (List.map (fun d -> float_of_int d.samples) funcs) in
+  (* Arc counts summed per (caller, callee) pair of [funcs]. *)
+  let pairs = ref [] in
+  Array.iteri
+    (fun k key ->
+      let a = sub.(func_of_rank t (Support.Packed.src key)) and b = sub.(Support.Packed.dst key) in
+      if a >= 0 && b >= 0 then
+        pairs := (Support.Packed.pack ~src:a ~dst:b, t.arc_counts.(k)) :: !pairs)
+    t.arcs;
+  let keys, counts = sorted_pairs !pairs in
+  let sums = ref [] in
+  Array.iteri
+    (fun k key ->
+      match !sums with
+      | (key', w) :: rest when key' = key -> sums := (key, w + counts.(k)) :: rest
+      | acc -> sums := (key, counts.(k)) :: acc)
+    keys;
   let edges =
-    func_arcs t
-    |> List.filter_map (fun (caller, callee, w) ->
-           match (Hashtbl.find_opt name_idx caller, Hashtbl.find_opt name_idx callee) with
-           | Some a, Some b -> Some (a, b, w)
-           | None, _ | _, None -> None)
+    List.rev_map
+      (fun (key, w) -> (Support.Packed.src key, Support.Packed.dst key, float_of_int w))
+      !sums
   in
   Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0)
   |> List.map (fun i -> names.(i))

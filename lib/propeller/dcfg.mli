@@ -4,54 +4,70 @@
     Taken-branch records give the taken edges; the sequential ranges
     between consecutive LBR records give fall-through edges and block
     counts; cross-function records landing on a function entry give
-    call arcs. *)
+    call arcs.
 
-(** One machine basic block, as described by the address map, with its
-    accumulated sample count. *)
+    The graph is keyed on the block index's numbering: sample counts
+    by index position, and the sampled functions' blocks in one
+    function-major order, so every reader walks sorted arrays. *)
+
+(** One machine basic block, as described by the address map. *)
 type mblock = {
   lo : int;  (** Final virtual address. *)
   msize : int;
   owner : string;  (** Owning function (cluster suffixes stripped). *)
   bb : int;  (** Machine-IR block id. *)
-  mutable count : int;
-}
-
-(** Per-function accumulator. *)
-type dfunc = {
-  dname : string;
-  dblocks : (int, mblock) Hashtbl.t;
-  dedges : Support.Itab.t;
-      (** Intra-function edge counts keyed by
-          [Support.Packed.pack ~src:src_bb ~dst:dst_bb] — one immediate
-          int per edge note instead of a tuple + ref. Iteration order is
-          slot order; consumers sort (they always had to under
-          [Hashtbl]). *)
-  mutable dsamples : int;
 }
 
 (** An address-sorted block index with flat start/size arrays for
     {!Support.Isearch.covering}. Built from the binary's
     [.llvm_bb_addr_map] ({!interval_index}, Propeller's path, which
     reads no disassembly) or from the binary's own address index
-    ({!build_of_blocks}). *)
+    ({!build_of_blocks}). No two entries share an [(owner, bb)]: the
+    linker rejects duplicate symbols and each block id lies in one
+    cluster. *)
 type index = {
   mblocks : mblock array;  (** Address order. *)
   los : int array;  (** [mblocks.(i).lo]. *)
   msizes : int array;  (** [mblocks.(i).msize]. *)
 }
 
+(** One sampled function: a range of {!t.order} and a range of
+    {!t.edges}. *)
+type dfunc = {
+  name : string;
+  first : int;  (** Rank of its first block in [order]. *)
+  last : int;  (** One past the rank of its last block. *)
+  efirst : int;  (** Its first intra-function edge in [edges]. *)
+  elast : int;  (** One past its last edge. *)
+  samples : int;  (** Sum of its blocks' counts. *)
+}
+
 type t = {
-  funcs : (string, dfunc) Hashtbl.t;
-  call_arcs : (string * int * string, int ref) Hashtbl.t;
-      (** (caller, caller bb, callee) -> count; block granularity so the
-          inter-procedural layout can place callees near call sites. *)
   block_index : index;  (** All mapped blocks. *)
+  counts : int array;  (** Samples by index position; every note is positive. *)
+  order : int array;
+      (** Index positions of every mapped block of the sampled
+          functions, function-major: by [(owner, bb)]. A position's
+          place in this array is its {e rank}. A function's clusters may
+          lie far apart in address order; here they are one range. *)
+  funcs : dfunc array;
+      (** The sampled functions, name-sorted; a function's position here
+          is its number. *)
+  edges : int array;
+      (** Intra-function edges as [Support.Packed.pack ~src ~dst] of
+          ranks, sorted: grouped by function, then by [(src bb, dst bb)]. *)
+  edge_counts : int array;  (** [edge_counts.(k)] is edge [k]'s count. *)
+  arcs : int array;
+      (** Call arcs as [Support.Packed.pack ~src:caller_rank ~dst:callee],
+          [callee] a function number, sorted. Arcs from a function
+          without samples are dropped: no layout places them. *)
+  arc_counts : int array;
 }
 
 (** [interval_index binary] builds the block index of the binary's
-    [.llvm_bb_addr_map], counts zeroed. Shared with profile synthesis
-    ({!Autofdo}), which needs the address->block mapping without a full
-    DCFG. *)
+    [.llvm_bb_addr_map]. Shared with profile synthesis ({!Autofdo}) and
+    prefetch analysis ({!Prefetch}), which need the address->block
+    mapping without a DCFG. *)
 val interval_index : Linker.Binary.t -> index
 
 (** [find_in idx addr] is the index and block of a block containing
@@ -67,30 +83,22 @@ val build : profile:Perfmon.Lbr.profile -> binary:Linker.Binary.t -> t
 (** [build_of_blocks ~profile ~binary] reconstructs the DCFG from the
     binary's placed blocks — the (idealised) product of disassembly,
     used by the BOLT baseline, which has no metadata section. It reads
-    {!Linker.Binary.index} and sorts nothing. *)
+    {!Linker.Binary.index}. *)
 val build_of_blocks : profile:Perfmon.Lbr.profile -> binary:Linker.Binary.t -> t
 
-(** The address-map shape of one function: the part of the block index
-    a layout of the function reads. *)
-type shape = {
-  blocks : (int * int) list;  (** [(bb, bytes)] of each mapped block, sorted. *)
-  sizes : int array;
-      (** Bytes by block id: those of the last mapped block of the id
-          in address order, 16 where no block is mapped. *)
-}
+(** [block t rank] is the block of that rank. *)
+val block : t -> int -> mblock
 
-(** [shapes t funcs] builds the shapes of [funcs], keyed by name, in
-    one pass over the block index; a function without mapped blocks
-    gets no entry. Layout reads the hot functions only, so it never
-    pays for the rest of the map. *)
-val shapes : t -> dfunc list -> (string, shape) Hashtbl.t
+(** [count t rank] is its sample count. *)
+val count : t -> int -> int
 
-(** [block_size shapes func bb] is the byte size of [func]'s block [bb]
-    from [shapes], 16 when the block is not mapped. *)
-val block_size : (string, shape) Hashtbl.t -> string -> int -> int
+(** [hot_ranks t d] lists the blocks a layout of [d] places, as ranks,
+    bb-ascending: its sampled blocks and its entry block, which is
+    always mapped (the primary cluster starts with it), so the first. *)
+val hot_ranks : t -> dfunc -> int list
 
-(** [hot_funcs t] lists functions with samples, name-sorted. *)
-val hot_funcs : t -> dfunc list
+(** [sampled_bytes t d] is the mapped size of [d]'s sampled blocks. *)
+val sampled_bytes : t -> dfunc -> int
 
 (** [num_blocks t] / [num_edges t] count sampled blocks / edges. *)
 val num_blocks : t -> int
@@ -100,9 +108,9 @@ val num_edges : t -> int
 (** [find_block t addr] maps an address to its block by {!find_in}. *)
 val find_block : t -> int -> mblock option
 
-(** [function_order t funcs] is the names of [funcs] in hfsort (C3)
-    order: sizes are the mapped bytes of each function's sampled
-    blocks, weights its samples, edges the call arcs among [funcs].
-    WPA's global function order and BOLT's [-reorder-functions=hfsort]
-    both build this problem. *)
+(** [function_order t funcs] is the names of [funcs] (name-sorted
+    functions of [t]) in hfsort (C3) order: sizes are the mapped bytes
+    of each function's sampled blocks, weights its samples, edges the
+    call arcs among [funcs]. WPA's global function order and BOLT's
+    [-reorder-functions=hfsort] both build this problem. *)
 val function_order : t -> dfunc list -> string list

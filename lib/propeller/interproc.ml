@@ -7,60 +7,41 @@ type result = {
 
 let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg : Dcfg.t)
     ~entry_func =
-  let hot = Dcfg.hot_funcs dcfg in
-  let shapes = Dcfg.shapes dcfg hot in
-  (* Global node universe: hot blocks of hot functions; entries always
-     included. *)
-  let nodes = ref [] in
-  let gid : (string * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let add owner bb size weight =
-    if not (Hashtbl.mem gid (owner, bb)) then begin
-      Hashtbl.replace gid (owner, bb) (Hashtbl.length gid);
-      nodes := (owner, bb, size, weight) :: !nodes
-    end
+  let funcs = dcfg.funcs in
+  (* Global node universe: the hot blocks of every sampled function,
+     entries included, numbered in rank order. *)
+  let gid = Array.make (Array.length dcfg.order) (-1) in
+  let nodes = ref [] and n = ref 0 in
+  Array.iteri
+    (fun f d ->
+      List.iter
+        (fun r ->
+          gid.(r) <- !n;
+          incr n;
+          nodes := (f, r) :: !nodes)
+        (Dcfg.hot_ranks dcfg d))
+    funcs;
+  let node_arr = Array.of_list (List.rev !nodes) and n = !n in
+  let sizes = Array.map (fun (_, r) -> (Dcfg.block dcfg r).msize) node_arr in
+  let weights = Array.map (fun (_, r) -> float_of_int (Dcfg.count dcfg r)) node_arr in
+  (* Intra-function edges, then call arcs to the callee's entry; each
+     list is sorted by (src, dst) because node numbers follow ranks. *)
+  let edges_of keys counts dst_rank =
+    let acc = ref [] in
+    for k = Array.length keys - 1 downto 0 do
+      let s = gid.(Support.Packed.src keys.(k)) and t = gid.(dst_rank keys.(k)) in
+      if s >= 0 && t >= 0 then acc := (s, t, float_of_int counts.(k)) :: !acc
+    done;
+    !acc
   in
-  List.iter
-    (fun (d : Dcfg.dfunc) ->
-      let bbs =
-        Hashtbl.fold
-          (fun bb (b : Dcfg.mblock) acc ->
-            if bb = 0 || b.count > 0 then (bb, b) :: acc else acc)
-          d.dblocks []
-        |> List.sort compare
-      in
-      let bbs =
-        if List.exists (fun (bb, _) -> bb = 0) bbs then bbs
-        else
-          (0, { Dcfg.lo = 0; msize = Dcfg.block_size shapes d.dname 0; owner = d.dname; bb = 0; count = 0 })
-          :: bbs
-      in
-      List.iter (fun (bb, (b : Dcfg.mblock)) -> add d.dname bb b.msize (float_of_int b.count)) bbs)
-    hot;
-  let node_arr = Array.of_list (List.rev !nodes) in
-  let n = Array.length node_arr in
-  let sizes = Array.map (fun (_, _, s, _) -> s) node_arr in
-  let weights = Array.map (fun (_, _, _, w) -> w) node_arr in
-  let edges = ref [] in
-  List.iter
-    (fun (d : Dcfg.dfunc) ->
-      Support.Itab.iter
-        (fun key r ->
-          let s = Support.Packed.src key and t = Support.Packed.dst key in
-          match Hashtbl.find_opt gid (d.dname, s), Hashtbl.find_opt gid (d.dname, t) with
-          | Some si, Some ti -> edges := (si, ti, float_of_int r) :: !edges
-          | None, _ | _, None -> ())
-        d.dedges)
-    hot;
-  Hashtbl.iter
-    (fun (caller, caller_bb, callee) r ->
-      match Hashtbl.find_opt gid (caller, caller_bb), Hashtbl.find_opt gid (callee, 0) with
-      | Some si, Some ti -> edges := (si, ti, float_of_int !r) :: !edges
-      | None, _ | _, None -> ())
-    dcfg.call_arcs;
-  let edges = List.sort compare !edges in
+  let edges =
+    List.merge compare
+      (edges_of dcfg.edges dcfg.edge_counts Support.Packed.dst)
+      (edges_of dcfg.arcs dcfg.arc_counts (fun key -> funcs.(Support.Packed.dst key).first))
+  in
   let entry =
-    match Hashtbl.find_opt gid (entry_func, 0) with
-    | Some e -> e
+    match Array.find_index (fun (d : Dcfg.dfunc) -> String.equal d.name entry_func) funcs with
+    | Some f -> gid.(funcs.(f).first)
     | None -> 0
   in
   if n = 0 then { plans = []; ordering = []; score = 0.0; global_nodes = 0 }
@@ -72,77 +53,61 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
        placed cluster. The run containing block 0 must *start* with it
        (the function symbol marks the cluster start), so it is split
        there if needed. *)
-    let runs = ref [] (* (owner, blocks in order) in layout order, reversed *) in
+    let runs = ref [] (* (function, blocks in order) in layout order, reversed *) in
     List.iter
       (fun g ->
-        let owner, bb, _, _ = node_arr.(g) in
+        let f, r = node_arr.(g) in
+        let bb = (Dcfg.block dcfg r).bb in
         match !runs with
-        | (o, bbs) :: rest when String.equal o owner && bb <> 0 ->
-          runs := (o, bb :: bbs) :: rest
-        | _ -> runs := (owner, [ bb ]) :: !runs)
-      (List.map Fun.id order);
-    let runs = List.rev_map (fun (o, bbs) -> (o, List.rev bbs)) !runs in
+        | (f', bbs) :: rest when f' = f && bb <> 0 -> runs := (f, bb :: bbs) :: rest
+        | _ -> runs := (f, [ bb ]) :: !runs)
+      order;
+    let runs = List.rev_map (fun (f, bbs) -> (f, List.rev bbs)) !runs in
     (* De-fragment: a placed run shorter than 3 blocks does not pay for
        the extra section, CFI fragment and long branches it costs;
        fold such non-entry runs back into their function's primary
        cluster (generating clusters "when profitable", paper 3.4). *)
     let min_run = 3 in
-    let deferred : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
+    let deferred = Array.make (Array.length funcs) [] in
     let runs =
       List.filter
-        (fun (o, bbs) ->
+        (fun (f, bbs) ->
           match bbs with
           | 0 :: _ -> true
           | _ when List.length bbs >= min_run -> true
           | _ ->
-            (match Hashtbl.find_opt deferred o with
-            | Some r -> r := !r @ bbs
-            | None -> Hashtbl.add deferred o (ref bbs));
+            deferred.(f) <- deferred.(f) @ bbs;
             false)
         runs
     in
-    let runs =
-      List.map
-        (fun (o, bbs) ->
-          match bbs with
-          | 0 :: _ -> (
-            match Hashtbl.find_opt deferred o with
-            | Some r -> (o, bbs @ !r)
-            | None -> (o, bbs))
-          | _ -> (o, bbs))
-        runs
-    in
     (* Assign cluster kinds per function in run order. *)
-    let next_extra : (string, int) Hashtbl.t = Hashtbl.create 64 in
-    let clusters_of : (string, (Codegen.Directive.cluster * int) list) Hashtbl.t =
-      Hashtbl.create 64
-    in
+    let next_extra = Array.make (Array.length funcs) 0 in
+    let clusters = Array.make (Array.length funcs) [] (* run order, reversed *) in
     let ordering = ref [] in
-    List.iteri
-      (fun pos (owner, bbs) ->
-        let kind =
+    List.iter
+      (fun (f, bbs) ->
+        let kind, blocks =
           match bbs with
-          | 0 :: _ -> Codegen.Directive.Primary
+          | 0 :: _ -> (Codegen.Directive.Primary, bbs @ deferred.(f))
           | _ ->
-            let k = 1 + Option.value ~default:0 (Hashtbl.find_opt next_extra owner) in
-            Hashtbl.replace next_extra owner k;
-            Codegen.Directive.Extra k
+            next_extra.(f) <- next_extra.(f) + 1;
+            (Codegen.Directive.Extra next_extra.(f), bbs)
         in
-        let cluster = { Codegen.Directive.kind; blocks = bbs } in
-        Hashtbl.replace clusters_of owner
-          ((cluster, pos) :: Option.value ~default:[] (Hashtbl.find_opt clusters_of owner));
-        ordering := Codegen.Directive.symbol owner cluster :: !ordering)
+        let cluster = { Codegen.Directive.kind; blocks } in
+        clusters.(f) <- cluster :: clusters.(f);
+        ordering := Codegen.Directive.symbol funcs.(f).name cluster :: !ordering)
       runs;
-    let ordering = List.rev !ordering in
     let plans =
-      Hashtbl.fold
-        (fun owner clusters acc ->
-          let clusters = List.sort (fun (_, a) (_, b) -> compare a b) clusters in
-          { Codegen.Directive.func = owner; clusters = List.map fst clusters } :: acc)
-        clusters_of []
-      |> List.sort (fun (a : Codegen.Directive.func_plan) b -> compare a.func b.func)
+      List.filter_map
+        (fun f ->
+          match clusters.(f) with
+          | [] -> None
+          | cs -> Some { Codegen.Directive.func = funcs.(f).name; clusters = List.rev cs })
+        (List.init (Array.length funcs) Fun.id)
     in
     (* Cold clusters trail the ordering. *)
-    let colds = List.map (fun (p : Codegen.Directive.func_plan) -> Objfile.Symname.cold p.func) plans in
-    { plans; ordering = ordering @ colds; score; global_nodes = n }
+    let colds =
+      List.map (fun (p : Codegen.Directive.func_plan) -> Objfile.Symname.cold p.func) plans
+    in
+    { plans; ordering = List.rev_append !ordering colds; score; global_nodes = n }
   end

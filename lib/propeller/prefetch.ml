@@ -9,27 +9,31 @@ type result = { sites : (string * int) list; sampled_misses : int; covered_misse
 
 let analyze ~(pebs : Perfmon.Pebs.profile) ~(binary : Linker.Binary.t) =
   (* Attribute miss samples to machine blocks via the address map. *)
-  let empty = Perfmon.Lbr.create_profile () in
-  let dcfg = Dcfg.build ~profile:empty ~binary in
-  let per_block : (string * int, int) Hashtbl.t = Hashtbl.create 256 in
+  let idx = Dcfg.interval_index binary in
+  let misses = Array.make (Array.length idx.mblocks) 0 in
   let total = ref 0 in
   Support.Itab.iter
     (fun addr count ->
       total := !total + count;
       (* The sample records the address after the load instruction. *)
-      match Dcfg.find_block dcfg (addr - 1) with
-      | Some b -> (
-        let key = (b.owner, b.bb) in
-        match Hashtbl.find_opt per_block key with
-        | Some c -> Hashtbl.replace per_block key (c + count)
-        | None -> Hashtbl.add per_block key count)
+      match Dcfg.find_in idx (addr - 1) with
+      | Some (i, _) -> misses.(i) <- misses.(i) + count
       | None -> ())
     pebs.misses;
+  let ranked = ref [] in
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        let b = idx.mblocks.(i) in
+        ranked := ((b.owner, b.bb), c) :: !ranked
+      end)
+    misses;
   let ranked =
-    Hashtbl.fold (fun key c acc -> (key, c) :: acc) per_block []
-    |> List.sort (fun (ka, a) (kb, b) ->
-           let c = compare b a in
-           if c <> 0 then c else compare ka kb)
+    List.sort
+      (fun (ka, a) (kb, b) ->
+        let c = compare b a in
+        if c <> 0 then c else compare ka kb)
+      !ranked
   in
   let budget = int_of_float (coverage *. float_of_int !total) in
   let rec take acc covered = function

@@ -58,95 +58,53 @@ type result = {
   dropped_hot_funcs : int;
 }
 
-(* The sampled block universe of one function: sorted block ids (entry
-   always included) and their execution counts, the input to hot/cold
-   partitioning. *)
-let layout_prelude (d : Dcfg.dfunc) =
-  let bbs =
-    (0 :: Hashtbl.fold (fun bb _ acc -> bb :: acc) d.dblocks [])
-    |> List.sort_uniq compare
-  in
-  let bb_arr = Array.of_list bbs in
-  let counts =
-    Array.map
-      (fun bb ->
-        match Hashtbl.find_opt d.dblocks bb with
-        | Some (b : Dcfg.mblock) -> float_of_int b.count
-        | None -> 0.0)
-      bb_arr
-  in
-  (bb_arr, counts)
+(* One function's Ext-TSP instance over its hot blocks (the sampled
+   ones and the entry, which comes first) and the edges among them,
+   with the blocks' ids for mapping the instance order back. *)
+let layout_instance (t : Dcfg.t) (d : Dcfg.dfunc) =
+  let hot = Array.of_list (Dcfg.hot_ranks t d) in
+  let node = Array.make (d.last - d.first) (-1) in
+  Array.iteri (fun i r -> node.(r - d.first) <- i) hot;
+  let edges = ref [] in
+  for k = d.elast - 1 downto d.efirst do
+    let key = t.edges.(k) in
+    let s = node.(Support.Packed.src key - d.first)
+    and dst = node.(Support.Packed.dst key - d.first) in
+    if s >= 0 && dst >= 0 then edges := (s, dst, float_of_int t.edge_counts.(k)) :: !edges
+  done;
+  ( Array.map (fun r -> (Dcfg.block t r).bb) hot,
+    Layout.Problem.make
+      ~sizes:(Array.map (fun r -> (Dcfg.block t r).msize) hot)
+      ~weights:(Array.map (fun r -> float_of_int (Dcfg.count t r)) hot)
+      ~edges:!edges ~entry:0 )
 
-(* Turn a hot/cold partition into the function's Ext-TSP instance over
-   its hot blocks (sizes from the address-map [shapes], edges restricted
-   to the hot set). Returns the hot block ids alongside, for mapping the
-   instance-index order back to block ids. *)
-let layout_instance shapes (d : Dcfg.dfunc) bb_arr (part : Layout.Split.t) =
-  let hot_arr = Array.of_list (List.map (fun i -> bb_arr.(i)) part.hot) in
-  let idx_of = Hashtbl.create 16 in
-  Array.iteri (fun i bb -> Hashtbl.replace idx_of bb i) hot_arr;
-  let sizes = Array.map (Dcfg.block_size shapes d.dname) hot_arr in
-  let weights =
-    Array.map
-      (fun bb ->
-        match Hashtbl.find_opt d.dblocks bb with
-        | Some (b : Dcfg.mblock) -> float_of_int b.count
-        | None -> 0.0)
-      hot_arr
-  in
-  let edges =
-    Support.Itab.fold
-      (fun key r acc ->
-        let s = Support.Packed.src key and t = Support.Packed.dst key in
-        match Hashtbl.find_opt idx_of s, Hashtbl.find_opt idx_of t with
-        | Some si, Some ti -> (si, ti, float_of_int r) :: acc
-        | None, _ | _, None -> acc)
-      d.dedges []
-    |> List.sort compare
-  in
-  let entry = Hashtbl.find idx_of 0 in
-  (hot_arr, Layout.Problem.make ~sizes ~weights ~edges ~entry)
-
-type block_layout = { blocks : int list; score : float }
-
-(* Ext-TSP layout over one function's sampled blocks: the hot block
-   order and its score; the BOLT baseline's (its cache+ algorithm is
-   the same objective). *)
-let block_layout shapes (d : Dcfg.dfunc) =
-  let bb_arr, counts = layout_prelude d in
-  let part = Layout.Split.partition ~counts () in
-  let hot_arr, problem = layout_instance shapes d bb_arr part in
-  let order = Layout.Exttsp.order problem in
-  let score = Layout.Exttsp.score ~order problem in
-  { blocks = List.map (fun i -> hot_arr.(i)) order; score }
+(* Ext-TSP layout over one function's hot blocks; the BOLT baseline's
+   (its cache+ algorithm is the same objective). *)
+let block_layout t d =
+  let bbs, problem = layout_instance t d in
+  List.map (fun i -> bbs.(i)) (Layout.Exttsp.order problem)
 
 (* Wrap a hot-block order into the function's cluster directive; the
    cold remainder becomes the implicit .cold cluster in codegen. *)
 let plan_of_order config (dcfg : Dcfg.t) (d : Dcfg.dfunc) ordered_bbs =
-  if config.split_functions then
-    {
-      Codegen.Directive.func = d.dname;
-      clusters =
-        [ { Codegen.Directive.kind = Codegen.Directive.Primary; blocks = ordered_bbs } ];
-    }
-  else begin
-    (* Splitting disabled: keep the whole function contiguous by
-       appending unsampled blocks to the primary cluster. Blocks the
-       address map knows but the profile never saw are appended in id
-       order. *)
-    let all_bbs = ref [] in
-    Array.iter
-      (fun (b : Dcfg.mblock) -> if String.equal b.owner d.dname then all_bbs := b.bb :: !all_bbs)
-      dcfg.block_index.mblocks;
-    let rest =
-      List.sort_uniq compare !all_bbs |> List.filter (fun bb -> not (List.mem bb ordered_bbs))
-    in
-    {
-      Codegen.Directive.func = d.dname;
-      clusters =
-        [ { Codegen.Directive.kind = Codegen.Directive.Primary; blocks = ordered_bbs @ rest } ];
-    }
-  end
+  let blocks =
+    if config.split_functions then ordered_bbs
+    else begin
+      (* Splitting disabled: keep the whole function contiguous by
+         appending the blocks the address map knows but the profile
+         never saw, in id order. *)
+      let rest = ref [] in
+      for r = d.last - 1 downto d.first do
+        let bb = (Dcfg.block dcfg r).bb in
+        if not (List.mem bb ordered_bbs) then rest := bb :: !rest
+      done;
+      ordered_bbs @ !rest
+    end
+  in
+  {
+    Codegen.Directive.func = d.name;
+    clusters = [ { Codegen.Directive.kind = Codegen.Directive.Primary; blocks } ];
+  }
 
 (* Config half of the layout key, shared by every function of one
    analysis — rendered once, not per hot function. [thr=0] names the
@@ -162,12 +120,12 @@ let layout_params_str config =
     config.split_functions
 
 (* Content-addressed key of one function's layout problem: everything
-   [plan_of_order (block_layout ...)] can read — the function's sampled
-   counts and edges, its block shapes from the address map ([shapes],
-   built for the keyed functions alone), and the layout configuration
-   ([params_str], precomputed). Warm relinks whose profile deltas miss
-   this function reuse the cached (plan, score) verbatim. *)
-let layout_key ~params_str ~shapes (d : Dcfg.dfunc) =
+   [plan_of_order (block_layout ...)] can read — the shape of every
+   block the address map gives the function, its sampled counts and
+   edges, and the layout configuration ([params_str], precomputed).
+   Warm relinks whose profile deltas miss this function reuse the
+   cached (plan, score) verbatim. *)
+let layout_key ~params_str (t : Dcfg.t) (d : Dcfg.dfunc) =
   let module D = Support.Digesting in
   let st = D.init () in
   let item tag x sep y =
@@ -177,22 +135,23 @@ let layout_key ~params_str ~shapes (d : Dcfg.dfunc) =
     D.add_int st y
   in
   D.add_string st "layout-v1|";
-  D.add_string st d.dname;
+  D.add_string st d.name;
   D.add_string st params_str;
-  (match Hashtbl.find_opt shapes d.dname with
-  | Some (s : Dcfg.shape) -> List.iter (fun (bb, size) -> item "|b" bb ':' size) s.blocks
-  | None -> ());
-  let sampled =
-    Hashtbl.fold (fun bb (blk : Dcfg.mblock) acc -> (bb, blk.count) :: acc) d.dblocks []
-    |> List.sort compare
-  in
-  List.iter (fun (bb, c) -> item "|c" bb ':' c) sampled;
-  Array.iter
-    (fun (key, w) ->
-      item "|e" (Support.Packed.src key) '>' (Support.Packed.dst key);
-      D.add_char st ':';
-      D.add_int st w)
-    (Support.Itab.sorted_items d.dedges);
+  for r = d.first to d.last - 1 do
+    let b = Dcfg.block t r in
+    item "|b" b.bb ':' b.msize
+  done;
+  for r = d.first to d.last - 1 do
+    let c = Dcfg.count t r in
+    if c > 0 then item "|c" (Dcfg.block t r).bb ':' c
+  done;
+  for k = d.efirst to d.elast - 1 do
+    let key = t.edges.(k) in
+    item "|e" (Dcfg.block t (Support.Packed.src key)).bb '>'
+      (Dcfg.block t (Support.Packed.dst key)).bb;
+    D.add_char st ':';
+    D.add_int st t.edge_counts.(k)
+  done;
   D.finish st
 
 let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
@@ -219,7 +178,7 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
   in
   let h0, m0, e0 = cache_snapshot () in
   let dcfg = Dcfg.build ~profile ~binary in
-  let all_hot = Dcfg.hot_funcs dcfg in
+  let all_hot = Array.to_list dcfg.funcs in
   (* Graceful degradation on missing profile shards: each hot function's
      samples live in one shard of the sharded profile store; a dropped
      shard takes its functions' plans and ordering entries with it —
@@ -233,8 +192,7 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
         List.filter
           (fun (d : Dcfg.dfunc) ->
             not
-              (Faultsim.Plan.shard_dropped p
-                 ~shard:(Faultsim.Plan.shard_of p ~key:d.dname)))
+              (Faultsim.Plan.shard_dropped p ~shard:(Faultsim.Plan.shard_of p ~key:d.name)))
           all_hot )
   in
   let dropped_hot_funcs = List.length all_hot - List.length hot in
@@ -247,14 +205,13 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
       (* Per-function layout, cached and parallel. The sequential
          skeleton (cache lookups, result commits, score accumulation)
          walks hot functions in dcfg order; only the pure per-function
-         work — hot/cold partitioning and Ext-TSP — fans out on the
-         pool. All floats are summed in the same order for any jobs
-         width, so layout_score is bit-identical. *)
+         work, Ext-TSP, fans out on the pool. All floats are summed in
+         the same order for any jobs width, so layout_score is
+         bit-identical. *)
       let funcs = Array.of_list hot in
       let n = Array.length funcs in
       let params_str = layout_params_str config in
-      let shapes = Dcfg.shapes dcfg hot in
-      let keys = Array.map (fun d -> layout_key ~params_str ~shapes d) funcs in
+      let keys = Array.map (layout_key ~params_str dcfg) funcs in
       let cached =
         Array.map
           (fun key ->
@@ -268,25 +225,18 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
         |> List.filter (fun i -> Option.is_none cached.(i))
         |> Array.of_list
       in
-      let preludes = Array.map (fun i -> layout_prelude funcs.(i)) miss_idx in
-      let parts =
-        Layout.Split.partition_batch ~pool ~counts:(Array.map snd preludes) ()
-      in
-      let hot_and_insts =
-        Array.init (Array.length miss_idx) (fun j ->
-            layout_instance shapes funcs.(miss_idx.(j)) (fst preludes.(j)) parts.(j))
-      in
+      let insts = Array.map (fun i -> layout_instance dcfg funcs.(i)) miss_idx in
       let solved =
         Layout.Policy.order_batch ~params:config.policy_params ~pool
           (resolve_policy config.layout_policy)
-          (Array.map snd hot_and_insts)
+          (Array.map snd insts)
       in
       let computed =
-        Array.init (Array.length miss_idx) (fun j ->
-            let hot_arr, _ = hot_and_insts.(j) in
+        Array.mapi
+          (fun j (bbs, _) ->
             let order, s = solved.(j) in
-            let d = funcs.(miss_idx.(j)) in
-            (plan_of_order config dcfg d (List.map (fun i -> hot_arr.(i)) order), s))
+            (plan_of_order config dcfg funcs.(miss_idx.(j)) (List.map (fun i -> bbs.(i)) order), s))
+          insts
       in
       (* Commit pass in hot-function order: store fresh results, sum
          scores, emit plans. *)

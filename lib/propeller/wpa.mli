@@ -71,38 +71,28 @@ type result = {
           should count against [fault.degraded]. *)
 }
 
-(** One function's hot-block layout: the block order and its Ext-TSP
-    score. *)
-type block_layout = { blocks : int list; score : float }
-
-(** [block_layout shapes dfunc] computes the Ext-TSP hot-block order of
-    one function (default parameters; every sampled block is hot) and
-    its score, taking block sizes from [shapes] (see {!Dcfg.shapes});
-    the BOLT baseline's layout (same objective, different delivery). *)
-val block_layout : (string, Dcfg.shape) Hashtbl.t -> Dcfg.dfunc -> block_layout
+(** [block_layout dcfg dfunc] is the Ext-TSP order (default parameters)
+    of one function's hot blocks: its sampled blocks and its entry. The
+    BOLT baseline's layout (same objective, different delivery). *)
+val block_layout : Dcfg.t -> Dcfg.dfunc -> int list
 
 (** [layout_params_str config] renders the configuration half of the
     layout key, shared by every function of one analysis. *)
 val layout_params_str : config -> string
 
-(** [layout_key ~params_str ~shapes dfunc] is the content-addressed
-    key of one function's layout problem: a digest over the function's
-    sampled counts and edges, its block shapes from the address map
-    ([shapes], which need hold only the keyed functions), and the
-    layout configuration ([params_str]). Two profiles that agree on a
-    function produce the same key, so warm relinks reuse its cached
+(** [layout_key ~params_str dcfg dfunc] is the content-addressed key
+    of one function's layout problem: a digest over the function's
+    mapped block shapes, its sampled counts and edges, and the layout
+    configuration ([params_str]). Two profiles that agree on a function
+    produce the same key, so warm relinks reuse its cached
     (plan, score). *)
-val layout_key :
-  params_str:string ->
-  shapes:(string, Dcfg.shape) Hashtbl.t ->
-  Dcfg.dfunc ->
-  Support.Digesting.t
+val layout_key : params_str:string -> Dcfg.t -> Dcfg.dfunc -> Support.Digesting.t
 
 (** [analyze ?config ?ctx ?layout_cache ~profile ~binary ()] runs the
     whole-program analysis against a metadata binary (one linked with
     [keep_bb_addr_map = true]; raises [Invalid_argument] otherwise).
 
-    Per-function partitioning and Ext-TSP fan out on the context's
+    Per-function Ext-TSP fans out on the context's
     domain pool (default {!Support.Pool.global}); results commit in
     deterministic order, so plans, ordering and [layout_score] are
     identical for any pool width. With [layout_cache], functions whose

@@ -61,7 +61,12 @@ let build_with ~profile idx =
     | Some d -> d
     | None ->
       let d =
-        { dname = owner; dblocks = Hashtbl.create 16; dedges = Support.Itab.create 16; dsamples = 0 }
+        {
+          dname = owner;
+          dblocks = Hashtbl.create 16;
+          dedges = Support.Itab.create 16;
+          dsamples = 0;
+        }
       in
       Hashtbl.replace funcs owner d;
       d

@@ -27,6 +27,20 @@ let test_dcfg_requires_metadata () =
     Alcotest.fail "expected rejection of metadata-less binary"
   with Invalid_argument _ -> ()
 
+let func_named (dcfg : Propeller.Dcfg.t) name =
+  Array.find_opt (fun (d : Propeller.Dcfg.dfunc) -> d.name = name) dcfg.funcs
+
+(* A function's intra-function edges as (src bb, dst bb, count). *)
+let edge_list (dcfg : Propeller.Dcfg.t) (d : Propeller.Dcfg.dfunc) =
+  List.init (d.elast - d.efirst) (fun i ->
+      let k = d.efirst + i in
+      let key = dcfg.edges.(k) in
+      ( (Propeller.Dcfg.block dcfg (Support.Packed.src key)).bb,
+        (Propeller.Dcfg.block dcfg (Support.Packed.dst key)).bb,
+        dcfg.edge_counts.(k) ))
+
+let ranks (d : Propeller.Dcfg.dfunc) = List.init (d.last - d.first) (fun i -> d.first + i)
+
 let test_dcfg_reconstruction () =
   (* Execute a loop and check the DCFG recovers its back edge. *)
   let f = loop_func ~name:"main" () in
@@ -34,32 +48,31 @@ let test_dcfg_reconstruction () =
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let _, profile = run_with_profile ~requests:400 program binary in
   let dcfg = Propeller.Dcfg.build ~profile ~binary in
-  match Hashtbl.find_opt dcfg.funcs "main" with
+  match func_named dcfg "main" with
   | None -> Alcotest.fail "main not in DCFG"
   | Some d ->
-    let back_key = Support.Packed.pack ~src:1 ~dst:1 in
-    check tb "back edge recovered" true (Support.Itab.find d.dedges back_key > 0);
-    check tb "back edge dominant" true
-      (let back = Support.Itab.find d.dedges back_key in
-       Support.Itab.fold (fun _ r acc -> acc && r <= back) d.dedges true);
-    check tb "samples attributed" true (d.dsamples > 0)
+    let edges = edge_list dcfg d in
+    let back = List.fold_left (fun acc (s, t, w) -> if s = 1 && t = 1 then w else acc) 0 edges in
+    check tb "back edge recovered" true (back > 0);
+    check tb "back edge dominant" true (List.for_all (fun (_, _, w) -> w <= back) edges);
+    check tb "samples attributed" true (d.samples > 0)
 
 let test_dcfg_block_mapping () =
   let _, program, _, result = Lazy.force (fixture) in
-  ignore program;
   let binary = result.metadata_build.binary in
   let dcfg = Propeller.Dcfg.build ~profile:result.profile ~binary in
   (* Every sampled block must map back to a real program block. *)
-  Hashtbl.iter
-    (fun fname (d : Propeller.Dcfg.dfunc) ->
-      match Ir.Program.find_func program fname with
-      | None -> Alcotest.failf "unknown function in DCFG: %s" fname
+  Array.iter
+    (fun (d : Propeller.Dcfg.dfunc) ->
+      match Ir.Program.find_func program d.name with
+      | None -> Alcotest.failf "unknown function in DCFG: %s" d.name
       | Some f ->
-        Hashtbl.iter
-          (fun bb _ ->
-            if bb < 0 || bb >= Ir.Func.num_blocks f then
-              Alcotest.failf "bogus block %s#%d" fname bb)
-          d.dblocks)
+        List.iter
+          (fun r ->
+            let bb = (Propeller.Dcfg.block dcfg r).bb in
+            if Propeller.Dcfg.count dcfg r > 0 && (bb < 0 || bb >= Ir.Func.num_blocks f) then
+              Alcotest.failf "bogus block %s#%d" d.name bb)
+          (ranks d))
     dcfg.funcs
 
 let test_dcfg_call_arcs () =
@@ -67,10 +80,15 @@ let test_dcfg_call_arcs () =
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let _, profile = run_with_profile ~requests:100 program binary in
   let dcfg = Propeller.Dcfg.build ~profile ~binary in
-  check tb "main->callee arc seen" true
-    (Hashtbl.fold
-       (fun (a, _, b) w seen -> seen || (a = "main" && b = "callee" && !w > 0))
-       dcfg.call_arcs false)
+  let seen = ref false in
+  Array.iteri
+    (fun k key ->
+      let caller = Propeller.Dcfg.block dcfg (Support.Packed.src key) in
+      let callee = dcfg.funcs.(Support.Packed.dst key) in
+      if caller.owner = "main" && callee.name = "callee" && dcfg.arc_counts.(k) > 0 then
+        seen := true)
+    dcfg.arcs;
+  check tb "main->callee arc seen" true !seen
 
 let test_dcfg_disasm_view_agrees () =
   let _, program, _, result = Lazy.force (fixture) in
@@ -112,7 +130,13 @@ let bits x = Int64.bits_of_float x
 (* The DCFG as sorted plain data: per sampled function its samples,
    sampled (bb, count) and edges (src, dst, count); then the call arcs
    (caller, caller bb, callee, count). *)
+(* The DCFG as plain data, per sampled function: its samples, sampled
+   (bb, count), edges (src, dst, count) and every mapped (bb, bytes);
+   then the call arcs (caller, caller bb, callee, count) from sampled
+   callers, the only ones a layout places. *)
 let ref_view (d : Ref_dcfg.t) =
+  let hot = Ref_dcfg.hot_funcs d in
+  let shapes = Ref_dcfg.shapes d hot in
   ( List.map
       (fun (f : Ref_dcfg.dfunc) ->
         ( f.dname,
@@ -120,28 +144,43 @@ let ref_view (d : Ref_dcfg.t) =
           Hashtbl.fold (fun bb (b : Ref_dcfg.mblock) acc -> (bb, b.count) :: acc) f.dblocks []
           |> List.sort compare,
           Array.to_list (Support.Itab.sorted_items f.dedges)
-          |> List.map (fun (k, w) -> (Support.Packed.src k, Support.Packed.dst k, w)) ))
-      (Ref_dcfg.hot_funcs d),
-    Hashtbl.fold (fun (a, bb, b) r acc -> (a, bb, b, !r) :: acc) d.call_arcs []
+          |> List.map (fun (k, w) -> (Support.Packed.src k, Support.Packed.dst k, w)),
+          (Hashtbl.find shapes f.dname).blocks ))
+      hot,
+    Hashtbl.fold
+      (fun (a, bb, b) r acc -> if Hashtbl.mem d.funcs a then (a, bb, b, !r) :: acc else acc)
+      d.call_arcs []
     |> List.sort compare )
 
+(* Stored order is checked too: the edges as the flat DCFG keeps them. *)
 let flat_view (d : Propeller.Dcfg.t) =
-  ( List.map
-      (fun (f : Propeller.Dcfg.dfunc) ->
-        ( f.dname,
-          f.dsamples,
-          Hashtbl.fold
-            (fun bb (b : Propeller.Dcfg.mblock) acc -> (bb, b.count) :: acc)
-            f.dblocks []
-          |> List.sort compare,
-          Array.to_list (Support.Itab.sorted_items f.dedges)
-          |> List.map (fun (k, w) -> (Support.Packed.src k, Support.Packed.dst k, w)) ))
-      (Propeller.Dcfg.hot_funcs d),
-    Hashtbl.fold (fun (a, bb, b) r acc -> (a, bb, b, !r) :: acc) d.call_arcs []
+  ( Array.to_list
+      (Array.map
+         (fun (f : Propeller.Dcfg.dfunc) ->
+           ( f.name,
+             f.samples,
+             List.filter_map
+               (fun r ->
+                 let c = Propeller.Dcfg.count d r in
+                 if c > 0 then Some ((Propeller.Dcfg.block d r).bb, c) else None)
+               (ranks f),
+             edge_list d f,
+             List.map
+               (fun r ->
+                 let b = Propeller.Dcfg.block d r in
+                 (b.bb, b.msize))
+               (ranks f) ))
+         d.funcs),
+    Array.to_list
+      (Array.mapi
+         (fun k key ->
+           let caller = Propeller.Dcfg.block d (Support.Packed.src key) in
+           (caller.owner, caller.bb, d.funcs.(Support.Packed.dst key).name, d.arc_counts.(k)))
+         d.arcs)
     |> List.sort compare )
 
 let flat_function_order (d : Propeller.Dcfg.t) =
-  Propeller.Dcfg.function_order d (Propeller.Dcfg.hot_funcs d)
+  Propeller.Dcfg.function_order d (Array.to_list d.funcs)
 
 let flat_interproc ~policy ~params (d : Propeller.Dcfg.t) ~entry_func =
   let r = Propeller.Interproc.layout ~policy ~params ~dcfg:d ~entry_func in
@@ -166,7 +205,9 @@ let check_flat_law what ~binary ~lbr ~sampled =
   check_unique_blocks (what ^ " placed blocks") ref_of_blocks.block_index;
   let pairs =
     [
-      ("address map", Ref_dcfg.build ~profile:lbr ~binary, Propeller.Dcfg.build ~profile:lbr ~binary);
+      ( "address map",
+        Ref_dcfg.build ~profile:lbr ~binary,
+        Propeller.Dcfg.build ~profile:lbr ~binary );
       ("placed blocks", ref_of_blocks, Propeller.Dcfg.build_of_blocks ~profile:lbr ~binary);
     ]
   in
@@ -352,13 +393,32 @@ let test_wpa_block_layout_hot_first () =
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let _, profile = run_with_profile ~requests:300 program binary in
   let dcfg = Propeller.Dcfg.build ~profile ~binary in
-  let d = Hashtbl.find dcfg.funcs "main" in
-  let shapes = Propeller.Dcfg.shapes dcfg [ d ] in
-  let { Propeller.Wpa.blocks = order; score } = Propeller.Wpa.block_layout shapes d in
+  let d = Option.get (func_named dcfg "main") in
+  let order = Propeller.Wpa.block_layout dcfg d in
   check tb "entry first" true (List.hd order = 0);
-  check tb "positive score" true (score > 0.0);
   check tb "loop body adjacent to entry" true
-    (match order with 0 :: 1 :: _ -> true | _ -> false)
+    (match order with 0 :: 1 :: _ -> true | _ -> false);
+  (* The order's Ext-TSP score over the profiled edges is positive. *)
+  let pos = List.mapi (fun i bb -> (bb, i)) order in
+  let size bb =
+    let r = List.find (fun r -> (Propeller.Dcfg.block dcfg r).bb = bb) (ranks d) in
+    (Propeller.Dcfg.block dcfg r).msize
+  in
+  let edges =
+    List.filter_map
+      (fun (s, t, w) ->
+        match (List.assoc_opt s pos, List.assoc_opt t pos) with
+        | Some a, Some b -> Some (a, b, float_of_int w)
+        | _ -> None)
+      (edge_list dcfg d)
+  in
+  let n = List.length order in
+  let problem =
+    Layout.Problem.make
+      ~sizes:(Array.of_list (List.map size order))
+      ~weights:(Array.make n 0.0) ~edges ~entry:0
+  in
+  check tb "positive score" true (Layout.Exttsp.score ~order:(List.init n Fun.id) problem > 0.0)
 
 (* The layout keys of every hot function of that run, in hot-function
    order. A warm relink reuses a cached layout only when its key
@@ -367,13 +427,10 @@ let test_wpa_block_layout_hot_first () =
 let test_pinned_layout_keys () =
   let wpa_config, r = Lazy.force relink0_run in
   let dcfg = Propeller.Dcfg.build ~profile:r.profile ~binary:r.metadata_build.binary in
-  let hot = Propeller.Dcfg.hot_funcs dcfg in
+  let hot = Array.to_list dcfg.funcs in
   let params_str = Propeller.Wpa.layout_params_str wpa_config in
-  let shapes = Propeller.Dcfg.shapes dcfg hot in
   let keys =
-    List.map
-      (fun d -> Support.Digesting.to_hex (Propeller.Wpa.layout_key ~params_str ~shapes d))
-      hot
+    List.map (fun d -> Support.Digesting.to_hex (Propeller.Wpa.layout_key ~params_str dcfg d)) hot
   in
   check ti "hot functions" 56 (List.length hot);
   check ts "layout keys" "e10feff029f6048e8ea731f8643e280a" (Digest.to_hex (Digest.string (String.concat "\n" keys)))
@@ -679,14 +736,8 @@ let test_autofdo_synthesis_sane () =
   (* The synthesized branches must be consumable by Dcfg: call arcs land
      on function entries and are classified as calls. *)
   let dcfg = Propeller.Dcfg.build ~profile:p ~binary in
-  check tb "synthesized call arcs classified" true
-    (Hashtbl.length dcfg.Propeller.Dcfg.call_arcs > 0);
-  Hashtbl.iter
-    (fun _ (f : Propeller.Dcfg.dfunc) ->
-      Support.Itab.iter
-        (fun _ w -> check tb "dcfg edge weight positive" true (w > 0))
-        f.Propeller.Dcfg.dedges)
-    dcfg.Propeller.Dcfg.funcs
+  check tb "synthesized call arcs classified" true (Array.length dcfg.arcs > 0);
+  Array.iter (fun w -> check tb "dcfg edge weight positive" true (w > 0)) dcfg.edge_counts
 
 let test_autofdo_requires_metadata () =
   let _, program, run = Lazy.force sampled_fixture in
