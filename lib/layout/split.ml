@@ -1,16 +1,3 @@
-type t = { hot : int list; cold : int list }
-
-let partition ~counts ?(threshold = 0.0) () =
-  let hot = ref [] and cold = ref [] in
-  for i = Array.length counts - 1 downto 0 do
-    if i = 0 || counts.(i) > threshold then hot := i :: !hot else cold := i :: !cold
-  done;
-  { hot = !hot; cold = !cold }
-
-let partition_batch ~pool ?(threshold = 0.0) ~counts () =
-  Support.Pool.map_array pool (Array.length counts) (fun i ->
-      partition ~counts:counts.(i) ~threshold ())
-
 let trampoline_bytes = 16
 
 let call_split_profitable ~cold_bytes ~entry_count ~cold_entry_count =

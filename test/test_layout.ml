@@ -445,22 +445,6 @@ let hfsort_permutation_law =
 
 (* --- split -------------------------------------------------------- *)
 
-let test_split_partition () =
-  let counts = [| 10.0; 0.0; 5.0; 0.0 |] in
-  let { Layout.Split.hot; cold } = Layout.Split.partition ~counts () in
-  check Alcotest.(list int) "hot" [ 0; 2 ] hot;
-  check Alcotest.(list int) "cold" [ 1; 3 ] cold
-
-let test_split_entry_always_hot () =
-  let counts = [| 0.0; 7.0 |] in
-  let { Layout.Split.hot; _ } = Layout.Split.partition ~counts () in
-  check tb "entry hot even at zero count" true (List.mem 0 hot)
-
-let test_split_threshold () =
-  let counts = [| 100.0; 3.0; 50.0 |] in
-  let { Layout.Split.cold; _ } = Layout.Split.partition ~counts ~threshold:5.0 () in
-  check Alcotest.(list int) "below threshold is cold" [ 1 ] cold
-
 let test_call_split_heuristic () =
   check tb "small region not profitable" false
     (Layout.Split.call_split_profitable ~cold_bytes:10 ~entry_count:100.0 ~cold_entry_count:0.0);
@@ -500,8 +484,5 @@ let suite =
     Alcotest.test_case "hfsort: density order" `Quick test_hfsort_density_order;
     Alcotest.test_case "hfsort: cluster cap" `Quick test_hfsort_cluster_cap;
     QCheck_alcotest.to_alcotest hfsort_permutation_law;
-    Alcotest.test_case "split: partition" `Quick test_split_partition;
-    Alcotest.test_case "split: entry hot" `Quick test_split_entry_always_hot;
-    Alcotest.test_case "split: threshold" `Quick test_split_threshold;
     Alcotest.test_case "split: call heuristic" `Quick test_call_split_heuristic;
   ]
