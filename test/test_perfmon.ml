@@ -209,6 +209,49 @@ let test_pebs_collector_deterministic () =
       check ti (Printf.sprintf "site %x count" src) c (Support.Itab.find p2.misses src))
     p1.misses
 
+(* The collector's predictor probes each table once per branch; the
+   reference in [Ref_lbr] reads and writes its state with two probes
+   and polymorphic saturation. Both drain the same tapes, and every
+   table must come out the same, slot for slot. *)
+let check_collector_law what program binary ~requests =
+  let image = Exec.Image.build program binary in
+  let got = Perfmon.Lbr.create_profile () and want = Perfmon.Lbr.create_profile () in
+  let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config got in
+  let r = Ref_lbr.create Perfmon.Lbr.default_config want in
+  let (_ : Exec.Interp.stats) =
+    Exec.Interp.run_tape image
+      { Exec.Interp.default_config with requests }
+      ~drain:(fun tape ->
+        Perfmon.Lbr.consume c tape;
+        Ref_lbr.consume r tape)
+  in
+  let items tbl = List.rev (Support.Itab.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let same table a b =
+    check tb (Printf.sprintf "%s: %s" what table) true (items a = items b)
+  in
+  check tb (what ^ ": some mispredicts") true (Support.Itab.length got.mispredicts > 0);
+  same "branches" want.branches got.branches;
+  same "ranges" want.ranges got.ranges;
+  same "mispredicts" want.mispredicts got.mispredicts;
+  check ti (what ^ ": samples") want.num_samples got.num_samples;
+  check ti (what ^ ": records") want.num_records got.num_records
+
+let test_collector_law () =
+  let requests = Progen.Suite.clang.requests / 16 in
+  for k = 0 to 3 do
+    let program = relink_family_program k in
+    let _, { Linker.Link.binary; _ } = metadata_link program in
+    check_collector_law (Printf.sprintf "relink %d" k) program binary ~requests
+  done;
+  let _, r = Lazy.force relink0_run in
+  check_collector_law "relink 0 optimized" (relink_family_program 0)
+    (Propeller.Pipeline.optimized_binary r) ~requests;
+  let program =
+    Codegen.Inline.program (Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")))
+  in
+  let _, { Linker.Link.binary; _ } = metadata_link program in
+  check_collector_law "505.mcf" program binary ~requests:40
+
 let suite =
   [
     Alcotest.test_case "collector samples" `Quick test_collector_samples;
@@ -227,4 +270,6 @@ let suite =
     Alcotest.test_case "pebs period beyond miss count" `Quick test_pebs_period_exceeds_misses;
     Alcotest.test_case "pebs period edge" `Quick test_pebs_period_edge;
     Alcotest.test_case "pebs collector deterministic" `Quick test_pebs_collector_deterministic;
+    Alcotest.test_case "collector = reference predictor on relink and 505.mcf tapes" `Quick
+      test_collector_law;
   ]

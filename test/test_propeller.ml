@@ -739,6 +739,47 @@ let test_autofdo_synthesis_sane () =
   check tb "synthesized call arcs classified" true (Array.length dcfg.arcs > 0);
   Array.iter (fun w -> check tb "dcfg edge weight positive" true (w > 0)) dcfg.edge_counts
 
+(* MD5 of a synthesized profile: every table's items by key, then the
+   totals. Items, not slot order: synthesis adds the sampler's call arcs
+   in its [Hashtbl]'s order, which a randomized hash seed changes. *)
+let profile_digest (p : Perfmon.Lbr.profile) =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun tbl ->
+      Array.iter (fun (k, v) -> Printf.bprintf b "%d:%d " k v) (Support.Itab.sorted_items tbl);
+      Buffer.add_char b '\n')
+    [ p.branches; p.ranges; p.mispredicts ];
+  Printf.bprintf b "%d %d" p.num_samples p.num_records;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The Sampled source's synthesized profiles of relink programs 0 and
+   1 and of 505.mcf, item for item. Any change
+   to how synthesis maps blocks must reproduce them exactly. *)
+let test_autofdo_pinned () =
+  let mcf =
+    Codegen.Inline.program (Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")))
+  in
+  let requests = Progen.Suite.clang.requests / 16 in
+  let got =
+    List.map
+      (fun (what, program, requests) ->
+        let binary, _, samples = profiled_metadata_build ~requests program in
+        Printf.sprintf "%s %s" what
+          (profile_digest (Propeller.Autofdo.synthesize ~samples ~program ~binary ())))
+      [
+        ("relink 0", relink_family_program 0, requests);
+        ("relink 1", relink_family_program 1, requests);
+        ("505.mcf", mcf, 40);
+      ]
+  in
+  check (Alcotest.list ts) "synthesized profiles"
+    [
+      "relink 0 e1275042ab191dfc9a45efe9c80d17d1";
+      "relink 1 f6a398cf54f5c5e137d7a451fe2e77bd";
+      "505.mcf ab58fecf636c6d4851a5d1053594aeb1";
+    ]
+    got
+
 let test_autofdo_requires_metadata () =
   let _, program, run = Lazy.force sampled_fixture in
   let r = run () in
@@ -826,4 +867,5 @@ let suite =
     Alcotest.test_case "policy: unknown rejected" `Quick test_policy_unknown_rejected;
     Alcotest.test_case "autofdo: synthesis sane" `Quick test_autofdo_synthesis_sane;
     Alcotest.test_case "autofdo: requires metadata" `Quick test_autofdo_requires_metadata;
+    Alcotest.test_case "autofdo: pinned synthesized profiles" `Quick test_autofdo_pinned;
   ]
