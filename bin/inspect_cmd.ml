@@ -45,7 +45,7 @@ let profile_of t binary =
   match t.source with
   | Perfmon.Source.Lbr -> Cli.lbr_profile ~requests:t.spec.requests t.program binary
   | Perfmon.Source.Sampled ->
-    if binary.Linker.Binary.bb_maps = [] then begin
+    if Array.length binary.Linker.Binary.bb_addr_map = 0 then begin
       Printf.eprintf
         "--profile-source sampled needs BB address map metadata to synthesize edge weights; \
          the inspected image has none (use --variant pm or po)\n";

@@ -38,7 +38,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
         (* Every other block the binary has for this function. *)
         let rest = ref [] in
         for r = d.last - 1 downto d.first do
-          let bb = (Propeller.Dcfg.block dcfg r).bb in
+          let bb = (Propeller.Dcfg.block dcfg r).block in
           if not (List.mem bb hot_order) then rest := bb :: !rest
         done;
         if options.split_functions then (d.name, hot_order, !rest)

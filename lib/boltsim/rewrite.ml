@@ -158,7 +158,7 @@ let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
     Linker.Binary.make ~name:linked.name ~entry_symbol:linked.entry_symbol
       ~sections:(old_text :: linked.sections) ~symbols:linked.symbols ~blocks:linked.blocks
       ~positions:linked.positions ~text_start:binary.text_start ~text_end:linked.text_end
-      ~bb_maps:[]
+      ~bb_addr_map:[||]
   in
   {
     binary = final;

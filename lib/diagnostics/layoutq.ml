@@ -19,7 +19,7 @@ let score_func params (final : Linker.Binary.t) (dcfg : Propeller.Dcfg.t)
   let missing = ref 0 in
   for r = d.last - 1 downto d.first do
     if Propeller.Dcfg.count dcfg r > 0 then begin
-      match Linker.Binary.block_info final ~func:d.name ~block:(Propeller.Dcfg.block dcfg r).bb with
+      match Linker.Binary.block_info final ~func:d.name ~block:(Propeller.Dcfg.block dcfg r).block with
       | Some info -> placed := (r, info) :: !placed
       | None -> incr missing
     end

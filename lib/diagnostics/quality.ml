@@ -44,11 +44,11 @@ let analyze ?pebs ~(dcfg : Propeller.Dcfg.t) ~(profile : Perfmon.Lbr.profile) ()
   let mapped_funcs = Hashtbl.create 256 in
   Array.iteri
     (fun i (b : Propeller.Dcfg.mblock) ->
-      mapped_bytes := !mapped_bytes + b.msize;
-      Hashtbl.replace mapped_funcs b.owner ();
+      mapped_bytes := !mapped_bytes + b.size;
+      Hashtbl.replace mapped_funcs b.func ();
       if dcfg.counts.(i) > 0 then begin
         incr sampled_blocks;
-        sampled_bytes := !sampled_bytes + b.msize
+        sampled_bytes := !sampled_bytes + b.size
       end)
     blocks;
   (* Stale-profile detection from the raw records: an endpoint that maps

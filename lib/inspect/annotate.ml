@@ -100,9 +100,9 @@ let analyze ~(binary : Linker.Binary.t) ~(profile : Perfmon.Lbr.profile) =
   let func_report (d : Propeller.Dcfg.dfunc) =
     let fname = d.name in
     (* Sample counts by block id; the function's ranks are bb-ascending. *)
-    let counts = Array.make ((Propeller.Dcfg.block dcfg (d.last - 1)).bb + 1) 0 in
+    let counts = Array.make ((Propeller.Dcfg.block dcfg (d.last - 1)).block + 1) 0 in
     for r = d.first to d.last - 1 do
-      counts.((Propeller.Dcfg.block dcfg r).bb) <- Propeller.Dcfg.count dcfg r
+      counts.((Propeller.Dcfg.block dcfg r).block) <- Propeller.Dcfg.count dcfg r
     done;
     let rows =
       List.map

@@ -44,7 +44,7 @@ let heaviest_source out =
 
 let decompose ~max_paths ~max_len dcfg (d : Propeller.Dcfg.dfunc) =
   let out = adjacency dcfg d in
-  let bb i = (Propeller.Dcfg.block dcfg (d.first + i)).bb in
+  let bb i = (Propeller.Dcfg.block dcfg (d.first + i)).block in
   (* The entry block, bb 0, is the function's first. *)
   let entry = 0 in
   let paths = ref [] in

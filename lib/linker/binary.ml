@@ -10,10 +10,13 @@ type placed = {
 
 type index = {
   ordered : block_info array;
+  order : int array;
   addrs : int array;
   sizes : int array;
   by_func : (string, int array) Hashtbl.t;
 }
+
+type map_range = { symbol : string; first : int; last : int }
 
 type t = {
   name : string;
@@ -24,7 +27,7 @@ type t = {
   positions : (string, int array) Hashtbl.t;
   text_start : int;
   text_end : int;
-  bb_maps : Objfile.Bbmap.t;
+  bb_addr_map : map_range array;
   by_addr : cell;
 }
 
@@ -33,11 +36,9 @@ type t = {
 and cell = index option Atomic.t
 
 let make ~name ~entry_symbol ~sections ~symbols ~blocks ~positions ~text_start ~text_end
-    ~bb_maps =
-  { name; entry_symbol; sections; symbols; blocks; positions; text_start; text_end; bb_maps;
+    ~bb_addr_map =
+  { name; entry_symbol; sections; symbols; blocks; positions; text_start; text_end; bb_addr_map;
     by_addr = Atomic.make None }
-
-let symbol_addr t s = Hashtbl.find_opt t.symbols s
 
 let block_positions t func = Option.value ~default:[||] (Hashtbl.find_opt t.positions func)
 
@@ -59,15 +60,19 @@ let text_bytes t = size_of_kind t Objfile.Section.Text
 (* Blocks at equal addresses (emptied by relaxation) keep the order an
    unstable sort of a (func, block) table's sequence gives them, which
    the image digest records (image-v1). [blocks] is already in address
-   order, so the table is replayed only for that tie order: the blocks
-   are added in link order to a table created as the link once created
-   it, then sorted by address. Step A of ROADMAP item 1 breaks ties by
-   (func, block) and deletes this replay. *)
+   order, so the table is replayed only for that tie order: the blocks'
+   positions are added in link order to a table created as the link
+   once created it, then sorted by their blocks' addresses. A table's
+   order and the sort's permutation depend on keys and comparison
+   outcomes alone, so the positions come out as the blocks once did.
+   Step A of ROADMAP item 1 breaks ties by (func, block) and deletes
+   this replay. *)
 let build_index blocks =
   let table = Hashtbl.create 4096 in
-  Array.iter (fun (b : block_info) -> Hashtbl.add table (b.func, b.block) b) blocks;
-  let ordered = Array.of_seq (Hashtbl.to_seq_values table) in
-  Array.sort (fun (a : block_info) (b : block_info) -> compare a.addr b.addr) ordered;
+  Array.iteri (fun i (b : block_info) -> Hashtbl.add table (b.func, b.block) i) blocks;
+  let order = Array.of_seq (Hashtbl.to_seq_values table) in
+  Array.sort (fun i j -> Int.compare blocks.(i).addr blocks.(j).addr) order;
+  let ordered = Array.map (fun i -> blocks.(i)) order in
   let rev = Hashtbl.create 256 in
   Array.iteri
     (fun i (b : block_info) ->
@@ -75,6 +80,7 @@ let build_index blocks =
     ordered;
   {
     ordered;
+    order;
     addrs = Array.map (fun (b : block_info) -> b.addr) ordered;
     sizes = Array.map (fun (b : block_info) -> b.size) ordered;
     by_func =

@@ -38,11 +38,19 @@ type index = private {
           it, to keep this order (the image-v1 digests). Breaking such
           ties by [(func, block)] is step A of ROADMAP item 1, which
           deletes the replay. *)
+  order : int array;  (** [ordered.(i)]'s position in [blocks]. *)
   addrs : int array;  (** [ordered.(i).addr], for {!Support.Isearch}. *)
   sizes : int array;  (** [ordered.(i).size]. *)
   by_func : (string, int array) Hashtbl.t;
       (** Function -> the ascending indices of its blocks in [ordered]. *)
 }
+
+(** A text section whose object carried an address map: its symbol
+    and its blocks, [blocks.(first)] to [blocks.(last - 1)]. This is
+    all the retained [.llvm_bb_addr_map] holds: each entry's block id,
+    its offset from the symbol's address and its size are read off the
+    block itself. *)
+type map_range = { symbol : string; first : int; last : int }
 
 type t = {
   name : string;
@@ -58,7 +66,9 @@ type t = {
           through {!block_positions}. *)
   text_start : int;
   text_end : int;
-  bb_maps : Objfile.Bbmap.t;  (** Merged metadata, if retained. *)
+  bb_addr_map : map_range array;
+      (** The retained [.llvm_bb_addr_map], one range per mapped
+          section in link order; empty when the link dropped it. *)
   by_addr : cell;  (** The {!index}, built on first use. *)
 }
 
@@ -75,11 +85,8 @@ val make :
   positions:(string, int array) Hashtbl.t ->
   text_start:int ->
   text_end:int ->
-  bb_maps:Objfile.Bbmap.t ->
+  bb_addr_map:map_range array ->
   t
-
-(** [symbol_addr t s] resolves a global symbol. *)
-val symbol_addr : t -> string -> int option
 
 (** [block_positions t f] is [f]'s entry in [t.positions]: block id ->
     position in [t.blocks], or [-1]; empty when [f] has no placed

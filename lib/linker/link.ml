@@ -452,8 +452,6 @@ let final_insts w i =
     in
     build w.piece_branch.(i) src
 
-let rec last_inst = function [] -> None | [ i ] -> Some i | _ :: rest -> last_inst rest
-
 (* Every piece's output block, in layout order, which is address
    order: piece [i] becomes [blocks.(i)]. *)
 let output_blocks w =
@@ -470,30 +468,27 @@ let output_blocks w =
         insts = final_insts w i;
       })
 
-(* Section [s]'s retained address map, re-encoded against its final
-   [blocks]; [None] when its input carried none. *)
-let bb_map w (blocks : Binary.block_info array) s =
-  let sec = w.secs.(s) in
-  match sec.ssymbol with
-  | Some func when sec.had_bbmap ->
-    let p0 = w.sec_piece.(s) in
-    let entry k =
-      let b = blocks.(p0 + k) in
-      let can_fallthrough =
-        match last_inst b.insts with
-        | Some (Isa.Jmp _ | Isa.Ret | Isa.IndirectJmp) -> false
-        | Some _ | None -> true
-      in
-      {
-        Objfile.Bbmap.bb_id = b.block;
-        offset = b.addr - w.saddr.(s);
-        size = b.size;
-        can_fallthrough;
-        is_landing_pad = w.src.(p0 + k).is_landing_pad;
-      }
-    in
-    Some { Objfile.Bbmap.func; entries = List.init (w.sec_piece.(s + 1) - p0) entry }
-  | Some _ | None -> None
+(* The retained address map: the block range of every section whose
+   input carried one, and the map's encoded size, each entry's offset
+   taken from its section's address. *)
+let bb_addr_map w =
+  let maps = ref [] and bytes = ref 0 in
+  for s = Array.length w.secs - 1 downto 0 do
+    let sec = w.secs.(s) in
+    match sec.ssymbol with
+    | Some symbol when sec.had_bbmap ->
+      let first = w.sec_piece.(s) and last = w.sec_piece.(s + 1) in
+      maps := { Binary.symbol; first; last } :: !maps;
+      bytes := !bytes + Objfile.Bbmap.header_size;
+      for i = first to last - 1 do
+        bytes :=
+          !bytes
+          + Objfile.Bbmap.entry_size ~bb_id:w.src.(i).block ~offset:(w.addr.(i) - w.saddr.(s))
+              ~size:w.size.(i)
+      done
+    | Some _ | None -> ()
+  done;
+  (Array.of_list !maps, !bytes)
 
 let symtab_bytes syms =
   Hashtbl.fold (fun name _ acc -> acc + 24 + String.length name + 1) syms 0
@@ -517,7 +512,7 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   let text_end = assign_addresses text_base w in
   let blocks = output_blocks w in
   let texts = List.init (Array.length w.secs) Fun.id in
-  let bb_maps = List.filter_map (bb_map w blocks) texts in
+  let bb_addr_map, bbmap_bytes = bb_addr_map w in
   let final_syms = Hashtbl.create (Hashtbl.length syms) in
   Hashtbl.iter (fun sym s -> Hashtbl.replace final_syms sym w.saddr.(s)) syms;
   (* Placed sections: text in layout order, then aggregated non-text. *)
@@ -544,7 +539,6 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
     end
   in
   let reloc_bytes = if options.emit_relocs then 24 * totals.relocs else 0 in
-  let bbmap_bytes = if options.keep_bb_addr_map then Objfile.Bbmap.encoded_size bb_maps else 0 in
   let non_text =
     List.filter_map Fun.id
       [
@@ -558,7 +552,8 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   in
   let binary =
     Binary.make ~name ~entry_symbol:entry ~sections:(placed_texts @ non_text)
-      ~symbols:final_syms ~blocks ~positions ~text_start:text_base ~text_end ~bb_maps
+      ~symbols:final_syms ~blocks ~positions ~text_start:text_base ~text_end
+      ~bb_addr_map
   in
   let stats =
     {

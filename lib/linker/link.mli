@@ -17,7 +17,10 @@ type options = {
   keep_bb_addr_map : bool;
       (** Retain [.llvm_bb_addr_map] in the output (the "PM" metadata
           build). The final optimized relink drops it (§3.4). The
-          retained map is re-encoded against final addresses. *)
+          retained map describes the final blocks: the binary keeps
+          each mapped section's block range
+          ({!Binary.t.bb_addr_map}), and the map's encoded size is
+          computed from those blocks' final offsets and sizes. *)
   emit_relocs : bool;
       (** Keep static relocations in the output ([--emit-relocs], needed
           by BOLT-style rewriters; the "BM" build of Fig 6). *)

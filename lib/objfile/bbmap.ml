@@ -14,10 +14,15 @@ let uleb_size v =
   let rec loop v acc = if v < 128 then acc + 1 else loop (v lsr 7) (acc + 1) in
   loop (max 0 v) 0
 
-let entry_size e = uleb_size e.bb_id + uleb_size e.offset + uleb_size e.size + 1 (* flags *)
+let header_size = 9
+
+let entry_size ~bb_id ~offset ~size =
+  uleb_size bb_id + uleb_size offset + uleb_size size + 1 (* flags *)
 
 let encoded_size t =
   List.fold_left
     (fun acc fm ->
-      acc + 9 + List.fold_left (fun acc e -> acc + entry_size e) 0 fm.entries)
+      List.fold_left
+        (fun acc e -> acc + entry_size ~bb_id:e.bb_id ~offset:e.offset ~size:e.size)
+        (acc + header_size) fm.entries)
     0 t

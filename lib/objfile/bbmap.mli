@@ -23,7 +23,14 @@ type func_map = {
 
 type t = func_map list
 
-(** [encoded_size t] models the ELF section size: a 9-byte function
-    header (address + count) plus ULEB128-encoded id/offset/size/flags
-    per entry. *)
+(** [header_size] is a function map's fixed bytes: its address and
+    its entry count. *)
+val header_size : int
+
+(** [entry_size ~bb_id ~offset ~size] is one entry's bytes: its id,
+    offset and size ULEB128-encoded, and a flags byte. *)
+val entry_size : bb_id:int -> offset:int -> size:int -> int
+
+(** [encoded_size t] models the ELF section size: {!header_size} per
+    function map plus {!entry_size} per entry. *)
 val encoded_size : t -> int

@@ -89,17 +89,26 @@ let sample c =
     prev_dst := dst
   done
 
-(* [kindc] is the dense Event.kind_to_int code (0 = Cond, 2 = Indirect). *)
+(* [kindc] is the dense Event.kind_to_int code (0 = Cond, 2 = Indirect).
+   Each prediction probes its table once: the slot it finds (inserting
+   the initial state when the address is new) is read, then
+   overwritten. The 2-bit counter saturates with int comparisons:
+   [Stdlib.min]/[max] are polymorphic and, without flambda, call the
+   runtime's generic comparison. *)
 let[@inline] predict c ~src ~dst ~kindc ~taken =
   if kindc = 0 then begin
-    let st = Support.Itab.find_default c.cond_state ~default:1 src in
-    let predicted_taken = st >= 2 in
-    Support.Itab.set c.cond_state src (if taken then min 3 (st + 1) else max 0 (st - 1));
-    predicted_taken <> taken
+    let tbl = c.cond_state in
+    let i = Support.Itab.slot tbl ~default:1 src in
+    let st = Support.Itab.slot_value tbl i in
+    Support.Itab.set_slot tbl i
+      (if taken then if st < 3 then st + 1 else 3 else if st > 0 then st - 1 else 0);
+    if taken then st < 2 else st >= 2
   end
   else if kindc = 2 then begin
-    let last = Support.Itab.find_default c.ind_last ~default:(-1) src in
-    Support.Itab.set c.ind_last src dst;
+    let tbl = c.ind_last in
+    let i = Support.Itab.slot tbl ~default:(-1) src in
+    let last = Support.Itab.slot_value tbl i in
+    Support.Itab.set_slot tbl i dst;
     last <> dst
   end
   else false

@@ -11,7 +11,7 @@ let bump tbl key n =
 let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
     ~(samples : Perfmon.Sampler.profile) ~(program : Ir.Program.t)
     ~(binary : Linker.Binary.t) () =
-  if binary.Linker.Binary.bb_maps = [] then
+  if Array.length binary.Linker.Binary.bb_addr_map = 0 then
     invalid_arg "Autofdo.synthesize: binary has no .llvm_bb_addr_map";
   let period = max 1 period in
   let index = Dcfg.interval_index binary in
@@ -24,22 +24,29 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
       | Some (i, _) -> resid.(i) <- resid.(i) + c
       | None -> ())
     samples.Perfmon.Sampler.leaves;
-  let by_id = Hashtbl.create (max 16 (2 * n)) in
-  Array.iteri (fun i (b : Dcfg.mblock) -> Hashtbl.replace by_id (b.owner, b.bb) i) blocks;
+  (* IR block -> index entry, [-1] where unmapped: the block's position
+     in the binary, then the entry at that position. *)
+  let entry_at = Array.make (Array.length binary.blocks) (-1) in
+  Array.iteri (fun i p -> entry_at.(p) <- i) index.positions;
+  let entry_of (f : Ir.Func.t) =
+    let pos = Linker.Binary.block_positions binary f.name in
+    fun id -> if id >= 0 && id < Array.length pos && pos.(id) >= 0 then entry_at.(pos.(id)) else -1
+  in
   (* Exact instruction count per block, from the IR (a real tool reads
      it off the disassembly). Encoded sizes vary per instruction, so
      msize / bytes_per_inst is only the fallback for blocks the program
      view does not cover. *)
   let insts = Array.make n 0 in
   Array.iteri
-    (fun i (b : Dcfg.mblock) -> insts.(i) <- max 1 (b.Dcfg.msize / bytes_per_inst))
+    (fun i (b : Dcfg.mblock) -> insts.(i) <- max 1 (b.size / bytes_per_inst))
     blocks;
   Ir.Program.iter_funcs program (fun (f : Ir.Func.t) ->
+      let entry = entry_of f in
       Array.iter
         (fun (blk : Ir.Block.t) ->
-          match Hashtbl.find_opt by_id (f.name, blk.id) with
-          | Some i -> insts.(i) <- max 1 (List.length blk.body + 1)
-          | None -> ())
+          match entry blk.id with
+          | -1 -> ()
+          | i -> insts.(i) <- max 1 (List.length blk.body + 1))
         f.blocks);
   (* Size-normalized execution-count estimate: a sample lands in a block
      once every [period] instructions executed there, so
@@ -77,18 +84,18 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
   Array.iteri
     (fun i (b : Dcfg.mblock) ->
       if est.(i) > 0 then
-        match Hashtbl.find_opt est_max b.Dcfg.owner with
+        match Hashtbl.find_opt est_max b.func with
         | Some m when m >= est.(i) -> ()
-        | _ -> Hashtbl.replace est_max b.Dcfg.owner est.(i))
+        | _ -> Hashtbl.replace est_max b.func est.(i))
     blocks;
   Array.iteri
     (fun i (b : Dcfg.mblock) ->
-      if b.msize > 0 then begin
-        if est.(i) > 0 then add profile.Perfmon.Lbr.ranges ~src:b.lo ~dst:(b.lo + 1) est.(i)
+      if b.size > 0 then begin
+        if est.(i) > 0 then add profile.Perfmon.Lbr.ranges ~src:b.addr ~dst:(b.addr + 1) est.(i)
         else begin
-          match Hashtbl.find_opt est_max b.Dcfg.owner with
+          match Hashtbl.find_opt est_max b.func with
           | Some m when m * insts.(i) < zero_confidence * period ->
-            add profile.Perfmon.Lbr.ranges ~src:b.lo ~dst:(b.lo + 1) 1
+            add profile.Perfmon.Lbr.ranges ~src:b.addr ~dst:(b.addr + 1) 1
           | _ -> ()
         end
       end)
@@ -119,19 +126,20 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
          Free-node edges start at an epsilon weight: visible to the
          balance step, negligible against sampled counts. *)
       let edges = ref [] in
+      let entry = entry_of f in
       Array.iter
         (fun (blk : Ir.Block.t) ->
-          match Hashtbl.find_opt by_id (f.name, blk.id) with
-          | None -> ()
-          | Some i ->
-            if blocks.(i).Dcfg.msize > 0 then
+          match entry blk.id with
+          | -1 -> ()
+          | i ->
+            if blocks.(i).size > 0 then
               List.iter
                 (fun s ->
-                  match Hashtbl.find_opt by_id (f.name, s) with
-                  | Some j ->
+                  match entry s with
+                  | -1 -> ()
+                  | j ->
                     let init = if est.(j) > 0 then float_of_int est.(j) else 1.0 in
-                    edges := (i, j, ref init) :: !edges
-                  | None -> ())
+                    edges := (i, j, ref init) :: !edges)
                 (Ir.Term.successors blk.term))
         f.blocks;
       let edges = List.rev !edges in
@@ -180,7 +188,7 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
           scale outs (fun _ -> true);
           (* A function entry's count arrives on call arcs, not intra
              edges; in-scaling it would force spurious back-edge flow. *)
-          scale ins (fun j -> blocks.(j).Dcfg.bb <> 0);
+          scale ins (fun j -> blocks.(j).block <> 0);
           List.iter
             (fun k ->
               let in_sum =
@@ -209,8 +217,8 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
             if w >= floor then begin
               (* The record retires at the block's end address; Dcfg
                  probes src-1, the block's last byte. *)
-              let src_end = blocks.(i).Dcfg.lo + blocks.(i).Dcfg.msize in
-              add profile.Perfmon.Lbr.branches ~src:src_end ~dst:blocks.(j).Dcfg.lo w
+              let src_end = blocks.(i).addr + blocks.(i).size in
+              add profile.Perfmon.Lbr.branches ~src:src_end ~dst:blocks.(j).addr w
             end)
           edges
       end);
@@ -233,7 +241,7 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
   Hashtbl.iter
     (fun centry total ->
       match Dcfg.find_in index centry with
-      | Some (i, b) when b.Dcfg.lo = centry && b.Dcfg.bb = 0 && est.(i) > 0 ->
+      | Some (i, b) when b.addr = centry && b.block = 0 && est.(i) > 0 ->
         cov_est := !cov_est + est.(i);
         cov_arc := !cov_arc + total
       | _ -> ())
@@ -245,7 +253,7 @@ let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
     (fun (site, centry) c ->
       let w =
         match Dcfg.find_in index centry with
-        | Some (i, b) when b.Dcfg.lo = centry && b.Dcfg.bb = 0 && est.(i) > 0 ->
+        | Some (i, b) when b.addr = centry && b.block = 0 && est.(i) > 0 ->
           let total = max 1 (Hashtbl.find arc_in centry) in
           est.(i) * c / total
         | _ -> int_of_float (Float.round (float_of_int c *. fallback_scale))

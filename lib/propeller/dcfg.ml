@@ -1,6 +1,6 @@
-type mblock = { lo : int; msize : int; owner : string; bb : int }
+type mblock = Linker.Binary.block_info
 
-type index = { mblocks : mblock array; los : int array; msizes : int array }
+type index = { mblocks : mblock array; los : int array; msizes : int array; positions : int array }
 
 type dfunc = { name : string; first : int; last : int; efirst : int; elast : int; samples : int }
 
@@ -15,25 +15,29 @@ type t = {
   arc_counts : int array;
 }
 
+(* The mapped blocks go to the sort in reverse link order, the sequence
+   it was fed when the index was a list of per-block address-map
+   records, and [Array.sort] permutes by comparison outcomes alone: so
+   blocks that share an address (zero-size blocks emptied by
+   relaxation) keep that sort's tie order, which reaches the DCFG. *)
 let interval_index (binary : Linker.Binary.t) =
-  let items = ref [] in
-  List.iter
-    (fun (fm : Objfile.Bbmap.func_map) ->
-      match Linker.Binary.symbol_addr binary fm.func with
-      | None -> ()
-      | Some sym_addr ->
-        let owner = Objfile.Symname.owner fm.func in
-        List.iter
-          (fun (e : Objfile.Bbmap.entry) ->
-            items := { lo = sym_addr + e.offset; msize = e.size; owner; bb = e.bb_id } :: !items)
-          fm.entries)
-    binary.bb_maps;
-  let mblocks = Array.of_list !items in
-  Array.sort (fun a b -> compare a.lo b.lo) mblocks;
+  let blocks = binary.blocks and maps = binary.bb_addr_map in
+  let n = Array.fold_left (fun acc (m : Linker.Binary.map_range) -> acc + m.last - m.first) 0 maps in
+  let positions = Array.make n 0 in
+  let k = ref n in
+  Array.iter
+    (fun (m : Linker.Binary.map_range) ->
+      for p = m.first to m.last - 1 do
+        decr k;
+        positions.(!k) <- p
+      done)
+    maps;
+  Array.sort (fun p q -> Int.compare blocks.(p).addr blocks.(q).addr) positions;
   {
-    mblocks;
-    los = Array.map (fun b -> b.lo) mblocks;
-    msizes = Array.map (fun b -> b.msize) mblocks;
+    mblocks = Array.map (fun p -> blocks.(p)) positions;
+    los = Array.map (fun p -> blocks.(p).addr) positions;
+    msizes = Array.map (fun p -> blocks.(p).size) positions;
+    positions;
   }
 
 let find_idx idx addr = Support.Isearch.covering ~addrs:idx.los ~sizes:idx.msizes addr
@@ -60,12 +64,12 @@ let find_name names name =
    never ran. Top level, so that no closure is allocated per range. *)
 let rec walk_range blocks counts edges range_hi n i =
   if i < Array.length blocks then begin
-    let b = blocks.(i) in
-    if b.lo < range_hi then begin
+    let b : mblock = blocks.(i) in
+    if b.addr < range_hi then begin
       counts.(i) <- counts.(i) + n;
       (if i + 1 < Array.length blocks then begin
          let nxt = blocks.(i + 1) in
-         if nxt.lo = b.lo + b.msize && String.equal nxt.owner b.owner && nxt.lo < range_hi then
+         if nxt.addr = b.addr + b.size && String.equal nxt.func b.func && nxt.addr < range_hi then
            Support.Itab.add edges (Support.Packed.pack ~src:i ~dst:(i + 1)) n
        end);
       walk_range blocks counts edges range_hi n (i + 1)
@@ -94,11 +98,11 @@ let build_with ~profile idx =
       if si >= 0 then begin
         let di = find_idx idx dst in
         if di >= 0 then begin
-          let sb = blocks.(si) and db = blocks.(di) in
+          let sb : mblock = blocks.(si) and db : mblock = blocks.(di) in
           counts.(di) <- counts.(di) + n;
           let key = Support.Packed.pack ~src:si ~dst:di in
-          if String.equal sb.owner db.owner then Support.Itab.add edge_acc key n
-          else if db.bb = 0 && db.lo = dst then Support.Itab.add arc_acc key n
+          if String.equal sb.func db.func then Support.Itab.add edge_acc key n
+          else if db.block = 0 && db.addr = dst then Support.Itab.add arc_acc key n
           (* otherwise: a return landing mid-block; not a CFG edge *)
         end
       end)
@@ -112,18 +116,18 @@ let build_with ~profile idx =
       | i0 -> walk_range blocks counts edge_acc range_hi n i0)
     profile.Perfmon.Lbr.ranges;
   let sampled = ref [] in
-  Array.iteri (fun i c -> if c > 0 then sampled := blocks.(i).owner :: !sampled) counts;
+  Array.iteri (fun i c -> if c > 0 then sampled := blocks.(i).func :: !sampled) counts;
   let names = Array.of_list (List.sort_uniq String.compare !sampled) in
   (* Every mapped block of each sampled function, in address order. A
-     section's blocks are adjacent and share their owner string, so
-     the owner is looked up only where it changes. *)
+     section's blocks are adjacent and share their function's name
+     string, so the name is looked up only where it changes. *)
   let members = Array.make (Array.length names) [] in
-  let last_owner = ref "" and f = ref (-1) in
+  let last_func = ref "" and f = ref (-1) in
   for i = n - 1 downto 0 do
-    let b = blocks.(i) in
-    if b.owner != !last_owner then begin
-      last_owner := b.owner;
-      f := find_name names b.owner
+    let b : mblock = blocks.(i) in
+    if b.func != !last_func then begin
+      last_func := b.func;
+      f := find_name names b.func
     end;
     if !f >= 0 then members.(!f) <- i :: members.(!f)
   done;
@@ -131,7 +135,7 @@ let build_with ~profile idx =
     Array.map
       (fun l ->
         let a = Array.of_list l in
-        Array.stable_sort (fun i j -> Int.compare blocks.(i).bb blocks.(j).bb) a;
+        Array.stable_sort (fun i j -> Int.compare blocks.(i).block blocks.(j).block) a;
         a)
       members
   in
@@ -156,7 +160,7 @@ let build_with ~profile idx =
            match rank.(Support.Packed.src key) with
            | -1 -> acc
            | caller ->
-             let callee = find_name names blocks.(Support.Packed.dst key).owner in
+             let callee = find_name names blocks.(Support.Packed.dst key).func in
              (Support.Packed.pack ~src:caller ~dst:callee, c) :: acc)
          arc_acc [])
   in
@@ -178,7 +182,7 @@ let build_with ~profile idx =
   { block_index = idx; counts; order; funcs; edges; edge_counts; arcs; arc_counts }
 
 let build ~profile ~(binary : Linker.Binary.t) =
-  if binary.bb_maps = [] then
+  if Array.length binary.bb_addr_map = 0 then
     invalid_arg "Dcfg.build: binary carries no .llvm_bb_addr_map (not a metadata build)";
   build_with ~profile (interval_index binary)
 
@@ -188,13 +192,8 @@ let build ~profile ~(binary : Linker.Binary.t) =
    profiles through this path. *)
 let build_of_blocks ~profile ~(binary : Linker.Binary.t) =
   let idx = Linker.Binary.index binary in
-  let mblocks =
-    Array.map
-      (fun (b : Linker.Binary.block_info) ->
-        { lo = b.addr; msize = b.size; owner = b.func; bb = b.block })
-      idx.ordered
-  in
-  build_with ~profile { mblocks; los = idx.addrs; msizes = idx.sizes }
+  build_with ~profile
+    { mblocks = idx.ordered; los = idx.addrs; msizes = idx.sizes; positions = idx.order }
 
 let block t r = t.block_index.mblocks.(t.order.(r))
 
@@ -203,14 +202,14 @@ let count t r = t.counts.(t.order.(r))
 let hot_ranks t d =
   let rec go r acc =
     if r < d.first then acc
-    else go (r - 1) (if count t r > 0 || (block t r).bb = 0 then r :: acc else acc)
+    else go (r - 1) (if count t r > 0 || (block t r).block = 0 then r :: acc else acc)
   in
   go (d.last - 1) []
 
 let sampled_bytes t d =
   let bytes = ref 0 in
   for r = d.first to d.last - 1 do
-    if count t r > 0 then bytes := !bytes + (block t r).msize
+    if count t r > 0 then bytes := !bytes + (block t r).size
   done;
   !bytes
 

@@ -10,25 +10,24 @@
     by index position, and the sampled functions' blocks in one
     function-major order, so every reader walks sorted arrays. *)
 
-(** One machine basic block, as described by the address map. *)
-type mblock = {
-  lo : int;  (** Final virtual address. *)
-  msize : int;
-  owner : string;  (** Owning function (cluster suffixes stripped). *)
-  bb : int;  (** Machine-IR block id. *)
-}
+(** One machine basic block, as the address map describes it: the
+    binary's own placed block, with its owning function [func] (cluster
+    suffixes stripped), machine-IR block id [block], final virtual
+    address [addr] and [size]. *)
+type mblock = Linker.Binary.block_info
 
 (** An address-sorted block index with flat start/size arrays for
     {!Support.Isearch.covering}. Built from the binary's
     [.llvm_bb_addr_map] ({!interval_index}, Propeller's path, which
     reads no disassembly) or from the binary's own address index
-    ({!build_of_blocks}). No two entries share an [(owner, bb)]: the
+    ({!build_of_blocks}). No two entries share a [(func, block)]: the
     linker rejects duplicate symbols and each block id lies in one
     cluster. *)
 type index = {
   mblocks : mblock array;  (** Address order. *)
-  los : int array;  (** [mblocks.(i).lo]. *)
-  msizes : int array;  (** [mblocks.(i).msize]. *)
+  los : int array;  (** [mblocks.(i).addr]. *)
+  msizes : int array;  (** [mblocks.(i).size]. *)
+  positions : int array;  (** [mblocks.(i)]'s position in the binary's [blocks]. *)
 }
 
 (** One sampled function: a range of {!t.order} and a range of
@@ -47,7 +46,7 @@ type t = {
   counts : int array;  (** Samples by index position; every note is positive. *)
   order : int array;
       (** Index positions of every mapped block of the sampled
-          functions, function-major: by [(owner, bb)]. A position's
+          functions, function-major: by [(func, block)]. A position's
           place in this array is its {e rank}. A function's clusters may
           lie far apart in address order; here they are one range. *)
   funcs : dfunc array;
@@ -65,9 +64,20 @@ type t = {
 }
 
 (** [interval_index binary] builds the block index of the binary's
-    [.llvm_bb_addr_map]. Shared with profile synthesis ({!Autofdo}) and
-    prefetch analysis ({!Prefetch}), which need the address->block
-    mapping without a DCFG. *)
+    [.llvm_bb_addr_map]: the blocks of its map ranges
+    ({!Linker.Binary.t.bb_addr_map}), read straight off the binary's
+    [blocks]. Shared with profile synthesis ({!Autofdo}) and prefetch
+    analysis ({!Prefetch}), which need the address->block mapping
+    without a DCFG.
+
+    [blocks] is already in address order, yet the index still sorts
+    its positions by address: blocks that share an address (zero-size
+    blocks that relaxation emptied) must keep the tie order of the
+    unstable sort the index was first built with, which fed
+    [Array.sort] the mapped blocks in reverse link order; the sort
+    replays that. The digest epoch (ROADMAP item 7) gives ties a total
+    order and turns the index into a plain filter of [blocks], with no
+    sort. *)
 val interval_index : Linker.Binary.t -> index
 
 (** [find_in idx addr] is the index and block of a block containing

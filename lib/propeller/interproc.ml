@@ -22,7 +22,7 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
         (Dcfg.hot_ranks dcfg d))
     funcs;
   let node_arr = Array.of_list (List.rev !nodes) and n = !n in
-  let sizes = Array.map (fun (_, r) -> (Dcfg.block dcfg r).msize) node_arr in
+  let sizes = Array.map (fun (_, r) -> (Dcfg.block dcfg r).size) node_arr in
   let weights = Array.map (fun (_, r) -> float_of_int (Dcfg.count dcfg r)) node_arr in
   (* Intra-function edges, then call arcs to the callee's entry; each
      list is sorted by (src, dst) because node numbers follow ranks. *)
@@ -57,7 +57,7 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
     List.iter
       (fun g ->
         let f, r = node_arr.(g) in
-        let bb = (Dcfg.block dcfg r).bb in
+        let bb = (Dcfg.block dcfg r).block in
         match !runs with
         | (f', bbs) :: rest when f' = f && bb <> 0 -> runs := (f, bb :: bbs) :: rest
         | _ -> runs := (f, [ bb ]) :: !runs)

@@ -25,7 +25,7 @@ let analyze ~(pebs : Perfmon.Pebs.profile) ~(binary : Linker.Binary.t) =
     (fun i c ->
       if c > 0 then begin
         let b = idx.mblocks.(i) in
-        ranked := ((b.owner, b.bb), c) :: !ranked
+        ranked := ((b.func, b.block), c) :: !ranked
       end)
     misses;
   let ranked =

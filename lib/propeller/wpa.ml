@@ -72,9 +72,9 @@ let layout_instance (t : Dcfg.t) (d : Dcfg.dfunc) =
     and dst = node.(Support.Packed.dst key - d.first) in
     if s >= 0 && dst >= 0 then edges := (s, dst, float_of_int t.edge_counts.(k)) :: !edges
   done;
-  ( Array.map (fun r -> (Dcfg.block t r).bb) hot,
+  ( Array.map (fun r -> (Dcfg.block t r).block) hot,
     Layout.Problem.make
-      ~sizes:(Array.map (fun r -> (Dcfg.block t r).msize) hot)
+      ~sizes:(Array.map (fun r -> (Dcfg.block t r).size) hot)
       ~weights:(Array.map (fun r -> float_of_int (Dcfg.count t r)) hot)
       ~edges:!edges ~entry:0 )
 
@@ -95,7 +95,7 @@ let plan_of_order config (dcfg : Dcfg.t) (d : Dcfg.dfunc) ordered_bbs =
          never saw, in id order. *)
       let rest = ref [] in
       for r = d.last - 1 downto d.first do
-        let bb = (Dcfg.block dcfg r).bb in
+        let bb = (Dcfg.block dcfg r).block in
         if not (List.mem bb ordered_bbs) then rest := bb :: !rest
       done;
       ordered_bbs @ !rest
@@ -139,16 +139,16 @@ let layout_key ~params_str (t : Dcfg.t) (d : Dcfg.dfunc) =
   D.add_string st params_str;
   for r = d.first to d.last - 1 do
     let b = Dcfg.block t r in
-    item "|b" b.bb ':' b.msize
+    item "|b" b.block ':' b.size
   done;
   for r = d.first to d.last - 1 do
     let c = Dcfg.count t r in
-    if c > 0 then item "|c" (Dcfg.block t r).bb ':' c
+    if c > 0 then item "|c" (Dcfg.block t r).block ':' c
   done;
   for k = d.efirst to d.elast - 1 do
     let key = t.edges.(k) in
-    item "|e" (Dcfg.block t (Support.Packed.src key)).bb '>'
-      (Dcfg.block t (Support.Packed.dst key)).bb;
+    item "|e" (Dcfg.block t (Support.Packed.src key)).block '>'
+      (Dcfg.block t (Support.Packed.dst key)).block;
     D.add_char st ':';
     D.add_int st t.edge_counts.(k)
   done;

@@ -43,7 +43,7 @@ let rec probe keys mask key i =
   let k = Array.unsafe_get keys i in
   if k = key || k = empty_key then i else probe keys mask key ((i + 1) land mask)
 
-let slot t key = probe t.keys t.mask key (mix key land t.mask)
+let find_slot t key = probe t.keys t.mask key (mix key land t.mask)
 
 let grow t =
   let okeys = t.keys and ovals = t.vals in
@@ -54,7 +54,7 @@ let grow t =
   for i = 0 to Array.length okeys - 1 do
     let k = Array.unsafe_get okeys i in
     if k <> empty_key then begin
-      let j = slot t k in
+      let j = find_slot t k in
       t.keys.(j) <- k;
       t.vals.(j) <- ovals.(i)
     end
@@ -62,7 +62,7 @@ let grow t =
 
 let add t key delta =
   if key < 0 then invalid_arg "Itab.add: negative key";
-  let i = slot t key in
+  let i = find_slot t key in
   if Array.unsafe_get t.keys i = empty_key then begin
     t.keys.(i) <- key;
     t.vals.(i) <- delta;
@@ -71,21 +71,29 @@ let add t key delta =
   end
   else t.vals.(i) <- t.vals.(i) + delta
 
-let set t key v =
-  if key < 0 then invalid_arg "Itab.set: negative key";
-  let i = slot t key in
+let slot t ~default key =
+  if key < 0 then invalid_arg "Itab.slot: negative key";
+  let i = find_slot t key in
   if Array.unsafe_get t.keys i = empty_key then begin
     t.keys.(i) <- key;
-    t.vals.(i) <- v;
+    t.vals.(i) <- default;
     t.size <- t.size + 1;
-    if 2 * t.size > t.mask then grow t
+    if 2 * t.size > t.mask then begin
+      grow t;
+      find_slot t key
+    end
+    else i
   end
-  else t.vals.(i) <- v
+  else i
+
+let slot_value t i = t.vals.(i)
+
+let set_slot t i v = t.vals.(i) <- v
 
 let find_default t ~default key =
   if key < 0 then default
   else begin
-    let i = slot t key in
+    let i = find_slot t key in
     if Array.unsafe_get t.keys i = empty_key then default else Array.unsafe_get t.vals i
   end
 

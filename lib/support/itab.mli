@@ -22,14 +22,20 @@ val add : t -> int -> int -> unit
 (** [add t key delta] bumps [key]'s value by [delta], inserting it at
     [delta] when absent. Raises [Invalid_argument] on negative keys. *)
 
-val set : t -> int -> int -> unit
-(** [set t key v] binds [key] to [v], replacing any previous value. *)
-
 val find : t -> int -> int
 (** [find t key] is [key]'s value, or [0] when absent. *)
 
-val find_default : t -> default:int -> int -> int
-(** [find_default t ~default key] is [key]'s value, or [default]. *)
+val slot : t -> default:int -> int -> int
+(** [slot t ~default key] is the slot holding [key], inserting [key] at
+    [default] when absent: one probe for a read-modify-write through
+    {!slot_value} and {!set_slot}. The slot is valid until the next
+    insertion into [t]. Raises [Invalid_argument] on a negative key. *)
+
+val slot_value : t -> int -> int
+(** [slot_value t i] is the value in slot [i]. *)
+
+val set_slot : t -> int -> int -> unit
+(** [set_slot t i v] replaces the value in slot [i]. *)
 
 val iter : (int -> int -> unit) -> t -> unit
 (** [iter f t] applies [f key value] in slot order. *)

@@ -7,7 +7,11 @@
    [(string * int * string, int ref) Hashtbl.t], and every reader folds
    a table and sorts the result. The hot/cold partition is the one
    [Layout.Split.partition] computed at threshold 0. Layout caching and
-   profile-shard faults are left out: the laws compare fresh analyses. *)
+   profile-shard faults are left out: the laws compare fresh analyses.
+   [interval_index] keeps the algorithm of the days when a linked binary
+   carried one address-map record per block: it rebuilds those records
+   from the binary's map ranges ([Testutil.bb_map_of]), lists them in
+   reverse, and sorts them by address. *)
 
 type mblock = { lo : int; msize : int; owner : string; bb : int; mutable count : int }
 
@@ -32,7 +36,7 @@ let interval_index (binary : Linker.Binary.t) =
   let items = ref [] in
   List.iter
     (fun (fm : Objfile.Bbmap.func_map) ->
-      match Linker.Binary.symbol_addr binary fm.func with
+      match Testutil.symbol_addr binary fm.func with
       | None -> ()
       | Some sym_addr ->
         let owner = Objfile.Symname.owner fm.func in
@@ -42,7 +46,7 @@ let interval_index (binary : Linker.Binary.t) =
               { lo = sym_addr + e.offset; msize = e.size; owner; bb = e.bb_id; count = 0 }
               :: !items)
           fm.entries)
-    binary.bb_maps;
+    (Testutil.bb_map_of binary);
   let mblocks = Array.of_list !items in
   Array.sort (fun a b -> compare a.lo b.lo) mblocks;
   {

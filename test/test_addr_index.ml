@@ -77,7 +77,7 @@ let per_byte_resolution k =
   runs b ~lo ~hi ~label:"dcfg" ~lookup:(Propeller.Dcfg.find_block dcfg)
     ~same:same_block
     ~show:(function
-      | Some (m : Propeller.Dcfg.mblock) -> Printf.sprintf "%s#%d @%d+%d" m.owner m.bb m.lo m.msize
+      | Some (m : Propeller.Dcfg.mblock) -> Printf.sprintf "%s#%d @%d+%d" m.func m.block m.addr m.size
       | None -> "none");
   Buffer.contents b
 

@@ -27,8 +27,8 @@ let test_addresses_disjoint_sorted () =
 let test_entry_resolution () =
   let program = call_program () in
   let { Linker.Link.binary; _ } = link_program program in
-  check tb "main resolves" true (Option.is_some (Linker.Binary.symbol_addr binary "main"));
-  let main_addr = Option.get (Linker.Binary.symbol_addr binary "main") in
+  check tb "main resolves" true (Option.is_some (symbol_addr binary "main"));
+  let main_addr = Option.get (symbol_addr binary "main") in
   let entry_block = Linker.Binary.block_info_exn binary ~func:"main" ~block:0 in
   check ti "function symbol = entry block" entry_block.addr main_addr
 
@@ -57,7 +57,7 @@ let test_relaxation_preserves_targets () =
             let tgt = Linker.Binary.block_info_exn binary ~func ~block in
             check tb "target exists" true (tgt.size >= 0)
           | Some (Isa.Target.Func f) ->
-            check tb "callee symbol" true (Option.is_some (Linker.Binary.symbol_addr binary f))
+            check tb "callee symbol" true (Option.is_some (symbol_addr binary f))
           | None -> ())
         info.insts)
     binary.blocks
@@ -114,7 +114,7 @@ let test_ordering_file_respected () =
   in
   let b1 = (link_program ~link:(link_opts [ "main"; "callee" ]) program).binary in
   let b2 = (link_program ~link:(link_opts [ "callee"; "main" ]) program).binary in
-  let addr b f = Option.get (Linker.Binary.symbol_addr b f) in
+  let addr b f = Option.get (symbol_addr b f) in
   check tb "main first" true (addr b1 "main" < addr b1 "callee");
   check tb "callee first" true (addr b2 "callee" < addr b2 "main")
 
@@ -124,7 +124,7 @@ let test_ordering_unlisted_trail () =
     (link_program ~link:{ Linker.Link.default_options with ordering = Some [ "callee" ] } program)
       .binary
   in
-  let addr f = Option.get (Linker.Binary.symbol_addr b f) in
+  let addr f = Option.get (symbol_addr b f) in
   check tb "listed section leads" true (addr "callee" < addr "main")
 
 let test_duplicate_symbol_error () =
@@ -220,13 +220,13 @@ let test_emit_relocs_section () =
 let test_bbmap_retained_and_reencoded () =
   let program = call_program () in
   let _, { Linker.Link.binary; _ } = metadata_link program in
-  check tb "maps retained" true (binary.bb_maps <> []);
+  check tb "maps retained" true (Array.length binary.bb_addr_map > 0);
   check tb "bbmap section sized" true
     (Linker.Binary.size_of_kind binary Objfile.Section.Bb_addr_map > 0);
   (* Re-encoded offsets must match final block addresses. *)
   List.iter
     (fun (fm : Objfile.Bbmap.func_map) ->
-      let sym = Option.get (Linker.Binary.symbol_addr binary fm.func) in
+      let sym = Option.get (symbol_addr binary fm.func) in
       List.iter
         (fun (e : Objfile.Bbmap.entry) ->
           let owner = Objfile.Symname.owner fm.func in
@@ -234,7 +234,24 @@ let test_bbmap_retained_and_reencoded () =
           check ti "offset matches placement" info.addr (sym + e.offset);
           check ti "size matches placement" info.size e.size)
         fm.entries)
-    binary.bb_maps
+    (bb_map_of binary)
+
+(* The link sizes its address-map section from the blocks of its map
+   ranges; that must be what the entry records it once built encode
+   to, on real programs. *)
+let test_bbmap_size_real () =
+  let cg, ld = Propeller.Pipeline.metadata_options in
+  for k = 0 to 3 do
+    let program = relink_family_program k in
+    let { Linker.Link.binary; _ } =
+      Linker.Link.link ~options:ld ~name:"size" ~entry:(Ir.Program.main program)
+        (Codegen.compile_program cg program)
+    in
+    check ti
+      (Printf.sprintf "relink %d map size" k)
+      (Objfile.Bbmap.encoded_size (bb_map_of binary))
+      (Linker.Binary.size_of_kind binary Objfile.Section.Bb_addr_map)
+  done
 
 let test_po_drops_bbmap () =
   let program = call_program () in
@@ -245,7 +262,7 @@ let test_po_drops_bbmap () =
       program
   in
   check ti "metadata dropped" 0 (Linker.Binary.size_of_kind binary Objfile.Section.Bb_addr_map);
-  check tb "no maps" true (binary.bb_maps = [])
+  check tb "no maps" true (Array.length binary.bb_addr_map = 0)
 
 let test_text_alignment () =
   let program = call_program () in
@@ -294,7 +311,8 @@ let test_link_stats () =
 (* --- pinned outputs on real programs ------------------------------ *)
 
 (* MD5 of the retained address maps: every entry of every function map,
-   in emitted order. *)
+   in emitted order, as the link encoded them when it kept one record
+   per block ([bb_map_of] rebuilds them from the map ranges). *)
 let bb_maps_digest (maps : Objfile.Bbmap.t) =
   let b = Buffer.create 65536 in
   List.iter
@@ -337,10 +355,10 @@ let pinned_links ~requests program =
     ("emit-relocs", link { ld_opt with emit_relocs = true } opt);
   ]
 
-let pinned_line (name, { Linker.Link.binary; stats }) =
+let pinned_line program (name, { Linker.Link.binary; stats }) =
   Printf.sprintf "%s %s %s iters=%d deleted=%d shrunk=%d out=%d" name
     (Support.Digesting.to_hex (Linker.Binary.image_digest binary))
-    (bb_maps_digest binary.bb_maps) stats.relax_iters stats.deleted_jumps
+    (bb_maps_digest (bb_map_of ~program binary)) stats.relax_iters stats.deleted_jumps
     stats.shrunk_branches stats.output_bytes
 
 (* Image digest, address-map digest and relaxation/size figures of
@@ -387,7 +405,7 @@ let test_pinned_outputs () =
       check
         Alcotest.(list string)
         label expected
-        (List.map pinned_line (pinned_links ~requests program)))
+        (List.map (pinned_line program) (pinned_links ~requests program)))
     pinned_outputs
 
 let suite =
@@ -411,5 +429,7 @@ let suite =
     Alcotest.test_case "find block by address" `Quick test_find_block_by_addr;
     Alcotest.test_case "block index dies with its binary" `Quick test_block_index_not_retained;
     Alcotest.test_case "link stats" `Quick test_link_stats;
+    Alcotest.test_case "bb map size = encoded entries on real programs" `Quick
+      test_bbmap_size_real;
     Alcotest.test_case "pinned outputs on real programs" `Quick test_pinned_outputs;
   ]

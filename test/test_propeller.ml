@@ -35,8 +35,8 @@ let edge_list (dcfg : Propeller.Dcfg.t) (d : Propeller.Dcfg.dfunc) =
   List.init (d.elast - d.efirst) (fun i ->
       let k = d.efirst + i in
       let key = dcfg.edges.(k) in
-      ( (Propeller.Dcfg.block dcfg (Support.Packed.src key)).bb,
-        (Propeller.Dcfg.block dcfg (Support.Packed.dst key)).bb,
+      ( (Propeller.Dcfg.block dcfg (Support.Packed.src key)).block,
+        (Propeller.Dcfg.block dcfg (Support.Packed.dst key)).block,
         dcfg.edge_counts.(k) ))
 
 let ranks (d : Propeller.Dcfg.dfunc) = List.init (d.last - d.first) (fun i -> d.first + i)
@@ -69,7 +69,7 @@ let test_dcfg_block_mapping () =
       | Some f ->
         List.iter
           (fun r ->
-            let bb = (Propeller.Dcfg.block dcfg r).bb in
+            let bb = (Propeller.Dcfg.block dcfg r).block in
             if Propeller.Dcfg.count dcfg r > 0 && (bb < 0 || bb >= Ir.Func.num_blocks f) then
               Alcotest.failf "bogus block %s#%d" d.name bb)
           (ranks d))
@@ -85,7 +85,7 @@ let test_dcfg_call_arcs () =
     (fun k key ->
       let caller = Propeller.Dcfg.block dcfg (Support.Packed.src key) in
       let callee = dcfg.funcs.(Support.Packed.dst key) in
-      if caller.owner = "main" && callee.name = "callee" && dcfg.arc_counts.(k) > 0 then
+      if caller.func = "main" && callee.name = "callee" && dcfg.arc_counts.(k) > 0 then
         seen := true)
     dcfg.arcs;
   check tb "main->callee arc seen" true !seen
@@ -162,20 +162,20 @@ let flat_view (d : Propeller.Dcfg.t) =
              List.filter_map
                (fun r ->
                  let c = Propeller.Dcfg.count d r in
-                 if c > 0 then Some ((Propeller.Dcfg.block d r).bb, c) else None)
+                 if c > 0 then Some ((Propeller.Dcfg.block d r).block, c) else None)
                (ranks f),
              edge_list d f,
              List.map
                (fun r ->
                  let b = Propeller.Dcfg.block d r in
-                 (b.bb, b.msize))
+                 (b.block, b.size))
                (ranks f) ))
          d.funcs),
     Array.to_list
       (Array.mapi
          (fun k key ->
            let caller = Propeller.Dcfg.block d (Support.Packed.src key) in
-           (caller.owner, caller.bb, d.funcs.(Support.Packed.dst key).name, d.arc_counts.(k)))
+           (caller.func, caller.block, d.funcs.(Support.Packed.dst key).name, d.arc_counts.(k)))
          d.arcs)
     |> List.sort compare )
 
@@ -200,7 +200,21 @@ let check_unique_blocks what (idx : Ref_dcfg.index) =
 (* Both DCFG builds, both WPA modes and both profile sources of one
    profiled metadata binary against the reference, output for output. *)
 let check_flat_law what ~binary ~lbr ~sampled =
-  check_unique_blocks (what ^ " address map") (Ref_dcfg.interval_index binary);
+  let ref_index = Ref_dcfg.interval_index binary in
+  check_unique_blocks (what ^ " address map") ref_index;
+  (* The index from the map ranges, entry for entry, ties included;
+     each entry names its block's position in [blocks]. *)
+  let index = Propeller.Dcfg.interval_index binary in
+  check tb (what ^ ": interval index") true
+    (Array.map (fun (b : Ref_dcfg.mblock) -> (b.lo, b.msize, b.owner, b.bb)) ref_index.mblocks
+    = Array.map
+        (fun (b : Propeller.Dcfg.mblock) -> (b.addr, b.size, b.func, b.block))
+        index.mblocks);
+  let check_positions name (idx : Propeller.Dcfg.index) =
+    check tb (name ^ ": index positions") true
+      (Array.for_all2 (fun b p -> binary.Linker.Binary.blocks.(p) == b) idx.mblocks idx.positions)
+  in
+  check_positions what index;
   let ref_of_blocks = Ref_dcfg.build_of_blocks ~profile:lbr ~binary in
   check_unique_blocks (what ^ " placed blocks") ref_of_blocks.block_index;
   let pairs =
@@ -214,6 +228,7 @@ let check_flat_law what ~binary ~lbr ~sampled =
   List.iter
     (fun (view, r, f) ->
       let name = Printf.sprintf "%s, %s" what view in
+      check_positions name f.Propeller.Dcfg.block_index;
       check tb (name ^ ": dcfg") true (ref_view r = flat_view f);
       check (Alcotest.list ts) (name ^ ": function order")
         (Ref_dcfg.function_order r (Ref_dcfg.hot_funcs r))
@@ -401,8 +416,8 @@ let test_wpa_block_layout_hot_first () =
   (* The order's Ext-TSP score over the profiled edges is positive. *)
   let pos = List.mapi (fun i bb -> (bb, i)) order in
   let size bb =
-    let r = List.find (fun r -> (Propeller.Dcfg.block dcfg r).bb = bb) (ranks d) in
-    (Propeller.Dcfg.block dcfg r).msize
+    let r = List.find (fun r -> (Propeller.Dcfg.block dcfg r).block = bb) (ranks d) in
+    (Propeller.Dcfg.block dcfg r).size
   in
   let edges =
     List.filter_map

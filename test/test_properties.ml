@@ -102,7 +102,7 @@ let bbmap_truth_law =
       in
       List.for_all
         (fun (fm : Objfile.Bbmap.func_map) ->
-          match Linker.Binary.symbol_addr binary fm.func with
+          match Testutil.symbol_addr binary fm.func with
           | None -> false
           | Some sym ->
             let owner = Objfile.Symname.owner fm.func in
@@ -112,7 +112,25 @@ let bbmap_truth_law =
                 | Some info -> info.addr = sym + e.offset && info.size = e.size
                 | None -> false)
               fm.entries)
-        binary.bb_maps)
+        (Testutil.bb_map_of binary))
+
+(* The link's arithmetic address-map size is what the per-block entry
+   records it once built encode to. *)
+let bbmap_size_law =
+  QCheck.Test.make ~count:20 ~name:"bb address map size = encoded size of its entries"
+    program_arb (fun input ->
+      let program = make_program input in
+      let objs =
+        Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
+      in
+      let { Linker.Link.binary; _ } =
+        Linker.Link.link
+          ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
+          ~name:"m" ~entry:"main" objs
+      in
+      Array.length binary.bb_addr_map > 0
+      && Linker.Binary.size_of_kind binary Objfile.Section.Bb_addr_map
+         = Objfile.Bbmap.encoded_size (Testutil.bb_map_of binary))
 
 (* Relaxation only shrinks: relaxed text is never larger, and re-linking
    the relaxed order again is a fixpoint (same size). *)
@@ -363,7 +381,7 @@ let logical (s : Exec.Interp.stats) =
 let target_addr binary = function
   | Isa.Target.Block { func; block } ->
     (Linker.Binary.block_info_exn binary ~func ~block).Linker.Binary.addr
-  | Isa.Target.Func f -> Option.get (Linker.Binary.symbol_addr binary f)
+  | Isa.Target.Func f -> Option.get (Testutil.symbol_addr binary f)
 
 (* Relaxation's output contract on one image: every Short branch
    reaches its target, no live jump targets its own fall-through, and
@@ -518,6 +536,7 @@ let suite =
     QCheck_alcotest.to_alcotest relayout_invariance_law;
     QCheck_alcotest.to_alcotest link_determinism_law;
     QCheck_alcotest.to_alcotest bbmap_truth_law;
+    QCheck_alcotest.to_alcotest bbmap_size_law;
     QCheck_alcotest.to_alcotest relax_monotone_law;
     QCheck_alcotest.to_alcotest adversarial_relax_law;
     Alcotest.test_case "relaxation pinned on adversarial layouts" `Quick test_adversarial_pins;

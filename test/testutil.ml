@@ -217,6 +217,42 @@ let metadata_link program =
     ~link:{ Linker.Link.default_options with keep_bb_addr_map = true }
     program
 
+(* A global symbol's address in a linked binary. *)
+let symbol_addr (binary : Linker.Binary.t) s = Hashtbl.find_opt binary.symbols s
+
+(* The retained address map as the link once encoded it, one entry
+   record per block, rebuilt from the binary's map ranges: each entry's
+   id, offset from its section's symbol and size come from the final
+   block; it can fall through unless its last instruction is an
+   unconditional jump or a return; landing pads are [program]'s IR
+   blocks' (none without a program). *)
+let bb_map_of ?program (binary : Linker.Binary.t) : Objfile.Bbmap.t =
+  let rec last_inst = function [] -> None | [ i ] -> Some i | _ :: rest -> last_inst rest in
+  let landing_pad func block =
+    match Option.bind program (fun p -> Ir.Program.find_func p func) with
+    | Some f -> (Ir.Func.block f block).is_landing_pad
+    | None -> false
+  in
+  Array.to_list
+    (Array.map
+       (fun (m : Linker.Binary.map_range) ->
+         let sym = Option.get (symbol_addr binary m.symbol) in
+         let entry k =
+           let b = binary.blocks.(m.first + k) in
+           {
+             Objfile.Bbmap.bb_id = b.block;
+             offset = b.addr - sym;
+             size = b.size;
+             can_fallthrough =
+               (match last_inst b.insts with
+               | Some (Isa.Jmp _ | Isa.Ret | Isa.IndirectJmp) -> false
+               | Some _ | None -> true);
+             is_landing_pad = landing_pad b.func b.block;
+           }
+         in
+         { Objfile.Bbmap.func = m.symbol; entries = List.init (m.last - m.first) entry })
+       binary.bb_addr_map)
+
 let run_with_profile ?(requests = 40) program binary =
   let image = Exec.Image.build program binary in
   let profile = Perfmon.Lbr.create_profile () in
