@@ -391,22 +391,99 @@ let pinned_outputs =
       ] );
   ]
 
+(* MD5 of every block's final instructions, in [blocks] order: each
+   block's function, id, address and size, then its instructions. *)
+let final_insts_digest (binary : Linker.Binary.t) =
+  let b = Buffer.create 65536 in
+  Array.iteri
+    (fun pos (bi : Linker.Binary.block_info) ->
+      Printf.bprintf b "%s#%d@%d+%d" bi.func bi.block bi.addr bi.size;
+      List.iter (fun i -> Printf.bprintf b ";%s" (Isa.to_string i)) (block_insts binary pos);
+      Buffer.add_char b '\n')
+    binary.blocks;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The pinned links of relink programs 0 and 1 and of 505.mcf, each
+   with its program, built once for every pin that reads them. *)
+let real_links =
+  lazy
+    (let mcf = Option.get (Progen.Suite.by_name "505.mcf") in
+     let relink k = relink_family_program k in
+     List.map
+       (fun (label, program, requests) -> (label, (program, pinned_links ~requests program)))
+       [
+         ("relink-family 0", relink 0, Progen.Suite.clang.requests / 16);
+         ("relink-family 1", relink 1, Progen.Suite.clang.requests / 16);
+         ("505.mcf", Codegen.Inline.program (Progen.Generate.program mcf), 40);
+       ])
+
 let test_pinned_outputs () =
-  let mcf = Option.get (Progen.Suite.by_name "505.mcf") in
-  let programs =
-    [
-      ("relink-family 0", (relink_family_program 0, Progen.Suite.clang.requests / 16));
-      ("505.mcf", (Codegen.Inline.program (Progen.Generate.program mcf), 40));
-    ]
-  in
   List.iter
     (fun (label, expected) ->
-      let program, requests = List.assoc label programs in
+      let program, links = List.assoc label (Lazy.force real_links) in
+      check Alcotest.(list string) label expected (List.map (pinned_line program) links))
+    pinned_outputs
+
+(* Every block's final instructions after the metadata and optimized
+   links, as [final_insts_digest] reads them. A change to how the link
+   keeps relaxed code must reproduce them exactly. *)
+let pinned_final_insts =
+  [
+    ( "relink-family 0",
+      [ "metadata 0b9bebc483c85148c9d6ae20c403b27c"; "optimized 80debeda3a3bff815a59c8dc513687d2" ]
+    );
+    ( "relink-family 1",
+      [ "metadata 8206e459a44c396176e06816162070ac"; "optimized e58ed0372976714b726cfcfb619f3cfb" ]
+    );
+    ( "505.mcf",
+      [ "metadata 29300e4a7cddaef63f077c416f98aba6"; "optimized 669071b5129fa439a9f119f4466fd10f" ]
+    );
+  ]
+
+let test_pinned_final_insts () =
+  List.iter
+    (fun (label, expected) ->
+      let _, links = List.assoc label (Lazy.force real_links) in
       check
         Alcotest.(list string)
         label expected
-        (List.map (pinned_line program) (pinned_links ~requests program)))
-    pinned_outputs
+        (List.filter_map
+           (fun (name, { Linker.Link.binary; _ }) ->
+             if List.mem name [ "metadata"; "optimized" ] then
+               Some (name ^ " " ^ final_insts_digest binary)
+             else None)
+           links))
+    pinned_final_insts
+
+(* A link carries no state into the next: after links of a larger and
+   a smaller program, and one that fails after numbering its input,
+   program A links to the same blocks and image as at first, on this
+   domain and on either domain of a pool. *)
+let test_links_carry_no_state () =
+  let cg, ld = Propeller.Pipeline.metadata_options in
+  let input program = (Codegen.compile_program cg program, Ir.Program.main program) in
+  let a = input (snd (medium_program ())) in
+  let larger = input (relink_family_program 0) and smaller = input (call_program ()) in
+  let link (objs, entry) = (Linker.Link.link ~options:ld ~name:"law" ~entry objs).binary in
+  let fingerprint binary =
+    (final_insts_digest binary, Support.Digesting.to_hex (Linker.Binary.image_digest binary))
+  in
+  let first = fingerprint (link a) in
+  ignore (link larger : Linker.Binary.t);
+  ignore (link smaller : Linker.Binary.t);
+  (match link (fst larger, "no_such_entry") with
+  | _ -> Alcotest.fail "expected a link error"
+  | exception Linker.Link.Link_error _ -> ());
+  check Alcotest.(pair ts ts) "A after other links" first (fingerprint (link a));
+  let inputs = [| a; larger; a; smaller; a; larger; a; a |] in
+  Support.Pool.with_pool ~jobs:2 (fun pool ->
+      let got =
+        Support.Pool.map_array pool (Array.length inputs) (fun i -> fingerprint (link inputs.(i)))
+      in
+      Array.iteri
+        (fun i input ->
+          if input == a then check Alcotest.(pair ts ts) (Printf.sprintf "A as task %d" i) first got.(i))
+        inputs)
 
 let suite =
   [
@@ -432,4 +509,7 @@ let suite =
     Alcotest.test_case "bb map size = encoded entries on real programs" `Quick
       test_bbmap_size_real;
     Alcotest.test_case "pinned outputs on real programs" `Quick test_pinned_outputs;
+    Alcotest.test_case "pinned final instructions on real programs" `Quick
+      test_pinned_final_insts;
+    Alcotest.test_case "links carry no state" `Quick test_links_carry_no_state;
   ]

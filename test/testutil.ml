@@ -220,6 +220,11 @@ let metadata_link program =
 (* A global symbol's address in a linked binary. *)
 let symbol_addr (binary : Linker.Binary.t) s = Hashtbl.find_opt binary.symbols s
 
+(* The final instructions of the block at position [pos] of
+   [binary.blocks]: its compiled code with relaxation's deleted branches
+   removed and the rest in their final encodings. *)
+let block_insts (binary : Linker.Binary.t) pos = binary.blocks.(pos).insts
+
 (* The retained address map as the link once encoded it, one entry
    record per block, rebuilt from the binary's map ranges: each entry's
    id, offset from its section's symbol and size come from the final
