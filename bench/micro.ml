@@ -233,6 +233,17 @@ let unit_keys_kernel () =
   List.iter (fun u -> digest (Buildsys.Driver.unit_action_key u options)) (Ir.Program.units program);
   List.iter (fun o -> digest (Buildsys.Driver.obj_digest_uncached o)) objs
 
+(* A warm relink's metadata link: program 0's metadata objects (the
+   fixture above) linked again. From the second call on, the link
+   reuses the domain's spare arrays, as every link of a warm relink
+   does. *)
+let link_warm_kernel () =
+  let program, _, objs = Lazy.force unit_keys_fixture in
+  let _, options = Propeller.Pipeline.metadata_options in
+  ignore
+    (Linker.Link.link ~options ~name:"warm" ~entry:(Ir.Program.main program) objs
+      : Linker.Link.outcome)
+
 let fastpath_kernels =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
@@ -242,6 +253,7 @@ let fastpath_kernels =
     ("exec_tape_mcf", exec_tape_kernel);
     ("uarch_consume_mcf", uarch_consume_kernel);
     ("unit_keys_relink_prog0", unit_keys_kernel);
+    ("link_warm_prog0", link_warm_kernel);
   ]
 
 (* Median-of-3 batch averages on the wall clock: coarser than
@@ -309,6 +321,7 @@ let tests () =
     Test.make ~name:"exec_tape_mcf" (Staged.stage exec_tape_kernel);
     Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
     Test.make ~name:"unit_keys_relink_prog0" (Staged.stage unit_keys_kernel);
+    Test.make ~name:"link_warm_prog0" (Staged.stage link_warm_kernel);
   ]
 
 let run () =

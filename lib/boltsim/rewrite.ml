@@ -25,8 +25,9 @@ let peephole_inst (i : Isa.t) =
    their long encodings and make the fall-through explicit again —
    undoing what the original link's relaxation specialised for the old
    layout. *)
-let canonical_insts (binary : Linker.Binary.t) (info : Linker.Binary.block_info) ~peephole =
-  let insts = if peephole then List.map peephole_inst info.insts else info.insts in
+let canonical_insts (binary : Linker.Binary.t) pos ~peephole =
+  let info = binary.blocks.(pos) and insts = Linker.Binary.insts binary pos in
+  let insts = if peephole then List.map peephole_inst insts else insts in
   let rec split_last acc = function
     | [] -> (List.rev acc, None)
     | [ x ] -> (List.rev acc, Some x)
@@ -62,10 +63,12 @@ let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
   let plan_tbl = Hashtbl.create 256 in
   List.iter (fun (f, hot, cold) -> Hashtbl.replace plan_tbl f (hot, cold)) plans;
   let piece f bb ~hot =
-    let info = Linker.Binary.block_info_exn binary ~func:f ~block:bb in
     {
       Objfile.Fragment.block = bb;
-      insts = canonical_insts binary info ~peephole:(peephole && hot);
+      insts =
+        canonical_insts binary
+          (Linker.Binary.block_positions binary f).(bb)
+          ~peephole:(peephole && hot);
       is_landing_pad = false;
     }
   in
@@ -157,7 +160,8 @@ let rewrite ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name =
   let final =
     Linker.Binary.make ~name:linked.name ~entry_symbol:linked.entry_symbol
       ~sections:(old_text :: linked.sections) ~symbols:linked.symbols ~blocks:linked.blocks
-      ~positions:linked.positions ~text_start:binary.text_start ~text_end:linked.text_end
+      ~first_branch:linked.first_branch ~branch_inst:linked.branch_inst
+      ~branch_dead:linked.branch_dead ~positions:linked.positions ~text_start:binary.text_start ~text_end:linked.text_end
       ~bb_addr_map:[||]
   in
   {

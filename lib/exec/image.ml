@@ -51,12 +51,17 @@ let cumulative w =
   cum
 
 (* A function's blocks stay [[||]] in [blocks] until it is first
-   entered; [infos] and [first_uid] hold what compiling it needs. *)
+   entered; [binary], [positions] and [first_uid] hold what compiling
+   it needs. *)
 type t = {
   funcs : (string, int) Hashtbl.t;
   blocks : xblock array array;  (** [blocks.(func_idx).(block_id)], once compiled. *)
   ir : Ir.Func.t array;
-  infos : Linker.Binary.block_info array array;  (** Checked at build time. *)
+  binary : Linker.Binary.t;
+  positions : int array array;
+      (** Per function, the binary's {!Linker.Binary.block_positions}:
+          block id -> position in [binary.blocks], checked at build
+          time for every block. *)
   first_uid : int array;  (** Uid of the function's block 0. *)
   entry : int;
   nblocks : int;
@@ -159,20 +164,20 @@ let compile_ops ~resolve (ir_block : Ir.Block.t) (insts : Isa.t list) =
    (intra-function block ids) resolved to direct xblock references, so
    the interpreter never re-indexes the block table on a transition. *)
 let compile t fi =
-  let f = t.ir.(fi) and infos = t.infos.(fi) in
+  let f = t.ir.(fi) and positions = t.positions.(fi) in
   let resolve name =
     match Hashtbl.find_opt t.funcs name with
     | Some i -> i
     | None -> invalid_arg ("Image.block: call to unknown function " ^ name)
   in
   let fb =
-    Array.mapi
-      (fun b (info : Linker.Binary.block_info) ->
-        let ir_block = Ir.Func.block f b in
+    Array.init (Ir.Func.num_blocks f) (fun b ->
+        let ir_block = Ir.Func.block f b and pos = positions.(b) in
+        let info = t.binary.blocks.(pos) in
         {
           addr = info.addr;
           size = info.size;
-          ops = compile_ops ~resolve ir_block info.insts;
+          ops = compile_ops ~resolve ir_block (Linker.Binary.insts t.binary pos);
           term = ir_block.term;
           term_cum =
             (match ir_block.term with
@@ -183,7 +188,6 @@ let compile t fi =
           succ1 = dummy_xblock;
           succ_tab = [||];
         })
-      infos
   in
   Array.iter
     (fun xb ->
@@ -207,22 +211,25 @@ let build program binary =
      program order from 1. *)
   let first_uid = Array.make nf 0 in
   let nblocks = ref 0 in
-  let infos =
+  let positions =
     Array.mapi
       (fun fi (f : Ir.Func.t) ->
         first_uid.(fi) <- !nblocks + 1;
         nblocks := !nblocks + Ir.Func.num_blocks f;
         let pos = Linker.Binary.block_positions binary f.name in
-        Array.init (Ir.Func.num_blocks f) (fun b ->
-            if b < Array.length pos && pos.(b) >= 0 then binary.blocks.(pos.(b))
-            else invalid_arg (Printf.sprintf "Image.build: block %s#%d not in binary" f.name b)))
+        for b = 0 to Ir.Func.num_blocks f - 1 do
+          if b >= Array.length pos || pos.(b) < 0 then
+            invalid_arg (Printf.sprintf "Image.build: block %s#%d not in binary" f.name b)
+        done;
+        pos)
       ir
   in
   {
     funcs;
     blocks = Array.make nf [||];
     ir;
-    infos;
+    binary;
+    positions;
     first_uid;
     entry = Hashtbl.find funcs (Ir.Program.main program);
     nblocks = !nblocks;

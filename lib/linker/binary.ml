@@ -1,4 +1,4 @@
-type block_info = { func : string; block : int; addr : int; size : int; insts : Isa.t list }
+type block_info = { func : string; block : int; addr : int; size : int; code : Isa.t list }
 
 type placed = {
   name : string;
@@ -24,6 +24,9 @@ type t = {
   sections : placed list;
   symbols : (string, int) Hashtbl.t;
   blocks : block_info array;
+  first_branch : int array;
+  branch_inst : Isa.t array;
+  branch_dead : Bytes.t;
   positions : (string, int array) Hashtbl.t;
   text_start : int;
   text_end : int;
@@ -35,10 +38,23 @@ type t = {
    arrays, so whichever store wins is the same index. *)
 and cell = index option Atomic.t
 
-let make ~name ~entry_symbol ~sections ~symbols ~blocks ~positions ~text_start ~text_end
-    ~bb_addr_map =
-  { name; entry_symbol; sections; symbols; blocks; positions; text_start; text_end; bb_addr_map;
-    by_addr = Atomic.make None }
+let make ~name ~entry_symbol ~sections ~symbols ~blocks ~first_branch ~branch_inst ~branch_dead
+    ~positions ~text_start ~text_end ~bb_addr_map =
+  {
+    name;
+    entry_symbol;
+    sections;
+    symbols;
+    blocks;
+    first_branch;
+    branch_inst;
+    branch_dead;
+    positions;
+    text_start;
+    text_end;
+    bb_addr_map;
+    by_addr = Atomic.make None;
+  }
 
 let block_positions t func = Option.value ~default:[||] (Hashtbl.find_opt t.positions func)
 
@@ -47,8 +63,22 @@ let block_info t ~func ~block =
   if block >= 0 && block < Array.length pos && pos.(block) >= 0 then Some t.blocks.(pos.(block))
   else None
 
-let block_info_exn t ~func ~block =
-  match block_info t ~func ~block with Some b -> b | None -> raise Not_found
+(* Each cell is rebuilt only when its tail or its own branch changed,
+   so an unchanged tail is shared with [code]. *)
+let insts t pos =
+  let rec build j = function
+    | [] -> []
+    | ((Isa.Jcc _ | Isa.Jmp _) as i) :: rest as l ->
+      let rest' = build (j + 1) rest in
+      if Bytes.get t.branch_dead j <> '\000' then rest'
+      else
+        let i' = t.branch_inst.(j) in
+        if i' == i && rest' == rest then l else i' :: rest'
+    | i :: rest as l ->
+      let rest' = build j rest in
+      if rest' == rest then l else i :: rest'
+  in
+  build t.first_branch.(pos) t.blocks.(pos).code
 
 let size_of_kind t kind =
   List.fold_left (fun acc p -> if p.kind = kind then acc + p.size else acc) 0 t.sections
@@ -136,9 +166,10 @@ let image_digest t =
         (Option.value ~default:"-" s.symbol))
     t.sections;
   Array.iter
-    (fun (bi : block_info) ->
+    (fun pos ->
+      let bi = t.blocks.(pos) in
       Printf.bprintf b "|B%s#%d@%d+%d" bi.func bi.block bi.addr bi.size;
-      List.iter (fun i -> Printf.bprintf b ";%s" (Isa.to_string i)) bi.insts)
-    (index t).ordered;
+      List.iter (fun i -> Printf.bprintf b ";%s" (Isa.to_string i)) (insts t pos))
+    (index t).order;
   List.iter (fun (nm, addr) -> Printf.bprintf b "|Y%s=%d" nm addr) (symbols_sorted t);
   Support.Digesting.of_string (Buffer.contents b)

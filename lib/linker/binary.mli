@@ -1,16 +1,21 @@
 (** A fully linked executable image.
 
     The binary records, for every placed basic block, its final virtual
-    address, size, and instruction sequence (post-relaxation). The
-    execution engine walks this image; the micro-architecture simulator
-    consumes the resulting address stream. *)
+    address and size, the code it was compiled to, and what relaxation
+    did to that code's branches; {!insts} reads a block's final
+    instructions off them. The execution engine walks this image; the
+    micro-architecture simulator consumes the resulting address
+    stream. *)
 
 type block_info = {
   func : string;
   block : int;  (** IR block id. *)
   addr : int;  (** Final virtual address. *)
   size : int;  (** Final encoded size. *)
-  insts : Isa.t list;  (** Final instructions, deleted branches removed. *)
+  code : Isa.t list;
+      (** The compiled code, before relaxation: the fragment piece's own
+          list, shared with the object the block came from, never
+          copied. Read the final instructions with {!insts}. *)
 }
 
 type placed = {
@@ -60,6 +65,17 @@ type t = {
   blocks : block_info array;
       (** Every placed block in link order, which is address order:
           the order the link lays pieces out. *)
+  first_branch : int array;
+      (** Block [i]'s branches, the [Jcc]s and [Jmp]s of its [code] in
+          order, are numbered [first_branch.(i)] to
+          [first_branch.(i + 1) - 1]; one entry per block, plus one. *)
+  branch_inst : Isa.t array;
+      (** Per branch: its final instruction. Relaxation may have shrunk
+          it, grown it back or reversed it; a branch it left alone is
+          the very value in [code]. *)
+  branch_dead : Bytes.t;
+      (** Per branch: ['\001'] when relaxation deleted it, else
+          ['\000']. *)
   positions : (string, int array) Hashtbl.t;
       (** Function -> its blocks' positions in [blocks], indexed by
           block id; [-1] marks an id with no placed block. Read it
@@ -82,6 +98,9 @@ val make :
   sections:placed list ->
   symbols:(string, int) Hashtbl.t ->
   blocks:block_info array ->
+  first_branch:int array ->
+  branch_inst:Isa.t array ->
+  branch_dead:Bytes.t ->
   positions:(string, int array) Hashtbl.t ->
   text_start:int ->
   text_end:int ->
@@ -97,8 +116,12 @@ val block_positions : t -> string -> int array
     {!block_positions}: one hash of [func], no table of blocks. *)
 val block_info : t -> func:string -> block:int -> block_info option
 
-(** [block_info_exn t ~func ~block] raises [Not_found] when absent. *)
-val block_info_exn : t -> func:string -> block:int -> block_info
+(** [insts t pos] is the final instruction list of [t.blocks.(pos)]:
+    its [code] with the deleted branches left out and the others in
+    their final form. It is built on each call, sharing the longest
+    tail of [code] that relaxation left alone, so a block none of
+    whose branches changed returns [code] itself. *)
+val insts : t -> int -> Isa.t list
 
 (** [size_of_kind t kind] sums placed section sizes of [kind]. *)
 val size_of_kind : t -> Objfile.Section.kind -> int

@@ -5,7 +5,15 @@
    addresses and relaxes until the fixpoint. Pieces are numbered in
    layout order, so piece [i] becomes the binary's block [i]: the
    output needs no table of blocks, and the per-function arrays built
-   to resolve targets become [Binary]'s lookups by block id. *)
+   to resolve targets become [Binary]'s lookups by block id.
+
+   The output builds no instruction list: a block keeps its piece's
+   compiled code, and the binary keeps the relaxed branches in flat
+   arrays ([Binary.insts] applies them on demand). The working arrays
+   are the domain's spare ([spare_work]): a link takes them when they
+   are large enough, and returns them once the binary has copied what
+   it keeps, so a relink on a warm domain allocates little beyond its
+   output. *)
 
 exception Link_error of string
 
@@ -56,76 +64,110 @@ type sec = {
    sections' pieces are numbered globally in layout order, so a
    piece's number is its output block's position, and so are their
    branches (the Jcc and Jmp sites). Only Jcc and Jmp ever change
-   encoding or die, so a piece hands its fragment's own instruction
-   list to the output when none of its branches changed. Sizes and the
-   runs between branches start as the fragment index's, computed once
-   when the object was made. A branch target is a piece number, or
-   [-(s + 1)] for the function symbol of section [s], resolved up
-   front so the sweeps never consult a symbol table. *)
+   encoding or die. Sizes and the runs between branches start as the
+   fragment index's, computed once when the object was made. A branch
+   target is a piece number, or [-(s + 1)] for the function symbol of
+   section [s], resolved up front so the sweeps never consult a symbol
+   table. The arrays may be longer than this link's [np] pieces, [nb]
+   branches and sections: they are the domain's spare when it fits. *)
 type work = {
   secs : sec array;  (** In layout order. *)
+  np : int;  (** Pieces. *)
+  nb : int;  (** Branches. *)
   sec_piece : int array;
       (** Section [s] holds pieces [sec_piece.(s)] to [sec_piece.(s + 1) - 1]. *)
   saddr : int array;  (** Per section: its address. *)
-  src : Objfile.Fragment.piece array;  (** Per piece: as compiled. *)
   size : int array;  (** Per piece: bytes of the live instructions. *)
   addr : int array;
-  touched : bool array;  (** Per piece: some branch died or changed. *)
   piece_branch : int array;
       (** Piece [i] holds branches [piece_branch.(i)] to [piece_branch.(i + 1) - 1]. *)
   inst : Isa.t array;  (** Per branch: its current encoding. *)
-  dead : bool array;
-  pinned : bool array;  (** Grown back to long (rule 4): never shrinks again. *)
+  dead : Bytes.t;  (** Per branch: ['\001'] once deleted. *)
+  pinned : Bytes.t;  (** Grown back to long (rule 4): never shrinks again. *)
   target : int array;
   pre_bytes : int array;  (** Non-branch bytes since the previous branch or piece start. *)
   pre_count : int array;  (** Non-branch instructions in that run. *)
 }
 
+(* The arrays the domain's last successful link returned, [secs]
+   emptied so they hold no input alive. A link that raises returns
+   none. *)
+let spare_work : work option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let[@inline] flag b j = Bytes.get b j <> '\000'
+
+let[@inline] set_flag b j = Bytes.set b j '\001'
+
+(* The domain's spare when its arrays hold [nsec] sections, [np]
+   pieces and [nb] branches, else fresh arrays at least as large as
+   both. Only [dead] and [pinned] are read before [number] and
+   [resolve_targets] write them, so only they are cleared. *)
+let take_work secs ~np ~nb =
+  let nsec = Array.length secs in
+  let spare = Domain.DLS.get spare_work in
+  Domain.DLS.set spare_work None;
+  let w =
+    match spare with
+    | Some w
+      when Array.length w.saddr >= nsec && Array.length w.size >= np && Array.length w.inst >= nb
+      ->
+      w
+    | Some _ | None ->
+      let cap f n = match spare with Some w -> max n (f w) | None -> n in
+      let nsec = cap (fun w -> Array.length w.saddr) nsec
+      and np = cap (fun w -> Array.length w.size) np
+      and nb = cap (fun w -> Array.length w.inst) nb in
+      {
+        secs = [||];
+        np = 0;
+        nb = 0;
+        sec_piece = Array.make (nsec + 1) 0;
+        saddr = Array.make nsec 0;
+        size = Array.make np 0;
+        addr = Array.make np 0;
+        piece_branch = Array.make (np + 1) 0;
+        inst = Array.make nb Isa.Ret;
+        dead = Bytes.make nb '\000';
+        pinned = Bytes.make nb '\000';
+        target = Array.make nb 0;
+        pre_bytes = Array.make nb 0;
+        pre_count = Array.make nb 0;
+      }
+  in
+  Bytes.fill w.dead 0 nb '\000';
+  Bytes.fill w.pinned 0 nb '\000';
+  { w with secs; np; nb }
+
 (* Number the ordered sections' pieces and branches. Branch
    instructions and targets are filled by [resolve_targets]. *)
 let number (secs : sec array) =
-  let nsec = Array.length secs in
-  let sec_piece = Array.make (nsec + 1) 0 and sec_branch = Array.make (nsec + 1) 0 in
-  Array.iteri
-    (fun s (sec : sec) ->
+  let np = ref 0 and nb = ref 0 in
+  Array.iter
+    (fun (sec : sec) ->
       let ix = sec.frag.index in
-      let np = Array.length ix.sizes in
-      sec_piece.(s + 1) <- sec_piece.(s) + np;
-      sec_branch.(s + 1) <- sec_branch.(s) + ix.branch_start.(np))
-    secs;
-  let np = sec_piece.(nsec) and nb = sec_branch.(nsec) in
-  let w =
-    {
-      secs;
-      sec_piece;
-      saddr = Array.make nsec 0;
-      src = Array.make np { Objfile.Fragment.block = 0; insts = []; is_landing_pad = false };
-      size = Array.make np 0;
-      addr = Array.make np 0;
-      touched = Array.make np false;
-      piece_branch = Array.make (np + 1) nb;
-      inst = Array.make nb Isa.Ret;
-      dead = Array.make nb false;
-      pinned = Array.make nb false;
-      target = Array.make nb 0;
-      pre_bytes = Array.make nb 0;
-      pre_count = Array.make nb 0;
-    }
-  in
-  Array.iteri
-    (fun s (sec : sec) ->
-      let ix = sec.frag.index in
-      let p0 = sec_piece.(s) and b0 = sec_branch.(s) in
       let n = Array.length ix.sizes in
-      List.iteri (fun k piece -> w.src.(p0 + k) <- piece) sec.frag.pieces;
+      np := !np + n;
+      nb := !nb + ix.branch_start.(n))
+    secs;
+  let w = take_work secs ~np:!np ~nb:!nb in
+  let next_branch = ref 0 in
+  w.sec_piece.(0) <- 0;
+  Array.iteri
+    (fun s (sec : sec) ->
+      let ix = sec.frag.index in
+      let p0 = w.sec_piece.(s) and b0 = !next_branch in
+      let n = Array.length ix.sizes in
+      let nbr = ix.branch_start.(n) in
+      w.sec_piece.(s + 1) <- p0 + n;
+      next_branch := b0 + nbr;
       Array.blit ix.sizes 0 w.size p0 n;
       for k = 0 to n - 1 do
         w.piece_branch.(p0 + k) <- b0 + ix.branch_start.(k)
       done;
-      let nbr = sec_branch.(s + 1) - b0 in
       Array.blit ix.pre_bytes 0 w.pre_bytes b0 nbr;
       Array.blit ix.pre_count 0 w.pre_count b0 nbr)
     secs;
+  w.piece_branch.(w.np) <- w.nb;
   w
 
 (* Assign piece/section addresses sequentially from [base]. *)
@@ -234,13 +276,16 @@ let order_text_sections options all =
   | Some syms ->
     let rank = Hashtbl.create (List.length syms) in
     List.iteri (fun i s -> if not (Hashtbl.mem rank s) then Hashtbl.add rank s i) syms;
+    (* Each ranked section is decorated with its rank once. *)
     let ranked, unranked =
-      List.partition
-        (fun s -> match s.ssymbol with Some sym -> Hashtbl.mem rank sym | None -> false)
+      List.partition_map
+        (fun s ->
+          match Option.bind s.ssymbol (Hashtbl.find_opt rank) with
+          | Some r -> Either.Left (r, s)
+          | None -> Either.Right s)
         all
     in
-    let key s = match s.ssymbol with Some sym -> Hashtbl.find rank sym | None -> max_int in
-    List.stable_sort (fun a b -> compare (key a) (key b)) ranked @ unranked
+    List.map snd (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) ranked) @ unranked
 
 (* Register every section's symbol and every piece by (function, block
    id), then resolve every branch target in one walk of each
@@ -263,18 +308,19 @@ let resolve_targets w =
       | None -> ());
       let func = sec.frag.func in
       let by_block = ref (Option.value (Hashtbl.find_opt positions func) ~default:[||]) in
-      for i = w.sec_piece.(s) to w.sec_piece.(s + 1) - 1 do
-        let block = w.src.(i).block in
-        let n = Array.length !by_block in
-        if block >= n then begin
-          let grown = Array.make (max (2 * n) (block + 1)) (-1) in
-          Array.blit !by_block 0 grown 0 n;
-          by_block := grown
-        end;
-        if !by_block.(block) >= 0 then
-          raise (Link_error (Printf.sprintf "block %s#%d defined twice" func block));
-        !by_block.(block) <- i
-      done;
+      List.iteri
+        (fun k (piece : Objfile.Fragment.piece) ->
+          let block = piece.block in
+          let n = Array.length !by_block in
+          if block >= n then begin
+            let grown = Array.make (max (2 * n) (block + 1)) (-1) in
+            Array.blit !by_block 0 grown 0 n;
+            by_block := grown
+          end;
+          if !by_block.(block) >= 0 then
+            raise (Link_error (Printf.sprintf "block %s#%d defined twice" func block));
+          !by_block.(block) <- w.sec_piece.(s) + k)
+        sec.frag.pieces;
       Hashtbl.replace positions func !by_block)
     w.secs;
   let piece_of own sfunc func block =
@@ -321,7 +367,7 @@ let resolve_targets w =
 let rec next_live_branch w hi j =
   if j >= hi then -1
   else if w.pre_count.(j) > 0 then -1
-  else if w.dead.(j) then next_live_branch w hi (j + 1)
+  else if flag w.dead j then next_live_branch w hi (j + 1)
   else j
 
 (* Relaxation tallies: the [stats] counters, and whether the current
@@ -335,21 +381,19 @@ type tally = {
 
 (* Branch [j] of piece [i] dies. *)
 let kill t w i j size =
-  w.dead.(j) <- true;
+  set_flag w.dead j;
   w.size.(i) <- w.size.(i) - size;
-  w.touched.(i) <- true;
   t.deleted <- t.deleted + 1;
   t.changed <- true
 
 let recode t w i j inst =
   w.size.(i) <- w.size.(i) + Isa.size inst - Isa.size w.inst.(j);
   w.inst.(j) <- inst;
-  w.touched.(i) <- true;
   t.changed <- true
 
 let grow t w i j inst =
   recode t w i j inst;
-  w.pinned.(j) <- true;
+  set_flag w.pinned j;
   t.grown <- t.grown + 1
 
 (* Relax piece [i]'s branches, walking its addresses from its own. *)
@@ -358,7 +402,7 @@ let relax_piece t w i =
   let addr = ref w.addr.(i) in
   for j = w.piece_branch.(i) to hi - 1 do
     addr := !addr + w.pre_bytes.(j);
-    if not w.dead.(j) then begin
+    if not (flag w.dead j) then begin
       let inst = w.inst.(j) in
       let size = Isa.size inst in
       let after = !addr + size in
@@ -369,7 +413,7 @@ let relax_piece t w i =
         else
           match encoding with
           | Isa.Long ->
-            if (not w.pinned.(j)) && Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short))
+            if (not (flag w.pinned j)) && Isa.fits_short (tgt - (!addr + Isa.jmp_size Isa.Short))
             then begin
               recode t w i j (Isa.Jmp { target; encoding = Isa.Short });
               t.shrunk <- t.shrunk + 1
@@ -402,7 +446,7 @@ let relax_piece t w i =
         if not reversed then
           match encoding with
           | Isa.Long ->
-            if (not w.pinned.(j)) && Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short))
+            if (not (flag w.pinned j)) && Isa.fits_short (tgt - (!addr + Isa.jcc_size Isa.Short))
             then begin
               recode t w i j (Isa.Jcc { cond; target; encoding = Isa.Short });
               t.shrunk <- t.shrunk + 1
@@ -412,7 +456,7 @@ let relax_piece t w i =
               grow t w i j (Isa.Jcc { cond; target; encoding = Isa.Long }))
       | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall | Isa.IndirectJmp
       | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> assert false);
-      if not w.dead.(j) then addr := !addr + Isa.size w.inst.(j)
+      if not (flag w.dead j) then addr := !addr + Isa.size w.inst.(j)
     end
   done
 
@@ -433,45 +477,38 @@ let relax_piece t w i =
       branch long ends that cycle, so the sweeps always converge. *)
 let relax_sweep t w =
   t.changed <- false;
-  for i = 0 to Array.length w.src - 1 do
+  for i = 0 to w.np - 1 do
     if w.piece_branch.(i + 1) > w.piece_branch.(i) then relax_piece t w i
   done;
   t.changed
 
-(* Piece [i]'s final instructions: the fragment's own list when no
-   branch changed, else that list with the branches' final state. *)
-let final_insts w i =
-  let src = w.src.(i).insts in
-  if not w.touched.(i) then src
-  else
-    let rec build j = function
-      | [] -> []
-      | (Isa.Jcc _ | Isa.Jmp _) :: rest ->
-        if w.dead.(j) then build (j + 1) rest else w.inst.(j) :: build (j + 1) rest
-      | i :: rest -> i :: build j rest
-    in
-    build w.piece_branch.(i) src
-
 (* Every piece's output block, in layout order, which is address
-   order: piece [i] becomes [blocks.(i)]. *)
+   order: piece [i] becomes [blocks.(i)], keeping its compiled code. *)
 let output_blocks w =
-  let s = ref 0 in
-  Array.init (Array.length w.src) (fun i ->
-      while w.sec_piece.(!s + 1) <= i do
-        incr s
-      done;
-      {
-        Binary.func = w.secs.(!s).frag.func;
-        block = w.src.(i).block;
-        addr = w.addr.(i);
-        size = w.size.(i);
-        insts = final_insts w i;
-      })
+  let blocks =
+    Array.make w.np { Binary.func = ""; block = 0; addr = 0; size = 0; code = [] }
+  in
+  Array.iteri
+    (fun s (sec : sec) ->
+      List.iteri
+        (fun k (piece : Objfile.Fragment.piece) ->
+          let i = w.sec_piece.(s) + k in
+          blocks.(i) <-
+            {
+              Binary.func = sec.frag.func;
+              block = piece.block;
+              addr = w.addr.(i);
+              size = w.size.(i);
+              code = piece.insts;
+            })
+        sec.frag.pieces)
+    w.secs;
+  blocks
 
 (* The retained address map: the block range of every section whose
    input carried one, and the map's encoded size, each entry's offset
    taken from its section's address. *)
-let bb_addr_map w =
+let bb_addr_map w (blocks : Binary.block_info array) =
   let maps = ref [] and bytes = ref 0 in
   for s = Array.length w.secs - 1 downto 0 do
     let sec = w.secs.(s) in
@@ -483,7 +520,7 @@ let bb_addr_map w =
       for i = first to last - 1 do
         bytes :=
           !bytes
-          + Objfile.Bbmap.entry_size ~bb_id:w.src.(i).block ~offset:(w.addr.(i) - w.saddr.(s))
+          + Objfile.Bbmap.entry_size ~bb_id:blocks.(i).block ~offset:(w.addr.(i) - w.saddr.(s))
               ~size:w.size.(i)
       done
     | Some _ | None -> ()
@@ -512,7 +549,7 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   let text_end = assign_addresses text_base w in
   let blocks = output_blocks w in
   let texts = List.init (Array.length w.secs) Fun.id in
-  let bb_addr_map, bbmap_bytes = bb_addr_map w in
+  let bb_addr_map, bbmap_bytes = bb_addr_map w blocks in
   let final_syms = Hashtbl.create (Hashtbl.length syms) in
   Hashtbl.iter (fun sym s -> Hashtbl.replace final_syms sym w.saddr.(s)) syms;
   (* Placed sections: text in layout order, then aggregated non-text. *)
@@ -552,9 +589,12 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   in
   let binary =
     Binary.make ~name ~entry_symbol:entry ~sections:(placed_texts @ non_text)
-      ~symbols:final_syms ~blocks ~positions ~text_start:text_base ~text_end
-      ~bb_addr_map
+      ~symbols:final_syms ~blocks
+      ~first_branch:(Array.sub w.piece_branch 0 (w.np + 1))
+      ~branch_inst:(Array.sub w.inst 0 w.nb) ~branch_dead:(Bytes.sub w.dead 0 w.nb) ~positions
+      ~text_start:text_base ~text_end ~bb_addr_map
   in
+  Domain.DLS.set spare_work (Some { w with secs = [||] });
   let stats =
     {
       input_bytes;

@@ -12,7 +12,7 @@ type t = func_map list
 
 let uleb_size v =
   let rec loop v acc = if v < 128 then acc + 1 else loop (v lsr 7) (acc + 1) in
-  loop (max 0 v) 0
+  loop (if v < 0 then 0 else v) 0
 
 let header_size = 9
 

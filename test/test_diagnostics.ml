@@ -13,7 +13,7 @@ let diamond_binary () =
       [ Ir.Cunit.make ~name:"u" [ diamond_func () ] ]
   in
   let _, { Linker.Link.binary; _ } = metadata_link program in
-  let block i = Linker.Binary.block_info_exn binary ~func:"diamond" ~block:i in
+  let block i = block_info_exn binary ~func:"diamond" ~block:i in
   (binary, Array.init 4 block)
 
 let block_end (b : Linker.Binary.block_info) = b.addr + b.size

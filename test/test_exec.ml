@@ -17,7 +17,7 @@ let test_image_block_fidelity () =
       incr next;
       for b = 0 to Ir.Func.num_blocks f - 1 do
         let xb = Exec.Image.block image ~func_idx:fi ~block:b in
-        let info = Linker.Binary.block_info_exn binary ~func:f.name ~block:b in
+        let info = block_info_exn binary ~func:f.name ~block:b in
         check ti "addr" info.addr xb.addr;
         check ti "size" info.size xb.size
       done)

@@ -29,7 +29,7 @@ let test_pm_layout_matches_baseline () =
   let _, { Linker.Link.binary = pm; _ } = metadata_link program in
   Array.iter
     (fun (b : Linker.Binary.block_info) ->
-      let p = Linker.Binary.block_info_exn pm ~func:b.func ~block:b.block in
+      let p = block_info_exn pm ~func:b.func ~block:b.block in
       check ti "same addr" b.addr p.Linker.Binary.addr;
       check ti "same size" b.size p.Linker.Binary.size)
     base.blocks

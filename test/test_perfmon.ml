@@ -65,7 +65,7 @@ let test_hot_edge_dominates () =
   let f = loop_func ~name:"main" () in
   let program = Ir.Program.make ~name:"p" ~main:"main" [ Ir.Cunit.make ~name:"u" [ f ] ] in
   let binary, _, profile = profile_of ~requests:400 program in
-  let b1 = Linker.Binary.block_info_exn binary ~func:"main" ~block:1 in
+  let b1 = block_info_exn binary ~func:"main" ~block:1 in
   let back_edge_count = ref 0 in
   Perfmon.Lbr.iter_pairs
     (fun ~src:_ ~dst n -> if dst = b1.addr then back_edge_count := max !back_edge_count n)

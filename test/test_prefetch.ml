@@ -42,10 +42,9 @@ let test_prefetch_instruction_emitted () =
   let program = delinquent_program () in
   let codegen = { Codegen.default_options with prefetch_sites = [ ("main", 1) ] } in
   let binary, _ = run_with ~codegen program in
-  let b1 = Linker.Binary.block_info_exn binary ~func:"main" ~block:1 in
-  check tb "prefetch in block 1" true (List.mem Isa.Prefetch b1.insts);
-  let b0 = Linker.Binary.block_info_exn binary ~func:"main" ~block:0 in
-  check tb "no prefetch elsewhere" false (List.mem Isa.Prefetch b0.insts)
+  let insts block = func_block_insts binary ~func:"main" ~block in
+  check tb "prefetch in block 1" true (List.mem Isa.Prefetch (insts 1));
+  check tb "no prefetch elsewhere" false (List.mem Isa.Prefetch (insts 0))
 
 let test_miss_roll_layout_invariant () =
   (* Whether a load would miss is logical, so covered + uncovered counts

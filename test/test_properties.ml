@@ -82,7 +82,7 @@ let link_determinism_law =
       let b1 = build () and b2 = build () in
       Array.for_all
         (fun (i1 : Linker.Binary.block_info) ->
-          let i2 = Linker.Binary.block_info_exn b2 ~func:i1.func ~block:i1.block in
+          let i2 = Testutil.block_info_exn b2 ~func:i1.func ~block:i1.block in
           i1.addr = i2.Linker.Binary.addr && i1.size = i2.Linker.Binary.size)
         b1.blocks)
 
@@ -380,7 +380,7 @@ let logical (s : Exec.Interp.stats) =
 (* Final address of a branch target in a linked image. *)
 let target_addr binary = function
   | Isa.Target.Block { func; block } ->
-    (Linker.Binary.block_info_exn binary ~func ~block).Linker.Binary.addr
+    (Testutil.block_info_exn binary ~func ~block).Linker.Binary.addr
   | Isa.Target.Func f -> Option.get (Testutil.symbol_addr binary f)
 
 (* Relaxation's output contract on one image: every Short branch
@@ -391,8 +391,9 @@ let target_addr binary = function
 let relaxed_encodings_ok ~grown binary =
   let long_fits = ref 0 in
   let ok =
-    Array.for_all
-      (fun (b : Linker.Binary.block_info) ->
+    Seq.for_all
+      (fun pos ->
+        let b = binary.Linker.Binary.blocks.(pos) in
         let addr = ref b.addr in
         let long_fit tgt ~at short =
           if Isa.fits_short (tgt - (at + short)) then incr long_fits
@@ -421,8 +422,8 @@ let relaxed_encodings_ok ~grown binary =
                 true)
             | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
             | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> true)
-          b.insts)
-      binary.Linker.Binary.blocks
+          (Testutil.block_insts binary pos))
+      (Seq.init (Array.length binary.Linker.Binary.blocks) Fun.id)
   in
   ok && !long_fits <= grown
 
