@@ -40,21 +40,8 @@ and cell = index option Atomic.t
 
 let make ~name ~entry_symbol ~sections ~symbols ~blocks ~first_branch ~branch_inst ~branch_dead
     ~positions ~text_start ~text_end ~bb_addr_map =
-  {
-    name;
-    entry_symbol;
-    sections;
-    symbols;
-    blocks;
-    first_branch;
-    branch_inst;
-    branch_dead;
-    positions;
-    text_start;
-    text_end;
-    bb_addr_map;
-    by_addr = Atomic.make None;
-  }
+  { name; entry_symbol; sections; symbols; blocks; first_branch; branch_inst; branch_dead;
+    positions; text_start; text_end; bb_addr_map; by_addr = Atomic.make None }
 
 let block_positions t func = Option.value ~default:[||] (Hashtbl.find_opt t.positions func)
 

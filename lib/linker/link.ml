@@ -99,9 +99,9 @@ let[@inline] flag b j = Bytes.get b j <> '\000'
 let[@inline] set_flag b j = Bytes.set b j '\001'
 
 (* The domain's spare when its arrays hold [nsec] sections, [np]
-   pieces and [nb] branches, else fresh arrays at least as large as
-   both. Only [dead] and [pinned] are read before [number] and
-   [resolve_targets] write them, so only they are cleared. *)
+   pieces and [nb] branches, else fresh arrays of those sizes. Only
+   [dead] and [pinned] are read before [number] and [resolve_targets]
+   write them, so only they are cleared. *)
 let take_work secs ~np ~nb =
   let nsec = Array.length secs in
   let spare = Domain.DLS.get spare_work in
@@ -113,10 +113,6 @@ let take_work secs ~np ~nb =
       ->
       w
     | Some _ | None ->
-      let cap f n = match spare with Some w -> max n (f w) | None -> n in
-      let nsec = cap (fun w -> Array.length w.saddr) nsec
-      and np = cap (fun w -> Array.length w.size) np
-      and nb = cap (fun w -> Array.length w.inst) nb in
       {
         secs = [||];
         np = 0;
@@ -276,7 +272,6 @@ let order_text_sections options all =
   | Some syms ->
     let rank = Hashtbl.create (List.length syms) in
     List.iteri (fun i s -> if not (Hashtbl.mem rank s) then Hashtbl.add rank s i) syms;
-    (* Each ranked section is decorated with its rank once. *)
     let ranked, unranked =
       List.partition_map
         (fun s ->

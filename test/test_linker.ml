@@ -484,7 +484,8 @@ let test_links_carry_no_state () =
       in
       Array.iteri
         (fun i input ->
-          if input == a then check Alcotest.(pair ts ts) (Printf.sprintf "A as task %d" i) first got.(i))
+          if input == a then
+            check Alcotest.(pair ts ts) (Printf.sprintf "A as task %d" i) first got.(i))
         inputs)
 
 (* A repeat metadata link of relink program 0 from its objects, as a
