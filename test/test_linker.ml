@@ -59,7 +59,7 @@ let test_relaxation_preserves_targets () =
           | Some (Isa.Target.Func f) ->
             check tb "callee symbol" true (Option.is_some (symbol_addr binary f))
           | None -> ())
-        (block_insts binary pos))
+        (Linker.Binary.insts binary pos))
     binary.blocks
 
 let test_short_branches_in_range () =
@@ -81,7 +81,7 @@ let test_short_branches_in_range () =
                 info.block func block disp
           | _ -> ());
           addr := after)
-        (block_insts binary pos))
+        (Linker.Binary.insts binary pos))
     binary.blocks
 
 let test_jcc_reversal () =
@@ -397,7 +397,9 @@ let final_insts_digest (binary : Linker.Binary.t) =
   Array.iteri
     (fun pos (bi : Linker.Binary.block_info) ->
       Printf.bprintf b "%s#%d@%d+%d" bi.func bi.block bi.addr bi.size;
-      List.iter (fun i -> Printf.bprintf b ";%s" (Isa.to_string i)) (block_insts binary pos);
+      List.iter
+        (fun i -> Printf.bprintf b ";%s" (Isa.to_string i))
+        (Linker.Binary.insts binary pos);
       Buffer.add_char b '\n')
     binary.blocks;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -422,7 +422,7 @@ let relaxed_encodings_ok ~grown binary =
                 true)
             | Isa.Alu _ | Isa.Load _ | Isa.Store _ | Isa.Call _ | Isa.IndirectCall
             | Isa.IndirectJmp | Isa.Ret | Isa.Prefetch | Isa.Nop _ | Isa.InlineData _ -> true)
-          (Testutil.block_insts binary pos))
+          (Linker.Binary.insts binary pos))
       (Seq.init (Array.length binary.Linker.Binary.blocks) Fun.id)
   in
   ok && !long_fits <= grown

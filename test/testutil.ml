@@ -220,18 +220,13 @@ let metadata_link program =
 (* A global symbol's address in a linked binary. *)
 let symbol_addr (binary : Linker.Binary.t) s = Hashtbl.find_opt binary.symbols s
 
-(* The final instructions of the block at position [pos] of
-   [binary.blocks]: its compiled code with relaxation's deleted branches
-   removed and the rest in their final encodings. *)
-let block_insts (binary : Linker.Binary.t) pos = Linker.Binary.insts binary pos
-
 (* A placed block by function and block id; [Not_found] when absent. *)
 let block_info_exn binary ~func ~block =
   match Linker.Binary.block_info binary ~func ~block with Some b -> b | None -> raise Not_found
 
 (* The final instructions of a placed block by function and block id. *)
 let func_block_insts binary ~func ~block =
-  block_insts binary (Linker.Binary.block_positions binary func).(block)
+  Linker.Binary.insts binary (Linker.Binary.block_positions binary func).(block)
 
 (* The retained address map as the link once encoded it, one entry
    record per block, rebuilt from the binary's map ranges: each entry's
@@ -257,7 +252,7 @@ let bb_map_of ?program (binary : Linker.Binary.t) : Objfile.Bbmap.t =
              offset = b.addr - sym;
              size = b.size;
              can_fallthrough =
-               (match last_inst (block_insts binary (m.first + k)) with
+               (match last_inst (Linker.Binary.insts binary (m.first + k)) with
                | Some (Isa.Jmp _ | Isa.Ret | Isa.IndirectJmp) -> false
                | Some _ | None -> true);
              is_landing_pad = landing_pad b.func b.block;
