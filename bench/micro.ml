@@ -218,8 +218,9 @@ let exec_tape_kernel () =
 
 (* The digest layer of a cold relink of program 0: every function
    digest (past the memo), every unit action key under the metadata
-   options, and every object digest of the metadata build. The objects
-   are compiled before timing. *)
+   options, and every object digest of the metadata build, which each
+   object carries from [Objfile.File.make]. The objects are compiled
+   before timing. *)
 let unit_keys_fixture =
   lazy
     (let program = Lazy.force relink_prog0 in
@@ -231,7 +232,7 @@ let unit_keys_kernel () =
   let digest d = ignore (d : Support.Digesting.t) in
   Ir.Program.iter_funcs program (fun f -> digest (Buildsys.Driver.func_digest_uncached f));
   List.iter (fun u -> digest (Buildsys.Driver.unit_action_key u options)) (Ir.Program.units program);
-  List.iter (fun o -> digest (Buildsys.Driver.obj_digest_uncached o)) objs
+  List.iter (fun (o : Objfile.File.t) -> digest o.digest) objs
 
 (* A warm relink's metadata link: program 0's metadata objects (the
    fixture above) linked again. From the second call on, the link

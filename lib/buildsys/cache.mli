@@ -7,37 +7,33 @@
     profile counts changed get their layout recomputed; everything cold
     is a cache hit.
 
-    The cache is optionally bounded: give [create] a byte capacity and
-    least-recently-used artifacts are evicted once the store overflows.
-    Eviction order is a pure function of the lookup/insert sequence, so
-    cache contents stay deterministic for any [--jobs] width (lookups
-    and commits always happen on the build coordinator, in unit order).
+    The cache is unbounded (the warehouse CAS model). Lookups and
+    commits always happen on the build coordinator, in unit order, so
+    its contents and counters are deterministic for any [--jobs] width.
 
-    Hit/miss/eviction/stored-bytes accounting is kept per cache;
-    {!Driver} mirrors the deltas into its telemetry recorder. *)
+    Hit/miss/stored-bytes accounting is kept per cache; {!Driver}
+    mirrors the deltas into its telemetry recorder. *)
 
 type 'a t
 
-(** [create ?capacity_bytes ()] makes an empty cache; no capacity means
-    unbounded (the warehouse CAS model). *)
-val create : ?capacity_bytes:int -> unit -> 'a t
+(** [create ()] makes an empty cache. *)
+val create : unit -> 'a t
 
-(** [find c key] looks [key] up, counting a hit (and refreshing its LRU
-    stamp) or a miss. The build driver uses the split [find]/[add] pair
-    so artifact computation can fan out on the domain pool between the
-    two, while all cache mutation stays on the coordinator. *)
+(** [find c key] looks [key] up, counting a hit or a miss. The build
+    driver uses the split [find]/[add] pair so artifact computation can
+    fan out on the domain pool between the two, while all cache mutation
+    stays on the coordinator. *)
 val find : 'a t -> Support.Digesting.t -> 'a option
 
 (** [add c key ~size v] stores [v] under [key], charging [size v] bytes
-    (replacing any previous entry), then evicts LRU entries until the
-    store fits the capacity. The just-added key is never evicted.
-    When [digest_of] is given, a content digest of [v] is recorded with
-    the entry so later {!find_verified} reads can detect rot. *)
+    (replacing any previous entry). When [digest_of] is given, a content
+    digest of [v] is recorded with the entry so later {!find_verified}
+    reads can detect rot. *)
 val add :
   ?digest_of:('a -> Support.Digesting.t) -> 'a t -> Support.Digesting.t -> size:('a -> int) -> 'a -> unit
 
 (** [find_verified c key ~digest_of] is [find] with an integrity check:
-    the stored value is re-digested on read and compared against the
+    [digest_of] of the stored value is compared on read against the
     digest recorded at {!add} time. A mismatch means the entry rotted in
     storage — it is evicted, counted as both a miss and a corruption,
     and reported as [`Corrupt] so the caller re-runs the action (the
@@ -56,9 +52,6 @@ val corrupt : 'a t -> Support.Digesting.t -> bool
 val hits : 'a t -> int
 
 val misses : 'a t -> int
-
-(** [evictions c] counts artifacts dropped by the capacity bound. *)
-val evictions : 'a t -> int
 
 (** [stored_bytes c] is the total size of all stored artifacts. *)
 val stored_bytes : 'a t -> int

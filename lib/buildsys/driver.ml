@@ -69,25 +69,36 @@ let func_digest_uncached (f : Ir.Func.t) =
     f.blocks;
   Support.Digesting.finish st
 
-(* Function digests are memoized structurally: units are immutable
-   between builds, so the Phase-4 rebuild re-digests nothing. Key
-   computation fans out across units on the pool, so the memo is
+(* Function digests are memoized by physical function, so the Phase-4
+   rebuild re-digests nothing: IR is immutable between builds, and the
+   optimized build compiles the metadata build's own functions. The
+   keys are weak (an ephemeron table), so an entry lives exactly as
+   long as its function; the memo stays process-wide rather than in the
+   env because callers such as benchmarks compute unit keys with no env.
+   Key computation fans out across units on the pool, so the memo is
    guarded by a mutex (writes are rare after the first build). *)
-let func_digests : (Ir.Func.t, Support.Digesting.t) Hashtbl.t =
-  Hashtbl.create 1024
+module FuncMemo = Ephemeron.K1.Make (struct
+  type t = Ir.Func.t
+
+  let equal = ( == )
+
+  let hash = Hashtbl.hash
+end)
+
+let func_digests : Support.Digesting.t FuncMemo.t = FuncMemo.create 1024
 
 let func_digests_m = Mutex.create ()
 
 let func_digest f =
   Mutex.lock func_digests_m;
-  let cached = Hashtbl.find_opt func_digests f in
+  let cached = FuncMemo.find_opt func_digests f in
   Mutex.unlock func_digests_m;
   match cached with
   | Some d -> d
   | None ->
     let d = func_digest_uncached f in
     Mutex.lock func_digests_m;
-    Hashtbl.replace func_digests f d;
+    FuncMemo.replace func_digests f d;
     Mutex.unlock func_digests_m;
     d
 
@@ -114,53 +125,6 @@ let unit_action_key (u : Ir.Cunit.t) (options : Codegen.options) =
         Support.Digesting.of_string flags;
         Support.Digesting.of_string (Codegen.Directive.to_text plans);
       ])
-
-(* Structural content digest of a stored object, recorded at cache-add
-   time and re-checked by verified reads. Only has to be deterministic
-   and sensitive to the object's shape — the rot we detect is a flipped
-   *stored* digest (Cache.corrupt), not adversarial tampering. *)
-let obj_digest_uncached (o : Objfile.File.t) =
-  let module D = Support.Digesting in
-  let st = D.init () in
-  let str sep s = D.add_char st sep; D.add_string st s in
-  let int sep n = D.add_char st sep; D.add_int st n in
-  D.add_string st o.name;
-  str '|' o.unit_name;
-  str '|' (string_of_bool o.has_inline_asm);
-  List.iter
-    (fun (s : Objfile.Section.t) ->
-      str '|' s.name;
-      str ':' (Objfile.Section.kind_to_string s.kind);
-      int ':' s.align;
-      str ':' (Option.value s.symbol ~default:"");
-      int ':' (Objfile.Section.size s))
-    o.sections;
-  D.finish st
-
-(* Objects are immutable once built, so their digest is a pure function
-   of physical identity — memoized, the verified read of every warm
-   cache hit skips the string rebuild. Keyed by physical equality
-   (structural hash, [==] compare): a recompiled object is a new key and
-   re-digests, and [Cache.corrupt] flips the *stored* digest, so rot
-   detection still compares against a freshly correct value. Sequential
-   passes only (cache pass / commit pass), hence no lock. *)
-module PhysObjTbl = Hashtbl.Make (struct
-  type t = Objfile.File.t
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-let obj_digests : Support.Digesting.t PhysObjTbl.t = PhysObjTbl.create 256
-
-let obj_digest (o : Objfile.File.t) =
-  match PhysObjTbl.find_opt obj_digests o with
-  | Some d -> d
-  | None ->
-    let d = obj_digest_uncached o in
-    PhysObjTbl.add obj_digests o d;
-    d
 
 (* Per-unit outcome of the sequential cache pass. [Dup] marks a unit
    whose key is already being compiled for an earlier unit this build:
@@ -228,10 +192,11 @@ let build env ~name ~program ~codegen_options ~link_options =
       Support.Pool.map_array pool n (fun i -> unit_action_key units.(i) codegen_options)
     in
     (* Sequential cache pass in unit order: all Cache state (hit/miss
-       counters, LRU stamps) mutates on the coordinator only, so the
-       accounting is identical for any pool width. Reads are digest
-       verified: an entry that rotted in storage is evicted and
-       recompiled from source, exactly like any other miss. *)
+       counters) mutates on the coordinator only, so the accounting is
+       identical for any pool width. Reads are digest verified against
+       the digest each object carries: an entry that rotted in storage
+       is evicted and recompiled from source, exactly like any other
+       miss. *)
     let pending : (Support.Digesting.t, unit) Hashtbl.t = Hashtbl.create 64 in
     let miss_units = ref [] and num_miss = ref 0 in
     let slots =
@@ -240,7 +205,10 @@ let build env ~name ~program ~codegen_options ~link_options =
           let key = keys.(i) in
           if Hashtbl.mem pending key then Dup
           else
-            let outcome = Cache.find_verified env.obj_cache key ~digest_of:obj_digest in
+            let outcome =
+              Cache.find_verified env.obj_cache key ~digest_of:(fun (o : Objfile.File.t) ->
+                  o.digest)
+            in
             (match outcome with
             | `Corrupt ->
               incr corrupt_evicted;
@@ -335,8 +303,9 @@ let build env ~name ~program ~codegen_options ~link_options =
                    end
                  | None -> ());
                  let obj = compiled.(j) in
-                 Cache.add ~digest_of:obj_digest env.obj_cache keys.(i)
-                   ~size:Objfile.File.total_size obj;
+                 Cache.add
+                   ~digest_of:(fun (o : Objfile.File.t) -> o.digest)
+                   env.obj_cache keys.(i) ~size:Objfile.File.total_size obj;
                  (match plan with
                  | Some p
                    when (not (Hashtbl.mem env.corrupted keys.(i)))

@@ -14,26 +14,6 @@ type result = {
   speculated : int;
 }
 
-(* LPT replans the same action multiset on every build of a program:
-   Phase 2 and Phase 4 schedule near-identical sets, and bench sweeps
-   replay them dozens of times. Memoize the descending-cost sort on the
-   action list itself (structural key); the memo is only touched from
-   the build coordinator, never from pool workers. *)
-let sort_memo : (action list, action list) Hashtbl.t = Hashtbl.create 64
-
-let lpt_order actions =
-  match Hashtbl.find_opt sort_memo actions with
-  | Some sorted -> sorted
-  | None ->
-    let sorted =
-      List.stable_sort
-        (fun (a : action) (b : action) -> compare b.cpu_seconds a.cpu_seconds)
-        actions
-    in
-    if Hashtbl.length sort_memo > 512 then Hashtbl.reset sort_memo;
-    Hashtbl.replace sort_memo actions sorted;
-    sorted
-
 (* Effective on-worker duration of an action under a fault plan, plus a
    tag for the straggler accounting. Retries serialize on the action's
    worker: each failed attempt costs a full run plus its backoff wait.
@@ -58,7 +38,11 @@ let effective_duration plan (a : action) =
 
 let schedule ?mem_limit ?faults ~workers actions =
   if workers < 1 then invalid_arg "Scheduler.schedule: workers must be >= 1";
-  let sorted = lpt_order actions in
+  let sorted =
+    List.stable_sort
+      (fun (a : action) (b : action) -> Float.compare b.cpu_seconds a.cpu_seconds)
+      actions
+  in
   let finish = Array.make workers 0.0 in
   let least_loaded () =
     let best = ref 0 in

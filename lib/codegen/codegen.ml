@@ -21,10 +21,13 @@ let intra_problem (f : Ir.Func.t) =
 
 (* Ext-TSP block orders, memoized by physical function: IR is immutable
    between builds, so the optimized build reuses every order the
-   metadata build computed for the same function. Per-function
-   lowering fans out on the pool, so the memo is guarded by a mutex;
-   two domains racing on one function compute the same order. *)
-module PhysFuncTbl = Hashtbl.Make (struct
+   metadata build computed for the same function. The keys are weak
+   (an ephemeron table), so an order lives exactly as long as its
+   function; the memo stays process-wide rather than in a build env
+   because [compile_unit] also runs with no env. Per-function lowering
+   fans out on the pool, so the memo is guarded by a mutex; two domains
+   racing on one function compute the same order. *)
+module PhysFuncTbl = Ephemeron.K1.Make (struct
   type t = Ir.Func.t
 
   let equal = ( == )

@@ -36,7 +36,8 @@ val default_options : options
 (** [intra_problem f] is the Ext-TSP problem that orders [f]'s blocks
     under [pgo_layout]: block code sizes, PGO-estimated block and edge
     frequencies, entry block 0. The order is memoized per physical
-    function; a function with inline assembly is never reordered. *)
+    function, in a weak-keyed table whose entry dies with the function; a
+    function with inline assembly is never reordered. *)
 val intra_problem : Ir.Func.t -> Layout.Problem.t
 
 (** [compile_unit ?ctx options u] emits the object file of unit [u]:

@@ -5,7 +5,10 @@ type cluster = {
   mutable frozen : bool;
 }
 
-let order ?(max_cluster_size = 1 lsl 20) (problem : Problem.t) =
+(* The byte cap beyond which clusters stop growing: 1 MiB. *)
+let max_cluster_size = 1 lsl 20
+
+let order (problem : Problem.t) =
   let sizes = problem.sizes and samples = problem.weights and arcs = problem.edges in
   let n = Array.length sizes in
   let clusters = Array.init n (fun i -> { funcs = [ i ]; size = sizes.(i); samples = samples.(i); frozen = false }) in

@@ -11,7 +11,6 @@
     [(caller, callee, weight)] call arcs. The problem's [entry] is
     ignored — function ordering has no pinned entry. *)
 
-(** [order ?max_cluster_size problem] returns a permutation of
-    [0 .. n-1]. [max_cluster_size] is the byte cap beyond which clusters
-    stop growing (default 1 MiB). *)
-val order : ?max_cluster_size:int -> Problem.t -> int list
+(** [order problem] returns a permutation of [0 .. n-1]. Clusters stop
+    growing at 1 MiB of code. *)
+val order : Problem.t -> int list

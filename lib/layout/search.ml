@@ -86,7 +86,10 @@ let pair_stats entries =
   in
   (comparable, discordant, agreement)
 
-let run ?recorder ?(seed = 1) ?(round_size = 4) ~budget ~evaluate () =
+(* Candidates per round after the opening one. *)
+let round_size = 4
+
+let run ?recorder ?(seed = 1) ~budget ~evaluate () =
   let budget = max 1 budget in
   let rng = Support.Rng.split (Support.Rng.create (Int64.of_int seed)) 0x5ea5c4 in
   let entries = ref [] in

@@ -49,16 +49,15 @@ type report = {
           comparable *)
 }
 
-(** [run ?recorder ?seed ?round_size ~budget ~evaluate ()] runs the
-    tournament: at most [budget] evaluations (at least 1), grouped in
-    rounds of [round_size] (default 4) after the all-policies opening
-    round. When [recorder] is given, each round is wrapped in a
-    ["layout_search.round"] trace span carrying the round's best
-    fitness. [evaluate] must be deterministic for reproducibility. *)
+(** [run ?recorder ?seed ~budget ~evaluate ()] runs the tournament: at
+    most [budget] evaluations (at least 1), grouped in rounds of 4 after
+    the all-policies opening round. When [recorder] is given, each round
+    is wrapped in a ["layout_search.round"] trace span carrying the
+    round's best fitness. [evaluate] must be deterministic for
+    reproducibility. *)
 val run :
   ?recorder:Obs.Recorder.t ->
   ?seed:int ->
-  ?round_size:int ->
   budget:int ->
   evaluate:(candidate -> outcome) ->
   unit ->

@@ -204,7 +204,6 @@ let run_round ?(config = default_config) ~env ~program ~name ~round ~prev () =
     Obs.Recorder.set_gauge rec_ "pipeline.wpa.hot_funcs" (float_of_int wpa.hot_funcs);
     Obs.Recorder.add_counter rec_ "wpa.layout_cache.hits" wpa.layout_cache_hits;
     Obs.Recorder.add_counter rec_ "wpa.layout_cache.misses" wpa.layout_cache_misses;
-    Obs.Recorder.add_counter rec_ "wpa.layout_cache.evictions" wpa.layout_cache_evictions;
     (* Shard-drop degradation is accounted here (Wpa itself stays free
        of telemetry); counters only exist when a plan is armed so the
        fault-free export stays byte-identical. *)

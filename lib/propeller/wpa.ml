@@ -53,7 +53,6 @@ type result = {
   cpu_seconds : float;
   layout_cache_hits : int;
   layout_cache_misses : int;
-  layout_cache_evictions : int;
   shards_dropped : int;
   dropped_hot_funcs : int;
 }
@@ -173,10 +172,10 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
   in
   let cache_snapshot () =
     match layout_cache with
-    | Some c -> Buildsys.Cache.(hits c, misses c, evictions c)
-    | None -> (0, 0, 0)
+    | Some c -> Buildsys.Cache.(hits c, misses c)
+    | None -> (0, 0)
   in
-  let h0, m0, e0 = cache_snapshot () in
+  let h0, m0 = cache_snapshot () in
   let dcfg = Dcfg.build ~profile ~binary in
   let all_hot = Array.to_list dcfg.funcs in
   (* Graceful degradation on missing profile shards: each hot function's
@@ -278,7 +277,7 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
       score := r.score;
       (r.plans, r.ordering)
   in
-  let h1, m1, e1 = cache_snapshot () in
+  let h1, m1 = cache_snapshot () in
   let profile_bytes = Perfmon.Lbr.raw_bytes profile in
   {
     plans;
@@ -294,7 +293,6 @@ let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
         ~dcfg_blocks;
     layout_cache_hits = h1 - h0;
     layout_cache_misses = m1 - m0;
-    layout_cache_evictions = e1 - e0;
     shards_dropped;
     dropped_hot_funcs;
   }

@@ -62,7 +62,6 @@ type result = {
       (** Functions whose (plan, score) came from the relink cache in
           this call; 0 when no cache was given. *)
   layout_cache_misses : int;  (** Functions laid out from scratch. *)
-  layout_cache_evictions : int;  (** Entries dropped by capacity. *)
   shards_dropped : int;
       (** Profile shards the fault plan dropped (0 without a plan). *)
   dropped_hot_funcs : int;

@@ -22,6 +22,16 @@ with the reason it stays.  An allowlist entry that is no longer exported
 or that has gained a reader fails too, so the list cannot go stale.
 The script prints how many exports it examined and fails if that is 0.
 
+The script also fails on a process-global table: a top-level `let` in
+a `lib/*/*.ml` file (one starting at column 0) bound to a new hash or
+ephemeron table, made by `Hashtbl.create` or by the `create` of a module
+built with `Hashtbl.Make`, `Hashtbl.MakeSeeded`, `Ephemeron.K1.Make`,
+`Ephemeron.K2.Make`, `Ephemeron.Kn.Make` or `Weak.Make`, directly or
+under `ref`.  Such a table outlives every build that fills it; build
+state belongs in the value it is derived from or in the build env.  A
+table stays only when GLOBAL_TABLES names it with its reason, and an
+entry that no longer matches a table fails too.
+
 Run from anywhere: `python3 scripts/export_scan.py`.
 """
 
@@ -47,6 +57,19 @@ ALLOWLIST = {
     "Support.Packed.tuple_hash":
         "pins Packed.Tbl's iteration order to the tuple-keyed Hashtbl it replaced; "
         "the digest epoch (ROADMAP item 7) deletes it",
+}
+
+# Process-global tables kept in lib/, each with why.  Both are weak:
+# an entry lives exactly as long as the IR function it is keyed by.
+GLOBAL_TABLES = {
+    "Codegen.exttsp_orders":
+        "Ext-TSP block orders by physical function, weak keys; the optimized "
+        "build reuses the metadata build's orders, and compile_unit also runs "
+        "with no build env",
+    "Buildsys.Driver.func_digests":
+        "function digests by physical function, weak keys; unit_action_key "
+        "also runs with no build env, and the Phase-4 rebuild re-digests "
+        "nothing",
 }
 
 SKIP_DIRS = {"_build", "test", ".git", "_opam"}
@@ -217,8 +240,53 @@ class FileRefs:
         return vpath[:-1] in self.opens and vpath[-1] in self.bare
 
 
+TABLE_MAKERS = r"(?:Hashtbl\.Make(?:Seeded)?|Ephemeron\.K(?:1|2|n)\.Make|Weak\.Make)"
+
+
+def global_tables(libs):
+    """Yield (canonical value path, ml file) for each top-level table."""
+    srcs = {}
+    for lib, (d, mods) in libs.items():
+        for mod in sorted(mods):
+            ml = os.path.join(d, mod[0].lower() + mod[1:] + ".ml")
+            if os.path.exists(ml):
+                srcs[(lib, mod, ml)] = strip(open(ml).read())
+    # Table modules may be made in one file and used in another.
+    tables = {"Hashtbl"}
+    for src in srcs.values():
+        tables.update(re.findall(r"\bmodule\s+([A-Z]\w*)\s*=\s*" + TABLE_MAKERS, src))
+    binding = re.compile(
+        r"^let\s+(" + IDENT + r")\s*(?::[^=]*)?=\s*(?:ref\s*\(?\s*)?"
+        r"(?:[A-Z]\w*\.)*([A-Z]\w*)\.create\b", re.M)
+    for (lib, mod, ml), src in sorted(srcs.items()):
+        for m in binding.finditer(src):
+            if m.group(2) in tables:
+                yield canonical(lib, mod) + (m.group(1),), ml
+
+
+def check_global_tables(libs):
+    """Print the table verdict; return the number of failures."""
+    found = list(global_tables(libs))
+    names = {".".join(v) for v, _ in found}
+    bad = [(".".join(v), os.path.relpath(ml, ROOT)) for v, ml in found
+           if ".".join(v) not in GLOBAL_TABLES]
+    stale = sorted(n for n in GLOBAL_TABLES if n not in names)
+    print("export_scan: %d process-global tables in lib/, %d allowlisted"
+          % (len(found), len(GLOBAL_TABLES)))
+    for name, ml in bad:
+        print("  process-global table: %s (%s)" % (name, ml), file=sys.stderr)
+    for n in stale:
+        print("  stale table allowlist entry: %s (no such table)" % n, file=sys.stderr)
+    if bad or stale:
+        print("export_scan: FAIL: %d process-global tables, %d stale table allowlist "
+              "entries; keep build state in the value it derives from or in the "
+              "build env" % (len(bad), len(stale)), file=sys.stderr)
+    return len(bad) + len(stale)
+
+
 def main():
     libs = libraries()
+    table_failures = check_global_tables(libs)
     exported = list(exports(libs))
     if not exported:
         print("export_scan: FAIL: examined 0 exports; the scan is broken", file=sys.stderr)
@@ -246,7 +314,7 @@ def main():
               "delete or unexport the value, or allowlist it with its reason"
               % (len(missing), len(stale)), file=sys.stderr)
         return 1
-    return 0
+    return 1 if table_failures else 0
 
 
 if __name__ == "__main__":

@@ -30,25 +30,6 @@ let test_cache_hit_miss () =
   check ti "stored bytes" 8 (Buildsys.Cache.stored_bytes c);
   check tb "hit rate" true (abs_float (Buildsys.Cache.hit_rate c -. 0.5) < 1e-9)
 
-let test_cache_lru_eviction () =
-  let c = Buildsys.Cache.create ~capacity_bytes:10 () in
-  let key s = Support.Digesting.of_string s in
-  let put k v = Buildsys.Cache.add c (key k) ~size:String.length v in
-  put "a" "aaaa";
-  put "b" "bbbb";
-  (* Touch "a" so "b" is the LRU victim when "c" overflows the store. *)
-  check tb "a present" true (Buildsys.Cache.find c (key "a") <> None);
-  put "c" "cccc";
-  check ti "one eviction" 1 (Buildsys.Cache.evictions c);
-  check tb "LRU (b) evicted" false (Buildsys.Cache.find c (key "b") <> None);
-  check tb "recently-used a survives" true (Buildsys.Cache.find c (key "a") <> None);
-  check tb "newcomer c survives" true (Buildsys.Cache.find c (key "c") <> None);
-  check ti "stored bytes tracks survivors" 8 (Buildsys.Cache.stored_bytes c);
-  (* An artifact bigger than the whole capacity still stays: the
-     just-added key is never its own victim. *)
-  put "huge" "xxxxxxxxxxxxxxxxxxxx";
-  check tb "oversized newcomer kept" true (Buildsys.Cache.find c (key "huge") <> None)
-
 let test_cache_replace_same_key () =
   let c = Buildsys.Cache.create () in
   let key = Support.Digesting.of_string "k" in
@@ -90,12 +71,16 @@ let test_scheduler_empty () =
   check tb "empty wall" true (r.wall_seconds = 0.0);
   check ti "no actions" 0 r.num_actions
 
-let test_scheduler_plan_memo () =
+let test_scheduler_same_plan () =
   let actions = [ action "m1" 2.0 1; action "m2" 3.0 1; action "m3" 1.0 1 ] in
   let r1 = Buildsys.Scheduler.schedule ~workers:2 actions in
   let r2 = Buildsys.Scheduler.schedule ~workers:2 actions in
-  check tb "memoized plan is identical" true (r1.wall_seconds = r2.wall_seconds);
-  check ti "same placements" (List.length r1.placements) (List.length r2.placements)
+  check tb "same makespan" true (r1.wall_seconds = r2.wall_seconds);
+  check tb "same placements" true (r1.placements = r2.placements);
+  check
+    Alcotest.(list string)
+    "longest first" [ "m2"; "m1"; "m3" ]
+    (List.map (fun (p : Buildsys.Scheduler.placement) -> p.action.label) r1.placements)
 
 let scheduler_makespan_law =
   QCheck.Test.make ~count:150 ~name:"makespan bounds (LPT)"
@@ -328,8 +313,9 @@ let test_streamed_func_digest () =
   List.iter (fun p -> Ir.Program.iter_funcs p same) (Lazy.force digest_programs);
   same (odd_func ())
 
-(* The streamed object digest equals the digest of the joined string,
-   on every object of those programs with and without address maps. *)
+(* The digest each compiled object carries equals the digest of the
+   joined string, on every object of those programs with and without
+   address maps. *)
 let test_streamed_obj_digest () =
   let meta, _ = Propeller.Pipeline.metadata_options in
   List.iter
@@ -340,7 +326,7 @@ let test_streamed_obj_digest () =
             (fun (o : Objfile.File.t) ->
               check ts o.name
                 (Support.Digesting.to_hex (obj_digest_ref o))
-                (Support.Digesting.to_hex (Buildsys.Driver.obj_digest_uncached o)))
+                (Support.Digesting.to_hex o.digest))
             (Codegen.compile_program options p))
         (Lazy.force digest_programs))
     [ meta; Codegen.default_options ]
@@ -508,13 +494,12 @@ let test_build_persistent_fallback () =
 let suite =
   [
     Alcotest.test_case "cache: hit/miss accounting" `Quick test_cache_hit_miss;
-    Alcotest.test_case "cache: LRU eviction under capacity" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache: same-key replacement" `Quick test_cache_replace_same_key;
     Alcotest.test_case "scheduler: single worker" `Quick test_scheduler_single_worker;
     Alcotest.test_case "scheduler: parallel" `Quick test_scheduler_parallel;
     Alcotest.test_case "scheduler: memory limit" `Quick test_scheduler_mem_limit;
     Alcotest.test_case "scheduler: empty" `Quick test_scheduler_empty;
-    Alcotest.test_case "scheduler: LPT plan memo" `Quick test_scheduler_plan_memo;
+    Alcotest.test_case "scheduler: same actions, same plan" `Quick test_scheduler_same_plan;
     QCheck_alcotest.to_alcotest scheduler_makespan_law;
     Alcotest.test_case "driver: rebuilds hit cache" `Quick test_build_caches_objects;
     Alcotest.test_case "driver: plans invalidate only their unit" `Quick test_plan_invalidates_only_its_unit;

@@ -415,13 +415,14 @@ let test_hfsort_density_order () =
   check Alcotest.(list int) "densest first" [ 1; 2; 0 ] order
 
 let test_hfsort_cluster_cap () =
-  (* Merging stops at the size cap, so the callee ends up placed by
-     density rather than appended. *)
-  let sizes = [| 900; 900 |] in
-  let samples = [| 100.0; 50.0 |] in
+  (* Merging stops at the 1 MiB size cap, so the callee ends up placed
+     by density (ahead of its cooler caller) rather than appended. *)
+  let samples = [| 50.0; 100.0 |] in
   let arcs = [ (0, 1, 100.0) ] in
-  let order = Layout.Hfsort.order ~max_cluster_size:1000 (fproblem ~sizes ~samples ~arcs) in
-  check tb "still a permutation" true (is_permutation 2 order)
+  let order sizes = Layout.Hfsort.order (fproblem ~sizes ~samples ~arcs) in
+  check Alcotest.(list int) "under the cap: appended" [ 0; 1 ] (order [| 900; 900 |]);
+  check Alcotest.(list int) "over the cap: by density" [ 1; 0 ]
+    (order [| 900_000; 900_000 |])
 
 let hfsort_permutation_law =
   QCheck.Test.make ~count:150 ~name:"hfsort is a permutation"

@@ -190,21 +190,23 @@ let relink_family_program k =
     }
   |> Codegen.Inline.program
 
-(* Relink-family program 0 through one pipeline run under the settings
-   the relink benchmark uses: the WPA configuration and the run. *)
+(* The pipeline settings the relink benchmark runs its programs under. *)
+let relink_config =
+  let clang = Progen.Suite.clang in
+  {
+    Propeller.Pipeline.default_config with
+    profile_run = { Exec.Interp.default_config with requests = clang.requests / 16 };
+    hugepages = clang.hugepages;
+  }
+
+(* Relink-family program 0 through one pipeline run under those
+   settings: the WPA configuration and the run. *)
 let relink0_run =
   lazy
-    (let clang = Progen.Suite.clang in
-     let config =
-       {
-         Propeller.Pipeline.default_config with
-         profile_run = { Exec.Interp.default_config with requests = clang.requests / 16 };
-         hugepages = clang.hugepages;
-       }
-     in
-     let env = Buildsys.Driver.make_env () in
-     ( config.wpa,
-       Propeller.Pipeline.run ~config ~env ~program:(relink_family_program 0) ~name:"pin" () ))
+    (let env = Buildsys.Driver.make_env () in
+     ( relink_config.wpa,
+       Propeller.Pipeline.run ~config:relink_config ~env ~program:(relink_family_program 0)
+         ~name:"pin" () ))
 
 let compile_and_link ?(codegen = Codegen.default_options) ?(link = Linker.Link.default_options)
     ?(name = "test") program =
