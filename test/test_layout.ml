@@ -228,6 +228,63 @@ let test_exttsp_pinned_layouts () =
         [ true; false ])
     pinned_layouts
 
+(* The largest (most blocks, first in program order) Ext-TSP problem of
+   relink program 0. *)
+let relink0_largest_problem =
+  lazy
+    (let best = ref None in
+     Ir.Program.iter_funcs (relink_family_program 0) (fun f ->
+         let n = Ir.Func.num_blocks f in
+         match !best with Some (m, _) when m >= n -> () | _ -> best := Some (n, f));
+     Codegen.intra_problem (snd (Option.get !best)))
+
+(* An Ext-TSP call carries no state into the next: relink program 0's
+   largest problem A, solved again after a larger and a smaller problem,
+   gives the same order and merge count, on this domain and on either
+   domain of a pool, under both retrievals. *)
+let test_exttsp_calls_carry_no_state () =
+  let a = Lazy.force relink0_largest_problem in
+  let larger =
+    let m = (2 * Layout.Problem.size a) + 7 in
+    let edges =
+      List.concat
+        (List.init m (fun i ->
+             [
+               (i, (i + 1) mod m, float_of_int ((i mod 3) + 1));
+               (i, ((7 * i) + 3) mod m, float_of_int ((13 * i) mod 5));
+             ]))
+    in
+    Layout.Problem.make
+      ~sizes:(Array.init m (fun i -> 1 + (5 * i mod 17)))
+      ~weights:(Array.init m (fun i -> float_of_int (i mod 4)))
+      ~edges ~entry:1
+  and smaller =
+    Layout.Problem.make ~sizes:[| 4; 8; 2 |] ~weights:[| 1.0; 1.0; 1.0 |]
+      ~edges:[ (0, 2, 5.0); (2, 1, 3.0) ] ~entry:0
+  in
+  let result = Alcotest.(pair (list int) int) in
+  List.iter
+    (fun use_pqueue ->
+      let params = { Layout.Exttsp.default_params with use_pqueue } in
+      let solve p =
+        let order = Layout.Exttsp.order ~params p in
+        (order, Layout.Exttsp.last_merge_count ())
+      in
+      let first = solve a in
+      ignore (solve larger);
+      ignore (solve smaller);
+      check result (Printf.sprintf "A again, use_pqueue=%b" use_pqueue) first (solve a);
+      let inputs = [| a; larger; a; smaller; a; larger; a; a |] in
+      Support.Pool.with_pool ~jobs:2 (fun pool ->
+          let got = Support.Pool.map_array pool (Array.length inputs) (fun i -> solve inputs.(i)) in
+          Array.iteri
+            (fun i p ->
+              if p == a then
+                check result (Printf.sprintf "A as task %d, use_pqueue=%b" i use_pqueue) first
+                  got.(i))
+            inputs))
+    [ true; false ]
+
 (* Out-of-range nodes are rejected up front, never dropped silently or
    written past an array's end. *)
 let test_problem_validation () =
@@ -472,6 +529,7 @@ let suite =
     Alcotest.test_case "exttsp: merge count" `Quick test_exttsp_merge_count;
     Alcotest.test_case "problem: out-of-range nodes rejected" `Quick test_problem_validation;
     Alcotest.test_case "exttsp: pinned relink-family layouts" `Quick test_exttsp_pinned_layouts;
+    Alcotest.test_case "Ext-TSP calls carry no state" `Quick test_exttsp_calls_carry_no_state;
     QCheck_alcotest.to_alcotest policy_contract_law;
     QCheck_alcotest.to_alcotest policy_nonzero_entry_law;
     QCheck_alcotest.to_alcotest local_search_dominates_law;

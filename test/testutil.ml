@@ -277,13 +277,17 @@ let run_with_profile ?(requests = 40) program binary =
    as relinkbench's child counts an op: minor + major - promoted. An
    array over 256 words goes straight to the major heap, which
    [Gc.minor_words] alone never sees. A minor collection before each
-   reading flushes the runtime's counters. *)
+   reading flushes the runtime's counters. The runtime samples its
+   major counters at collections, so a major cycle left half done by
+   earlier code can charge its words to [f]; a full major collection
+   first settles the heap. *)
 let allocated_words f =
   let words () =
     Gc.minor ();
     let s = Gc.quick_stat () in
     s.minor_words +. s.major_words -. s.promoted_words
   in
+  Gc.full_major ();
   let w0 = words () in
   f ();
   words () -. w0
