@@ -36,7 +36,20 @@
     most once, since a merged chain takes a fresh id.
 
     Takes a {!Problem.t}; the produced order is a permutation of
-    [0 .. n-1] with the problem's entry node first. *)
+    [0 .. n-1] with the problem's entry node first.
+
+    Each domain keeps one workspace between calls, which a call takes
+    and puts back: the per-node, per-edge and per-chain state above, in
+    flat arrays, with each live chain's nodes, internal edges and
+    neighbours in arenas that slide the live parts down when full, the
+    cross bundles as edge lists linked in place, the merge queue and the
+    final sort. It is sized to the largest problem (n nodes, E flat
+    edges) the domain has solved, O(n + E) words, plus a queue as long
+    as the most candidates a call held at once. A call allocates its
+    seeding table, kept fresh because its iteration order is the tie
+    contract's, and the list it returns; no order outlives its call.
+    Both contracts above are unchanged by the workspace: the layouts
+    and merge counts equal those of fresh per-call state. *)
 
 type params = {
   forward_window : int;  (** Max rewarded forward-jump distance (bytes). *)

@@ -15,6 +15,10 @@ let create () = { prio = [||]; seq = [||]; key = [||]; size = 0; next_seq = 0 }
 
 let length t = t.size
 
+let clear t =
+  t.size <- 0;
+  t.next_seq <- 0
+
 let grow t =
   let cap = max 16 (2 * t.size) in
   let extend a fill =
@@ -26,7 +30,7 @@ let grow t =
   t.seq <- extend t.seq 0;
   t.key <- extend t.key 0
 
-let add t ~priority key =
+let[@inline] add t ~priority key =
   if t.size = Array.length t.prio then grow t;
   let prio = t.prio and seq = t.seq and keys = t.key in
   let s = t.next_seq in
@@ -51,6 +55,9 @@ let add t ~priority key =
   Array.unsafe_set seq !i s;
   Array.unsafe_set keys !i key;
   t.size <- t.size + 1
+
+(* [add] is inlined here, so the priority is never boxed. *)
+let add_from t prios i key = add t ~priority:prios.(i) key
 
 let pop_max t =
   if t.size = 0 then invalid_arg "Pqueue.pop_max: empty queue";

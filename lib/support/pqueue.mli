@@ -16,8 +16,18 @@ val create : unit -> t
 (** [length t] is the number of entries. *)
 val length : t -> int
 
+(** [clear t] empties [t] and restarts its push order, keeping its
+    arrays, so a reused queue allocates nothing until it outgrows
+    them. *)
+val clear : t -> unit
+
 (** [add t ~priority key] pushes [key] with [priority]. *)
 val add : t -> priority:float -> int -> unit
+
+(** [add_from t prios i key] is [add t ~priority:prios.(i) key]. It
+    reads the priority where the caller keeps it, so a call from another
+    module boxes no float. *)
+val add_from : t -> float array -> int -> int -> unit
 
 (** [pop_max t] removes the entry with the highest priority, the
     earliest pushed among equals, and returns its key. Raises
