@@ -16,6 +16,7 @@
    edges and neighbours in arenas the live chains share; a call takes
    the workspace and puts it back, so [order] allocates little beyond
    the seeding table below and the list it returns.
+
    [best_merge] scores every "b inserted at cut c of a" from that state
    alone. The float contract: a cut's score sums edge gains in the order
    reverse(cross), reverse(a.internal), b.internal, which is the merged
@@ -153,14 +154,14 @@ let score ?(params = default_params) ~order (p : Problem.t) =
    when an arena is full, [compact] slides the live parts down in id
    order. The live parts never exceed n nodes, E internal edges (the
    cross edges are the rest of the problem's E) and 2E neighbour
-   entries, and a merge needs no more than the live parts of the two
-   chains it merges, so arenas of 2n, 2E and 4E always make room.
+   entries, nor does the merged chain's, so arenas of 2n, 2E and 4E
+   always make room after a [compact].
 
    A cross bundle is a list of flat edges linked both ways without an
    orientation ([link0]/[link1], -1 at an end), named by its two ends:
    reversing one swaps its ends and joining two links one end of each,
-   so neither copies an edge. [best_merge] gathers a bundle into flat
-   arrays ([xe] .. [xw]) before scoring it, last edge first. *)
+   so neither copies an edge. [best_merge] gathers a bundle's edges
+   into [xe] before scoring it. *)
 module T = Support.Packed.Tbl
 
 type ws = {
@@ -183,10 +184,7 @@ type ws = {
   link0 : int array;
   link1 : int array;
   bhead : int array;  (** While seeding: the head of the bundle this edge ends. *)
-  xe : int array;
-  xsrc : int array;
-  xdst : int array;
-  xw : float array;
+  xe : int array;  (** The bundle [best_merge] last gathered, last edge first. *)
   sgain : float array;  (** [best_merge]: an edge of a's gain when a cut separates it. *)
   (* Per chain id; a dead chain has [c_len] 0. *)
   c_first : int array;
@@ -241,9 +239,6 @@ let make_ws ~n ~e =
     link1 = ints e;
     bhead = ints e;
     xe = ints e;
-    xsrc = ints e;
-    xdst = ints e;
-    xw = floats e;
     sgain = floats e;
     c_first = ints (2 * n);
     c_len = ints (2 * n);
@@ -297,16 +292,13 @@ let return_ws w =
 (* Link edge [x] to edge [y] through [x]'s free link. *)
 let[@inline] link_end w x y = if w.link0.(x) < 0 then w.link0.(x) <- y else w.link1.(x) <- y
 
-(* Copy the bundle that ends at [tail] into [xe] .. [xw], last edge
-   first, and record its length in [xlen]. *)
+(* Copy the edges of the bundle that ends at [tail] into [xe], last
+   edge first, and record how many in [xlen]. *)
 let gather w tail =
   let k = ref 0 and prev = ref (-1) and cur = ref tail in
   while !cur >= 0 do
     let x = !cur in
     w.xe.(!k) <- x;
-    w.xsrc.(!k) <- w.esrc.(x);
-    w.xdst.(!k) <- w.edst.(x);
-    w.xw.(!k) <- w.ew.(x);
     incr k;
     let l0 = w.link0.(x) in
     cur := if l0 = !prev then w.link1.(x) else l0;
@@ -375,7 +367,7 @@ let best_merge p w a_id b_id ~tail =
     done
   end;
   let margin = float_of_int (nai + 2) *. 0x1p-45 in
-  let xsrc = w.xsrc and xdst = w.xdst and xw = w.xw and nc = w.xlen in
+  let xe = w.xe and esrc = w.esrc and edst = w.edst and nc = w.xlen in
   let b_first = cn.(w.c_first.(b_id)) in
   (* Each valid cut's sum over the cross edges, trial t at [xs.(t)]. *)
   for t = 0 to trials - 1 do
@@ -385,7 +377,8 @@ let best_merge p w a_id b_id ~tail =
       let cut_off = if c = na then w.c_size.(a_id) else off.(cn.(af + c)) in
       let acc = ref 0.0 in
       for i = 0 to nc - 1 do
-        let src = Array.unsafe_get xsrc i and dst = Array.unsafe_get xdst i in
+        let x = Array.unsafe_get xe i in
+        let src = Array.unsafe_get esrc x and dst = Array.unsafe_get edst x in
         let dist =
           if Array.unsafe_get owner src = a_id then
             cut_off + Array.unsafe_get off dst
@@ -396,7 +389,7 @@ let best_merge p w a_id b_id ~tail =
             + (if Array.unsafe_get rank dst >= c then bsize else 0)
             - (cut_off + Array.unsafe_get off src + Array.unsafe_get sizes src)
         in
-        acc := !acc +. edge_gain p (Array.unsafe_get xw i) dist
+        acc := !acc +. edge_gain p (Array.unsafe_get ew x) dist
       done;
       Array.unsafe_set xs t !acc
     end
