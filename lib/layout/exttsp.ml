@@ -269,25 +269,37 @@ let make_ws ~n ~e =
 (* The workspace the domain's last [order] returned, holding no
    problem. A call takes it when it fits, else makes one as large as
    the larger of the spare and the problem in each dimension, and puts
-   it back when done; a call that raises puts none back. *)
+   it back when done; a call that raises puts none back. Only a
+   workspace of at most [kept_nodes] nodes and [kept_edges] edges is
+   kept: larger problems are rare (9 of relink program 1's 534), and a
+   workspace their size would sit in the peak memory of every later
+   phase, so each of their calls makes its own. *)
 let spare_ws : ws option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
+let kept_nodes = 64
+
+let kept_edges = 128
+
 let take_ws ~n ~e =
-  let spare = Domain.DLS.get spare_ws in
-  Domain.DLS.set spare_ws None;
-  match spare with
-  | Some w when Array.length w.owner >= n && Array.length w.link0 >= e ->
-    Support.Pqueue.clear w.pq;
-    w
-  | Some w -> make_ws ~n:(max n (Array.length w.owner)) ~e:(max e (Array.length w.link0))
-  | None -> make_ws ~n ~e
+  if n > kept_nodes || e > kept_edges then make_ws ~n ~e
+  else begin
+    let spare = Domain.DLS.get spare_ws in
+    Domain.DLS.set spare_ws None;
+    match spare with
+    | Some w when Array.length w.owner >= n && Array.length w.link0 >= e ->
+      Support.Pqueue.clear w.pq;
+      w
+    | Some w -> make_ws ~n:(max n (Array.length w.owner)) ~e:(max e (Array.length w.link0))
+    | None -> make_ws ~n ~e
+  end
 
 let return_ws w =
   w.sizes <- [||];
   w.esrc <- [||];
   w.edst <- [||];
   w.ew <- [||];
-  Domain.DLS.set spare_ws (Some w)
+  if Array.length w.owner <= kept_nodes && Array.length w.link0 <= kept_edges then
+    Domain.DLS.set spare_ws (Some w)
 
 (* Link edge [x] to edge [y] through [x]'s free link. *)
 let[@inline] link_end w x y = if w.link0.(x) < 0 then w.link0.(x) <- y else w.link1.(x) <- y

@@ -43,11 +43,14 @@
     flat arrays, with each live chain's nodes, internal edges and
     neighbours in arenas that slide the live parts down when full, the
     cross bundles as edge lists linked in place, the merge queue and the
-    final sort. It is sized to the largest problem (n nodes, E flat
-    edges) the domain has solved, O(n + E) words, plus a queue as long
-    as the most candidates a call held at once. A call allocates its
-    seeding table, kept fresh because its iteration order is the tie
-    contract's, and the list it returns; no order outlives its call.
+    final sort, O(n + E) words for n nodes and E flat edges, plus a
+    queue as long as the most candidates a call held at once. The
+    domain keeps it sized to the largest problem of at most 64 nodes
+    and 128 flat edges it has solved; a larger problem makes its own
+    for the call, so no rare large function leaves a large workspace
+    behind. A call allocates its seeding table, kept fresh because its
+    iteration order is the tie contract's, and the list it returns; no
+    order outlives its call.
     Both contracts above are unchanged by the workspace: the layouts
     and merge counts equal those of fresh per-call state. *)
 
