@@ -289,7 +289,7 @@ let take_ws ~n ~e =
     | Some w when Array.length w.owner >= n && Array.length w.link0 >= e ->
       Support.Pqueue.clear w.pq;
       w
-    | Some w -> make_ws ~n:(max n (Array.length w.owner)) ~e:(max e (Array.length w.link0))
+    | Some w -> make_ws ~n:(Int.max n (Array.length w.owner)) ~e:(Int.max e (Array.length w.link0))
     | None -> make_ws ~n ~e
   end
 
@@ -547,7 +547,7 @@ let merge_chains p w m a_id b_id ~cut =
   w.c_size.(m) <- w.c_size.(a_id) + w.c_size.(b_id);
   w.c_weight.(m) <- w.c_weight.(a_id) +. w.c_weight.(b_id);
   w.c_score.(m) <- w.res.(1);
-  w.c_min.(m) <- min w.c_min.(a_id) w.c_min.(b_id);
+  w.c_min.(m) <- Int.min w.c_min.(a_id) w.c_min.(b_id);
   w.c_efirst.(m) <- me;
   w.c_elen.(m) <- nc + nai + nbi
 
