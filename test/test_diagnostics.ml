@@ -104,6 +104,19 @@ let test_layout_exact () =
   (* The fall-through component alone is worth 5.0. *)
   check tb "exttsp >= fall-through mass" true (l.exttsp_score >= 5.0 -. 1e-9)
 
+(* The layout-quality score of relink program 0's and 505.mcf's
+   optimized binaries, as bits. *)
+let test_layout_pinned () =
+  let pin (r : Propeller.Pipeline.result) =
+    let l =
+      Diagnostics.Layoutq.analyze ~dcfg:(run_dcfg r) ~final:(Propeller.Pipeline.optimized_binary r)
+        ()
+    in
+    Printf.sprintf "%Lx" (Int64.bits_of_float l.exttsp_score)
+  in
+  check ts "relink 0" "40d4aadc12e147ad" (pin (snd (Lazy.force relink0_run)));
+  check ts "505.mcf" "40e41e47b3ae147b" (pin (Lazy.force mcf_run))
+
 (* Same seed => byte-identical diagnostics JSON: the property that makes
    a committed bench/baseline.json safe to diff against in CI. *)
 let test_report_deterministic () =
@@ -357,6 +370,7 @@ let suite =
     Alcotest.test_case "quality: exact coverage + mismatch" `Quick test_quality_exact;
     Alcotest.test_case "quality: fresh profile no mismatch" `Quick test_quality_no_mismatch;
     Alcotest.test_case "layout: exact exttsp + fall-through" `Quick test_layout_exact;
+    Alcotest.test_case "layout: pinned scores on real programs" `Quick test_layout_pinned;
     Alcotest.test_case "report: same seed, identical JSON" `Quick test_report_deterministic;
     Alcotest.test_case "compare: identical files ok" `Quick test_compare_identical;
     Alcotest.test_case "compare: regression flagged" `Quick test_compare_regression;

@@ -450,6 +450,47 @@ let test_pinned_layout_keys () =
   check ti "hot functions" 56 (List.length hot);
   check ts "layout keys" "e10feff029f6048e8ea731f8643e280a" (Digest.to_hex (Digest.string (String.concat "\n" keys)))
 
+(* The function order of every sampled function of relink programs
+   0-3, one MD5 per program. The hash-table laws above send both sides
+   through [Layout.Problem.make], so they cannot tell whether the
+   producers hand it the same edges; these pins can. *)
+let test_pinned_function_order () =
+  let requests = Progen.Suite.clang.requests / 16 in
+  let digests =
+    List.init 4 (fun k ->
+        let binary, lbr, _ = profiled_metadata_build ~requests (relink_family_program k) in
+        let order = flat_function_order (Propeller.Dcfg.build ~profile:lbr ~binary) in
+        Digest.to_hex (Digest.string (String.concat "\n" order)))
+  in
+  check (Alcotest.list ts) "function orders"
+    [
+      "7e3d4bda4559f498fe50b9bd6db21dda";
+      "29670487b6d2a1080a8e73ec1e9118ce";
+      "f8434875ea416c0783687b3c25b39129";
+      "7b7fad74142a65ae4f3a4b660f40da31";
+    ]
+    digests
+
+(* The interprocedural layout of relink program 0 and of 505.mcf: the
+   MD5 of its plans text and ordering, and its score's bits. *)
+let test_pinned_interproc () =
+  let policy = Option.get (Layout.Policy.find "exttsp") in
+  let pin (r : Propeller.Pipeline.result) =
+    let l =
+      Propeller.Interproc.layout ~policy ~params:Layout.Policy.default_params ~dcfg:(run_dcfg r)
+        ~entry_func:r.metadata_build.binary.entry_symbol
+    in
+    let text = String.concat "\n" (Codegen.Directive.to_text l.plans :: l.ordering) in
+    (Digest.to_hex (Digest.string text), Printf.sprintf "%Lx" (bits l.score))
+  in
+  let pair = Alcotest.(pair string string) in
+  check pair "relink 0"
+    ("f74d629a8f796690f0b80677c560b8a3", "40d56ba12b333333")
+    (pin (snd (Lazy.force relink0_run)));
+  check pair "505.mcf"
+    ("a066f8792c36ff35e060a150912fc22b", "40e47b4377d70a3e")
+    (pin (Lazy.force mcf_run))
+
 (* --- Pipeline ------------------------------------------------------ *)
 
 let test_pipeline_reuses_cold_objects () =
@@ -954,6 +995,8 @@ let suite =
     Alcotest.test_case "wpa: splitting can be disabled" `Quick test_wpa_split_functions_off;
     Alcotest.test_case "wpa: block layout hot first" `Quick test_wpa_block_layout_hot_first;
     Alcotest.test_case "wpa: pinned layout keys" `Quick test_pinned_layout_keys;
+    Alcotest.test_case "dcfg: pinned function orders" `Quick test_pinned_function_order;
+    Alcotest.test_case "interproc: pinned layouts" `Quick test_pinned_interproc;
     Alcotest.test_case "pipeline: cold objects cached" `Quick test_pipeline_reuses_cold_objects;
     Alcotest.test_case "pipeline: PM/PO shapes" `Quick test_pipeline_po_binary_shape;
     Alcotest.test_case "pipeline: no perf regression" `Quick test_pipeline_improves_performance;

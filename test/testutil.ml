@@ -208,6 +208,25 @@ let relink0_run =
        Propeller.Pipeline.run ~config:relink_config ~env ~program:(relink_family_program 0)
          ~name:"pin" () ))
 
+(* 505.mcf through one pipeline run at the default settings and 40
+   profiled requests. *)
+let mcf_run =
+  lazy
+    (let env = Buildsys.Driver.make_env () in
+     Propeller.Pipeline.run
+       ~config:
+         {
+           Propeller.Pipeline.default_config with
+           profile_run = { Exec.Interp.default_config with requests = 40 };
+         }
+       ~env
+       ~program:(Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")))
+       ~name:"505.mcf" ())
+
+(* The address-map DCFG of a pipeline run's profile. *)
+let run_dcfg (r : Propeller.Pipeline.result) =
+  Propeller.Dcfg.build ~profile:r.profile ~binary:r.metadata_build.binary
+
 let compile_and_link ?(codegen = Codegen.default_options) ?(link = Linker.Link.default_options)
     ?(name = "test") program =
   let objs = Codegen.compile_program codegen program in
