@@ -62,13 +62,12 @@ let exttsp_relink_test () =
     (Staged.stage (fun () -> List.iter (fun p -> ignore (Layout.Exttsp.order p)) problems))
 
 (* The other half of the codegen layout layer on the same functions:
-   block frequencies, edge frequencies and the flat edges Ext-TSP
-   starts from. *)
+   block frequencies, edge frequencies and the normalized edges
+   Ext-TSP starts from. *)
 let intra_problem_test () =
   let funcs = Lazy.force relink_prog0_funcs in
   Test.make ~name:"intra_problem_prog0"
-    (Staged.stage (fun () ->
-         List.iter (fun f -> ignore (Layout.Problem.flat (Codegen.intra_problem f))) funcs))
+    (Staged.stage (fun () -> List.iter (fun f -> ignore (Codegen.intra_problem f)) funcs))
 
 let hfsort_test =
   let n = 2000 in
@@ -149,12 +148,9 @@ let lbr_bump_kernel () =
     Array.iter (fun (src, dst) -> Perfmon.Lbr.add_pair tab ~src ~dst 1) lbr_pairs
   done
 
-let score_fixture =
-  let problem = synth_problem 1000 in
-  (* Warm the flat-edge cache so the kernel measures steady-state
-     scoring (the search-loop regime), not the one-time dedupe. *)
-  ignore (Layout.Problem.flat problem);
-  (problem, List.init 1000 Fun.id)
+(* The problem is built, and its edges normalized, before timing, so
+   the kernel measures steady-state scoring (the search-loop regime). *)
+let score_fixture = (synth_problem 1000, List.init 1000 Fun.id)
 
 let exttsp_score_kernel () =
   let problem, order = score_fixture in

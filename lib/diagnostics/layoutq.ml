@@ -58,9 +58,8 @@ let score_func params (final : Linker.Binary.t) (dcfg : Propeller.Dcfg.t)
         end
       end
     done;
-    let edges = List.sort compare !edges in
     let order = List.init n Fun.id in
-    let problem = Layout.Problem.make ~sizes ~weights:(Array.make n 0.0) ~edges ~entry:0 in
+    let problem = Layout.Problem.make ~sizes ~weights:(Array.make n 0.0) ~edges:!edges ~entry:0 in
     let score = Layout.Exttsp.score ~params ~order problem in
     (score, !edge_weight, !fall_through, !missing, n)
 

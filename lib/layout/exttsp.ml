@@ -90,13 +90,6 @@ let[@inline] edge_gain p w dist =
     p.backward_weight *. w *. (1.0 -. (float_of_int (-dist) /. float_of_int p.backward_window))
   else 0.0
 
-(* The problem's flat (src, dst, w) edges ({!Problem.flat}). Scoring
-   folds them left to right, so their order is the float accumulation
-   order. *)
-type ebundle = Problem.flat = { esrc : int array; edst : int array; ew : float array }
-
-let ebundle_len e = Array.length e.esrc
-
 (* Scratch state for [score_into]: position maps stamped per call, so
    search loops that score many arrangements allocate nothing. *)
 type scratch = { pos : int array; end_pos : int array; stamp : int array; mutable cur : int }
@@ -104,9 +97,8 @@ type scratch = { pos : int array; end_pos : int array; stamp : int array; mutabl
 let scratch n =
   { pos = Array.make n 0; end_pos = Array.make n 0; stamp = Array.make n (-1); cur = 0 }
 
-(* Score the arrangement [arr] against the edge bundle [e], folded left
-   to right; edges with an endpoint outside [arr] contribute 0. *)
-let score_bundle p scratch sizes arr e =
+let score_into ?(params = default_params) scratch (p : Problem.t) arr =
+  let sizes = p.sizes in
   let n = Array.length sizes in
   if Array.length scratch.pos < n then invalid_arg "Exttsp.score: scratch smaller than the problem";
   scratch.cur <- scratch.cur + 1;
@@ -122,32 +114,31 @@ let score_bundle p scratch sizes arr e =
     Array.unsafe_set end_pos v !off;
     Array.unsafe_set stamp v cur
   done;
+  (* The problem's edges, folded left to right: their order is the
+     float accumulation order. Edges with an endpoint outside [arr]
+     contribute 0. *)
   let acc = ref 0.0 in
-  for i = 0 to ebundle_len e - 1 do
-    let src = Array.unsafe_get e.esrc i and dst = Array.unsafe_get e.edst i in
+  for i = 0 to Array.length p.esrc - 1 do
+    let src = Array.unsafe_get p.esrc i and dst = Array.unsafe_get p.edst i in
     if Array.unsafe_get stamp src = cur && Array.unsafe_get stamp dst = cur then
       acc :=
         !acc
-        +. edge_gain p (Array.unsafe_get e.ew i)
+        +. edge_gain params (Array.unsafe_get p.ew i)
              (Array.unsafe_get pos dst - Array.unsafe_get end_pos src)
   done;
   !acc
 
-let score_into ?(params = default_params) scratch (p : Problem.t) arr =
-  score_bundle params scratch p.sizes arr (Problem.flat p)
-
-let score ?(params = default_params) ~order (p : Problem.t) =
-  score_bundle params (scratch (Array.length p.sizes)) p.sizes (Array.of_list order)
-    (Problem.flat p)
+let score ?params ~order (p : Problem.t) =
+  score_into ?params (scratch (Array.length p.sizes)) p (Array.of_list order)
 
 (* The workspace of a running [order], one per domain ([spare_ws]).
-   Nodes and flat edges are numbered as in the problem; chains by id
+   Nodes and edges are numbered as in the problem; chains by id
    (0 .. n-1 the singletons, then one fresh id per merge, so below 2n).
 
    Three arenas hold the variable-length state of the live chains, each
    chain's part a [first, first + len) range: its nodes in order
    ([cn]), its internal edges with their distances, gains and end ranks
-   ([ie] .. [idst_rank], an edge by its flat index), and its
+   ([ie] .. [idst_rank], an edge by its index in the problem), and its
    neighbours in ascending id with the cross bundle shared with each
    ([nid], [nhead], [ntail]). A merge appends the merged chain's parts
    at each arena's top. Chain ids and arena offsets grow together, so
@@ -157,7 +148,7 @@ let score ?(params = default_params) ~order (p : Problem.t) =
    entries, nor does the merged chain's, so arenas of 2n, 2E and 4E
    always make room after a [compact].
 
-   A cross bundle is a list of flat edges linked both ways without an
+   A cross bundle is a list of edges linked both ways without an
    orientation ([link0]/[link1], -1 at an end), named by its two ends:
    reversing one swaps its ends and joining two links one end of each,
    so neither copies an edge. [best_merge] gathers a bundle's edges
@@ -166,7 +157,7 @@ module T = Support.Packed.Tbl
 
 type ws = {
   mutable sizes : int array;  (** The problem's, during a call. *)
-  mutable esrc : int array;  (** Its flat edges, during a call. *)
+  mutable esrc : int array;  (** Its edges, during a call. *)
   mutable edst : int array;
   mutable ew : float array;
   mutable entry : int;
@@ -180,7 +171,7 @@ type ws = {
   off : int array;  (** Its byte offset in that chain. *)
   rank : int array;  (** Its index in that chain. *)
   sorted : int array;  (** The final chains, in output order. *)
-  (* Per flat edge. *)
+  (* Per edge. *)
   link0 : int array;
   link1 : int array;
   bhead : int array;  (** While seeding: the head of the bundle this edge ends. *)
@@ -744,13 +735,12 @@ let order ?(params = default_params) (problem : Problem.t) =
   let n = Array.length sizes in
   if n = 0 then []
   else begin
-    let edges = Problem.flat problem in
-    let ne = ebundle_len edges in
+    let ne = Array.length problem.esrc in
     let w = take_ws ~n ~e:ne in
     w.sizes <- sizes;
-    w.esrc <- edges.esrc;
-    w.edst <- edges.edst;
-    w.ew <- edges.ew;
+    w.esrc <- problem.esrc;
+    w.edst <- problem.edst;
+    w.ew <- problem.ew;
     w.entry <- problem.entry;
     for i = 0 to n - 1 do
       w.owner.(i) <- i;
@@ -771,15 +761,15 @@ let order ?(params = default_params) (problem : Problem.t) =
     w.node_top <- n;
     w.edge_top <- 0;
     (* Cross bundles of node pairs: an edge joins its pair's bundle at
-       the front, so a pair's bundle lists its edges in reverse flat
-       order. The table maps a pair to its bundle's tail, its first
-       edge, whose [bhead] is the bundle's head; only its iteration
-       order is read after. *)
+       the front, so a pair's bundle lists its edges in the reverse of
+       the problem's order. The table maps a pair to its bundle's tail,
+       its first edge, whose [bhead] is the bundle's head; only its
+       iteration order is read after. *)
     let cross : int T.t = T.create (2 * n) in
     for x = 0 to ne - 1 do
       w.link0.(x) <- -1;
       w.link1.(x) <- -1;
-      let src = edges.esrc.(x) and dst = edges.edst.(x) in
+      let src = problem.esrc.(x) and dst = problem.edst.(x) in
       let key = pair_key src dst in
       match T.find_opt cross key with
       | Some t ->

@@ -43,10 +43,10 @@
     flat arrays, with each live chain's nodes, internal edges and
     neighbours in arenas that slide the live parts down when full, the
     cross bundles as edge lists linked in place, the merge queue and the
-    final sort, O(n + E) words for n nodes and E flat edges, plus a
+    final sort, O(n + E) words for n nodes and E edges, plus a
     queue as long as the most candidates a call held at once. The
     domain keeps it sized to the largest problem of at most 64 nodes
-    and 128 flat edges it has solved; a larger problem makes its own
+    and 128 edges it has solved; a larger problem makes its own
     for the call, so no rare large function leaves a large workspace
     behind. A call allocates its seeding table, kept fresh because its
     iteration order is the tie contract's, and the list it returns; no
@@ -78,8 +78,8 @@ val default_params : params
 val order : ?params:params -> Problem.t -> int list
 
 (** [score ?params ~order problem] evaluates the Ext-TSP objective of a
-    given layout (higher is better), over the problem's cached flat
-    edges. Raises [Invalid_argument] if [order] holds a node outside
+    given layout (higher is better), over the problem's edges, summed
+    in their (src, dst) order. Raises [Invalid_argument] if [order] holds a node outside
     [0, n). *)
 val score : ?params:params -> order:int list -> Problem.t -> float
 
@@ -93,7 +93,7 @@ type scratch
 val scratch : int -> scratch
 
 (** [score_into ?params scratch problem arr] scores the arrangement
-    [arr] (all of it) against the problem's flat edges, reusing
+    [arr] (all of it) against the problem's edges, reusing
     [scratch]. Equivalent to {!score} with [order = Array.to_list arr]
     but allocation-free. Raises [Invalid_argument] if [arr] holds a node
     outside [0, n) or [scratch] was made for fewer nodes. *)

@@ -9,19 +9,19 @@ type cluster = {
 let max_cluster_size = 1 lsl 20
 
 let order (problem : Problem.t) =
-  let sizes = problem.sizes and samples = problem.weights and arcs = problem.edges in
+  let sizes = problem.sizes and samples = problem.weights in
   let n = Array.length sizes in
   let clusters = Array.init n (fun i -> { funcs = [ i ]; size = sizes.(i); samples = samples.(i); frozen = false }) in
   let cluster_of = Array.init n (fun i -> i) in
-  (* Hottest caller per callee. *)
+  (* Hottest caller per callee, by summed arc weight; the first in
+     (caller, callee) order wins a tie. *)
   let best_caller = Array.make n None in
-  List.iter
-    (fun (caller, callee, w) ->
-      if caller <> callee && w > 0.0 then
-        match best_caller.(callee) with
-        | Some (_, w0) when w0 >= w -> ()
-        | Some _ | None -> best_caller.(callee) <- Some (caller, w))
-    arcs;
+  for k = 0 to Array.length problem.esrc - 1 do
+    let caller = problem.esrc.(k) and callee = problem.edst.(k) and w = problem.ew.(k) in
+    match best_caller.(callee) with
+    | Some (_, w0) when w0 >= w -> ()
+    | Some _ | None -> best_caller.(callee) <- Some (caller, w)
+  done;
   (* Process functions by decreasing hotness (ties by id). *)
   let by_hotness = Array.init n (fun i -> i) in
   Array.sort

@@ -7,8 +7,11 @@
     integers [0 .. n-1].
 
     Takes the same {!Problem.t} as the block-level policies: [sizes] are
-    code bytes, [weights] are profile samples per function, [edges] are
-    [(caller, callee, weight)] call arcs. The problem's [entry] is
+    code bytes, [weights] are profile samples per function, and the
+    edges are [(caller, callee, weight)] call arcs. {!Problem.make}
+    sums duplicate arcs, so a callee's hottest caller is the one with
+    the largest total weight over all its arcs to that callee (the
+    first in (caller, callee) order on a tie). The problem's [entry] is
     ignored — function ordering has no pinned entry. *)
 
 (** [order problem] returns a permutation of [0 .. n-1]. Clusters stop

@@ -1,13 +1,18 @@
-type flat = { esrc : int array; edst : int array; ew : float array }
-
 type t = {
   sizes : int array;
   weights : float array;
-  edges : (int * int * float) list;
+  esrc : int array;
+  edst : int array;
+  ew : float array;
   entry : int;
-  mutable flat_cache : flat option;
 }
 
+(* Keep self-edges and weights <= 0 out, sum duplicate pairs in input
+   order (so float sums are stable) and emit the edges sorted by (src,
+   dst), the historical sorted-list order of [Exttsp.dedupe_edges].
+   Packed keys sort exactly like (src, dst) pairs, and a stable sort of
+   the kept edges' indices by key puts each pair's duplicates together
+   in input order. *)
 let make ~sizes ~weights ~edges ~entry =
   let n = Array.length sizes in
   if Array.length weights <> n then
@@ -15,26 +20,15 @@ let make ~sizes ~weights ~edges ~entry =
       (Printf.sprintf "Problem.make: %d sizes but %d weights" n (Array.length weights));
   if n > 0 && (entry < 0 || entry >= n) then
     invalid_arg (Printf.sprintf "Problem.make: entry %d outside [0, %d)" entry n);
-  List.iter
-    (fun (src, dst, w) ->
-      if src < 0 || src >= n || dst < 0 || dst >= n then
-        invalid_arg (Printf.sprintf "Problem.make: edge %d -> %d outside [0, %d)" src dst n);
-      if not (Float.is_finite w) then
-        invalid_arg (Printf.sprintf "Problem.make: edge %d -> %d has weight %g" src dst w))
-    edges;
-  { sizes; weights; edges; entry; flat_cache = None }
-
-let size t = Array.length t.sizes
-
-(* Keep self-edges and weights <= 0 out, sum duplicate pairs in input
-   order (so float sums are stable) and emit a bundle sorted by (src,
-   dst) — the historical sorted-list order of [Exttsp.dedupe_edges].
-   Packed keys sort exactly like (src, dst) pairs, and a stable sort of
-   the kept edges' indices by key puts each pair's duplicates together
-   in input order. *)
-let dedupe edges =
   let m =
-    List.fold_left (fun m (src, dst, w) -> if src <> dst && w > 0.0 then m + 1 else m) 0 edges
+    List.fold_left
+      (fun m (src, dst, w) ->
+        if src < 0 || src >= n || dst < 0 || dst >= n then
+          invalid_arg (Printf.sprintf "Problem.make: edge %d -> %d outside [0, %d)" src dst n);
+        if not (Float.is_finite w) then
+          invalid_arg (Printf.sprintf "Problem.make: edge %d -> %d has weight %g" src dst w);
+        if src <> dst && w > 0.0 then m + 1 else m)
+      0 edges
   in
   let keys = Array.make m 0 and ws = Array.make m 0.0 in
   let i = ref 0 in
@@ -63,12 +57,6 @@ let dedupe edges =
       end
       else ew.(!d) <- ew.(!d) +. ws.(x))
     idx;
-  { esrc; edst; ew }
+  { sizes; weights; esrc; edst; ew; entry }
 
-let flat t =
-  match t.flat_cache with
-  | Some f -> f
-  | None ->
-    let f = dedupe t.edges in
-    t.flat_cache <- Some f;
-    f
+let size t = Array.length t.sizes

@@ -237,26 +237,13 @@ let function_order t funcs =
   let names = Array.of_list (List.map (fun d -> d.name) funcs) in
   let sizes = Array.of_list (List.map (sampled_bytes t) funcs) in
   let weights = Array.of_list (List.map (fun d -> float_of_int d.samples) funcs) in
-  (* Arc counts summed per (caller, callee) pair of [funcs]. *)
-  let pairs = ref [] in
+  (* One arc per call site between [funcs]; the problem sums them per
+     (caller, callee) pair, exactly, as the counts are integers. *)
+  let edges = ref [] in
   Array.iteri
     (fun k key ->
       let a = sub.(func_of_rank t (Support.Packed.src key)) and b = sub.(Support.Packed.dst key) in
-      if a >= 0 && b >= 0 then
-        pairs := (Support.Packed.pack ~src:a ~dst:b, t.arc_counts.(k)) :: !pairs)
+      if a >= 0 && b >= 0 then edges := (a, b, float_of_int t.arc_counts.(k)) :: !edges)
     t.arcs;
-  let keys, counts = sorted_pairs !pairs in
-  let sums = ref [] in
-  Array.iteri
-    (fun k key ->
-      match !sums with
-      | (key', w) :: rest when key' = key -> sums := (key, w + counts.(k)) :: rest
-      | acc -> sums := (key, counts.(k)) :: acc)
-    keys;
-  let edges =
-    List.rev_map
-      (fun (key, w) -> (Support.Packed.src key, Support.Packed.dst key, float_of_int w))
-      !sums
-  in
-  Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0)
+  Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~edges:!edges ~entry:0)
   |> List.map (fun i -> names.(i))

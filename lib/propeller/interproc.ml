@@ -24,10 +24,11 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
   let node_arr = Array.of_list (List.rev !nodes) and n = !n in
   let sizes = Array.map (fun (_, r) -> (Dcfg.block dcfg r).size) node_arr in
   let weights = Array.map (fun (_, r) -> float_of_int (Dcfg.count dcfg r)) node_arr in
-  (* Intra-function edges, then call arcs to the callee's entry; each
-     list is sorted by (src, dst) because node numbers follow ranks. *)
-  let edges_of keys counts dst_rank =
-    let acc = ref [] in
+  (* Intra-function edges, then call arcs to the callee's entry. Each
+     list holds distinct pairs, so the problem sums at most two weights
+     per pair, in either order to the same bits. *)
+  let edges_of keys counts dst_rank acc =
+    let acc = ref acc in
     for k = Array.length keys - 1 downto 0 do
       let s = gid.(Support.Packed.src keys.(k)) and t = gid.(dst_rank keys.(k)) in
       if s >= 0 && t >= 0 then acc := (s, t, float_of_int counts.(k)) :: !acc
@@ -35,9 +36,8 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
     !acc
   in
   let edges =
-    List.merge compare
-      (edges_of dcfg.edges dcfg.edge_counts Support.Packed.dst)
-      (edges_of dcfg.arcs dcfg.arc_counts (fun key -> funcs.(Support.Packed.dst key).first))
+    edges_of dcfg.edges dcfg.edge_counts Support.Packed.dst
+      (edges_of dcfg.arcs dcfg.arc_counts (fun key -> funcs.(Support.Packed.dst key).first) [])
   in
   let entry =
     match Array.find_index (fun (d : Dcfg.dfunc) -> String.equal d.name entry_func) funcs with

@@ -4,16 +4,19 @@
    merge. It keys cross edges and candidate gains by (min, max) chain
    pairs in [Support.Packed.Tbl]s, keeps per-chain neighbour lists that
    include dead chains, scores every cut in full and retrieves the best
-   merge from a boxed binary heap (or a linear rescan). Its flat edges
-   come from [flat], the [Hashtbl]-based dedupe [Layout.Problem.flat]
-   replaced. *)
+   merge from a boxed binary heap (or a linear rescan). It reads the
+   problem's normalized edges; [flat] is the [Hashtbl]-based dedupe
+   that [Layout.Problem.make]'s normalization replaced, the oracle for
+   those edges. *)
 
 type params = Layout.Exttsp.params
 
-(* [Layout.Problem.flat] as a [Hashtbl] over packed keys: duplicates
-   summed in input order, self-edges and weights <= 0 dropped, sorted
-   by (src, dst). *)
-let flat (p : Layout.Problem.t) : Layout.Problem.flat =
+type ebundle = { esrc : int array; edst : int array; ew : float array }
+
+(* [Layout.Problem.make]'s edge normalization as a [Hashtbl] over
+   packed keys: duplicates summed in input order, self-edges and
+   weights <= 0 dropped, sorted by (src, dst). *)
+let flat edges =
   let tbl : (int, float) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun (src, dst, w) ->
@@ -23,7 +26,7 @@ let flat (p : Layout.Problem.t) : Layout.Problem.flat =
         | Some w0 -> Hashtbl.replace tbl key (w0 +. w)
         | None -> Hashtbl.add tbl key w
       end)
-    p.edges;
+    edges;
   let keys = Array.of_seq (Hashtbl.to_seq_keys tbl) in
   Array.sort compare keys;
   {
@@ -95,8 +98,6 @@ let edge_gain (p : params) w dist =
   else if dist < 0 && -dist <= p.backward_window then
     p.backward_weight *. w *. (1.0 -. (float_of_int (-dist) /. float_of_int p.backward_window))
   else 0.0
-
-type ebundle = Layout.Problem.flat = { esrc : int array; edst : int array; ew : float array }
 
 let ebundle_empty = { esrc = [||]; edst = [||]; ew = [||] }
 
@@ -215,7 +216,7 @@ let order ?(params = Layout.Exttsp.default_params) (problem : Layout.Problem.t) 
   let n = Array.length sizes in
   if n = 0 then ([], 0)
   else begin
-    let edges = flat problem in
+    let edges = { esrc = problem.esrc; edst = problem.edst; ew = problem.ew } in
     let st = { sizes; owner = Array.init n Fun.id; off = Array.make n 0; rank = Array.make n 0 } in
     let res = Array.make 2 0.0 in
     let dead =

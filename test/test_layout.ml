@@ -65,12 +65,12 @@ let exttsp_pqueue_equals_linear_law =
       Layout.Exttsp.order ~params:p1 (problem g) = Layout.Exttsp.order ~params:p2 (problem g))
 
 (* Ties are where bookkeeping order shows: small integer edge and node
-   weights (zero and negative ones included, which [Problem.flat]
+   weights (zero and negative ones included, which [Problem.make]
    drops), zero-size nodes, duplicate and self edges, any entry node
    and a split limit of 0-7. An occasional 1e16 edge weight absorbs the
    small gains added after it, so sums also depend on the order of
    their terms; a rarer 1e308 one makes sums and gains overflow to
-   infinity. *)
+   infinity. The raw edge list comes with the problem. *)
 let tied_gen =
   QCheck.Gen.(
     let* n = int_range 1 30 in
@@ -85,17 +85,17 @@ let tied_gen =
     let* weights = array_repeat n (map float_of_int (int_bound 3)) in
     let* entry = node in
     let* max_split_chain = int_bound 7 in
-    return (Layout.Problem.make ~sizes ~weights ~edges ~entry, max_split_chain))
+    return (Layout.Problem.make ~sizes ~weights ~edges ~entry, edges, max_split_chain))
 
 let tied_arb =
   QCheck.make
-    ~print:(fun ((p : Layout.Problem.t), split) ->
+    ~print:(fun ((p : Layout.Problem.t), edges, split) ->
       Printf.sprintf "sizes=[%s] weights=[%s] entry=%d split=%d edges=[%s]"
         (String.concat ";" (Array.to_list (Array.map string_of_int p.sizes)))
         (String.concat ";" (Array.to_list (Array.map string_of_float p.weights)))
         p.entry split
         (String.concat ";"
-           (List.map (fun (s, d, w) -> Printf.sprintf "%d->%d:%g" s d w) p.edges)))
+           (List.map (fun (s, d, w) -> Printf.sprintf "%d->%d:%g" s d w) edges)))
     tied_gen
 
 (* [order] and [last_merge_count] match the reference merge loop under
@@ -111,7 +111,7 @@ let same_as_reference ~max_split_chain p =
 
 let exttsp_equals_reference_law =
   QCheck.Test.make ~count:1000 ~name:"exttsp equals the reference merge loop" tied_arb
-    (fun (p, max_split_chain) -> same_as_reference ~max_split_chain p)
+    (fun (p, _, max_split_chain) -> same_as_reference ~max_split_chain p)
 
 (* The same on real per-function problems: every multi-block function
    of a generated program, at every split limit from 0 to 7 and the
@@ -128,14 +128,15 @@ let test_exttsp_reference_progen () =
           [ 0; 1; 2; 3; 4; 5; 6; 7; Layout.Exttsp.default_params.max_split_chain ]
       end)
 
-(* [Problem.flat] is bit-identical to the [Hashtbl] dedupe it replaced,
-   on edge lists full of duplicates, self-edges and weights <= 0. *)
+(* [Problem.make]'s edge arrays are bit-identical to the [Hashtbl]
+   dedupe of its raw edge list, on lists full of duplicates, self-edges
+   and weights <= 0. *)
 let flat_equals_reference_law =
   QCheck.Test.make ~count:500 ~name:"problem flat edges equal the hashtable reference" tied_arb
-    (fun (p, _) ->
-      let got = Layout.Problem.flat p and want = Ref_exttsp.flat p in
+    (fun ((p : Layout.Problem.t), edges, _) ->
+      let want = Ref_exttsp.flat edges in
       let bits a = Array.map Int64.bits_of_float a in
-      got.esrc = want.esrc && got.edst = want.edst && bits got.ew = bits want.ew)
+      p.esrc = want.esrc && p.edst = want.edst && bits p.ew = bits want.ew)
 
 let test_exttsp_chain () =
   (* A hot chain 0->1->2->3 must be laid out exactly in order. *)
@@ -301,9 +302,7 @@ let test_exttsp_allocation () =
   let problems = ref [] in
   Ir.Program.iter_funcs (relink_family_program 0) (fun f ->
       if Ir.Func.num_blocks f > 1 && not f.attrs.has_inline_asm then begin
-        let p = Codegen.intra_problem f in
-        ignore (Layout.Problem.flat p : Layout.Problem.flat);
-        problems := p :: !problems
+        problems := Codegen.intra_problem f :: !problems
       end);
   let solve () = List.iter (fun p -> ignore (Layout.Exttsp.order p : int list)) !problems in
   solve ();
@@ -338,10 +337,10 @@ let test_problem_validation () =
   rejects "infinite weight" (fun () -> make [ (0, 1, Float.infinity) ]);
   rejects "negative infinite weight" (fun () -> make [ (0, 1, Float.neg_infinity) ]);
   (* Still accepted: an empty problem's default entry, self-edges and
-     weights <= 0 (which the flat edges drop). *)
+     weights <= 0 (which [make] drops). *)
   ignore (make ~sizes:[||] ~weights:[||] []);
   let p = make [ (0, 0, 5.0); (0, 1, 0.0); (1, 2, -3.0); (1, 2, 2.0) ] in
-  check ti "one flat edge" 1 (Array.length (Layout.Problem.flat p).esrc);
+  check ti "one flat edge" 1 (Array.length p.esrc);
   rejects "score of node 7" (fun () -> Layout.Exttsp.score ~order:[ 0; 1; 7 ] p);
   rejects "score of node -1" (fun () -> Layout.Exttsp.score ~order:[ -1; 0 ] p);
   let scratch = Layout.Exttsp.scratch 3 in
@@ -492,6 +491,15 @@ let test_hfsort_caller_callee_adjacent () =
   let pos f = Option.get (List.find_index (fun x -> x = f) order) in
   check ti "callee right after caller" (pos 0 + 1) (pos 1)
 
+(* Duplicate arcs sum: two 0 -> 1 arcs of 30 make 0 the hottest caller
+   of 1, ahead of 2's single arc of 50. *)
+let test_hfsort_duplicate_arcs_sum () =
+  let sizes = [| 100; 100; 100 |] in
+  let samples = [| 10.0; 1000.0; 10.0 |] in
+  let arcs = [ (0, 1, 30.0); (2, 1, 50.0); (0, 1, 30.0) ] in
+  check Alcotest.(list int) "callee after its summed caller" [ 0; 1; 2 ]
+    (Layout.Hfsort.order (fproblem ~sizes ~samples ~arcs))
+
 let test_hfsort_density_order () =
   (* No arcs: order by hotness density. *)
   let sizes = [| 1000; 10; 100 |] in
@@ -570,6 +578,7 @@ let suite =
     Alcotest.test_case "search: proxy agreement" `Quick test_search_proxy_agreement;
     Alcotest.test_case "hfsort: permutation" `Quick test_hfsort_permutation;
     Alcotest.test_case "hfsort: caller/callee adjacency" `Quick test_hfsort_caller_callee_adjacent;
+    Alcotest.test_case "hfsort: duplicate arcs sum" `Quick test_hfsort_duplicate_arcs_sum;
     Alcotest.test_case "hfsort: density order" `Quick test_hfsort_density_order;
     Alcotest.test_case "hfsort: cluster cap" `Quick test_hfsort_cluster_cap;
     QCheck_alcotest.to_alcotest hfsort_permutation_law;
