@@ -92,10 +92,9 @@ let estimate_frequencies ~use_pgo f =
 
 (* Built back to front, so no list is reversed: block [n - 1]'s
    successors go on first, each block's in reverse. *)
-let edge_frequencies ?freqs ~use_pgo f =
-  let freq = match freqs with Some fr -> fr | None -> estimate_frequencies ~use_pgo f in
+let edge_frequencies ~freqs ~use_pgo f =
   let edges = ref [] in
-  let add b s p = edges := (b, s, freq.(b) *. p) :: !edges in
+  let add b s p = edges := (b, s, freqs.(b) *. p) :: !edges in
   for b = Func.num_blocks f - 1 downto 0 do
     match (Func.block f b).Block.term with
     | Term.Jump s -> add b s 1.0

@@ -7,7 +7,7 @@
     iteration, capped to keep the analysis linear in practice. *)
 val estimate_frequencies : use_pgo:bool -> Func.t -> float array
 
-(** [edge_frequencies ?freqs ~use_pgo f] derives (src, dst, frequency)
-    triples from block frequencies ([freqs] if supplied, otherwise
-    {!estimate_frequencies} is run). *)
-val edge_frequencies : ?freqs:float array -> use_pgo:bool -> Func.t -> (int * int * float) list
+(** [edge_frequencies ~freqs ~use_pgo f] derives (src, dst, frequency)
+    triples from the block frequencies [freqs], which
+    {!estimate_frequencies} computes. *)
+val edge_frequencies : freqs:float array -> use_pgo:bool -> Func.t -> (int * int * float) list

@@ -247,7 +247,8 @@ let frequencies_match_reference_law =
 
 let test_cfg_edge_frequencies () =
   let f = diamond_func ~prob:0.3 () in
-  let edges = Ir.Cfg.edge_frequencies ~use_pgo:false f in
+  let freqs = Ir.Cfg.estimate_frequencies ~use_pgo:false f in
+  let edges = Ir.Cfg.edge_frequencies ~freqs ~use_pgo:false f in
   let w s d =
     List.fold_left (fun acc (a, b, w) -> if a = s && b = d then acc +. w else acc) 0.0 edges
   in
