@@ -260,7 +260,9 @@ let test_compare_v9_baseline () =
      selfspeed object, which v10 dropped. Against the v10 baseline it
      must compare ok: selfspeed is no longer judged, so it is neither
      missing nor given a verdict. *)
-  let baseline = read_json "baseline_v9.json" and current = read_json "../bench/baseline.json" in
+  let dir = Filename.dirname Sys.executable_name in
+  let baseline = read_json (Filename.concat dir "baseline_v9.json")
+  and current = read_json (Filename.concat dir "../bench/baseline.json") in
   check tb "v9 has selfspeed" true (contains_sub (Obs.Json.to_string baseline) "selfspeed");
   let o = run_compare ~baseline ~current () in
   check tb "ok" true (Diagnostics.Compare.ok o);
