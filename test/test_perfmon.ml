@@ -158,6 +158,20 @@ let test_sampler_arcs_land_on_entries () =
       check tb "arc lands on a block entry" true (List.mem centry entries))
     p.arcs
 
+(* The sampler's profile of 505.mcf's metadata image under the
+   benchmark's traffic: its counts, and an MD5 of its sorted leaves and
+   arcs. *)
+let test_sampler_pinned_mcf () =
+  let program, binary = Lazy.force mcf_metadata in
+  let _, p = samples_of ~requests:mcf_spec.requests program binary in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []) in
+  let b = Buffer.create 65536 in
+  List.iter (fun (leaf, c) -> Printf.bprintf b "%d %d\n" leaf c) (sorted p.leaves);
+  List.iter (fun ((src, dst), c) -> Printf.bprintf b "%d %d %d\n" src dst c) (sorted p.arcs);
+  check ti "samples" 959025 p.num_samples;
+  check ti "frames" 8048810 p.num_frames;
+  check ts "leaves and arcs" "d6bd33a2104e2e12ab7497fa332509ac" (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* --- PEBS data-miss sampling ------------------------------------- *)
 
 let pebs_of ?(period = Perfmon.Pebs.default_config.Perfmon.Pebs.period) ?(requests = 40)
@@ -265,6 +279,7 @@ let suite =
     Alcotest.test_case "sampler seed moves schedule" `Quick test_sampler_seed_moves_schedule;
     Alcotest.test_case "sampler period thins" `Quick test_sampler_period_thins;
     Alcotest.test_case "sampler arcs land on entries" `Quick test_sampler_arcs_land_on_entries;
+    Alcotest.test_case "sampler: pinned profile of 505.mcf" `Quick test_sampler_pinned_mcf;
     Alcotest.test_case "pebs period one samples every miss" `Quick
       test_pebs_period_one_samples_every_miss;
     Alcotest.test_case "pebs period beyond miss count" `Quick test_pebs_period_exceeds_misses;

@@ -699,6 +699,28 @@ let test_heatmap_accumulates () =
   rejects "cols=0" (fun () -> Uarch.Heatmap.create ~lo ~hi ~rows:8 ~cols:0 ~total_requests:20);
   rejects "rows=0" (fun () -> Uarch.Heatmap.create ~lo ~hi ~rows:0 ~cols:4 ~total_requests:20)
 
+(* Fig 7's 24x72 heat map of 505.mcf's metadata image under the
+   benchmark's traffic: an MD5 of every cell. *)
+let test_heatmap_pinned_mcf () =
+  let program, binary = Lazy.force mcf_metadata in
+  let requests = mcf_spec.requests in
+  let hm =
+    Uarch.Heatmap.create ~lo:binary.text_start ~hi:binary.text_end ~rows:24 ~cols:72
+      ~total_requests:requests
+  in
+  let (_ : Exec.Interp.stats) =
+    Exec.Interp.run (Exec.Image.build program binary)
+      { Exec.Interp.default_config with requests }
+      (Uarch.Heatmap.sink hm)
+  in
+  let b = Buffer.create 8192 in
+  for row = 0 to 23 do
+    for col = 0 to 71 do
+      Printf.bprintf b "%d\n" (Uarch.Heatmap.cell hm ~row ~col)
+    done
+  done;
+  check ts "cells" "52ef379dfc881f6e7a39c580923178f4" (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     Alcotest.test_case "cache: hit/miss" `Quick test_cache_basic_hit_miss;
@@ -714,6 +736,7 @@ let suite =
     Alcotest.test_case "core: deterministic" `Quick test_core_counters_deterministic;
     Alcotest.test_case "core: hugepage iTLB" `Quick test_core_hugepage_itlb;
     Alcotest.test_case "heatmap" `Quick test_heatmap_accumulates;
+    Alcotest.test_case "heatmap: pinned cells of 505.mcf" `Quick test_heatmap_pinned_mcf;
     QCheck_alcotest.to_alcotest cache_equals_reference_law;
     QCheck_alcotest.to_alcotest tlb_equals_reference_law;
     QCheck_alcotest.to_alcotest dsb_equals_two_windows_law;

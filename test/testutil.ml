@@ -208,6 +208,10 @@ let relink0_run =
        Propeller.Pipeline.run ~config:relink_config ~env ~program:(relink_family_program 0)
          ~name:"pin" () ))
 
+let mcf_spec = Option.get (Progen.Suite.by_name "505.mcf")
+
+let mcf_program = lazy (Progen.Generate.program mcf_spec)
+
 (* 505.mcf through one pipeline run at the default settings and 40
    profiled requests. *)
 let mcf_run =
@@ -219,9 +223,11 @@ let mcf_run =
            Propeller.Pipeline.default_config with
            profile_run = { Exec.Interp.default_config with requests = 40 };
          }
-       ~env
-       ~program:(Progen.Generate.program (Option.get (Progen.Suite.by_name "505.mcf")))
-       ~name:"505.mcf" ())
+       ~env ~program:(Lazy.force mcf_program) ~name:"505.mcf" ())
+
+(* 505.mcf's program and the metadata binary of [mcf_run]. *)
+let mcf_metadata =
+  lazy (Lazy.force mcf_program, (Lazy.force mcf_run).Propeller.Pipeline.metadata_build.binary)
 
 (* The address-map DCFG of a pipeline run's profile. *)
 let run_dcfg (r : Propeller.Pipeline.result) =
