@@ -230,7 +230,7 @@ let fig7 () =
     in
     let image = Exec.Image.build wb.program binary in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Heatmap.sink hm)
+      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Heatmap.consume hm)
     in
     Printf.printf "\n%s (address span %s, touched rows %d/24):\n%s"
       label
@@ -357,12 +357,7 @@ let ablation_split () =
       Buildsys.Driver.build wb.env ~name:("clang." ^ label) ~program:wb.program
         ~codegen_options:cg ~link_options:ld
     in
-    let image = Exec.Image.build wb.program build.binary in
-    let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
-    in
-    let c = Uarch.Core.counters core in
+    let _, c = Workbench.measure_binary wb build.binary in
     (label, split_count, c)
   in
   (* Variant A: split everything with cold blocks (bb sections). *)
@@ -469,12 +464,7 @@ let ablation_prefetch () =
       ~env ~program:wb.program ~name:"mysql.pf" ()
   in
   let plain = run false and pf = run true in
-  let measure (r : Propeller.Pipeline.result) =
-    let image = Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r) in
-    let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
-    let stats = Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core) in
-    (stats, Uarch.Core.counters core)
-  in
+  let measure r = Workbench.measure_binary wb (Propeller.Pipeline.optimized_binary r) in
   let s0, c0 = measure plain in
   let s1, c1 = measure pf in
   (match pf.prefetch with
@@ -514,14 +504,7 @@ let ablation_rounds () =
   let rows =
     List.mapi
       (fun i (r : Propeller.Pipeline.result) ->
-        let image =
-          Exec.Image.build wb.program (Propeller.Pipeline.optimized_binary r)
-        in
-        let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
-        let (_ : Exec.Interp.stats) =
-          Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
-        in
-        let c = Uarch.Core.counters core in
+        let _, c = Workbench.measure_binary wb (Propeller.Pipeline.optimized_binary r) in
         [
           Printf.sprintf "round %d" (i + 1);
           Printf.sprintf "%d" r.wpa.hot_funcs;
@@ -558,12 +541,7 @@ let ablation_inter () =
       Buildsys.Driver.build wb.env ~name:("clang." ^ label) ~program:wb.program
         ~codegen_options:cg ~link_options:ld
     in
-    let image = Exec.Image.build wb.program b.binary in
-    let core = Uarch.Core.create (Diagnostics.Measure.core_config wb.spec) in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image (Workbench.interp_config wb.spec) (Uarch.Core.sink core)
-    in
-    Uarch.Core.counters core
+    snd (Workbench.measure_binary wb b.binary)
   in
   let ci = build "intra" wpa_intra in
   let cx = build "inter" wpa_inter in

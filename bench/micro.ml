@@ -96,10 +96,9 @@ let mcf_artifacts =
      in
      let image = Exec.Image.build program binary in
      let profile = Perfmon.Lbr.create_profile () in
+     let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
      let (_ : Exec.Interp.stats) =
-       Exec.Interp.run image
-         { Exec.Interp.default_config with requests = 50 }
-         (Perfmon.Lbr.collector Perfmon.Lbr.default_config profile)
+       Exec.Interp.run image { Exec.Interp.default_config with requests = 50 } (Perfmon.Lbr.consume c)
      in
      (program, objs, binary, image, profile))
 
@@ -189,7 +188,7 @@ let mcf_tapes =
          :: !tapes
      in
      ignore
-       (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:copy
+       (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } copy
          : Exec.Interp.stats);
      List.rev !tapes)
 
@@ -209,7 +208,7 @@ let uarch_consume_kernel () =
 let exec_tape_kernel () =
   let _, _, _, image, _ = Lazy.force mcf_artifacts in
   ignore
-    (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:ignore
+    (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } ignore
       : Exec.Interp.stats)
 
 (* The digest layer of a cold relink of program 0: every function

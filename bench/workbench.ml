@@ -72,16 +72,18 @@ let binary wb = function
   | Prop -> Propeller.Pipeline.optimized_binary wb.prop
   | Bolt -> wb.bolt.Boltsim.Driver.binary
 
+(* [binary] of [wb]'s program under the benchmark's traffic, on its
+   pressure-preserving core. *)
+let measure_binary wb binary =
+  Diagnostics.Measure.run ~ctx:wb.env.Buildsys.Driver.ctx
+    ~core:(Diagnostics.Measure.core_config wb.spec) ~requests:wb.spec.requests wb.program binary
+
 let measure wb variant =
   let key = variant_name variant in
   match List.assoc_opt key wb.measured with
   | Some m -> m
   | None ->
-    let stats, counters =
-      Diagnostics.Measure.run ~ctx:wb.env.Buildsys.Driver.ctx
-        ~core:(Diagnostics.Measure.core_config wb.spec) ~requests:wb.spec.requests wb.program
-        (binary wb variant)
-    in
+    let stats, counters = measure_binary wb (binary wb variant) in
     let m = { stats; counters } in
     wb.measured <- (key, m) :: wb.measured;
     m

@@ -269,8 +269,6 @@ let lbr_profile ~requests program binary =
   let profile = Perfmon.Lbr.create_profile () in
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run_tape image
-      { Exec.Interp.default_config with requests }
-      ~drain:(Perfmon.Lbr.consume c)
+    Exec.Interp.run image { Exec.Interp.default_config with requests } (Perfmon.Lbr.consume c)
   in
   profile

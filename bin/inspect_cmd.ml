@@ -52,11 +52,12 @@ let profile_of t binary =
       exit 2
     end;
     let samples = Perfmon.Sampler.create_profile () in
+    let c = Perfmon.Sampler.collector_state Perfmon.Sampler.default_config samples in
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run
         (Exec.Image.build t.program binary)
         { Exec.Interp.default_config with requests = t.spec.requests }
-        (Perfmon.Sampler.collector Perfmon.Sampler.default_config samples)
+        (Perfmon.Sampler.consume c)
     in
     Propeller.Autofdo.synthesize ~samples ~program:t.program ~binary ()
 

@@ -11,7 +11,7 @@ let measure program binary =
   let image = Exec.Image.build program binary in
   let core = Uarch.Core.create Uarch.Core.default_config in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.sink core)
+    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.consume core)
   in
   Uarch.Core.counters core
 

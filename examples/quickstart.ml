@@ -88,7 +88,7 @@ let () =
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image { Exec.Interp.default_config with requests = 500 }
-        (Uarch.Core.sink core)
+        (Uarch.Core.consume core)
     in
     let c = Uarch.Core.counters core in
     Printf.printf "  %-10s cycles=%10.0f  L1i-miss=%-6d taken-branches=%d\n" label c.cycles

@@ -13,7 +13,7 @@ let measure ~hugepages program binary =
   let image = Exec.Image.build program binary in
   let core = Uarch.Core.create { Uarch.Core.default_config with hugepages } in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.sink core)
+    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.consume core)
   in
   Uarch.Core.counters core
 
@@ -24,7 +24,7 @@ let heatmap program (binary : Linker.Binary.t) =
   in
   let image = Exec.Image.build program binary in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Heatmap.sink hm)
+    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Heatmap.consume hm)
   in
   hm
 

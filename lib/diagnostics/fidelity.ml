@@ -26,13 +26,7 @@ type t = {
    core model and the achieved fall-through rate from the interpreter's
    retired-branch statistics. *)
 let measure ~ctx ~core ~requests ~program binary =
-  let image = Exec.Image.build program binary in
-  let c = Uarch.Core.create core in
-  let stats =
-    Exec.Interp.run_tape ~ctx image
-      { Exec.Interp.default_config with requests }
-      ~drain:(Uarch.Core.consume c)
-  in
+  let stats, counters = Measure.run ~ctx ~core ~requests program binary in
   let sites = stats.Exec.Interp.cond_branches + stats.Exec.Interp.uncond_jumps in
   let ftr =
     if sites = 0 then 0.0
@@ -40,7 +34,7 @@ let measure ~ctx ~core ~requests ~program binary =
       float_of_int (stats.Exec.Interp.cond_branches - stats.Exec.Interp.cond_taken)
       /. float_of_int sites
   in
-  (Uarch.Core.cycles c, ftr)
+  (counters.Uarch.Core.cycles, ftr)
 
 (* Per-function weight fractions of one profile, name-sorted: each
    sampled function's share of total sample mass. Fractions, not raw

@@ -20,18 +20,10 @@ type t = {
   entries : entry list;
 }
 
-(* Ground-truth cycles of one binary, same measurement as
-   Fidelity.measure: build the image, run the request tape, drain into
-   the core model. Control flow is a pure function of (block id, visit
-   count), so every layout sees the same work. *)
+(* Ground-truth cycles of one binary. Control flow is a pure function
+   of (block id, visit count), so every layout sees the same work. *)
 let measure_cycles ~ctx ~core ~requests ~program binary =
-  let image = Exec.Image.build program binary in
-  let c = Uarch.Core.create core in
-  ignore
-    (Exec.Interp.run_tape ~ctx image
-       { Exec.Interp.default_config with requests }
-       ~drain:(Uarch.Core.consume c));
-  Uarch.Core.cycles c
+  (snd (Measure.run ~ctx ~core ~requests program binary)).Uarch.Core.cycles
 
 let analyze ?(pipeline = Propeller.Pipeline.default_config) ?(core = Uarch.Core.default_config)
     ?(requests = 40) ?(budget = 12) ?(seed = 1) ~(ctx : Support.Ctx.t) ~program ~name () =

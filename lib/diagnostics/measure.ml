@@ -13,9 +13,7 @@ let run ?publish ~ctx ~core ~requests program binary =
   let image = Exec.Image.build program binary in
   let c = Uarch.Core.create core in
   let stats =
-    Exec.Interp.run_tape ~ctx image
-      { Exec.Interp.default_config with requests }
-      ~drain:(Uarch.Core.consume c)
+    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests } (Uarch.Core.consume c)
   in
   Option.iter (fun name -> Uarch.Core.publish ~ctx ~name c) publish;
   (stats, Uarch.Core.counters c)

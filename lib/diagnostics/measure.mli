@@ -1,7 +1,9 @@
 (** Ground-truth measurement of a linked binary: build its image, run
-    the benchmark's request tape and drain the events into a
-    {!Uarch.Core}. Every CLI report and bench figure measures through
-    here, so they all see the same core for the same spec. *)
+    the benchmark's requests and drain the events into a {!Uarch.Core}
+    with {!Uarch.Core.consume}. Every CLI report and bench figure that
+    measures a binary calls {!run} ([propeller run], {!Fidelity},
+    {!Lsearch}, the bench workbench and its ablations), so they all see
+    the same core for the same spec. *)
 
 (** [core_config spec] is the pressure-preserving core for [spec]
     (DESIGN.md §6): a program generated at 1/2^k of real size is

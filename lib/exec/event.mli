@@ -1,9 +1,20 @@
 (** Events emitted by the execution engine.
 
-    The engine streams two kinds of events — sequential instruction
+    The engine streams two main kinds of events — sequential instruction
     fetches and control transfers — so downstream consumers (LBR
-    sampler, micro-architecture simulator, heat-map builder) never need
-    the whole trace in memory. *)
+    sampler, software sampler, PEBS, micro-architecture simulator,
+    heat-map builder) never need the whole trace in memory.
+
+    {1 Flat event tape}
+
+    The one transport between the engine and every consumer. Events are
+    encoded as one tag byte plus three int operands in preallocated
+    parallel arrays; the engine hands the tape to a drain function when
+    it fills and at end of run. Every consumer is such a drain
+    ([Uarch.Core.consume], [Uarch.Heatmap.consume],
+    [Perfmon.Lbr.consume], [Perfmon.Sampler.consume],
+    [Perfmon.Pebs.consume]): it walks the arrays in a monomorphic loop
+    and reads the event kinds it needs, in emission order. *)
 
 type branch_kind =
   | Cond  (** Conditional branch (emitted for taken and not-taken). *)
@@ -12,34 +23,6 @@ type branch_kind =
   | Call  (** Direct or indirect call. *)
   | Ret
 
-type sink = {
-  on_fetch : int -> int -> int -> unit;
-      (** [on_fetch addr len insts]: [len] code bytes holding [insts]
-          instructions executed sequentially starting at [addr]. *)
-  on_branch : src:int -> dst:int -> kind:branch_kind -> taken:bool -> unit;
-      (** A control transfer instruction retiring at [src] (its end
-          address), heading to [dst]. [taken = false] only for
-          fall-through conditionals ([dst] is then the next address). *)
-  on_dmiss : src:int -> unit;
-      (** A delinquent load retiring at [src] missed the data caches
-          (not covered by a software prefetch). *)
-  on_request : int -> unit;  (** Request [i] completed. *)
-}
-
-(** A sink that ignores everything. *)
-val null : sink
-
-(** {1 Flat event tape}
-
-    The zero-allocation transport between the engine and its hottest
-    consumers. Events are encoded as one tag byte plus three int
-    operands in preallocated parallel arrays; the engine flushes the
-    tape to a drain function when it fills and at end of run. Consumers
-    either walk the arrays directly in a monomorphic loop
-    ([Uarch.Core.consume], [Perfmon.Lbr.consume]) or adapt the tape
-    back onto a closure {!sink} with {!replay} — both observe the
-    identical event stream in emission order. *)
-
 type tape = {
   tags : Bytes.t;  (** Per-event tag: {!tag_fetch} … {!tag_request}. *)
   a : int array;  (** fetch: addr; branch: src; dmiss: src; request: index. *)
@@ -47,6 +30,14 @@ type tape = {
   c : int array;  (** fetch: insts; branch: [(kind lsl 1) lor taken]. *)
   mutable len : int;  (** Events currently on the tape. *)
 }
+(** A fetch [(addr, len, insts)] is [len] code bytes holding [insts]
+    instructions executed sequentially from [addr]. A branch
+    [(src, dst)] is a control transfer retiring at [src] (its end
+    address) and heading to [dst]; only a fall-through conditional is
+    not taken, and its [dst] is the next address. A dmiss [src] is a
+    delinquent load retiring at [src] that missed the data caches (no
+    software prefetch covered it). A request [i] marks request [i]
+    completed. *)
 
 val tape_capacity : int
 (** Fixed capacity of every tape (events between flushes). *)
@@ -62,11 +53,12 @@ val tag_dmiss : char
 val tag_request : char
 
 val kind_to_int : branch_kind -> int
-(** Dense 0-4 code of a branch kind (stable across runs). *)
+(** Dense 0-4 code of a branch kind (stable across runs), in
+    declaration order: [Cond] is 0, [Ret] is 4. *)
 
 val encode_branch_meta : kind:branch_kind -> taken:bool -> int
 (** The [c] operand of a branch event. *)
 
-val replay : tape -> sink -> unit
-(** [replay tape sink] redelivers every taped event to [sink] in
-    emission order. *)
+val null : tape -> unit
+(** The drain that ignores everything. The engine recognizes it and
+    writes no tape at all. *)

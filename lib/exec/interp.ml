@@ -36,7 +36,7 @@ type state = {
   image : Image.t;
   tape : Event.tape;
   record : bool;
-      (** [false] only when the caller's sink is {!Event.null}: events
+      (** [false] only when the caller's drain is {!Event.null}: events
           would be dropped anyway, so the writes are skipped. Purely an
           engine-side shortcut — stats never depend on the tape. *)
   drain : Event.tape -> unit;
@@ -188,10 +188,9 @@ let take_tape () =
     tape
   | None -> Event.create_tape ()
 
-(* The drain-based entry point: the engine writes the flat event tape
-   and hands full tapes to [drain]. [run] below adapts a closure sink
-   onto it, so both observe the identical stream. *)
-let run_tape_internal ?ctx image config ~record ~drain =
+(* The engine writes the flat event tape and hands full tapes to
+   [drain]; for {!Event.null} it writes none. *)
+let run ?ctx image config drain =
   let r =
     match ctx with
     | Some c -> c.Support.Ctx.recorder
@@ -202,7 +201,7 @@ let run_tape_internal ?ctx image config ~record ~drain =
     {
       image;
       tape = take_tape ();
-      record;
+      record = drain != Event.null;
       drain;
       depth_limit = config.call_depth_limit;
       visits = Array.make (Image.num_blocks image + 2) 0;
@@ -254,12 +253,4 @@ let run_tape_internal ?ctx image config ~record ~drain =
     requests_completed = !completed;
   }
 
-let run_tape ?ctx image config ~drain =
-  run_tape_internal ?ctx image config ~record:true ~drain
-
-let drain_ignore (_ : Event.tape) = ()
-
-let run ?ctx image config sink =
-  if sink == Event.null then
-    run_tape_internal ?ctx image config ~record:false ~drain:drain_ignore
-  else run_tape ?ctx image config ~drain:(fun tape -> Event.replay tape sink)
+let run_tape ?ctx image config ~drain = run ?ctx image config drain

@@ -1,7 +1,7 @@
 (** The execution engine.
 
     Interprets an {!Image.t} for a fixed number of requests (invocations
-    of [main]), streaming fetch/branch events to a sink. Control-flow
+    of [main]), streaming fetch/branch events to a drain. Control-flow
     decisions are stateless hashes of (block uid, visit count), so two
     images of the *same program* under *different layouts* execute the
     identical logical trace — only addresses differ. That is precisely
@@ -35,25 +35,24 @@ type stats = {
   requests_completed : int;
 }
 
-(** [run ?ctx image config sink] executes and returns aggregate
+(** [run ?ctx image config drain] executes and returns aggregate
     counters, under an ["exec:run"] span on the context's recorder
-    (default {!Obs.Recorder.global}). Events are delivered to [sink] in
-    emission order via the flat tape ({!run_tape} is the direct path);
-    [Event.null] short-circuits delivery entirely. *)
-val run : ?ctx:Support.Ctx.t -> Image.t -> config -> Event.sink -> stats
-
-(** [run_tape ?ctx image config ~drain] is the flat fast path: the
-    engine writes events onto a preallocated {!Event.tape} and calls
-    [drain] each time it fills and once at end of run. [drain] must
-    consume the tape synchronously (the buffer is reused after it
-    returns). Hot consumers pair this with their [consume] drains
-    ([Uarch.Core.consume], [Perfmon.Lbr.consume]) to process events
-    without closure indirection or float boxing; {!Event.replay} adapts
-    a tape back onto any closure sink.
+    (default {!Obs.Recorder.global}). The engine writes events onto a
+    preallocated {!Event.tape} and calls [drain] each time it fills and
+    once at end of run. [drain] must consume the tape synchronously (the
+    buffer is reused after it returns). Every consumer's [consume]
+    ([Uarch.Core.consume], [Perfmon.Lbr.consume], …) is such a drain;
+    several consumers share a run through one drain that calls each in
+    turn. For {!Event.null} the engine writes no tape at all; the stats
+    are the same.
 
     Each domain keeps one spare tape: a run takes it, and puts it back
     after its final flush, so runs one after another on a domain
     allocate no tape. A run started inside [drain] (a nested run) finds
     no spare and makes its own; its events go to its own [drain] only,
     and the outer run's tape is left as it was. *)
+val run : ?ctx:Support.Ctx.t -> Image.t -> config -> (Event.tape -> unit) -> stats
+
+(** [run_tape ?ctx image config ~drain] is [run ?ctx image config drain]
+    under a labelled name. *)
 val run_tape : ?ctx:Support.Ctx.t -> Image.t -> config -> drain:(Event.tape -> unit) -> stats

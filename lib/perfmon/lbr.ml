@@ -128,7 +128,7 @@ let[@inline] on_branch_coded c ~src ~dst ~kindc ~taken =
     end
   end
 
-(* Direct tape drain: only branch events matter to the LBR. *)
+(* Tape drain: only branch events matter to the LBR. *)
 let consume c (tape : Exec.Event.tape) =
   let tags = tape.Exec.Event.tags
   and a = tape.Exec.Event.a
@@ -142,17 +142,6 @@ let consume c (tape : Exec.Event.tape) =
         ~taken:(meta land 1 = 1)
     end
   done
-
-let collector config profile =
-  let c = collector_state config profile in
-  {
-    Exec.Event.on_fetch = (fun _ _ _ -> ());
-    on_branch =
-      (fun ~src ~dst ~kind ~taken ->
-        on_branch_coded c ~src ~dst ~kindc:(Exec.Event.kind_to_int kind) ~taken);
-    on_dmiss = (fun ~src:_ -> ());
-    on_request = (fun _ -> ());
-  }
 
 let raw_bytes profile = profile.num_samples * ((24 * depth) + 64)
 

@@ -60,13 +60,8 @@ type collector
 val collector_state : config -> profile -> collector
 
 val consume : collector -> Exec.Event.tape -> unit
-(** [consume c tape] drains a flat event tape directly — the fast path
-    to pair with {!Exec.Interp.run_tape}. Observationally identical to
-    feeding the same events through [collector config profile]. *)
-
-val collector : config -> profile -> Exec.Event.sink
-(** [collector config profile] is a closure sink over a fresh
-    {!collector_state} (the adapter for low-rate compositions). *)
+(** [consume c tape] feeds one tape's branch events to the collector, in
+    emission order: the drain to pass to {!Exec.Interp.run}. *)
 
 (** {1 Aggregates} *)
 

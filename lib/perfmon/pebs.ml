@@ -19,7 +19,7 @@ let[@inline] on_dmiss_addr c src =
     Support.Itab.add c.profile.misses src 1
   end
 
-(* Direct tape drain: only dmiss events matter to PEBS. *)
+(* Tape drain: only dmiss events matter to PEBS. *)
 let consume c (tape : Exec.Event.tape) =
   let tags = tape.Exec.Event.tags and a = tape.Exec.Event.a in
   for i = 0 to tape.Exec.Event.len - 1 do

@@ -23,5 +23,5 @@ type collector
 val collector_state : config -> profile -> collector
 
 val consume : collector -> Exec.Event.tape -> unit
-(** [consume c tape] drains a flat event tape (pairs with
-    {!Exec.Interp.run_tape}). *)
+(** [consume c tape] feeds one tape's dmiss events to the collector:
+    the drain to pass to {!Exec.Interp.run}. *)

@@ -31,58 +31,76 @@ let gap config k =
   let u = Support.Rng.hash_float (config.seed lxor jitter_salt) k in
   max 1 (lo + int_of_float (u *. float_of_int ((2 * j) + 1)))
 
-let collector config profile =
-  if config.period <= 0 then invalid_arg "Sampler.collector: period must be positive";
-  if config.max_frames <= 0 then invalid_arg "Sampler.collector: max_frames must be positive";
-  (* Shadow call stack of (call-site source, callee entry) frames,
-     newest first, mirrored from the interpreter's Call/Ret events. *)
-  let stack = ref [] in
-  let clock = ref 0 in
-  let sample_idx = ref 0 in
-  let deadline = ref (gap config 0) in
-  let sample leaf =
-    profile.num_samples <- profile.num_samples + 1;
-    profile.num_frames <- profile.num_frames + 1;
-    bump profile.leaves leaf;
-    let rec walk frames n =
-      match frames with
-      | [] -> ()
-      | _ when n >= config.max_frames -> ()
-      | frame :: rest ->
-        profile.num_frames <- profile.num_frames + 1;
-        bump profile.arcs frame;
-        walk rest (n + 1)
-    in
-    walk !stack 1
+type collector = {
+  config : config;
+  profile : profile;
+  mutable stack : (int * int) list;
+      (** Shadow call stack of (call-site source, callee entry) frames,
+          newest first, mirrored from the interpreter's Call/Ret events. *)
+  mutable clock : int;  (** Instructions fetched so far. *)
+  mutable sample_idx : int;
+  mutable deadline : int;  (** Clock value of the next sample. *)
+}
+
+let collector_state config profile =
+  if config.period <= 0 then invalid_arg "Sampler.collector_state: period must be positive";
+  if config.max_frames <= 0 then
+    invalid_arg "Sampler.collector_state: max_frames must be positive";
+  { config; profile; stack = []; clock = 0; sample_idx = 0; deadline = gap config 0 }
+
+let sample c leaf =
+  let profile = c.profile in
+  profile.num_samples <- profile.num_samples + 1;
+  profile.num_frames <- profile.num_frames + 1;
+  bump profile.leaves leaf;
+  let rec walk frames n =
+    match frames with
+    | [] -> ()
+    | _ when n >= c.config.max_frames -> ()
+    | frame :: rest ->
+      profile.num_frames <- profile.num_frames + 1;
+      bump profile.arcs frame;
+      walk rest (n + 1)
   in
-  {
-    Exec.Event.on_fetch =
-      (fun addr _len insts ->
-        clock := !clock + insts;
-        (* A long fetch run can cross several deadlines; attribute every
-           one to the run's start PC (the sampler cannot see inside a
-           straight-line run, just like a real timer interrupt lands on
-           whatever instruction retires next). *)
-        while !clock >= !deadline do
-          sample addr;
-          incr sample_idx;
-          deadline := !deadline + gap config !sample_idx
-        done);
-    on_branch =
-      (fun ~src ~dst ~kind ~taken ->
-        match kind with
-        | Exec.Event.Call when taken -> stack := (src, dst) :: !stack
-        | Exec.Event.Ret -> (
-          (* The per-request root return has no matching Call frame. *)
-          match !stack with [] -> () | _ :: rest -> stack := rest)
-        | _ -> ());
-    on_dmiss = (fun ~src:_ -> ());
-    on_request =
-      (fun _ ->
-        (* A step-limit abort (Out_of_steps) unwinds nested calls without
-           emitting Ret events; requests are independent, so any frames
-           still on the shadow stack here are stale. *)
-        stack := []);
-  }
+  walk c.stack 1
+
+let call_taken = Exec.Event.encode_branch_meta ~kind:Exec.Event.Call ~taken:true
+
+let ret_kind = Exec.Event.kind_to_int Exec.Event.Ret
+
+(* Tape drain: fetches advance the clock, Call/Ret branches move the
+   shadow stack, and requests reset it. *)
+let consume c (tape : Exec.Event.tape) =
+  let tags = tape.Exec.Event.tags
+  and a = tape.Exec.Event.a
+  and b = tape.Exec.Event.b
+  and m = tape.Exec.Event.c in
+  for i = 0 to tape.Exec.Event.len - 1 do
+    let tag = Bytes.unsafe_get tags i in
+    if tag = Exec.Event.tag_fetch then begin
+      c.clock <- c.clock + Array.unsafe_get m i;
+      (* A long fetch run can cross several deadlines; attribute every
+         one to the run's start PC (the sampler cannot see inside a
+         straight-line run, just like a real timer interrupt lands on
+         whatever instruction retires next). *)
+      while c.clock >= c.deadline do
+        sample c (Array.unsafe_get a i);
+        c.sample_idx <- c.sample_idx + 1;
+        c.deadline <- c.deadline + gap c.config c.sample_idx
+      done
+    end
+    else if tag = Exec.Event.tag_branch then begin
+      let meta = Array.unsafe_get m i in
+      if meta = call_taken then c.stack <- (Array.unsafe_get a i, Array.unsafe_get b i) :: c.stack
+      else if meta lsr 1 = ret_kind then (
+        (* The per-request root return has no matching Call frame. *)
+        match c.stack with [] -> () | _ :: rest -> c.stack <- rest)
+    end
+    else if tag = Exec.Event.tag_request then
+      (* A step-limit abort (Out_of_steps) unwinds nested calls without
+         emitting Ret events; requests are independent, so any frames
+         still on the shadow stack here are stale. *)
+      c.stack <- []
+  done
 
 let distinct_leaves profile = Hashtbl.length profile.leaves

@@ -1,7 +1,7 @@
 (** Deterministic pprof-style software sampling profiler.
 
-    An [Exec.Event.sink] that takes periodic stack samples on the
-    simulated instruction clock: each sample records the leaf PC of the
+    A drain of the engine's event tape that takes periodic stack
+    samples on the simulated instruction clock: each sample records the leaf PC of the
     currently executing fetch run plus a call-stack walk of the
     interpreter's frame state, reconstructed from Call/Ret branch
     events. The sampling period is jittered per-sample from a seeded
@@ -33,10 +33,20 @@ type profile = {
 
 val create_profile : unit -> profile
 
-(** Event sink that accumulates into [profile]. The shadow call stack
-    resets at every request boundary: an interpreter step-limit abort
-    unwinds without emitting Ret events, and samples must never blame
-    frames from a previous request. *)
-val collector : config -> profile -> Exec.Event.sink
+type collector
+(** Mutable sampling state over a target profile: the shadow call stack
+    and the sample schedule. *)
+
+val collector_state : config -> profile -> collector
+(** [collector_state config profile] is a fresh collector that
+    accumulates into [profile]. Raises [Invalid_argument] unless
+    [config.period] and [config.max_frames] are positive. *)
+
+val consume : collector -> Exec.Event.tape -> unit
+(** [consume c tape] feeds one tape's events to the sampler, in emission
+    order: the drain to pass to {!Exec.Interp.run}. The shadow call
+    stack resets at every request event: an interpreter step-limit
+    abort unwinds without emitting Ret events, and samples must never
+    blame frames from a previous request. *)
 
 val distinct_leaves : profile -> int

@@ -113,10 +113,9 @@ let run_round ?(config = default_config) ~env ~program ~name ~round ~prev () =
     let lbr_profile = Perfmon.Lbr.create_profile () in
     let sampled = Perfmon.Sampler.create_profile () in
     let pebs_profile = Perfmon.Pebs.create_profile () in
-    (* Hot consumers drain the flat event tape directly; the software
-       sampler keeps its closure sink behind the replay adapter. LBR and
-       PEBS observe disjoint event kinds, so sequential drains see
-       exactly what one sink feeding both would. *)
+    (* The profiler and PEBS drain each tape in turn. They read
+       disjoint event kinds and keep disjoint state, so sequential
+       drains see exactly what one consumer of both would. *)
     let drain =
       let pebs_c =
         if config.prefetch then Some (Perfmon.Pebs.collector_state config.pebs pebs_profile)
@@ -132,13 +131,13 @@ let run_round ?(config = default_config) ~env ~program ~name ~round ~prev () =
           Perfmon.Lbr.consume c tape;
           drain_pebs tape
       | Perfmon.Source.Sampled ->
-        let sink = Perfmon.Sampler.collector config.sampler sampled in
+        let c = Perfmon.Sampler.collector_state config.sampler sampled in
         fun tape ->
-          Exec.Event.replay tape sink;
+          Perfmon.Sampler.consume c tape;
           drain_pebs tape
     in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run_tape ~ctx:env.Buildsys.Driver.ctx image config.profile_run ~drain
+      Exec.Interp.run ~ctx:env.Buildsys.Driver.ctx image config.profile_run drain
     in
     Obs.Recorder.advance rec_ profiling_window_seconds;
     let profile, samples =

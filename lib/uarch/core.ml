@@ -124,8 +124,6 @@ let counters t =
   sync t;
   t.c
 
-let cycles t = Array.unsafe_get t.cyc 0
-
 let fetch t addr len insts =
   let c = t.c in
   c.fetch_events <- c.fetch_events + 1;
@@ -192,24 +190,13 @@ let[@inline] branch_coded t ~src ~kindc ~taken =
     end
   end
 
-let branch t ~src ~dst:_ ~kind ~taken =
-  branch_coded t ~src ~kindc:(Exec.Event.kind_to_int kind) ~taken
-
 let dmiss t =
   let c = t.c in
   c.dmisses <- c.dmisses + 1;
   add_cycles t dmiss_penalty
 
-let sink t =
-  {
-    Exec.Event.on_fetch = (fun addr len insts -> fetch t addr len insts);
-    on_branch = (fun ~src ~dst ~kind ~taken -> branch t ~src ~dst ~kind ~taken);
-    on_dmiss = (fun ~src:_ -> dmiss t);
-    on_request = (fun _ -> ());
-  }
-
-(* Direct tape drain: one monomorphic dispatch loop, no closure hops,
-   no variant or float boxing per event. *)
+(* Tape drain: one monomorphic dispatch loop, no closure hops, no
+   variant or float boxing per event. *)
 let consume t (tape : Exec.Event.tape) =
   let tags = tape.Exec.Event.tags
   and a = tape.Exec.Event.a

@@ -42,7 +42,7 @@ type counters = {
   mutable dsb_misses : int;  (** 32-byte window misses: two per missed line. *)
   mutable cond_branches : int;
   mutable dmisses : int;  (** Uncovered delinquent-load data misses. *)
-  mutable cycles : float;
+  mutable cycles : float;  (** Modelled front-end-bound cycles. *)
 }
 
 type t
@@ -60,19 +60,12 @@ type t
     two sets. *)
 val create : config -> t
 
-(** [sink t] is the event sink to attach to {!Exec.Interp.run}. *)
-val sink : t -> Exec.Event.sink
-
-(** [consume t tape] drains a flat event tape directly — the fast path
-    to pair with {!Exec.Interp.run_tape} (no closure indirection, no
-    per-event boxing). Observationally identical to feeding the same
-    events through [sink t]. *)
+(** [consume t tape] feeds one tape's fetch, branch and dmiss events
+    to the core, in emission order: the drain to pass to
+    {!Exec.Interp.run}. It allocates nothing per event. *)
 val consume : t -> Exec.Event.tape -> unit
 
 val counters : t -> counters
-
-(** [cycles t] is the modelled front-end-bound cycle count. *)
-val cycles : t -> float
 
 (** [counters_assoc c] lists the integer event counters in a fixed,
     documented order (exporters and the diagnostics layer iterate this

@@ -21,22 +21,22 @@ let create ~lo ~hi ~rows ~cols ~total_requests =
     col = 0;
   }
 
-let sink t =
-  {
-    Exec.Event.on_fetch =
-      (fun addr len _insts ->
-        if addr >= t.lo && addr < t.hi then begin
-          let row = (addr - t.lo) * t.rows / (t.hi - t.lo) in
-          let row = min (t.rows - 1) row in
-          let col = min (t.cols - 1) t.col in
-          t.grid.(row).(col) <- t.grid.(row).(col) + len
-        end);
-    on_branch = (fun ~src:_ ~dst:_ ~kind:_ ~taken:_ -> ());
-    on_dmiss = (fun ~src:_ -> ());
-    (* Request [r] completed, so the fetches that follow are request
-       [r + 1]'s. *)
-    on_request = (fun r -> t.col <- (r + 1) / t.requests_per_col);
-  }
+(* Tape drain: fetches fill the current column; request [r]'s
+   completion moves on to request [r + 1]'s column. *)
+let consume t (tape : Exec.Event.tape) =
+  let tags = tape.Exec.Event.tags and a = tape.Exec.Event.a and b = tape.Exec.Event.b in
+  for i = 0 to tape.Exec.Event.len - 1 do
+    let tag = Bytes.unsafe_get tags i in
+    if tag = Exec.Event.tag_fetch then begin
+      let addr = Array.unsafe_get a i in
+      if addr >= t.lo && addr < t.hi then begin
+        let row = min (t.rows - 1) ((addr - t.lo) * t.rows / (t.hi - t.lo)) in
+        let col = min (t.cols - 1) t.col in
+        t.grid.(row).(col) <- t.grid.(row).(col) + Array.unsafe_get b i
+      end
+    end
+    else if tag = Exec.Event.tag_request then t.col <- (Array.unsafe_get a i + 1) / t.requests_per_col
+  done
 
 let cell t ~row ~col = t.grid.(row).(col)
 

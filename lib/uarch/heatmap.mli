@@ -13,8 +13,10 @@ type t
     [Invalid_argument] unless [rows >= 1] and [cols >= 1]. *)
 val create : lo:int -> hi:int -> rows:int -> cols:int -> total_requests:int -> t
 
-(** [sink t] attaches the collector to an execution run. *)
-val sink : t -> Exec.Event.sink
+(** [consume t tape] adds one tape's fetched bytes to the map: the drain
+    to pass to {!Exec.Interp.run}. Request events move the time column
+    on. *)
+val consume : t -> Exec.Event.tape -> unit
 
 (** [cell t ~row ~col] is the accumulated byte count of a cell: what
     {!render} shades on a log scale, exact. *)

@@ -66,9 +66,9 @@ let test_rewrite_improves_layout () =
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image
         { Exec.Interp.default_config with requests = spec.requests }
-        (Uarch.Core.sink core)
+        (Uarch.Core.consume core)
     in
-    Uarch.Core.cycles core
+    (Uarch.Core.counters core).cycles
   in
   check tb "bolt does not regress the cycle model" true
     (cycles bolt.binary <= cycles bm.binary *. 1.005)

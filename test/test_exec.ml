@@ -4,8 +4,14 @@ let build_image ?codegen ?link program =
   let _, { Linker.Link.binary; _ } = compile_and_link ?codegen ?link program in
   (binary, Exec.Image.build program binary)
 
-let run ?(requests = 20) image sink =
-  Exec.Interp.run image { Exec.Interp.default_config with requests } sink
+let run ?(requests = 20) image drain =
+  Exec.Interp.run image { Exec.Interp.default_config with requests } drain
+
+(* [f i] for every event [i] of [tag] on a drained tape. *)
+let iter_tag tag f (t : Exec.Event.tape) =
+  for i = 0 to t.len - 1 do
+    if Bytes.get t.tags i = tag then f i
+  done
 
 let test_image_block_fidelity () =
   let program = call_program () in
@@ -98,38 +104,36 @@ let test_fetch_events_cover_blocks () =
   let program = call_program () in
   let binary, image = build_image program in
   let fetched = ref 0 in
-  let sink =
-    {
-      Exec.Event.null with
-      Exec.Event.on_fetch =
-        (fun addr len _ ->
-          check tb "fetch in text" true (addr >= binary.text_start && addr + len <= binary.text_end);
-          fetched := !fetched + len);
-    }
+  let drain (t : Exec.Event.tape) =
+    iter_tag Exec.Event.tag_fetch
+      (fun i ->
+        let addr = t.a.(i) and len = t.b.(i) in
+        check tb "fetch in text" true (addr >= binary.text_start && addr + len <= binary.text_end);
+        fetched := !fetched + len)
+      t
   in
-  let stats = run ~requests:5 image sink in
-  check ti "sink sees all fetched bytes" stats.bytes_fetched !fetched
+  let stats = run ~requests:5 image drain in
+  check ti "drain sees all fetched bytes" stats.bytes_fetched !fetched
 
 let test_branch_events_consistent () =
   let program = call_program () in
   let binary, image = build_image program in
   let bad = ref 0 in
-  let sink =
-    {
-      Exec.Event.null with
-      Exec.Event.on_branch =
-        (fun ~src ~dst ~kind ~taken ->
-          (* A non-taken conditional continues at the next address. *)
-          (match kind, taken with
-          | Exec.Event.Cond, false -> if src <> dst then incr bad
-          | _, _ -> ());
-          (* Root returns leave the text segment (the exit stub). *)
-          let exit_stub = kind = Exec.Event.Ret && dst < binary.text_start in
-          if (not exit_stub) && (dst < binary.text_start || dst > binary.text_end) then
-            incr bad);
-    }
+  let cond = Exec.Event.kind_to_int Exec.Event.Cond
+  and ret = Exec.Event.kind_to_int Exec.Event.Ret in
+  let drain (t : Exec.Event.tape) =
+    iter_tag Exec.Event.tag_branch
+      (fun i ->
+        let src = t.a.(i) and dst = t.b.(i) in
+        let kind = t.c.(i) lsr 1 and taken = t.c.(i) land 1 = 1 in
+        (* A non-taken conditional continues at the next address. *)
+        if kind = cond && (not taken) && src <> dst then incr bad;
+        (* Root returns leave the text segment (the exit stub). *)
+        let exit_stub = kind = ret && dst < binary.text_start in
+        if (not exit_stub) && (dst < binary.text_start || dst > binary.text_end) then incr bad)
+      t
   in
-  ignore (run ~requests:10 image sink);
+  ignore (run ~requests:10 image drain);
   check ti "all branch events well-formed" 0 !bad
 
 let test_call_depth_elision () =
@@ -209,7 +213,7 @@ let test_steady_state_allocation () =
     let config = { Exec.Interp.default_config with requests } in
     let run () =
       ignore
-        (Exec.Interp.run_tape image config ~drain:(Perfmon.Lbr.consume c)
+        (Exec.Interp.run image config (Perfmon.Lbr.consume c)
           : Exec.Interp.stats)
     in
     (* Warm-up: grow the tape and the profile tables to steady capacity. *)
@@ -248,9 +252,9 @@ let record_events b (t : Exec.Event.tape) =
 let run_digest image =
   let b = Buffer.create 65536 in
   let stats =
-    Exec.Interp.run_tape image
+    Exec.Interp.run image
       { Exec.Interp.default_config with requests = Progen.Suite.clang.requests / 16 }
-      ~drain:(record_events b)
+      (record_events b)
   in
   (stats, Digest.to_hex (Digest.string (Buffer.contents b)))
 
@@ -289,12 +293,12 @@ let test_image_lazy_equals_forced () =
 (* Runs one after another on a domain share one tape: once a run has
    put the domain's spare tape back, the next allocates less than one
    tape (3 int arrays and a tag byte per event of capacity). *)
-let test_run_tape_reuses_tape () =
+let test_run_reuses_tape () =
   let _, program = medium_program () in
   let _, image = build_image program in
   let run () =
     ignore
-      (Exec.Interp.run_tape image { Exec.Interp.default_config with requests = 20 } ~drain:ignore
+      (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } ignore
         : Exec.Interp.stats)
   in
   run ();
@@ -306,14 +310,14 @@ let test_run_tape_reuses_tape () =
 (* A run started from a drain (a nested run) writes its own tape: the
    outer drain, reading its tape after the nested run returned, and
    the nested drain each see what their run gives alone. *)
-let test_nested_run_tape () =
+let test_nested_run () =
   let program, binary = Lazy.force relink0_image in
   let outer = Exec.Image.build program binary in
   let _, inner = build_image (call_program ()) in
   let config = { Exec.Interp.default_config with requests = 20 } in
   let alone image =
     let b = Buffer.create 65536 in
-    ignore (Exec.Interp.run_tape image config ~drain:(record_events b) : Exec.Interp.stats);
+    ignore (Exec.Interp.run image config (record_events b) : Exec.Interp.stats);
     Digest.string (Buffer.contents b)
   in
   let outer_alone = alone outer and inner_alone = alone inner in
@@ -321,10 +325,10 @@ let test_nested_run_tape () =
   let drain t =
     incr flushes;
     if !flushes = 1 then
-      ignore (Exec.Interp.run_tape inner config ~drain:(record_events ib) : Exec.Interp.stats);
+      ignore (Exec.Interp.run inner config (record_events ib) : Exec.Interp.stats);
     record_events ob t
   in
-  ignore (Exec.Interp.run_tape outer config ~drain : Exec.Interp.stats);
+  ignore (Exec.Interp.run outer config drain : Exec.Interp.stats);
   check tb "the outer run flushed more than once" true (!flushes > 1);
   check ts "outer stream" (Digest.to_hex outer_alone) (Digest.to_hex (Digest.string (Buffer.contents ob)));
   check ts "nested stream" (Digest.to_hex inner_alone) (Digest.to_hex (Digest.string (Buffer.contents ib)));
@@ -362,6 +366,6 @@ let suite =
     Alcotest.test_case "forced image: uids in program order" `Quick test_image_forced_uids;
     Alcotest.test_case "fresh image runs as a forced one" `Quick test_image_lazy_equals_forced;
     Alcotest.test_case "missing block raises at build" `Quick test_image_missing_block_raises_at_build;
-    Alcotest.test_case "a second run reuses the tape" `Quick test_run_tape_reuses_tape;
-    Alcotest.test_case "a nested run writes its own tape" `Quick test_nested_run_tape;
+    Alcotest.test_case "a second run reuses the tape" `Quick test_run_reuses_tape;
+    Alcotest.test_case "a nested run writes its own tape" `Quick test_nested_run;
   ]

@@ -71,7 +71,7 @@ let test_propeller_improves_frontend_counters () =
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image
         { Exec.Interp.default_config with requests = spec.requests }
-        (Uarch.Core.sink core)
+        (Uarch.Core.consume core)
     in
     Uarch.Core.counters core
   in
@@ -149,9 +149,9 @@ let test_table3_shape_mcf () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image { Exec.Interp.default_config with requests = 60 } (Uarch.Core.sink core)
+      Exec.Interp.run image { Exec.Interp.default_config with requests = 60 } (Uarch.Core.consume core)
     in
-    Uarch.Core.cycles core
+    (Uarch.Core.counters core).cycles
   in
   let delta =
     (cycles base.binary -. cycles (Propeller.Pipeline.optimized_binary prop))

@@ -40,11 +40,12 @@ let test_sampling_period_thins_profile () =
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let collect period =
     let profile = Perfmon.Lbr.create_profile () in
+    let c = Perfmon.Lbr.collector_state { Perfmon.Lbr.period } profile in
     let image = Exec.Image.build program binary in
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image
         { Exec.Interp.default_config with requests = 30 }
-        (Perfmon.Lbr.collector { Perfmon.Lbr.period } profile)
+        (Perfmon.Lbr.consume c)
     in
     profile
   in
@@ -78,11 +79,12 @@ let test_hot_edge_dominates () =
 
 let samples_of ?(config = Perfmon.Sampler.default_config) ?(requests = 40) program binary =
   let profile = Perfmon.Sampler.create_profile () in
+  let c = Perfmon.Sampler.collector_state config profile in
   let image = Exec.Image.build program binary in
   let stats =
     Exec.Interp.run image
       { Exec.Interp.default_config with requests }
-      (Perfmon.Sampler.collector config profile)
+      (Perfmon.Sampler.consume c)
   in
   (stats, profile)
 
@@ -233,9 +235,9 @@ let check_collector_law what program binary ~requests =
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config got in
   let r = Ref_lbr.create Perfmon.Lbr.default_config want in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run_tape image
+    Exec.Interp.run image
       { Exec.Interp.default_config with requests }
-      ~drain:(fun tape ->
+      (fun tape ->
         Perfmon.Lbr.consume c tape;
         Ref_lbr.consume r tape)
   in

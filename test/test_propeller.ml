@@ -115,13 +115,13 @@ let profiled_metadata_build ~requests program =
   let image = Exec.Image.build program binary in
   let lbr = Perfmon.Lbr.create_profile () and samples = Perfmon.Sampler.create_profile () in
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config lbr in
-  let sink = Perfmon.Sampler.collector Perfmon.Sampler.default_config samples in
+  let s = Perfmon.Sampler.collector_state Perfmon.Sampler.default_config samples in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run_tape image
+    Exec.Interp.run image
       { Exec.Interp.default_config with requests }
-      ~drain:(fun tape ->
+      (fun tape ->
         Perfmon.Lbr.consume c tape;
-        Exec.Event.replay tape sink)
+        Perfmon.Sampler.consume s tape)
   in
   (binary, lbr, samples)
 
@@ -519,9 +519,9 @@ let test_pipeline_improves_performance () =
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image
         { Exec.Interp.default_config with requests = spec.requests }
-        (Uarch.Core.sink core)
+        (Uarch.Core.consume core)
     in
-    Uarch.Core.cycles core
+    (Uarch.Core.counters core).cycles
   in
   let b = cycles base.binary and p = cycles (Propeller.Pipeline.optimized_binary result) in
   check tb "propeller does not regress the cycle model" true (p <= b *. 1.005)
@@ -571,9 +571,9 @@ let test_run_rounds () =
     let (_ : Exec.Interp.stats) =
       Exec.Interp.run image
         { Exec.Interp.default_config with requests = spec.requests }
-        (Uarch.Core.sink core)
+        (Uarch.Core.consume core)
     in
-    Uarch.Core.cycles core
+    (Uarch.Core.counters core).cycles
   in
   check tb "round 2 at least as good" true (cycles r2 <= cycles r1 *. 1.01)
 

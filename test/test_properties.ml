@@ -173,9 +173,9 @@ let pipeline_no_regression_law =
         let (_ : Exec.Interp.stats) =
           Exec.Interp.run image
             { Exec.Interp.default_config with requests = 30 }
-            (Uarch.Core.sink core)
+            (Uarch.Core.consume core)
         in
-        Uarch.Core.cycles core
+        (Uarch.Core.counters core).cycles
       in
       cycles (Propeller.Pipeline.optimized_binary prop) <= cycles base.binary *. 1.10)
 

@@ -55,7 +55,7 @@ let taken_branches (s : Exec.Interp.stats) =
    pipeline uses. *)
 let run_pebs image config pebs profile =
   let c = Perfmon.Pebs.collector_state pebs profile in
-  Exec.Interp.run_tape image config ~drain:(Perfmon.Pebs.consume c)
+  Exec.Interp.run image config (Perfmon.Pebs.consume c)
 
 (* The plan with every fault rate at zero: [--faults] with no keys. *)
 let no_faults = Result.get_ok (Faultsim.Plan.of_spec "")
@@ -291,10 +291,9 @@ let bb_map_of ?program (binary : Linker.Binary.t) : Objfile.Bbmap.t =
 let run_with_profile ?(requests = 40) program binary =
   let image = Exec.Image.build program binary in
   let profile = Perfmon.Lbr.create_profile () in
+  let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
   let stats =
-    Exec.Interp.run image
-      { Exec.Interp.default_config with requests }
-      (Perfmon.Lbr.collector Perfmon.Lbr.default_config profile)
+    Exec.Interp.run image { Exec.Interp.default_config with requests } (Perfmon.Lbr.consume c)
   in
   (stats, profile)
 
