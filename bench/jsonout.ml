@@ -130,9 +130,9 @@ let resilience_json (spec : Progen.Spec.t) =
    branch records buy over portable software samples, on this very
    workload. Runs both pipelines (shared metadata build) plus the
    baseline; everything is on simulated clocks, so byte-stable. *)
-let fidelity_json (spec : Progen.Spec.t) =
+let fidelity_json ctx (spec : Progen.Spec.t) =
   let program = Progen.Generate.program spec in
-  let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
+  let ctx = { ctx with Support.Ctx.recorder = Obs.Recorder.create () } in
   let fid =
     Diagnostics.Fidelity.analyze
       ~pipeline:(Propeller.Pipeline.config_of_spec spec)
@@ -146,9 +146,9 @@ let fidelity_json (spec : Progen.Spec.t) =
    simulated clocks only — byte-stable. *)
 let layout_search_budget = 14
 
-let layout_search_json (spec : Progen.Spec.t) =
+let layout_search_json ctx (spec : Progen.Spec.t) =
   let program = Progen.Generate.program spec in
-  let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) () in
+  let ctx = { ctx with Support.Ctx.recorder = Obs.Recorder.create () } in
   let res =
     Diagnostics.Lsearch.analyze
       ~pipeline:(Propeller.Pipeline.config_of_spec spec)
@@ -159,8 +159,8 @@ let layout_search_json (spec : Progen.Spec.t) =
   in
   Diagnostics.Lsearch.to_json res
 
-let benchmark_json (spec : Progen.Spec.t) =
-  let wb = Workbench.get spec in
+let benchmark_json ctx (spec : Progen.Spec.t) =
+  let wb = Workbench.get ctx spec in
   let prop_pct = Workbench.improvement_pct wb Workbench.Prop in
   let bolt_ok = wb.bolt.Boltsim.Driver.startup_ok in
   let bolt_pct = if bolt_ok then Some (Workbench.improvement_pct wb Workbench.Bolt) else None in
@@ -198,8 +198,8 @@ let benchmark_json (spec : Progen.Spec.t) =
           Obs.Json.Obj
             [ ("base", counters_json base); ("propeller", counters_json prop) ] );
         ("resilience", resilience_json spec);
-        ("fidelity", fidelity_json spec);
-        ("layout_search", layout_search_json spec);
+        ("fidelity", fidelity_json ctx spec);
+        ("layout_search", layout_search_json ctx spec);
       ]
   in
   (json, prop_pct, bolt_pct)
@@ -213,7 +213,7 @@ let geomean_pct pcts =
     let ratios = List.map (fun p -> 1.0 +. (p /. 100.0)) pcts in
     Some ((Support.Stats.geomean ratios -. 1.0) *. 100.0)
 
-let emit ~file ~specs ~requests () =
+let emit ~ctx ~file ~specs ~requests () =
   let specs =
     match requests with
     | None -> specs
@@ -221,8 +221,8 @@ let emit ~file ~specs ~requests () =
   in
   (* The micro kernels time themselves: run them first, on a heap the
      workload rows have not grown yet. *)
-  let micro = Micro.json () in
-  let rows = List.map benchmark_json specs in
+  let micro = Micro.json ctx in
+  let rows = List.map (benchmark_json ctx) specs in
   let prop_pcts = List.map (fun (_, p, _) -> p) rows in
   let bolt_pcts = List.filter_map (fun (_, _, b) -> b) rows in
   let opt_float = function Some f -> Obs.Json.Float f | None -> Obs.Json.Null in

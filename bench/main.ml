@@ -37,21 +37,21 @@ let experiments =
     ("micro", Micro.run);
   ]
 
-let quick () =
+let quick ctx =
   (* A fast sanity pass on the smallest benchmark only. *)
-  let wb = Workbench.get (Option.get (Progen.Suite.by_name "505.mcf")) in
+  let wb = Workbench.get ctx (Option.get (Progen.Suite.by_name "505.mcf")) in
   Printf.printf "quick: mcf propeller %+.2f%%, bolt %+.2f%% vs base\n"
     (Workbench.improvement_pct wb Workbench.Prop)
     (Workbench.improvement_pct wb Workbench.Bolt)
 
-let run_one name =
+let run_one ctx name =
   match List.assoc_opt name experiments with
   | Some f ->
     let t0 = Unix.gettimeofday () in
-    f ();
+    f ctx;
     Printf.printf "\n[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0)
   | None ->
-    if name = "quick" then quick ()
+    if name = "quick" then quick ctx
     else begin
       Printf.eprintf "unknown experiment %S; available: quick all %s\n" name
         (String.concat " " (List.map fst experiments));
@@ -62,7 +62,7 @@ type options = {
   mutable json_out : string option;
   mutable json_bench : string list;
   mutable json_requests : int option;
-  mutable jobs : int option;
+  mutable jobs : int;
   mutable names : string list;  (* experiments, in order *)
 }
 
@@ -78,7 +78,7 @@ let parse_args argv =
       json_out = None;
       json_bench = [ "505.mcf" ];
       json_requests = None;
-      jobs = None;
+      jobs = 1;
       names = [];
     }
   in
@@ -101,7 +101,7 @@ let parse_args argv =
       o.json_requests <- Some (positive "--json-requests" n);
       go rest
     | "--jobs" :: n :: rest ->
-      o.jobs <- Some (positive "--jobs" n);
+      o.jobs <- positive "--jobs" n;
       go rest
     | ("--json-out" | "--json-bench" | "--json-requests" | "--jobs") :: [] ->
       usage_exit ()
@@ -112,7 +112,7 @@ let parse_args argv =
   in
   go (List.tl (Array.to_list argv))
 
-let emit_json o file =
+let emit_json ctx o file =
   let specs =
     List.map
       (fun name ->
@@ -123,11 +123,16 @@ let emit_json o file =
           exit 2)
       o.json_bench
   in
-  Jsonout.emit ~file ~specs ~requests:o.json_requests ()
+  Jsonout.emit ~ctx ~file ~specs ~requests:o.json_requests ()
 
 let () =
   let o = parse_args Sys.argv in
-  (match o.jobs with Some j -> Support.Pool.set_default_jobs j | None -> ());
+  (* Every experiment records on one recorder and fans out on one pool,
+     --jobs wide. *)
+  let ctx =
+    Support.Ctx.create ~recorder:(Obs.Recorder.create ())
+      ~pool:(Support.Pool.create ~jobs:o.jobs) ()
+  in
   let names =
     match (o.names, o.json_out) with
     | [], Some _ -> []  (* JSON-only run *)
@@ -136,7 +141,7 @@ let () =
   in
   Printf.printf "Propeller reproduction bench (deterministic; seeds fixed)\n%!";
   let t0 = Unix.gettimeofday () in
-  List.iter run_one names;
-  Option.iter (emit_json o) o.json_out;
+  List.iter (run_one ctx) names;
+  Option.iter (emit_json ctx o) o.json_out;
   if names <> [] then
     Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

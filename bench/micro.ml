@@ -82,15 +82,23 @@ let hfsort_test =
   Test.make ~name:"hfsort_2000_funcs"
     (Staged.stage (fun () -> ignore (Layout.Hfsort.order problem)))
 
+(* The untimed fixtures build in a throwaway context of their own, one
+   domain wide; the timed kernels record on the bench's context. *)
+let fixture_ctx () =
+  Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~pool:(Support.Pool.create ~jobs:1) ()
+
 let mcf_artifacts =
   lazy
-    (let spec = Option.get (Progen.Suite.by_name "505.mcf") in
+    (let ctx = fixture_ctx () in
+     let spec = Option.get (Progen.Suite.by_name "505.mcf") in
      let program = Progen.Generate.program spec in
      let objs =
-       Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
+       Codegen.compile_program ~ctx
+         { Codegen.default_options with emit_bb_addr_map = true }
+         program
      in
      let { Linker.Link.binary; _ } =
-       Linker.Link.link
+       Linker.Link.link ~ctx
          ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
          ~name:"mcf" ~entry:"main" objs
      in
@@ -98,15 +106,17 @@ let mcf_artifacts =
      let profile = Perfmon.Lbr.create_profile () in
      let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
      let (_ : Exec.Interp.stats) =
-       Exec.Interp.run image { Exec.Interp.default_config with requests = 50 } (Perfmon.Lbr.consume c)
+       Exec.Interp.run ~ctx image
+         { Exec.Interp.default_config with requests = 50 }
+         (Perfmon.Lbr.consume c)
      in
      (program, objs, binary, image, profile))
 
-let link_test =
+let link_test ctx =
   Test.make ~name:"link_relax_mcf"
     (Staged.stage (fun () ->
          let _, objs, _, _, _ = Lazy.force mcf_artifacts in
-         ignore (Linker.Link.link ~name:"mcf" ~entry:"main" objs)))
+         ignore (Linker.Link.link ~ctx ~name:"mcf" ~entry:"main" objs)))
 
 let dcfg_test =
   Test.make ~name:"dcfg_build_mcf"
@@ -114,18 +124,18 @@ let dcfg_test =
          let _, _, binary, _, profile = Lazy.force mcf_artifacts in
          ignore (Propeller.Dcfg.build ~profile ~binary)))
 
-let wpa_test =
+let wpa_test ctx =
   Test.make ~name:"wpa_analyze_mcf"
     (Staged.stage (fun () ->
          let _, _, binary, _, profile = Lazy.force mcf_artifacts in
-         ignore (Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary ())))
+         ignore (Propeller.Wpa.analyze ~ctx ~profile:(Propeller.Wpa.Lbr profile) ~binary ())))
 
-let exec_test =
+let exec_test ctx =
   Test.make ~name:"exec_50_requests_mcf"
     (Staged.stage (fun () ->
          let _, _, _, image, _ = Lazy.force mcf_artifacts in
          ignore
-           (Exec.Interp.run image
+           (Exec.Interp.run ~ctx image
               { Exec.Interp.default_config with requests = 50 }
               Exec.Event.null)))
 
@@ -188,7 +198,9 @@ let mcf_tapes =
          :: !tapes
      in
      ignore
-       (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } copy
+       (Exec.Interp.run ~ctx:(fixture_ctx ()) image
+          { Exec.Interp.default_config with requests = 20 }
+          copy
          : Exec.Interp.stats);
      List.rev !tapes)
 
@@ -205,10 +217,10 @@ let uarch_consume_kernel () =
    with a drain that drops each tape. Beside [uarch_consume_mcf] it
    splits a batch into engine and model. [exec_50_requests_mcf] runs
    with [Event.null], which skips the tape writes. *)
-let exec_tape_kernel () =
+let exec_tape_kernel ctx () =
   let _, _, _, image, _ = Lazy.force mcf_artifacts in
   ignore
-    (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } ignore
+    (Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests = 20 } ignore
       : Exec.Interp.stats)
 
 (* The digest layer of a cold relink of program 0: every function
@@ -220,7 +232,7 @@ let unit_keys_fixture =
   lazy
     (let program = Lazy.force relink_prog0 in
      let options, _ = Propeller.Pipeline.metadata_options in
-     (program, options, Codegen.compile_program options program))
+     (program, options, Codegen.compile_program ~ctx:(fixture_ctx ()) options program))
 
 let unit_keys_kernel () =
   let program, options, objs = Lazy.force unit_keys_fixture in
@@ -233,23 +245,23 @@ let unit_keys_kernel () =
    fixture above) linked again. From the second call on, the link
    reuses the domain's spare arrays, as every link of a warm relink
    does. *)
-let link_warm_kernel () =
+let link_warm_kernel ctx () =
   let program, _, objs = Lazy.force unit_keys_fixture in
   let _, options = Propeller.Pipeline.metadata_options in
   ignore
-    (Linker.Link.link ~options ~name:"warm" ~entry:(Ir.Program.main program) objs
+    (Linker.Link.link ~ctx ~options ~name:"warm" ~entry:(Ir.Program.main program) objs
       : Linker.Link.outcome)
 
-let fastpath_kernels =
+let fastpath_kernels ctx =
   [
     ("lbr_bump_packed_8k", lbr_bump_kernel);
     ("exttsp_score_flat_1000", exttsp_score_kernel);
     ("resolve_batch_mcf_8k", resolve_batch_kernel);
     ("uarch_create_default", uarch_create_kernel);
-    ("exec_tape_mcf", exec_tape_kernel);
+    ("exec_tape_mcf", exec_tape_kernel ctx);
     ("uarch_consume_mcf", uarch_consume_kernel);
     ("unit_keys_relink_prog0", unit_keys_kernel);
-    ("link_warm_prog0", link_warm_kernel);
+    ("link_warm_prog0", link_warm_kernel ctx);
   ]
 
 (* Median-of-3 batch averages on the wall clock: coarser than
@@ -268,7 +280,7 @@ let time_ns_per_call ?(batch = 30) f =
   | [ _; median; _ ] -> median
   | _ -> assert false
 
-let json () =
+let json ctx =
   Obs.Json.Obj
     [
       ( "kernels",
@@ -280,7 +292,7 @@ let json () =
                    ("name", Obs.Json.String name);
                    ("ns_per_call", Obs.Json.Float (time_ns_per_call f));
                  ])
-             fastpath_kernels) );
+             (fastpath_kernels ctx)) );
     ]
 
 (* 5 000 adds of priorities from 97 values (so ties are common),
@@ -296,7 +308,7 @@ let pqueue_test =
            ignore (Support.Pqueue.pop_max q)
          done))
 
-let tests () =
+let tests ctx =
   [
     exttsp_test "exttsp_pqueue_300" ~use_pqueue:true ~n:300;
     exttsp_test "exttsp_linear_300" ~use_pqueue:false ~n:300;
@@ -306,21 +318,21 @@ let tests () =
     intra_problem_test ();
     hfsort_test;
     pqueue_test;
-    link_test;
+    link_test ctx;
     dcfg_test;
-    wpa_test;
-    exec_test;
+    wpa_test ctx;
+    exec_test ctx;
     Test.make ~name:"lbr_bump_packed_8k" (Staged.stage lbr_bump_kernel);
     Test.make ~name:"exttsp_score_flat_1000" (Staged.stage exttsp_score_kernel);
     Test.make ~name:"resolve_batch_mcf_8k" (Staged.stage resolve_batch_kernel);
     Test.make ~name:"uarch_create_default" (Staged.stage uarch_create_kernel);
-    Test.make ~name:"exec_tape_mcf" (Staged.stage exec_tape_kernel);
+    Test.make ~name:"exec_tape_mcf" (Staged.stage (exec_tape_kernel ctx));
     Test.make ~name:"uarch_consume_mcf" (Staged.stage uarch_consume_kernel);
     Test.make ~name:"unit_keys_relink_prog0" (Staged.stage unit_keys_kernel);
-    Test.make ~name:"link_warm_prog0" (Staged.stage link_warm_kernel);
+    Test.make ~name:"link_warm_prog0" (Staged.stage (link_warm_kernel ctx));
   ]
 
-let run () =
+let run ctx =
   Report.print_title "Micro-benchmarks (bechamel; ns per run, OLS on monotonic clock)";
   let instances = Instance.[ monotonic_clock ] in
   (* stabilize=false: GC compaction between samples is prohibitively slow
@@ -328,9 +340,7 @@ let run () =
   let cfg =
     Benchmark.cfg ~limit:100 ~quota:(Time.second 0.4) ~kde:None ~stabilize:false ()
   in
-  let raw =
-    List.map (fun test -> Benchmark.all cfg instances test) (List.map (fun t -> t) (tests ()))
-  in
+  let raw = List.map (fun test -> Benchmark.all cfg instances test) (tests ctx) in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in

@@ -27,11 +27,11 @@ let is_asm program f =
 let bolt_hazards (spec : Progen.Spec.t) =
   { Boltsim.Driver.rseq = spec.hazards.has_rseq; fips_check = spec.hazards.has_fips_check }
 
-let build spec =
+let build ctx spec =
   (* Phase 1 includes ThinLTO-style cross-unit inlining — the transform
      that makes instrumented profiles stale (paper 2.2). *)
   let program = Codegen.Inline.program (Progen.Generate.program spec) in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:spec.Progen.Spec.name in
   let prop =
     Propeller.Pipeline.run ~config:(Propeller.Pipeline.config_of_spec spec) ~env ~program
@@ -47,19 +47,19 @@ let build spec =
   (* The same hardware profile drives Propeller and BOLT (§5
      methodology); PM and BM binaries share their text layout. *)
   let bolt =
-    Boltsim.Driver.optimize ~profile:prop.profile ~binary:bm.binary
+    Boltsim.Driver.optimize ~ctx ~profile:prop.profile ~binary:bm.binary
       ~is_asm:(is_asm program) ~hazards:(bolt_hazards spec) ~name:spec.Progen.Spec.name ()
   in
   { spec; program; env; base; prop; bm; bolt; measured = [] }
 
 let cache : (string, t) Hashtbl.t = Hashtbl.create 16
 
-let get spec =
+let get ctx spec =
   match Hashtbl.find_opt cache spec.Progen.Spec.name with
   | Some wb -> wb
   | None ->
     Printf.printf "[workbench: building %s ...]\n%!" spec.Progen.Spec.name;
-    let wb = build spec in
+    let wb = build ctx spec in
     Hashtbl.replace cache spec.Progen.Spec.name wb;
     wb
 

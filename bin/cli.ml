@@ -184,16 +184,16 @@ let lookup_spec ~benchmark ~requests =
     | Some r -> { spec with Progen.Spec.requests = r }
     | None -> spec)
 
-(* Turn the run flags into the run's execution context: validate and
-   apply --jobs to the global pool, parse --faults (exit 2 on a bad
-   spec), and let --seed override the plan's seed. *)
+(* Turn the run flags into the run's execution context: a fresh
+   recorder, a pool --jobs wide (default 1; exit 2 below 1), the
+   --faults plan (exit 2 on a bad spec) with --seed overriding its
+   seed. The pool's workers are joined at exit. *)
 let context c =
-  (match c.jobs with
-  | Some j when j < 1 ->
-    Printf.eprintf "--jobs: expected a positive pool width, got %d\n" j;
+  let jobs = Option.value c.jobs ~default:1 in
+  if jobs < 1 then begin
+    Printf.eprintf "--jobs: expected a positive pool width, got %d\n" jobs;
     exit 2
-  | Some j -> Support.Pool.set_default_jobs j
-  | None -> ());
+  end;
   let plan =
     match c.faults with
     | None -> None
@@ -207,7 +207,10 @@ let context c =
         | Some s -> Some { p with Faultsim.Plan.seed = s }
         | None -> Some p))
   in
-  let ctx = Support.Ctx.create ?faults:plan () in
+  let ctx =
+    Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~pool:(Support.Pool.create ~jobs)
+      ?faults:plan ()
+  in
   if c.self_profile || c.self_profile_out <> None then
     Obs.Recorder.enable_self_profile ctx.Support.Ctx.recorder;
   ctx
@@ -264,11 +267,12 @@ let with_flight_guard recorder f =
 (* A fresh deterministic LBR profile of [binary] under [requests] of
    traffic: the collection the pipeline's Phase 3 performs, against
    whichever image the caller holds. *)
-let lbr_profile ~requests program binary =
+let lbr_profile ~ctx ~requests program binary =
   let image = Exec.Image.build program binary in
   let profile = Perfmon.Lbr.create_profile () in
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Perfmon.Lbr.consume c)
+    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests }
+      (Perfmon.Lbr.consume c)
   in
   profile

@@ -10,6 +10,7 @@ open Cmdliner
 type variant = Base | Pm | Po
 
 type images = {
+  ctx : Support.Ctx.t;
   spec : Progen.Spec.t;
   program : Ir.Program.t;
   source : Perfmon.Source.t;
@@ -29,6 +30,7 @@ let build_images benchmark requests source (common : Cli.common) quiet =
   let result = Propeller.Pipeline.run ~config ~env ~program ~name:spec.name () in
   Cli.export ctx.Support.Ctx.recorder common;
   {
+    ctx;
     spec;
     program;
     source;
@@ -43,7 +45,7 @@ let binary_of t = function Base -> t.base | Pm -> t.pm | Po -> t.po
    workload, from the same profile source the pipeline used. *)
 let profile_of t binary =
   match t.source with
-  | Perfmon.Source.Lbr -> Cli.lbr_profile ~requests:t.spec.requests t.program binary
+  | Perfmon.Source.Lbr -> Cli.lbr_profile ~ctx:t.ctx ~requests:t.spec.requests t.program binary
   | Perfmon.Source.Sampled ->
     if Array.length binary.Linker.Binary.bb_addr_map = 0 then begin
       Printf.eprintf
@@ -54,7 +56,7 @@ let profile_of t binary =
     let samples = Perfmon.Sampler.create_profile () in
     let c = Perfmon.Sampler.collector_state Perfmon.Sampler.default_config samples in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run
+      Exec.Interp.run ~ctx:t.ctx
         (Exec.Image.build t.program binary)
         { Exec.Interp.default_config with requests = t.spec.requests }
         (Perfmon.Sampler.consume c)

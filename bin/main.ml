@@ -143,7 +143,8 @@ let run_cmd =
 let wpa benchmark requests cc_out ld_out =
   let spec = Cli.lookup_spec ~benchmark ~requests in
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let ctx = Cli.context Cli.defaults in
+  let env = Buildsys.Driver.make_env ~ctx () in
   let cg, ld = Propeller.Pipeline.metadata_options in
   let pm =
     Buildsys.Driver.build env ~name:(spec.name ^ ".pm") ~program ~codegen_options:cg
@@ -152,11 +153,13 @@ let wpa benchmark requests cc_out ld_out =
   Printf.printf "metadata binary: %d bytes (%d bytes of bb_addr_map)\n%!"
     (Linker.Binary.total_size pm.binary)
     (Linker.Binary.size_of_kind pm.binary Objfile.Section.Bb_addr_map);
-  let profile = Cli.lbr_profile ~requests:spec.requests program pm.binary in
+  let profile = Cli.lbr_profile ~ctx ~requests:spec.requests program pm.binary in
   Printf.printf "profile: %d samples, %d records, ~%d raw bytes\n%!" profile.num_samples
     profile.num_records
     (Perfmon.Lbr.raw_bytes profile);
-  let wpa = Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary:pm.binary () in
+  let wpa =
+    Propeller.Wpa.analyze ~ctx ~profile:(Propeller.Wpa.Lbr profile) ~binary:pm.binary ()
+  in
   Printf.printf "WPA: %d hot funcs, DCFG %d blocks / %d edges, score %.1f\n%!" wpa.hot_funcs
     wpa.dcfg_blocks wpa.dcfg_edges wpa.layout_score;
   List.iter
@@ -183,14 +186,15 @@ let wpa_cmd =
 let bolt benchmark requests lite =
   let spec = Cli.lookup_spec ~benchmark ~requests in
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let ctx = Cli.context Cli.defaults in
+  let env = Buildsys.Driver.make_env ~ctx () in
   let bm =
     Buildsys.Driver.build env ~name:(spec.name ^ ".bm") ~program
       ~codegen_options:Codegen.default_options
       ~link_options:{ Linker.Link.default_options with emit_relocs = true }
   in
   Printf.printf "BM binary (with relocations): %d bytes\n%!" (Linker.Binary.total_size bm.binary);
-  let profile = Cli.lbr_profile ~requests:spec.requests program bm.binary in
+  let profile = Cli.lbr_profile ~ctx ~requests:spec.requests program bm.binary in
   let is_asm f =
     match Ir.Program.find_func program f with
     | Some fn -> fn.Ir.Func.attrs.has_inline_asm
@@ -201,8 +205,8 @@ let bolt benchmark requests lite =
   in
   let options = if lite then Boltsim.Driver.fast_options else Boltsim.Driver.perf_options in
   let r =
-    Boltsim.Driver.optimize ~options ~profile ~binary:bm.binary ~is_asm ~hazards ~name:spec.name
-      ()
+    Boltsim.Driver.optimize ~options ~ctx ~profile ~binary:bm.binary ~is_asm ~hazards
+      ~name:spec.name ()
   in
   Printf.printf "perf2bolt: %.1fs, peak %.2f GB (modelled)\n" r.conversion_seconds
     (float_of_int r.conversion_mem_bytes /. 1.0e9);

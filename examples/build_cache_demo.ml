@@ -12,8 +12,11 @@ let () =
   print_endline "=== build cache demo ===";
   let spec = { Progen.Suite.mysql with Progen.Spec.requests = 120 } in
   let program = Progen.Generate.program spec in
+  let ctx =
+    Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~pool:(Support.Pool.create ~jobs:1) ()
+  in
   (* A small worker pool so saved backend work shows up as wall time. *)
-  let env = Buildsys.Driver.make_env ~workers:16 () in
+  let env = Buildsys.Driver.make_env ~workers:16 ~ctx () in
   let cache_line label =
     Printf.printf "  %-26s hits=%-5d misses=%-5d hit-rate=%.0f%%  stored=%.1f MB\n" label
       (Buildsys.Cache.hits env.obj_cache)
@@ -56,7 +59,7 @@ let () =
   cache_line "after re-optimize";
 
   print_endline "\n[5] the same Phase 4 against a cold cache, for contrast:";
-  let cold_env = Buildsys.Driver.make_env ~workers:16 () in
+  let cold_env = Buildsys.Driver.make_env ~workers:16 ~ctx () in
   let cg, ld = Propeller.Pipeline.optimize_options prop2.wpa in
   let cold =
     Buildsys.Driver.build cold_env ~name:"db.cold" ~program ~codegen_options:cg ~link_options:ld

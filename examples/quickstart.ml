@@ -49,7 +49,10 @@ let () =
   (* 2. Phases 1-2: build the metadata (PM) binary through the build
      system. The PGO estimate above wrongly thinks the error path is
      30% likely - exactly the staleness Propeller fixes. *)
-  let env = Buildsys.Driver.make_env () in
+  let ctx =
+    Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~pool:(Support.Pool.create ~jobs:1) ()
+  in
+  let env = Buildsys.Driver.make_env ~ctx () in
   let config =
     {
       Propeller.Pipeline.default_config with
@@ -87,7 +90,7 @@ let () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image { Exec.Interp.default_config with requests = 500 }
+      Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests = 500 }
         (Uarch.Core.consume core)
     in
     let c = Uarch.Core.counters core in

@@ -9,22 +9,24 @@ let requests = 150
 
 let qps cycles = float_of_int requests /. (cycles /. 2.0e9) (* a 2 GHz core *)
 
-let measure ~hugepages program binary =
+let measure ~ctx ~hugepages program binary =
   let image = Exec.Image.build program binary in
   let core = Uarch.Core.create { Uarch.Core.default_config with hugepages } in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.consume core)
+    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests }
+      (Uarch.Core.consume core)
   in
   Uarch.Core.counters core
 
-let heatmap program (binary : Linker.Binary.t) =
+let heatmap ~ctx program (binary : Linker.Binary.t) =
   let hm =
     Uarch.Heatmap.create ~lo:binary.text_start ~hi:binary.text_end ~rows:16 ~cols:60
       ~total_requests:requests
   in
   let image = Exec.Image.build program binary in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Heatmap.consume hm)
+    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests }
+      (Uarch.Heatmap.consume hm)
   in
   hm
 
@@ -34,7 +36,10 @@ let () =
   Printf.printf "generating the search-shaped service (scale %d:1, hugepages=%b)...\n%!"
     spec.scale spec.hugepages;
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let ctx =
+    Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~pool:(Support.Pool.create ~jobs:1) ()
+  in
+  let env = Buildsys.Driver.make_env ~ctx () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"search" in
   Printf.printf "baseline built: %d objects, text %d bytes\n%!"
     (List.length base.objs)
@@ -54,8 +59,8 @@ let () =
     prop.hot_objects prop.total_objects
     (float_of_int prop.wpa.peak_mem_bytes /. 1.0e9);
 
-  let cb = measure ~hugepages:true program base.binary in
-  let cp = measure ~hugepages:true program (Propeller.Pipeline.optimized_binary prop) in
+  let cb = measure ~ctx ~hugepages:true program base.binary in
+  let cp = measure ~ctx ~hugepages:true program (Propeller.Pipeline.optimized_binary prop) in
   Printf.printf "\nQPS: baseline %.0f -> propeller %.0f (%+.2f%%)\n" (qps cb.cycles)
     (qps cp.cycles)
     (((qps cp.cycles /. qps cb.cycles) -. 1.0) *. 100.0);
@@ -67,6 +72,7 @@ let () =
     (Support.Stats.ratio_pct (float_of_int cp.i1_l1i_miss) (float_of_int cb.i1_l1i_miss));
 
   print_endline "\ninstruction-access heat map, baseline (addr rows x time cols):";
-  print_string (Uarch.Heatmap.render (heatmap program base.binary));
+  print_string (Uarch.Heatmap.render (heatmap ~ctx program base.binary));
   print_endline "\ninstruction-access heat map, propeller (hot band packed low):";
-  print_string (Uarch.Heatmap.render (heatmap program (Propeller.Pipeline.optimized_binary prop)))
+  print_string
+    (Uarch.Heatmap.render (heatmap ~ctx program (Propeller.Pipeline.optimized_binary prop)))

@@ -24,7 +24,7 @@ type result = {
   optimize_seconds : float;
 }
 
-let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_asm ~hazards
+let optimize ?(options = perf_options) ~ctx ~profile ~(binary : Linker.Binary.t) ~is_asm ~hazards
     ~name () =
   (* "perf2bolt": disassemble and aggregate the profile against the
      reconstructed CFG. *)
@@ -46,7 +46,7 @@ let optimize ?(options = perf_options) ~profile ~(binary : Linker.Binary.t) ~is_
       rewritable
   in
   let func_order = Propeller.Dcfg.function_order dcfg rewritable in
-  let rw = Rewrite.rewrite ~binary ~plans ~func_order ~peephole:options.peephole ~name in
+  let rw = Rewrite.rewrite ~ctx ~binary ~plans ~func_order ~peephole:options.peephole ~name in
   let text_bytes = Linker.Binary.text_bytes binary in
   let hot_text_bytes =
     List.fold_left (fun acc d -> acc + Propeller.Dcfg.sampled_bytes dcfg d) 0 hot

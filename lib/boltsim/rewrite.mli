@@ -15,7 +15,8 @@ type result = {
   rewritten_funcs : int;
 }
 
-(** [rewrite ~binary ~plans ~func_order ~peephole ~name]:
+(** [rewrite ~ctx ~binary ~plans ~func_order ~peephole ~name] relinks
+    on [ctx]:
 
     - [plans]: per-function (hot order, cold blocks) for optimized
       functions; unlisted functions keep their relative block order;
@@ -25,6 +26,7 @@ type result = {
       performs beyond layout (modelled as a small hot-code size
       reduction). *)
 val rewrite :
+  ctx:Support.Ctx.t ->
   binary:Linker.Binary.t ->
   plans:(string * int list * int list) list ->
   func_order:string list ->

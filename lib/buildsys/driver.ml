@@ -15,8 +15,7 @@ let pool env = env.ctx.Support.Ctx.pool
 (* Default pool models the distributed backend of a warehouse-scale
    build (paper §3.1): wide enough that codegen wall time is dominated
    by the longest unit, not by queueing. *)
-let make_env ?(workers = 256) ?mem_limit ?ctx () =
-  let ctx = match ctx with Some c -> c | None -> Support.Ctx.default () in
+let make_env ?(workers = 256) ?mem_limit ~ctx () =
   {
     obj_cache = Cache.create ();
     layout_cache = Cache.create ();
@@ -353,7 +352,7 @@ let build env ~name ~program ~codegen_options ~link_options =
   let outcome =
     Obs.Recorder.with_span r "link" @@ fun () ->
     let o =
-      Linker.Link.link ~ctx:(Support.Ctx.with_recorder env.ctx r) ~options:link_options
+      Linker.Link.link ~ctx:env.ctx ~options:link_options
         ~name ~entry:(Ir.Program.main program) objs
     in
     Obs.Recorder.advance r o.stats.cpu_seconds;

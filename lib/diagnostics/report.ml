@@ -169,8 +169,8 @@ let to_text t =
       ]);
   Buffer.contents buf
 
-let publish_with ?recorder t =
-  let r = match recorder with Some r -> r | None -> Obs.Recorder.global in
+let publish ~ctx t =
+  let r = ctx.Support.Ctx.recorder in
   let g area metric v = Obs.Recorder.set_gauge r (Printf.sprintf "diag.%s.%s" area metric) v in
   let q = t.quality and l = t.layout in
   g "profile" "block_coverage" q.block_coverage;
@@ -190,6 +190,3 @@ let publish_with ?recorder t =
     g "uarch" "itlb_miss_pct" u.itlb_miss_pct;
     g "uarch" "btb_resteer_pct" u.btb_resteer_pct;
     g "uarch" "taken_branch_pct" u.taken_branch_pct
-
-let publish ?ctx t =
-  publish_with ?recorder:(Option.map (fun c -> c.Support.Ctx.recorder) ctx) t

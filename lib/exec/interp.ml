@@ -190,13 +190,8 @@ let take_tape () =
 
 (* The engine writes the flat event tape and hands full tapes to
    [drain]; for {!Event.null} it writes none. *)
-let run ?ctx image config drain =
-  let r =
-    match ctx with
-    | Some c -> c.Support.Ctx.recorder
-    | None -> Obs.Recorder.global
-  in
-  Obs.Recorder.with_span r "exec:run" @@ fun () ->
+let run ~ctx image config drain =
+  Obs.Recorder.with_span ctx.Support.Ctx.recorder "exec:run" @@ fun () ->
   let st =
     {
       image;
@@ -253,4 +248,4 @@ let run ?ctx image config drain =
     requests_completed = !completed;
   }
 
-let run_tape ?ctx image config ~drain = run ?ctx image config drain
+let run_tape ~ctx image config ~drain = run ~ctx image config drain

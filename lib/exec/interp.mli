@@ -35,9 +35,8 @@ type stats = {
   requests_completed : int;
 }
 
-(** [run ?ctx image config drain] executes and returns aggregate
-    counters, under an ["exec:run"] span on the context's recorder
-    (default {!Obs.Recorder.global}). The engine writes events onto a
+(** [run ~ctx image config drain] executes and returns aggregate
+    counters, under an ["exec:run"] span on the context's recorder. The engine writes events onto a
     preallocated {!Event.tape} and calls [drain] each time it fills and
     once at end of run. [drain] must consume the tape synchronously (the
     buffer is reused after it returns). Every consumer's [consume]
@@ -51,8 +50,8 @@ type stats = {
     allocate no tape. A run started inside [drain] (a nested run) finds
     no spare and makes its own; its events go to its own [drain] only,
     and the outer run's tape is left as it was. *)
-val run : ?ctx:Support.Ctx.t -> Image.t -> config -> (Event.tape -> unit) -> stats
+val run : ctx:Support.Ctx.t -> Image.t -> config -> (Event.tape -> unit) -> stats
 
-(** [run_tape ?ctx image config ~drain] is [run ?ctx image config drain]
+(** [run_tape ~ctx image config ~drain] is [run ~ctx image config drain]
     under a labelled name. *)
-val run_tape : ?ctx:Support.Ctx.t -> Image.t -> config -> drain:(Event.tape -> unit) -> stats
+val run_tape : ctx:Support.Ctx.t -> Image.t -> config -> drain:(Event.tape -> unit) -> stats

@@ -525,10 +525,8 @@ let bb_addr_map w (blocks : Binary.block_info array) =
 let symtab_bytes syms =
   Hashtbl.fold (fun name _ acc -> acc + 24 + String.length name + 1) syms 0
 
-let link_with ?recorder ?(options = default_options) ~name ~entry objs =
-  let recorder =
-    match recorder with Some r -> r | None -> Obs.Recorder.global
-  in
+let link ~ctx ?(options = default_options) ~name ~entry objs =
+  let recorder = ctx.Support.Ctx.recorder in
   let gathered, totals = gather options objs in
   let input_bytes = totals.input_bytes and num_input_sections = totals.num_input_sections in
   let w = number (Array.of_list (order_text_sections options gathered)) in
@@ -612,8 +610,3 @@ let link_with ?recorder ?(options = default_options) ~name ~entry objs =
   Obs.Recorder.add_counter recorder "linker.symbols.resolved" (Hashtbl.length final_syms);
   Obs.Recorder.observe recorder "linker.cpu_seconds" stats.cpu_seconds;
   { binary; stats }
-
-let link ?ctx ?options ~name ~entry objs =
-  link_with
-    ?recorder:(Option.map (fun c -> c.Support.Ctx.recorder) ctx)
-    ?options ~name ~entry objs

@@ -44,16 +44,15 @@ type stats = {
 
 type outcome = { binary : Binary.t; stats : stats }
 
-(** [link ?ctx ?options ~name ~entry objs] produces the executable.
+(** [link ~ctx ?options ~name ~entry objs] produces the executable.
     Raises {!Link_error} on duplicate or unresolved symbols.
     Relaxation-iteration, deleted-jump, shrunk-branch and
-    resolved-symbol counters are recorded on the context's recorder
-    (default {!Obs.Recorder.global}), and [linker.relax.grown_branches]
-    when relaxation had to grow a short branch back to long (section
-    alignment or a branch reversal put it out of rel8 range); such a
-    branch stays long. *)
+    resolved-symbol counters are recorded on the context's recorder,
+    and [linker.relax.grown_branches] when relaxation had to grow a
+    short branch back to long (section alignment or a branch reversal
+    put it out of rel8 range); such a branch stays long. *)
 val link :
-  ?ctx:Support.Ctx.t ->
+  ctx:Support.Ctx.t ->
   ?options:options ->
   name:string ->
   entry:string ->

@@ -16,8 +16,6 @@ let create ?flight_capacity () =
     flight = Flight.create ?capacity:flight_capacity ();
   }
 
-let global = create ()
-
 let trace t = t.trace
 
 let selfprof t = t.selfprof

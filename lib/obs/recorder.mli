@@ -2,12 +2,10 @@
     span {!Trace} sharing that clock, a host-time/GC {!Selfprof} and a
     ring-buffer {!Flight} recorder.
 
-    Library code records against a recorder passed in by its caller
-    (e.g. [Buildsys.Driver.env] carries one inside its [Support.Ctx.t]);
-    code with no natural injection point (a bare [Linker.Link.link]
-    call) defaults to {!global}. Tests that need isolation — e.g.
-    asserting that two identical pipeline runs export byte-identical
-    metrics — create fresh recorders instead.
+    Library code records against the recorder its caller passes in
+    (inside a [Support.Ctx.t]; [Buildsys.Driver.env] carries one). There
+    is no process-wide recorder: each run, CLI command or test creates
+    its own, so two identical runs export byte-identical metrics.
 
     Every {!with_span} and metric call also feeds the flight recorder
     (bounded, O(1)); spans additionally feed the self-profiler when
@@ -18,10 +16,6 @@
 type t
 
 val create : ?flight_capacity:int -> unit -> t
-
-(** The process-wide default recorder (what [propeller run --trace]
-    exports). *)
-val global : t
 
 val trace : t -> Trace.t
 

@@ -153,22 +153,14 @@ let layout_key ~params_str (t : Dcfg.t) (d : Dcfg.dfunc) =
   done;
   D.finish st
 
-let analyze ?(config = default_config) ?ctx ?layout_cache ~profile
+let analyze ?(config = default_config) ~ctx ?layout_cache ~profile
     ~(binary : Linker.Binary.t) () =
   let profile = resolve_profile ~binary profile in
-  let pool =
-    match ctx with
-    | Some c -> c.Support.Ctx.pool
-    | None -> Support.Pool.global ()
-  in
+  let pool = ctx.Support.Ctx.pool in
   let plan =
-    match ctx with
-    | Some c -> (
-      match c.Support.Ctx.faults with
-      | Some p when Faultsim.Plan.is_active p && p.Faultsim.Plan.shard_drop > 0.0 ->
-        Some p
-      | Some _ | None -> None)
-    | None -> None
+    match ctx.Support.Ctx.faults with
+    | Some p when Faultsim.Plan.is_active p && p.Faultsim.Plan.shard_drop > 0.0 -> Some p
+    | Some _ | None -> None
   in
   let cache_snapshot () =
     match layout_cache with

@@ -87,12 +87,12 @@ val layout_params_str : config -> string
     (plan, score). *)
 val layout_key : params_str:string -> Dcfg.t -> Dcfg.dfunc -> Support.Digesting.t
 
-(** [analyze ?config ?ctx ?layout_cache ~profile ~binary ()] runs the
+(** [analyze ?config ~ctx ?layout_cache ~profile ~binary ()] runs the
     whole-program analysis against a metadata binary (one linked with
     [keep_bb_addr_map = true]; raises [Invalid_argument] otherwise).
 
     Per-function Ext-TSP fans out on the context's
-    domain pool (default {!Support.Pool.global}); results commit in
+    domain pool; results commit in
     deterministic order, so plans, ordering and [layout_score] are
     identical for any pool width. With [layout_cache], functions whose
     {!layout_key} is cached skip layout entirely — the
@@ -107,7 +107,7 @@ val layout_key : params_str:string -> Dcfg.t -> Dcfg.dfunc -> Support.Digesting.
     per-function profile store and do not apply to [Interproc] mode. *)
 val analyze :
   ?config:config ->
-  ?ctx:Support.Ctx.t ->
+  ctx:Support.Ctx.t ->
   ?layout_cache:(Codegen.Directive.func_plan * float) Buildsys.Cache.t ->
   profile:profile_input ->
   binary:Linker.Binary.t ->

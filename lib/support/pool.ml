@@ -31,20 +31,9 @@ type t = {
   mutable cum_batches : int;
 }
 
-(* --- defaults and the shared pool --------------------------------- *)
-
-let default_jobs_ref = ref 1
-
-let default_jobs () = !default_jobs_ref
-
-let set_default_jobs j =
-  if j < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1";
-  default_jobs_ref := j
-
 let jobs t = t.n_jobs
 
-let create ?jobs () =
-  let n_jobs = match jobs with Some j -> j | None -> default_jobs () in
+let create ~jobs:n_jobs =
   if n_jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   {
     n_jobs;
@@ -251,28 +240,10 @@ let reset_stats pool =
   pool.cum_steals <- 0;
   pool.cum_batches <- 0
 
-let with_pool ?jobs f =
-  let pool = create ?jobs () in
+let with_pool ~jobs f =
+  let pool = create ~jobs in
   Fun.protect
     ~finally:(fun () ->
       shutdown pool;
       unregister_live pool)
     (fun () -> f pool)
-
-(* The shared default pool. Swapped out (old workers joined) when the
-   process default changes — [--jobs] flags call [set_default_jobs]
-   once at startup, before any build runs. *)
-let global_pool = ref None
-
-let global () =
-  match !global_pool with
-  | Some p when p.n_jobs = default_jobs () && not p.stop -> p
-  | prev ->
-    (match prev with
-    | Some p ->
-      shutdown p;
-      unregister_live p
-    | None -> ());
-    let p = create ~jobs:(default_jobs ()) () in
-    global_pool := Some p;
-    p

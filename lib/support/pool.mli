@@ -27,21 +27,11 @@
 
 type t
 
-(** [set_default_jobs j] sets the process-wide default (the [--jobs N]
-    CLI flags call this). Raises [Invalid_argument] when [j < 1]. *)
-val set_default_jobs : int -> unit
-
-(** [create ?jobs ()] makes a pool of [jobs] workers (default: the
-    last {!set_default_jobs} value, else 1). Raises [Invalid_argument]
-    when [jobs < 1]. *)
-val create : ?jobs:int -> unit -> t
+(** [create ~jobs] makes a pool of [jobs] workers. Raises
+    [Invalid_argument] when [jobs < 1]. *)
+val create : jobs:int -> t
 
 val jobs : t -> int
-
-(** [global ()] is the shared pool sized to the default width — what
-    [Buildsys.Driver.make_env] uses when no pool is passed. Re-created
-    (old one shut down) if the default changed since the last call. *)
-val global : unit -> t
 
 (** [map_array pool n f] computes [[| f 0; ...; f (n-1) |]] across the
     pool. If any task raises, the exception of the {e lowest} raising
@@ -59,6 +49,7 @@ val stats : t -> stats
 
 val reset_stats : t -> unit
 
-(** [with_pool ?jobs f] runs [f] on a fresh pool and shuts it down on
-    the way out (exceptions included). *)
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
+(** [with_pool ~jobs f] runs [f] on a fresh pool of [jobs] workers and
+    shuts it down on the way out (exceptions included). Raises
+    [Invalid_argument] when [jobs < 1]. *)
+val with_pool : jobs:int -> (t -> 'a) -> 'a

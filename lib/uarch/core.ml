@@ -230,8 +230,8 @@ let counters_assoc (c : counters) =
     ("dmisses", c.dmisses);
   ]
 
-let publish_with ?recorder ~name t =
-  let r = match recorder with Some r -> r | None -> Obs.Recorder.global in
+let publish ~ctx ~name t =
+  let r = ctx.Support.Ctx.recorder in
   Obs.Recorder.with_span r ("uarch:publish:" ^ name) @@ fun () ->
   sync t;
   let c = t.c in
@@ -240,6 +240,3 @@ let publish_with ?recorder ~name t =
       Obs.Recorder.add_counter r (Printf.sprintf "uarch.%s.%s" name counter) v)
     (counters_assoc c);
   Obs.Recorder.set_gauge r (Printf.sprintf "uarch.%s.cycles" name) c.cycles
-
-let publish ?ctx ~name t =
-  publish_with ?recorder:(Option.map (fun c -> c.Support.Ctx.recorder) ctx) ~name t

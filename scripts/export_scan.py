@@ -32,6 +32,13 @@ state belongs in the value it is derived from or in the build env.  A
 table stays only when GLOBAL_TABLES names it with its reason, and an
 entry that no longer matches a table fails too.
 
+In the same way it fails on other process-global state: a top-level
+`let` in a `lib/*/*.ml` file bound to a `ref`, an `Atomic.make`, or a
+recorder, pool or run context (`Recorder.create`, `Pool.create`,
+`Ctx.create`, or a bare `create` inside those modules).  A run's state
+belongs in the context its caller passes in.  Such a binding stays only
+when GLOBAL_STATE names it with its reason; a stale entry fails too.
+
 Run from anywhere: `python3 scripts/export_scan.py`.
 """
 
@@ -70,6 +77,18 @@ GLOBAL_TABLES = {
         "function digests by physical function, weak keys; unit_action_key "
         "also runs with no build env, and the Phase-4 rebuild re-digests "
         "nothing",
+}
+
+# Other process-global state kept in lib/, each with why.
+GLOBAL_STATE = {
+    "Support.Pool.live_pools":
+        "the at-exit registry: every pool that spawned domains, so one exit "
+        "hook can join them all and a forgotten pool cannot hang exit",
+    "Support.Pool.at_exit_installed":
+        "the at-exit registry installs its one exit hook once",
+    "Obs.Hostclock.last":
+        "the host clock's high-water mark, shared by every domain so that "
+        "host time never runs backwards",
 }
 
 SKIP_DIRS = {"_build", "test", ".git", "_opam"}
@@ -243,14 +262,19 @@ class FileRefs:
 TABLE_MAKERS = r"(?:Hashtbl\.Make(?:Seeded)?|Ephemeron\.K(?:1|2|n)\.Make|Weak\.Make)"
 
 
-def global_tables(libs):
-    """Yield (canonical value path, ml file) for each top-level table."""
+def lib_sources(libs):
+    """Map (library, module, ml file) -> stripped source of each lib/ .ml."""
     srcs = {}
     for lib, (d, mods) in libs.items():
         for mod in sorted(mods):
             ml = os.path.join(d, mod[0].lower() + mod[1:] + ".ml")
             if os.path.exists(ml):
                 srcs[(lib, mod, ml)] = strip(open(ml).read())
+    return srcs
+
+
+def global_tables(srcs):
+    """Yield (canonical value path, ml file) for each top-level table."""
     # Table modules may be made in one file and used in another.
     tables = {"Hashtbl"}
     for src in srcs.values():
@@ -264,29 +288,53 @@ def global_tables(libs):
                 yield canonical(lib, mod) + (m.group(1),), ml
 
 
-def check_global_tables(libs):
-    """Print the table verdict; return the number of failures."""
-    found = list(global_tables(libs))
+STATE_MODULES = {"Recorder", "Pool", "Ctx"}
+
+
+def global_state(srcs):
+    """Yield (canonical value path, ml file) for each top-level ref,
+    atomic, recorder, pool or context."""
+    binding = re.compile(
+        r"^let\s+(" + IDENT + r")\s*(?::[^=]*)?=\s*(?:(ref|Atomic\.make)\b|"
+        r"(?:[A-Z]\w*\.)*([A-Z]\w*)\.create\b|(create)\b)", re.M)
+    for (lib, mod, ml), src in sorted(srcs.items()):
+        for m in binding.finditer(src):
+            if (m.group(2) or m.group(3) in STATE_MODULES
+                    or (m.group(4) and mod in STATE_MODULES)):
+                yield canonical(lib, mod) + (m.group(1),), ml
+
+
+def check_globals(found, allowlist, what, advice):
+    """Print one global-binding verdict; return the number of failures."""
     names = {".".join(v) for v, _ in found}
     bad = [(".".join(v), os.path.relpath(ml, ROOT)) for v, ml in found
-           if ".".join(v) not in GLOBAL_TABLES]
-    stale = sorted(n for n in GLOBAL_TABLES if n not in names)
-    print("export_scan: %d process-global tables in lib/, %d allowlisted"
-          % (len(found), len(GLOBAL_TABLES)))
+           if ".".join(v) not in allowlist]
+    stale = sorted(n for n in allowlist if n not in names)
+    print("export_scan: %d process-global %ss in lib/, %d allowlisted"
+          % (len(found), what, len(allowlist)))
     for name, ml in bad:
-        print("  process-global table: %s (%s)" % (name, ml), file=sys.stderr)
+        print("  process-global %s: %s (%s)" % (what, name, ml), file=sys.stderr)
     for n in stale:
-        print("  stale table allowlist entry: %s (no such table)" % n, file=sys.stderr)
+        print("  stale %s allowlist entry: %s (no such binding)" % (what, n),
+              file=sys.stderr)
     if bad or stale:
-        print("export_scan: FAIL: %d process-global tables, %d stale table allowlist "
-              "entries; keep build state in the value it derives from or in the "
-              "build env" % (len(bad), len(stale)), file=sys.stderr)
+        print("export_scan: FAIL: %d process-global %ss, %d stale allowlist entries; %s"
+              % (len(bad), what, len(stale), advice), file=sys.stderr)
     return len(bad) + len(stale)
 
 
 def main():
     libs = libraries()
-    table_failures = check_global_tables(libs)
+    srcs = lib_sources(libs)
+    tables = list(global_tables(srcs))
+    table_names = {v for v, _ in tables}
+    state = [(v, ml) for v, ml in global_state(srcs) if v not in table_names]
+    global_failures = check_globals(
+        tables, GLOBAL_TABLES, "table",
+        "keep build state in the value it derives from or in the build env")
+    global_failures += check_globals(
+        state, GLOBAL_STATE, "state binding",
+        "keep run state in the context the caller passes in")
     exported = list(exports(libs))
     if not exported:
         print("export_scan: FAIL: examined 0 exports; the scan is broken", file=sys.stderr)
@@ -314,7 +362,7 @@ def main():
               "delete or unexport the value, or allowlist it with its reason"
               % (len(missing), len(stale)), file=sys.stderr)
         return 1
-    return 1 if table_failures else 0
+    return 1 if global_failures else 0
 
 
 if __name__ == "__main__":

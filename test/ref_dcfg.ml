@@ -459,10 +459,11 @@ type result = {
 
 let resolve_policy name = Option.get (Layout.Policy.find name)
 
-(* [Wpa.analyze] without a layout cache or a fault plan. *)
-let analyze ?(config = Propeller.Wpa.default_config) ~profile ~(binary : Linker.Binary.t) () =
+(* [Wpa.analyze] without a layout cache or a fault plan, fanning out
+   on [pool]. *)
+let analyze ?(config = Propeller.Wpa.default_config) ~pool ~profile
+    ~(binary : Linker.Binary.t) () =
   let profile = Propeller.Wpa.resolve_profile ~binary profile in
-  let pool = Support.Pool.global () in
   let dcfg = build ~profile ~binary in
   let hot = hot_funcs dcfg in
   let dcfg_blocks = num_blocks dcfg in

@@ -11,8 +11,9 @@ open Testutil
 let metadata_image k =
   let program = relink_family_program k in
   let cg_meta, ld_meta = Propeller.Pipeline.metadata_options in
-  let objs = Codegen.compile_program cg_meta program in
-  (Linker.Link.link ~options:ld_meta ~name:"pin" ~entry:(Ir.Program.main program) objs).binary
+  let objs = Codegen.compile_program ~ctx:(ctx ()) cg_meta program in
+  (Linker.Link.link ~ctx:(ctx ())
+     ~options:ld_meta ~name:"pin" ~entry:(Ir.Program.main program) objs).binary
 
 (* Run-length encode one lookup over [lo, hi): [same prev cur] says
    whether [cur] continues the run of [prev] one byte on, [show]
@@ -88,7 +89,7 @@ let per_byte_resolution k =
 let bolt_digests name =
   let spec = { (Option.get (Progen.Suite.by_name name)) with Progen.Spec.requests = 40 } in
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let bm =
     Buildsys.Driver.build env ~name:(spec.name ^ ".bm") ~program
       ~codegen_options:Codegen.default_options
@@ -103,7 +104,7 @@ let bolt_digests name =
   List.map
     (fun (label, options) ->
       let r =
-        Boltsim.Driver.optimize ~options ~profile ~binary:bm.binary ~is_asm
+        Boltsim.Driver.optimize ~ctx:(ctx ()) ~options ~profile ~binary:bm.binary ~is_asm
           ~hazards:Boltsim.Driver.no_hazards ~name:spec.name ()
       in
       Printf.sprintf "%s %s %s rewrote=%d skipped=%d" name label
@@ -118,7 +119,7 @@ let bolt_digests name =
 let inspect_views () =
   let spec = { (Option.get (Progen.Suite.by_name "505.mcf")) with Progen.Spec.requests = 40 } in
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let base = (Propeller.Pipeline.baseline_build ~env ~program ~name:spec.name).binary in
   let result =
     Propeller.Pipeline.run ~config:(Propeller.Pipeline.config_of_spec spec) ~env ~program

@@ -4,7 +4,7 @@ open Testutil
 let fixture =
   lazy
     (let spec, program = medium_program ~seed:21L () in
-     let env = Buildsys.Driver.make_env () in
+     let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
      let bm =
        Buildsys.Driver.build env ~name:"bm" ~program ~codegen_options:Codegen.default_options
          ~link_options:{ Linker.Link.default_options with emit_relocs = true }
@@ -16,7 +16,7 @@ let fixture =
        | None -> false
      in
      let bolt =
-       Boltsim.Driver.optimize ~profile ~binary:bm.binary ~is_asm
+       Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm
          ~hazards:Boltsim.Driver.no_hazards ~name:"bolted" ()
      in
      (spec, program, bm, profile, bolt))
@@ -49,7 +49,7 @@ let test_rewrite_trace_invariant () =
   let spec, program, bm, _, bolt = Lazy.force fixture in
   let run binary =
     let image = Exec.Image.build program binary in
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests = spec.requests }
       Exec.Event.null
   in
@@ -64,7 +64,7 @@ let test_rewrite_improves_layout () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.consume core)
     in
@@ -77,7 +77,7 @@ let test_asm_functions_skipped () =
   let _, program, bm, profile, _ = Lazy.force fixture in
   (* Force every function to be "assembly": nothing is rewritten. *)
   let bolt =
-    Boltsim.Driver.optimize ~profile ~binary:bm.binary
+    Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary
       ~is_asm:(fun _ -> true)
       ~hazards:Boltsim.Driver.no_hazards ~name:"allasm" ()
   in
@@ -88,13 +88,13 @@ let test_asm_functions_skipped () =
 let test_hazards_crash () =
   let _, _, bm, profile, _ = Lazy.force fixture in
   let bolt =
-    Boltsim.Driver.optimize ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
+    Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
       ~hazards:{ Boltsim.Driver.rseq = true; fips_check = false }
       ~name:"rseq" ()
   in
   check tb "rseq binary fails startup" false bolt.startup_ok;
   let bolt2 =
-    Boltsim.Driver.optimize ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
+    Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
       ~hazards:{ Boltsim.Driver.rseq = false; fips_check = true }
       ~name:"fips" ()
   in
@@ -103,12 +103,23 @@ let test_hazards_crash () =
 let test_lite_lowers_memory () =
   let _, _, bm, profile, _ = Lazy.force fixture in
   let run options =
-    Boltsim.Driver.optimize ~options ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
-      ~hazards:Boltsim.Driver.no_hazards ~name:"m" ()
+    Boltsim.Driver.optimize ~ctx:(ctx ()) ~options ~profile ~binary:bm.binary
+      ~is_asm:(fun _ -> false) ~hazards:Boltsim.Driver.no_hazards ~name:"m" ()
   in
   let lite = run Boltsim.Driver.fast_options in
   let full = run Boltsim.Driver.perf_options in
   check tb "lite uses less memory" true (lite.optimize_mem_bytes < full.optimize_mem_bytes)
+
+(* The rewrite relinks on the caller's context, so its link is counted
+   on the recorder passed in. *)
+let test_rewrite_links_on_callers_recorder () =
+  let _, _, bm, profile, _ = Lazy.force fixture in
+  let recorder = Obs.Recorder.create () in
+  let (_ : Boltsim.Driver.result) =
+    Boltsim.Driver.optimize ~ctx:(ctx ~recorder ()) ~profile ~binary:bm.binary
+      ~is_asm:(fun _ -> false) ~hazards:Boltsim.Driver.no_hazards ~name:"scoped" ()
+  in
+  check ti "the rewrite's link" 1 (recorder_counter recorder "linker.links")
 
 let test_conversion_cost_scales_with_text () =
   let m1 = Boltsim.Costmodel.conversion_mem ~text_bytes:1_000_000 ~profile_bytes:0 in
@@ -133,6 +144,8 @@ let suite =
     Alcotest.test_case "asm functions skipped" `Quick test_asm_functions_skipped;
     Alcotest.test_case "hazards crash at startup" `Quick test_hazards_crash;
     Alcotest.test_case "lite lowers memory" `Quick test_lite_lowers_memory;
+    Alcotest.test_case "rewrite links on caller's recorder" `Quick
+      test_rewrite_links_on_callers_recorder;
     Alcotest.test_case "conversion cost is text-bound" `Quick test_conversion_cost_scales_with_text;
     Alcotest.test_case "no metadata in BO binary" `Quick test_bolt_binary_has_no_metadata;
   ]

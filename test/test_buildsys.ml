@@ -100,7 +100,7 @@ let scheduler_makespan_law =
 
 let test_build_caches_objects () =
   let _, program = medium_program () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let opts = Codegen.default_options in
   let r1 =
     Buildsys.Driver.build env ~name:"b1" ~program ~codegen_options:opts
@@ -117,7 +117,7 @@ let test_build_caches_objects () =
 
 let test_plan_invalidates_only_its_unit () =
   let _, program = medium_program () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let opts = { Codegen.default_options with emit_bb_addr_map = true } in
   let r1 =
     Buildsys.Driver.build env ~name:"b1" ~program ~codegen_options:opts
@@ -189,10 +189,10 @@ let test_action_key_tracks_pgo_probs () =
     Buildsys.Driver.build env ~name:"img" ~program:p ~codegen_options:Codegen.default_options
       ~link_options:Linker.Link.default_options
   in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let before = build env (program 0.9) in
   let cached = build env (program 0.1) in
-  let fresh = build (Buildsys.Driver.make_env ()) (program 0.1) in
+  let fresh = build (Buildsys.Driver.make_env ~ctx:(ctx ()) ()) (program 0.1) in
   check tb "the estimate change moves the layout" false
     (Support.Digesting.equal (image before) (image fresh));
   check ti "only the changed unit recompiles" 1 cached.cache_misses;
@@ -327,7 +327,7 @@ let test_streamed_obj_digest () =
               check ts o.name
                 (Support.Digesting.to_hex (obj_digest_ref o))
                 (Support.Digesting.to_hex o.digest))
-            (Codegen.compile_program options p))
+            (Codegen.compile_program ~ctx:(ctx ()) options p))
         (Lazy.force digest_programs))
     [ meta; Codegen.default_options ]
 
@@ -386,7 +386,7 @@ let test_scheduler_stragglers () =
 
 let faulted_env plan =
   Buildsys.Driver.make_env
-    ~ctx:(Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~faults:plan ())
+    ~ctx:(ctx ~faults:plan ())
     ()
 
 let default_build env ?(codegen = Codegen.default_options) name program =
@@ -407,9 +407,10 @@ let test_build_retry_accounting () =
   check tb "backoff accumulated" true
     (abs_float (r.faults.backoff_seconds -. (1.5 *. float_of_int units)) < 1e-6);
   check tb "retries stretch the makespan" true
-    (r.wall_seconds > (default_build (Buildsys.Driver.make_env ()) "r0" program).wall_seconds);
+    (r.wall_seconds
+    > (default_build (Buildsys.Driver.make_env ~ctx:(ctx ()) ()) "r0" program).wall_seconds);
   (* degraded = 0 => the image is the fault-free image. *)
-  let clean = default_build (Buildsys.Driver.make_env ()) "img" program in
+  let clean = default_build (Buildsys.Driver.make_env ~ctx:(ctx ()) ()) "img" program in
   check tb "fault-free digest recovered" true
     (Support.Digesting.equal
        (Linker.Binary.image_digest r.binary)
@@ -485,7 +486,7 @@ let test_build_persistent_fallback () =
   check ti "fallback not cached" 1 r3.faults.degraded;
   (* ... and a fault-free build of the same options produces different
      (re-laid-out) bytes than the degraded image. *)
-  let clean = default_build (Buildsys.Driver.make_env ()) ~codegen "img" program in
+  let clean = default_build (Buildsys.Driver.make_env ~ctx:(ctx ()) ()) ~codegen "img" program in
   check tb "degradation visibly changed the image" false
     (Support.Digesting.equal
        (Linker.Binary.image_digest clean.binary)

@@ -144,7 +144,7 @@ let test_bbmap_emitted () =
 (* The block order codegen emits [f] in, with or without PGO layout. *)
 let intra_order ~use_pgo f =
   let o =
-    Codegen.compile_unit { Codegen.default_options with pgo_layout = use_pgo }
+    Codegen.compile_unit ~ctx:(ctx ()) { Codegen.default_options with pgo_layout = use_pgo }
       (Ir.Cunit.make ~name:"u" [ f ])
   in
   List.map (fun (p : Objfile.Fragment.piece) -> p.block) (pieces o.Objfile.File.sections)
@@ -166,7 +166,9 @@ let test_intra_order_inline_asm_pinned () =
 
 let test_compile_unit_sections () =
   let u = Ir.Cunit.make ~name:"u" ~rodata:128 ~data:64 [ diamond_func (); loop_func () ] in
-  let o = Codegen.compile_unit { Codegen.default_options with emit_bb_addr_map = true } u in
+  let o =
+    Codegen.compile_unit ~ctx:(ctx ()) { Codegen.default_options with emit_bb_addr_map = true } u
+  in
   check ti "two text sections" 2 (num_text_sections o);
   check tb "has eh_frame" true (size_by_kind o Objfile.Section.Eh_frame > 0);
   check ti "rodata carried" 128 (size_by_kind o Objfile.Section.Rodata);
@@ -175,7 +177,7 @@ let test_compile_unit_sections () =
 
 let test_eh_frame_grows_with_clusters () =
   let u = Ir.Cunit.make ~name:"u" [ diamond_func () ] in
-  let plain = Codegen.compile_unit Codegen.default_options u in
+  let plain = Codegen.compile_unit ~ctx:(ctx ()) Codegen.default_options u in
   let split_plan =
     [
       {
@@ -184,7 +186,9 @@ let test_eh_frame_grows_with_clusters () =
       };
     ]
   in
-  let split = Codegen.compile_unit { Codegen.default_options with plans = split_plan } u in
+  let split =
+    Codegen.compile_unit ~ctx:(ctx ()) { Codegen.default_options with plans = split_plan } u
+  in
   check tb "split pays CFI overhead (4.4)" true
     (size_by_kind split Objfile.Section.Eh_frame
     > size_by_kind plain Objfile.Section.Eh_frame)
@@ -201,7 +205,7 @@ let test_inline_asm_plan_ignored () =
       };
     ]
   in
-  let o = Codegen.compile_unit { Codegen.default_options with plans = plan } u in
+  let o = Codegen.compile_unit ~ctx:(ctx ()) { Codegen.default_options with plans = plan } u in
   check ti "asm function stays in one section" 1 (num_text_sections o)
 
 (* --- Directive serialization -------------------------------------- *)

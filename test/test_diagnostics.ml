@@ -122,7 +122,7 @@ let test_layout_pinned () =
 let test_report_deterministic () =
   let run () =
     let spec, program = medium_program () in
-    let env = Buildsys.Driver.make_env () in
+    let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
     let result =
       Propeller.Pipeline.run
         ~config:
@@ -313,7 +313,7 @@ let fidelity_fixture =
     (let spec, program = medium_program () in
      let run () =
        Diagnostics.Fidelity.analyze ~requests:spec.requests
-         ~ctx:(Support.Ctx.create ()) ~program ~name:spec.name ()
+         ~ctx:(ctx ()) ~program ~name:spec.name ()
      in
      (run (), run))
 

@@ -5,7 +5,7 @@ let build_image ?codegen ?link program =
   (binary, Exec.Image.build program binary)
 
 let run ?(requests = 20) image drain =
-  Exec.Interp.run image { Exec.Interp.default_config with requests } drain
+  Exec.Interp.run ~ctx:(ctx ()) image { Exec.Interp.default_config with requests } drain
 
 (* [f i] for every event [i] of [tag] on a drained tape. *)
 let iter_tag tag f (t : Exec.Event.tape) =
@@ -152,7 +152,7 @@ let test_call_depth_elision () =
   in
   let _, image = build_image program in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests = 3; call_depth_limit = 1 }
       Exec.Event.null
   in
@@ -171,7 +171,7 @@ let test_step_budget () =
   let program = Ir.Program.make ~name:"p" ~main:"main" [ Ir.Cunit.make ~name:"u" [ f ] ] in
   let _, image = build_image program in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests = 2; max_steps_per_request = 100 }
       Exec.Event.null
   in
@@ -209,11 +209,12 @@ let test_steady_state_allocation () =
      Each run pays a fixed setup cost (the event tape, the visits
      array, the interpreter state), so the per-request marginal cost is
      the slope between two request counts, not a single quotient. *)
+  let ctx = ctx () in
   let measure requests =
     let config = { Exec.Interp.default_config with requests } in
     let run () =
       ignore
-        (Exec.Interp.run image config (Perfmon.Lbr.consume c)
+        (Exec.Interp.run ~ctx image config (Perfmon.Lbr.consume c)
           : Exec.Interp.stats)
     in
     (* Warm-up: grow the tape and the profile tables to steady capacity. *)
@@ -252,7 +253,7 @@ let record_events b (t : Exec.Event.tape) =
 let run_digest image =
   let b = Buffer.create 65536 in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests = Progen.Suite.clang.requests / 16 }
       (record_events b)
   in
@@ -296,9 +297,10 @@ let test_image_lazy_equals_forced () =
 let test_run_reuses_tape () =
   let _, program = medium_program () in
   let _, image = build_image program in
+  let ctx = ctx () in
   let run () =
     ignore
-      (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } ignore
+      (Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests = 20 } ignore
         : Exec.Interp.stats)
   in
   run ();
@@ -317,7 +319,7 @@ let test_nested_run () =
   let config = { Exec.Interp.default_config with requests = 20 } in
   let alone image =
     let b = Buffer.create 65536 in
-    ignore (Exec.Interp.run image config (record_events b) : Exec.Interp.stats);
+    ignore (Exec.Interp.run ~ctx:(ctx ()) image config (record_events b) : Exec.Interp.stats);
     Digest.string (Buffer.contents b)
   in
   let outer_alone = alone outer and inner_alone = alone inner in
@@ -325,10 +327,10 @@ let test_nested_run () =
   let drain t =
     incr flushes;
     if !flushes = 1 then
-      ignore (Exec.Interp.run inner config (record_events ib) : Exec.Interp.stats);
+      ignore (Exec.Interp.run ~ctx:(ctx ()) inner config (record_events ib) : Exec.Interp.stats);
     record_events ob t
   in
-  ignore (Exec.Interp.run outer config drain : Exec.Interp.stats);
+  ignore (Exec.Interp.run ~ctx:(ctx ()) outer config drain : Exec.Interp.stats);
   check tb "the outer run flushed more than once" true (!flushes > 1);
   check ts "outer stream" (Digest.to_hex outer_alone) (Digest.to_hex (Digest.string (Buffer.contents ob)));
   check ts "nested stream" (Digest.to_hex inner_alone) (Digest.to_hex (Digest.string (Buffer.contents ib)));

@@ -165,7 +165,10 @@ let test_inline_program_runs () =
   check tb "inliner found sites" true (Ir.Program.num_blocks inlined > Ir.Program.num_blocks program);
   let _, { Linker.Link.binary; _ } = compile_and_link ~name:"inl" inlined in
   let image = Exec.Image.build inlined binary in
-  let stats = Exec.Interp.run image { Exec.Interp.default_config with requests = 10 } Exec.Event.null in
+  let stats =
+    Exec.Interp.run ~ctx:(ctx ())
+      image { Exec.Interp.default_config with requests = 10 } Exec.Event.null
+  in
   check ti "requests complete" 10 stats.requests_completed;
   check tb "work happened" true (stats.blocks_executed > 0)
 

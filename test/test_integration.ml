@@ -54,7 +54,7 @@ let test_propeller_improves_frontend_counters () =
   (* On a mid-sized program with cold paths, Propeller must cut iTLB
      misses (the 4.6 effect) and not increase taken branches. *)
   let spec, program = medium_program ~seed:99L () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"b" in
   let prop =
     Propeller.Pipeline.run
@@ -69,7 +69,7 @@ let test_propeller_improves_frontend_counters () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.consume core)
     in
@@ -85,7 +85,7 @@ let test_full_cycle_determinism () =
   (* The whole pipeline is reproducible end to end. *)
   let run () =
     let spec, program = medium_program ~seed:5L () in
-    let env = Buildsys.Driver.make_env () in
+    let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
     let prop =
       Propeller.Pipeline.run
         ~config:
@@ -118,9 +118,10 @@ let test_exploded_sections_cost_more () =
           { Codegen.Directive.func = f.name; clusters } :: acc
         end)
   in
-  let objs_plain = Codegen.compile_program Codegen.default_options program in
+  let objs_plain = Codegen.compile_program ~ctx:(ctx ()) Codegen.default_options program in
   let objs_exploded =
-    Codegen.compile_program { Codegen.default_options with plans = all_bb_plans } program
+    Codegen.compile_program ~ctx:(ctx ())
+      { Codegen.default_options with plans = all_bb_plans } program
   in
   let total objs = List.fold_left (fun a o -> a + Objfile.File.total_size o) 0 objs in
   let sections objs =
@@ -134,7 +135,7 @@ let test_table3_shape_mcf () =
      gains are tiny (within +-2%), unlike warehouse apps. *)
   let spec = { (Option.get (Progen.Suite.by_name "505.mcf")) with Progen.Spec.requests = 60 } in
   let program = Progen.Generate.program spec in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"mcf.b" in
   let prop =
     Propeller.Pipeline.run
@@ -149,7 +150,8 @@ let test_table3_shape_mcf () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image { Exec.Interp.default_config with requests = 60 } (Uarch.Core.consume core)
+      Exec.Interp.run ~ctx:(ctx ())
+        image { Exec.Interp.default_config with requests = 60 } (Uarch.Core.consume core)
     in
     (Uarch.Core.counters core).cycles
   in

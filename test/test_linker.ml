@@ -129,9 +129,9 @@ let test_ordering_unlisted_trail () =
 let test_duplicate_symbol_error () =
   let f1 = diamond_func ~name:"dup" () in
   let u1 = Ir.Cunit.make ~name:"u1" [ f1 ] in
-  let o1 = Codegen.compile_unit Codegen.default_options u1 in
+  let o1 = Codegen.compile_unit ~ctx:(ctx ()) Codegen.default_options u1 in
   try
-    ignore (Linker.Link.link ~name:"t" ~entry:"dup" [ o1; o1 ]);
+    ignore (Linker.Link.link ~ctx:(ctx ()) ~name:"t" ~entry:"dup" [ o1; o1 ]);
     Alcotest.fail "expected duplicate symbol error"
   with Linker.Link.Link_error _ -> ()
 
@@ -141,9 +141,11 @@ let test_unresolved_symbol_error () =
       [| Ir.Block.make ~id:0 ~body:[ Ir.Inst.DirectCall "ghost" ] ~term:Ir.Term.Return () |]
   in
   (* Bypass Program.make validation by lowering the unit directly. *)
-  let o = Codegen.compile_unit Codegen.default_options (Ir.Cunit.make ~name:"u" [ f ]) in
+  let o =
+    Codegen.compile_unit ~ctx:(ctx ()) Codegen.default_options (Ir.Cunit.make ~name:"u" [ f ])
+  in
   try
-    ignore (Linker.Link.link ~name:"t" ~entry:"main" [ o ]);
+    ignore (Linker.Link.link ~ctx:(ctx ()) ~name:"t" ~entry:"main" [ o ]);
     Alcotest.fail "expected unresolved symbol error"
   with Linker.Link.Link_error _ -> ()
 
@@ -163,7 +165,7 @@ let hand_object sections =
        sections)
 
 let link_error objs =
-  match Linker.Link.link ~name:"t" ~entry:"f" objs with
+  match Linker.Link.link ~ctx:(ctx ()) ~name:"t" ~entry:"f" objs with
   | _ -> "linked"
   | exception Linker.Link.Link_error msg -> msg
 
@@ -200,9 +202,12 @@ let test_link_error_messages () =
        ])
 
 let test_missing_entry_error () =
-  let o = Codegen.compile_unit Codegen.default_options (Ir.Cunit.make ~name:"u" [ diamond_func () ]) in
+  let o =
+    Codegen.compile_unit ~ctx:(ctx ())
+      Codegen.default_options (Ir.Cunit.make ~name:"u" [ diamond_func () ])
+  in
   try
-    ignore (Linker.Link.link ~name:"t" ~entry:"nope" [ o ]);
+    ignore (Linker.Link.link ~ctx:(ctx ()) ~name:"t" ~entry:"nope" [ o ]);
     Alcotest.fail "expected missing entry error"
   with Linker.Link.Link_error _ -> ()
 
@@ -243,8 +248,8 @@ let test_bbmap_size_real () =
   for k = 0 to 3 do
     let program = relink_family_program k in
     let { Linker.Link.binary; _ } =
-      Linker.Link.link ~options:ld ~name:"size" ~entry:(Ir.Program.main program)
-        (Codegen.compile_program cg program)
+      Linker.Link.link ~ctx:(ctx ()) ~options:ld ~name:"size" ~entry:(Ir.Program.main program)
+        (Codegen.compile_program ~ctx:(ctx ()) cg program)
     in
     check ti
       (Printf.sprintf "relink %d map size" k)
@@ -330,7 +335,7 @@ let bb_maps_digest (maps : Objfile.Bbmap.t) =
    build with WPA's plans and ordering file, the metadata build without
    relaxation, and the optimized build keeping its relocations. *)
 let pinned_links ~requests program =
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let r =
     Propeller.Pipeline.run
       ~config:
@@ -342,10 +347,10 @@ let pinned_links ~requests program =
   in
   let cg_meta, ld_meta = Propeller.Pipeline.metadata_options in
   let cg_opt, ld_opt = Propeller.Pipeline.optimize_options r.wpa in
-  let meta = Codegen.compile_program cg_meta program in
-  let opt = Codegen.compile_program cg_opt program in
+  let meta = Codegen.compile_program ~ctx:(ctx ()) cg_meta program in
+  let opt = Codegen.compile_program ~ctx:(ctx ()) cg_opt program in
   let link options objs =
-    Linker.Link.link ~options ~name:"pin" ~entry:(Ir.Program.main program) objs
+    Linker.Link.link ~ctx:(ctx ()) ~options ~name:"pin" ~entry:(Ir.Program.main program) objs
   in
   [
     ("metadata", link ld_meta meta);
@@ -463,10 +468,12 @@ let test_pinned_final_insts () =
    reads as it did, so no later link wrote into it. *)
 let test_links_carry_no_state () =
   let cg, ld = Propeller.Pipeline.metadata_options in
-  let input program = (Codegen.compile_program cg program, Ir.Program.main program) in
+  let input program = (Codegen.compile_program ~ctx:(ctx ()) cg program, Ir.Program.main program) in
   let a = input (snd (medium_program ())) in
   let larger = input (relink_family_program 0) and smaller = input (call_program ()) in
-  let link (objs, entry) = (Linker.Link.link ~options:ld ~name:"law" ~entry objs).binary in
+  let link (objs, entry) =
+    (Linker.Link.link ~ctx:(ctx ()) ~options:ld ~name:"law" ~entry objs).binary
+  in
   let fingerprint binary =
     (final_insts_digest binary, Support.Digesting.to_hex (Linker.Binary.image_digest binary))
   in
@@ -497,10 +504,11 @@ let test_links_carry_no_state () =
 let test_warm_link_allocation () =
   let cg, ld = Propeller.Pipeline.metadata_options in
   let program = relink_family_program 0 in
-  let objs = Codegen.compile_program cg program in
+  let ctx = ctx () in
+  let objs = Codegen.compile_program ~ctx cg program in
   let link () =
     ignore
-      (Linker.Link.link ~options:ld ~name:"warm" ~entry:(Ir.Program.main program) objs
+      (Linker.Link.link ~ctx ~options:ld ~name:"warm" ~entry:(Ir.Program.main program) objs
         : Linker.Link.outcome)
   in
   link ();

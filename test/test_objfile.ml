@@ -190,7 +190,7 @@ let test_fragment_index_real_programs () =
               List.iter
                 (fun s -> Option.iter check_index_is_walk (fragment s))
                 o.sections)
-            (Codegen.compile_program options program))
+            (Codegen.compile_program ~ctx:(ctx ()) options program))
         [
           { Codegen.default_options with emit_bb_addr_map = true };
           { Codegen.default_options with emit_bb_addr_map = true; plans = split program };

@@ -287,7 +287,7 @@ let test_pipeline_telemetry_deterministic () =
   let one_run () =
     let spec, program = medium_program () in
     let recorder = Obs.Recorder.create () in
-    let env = Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ()) () in
+    let env = Buildsys.Driver.make_env ~ctx:(ctx ~recorder ()) () in
     let (_ : Propeller.Pipeline.result) =
       Propeller.Pipeline.run
         ~config:
@@ -310,7 +310,7 @@ let test_pipeline_telemetry_deterministic () =
 let test_pipeline_phase_spans () =
   let spec, program = medium_program () in
   let recorder = Obs.Recorder.create () in
-  let env = Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ()) () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ~recorder ()) () in
   let result =
     Propeller.Pipeline.run
       ~config:

@@ -43,7 +43,7 @@ let test_sampling_period_thins_profile () =
     let c = Perfmon.Lbr.collector_state { Perfmon.Lbr.period } profile in
     let image = Exec.Image.build program binary in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(ctx ()) image
         { Exec.Interp.default_config with requests = 30 }
         (Perfmon.Lbr.consume c)
     in
@@ -82,7 +82,7 @@ let samples_of ?(config = Perfmon.Sampler.default_config) ?(requests = 40) progr
   let c = Perfmon.Sampler.collector_state config profile in
   let image = Exec.Image.build program binary in
   let stats =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests }
       (Perfmon.Sampler.consume c)
   in
@@ -235,7 +235,7 @@ let check_collector_law what program binary ~requests =
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config got in
   let r = Ref_lbr.create Perfmon.Lbr.default_config want in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests }
       (fun tape ->
         Perfmon.Lbr.consume c tape;

@@ -75,9 +75,8 @@ let test_stats_account_all_tasks () =
       check ti "reset clears tasks" 0 (Array.fold_left ( + ) 0 st.tasks_per_worker))
 
 let test_shutdown_idempotent () =
-  (* [with_pool] shuts its pool down, and so does [global ()] when the
-     default width changes under a pool someone still holds; a
-     shut-down pool degrades to inline sequential execution. *)
+  (* [with_pool] shuts its pool down, even while someone still holds
+     it; a shut-down pool degrades to inline sequential execution. *)
   let pool =
     Support.Pool.with_pool ~jobs:3 (fun pool ->
         ignore (Support.Pool.map_array pool 50 Fun.id);
@@ -86,16 +85,14 @@ let test_shutdown_idempotent () =
   let got = Support.Pool.map_array pool 5 (fun i -> i + 1) in
   check tb "post-shutdown batches run inline" true (got = [| 1; 2; 3; 4; 5 |])
 
-let test_default_jobs_override () =
-  let saved = Support.Pool.jobs (Support.Pool.global ()) in
-  Support.Pool.set_default_jobs 3;
-  let pool = Support.Pool.global () in
-  check ti "global pool tracks default" 3 (Support.Pool.jobs pool);
+let test_jobs_below_one_rejected () =
   (try
-     Support.Pool.set_default_jobs 0;
-     Alcotest.fail "jobs=0 accepted"
+     ignore (Support.Pool.create ~jobs:0 : Support.Pool.t);
+     Alcotest.fail "create accepted jobs=0"
    with Invalid_argument _ -> ());
-  Support.Pool.set_default_jobs saved
+  try
+    Support.Pool.with_pool ~jobs:0 (fun _ -> Alcotest.fail "with_pool ran at jobs=0")
+  with Invalid_argument _ -> ()
 
 (* The claim law on batches whose cost is skewed by index, so shares
    drain unevenly and workers claim from each other: every index runs
@@ -143,6 +140,6 @@ let suite =
     Alcotest.test_case "jobs=1 is the sequential path" `Quick test_jobs1_runs_inline_in_order;
     Alcotest.test_case "stats account all tasks" `Quick test_stats_account_all_tasks;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
-    Alcotest.test_case "default jobs plumbing" `Quick test_default_jobs_override;
+    Alcotest.test_case "jobs below 1 is rejected" `Quick test_jobs_below_one_rejected;
     QCheck_alcotest.to_alcotest claim_law;
   ]

@@ -16,16 +16,19 @@ let delinquent_program ?(miss_prob = 0.5) () =
   in
   Ir.Program.make ~name:"p" ~main:"main" [ Ir.Cunit.make ~name:"u" [ f ] ]
 
-let run_with ?(codegen = Codegen.default_options) ?(requests = 200) program =
-  let objs = Codegen.compile_program codegen program in
-  let { Linker.Link.binary; _ } = Linker.Link.link ~name:"t" ~entry:"main" objs in
+let link_and_run ?(codegen = Codegen.default_options) ?(requests = 200) program =
+  let ctx = ctx () in
+  let objs = Codegen.compile_program ~ctx codegen program in
+  let { Linker.Link.binary; _ } = Linker.Link.link ~ctx ~name:"t" ~entry:"main" objs in
   let image = Exec.Image.build program binary in
-  let stats = Exec.Interp.run image { Exec.Interp.default_config with requests } Exec.Event.null in
+  let stats =
+    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests } Exec.Event.null
+  in
   (binary, stats)
 
 let test_delinquent_loads_miss () =
   let program = delinquent_program () in
-  let _, stats = run_with program in
+  let _, stats = link_and_run program in
   check tb "loads retired" true (stats.dloads > 0);
   let rate = float_of_int stats.dmisses /. float_of_int stats.dloads in
   check tb "miss rate near probability" true (rate > 0.4 && rate < 0.6);
@@ -34,14 +37,14 @@ let test_delinquent_loads_miss () =
 let test_prefetch_covers_misses () =
   let program = delinquent_program () in
   let codegen = { Codegen.default_options with prefetch_sites = [ ("main", 1) ] } in
-  let _, stats = run_with ~codegen program in
+  let _, stats = link_and_run ~codegen program in
   check ti "all misses covered" 0 stats.dmisses;
   check tb "coverage recorded" true (stats.dcovered > 0)
 
 let test_prefetch_instruction_emitted () =
   let program = delinquent_program () in
   let codegen = { Codegen.default_options with prefetch_sites = [ ("main", 1) ] } in
-  let binary, _ = run_with ~codegen program in
+  let binary, _ = link_and_run ~codegen program in
   let insts block = func_block_insts binary ~func:"main" ~block in
   check tb "prefetch in block 1" true (List.mem Isa.Prefetch (insts 1));
   check tb "no prefetch elsewhere" false (List.mem Isa.Prefetch (insts 0))
@@ -50,17 +53,17 @@ let test_miss_roll_layout_invariant () =
   (* Whether a load would miss is logical, so covered + uncovered counts
      are conserved across prefetch insertion. *)
   let program = delinquent_program () in
-  let _, plain = run_with program in
+  let _, plain = link_and_run program in
   let _, covered =
-    run_with ~codegen:{ Codegen.default_options with prefetch_sites = [ ("main", 1) ] } program
+    link_and_run ~codegen:{ Codegen.default_options with prefetch_sites = [ ("main", 1) ] } program
   in
   check ti "total would-miss conserved" (plain.dmisses + plain.dcovered)
     (covered.dmisses + covered.dcovered)
 
 let test_pebs_sampling () =
   let program = delinquent_program () in
-  let objs = Codegen.compile_program Codegen.default_options program in
-  let { Linker.Link.binary; _ } = Linker.Link.link ~name:"t" ~entry:"main" objs in
+  let objs = Codegen.compile_program ~ctx:(ctx ()) Codegen.default_options program in
+  let { Linker.Link.binary; _ } = Linker.Link.link ~ctx:(ctx ()) ~name:"t" ~entry:"main" objs in
   let image = Exec.Image.build program binary in
   let pebs = Perfmon.Pebs.create_profile () in
   let stats =
@@ -74,10 +77,11 @@ let test_pebs_sampling () =
 let test_analysis_finds_site () =
   let program = delinquent_program () in
   let objs =
-    Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
+    Codegen.compile_program ~ctx:(ctx ())
+      { Codegen.default_options with emit_bb_addr_map = true } program
   in
   let { Linker.Link.binary; _ } =
-    Linker.Link.link
+    Linker.Link.link ~ctx:(ctx ())
       ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
       ~name:"t" ~entry:"main" objs
   in
@@ -92,7 +96,7 @@ let test_analysis_finds_site () =
 
 let test_end_to_end_prefetch_pipeline () =
   let spec, program = medium_program ~seed:77L () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let result =
     Propeller.Pipeline.run
       ~config:
@@ -109,7 +113,7 @@ let test_end_to_end_prefetch_pipeline () =
   (* The optimized binary must stall on fewer data misses. *)
   let run binary =
     let image = Exec.Image.build program binary in
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests = spec.requests }
       Exec.Event.null
   in

@@ -4,7 +4,7 @@ open Testutil
 let fixture =
   lazy
     (let spec, program = medium_program () in
-     let env = Buildsys.Driver.make_env () in
+     let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
      let result =
        Propeller.Pipeline.run
          ~config:
@@ -108,16 +108,16 @@ let test_dcfg_disasm_view_agrees () =
    under either source. *)
 let profiled_metadata_build ~requests program =
   let cg, ld = Propeller.Pipeline.metadata_options in
-  let objs = Codegen.compile_program cg program in
+  let objs = Codegen.compile_program ~ctx:(ctx ()) cg program in
   let { Linker.Link.binary; _ } =
-    Linker.Link.link ~options:ld ~name:"law" ~entry:(Ir.Program.main program) objs
+    Linker.Link.link ~ctx:(ctx ()) ~options:ld ~name:"law" ~entry:(Ir.Program.main program) objs
   in
   let image = Exec.Image.build program binary in
   let lbr = Perfmon.Lbr.create_profile () and samples = Perfmon.Sampler.create_profile () in
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config lbr in
   let s = Perfmon.Sampler.collector_state Perfmon.Sampler.default_config samples in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image
+    Exec.Interp.run ~ctx:(ctx ()) image
       { Exec.Interp.default_config with requests }
       (fun tape ->
         Perfmon.Lbr.consume c tape;
@@ -264,8 +264,9 @@ let check_flat_law what ~binary ~lbr ~sampled =
         (fun (mode, config) ->
           let name = Printf.sprintf "%s, %s, %s" what source mode in
           let profile = Propeller.Wpa.Lbr profile in
-          let want = Ref_dcfg.analyze ~config ~profile ~binary () in
-          let got = Propeller.Wpa.analyze ~config ~profile ~binary () in
+          let ctx = Testutil.ctx () in
+          let want = Ref_dcfg.analyze ~config ~pool:ctx.pool ~profile ~binary () in
+          let got = Propeller.Wpa.analyze ~config ~ctx ~profile ~binary () in
           check tb (name ^ ": plans") true (want.plans = got.plans);
           check (Alcotest.list ts) (name ^ ": ordering") want.ordering got.ordering;
           check tb (name ^ ": layout score") true (bits want.layout_score = bits got.layout_score);
@@ -310,7 +311,8 @@ let test_flat_law_round_two () =
     }
   in
   match
-    Propeller.Pipeline.run_rounds ~rounds:2 ~config ~env:(Buildsys.Driver.make_env ()) ~program
+    Propeller.Pipeline.run_rounds ~rounds:2 ~config
+      ~env:(Buildsys.Driver.make_env ~ctx:(ctx ()) ()) ~program
       ~name:"law" ()
   with
   | [ _; r2 ] ->
@@ -372,7 +374,7 @@ let test_wpa_ordering_covers_primaries () =
 let test_wpa_interproc_plans_valid () =
   let _, program, _, result = Lazy.force (fixture) in
   let wpa =
-    Propeller.Wpa.analyze
+    Propeller.Wpa.analyze ~ctx:(ctx ())
       ~config:{ Propeller.Wpa.default_config with mode = Propeller.Wpa.Interproc }
       ~profile:(Propeller.Wpa.Lbr result.profile) ~binary:result.metadata_build.binary ()
   in
@@ -395,7 +397,7 @@ let test_wpa_interproc_plans_valid () =
 let test_wpa_split_functions_off () =
   let _, _, _, result = Lazy.force (fixture) in
   let wpa =
-    Propeller.Wpa.analyze
+    Propeller.Wpa.analyze ~ctx:(ctx ())
       ~config:{ Propeller.Wpa.default_config with split_functions = false }
       ~profile:(Propeller.Wpa.Lbr result.profile) ~binary:result.metadata_build.binary ()
   in
@@ -517,7 +519,7 @@ let test_pipeline_improves_performance () =
     let image = Exec.Image.build program binary in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.consume core)
     in
@@ -538,7 +540,7 @@ let test_pipeline_phase_times () =
 
 let test_run_rounds () =
   let spec, program = medium_program ~seed:31L () in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let rounds =
     Propeller.Pipeline.run_rounds ~rounds:2
       ~config:
@@ -569,7 +571,7 @@ let test_run_rounds () =
     let image = Exec.Image.build program (Propeller.Pipeline.optimized_binary r) in
     let core = Uarch.Core.create Uarch.Core.default_config in
     let (_ : Exec.Interp.stats) =
-      Exec.Interp.run image
+      Exec.Interp.run ~ctx:(ctx ()) image
         { Exec.Interp.default_config with requests = spec.requests }
         (Uarch.Core.consume core)
     in
@@ -596,7 +598,8 @@ let test_run_rounds_ordering_settles () =
     }
   in
   match
-    Propeller.Pipeline.run_rounds ~rounds:3 ~config ~env:(Buildsys.Driver.make_env ()) ~program
+    Propeller.Pipeline.run_rounds ~rounds:3 ~config
+      ~env:(Buildsys.Driver.make_env ~ctx:(ctx ()) ()) ~program
       ~name:"mcf" ()
   with
   | [ _; r2; r3 ] ->
@@ -611,7 +614,8 @@ let test_incremental_layout_cache () =
   let _, profile = run_with_profile ~requests:40 program binary in
   let cache = Buildsys.Cache.create () in
   let analyze () =
-    Propeller.Wpa.analyze ~layout_cache:cache ~profile:(Propeller.Wpa.Lbr profile) ~binary ()
+    Propeller.Wpa.analyze ~ctx:(ctx ())
+      ~layout_cache:cache ~profile:(Propeller.Wpa.Lbr profile) ~binary ()
   in
   let cold = analyze () in
   check ti "cold run misses every hot function" cold.hot_funcs cold.layout_cache_misses;
@@ -660,11 +664,11 @@ let test_incremental_layout_cache () =
       ~codegen_options:{ Codegen.default_options with emit_bb_addr_map = true; plans = wpa.plans }
       ~link_options:{ Linker.Link.default_options with ordering = Some wpa.ordering }
   in
-  let warm_env = Buildsys.Driver.make_env () in
+  let warm_env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   ignore (build warm_env "inc.v1" warm);
   let incr_b = build warm_env "inc.v2" dirty in
   check tb "incremental relink reuses cached objects" true (incr_b.cache_hits > 0);
-  let cold_b = build (Buildsys.Driver.make_env ()) "inc.v2" dirty in
+  let cold_b = build (Buildsys.Driver.make_env ~ctx:(ctx ()) ()) "inc.v2" dirty in
   check tb "incremental image = cold relink image" true
     (Support.Digesting.equal
        (Linker.Binary.image_digest incr_b.binary)
@@ -677,7 +681,7 @@ let sampled_fixture =
   lazy
     (let spec, program = medium_program () in
      let run () =
-       let env = Buildsys.Driver.make_env () in
+       let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
        Propeller.Pipeline.run
          ~config:
            {
@@ -717,7 +721,7 @@ let test_sampled_jobs_invariance () =
   let run jobs =
     Support.Pool.with_pool ~jobs (fun pool ->
         let env =
-          Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~pool ()) ()
+          Buildsys.Driver.make_env ~ctx:(ctx ~pool ()) ()
         in
         let r =
           Propeller.Pipeline.run
@@ -744,7 +748,7 @@ let test_policy_jobs_invariance () =
   let spec, program = medium_program () in
   let digest policy jobs =
     Support.Pool.with_pool ~jobs (fun pool ->
-        let env = Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~pool ()) () in
+        let env = Buildsys.Driver.make_env ~ctx:(ctx ~pool ()) () in
         let r =
           Propeller.Pipeline.run
             ~config:
@@ -767,7 +771,7 @@ let test_policy_unknown_rejected () =
   let _, _, _, result = Lazy.force (fixture) in
   try
     ignore
-      (Propeller.Wpa.analyze
+      (Propeller.Wpa.analyze ~ctx:(ctx ())
          ~config:{ Propeller.Wpa.default_config with layout_policy = "nope" }
          ~profile:(Propeller.Wpa.Lbr result.profile) ~binary:result.metadata_build.binary ());
     Alcotest.fail "expected rejection of unknown layout policy"
@@ -840,7 +844,7 @@ let test_autofdo_requires_metadata () =
   let _, program, run = Lazy.force sampled_fixture in
   let r = run () in
   let samples = Option.get r.Propeller.Pipeline.samples in
-  let env = Buildsys.Driver.make_env () in
+  let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
   let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"sampled.base" in
   Alcotest.check_raises "synthesize rejects map-less binary"
     (Invalid_argument "Autofdo.synthesize: binary has no .llvm_bb_addr_map")
@@ -859,12 +863,12 @@ let test_wpa_shard_drop_accounting () =
   let _, program = medium_program () in
   let _, { Linker.Link.binary; _ } = metadata_link program in
   let _, profile = run_with_profile ~requests:100 program binary in
-  let clean = Propeller.Wpa.analyze ~profile:(Propeller.Wpa.Lbr profile) ~binary () in
+  let clean = Propeller.Wpa.analyze ~ctx:(ctx ()) ~profile:(Propeller.Wpa.Lbr profile) ~binary () in
   check ti "no plan, nothing dropped" 0 clean.shards_dropped;
   check ti "no plan, no lost funcs" 0 clean.dropped_hot_funcs;
   (* Lose profile shards at rate 0.5 over 8 shards. *)
   let plan = { no_faults with shard_drop = 0.5; shards = 8 } in
-  let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~faults:plan () in
+  let ctx = ctx ~faults:plan () in
   let faulted = Propeller.Wpa.analyze ~ctx ~profile:(Propeller.Wpa.Lbr profile) ~binary () in
   check ti "dropped shards reported"
     (List.length (Faultsim.Plan.dropped_shards plan))
@@ -934,7 +938,7 @@ let test_builds_carry_no_state () =
   List.iter
     (fun jobs ->
       Support.Pool.with_pool ~jobs (fun pool ->
-          let make_env () = Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~pool ()) () in
+          let make_env () = Buildsys.Driver.make_env ~ctx:(ctx ~pool ()) () in
           let env = make_env () in
           let label s = Printf.sprintf "jobs %d, %s" jobs s in
           same (label "A") (run env a);
@@ -952,7 +956,7 @@ let test_builds_carry_no_state () =
 let test_retained_heap () =
   let run k =
     let env =
-      Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ()) ()
+      Buildsys.Driver.make_env ~ctx:(ctx ()) ()
     in
     ignore
       (Propeller.Pipeline.run ~config:relink_config ~env ~program:(relink_family_program k)

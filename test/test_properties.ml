@@ -45,10 +45,15 @@ let random_plan rng (f : Ir.Func.t) =
   end
 
 let run_stats program plans =
-  let objs = Codegen.compile_program { Codegen.default_options with plans } program in
-  let { Linker.Link.binary; _ } = Linker.Link.link ~name:"p" ~entry:"main" objs in
+  let objs =
+    Codegen.compile_program ~ctx:(Testutil.ctx ()) { Codegen.default_options with plans } program
+  in
+  let { Linker.Link.binary; _ } =
+    Linker.Link.link ~ctx:(Testutil.ctx ()) ~name:"p" ~entry:"main" objs
+  in
   let image = Exec.Image.build program binary in
-  Exec.Interp.run image { Exec.Interp.default_config with requests = 10 } Exec.Event.null
+  Exec.Interp.run ~ctx:(Testutil.ctx ())
+    image { Exec.Interp.default_config with requests = 10 } Exec.Event.null
 
 (* The flagship invariant: any valid re-layout preserves the logical
    trace (same blocks, calls, conditional branches, data-miss rolls). *)
@@ -76,8 +81,8 @@ let link_determinism_law =
     (fun input ->
       let program = make_program input in
       let build () =
-        let objs = Codegen.compile_program Codegen.default_options program in
-        (Linker.Link.link ~name:"d" ~entry:"main" objs).binary
+        let objs = Codegen.compile_program ~ctx:(Testutil.ctx ()) Codegen.default_options program in
+        (Linker.Link.link ~ctx:(Testutil.ctx ()) ~name:"d" ~entry:"main" objs).binary
       in
       let b1 = build () and b2 = build () in
       Array.for_all
@@ -93,10 +98,11 @@ let bbmap_truth_law =
     (fun input ->
       let program = make_program input in
       let objs =
-        Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
+        Codegen.compile_program ~ctx:(Testutil.ctx ())
+          { Codegen.default_options with emit_bb_addr_map = true } program
       in
       let { Linker.Link.binary; _ } =
-        Linker.Link.link
+        Linker.Link.link ~ctx:(Testutil.ctx ())
           ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
           ~name:"m" ~entry:"main" objs
       in
@@ -121,10 +127,11 @@ let bbmap_size_law =
     program_arb (fun input ->
       let program = make_program input in
       let objs =
-        Codegen.compile_program { Codegen.default_options with emit_bb_addr_map = true } program
+        Codegen.compile_program ~ctx:(Testutil.ctx ())
+          { Codegen.default_options with emit_bb_addr_map = true } program
       in
       let { Linker.Link.binary; _ } =
-        Linker.Link.link
+        Linker.Link.link ~ctx:(Testutil.ctx ())
           ~options:{ Linker.Link.default_options with keep_bb_addr_map = true }
           ~name:"m" ~entry:"main" objs
       in
@@ -138,9 +145,10 @@ let relax_monotone_law =
   QCheck.Test.make ~count:20 ~name:"relaxation shrinks text monotonically" program_arb
     (fun input ->
       let program = make_program input in
-      let objs = Codegen.compile_program Codegen.default_options program in
+      let objs = Codegen.compile_program ~ctx:(Testutil.ctx ()) Codegen.default_options program in
       let link relax =
-        (Linker.Link.link ~options:{ Linker.Link.default_options with relax } ~name:"r"
+        (Linker.Link.link ~ctx:(Testutil.ctx ())
+           ~options:{ Linker.Link.default_options with relax } ~name:"r"
            ~entry:"main" objs)
           .binary
       in
@@ -156,7 +164,7 @@ let pipeline_no_regression_law =
   QCheck.Test.make ~count:8 ~name:"pipeline regression bounded (10%)" program_arb
     (fun input ->
       let program = make_program input in
-      let env = Buildsys.Driver.make_env () in
+      let env = Buildsys.Driver.make_env ~ctx:(Testutil.ctx ()) () in
       let base = Propeller.Pipeline.baseline_build ~env ~program ~name:"b" in
       let prop =
         Propeller.Pipeline.run
@@ -171,7 +179,7 @@ let pipeline_no_regression_law =
         let image = Exec.Image.build program binary in
         let core = Uarch.Core.create Uarch.Core.default_config in
         let (_ : Exec.Interp.stats) =
-          Exec.Interp.run image
+          Exec.Interp.run ~ctx:(Testutil.ctx ()) image
             { Exec.Interp.default_config with requests = 30 }
             (Uarch.Core.consume core)
         in
@@ -189,7 +197,7 @@ let jobs_invariance_law =
         Support.Pool.with_pool ~jobs (fun pool ->
             let recorder = Obs.Recorder.create () in
             let env =
-              Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ~pool ()) ()
+              Buildsys.Driver.make_env ~ctx:(Testutil.ctx ~recorder ~pool ()) ()
             in
             let r =
               Propeller.Pipeline.run
@@ -235,7 +243,7 @@ let fault_tolerance_law =
       let run faults =
         let recorder = Obs.Recorder.create () in
         let env =
-          Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ?faults ()) ()
+          Buildsys.Driver.make_env ~ctx:(Testutil.ctx ~recorder ?faults ()) ()
         in
         let r =
           Propeller.Pipeline.run
@@ -273,7 +281,7 @@ let selfprof_invariance_law =
             let recorder = Obs.Recorder.create () in
             if self_profile then Obs.Recorder.enable_self_profile recorder;
             let env =
-              Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ~pool ()) ()
+              Buildsys.Driver.make_env ~ctx:(Testutil.ctx ~recorder ~pool ()) ()
             in
             let r =
               Propeller.Pipeline.run
@@ -308,7 +316,7 @@ let sampler_period_law =
       let program = make_program input in
       let recorder = Obs.Recorder.create () in
       let env =
-        Buildsys.Driver.make_env ~ctx:(Support.Ctx.create ~recorder ()) ()
+        Buildsys.Driver.make_env ~ctx:(Testutil.ctx ~recorder ()) ()
       in
       let r =
         Propeller.Pipeline.run
@@ -445,7 +453,9 @@ let adversarial_links (shape, seed, units, shuffle) =
     Ir.Program.fold_funcs program [] (fun acc f ->
         match scatter_plan rng f with Some p -> p :: acc | None -> acc)
   in
-  let objs = Codegen.compile_program { Codegen.default_options with plans } program in
+  let objs =
+    Codegen.compile_program ~ctx:(Testutil.ctx ()) { Codegen.default_options with plans } program
+  in
   let symbols =
     Array.of_list
       (List.concat_map
@@ -458,7 +468,7 @@ let adversarial_links (shape, seed, units, shuffle) =
     let recorder = Obs.Recorder.create () in
     let (o : Linker.Link.outcome) =
       Linker.Link.link
-        ~ctx:(Support.Ctx.create ~recorder ())
+        ~ctx:(Testutil.ctx ~recorder ())
         ~options:{ Linker.Link.default_options with ordering }
         ~name:"adv" ~entry:(Ir.Program.main program) objs
     in
@@ -475,7 +485,7 @@ let adversarial_relax_law =
     (fun case ->
       let program, base_link, shuffled_link = adversarial_links case in
       let run binary =
-        Exec.Interp.run (Exec.Image.build program binary)
+        Exec.Interp.run ~ctx:(Testutil.ctx ()) (Exec.Image.build program binary)
           { Exec.Interp.default_config with requests = 10 }
           Exec.Event.null
       in

@@ -154,7 +154,10 @@ let test_btb_capacity_pressure () =
 let core_run ?(hugepages = false) program binary requests =
   let image = Exec.Image.build program binary in
   let core = Uarch.Core.create { Uarch.Core.default_config with hugepages } in
-  let stats = Exec.Interp.run image { Exec.Interp.default_config with requests } (Uarch.Core.consume core) in
+  let stats =
+    Exec.Interp.run ~ctx:(ctx ())
+      image { Exec.Interp.default_config with requests } (Uarch.Core.consume core)
+  in
   (stats, Uarch.Core.counters core)
 
 let test_core_counter_sanity () =
@@ -602,7 +605,7 @@ let mcf_tapes =
          :: !tapes
      in
      ignore
-       (Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } copy
+       (Exec.Interp.run ~ctx:(ctx ()) image { Exec.Interp.default_config with requests = 20 } copy
          : Exec.Interp.stats);
      Array.of_list (List.rev !tapes))
 
@@ -662,7 +665,7 @@ let test_heatmap_accumulates () =
   in
   let image = Exec.Image.build program binary in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run image { Exec.Interp.default_config with requests = 20 } drain
+    Exec.Interp.run ~ctx:(ctx ()) image { Exec.Interp.default_config with requests = 20 } drain
   in
   check ti "every request completed" 20 !current;
   check tb "some rows touched" true (Uarch.Heatmap.occupied_rows hm > 0);
@@ -697,7 +700,7 @@ let test_heatmap_pinned_mcf () =
       ~total_requests:requests
   in
   let (_ : Exec.Interp.stats) =
-    Exec.Interp.run (Exec.Image.build program binary)
+    Exec.Interp.run ~ctx:(ctx ()) (Exec.Image.build program binary)
       { Exec.Interp.default_config with requests }
       (Uarch.Heatmap.consume hm)
   in

@@ -3,6 +3,11 @@
 
 let check = Alcotest.check
 
+(* A run context of its own for each call: a fresh recorder and a
+   one-domain pool unless the test passes its own. *)
+let ctx ?(recorder = Obs.Recorder.create ()) ?(pool = Support.Pool.create ~jobs:1) ?faults () =
+  Support.Ctx.create ~recorder ~pool ?faults ()
+
 let ti = Alcotest.int
 
 let tf = Alcotest.float 1e-9
@@ -55,7 +60,7 @@ let taken_branches (s : Exec.Interp.stats) =
    pipeline uses. *)
 let run_pebs image config pebs profile =
   let c = Perfmon.Pebs.collector_state pebs profile in
-  Exec.Interp.run image config (Perfmon.Pebs.consume c)
+  Exec.Interp.run ~ctx:(ctx ()) image config (Perfmon.Pebs.consume c)
 
 (* The plan with every fault rate at zero: [--faults] with no keys. *)
 let no_faults = Result.get_ok (Faultsim.Plan.of_spec "")
@@ -203,7 +208,7 @@ let relink_config =
    settings: the WPA configuration and the run. *)
 let relink0_run =
   lazy
-    (let env = Buildsys.Driver.make_env () in
+    (let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
      ( relink_config.wpa,
        Propeller.Pipeline.run ~config:relink_config ~env ~program:(relink_family_program 0)
          ~name:"pin" () ))
@@ -216,7 +221,7 @@ let mcf_program = lazy (Progen.Generate.program mcf_spec)
    profiled requests. *)
 let mcf_run =
   lazy
-    (let env = Buildsys.Driver.make_env () in
+    (let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
      Propeller.Pipeline.run
        ~config:
          {
@@ -235,8 +240,8 @@ let run_dcfg (r : Propeller.Pipeline.result) =
 
 let compile_and_link ?(codegen = Codegen.default_options) ?(link = Linker.Link.default_options)
     ?(name = "test") program =
-  let objs = Codegen.compile_program codegen program in
-  (objs, Linker.Link.link ~options:link ~name ~entry:(Ir.Program.main program) objs)
+  let objs = Codegen.compile_program ~ctx:(ctx ()) codegen program in
+  (objs, Linker.Link.link ~ctx:(ctx ()) ~options:link ~name ~entry:(Ir.Program.main program) objs)
 
 let metadata_link program =
   compile_and_link
@@ -293,7 +298,8 @@ let run_with_profile ?(requests = 40) program binary =
   let profile = Perfmon.Lbr.create_profile () in
   let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
   let stats =
-    Exec.Interp.run image { Exec.Interp.default_config with requests } (Perfmon.Lbr.consume c)
+    Exec.Interp.run ~ctx:(ctx ())
+      image { Exec.Interp.default_config with requests } (Perfmon.Lbr.consume c)
   in
   (stats, profile)
 
