@@ -85,7 +85,14 @@ let test_shutdown_idempotent () =
   let got = Support.Pool.map_array pool 5 (fun i -> i + 1) in
   check tb "post-shutdown batches run inline" true (got = [| 1; 2; 3; 4; 5 |])
 
-let test_jobs_below_one_rejected () =
+(* There is no process-wide default width: the width a caller passes is
+   the width of its pool and of the context built on it, and a width
+   below 1 is rejected. *)
+let test_default_jobs_plumbing () =
+  Support.Pool.with_pool ~jobs:3 (fun pool ->
+      check ti "pool has the width it was made with" 3 (Support.Pool.jobs pool);
+      let ctx = Support.Ctx.create ~recorder:(Obs.Recorder.create ()) ~pool () in
+      check ti "context carries its caller's pool" 3 (Support.Pool.jobs ctx.pool));
   (try
      ignore (Support.Pool.create ~jobs:0 : Support.Pool.t);
      Alcotest.fail "create accepted jobs=0"
@@ -140,6 +147,6 @@ let suite =
     Alcotest.test_case "jobs=1 is the sequential path" `Quick test_jobs1_runs_inline_in_order;
     Alcotest.test_case "stats account all tasks" `Quick test_stats_account_all_tasks;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
-    Alcotest.test_case "jobs below 1 is rejected" `Quick test_jobs_below_one_rejected;
+    Alcotest.test_case "default jobs plumbing" `Quick test_default_jobs_plumbing;
     QCheck_alcotest.to_alcotest claim_law;
   ]
