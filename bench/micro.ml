@@ -20,9 +20,18 @@ let synth_graph n =
   done;
   (sizes, weights, !edges)
 
+(* A problem over raw [(src, dst, w)] edges, as flat arrays. *)
+let problem_of_edges ~sizes ~weights edges =
+  let e = Array.of_list edges in
+  Layout.Problem.make ~sizes ~weights
+    ~esrc:(Array.map (fun (s, _, _) -> s) e)
+    ~edst:(Array.map (fun (_, d, _) -> d) e)
+    ~ew:(Array.map (fun (_, _, w) -> w) e)
+    ~entry:0
+
 let synth_problem n =
   let sizes, weights, edges = synth_graph n in
-  Layout.Problem.make ~sizes ~weights ~edges ~entry:0
+  problem_of_edges ~sizes ~weights edges
 
 let exttsp_test name ~use_pqueue ~n =
   let problem = synth_problem n in
@@ -78,7 +87,7 @@ let hfsort_test =
     List.init (4 * n) (fun _ ->
         (Support.Rng.int rng n, Support.Rng.int rng n, Support.Rng.float rng *. 100.0))
   in
-  let problem = Layout.Problem.make ~sizes ~weights:samples ~edges:arcs ~entry:0 in
+  let problem = problem_of_edges ~sizes ~weights:samples arcs in
   Test.make ~name:"hfsort_2000_funcs"
     (Staged.stage (fun () -> ignore (Layout.Hfsort.order problem)))
 

@@ -16,8 +16,8 @@ let intra_problem (f : Ir.Func.t) =
   let n = Ir.Func.num_blocks f in
   let sizes = Array.init n (fun i -> Lower.block_code_bytes (Ir.Func.block f i)) in
   let weights = Ir.Cfg.estimate_frequencies ~use_pgo:true f in
-  let edges = Ir.Cfg.edge_frequencies ~freqs:weights ~use_pgo:true f in
-  Layout.Problem.make ~sizes ~weights ~edges ~entry:0
+  let esrc, edst, ew = Ir.Cfg.edge_frequencies ~freqs:weights ~use_pgo:true f in
+  Layout.Problem.make ~sizes ~weights ~esrc ~edst ~ew ~entry:0
 
 (* Ext-TSP block orders, memoized by physical function: IR is immutable
    between builds, so the optimized build reuses every order the

@@ -35,17 +35,22 @@ val default_options : options
 
 (** [intra_problem f] is the Ext-TSP problem that orders [f]'s blocks
     under [pgo_layout]: block code sizes, PGO-estimated block and edge
-    frequencies, entry block 0. The order is memoized per physical
-    function, in a weak-keyed table whose entry dies with the function; a
-    function with inline assembly is never reordered. *)
+    frequencies, entry block 0. The CFG's flat edge arrays come out
+    already in the problem's normal form unless an edge is a self-loop
+    or has zero frequency, so the problem usually keeps them as they
+    are. *)
 val intra_problem : Ir.Func.t -> Layout.Problem.t
 
 (** [compile_unit ~ctx options u] emits the object file of unit [u]:
     per-function text sections (respecting [options.plans]), address-map
     metadata, [.eh_frame] (one CIE plus one FDE per text section; extra
     fragments pay the callee-saved re-emission toll of §4.4), exception
-    tables, and the unit's rodata/data. Per-function lowering fans out
-    across the context's domain pool; the emitted object is
+    tables, and the unit's rodata/data. Under [pgo_layout] a function
+    without a plan is laid out in the Ext-TSP order of its
+    {!intra_problem}. That order is memoized per physical function, in
+    a weak-keyed table whose entry dies with the function; a function
+    with inline assembly is never reordered. Per-function lowering fans
+    out across the context's domain pool; the emitted object is
     byte-identical at any pool width. *)
 val compile_unit : ctx:Support.Ctx.t -> options -> Ir.Cunit.t -> Objfile.File.t
 

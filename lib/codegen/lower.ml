@@ -1,30 +1,39 @@
-let lower_inst ?(prefetch = false) (i : Ir.Inst.t) : Isa.t list =
-  match i with
-  | Ir.Inst.Compute n -> [ Isa.Alu n ]
-  | Ir.Inst.MemLoad n -> [ Isa.Load n ]
-  | Ir.Inst.DelinquentLoad { bytes; _ } ->
-    if prefetch then [ Isa.Prefetch; Isa.Load bytes ] else [ Isa.Load bytes ]
-  | Ir.Inst.MemStore n -> [ Isa.Store n ]
-  | Ir.Inst.DirectCall f -> [ Isa.Call (Isa.Target.Func f) ]
-  | Ir.Inst.VirtualCall _ -> [ Isa.IndirectCall ]
-  | Ir.Inst.JumpTableData n -> [ Isa.InlineData n ]
-
 let lower_term ~func (t : Ir.Term.t) : Isa.t list =
-  let blk block = Isa.Target.Block { func; block } in
   match t with
-  | Ir.Term.Jump target -> [ Isa.Jmp { target = blk target; encoding = Isa.Long } ]
+  | Ir.Term.Jump block ->
+    [ Isa.Jmp { target = Isa.Target.Block { func; block }; encoding = Isa.Long } ]
   | Ir.Term.Branch { cond; taken; fallthrough; _ } ->
     [
-      Isa.Jcc { cond; target = blk taken; encoding = Isa.Long };
-      Isa.Jmp { target = blk fallthrough; encoding = Isa.Long };
+      Isa.Jcc { cond; target = Isa.Target.Block { func; block = taken }; encoding = Isa.Long };
+      Isa.Jmp { target = Isa.Target.Block { func; block = fallthrough }; encoding = Isa.Long };
     ]
   | Ir.Term.Switch _ ->
     (* Index check + table load + indirect dispatch. *)
     [ Isa.Alu 4; Isa.Load 7; Isa.IndirectJmp ]
   | Ir.Term.Return -> [ Isa.Ret ]
 
-let lower_block ?(prefetch = false) ~func (b : Ir.Block.t) =
-  List.concat_map (lower_inst ~prefetch) b.body @ lower_term ~func b.term
+(* The lowered code of [b] in one pass: each body instruction's code,
+   then the terminator's as the list's tail, after the nop a landing
+   pad that begins its section needs when [pad]. [@tail_mod_cons] makes
+   the recursion a loop that fills in each cell's tail, so a long body
+   cannot overflow the stack. *)
+let lower_block ~prefetch ~pad ~func (b : Ir.Block.t) =
+  let term = lower_term ~func b.term in
+  let[@tail_mod_cons] rec body = function
+    | [] -> term
+    | (i : Ir.Inst.t) :: rest -> (
+      match i with
+      | Compute n -> Isa.Alu n :: body rest
+      | MemLoad n -> Isa.Load n :: body rest
+      | DelinquentLoad { bytes; _ } ->
+        if prefetch then Isa.Prefetch :: Isa.Load bytes :: body rest
+        else Isa.Load bytes :: body rest
+      | MemStore n -> Isa.Store n :: body rest
+      | DirectCall f -> Isa.Call (Isa.Target.Func f) :: body rest
+      | VirtualCall _ -> Isa.IndirectCall :: body rest
+      | JumpTableData n -> Isa.InlineData n :: body rest)
+  in
+  if pad then Isa.Nop 1 :: body b.body else body b.body
 
 (* Worst-case (pre-relaxation) lowered size, computed without building
    the instruction list: body bytes plus the long-form terminator. *)
@@ -43,30 +52,44 @@ let can_fallthrough (b : Ir.Block.t) =
 
 let section_name symbol = ".text." ^ symbol
 
-let cluster_section ?(prefetch_blocks = []) (f : Ir.Func.t) ~symbol blocks =
+(* The C++ ABI requires non-zero landing pad offsets relative to
+   @LPStart, so a section that begins with a landing pad starts with a
+   one-byte nop (paper §4.5). *)
+let cluster_section ~prefetch_blocks (f : Ir.Func.t) ~symbol blocks =
   let pieces =
-    List.map
-      (fun bid ->
+    List.mapi
+      (fun k bid ->
         let b = Ir.Func.block f bid in
         {
           Objfile.Fragment.block = bid;
-          insts = lower_block ~prefetch:(List.mem bid prefetch_blocks) ~func:f.name b;
+          insts =
+            lower_block ~prefetch:(List.mem bid prefetch_blocks)
+              ~pad:(k = 0 && b.is_landing_pad) ~func:f.name b;
           is_landing_pad = b.is_landing_pad;
         })
       blocks
   in
-  (* The C++ ABI requires non-zero landing pad offsets relative to
-     @LPStart: pad when the section itself begins with a landing pad
-     (paper §4.5). *)
-  let pieces =
-    match pieces with
-    | first :: rest when first.is_landing_pad ->
-      { first with insts = Isa.Nop 1 :: first.insts } :: rest
-    | _ -> pieces
-  in
   let frag = Objfile.Fragment.make ~func:f.name pieces in
   Objfile.Section.make ~name:(section_name symbol) ~kind:Objfile.Section.Text ~symbol
     (Objfile.Section.Code frag)
+
+(* One address-map entry per piece, its size and offset read from the
+   index [Fragment.make] built. *)
+let bbmap_entries (f : Ir.Func.t) (frag : Objfile.Fragment.t) =
+  let sizes = frag.index.sizes in
+  let[@tail_mod_cons] rec entries k offset = function
+    | [] -> []
+    | (p : Objfile.Fragment.piece) :: rest ->
+      {
+        Objfile.Bbmap.bb_id = p.block;
+        offset;
+        size = sizes.(k);
+        can_fallthrough = can_fallthrough (Ir.Func.block f p.block);
+        is_landing_pad = p.is_landing_pad;
+      }
+      :: entries (k + 1) (offset + sizes.(k)) rest
+  in
+  entries 0 0 frag.pieces
 
 let bbmap_of_sections (f : Ir.Func.t) sections =
   let func_maps =
@@ -74,20 +97,7 @@ let bbmap_of_sections (f : Ir.Func.t) sections =
       (fun (s : Objfile.Section.t) ->
         match s.contents, s.symbol with
         | Objfile.Section.Code frag, Some sym ->
-          let entries =
-            List.map
-              (fun ((p : Objfile.Fragment.piece), off) ->
-                let b = Ir.Func.block f p.block in
-                {
-                  Objfile.Bbmap.bb_id = p.block;
-                  offset = off;
-                  size = List.fold_left (fun acc i -> acc + Isa.size i) 0 p.insts;
-                  can_fallthrough = can_fallthrough b;
-                  is_landing_pad = p.is_landing_pad;
-                })
-              (Objfile.Fragment.piece_offsets frag)
-          in
-          Some { Objfile.Bbmap.func = sym; entries }
+          Some { Objfile.Bbmap.func = sym; entries = bbmap_entries f frag }
         | (Objfile.Section.Code _ | Objfile.Section.Map _ | Objfile.Section.Raw _), _ -> None)
       sections
   in

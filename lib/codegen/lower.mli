@@ -18,9 +18,15 @@ val block_code_bytes : Ir.Block.t -> int
     [default_order] (ignored when [plan] is given). When [plan] leaves
     blocks unlisted they form the trailing cold cluster. When
     [emit_bb_addr_map] is set, a
-    [.llvm_bb_addr_map.<func>] section is appended. Blocks listed in
-    [prefetch_blocks] get a software prefetch inserted ahead of each
-    delinquent load (paper §3.5). *)
+    [.llvm_bb_addr_map.<func>] section is appended; its entries take
+    each block's size and offset from the fragment index
+    ({!Objfile.Fragment.index}). Blocks listed in [prefetch_blocks] get
+    a software prefetch inserted ahead of each delinquent load (paper
+    §3.5). A section that begins with a landing pad begins with a
+    one-byte nop, part of that block's code (paper §4.5). Each block's
+    code is built in one pass, body then terminator, as the list the
+    fragment keeps, without recursion deeper than a constant, so no
+    body is too long to lower. *)
 val lower_func :
   emit_bb_addr_map:bool ->
   plan:Directive.func_plan option ->

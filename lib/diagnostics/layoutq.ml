@@ -43,7 +43,11 @@ let score_func params (final : Linker.Binary.t) (dcfg : Propeller.Dcfg.t)
         sizes.(i) <- info.size;
         addr_of.(i) <- info.addr)
       placed;
-    let edges = ref [] in
+    (* The problem's arrays are sized for every edge of the function,
+       then trimmed to the placed ones. *)
+    let esrc = Array.make (d.elast - d.efirst) 0 in
+    let edst = Array.make (Array.length esrc) 0 and ew = Array.make (Array.length esrc) 0.0 in
+    let m = ref 0 in
     let edge_weight = ref 0 in
     let fall_through = ref 0 in
     for k = d.efirst to d.elast - 1 do
@@ -52,14 +56,20 @@ let score_func params (final : Linker.Binary.t) (dcfg : Propeller.Dcfg.t)
       if src <> dst then begin
         let s = index.(src - d.first) and t = index.(dst - d.first) in
         if s >= 0 && t >= 0 then begin
-          edges := (s, t, float_of_int cnt) :: !edges;
+          esrc.(!m) <- s;
+          edst.(!m) <- t;
+          ew.(!m) <- float_of_int cnt;
+          incr m;
           edge_weight := !edge_weight + cnt;
           if addr_of.(t) = addr_of.(s) + sizes.(s) then fall_through := !fall_through + cnt
         end
       end
     done;
+    let esrc = Array.sub esrc 0 !m and edst = Array.sub edst 0 !m and ew = Array.sub ew 0 !m in
     let order = List.init n Fun.id in
-    let problem = Layout.Problem.make ~sizes ~weights:(Array.make n 0.0) ~edges:!edges ~entry:0 in
+    let problem =
+      Layout.Problem.make ~sizes ~weights:(Array.make n 0.0) ~esrc ~edst ~ew ~entry:0
+    in
     let score = Layout.Exttsp.score ~params ~order problem in
     (score, !edge_weight, !fall_through, !missing, n)
 

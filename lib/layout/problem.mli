@@ -14,7 +14,8 @@
     duplicate pairs summed in input order (so float sums are
     bit-stable), self-edges and non-positive weights dropped, sorted by
     (src, dst), as flat parallel arrays. Every policy and scorer reads
-    these arrays; producers hand {!make} their edges raw. *)
+    these arrays; producers hand {!make} their edges raw, as flat
+    arrays too. *)
 
 type t = private {
   sizes : int array;  (** [sizes.(i)]: code bytes of node [i]. *)
@@ -29,20 +30,30 @@ type t = private {
   entry : int;  (** Node pinned to the front of every layout. *)
 }
 
-(** [make ~sizes ~weights ~edges ~entry] packages one problem and
-    normalizes [edges], a list of [(src, dst, weight)] transfer
-    frequencies: duplicate (src, dst) pairs are summed in input order,
+(** [make ~sizes ~weights ~esrc ~edst ~ew ~entry] packages one problem
+    and normalizes its raw edges, given as flat parallel arrays: edge
+    [k] runs from [esrc.(k)] to [edst.(k)] with transfer frequency
+    [ew.(k)]. Duplicate (src, dst) pairs are summed in input order,
     self-edges and weights <= 0 are dropped, and the rest are sorted by
     (src, dst), by a stable sort of the kept edges by packed (src, dst)
-    key, so it allocates no table. [sizes] and [weights] are owned by
-    the problem and must not be mutated afterwards. Raises
-    [Invalid_argument] when [sizes] and [weights] differ in length,
-    when [entry] lies outside [0, n) for n > 0 nodes, when an edge
-    endpoint lies outside [0, n), or when an edge weight is infinite or
-    NaN (Ext-TSP's pruning needs finite gains). Self-edges and weights
-    <= 0 in range are accepted and dropped. *)
+    key, so it allocates no table. When the edges already are that
+    form (strictly ascending pairs, no self-edge, every weight > 0),
+    [make] keeps the three arrays as given, after the checks below.
+    [sizes], [weights] and the edge arrays are owned by the problem and
+    must not be mutated afterwards. Raises [Invalid_argument] when
+    [sizes] and [weights] differ in length, when the three edge arrays
+    differ in length, when [entry] lies outside [0, n) for n > 0
+    nodes, when an edge endpoint lies outside [0, n), or when an edge
+    weight is infinite or NaN (Ext-TSP's pruning needs finite gains).
+    Self-edges and weights <= 0 in range are accepted and dropped. *)
 val make :
-  sizes:int array -> weights:float array -> edges:(int * int * float) list -> entry:int -> t
+  sizes:int array ->
+  weights:float array ->
+  esrc:int array ->
+  edst:int array ->
+  ew:float array ->
+  entry:int ->
+  t
 
 (** Number of nodes. *)
 val size : t -> int

@@ -9,7 +9,8 @@
     from the final pieces, as an ELF object carries its section sizes in
     the section headers and its relocation sites in [.rela.text]. Every
     link of a cached object reads the index instead of walking the
-    instructions again. *)
+    instructions again, and so does the compiler's address map, which
+    takes each block's size and offset from [index.sizes]. *)
 
 type piece = {
   block : int;  (** IR block id this code was lowered from. *)
@@ -24,7 +25,10 @@ type piece = {
     numbered [branch_start.(k)] up to [branch_start.(k + 1) - 1]. *)
 type index = {
   bytes : int;  (** Byte size of the whole fragment. *)
-  sizes : int array;  (** Byte size of each piece. *)
+  sizes : int array;
+      (** Byte size of each piece, under the encodings the pieces carry;
+          a piece's offset from the fragment start is the sum of the
+          sizes before it. *)
   sites : Isa.t array;
   branch_start : int array;  (** Length [pieces + 1]. *)
   pre_bytes : int array;
@@ -41,7 +45,3 @@ val make : func:string -> piece list -> t
 
 (** [byte_size f] sums instruction sizes over all pieces. *)
 val byte_size : t -> int
-
-(** [piece_offsets f] pairs each piece with its byte offset from the
-    fragment start, under the current encodings. *)
-val piece_offsets : t -> (piece * int) list

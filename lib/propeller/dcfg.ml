@@ -238,12 +238,21 @@ let function_order t funcs =
   let sizes = Array.of_list (List.map (sampled_bytes t) funcs) in
   let weights = Array.of_list (List.map (fun d -> float_of_int d.samples) funcs) in
   (* One arc per call site between [funcs]; the problem sums them per
-     (caller, callee) pair, exactly, as the counts are integers. *)
-  let edges = ref [] in
+     (caller, callee) pair, exactly, as the counts are integers. The
+     arrays are sized for every arc, then trimmed to the kept ones. *)
+  let esrc = Array.make (Array.length t.arcs) 0 in
+  let edst = Array.make (Array.length esrc) 0 and ew = Array.make (Array.length esrc) 0.0 in
+  let m = ref 0 in
   Array.iteri
     (fun k key ->
       let a = sub.(func_of_rank t (Support.Packed.src key)) and b = sub.(Support.Packed.dst key) in
-      if a >= 0 && b >= 0 then edges := (a, b, float_of_int t.arc_counts.(k)) :: !edges)
+      if a >= 0 && b >= 0 then begin
+        esrc.(!m) <- a;
+        edst.(!m) <- b;
+        ew.(!m) <- float_of_int t.arc_counts.(k);
+        incr m
+      end)
     t.arcs;
-  Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~edges:!edges ~entry:0)
+  let esrc = Array.sub esrc 0 !m and edst = Array.sub edst 0 !m and ew = Array.sub ew 0 !m in
+  Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~esrc ~edst ~ew ~entry:0)
   |> List.map (fun i -> names.(i))

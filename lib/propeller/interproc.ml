@@ -25,20 +25,26 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
   let sizes = Array.map (fun (_, r) -> (Dcfg.block dcfg r).size) node_arr in
   let weights = Array.map (fun (_, r) -> float_of_int (Dcfg.count dcfg r)) node_arr in
   (* Intra-function edges, then call arcs to the callee's entry. Each
-     list holds distinct pairs, so the problem sums at most two weights
+     part holds distinct pairs, so the problem sums at most two weights
      per pair, in either order to the same bits. *)
-  let edges_of keys counts dst_rank acc =
-    let acc = ref acc in
-    for k = Array.length keys - 1 downto 0 do
-      let s = gid.(Support.Packed.src keys.(k)) and t = gid.(dst_rank keys.(k)) in
-      if s >= 0 && t >= 0 then acc := (s, t, float_of_int counts.(k)) :: !acc
-    done;
-    !acc
+  let esrc = Array.make (Array.length dcfg.edges + Array.length dcfg.arcs) 0 in
+  let edst = Array.make (Array.length esrc) 0 and ew = Array.make (Array.length esrc) 0.0 in
+  let m = ref 0 in
+  let add_edges keys counts dst_rank =
+    Array.iteri
+      (fun k key ->
+        let s = gid.(Support.Packed.src key) and t = gid.(dst_rank key) in
+        if s >= 0 && t >= 0 then begin
+          esrc.(!m) <- s;
+          edst.(!m) <- t;
+          ew.(!m) <- float_of_int counts.(k);
+          incr m
+        end)
+      keys
   in
-  let edges =
-    edges_of dcfg.edges dcfg.edge_counts Support.Packed.dst
-      (edges_of dcfg.arcs dcfg.arc_counts (fun key -> funcs.(Support.Packed.dst key).first) [])
-  in
+  add_edges dcfg.edges dcfg.edge_counts Support.Packed.dst;
+  add_edges dcfg.arcs dcfg.arc_counts (fun key -> funcs.(Support.Packed.dst key).first);
+  let esrc = Array.sub esrc 0 !m and edst = Array.sub edst 0 !m and ew = Array.sub ew 0 !m in
   let entry =
     match Array.find_index (fun (d : Dcfg.dfunc) -> String.equal d.name entry_func) funcs with
     | Some f -> gid.(funcs.(f).first)
@@ -46,7 +52,7 @@ let layout ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~(dcfg :
   in
   if n = 0 then { plans = []; ordering = []; score = 0.0; global_nodes = 0 }
   else begin
-    let problem = Layout.Problem.make ~sizes ~weights ~edges ~entry in
+    let problem = Layout.Problem.make ~sizes ~weights ~esrc ~edst ~ew ~entry in
     let order = policy.order ~params problem in
     let score = Layout.Exttsp.score ~params:params.exttsp ~order problem in
     (* Cut the global order into per-function runs; each run becomes a

@@ -59,23 +59,34 @@ type result = {
 
 (* One function's Ext-TSP instance over its hot blocks (the sampled
    ones and the entry, which comes first) and the edges among them,
-   with the blocks' ids for mapping the instance order back. *)
+   with the blocks' ids for mapping the instance order back. Nodes are
+   numbered in rank order and the DCFG's edges are sorted by rank, so
+   the instance's edges come out ascending. *)
 let layout_instance (t : Dcfg.t) (d : Dcfg.dfunc) =
   let hot = Array.of_list (Dcfg.hot_ranks t d) in
   let node = Array.make (d.last - d.first) (-1) in
   Array.iteri (fun i r -> node.(r - d.first) <- i) hot;
-  let edges = ref [] in
-  for k = d.elast - 1 downto d.efirst do
+  (* Sized for every edge of the function, then trimmed to the kept ones. *)
+  let esrc = Array.make (d.elast - d.efirst) 0 in
+  let edst = Array.make (Array.length esrc) 0 and ew = Array.make (Array.length esrc) 0.0 in
+  let m = ref 0 in
+  for k = d.efirst to d.elast - 1 do
     let key = t.edges.(k) in
     let s = node.(Support.Packed.src key - d.first)
     and dst = node.(Support.Packed.dst key - d.first) in
-    if s >= 0 && dst >= 0 then edges := (s, dst, float_of_int t.edge_counts.(k)) :: !edges
+    if s >= 0 && dst >= 0 then begin
+      esrc.(!m) <- s;
+      edst.(!m) <- dst;
+      ew.(!m) <- float_of_int t.edge_counts.(k);
+      incr m
+    end
   done;
+  let esrc = Array.sub esrc 0 !m and edst = Array.sub edst 0 !m and ew = Array.sub ew 0 !m in
   ( Array.map (fun r -> (Dcfg.block t r).block) hot,
     Layout.Problem.make
       ~sizes:(Array.map (fun r -> (Dcfg.block t r).size) hot)
       ~weights:(Array.map (fun r -> float_of_int (Dcfg.count t r)) hot)
-      ~edges:!edges ~entry:0 )
+      ~esrc ~edst ~ew ~entry:0 )
 
 (* Ext-TSP layout over one function's hot blocks; the BOLT baseline's
    (its cache+ algorithm is the same objective). *)

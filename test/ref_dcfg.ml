@@ -200,7 +200,7 @@ let function_order t funcs =
            | Some a, Some b -> Some (a, b, w)
            | None, _ | _, None -> None)
   in
-  Layout.Hfsort.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0)
+  Layout.Hfsort.order (Testutil.problem_of_edges ~sizes ~weights ~edges ~entry:0)
   |> List.map (fun i -> names.(i))
 
 (* --- WPA --------------------------------------------------------- *)
@@ -253,7 +253,7 @@ let layout_instance shapes d bb_arr hot =
     |> List.sort compare
   in
   let entry = Hashtbl.find idx_of 0 in
-  (hot_arr, Layout.Problem.make ~sizes ~weights ~edges ~entry)
+  (hot_arr, Testutil.problem_of_edges ~sizes ~weights ~edges ~entry)
 
 (* [Wpa.block_layout]: the Ext-TSP hot-block order of one function and
    its score. *)
@@ -373,7 +373,7 @@ let interproc ~(policy : Layout.Policy.t) ~(params : Layout.Policy.params) ~dcfg
   let entry = match Hashtbl.find_opt gid (entry_func, 0) with Some e -> e | None -> 0 in
   if n = 0 then { iplans = []; iordering = []; iscore = 0.0; global_nodes = 0 }
   else begin
-    let problem = Layout.Problem.make ~sizes ~weights ~edges ~entry in
+    let problem = Testutil.problem_of_edges ~sizes ~weights ~edges ~entry in
     let order = policy.order ~params problem in
     let score = Layout.Exttsp.score ~params:params.exttsp ~order problem in
     let runs = ref [] in

@@ -97,7 +97,7 @@ let test_layout_exact () =
     Array.of_list (List.map (fun i -> blocks.(i).Linker.Binary.size) [ 0; 2; 1 ])
   in
   let edges = [ (0, 1, 5.0); (1, 2, 2.0) ] in
-  let p = Layout.Problem.make ~sizes ~weights:(Array.make 3 0.0) ~edges ~entry:0 in
+  let p = Testutil.problem_of_edges ~sizes ~weights:(Array.make 3 0.0) ~edges ~entry:0 in
   let expected = Layout.Exttsp.score ~order:[ 0; 1; 2 ] p in
   check tb "exttsp matches direct score" true (abs_float (l.exttsp_score -. expected) < 1e-9);
   check tb "norm consistent" true (abs_float (l.exttsp_norm -. (expected /. 7.0)) < 1e-9);

@@ -31,6 +31,10 @@ let successor_probs ~use_pgo = function
     Array.to_list (Array.map2 (fun b p -> (b, p)) table (if use_pgo then pgo_probs else probs))
   | Ir.Term.Return -> []
 
+(* [Ir.Cfg.edge_frequencies]'s flat arrays as a (src, dst, w) list. *)
+let edge_list (esrc, edst, ew) =
+  List.init (Array.length esrc) (fun k -> (esrc.(k), edst.(k), ew.(k)))
+
 (* A branch's edge weights at unit block frequency are its taken and
    fall-through probabilities, true or PGO-estimated. *)
 let test_term_probs () =
@@ -43,7 +47,7 @@ let test_term_probs () =
         compute_block ~id:2 ~bytes:4 ~term:Ir.Term.Return;
       |]
   in
-  let edges use_pgo = Ir.Cfg.edge_frequencies ~freqs:[| 1.0; 0.0; 0.0 |] ~use_pgo f in
+  let edges use_pgo = edge_list (Ir.Cfg.edge_frequencies ~freqs:[| 1.0; 0.0; 0.0 |] ~use_pgo f) in
   check tb "true probs" true (List.sort compare (edges false) = [ (0, 1, 0.3); (0, 2, 0.7) ]);
   (match List.sort compare (edges true) with
   | [ (0, 1, p1); (0, 2, p2) ] ->
@@ -191,8 +195,12 @@ let ref_estimate_frequencies ~use_pgo f =
   freq
 
 (* Random CFGs with every terminator kind, switch tables with repeated
-   targets, self-loops, back edges to the entry and unreachable blocks
-   (targets are drawn freely, so many blocks have no path from 0). *)
+   targets, self-loops, back edges to the entry and unreachable blocks.
+   Targets are drawn freely from blocks [0, n), so many blocks have no
+   path from 0. Half the CFGs get an extra last block [n] that is never
+   a target, so it is unreachable; the other half keep every shape,
+   one-block and all-reachable CFGs included. Half the switch tables
+   end with their first target again. *)
 let random_cfg_gen =
   QCheck.Gen.(
     let* n = int_range 1 14 in
@@ -210,18 +218,23 @@ let random_cfg_gen =
           ( 2,
             let* k = int_range 1 5 in
             let* table = array_repeat k target in
-            let* probs = array_repeat k prob in
-            let* pgo_probs = array_repeat k prob in
+            let* repeat = bool in
+            let table = if repeat then Array.append table [| table.(0) |] else table in
+            let* probs = array_repeat (Array.length table) prob in
+            let* pgo_probs = array_repeat (Array.length table) prob in
             return (Ir.Term.Switch { table; probs; pgo_probs }) );
           (1, return Ir.Term.Return);
         ]
     in
-    let* terms = array_repeat n term in
+    let* extra = bool in
+    let* terms = array_repeat (n + Bool.to_int extra) term in
     return
       (Ir.Func.make ~name:"rand"
          (Array.mapi (fun id term -> compute_block ~id ~bytes:4 ~term) terms)))
 
-(* [Ir.Cfg.edge_frequencies] as it was written, over the same lists. *)
+(* [Ir.Cfg.edge_frequencies] as it was written, over the same lists:
+   one edge per successor, blocks in id order, each block's edges in
+   {!Ir.Term.successors} order. *)
 let ref_edge_frequencies ~freqs ~use_pgo f =
   let edges = ref [] in
   for b = Ir.Func.num_blocks f - 1 downto 0 do
@@ -231,6 +244,19 @@ let ref_edge_frequencies ~freqs ~use_pgo f =
   done;
   !edges
 
+(* The reference edges in the flat form's order: each block's edges
+   stably sorted by destination, then a repeated destination's weights
+   summed left to right, that is in successor order. *)
+let by_destination edges =
+  let rec sum = function
+    | (s, d, w) :: (s', d', w') :: rest when s = s' && d = d' -> sum ((s, d, w +. w') :: rest)
+    | e :: rest -> e :: sum rest
+    | [] -> []
+  in
+  sum (List.stable_sort (fun (s, d, _) (s', d', _) -> compare (s, d) (s', d')) edges)
+
+(* Block frequencies, and the flat edges before any [Problem.make],
+   bit for bit. *)
 let frequencies_match_reference_law =
   QCheck.Test.make ~count:500 ~name:"cfg frequencies equal the list-based reference"
     (QCheck.make ~print:(Format.asprintf "%a" Ir.Func.pp) random_cfg_gen)
@@ -241,14 +267,14 @@ let frequencies_match_reference_law =
           let freqs = Ir.Cfg.estimate_frequencies ~use_pgo f in
           let edge_bits = List.map (fun (s, d, w) -> (s, d, Int64.bits_of_float w)) in
           bits freqs = bits (ref_estimate_frequencies ~use_pgo f)
-          && edge_bits (Ir.Cfg.edge_frequencies ~freqs ~use_pgo f)
-             = edge_bits (ref_edge_frequencies ~freqs ~use_pgo f))
+          && edge_bits (edge_list (Ir.Cfg.edge_frequencies ~freqs ~use_pgo f))
+             = edge_bits (by_destination (ref_edge_frequencies ~freqs ~use_pgo f)))
         [ true; false ])
 
 let test_cfg_edge_frequencies () =
   let f = diamond_func ~prob:0.3 () in
   let freqs = Ir.Cfg.estimate_frequencies ~use_pgo:false f in
-  let edges = Ir.Cfg.edge_frequencies ~freqs ~use_pgo:false f in
+  let edges = edge_list (Ir.Cfg.edge_frequencies ~freqs ~use_pgo:false f) in
   let w s d =
     List.fold_left (fun acc (a, b, w) -> if a = s && b = d then acc +. w else acc) 0.0 edges
   in

@@ -24,7 +24,7 @@ let graph_arb =
     graph_gen
 
 let problem ?(entry = 0) (_, sizes, weights, edges) =
-  Layout.Problem.make ~sizes ~weights ~edges ~entry
+  problem_of_edges ~sizes ~weights ~edges ~entry
 
 let is_permutation n order =
   List.length order = n && List.sort compare order = List.init n Fun.id
@@ -85,7 +85,7 @@ let tied_gen =
     let* weights = array_repeat n (map float_of_int (int_bound 3)) in
     let* entry = node in
     let* max_split_chain = int_bound 7 in
-    return (Layout.Problem.make ~sizes ~weights ~edges ~entry, edges, max_split_chain))
+    return (problem_of_edges ~sizes ~weights ~edges ~entry, edges, max_split_chain))
 
 let tied_arb =
   QCheck.make
@@ -128,15 +128,37 @@ let test_exttsp_reference_progen () =
           [ 0; 1; 2; 3; 4; 5; 6; 7; Layout.Exttsp.default_params.max_split_chain ]
       end)
 
+(* The reference dedupe of [edges] as a list, without the pairs whose
+   summed weight overflowed to infinity: a list [Problem.make] finds
+   already normalized. *)
+let normal_form edges =
+  let (f : Ref_exttsp.ebundle) = Ref_exttsp.flat edges in
+  List.init (Array.length f.esrc) (fun k -> (f.esrc.(k), f.edst.(k), f.ew.(k)))
+  |> List.filter (fun (_, _, w) -> Float.is_finite w)
+
 (* [Problem.make]'s edge arrays are bit-identical to the [Hashtbl]
    dedupe of its raw edge list, on lists full of duplicates, self-edges
-   and weights <= 0. *)
+   and weights <= 0. So are they on each list's normal form, handed over
+   as flat arrays, and those [make] keeps: the problem holds the very
+   arrays it was given. *)
 let flat_equals_reference_law =
   QCheck.Test.make ~count:500 ~name:"problem flat edges equal the hashtable reference" tied_arb
     (fun ((p : Layout.Problem.t), edges, _) ->
-      let want = Ref_exttsp.flat edges in
       let bits a = Array.map Int64.bits_of_float a in
-      p.esrc = want.esrc && p.edst = want.edst && bits p.ew = bits want.ew)
+      let same (p : Layout.Problem.t) edges =
+        let want = Ref_exttsp.flat edges in
+        p.esrc = want.esrc && p.edst = want.edst && bits p.ew = bits want.ew
+      in
+      let normal = Array.of_list (normal_form edges) in
+      let esrc = Array.map (fun (s, _, _) -> s) normal in
+      let edst = Array.map (fun (_, d, _) -> d) normal in
+      let ew = Array.map (fun (_, _, w) -> w) normal in
+      let q =
+        Layout.Problem.make ~sizes:p.sizes ~weights:p.weights ~esrc ~edst ~ew ~entry:p.entry
+      in
+      same p edges
+      && same q (Array.to_list normal)
+      && q.esrc == esrc && q.edst == edst && q.ew == ew)
 
 let test_exttsp_chain () =
   (* A hot chain 0->1->2->3 must be laid out exactly in order. *)
@@ -144,7 +166,7 @@ let test_exttsp_chain () =
   let weights = [| 1.0; 1.0; 1.0; 1.0 |] in
   let edges = [ (0, 1, 100.0); (1, 2, 100.0); (2, 3, 100.0) ] in
   check Alcotest.(list int) "chain order" [ 0; 1; 2; 3 ]
-    (Layout.Exttsp.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0))
+    (Layout.Exttsp.order (problem_of_edges ~sizes ~weights ~edges ~entry:0))
 
 let test_exttsp_hot_fallthrough () =
   (* Diamond where the taken side is hot: 0 -> 1 (hot), 0 -> 2 (cold),
@@ -152,7 +174,7 @@ let test_exttsp_hot_fallthrough () =
   let sizes = [| 10; 10; 10; 10 |] in
   let weights = [| 100.0; 95.0; 5.0; 100.0 |] in
   let edges = [ (0, 1, 95.0); (0, 2, 5.0); (1, 3, 95.0); (2, 3, 5.0) ] in
-  match Layout.Exttsp.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0) with
+  match Layout.Exttsp.order (problem_of_edges ~sizes ~weights ~edges ~entry:0) with
   | 0 :: 1 :: _ -> ()
   | order ->
     Alcotest.failf "hot path not adjacent: %s"
@@ -161,12 +183,12 @@ let test_exttsp_hot_fallthrough () =
 let test_exttsp_singleton () =
   check Alcotest.(list int) "single node" [ 0 ]
     (Layout.Exttsp.order
-       (Layout.Problem.make ~sizes:[| 8 |] ~weights:[| 1.0 |] ~edges:[] ~entry:0));
+       (problem_of_edges ~sizes:[| 8 |] ~weights:[| 1.0 |] ~edges:[] ~entry:0));
   check Alcotest.(list int) "empty" []
-    (Layout.Exttsp.order (Layout.Problem.make ~sizes:[||] ~weights:[||] ~edges:[] ~entry:0))
+    (Layout.Exttsp.order (problem_of_edges ~sizes:[||] ~weights:[||] ~edges:[] ~entry:0))
 
 let score_problem ~sizes ~edges =
-  Layout.Problem.make ~sizes ~weights:(Array.make (Array.length sizes) 0.0) ~edges ~entry:0
+  problem_of_edges ~sizes ~weights:(Array.make (Array.length sizes) 0.0) ~edges ~entry:0
 
 let test_exttsp_score_fallthrough_beats_jump () =
   let p = score_problem ~sizes:[| 10; 10 |] ~edges:[ (0, 1, 10.0) ] in
@@ -251,7 +273,7 @@ let synthetic_problem m =
              (i, ((7 * i) + 3) mod m, float_of_int ((13 * i) mod 5));
            ]))
   in
-  Layout.Problem.make
+  problem_of_edges
     ~sizes:(Array.init m (fun i -> 1 + (5 * i mod 17)))
     ~weights:(Array.init m (fun i -> float_of_int (i mod 4)))
     ~edges ~entry:1
@@ -266,7 +288,7 @@ let test_exttsp_calls_carry_no_state () =
   let larger = synthetic_problem ((2 * Layout.Problem.size a) + 7)
   and medium = synthetic_problem 40
   and smaller =
-    Layout.Problem.make ~sizes:[| 4; 8; 2 |] ~weights:[| 1.0; 1.0; 1.0 |]
+    problem_of_edges ~sizes:[| 4; 8; 2 |] ~weights:[| 1.0; 1.0; 1.0 |]
       ~edges:[ (0, 2, 5.0); (2, 1, 3.0) ] ~entry:0
   in
   let result = Alcotest.(pair (list int) int) in
@@ -322,7 +344,7 @@ let test_problem_validation () =
     | exception Invalid_argument _ -> ()
   in
   let make ?(sizes = sizes) ?(weights = weights) ?(entry = 0) edges =
-    Layout.Problem.make ~sizes ~weights ~edges ~entry
+    problem_of_edges ~sizes ~weights ~edges ~entry
   in
   rejects "short weights" (fun () -> make ~weights:[| 1.0; 1.0 |] []);
   rejects "entry n" (fun () -> make ~entry:3 []);
@@ -336,6 +358,14 @@ let test_problem_validation () =
   rejects "NaN weight" (fun () -> make [ (0, 1, Float.nan) ]);
   rejects "infinite weight" (fun () -> make [ (0, 1, Float.infinity) ]);
   rejects "negative infinite weight" (fun () -> make [ (0, 1, Float.neg_infinity) ]);
+  rejects "edge arrays of unequal lengths" (fun () ->
+      Layout.Problem.make ~sizes ~weights ~esrc:[| 0; 1 |] ~edst:[| 1 |] ~ew:[| 1.0 |] ~entry:0);
+  rejects "edge weights of another length" (fun () ->
+      Layout.Problem.make ~sizes ~weights ~esrc:[| 0 |] ~edst:[| 1 |] ~ew:[||] ~entry:0);
+  (* Edges already in normal form, which [make] keeps as given, are
+     checked all the same. *)
+  rejects "normal-form edge out of range" (fun () -> make [ (0, 1, 1.0); (1, 3, 1.0) ]);
+  rejects "normal-form NaN weight" (fun () -> make [ (0, 1, 1.0); (1, 2, Float.nan) ]);
   (* Still accepted: an empty problem's default entry, self-edges and
      weights <= 0 (which [make] drops). *)
   ignore (make ~sizes:[||] ~weights:[||] []);
@@ -353,7 +383,7 @@ let test_exttsp_merge_count () =
   let sizes = [| 10; 10; 10 |] in
   let weights = [| 1.0; 1.0; 1.0 |] in
   let edges = [ (0, 1, 5.0); (1, 2, 5.0) ] in
-  ignore (Layout.Exttsp.order (Layout.Problem.make ~sizes ~weights ~edges ~entry:0));
+  ignore (Layout.Exttsp.order (problem_of_edges ~sizes ~weights ~edges ~entry:0));
   check ti "two merges for a 3-chain" 2 (Layout.Exttsp.last_merge_count ())
 
 (* --- policy registry (ISSUE 10) ----------------------------------- *)
@@ -474,7 +504,7 @@ let test_search_proxy_agreement () =
 (* --- hfsort ------------------------------------------------------- *)
 
 let fproblem ~sizes ~samples ~arcs =
-  Layout.Problem.make ~sizes ~weights:samples ~edges:arcs ~entry:0
+  problem_of_edges ~sizes ~weights:samples ~edges:arcs ~entry:0
 
 let test_hfsort_permutation () =
   let sizes = [| 100; 200; 300; 50 |] in

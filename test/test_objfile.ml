@@ -12,7 +12,7 @@ let simple_frag () =
 let test_fragment_sizes () =
   let f = simple_frag () in
   check ti "byte size" (4 + 6 + 6 + 1) (Objfile.Fragment.byte_size f);
-  match Objfile.Fragment.piece_offsets f with
+  match piece_offsets f with
   | [ (_, 0); (_, 10) ] -> ()
   | offs -> Alcotest.failf "bad offsets: %s" (String.concat "," (List.map (fun (_, o) -> string_of_int o) offs))
 
@@ -112,7 +112,7 @@ let check_index_is_walk (f : Objfile.Fragment.t) =
   check Alcotest.(list int) "pre counts" (List.map snd all_runs) (arr ix.pre_count);
   check Alcotest.(list int) "piece offsets"
     (List.rev (List.tl (List.rev (starts (List.map size f.pieces)))))
-    (List.map snd (Objfile.Fragment.piece_offsets f))
+    (List.map snd (piece_offsets f))
 
 let gen_piece =
   let open QCheck.Gen in

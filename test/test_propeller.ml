@@ -431,7 +431,7 @@ let test_wpa_block_layout_hot_first () =
   in
   let n = List.length order in
   let problem =
-    Layout.Problem.make
+    problem_of_edges
       ~sizes:(Array.of_list (List.map size order))
       ~weights:(Array.make n 0.0) ~edges ~entry:0
   in

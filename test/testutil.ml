@@ -321,3 +321,24 @@ let allocated_words f =
   let w0 = words () in
   f ();
   words () -. w0
+
+(* A layout problem over raw [(src, dst, w)] edges, handed to
+   [Layout.Problem.make] as its flat arrays in list order. *)
+let problem_of_edges ~sizes ~weights ~edges ~entry =
+  let e = Array.of_list edges in
+  Layout.Problem.make ~sizes ~weights
+    ~esrc:(Array.map (fun (s, _, _) -> s) e)
+    ~edst:(Array.map (fun (_, d, _) -> d) e)
+    ~ew:(Array.map (fun (_, _, w) -> w) e)
+    ~entry
+
+(* Each piece of a fragment with its byte offset from the fragment
+   start, read from the fragment's index. *)
+let piece_offsets (f : Objfile.Fragment.t) =
+  let off = ref 0 in
+  List.mapi
+    (fun k p ->
+      let o = !off in
+      off := o + f.index.sizes.(k);
+      (p, o))
+    f.pieces
