@@ -24,9 +24,6 @@ let is_asm program f =
   | Some fn -> fn.Ir.Func.attrs.has_inline_asm
   | None -> false
 
-let bolt_hazards (spec : Progen.Spec.t) =
-  { Boltsim.Driver.rseq = spec.hazards.has_rseq; fips_check = spec.hazards.has_fips_check }
-
 let build ctx spec =
   (* Phase 1 includes ThinLTO-style cross-unit inlining — the transform
      that makes instrumented profiles stale (paper 2.2). *)
@@ -48,7 +45,7 @@ let build ctx spec =
      methodology); PM and BM binaries share their text layout. *)
   let bolt =
     Boltsim.Driver.optimize ~ctx ~profile:prop.profile ~binary:bm.binary
-      ~is_asm:(is_asm program) ~hazards:(bolt_hazards spec) ~name:spec.Progen.Spec.name ()
+      ~is_asm:(is_asm program) ~hazards:spec.hazards ~name:spec.Progen.Spec.name ()
   in
   { spec; program; env; base; prop; bm; bolt; measured = [] }
 

@@ -263,16 +263,3 @@ let with_flight_guard recorder f =
     let bt = Printexc.get_raw_backtrace () in
     prerr_string (Obs.Recorder.flight_dump recorder);
     Printexc.raise_with_backtrace exn bt
-
-(* A fresh deterministic LBR profile of [binary] under [requests] of
-   traffic: the collection the pipeline's Phase 3 performs, against
-   whichever image the caller holds. *)
-let lbr_profile ~ctx ~requests program binary =
-  let image = Exec.Image.build program binary in
-  let profile = Perfmon.Lbr.create_profile () in
-  let c = Perfmon.Lbr.collector_state Perfmon.Lbr.default_config profile in
-  let (_ : Exec.Interp.stats) =
-    Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests }
-      (Perfmon.Lbr.consume c)
-  in
-  profile

@@ -11,9 +11,8 @@ type variant = Base | Pm | Po
 
 type images = {
   ctx : Support.Ctx.t;
-  spec : Progen.Spec.t;
   program : Ir.Program.t;
-  source : Perfmon.Source.t;
+  config : Propeller.Pipeline.config;
   base : Linker.Binary.t;
   pm : Linker.Binary.t;
   po : Linker.Binary.t;
@@ -31,9 +30,8 @@ let build_images benchmark requests source (common : Cli.common) quiet =
   Cli.export ctx.Support.Ctx.recorder common;
   {
     ctx;
-    spec;
     program;
-    source;
+    config;
     base = base.binary;
     pm = result.metadata_build.binary;
     po = Propeller.Pipeline.optimized_binary result;
@@ -41,27 +39,21 @@ let build_images benchmark requests source (common : Cli.common) quiet =
 
 let binary_of t = function Base -> t.base | Pm -> t.pm | Po -> t.po
 
-(* A fresh deterministic profile of [binary] under the benchmark's
-   workload, from the same profile source the pipeline used. *)
+(* A fresh deterministic profile of [binary]: the pipeline's own Phase 3
+   collection, under the config (and so the profile source) the images
+   were built with. *)
 let profile_of t binary =
-  match t.source with
-  | Perfmon.Source.Lbr -> Cli.lbr_profile ~ctx:t.ctx ~requests:t.spec.requests t.program binary
-  | Perfmon.Source.Sampled ->
-    if Array.length binary.Linker.Binary.bb_addr_map = 0 then begin
-      Printf.eprintf
-        "--profile-source sampled needs BB address map metadata to synthesize edge weights; \
-         the inspected image has none (use --variant pm or po)\n";
-      exit 2
-    end;
-    let samples = Perfmon.Sampler.create_profile () in
-    let c = Perfmon.Sampler.collector_state Perfmon.Sampler.default_config samples in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run ~ctx:t.ctx
-        (Exec.Image.build t.program binary)
-        { Exec.Interp.default_config with requests = t.spec.requests }
-        (Perfmon.Sampler.consume c)
-    in
-    Propeller.Autofdo.synthesize ~samples ~program:t.program ~binary ()
+  if
+    t.config.profile_source = Perfmon.Source.Sampled
+    && Array.length binary.Linker.Binary.bb_addr_map = 0
+  then begin
+    Printf.eprintf
+      "--profile-source sampled needs BB address map metadata to synthesize edge weights; \
+       the inspected image has none (use --variant pm)\n";
+    exit 2
+  end;
+  let profile, _, _ = Propeller.Pipeline.profile ~ctx:t.ctx t.config t.program binary in
+  profile
 
 (* Shared shape of the four views: build the images (quietly when the
    output is machine-readable), compute the view, emit it. *)

@@ -138,8 +138,9 @@ let run_cmd =
 (* --- wpa ------------------------------------------------------------ *)
 
 (* The standalone whole-program-analysis tool (the paper's [29],
-   create_llvm_prof): build the metadata binary, profile it under load,
-   run Phase 3 and write the two directive files Phase 4 consumes. *)
+   create_llvm_prof): build the metadata binary, profile it under load
+   with the pipeline's own collection, run Phase 3 and write the two
+   directive files Phase 4 consumes. *)
 let wpa benchmark requests cc_out ld_out =
   let spec = Cli.lookup_spec ~benchmark ~requests in
   let program = Progen.Generate.program spec in
@@ -153,7 +154,9 @@ let wpa benchmark requests cc_out ld_out =
   Printf.printf "metadata binary: %d bytes (%d bytes of bb_addr_map)\n%!"
     (Linker.Binary.total_size pm.binary)
     (Linker.Binary.size_of_kind pm.binary Objfile.Section.Bb_addr_map);
-  let profile = Cli.lbr_profile ~ctx ~requests:spec.requests program pm.binary in
+  let profile, _, _ =
+    Propeller.Pipeline.profile ~ctx (Propeller.Pipeline.config_of_spec spec) program pm.binary
+  in
   Printf.printf "profile: %d samples, %d records, ~%d raw bytes\n%!" profile.num_samples
     profile.num_records
     (Perfmon.Lbr.raw_bytes profile);
@@ -181,8 +184,9 @@ let wpa_cmd =
 
 (* --- bolt ----------------------------------------------------------- *)
 
-(* The BOLT-style monolithic post-link optimizer on one benchmark: its
-   conversion and rewrite costs, and whether the result starts. *)
+(* The BOLT-style monolithic post-link optimizer on one benchmark,
+   driven by the same LBR collection as the pipeline: its conversion
+   and rewrite costs, and whether the result starts. *)
 let bolt benchmark requests lite =
   let spec = Cli.lookup_spec ~benchmark ~requests in
   let program = Progen.Generate.program spec in
@@ -194,19 +198,18 @@ let bolt benchmark requests lite =
       ~link_options:{ Linker.Link.default_options with emit_relocs = true }
   in
   Printf.printf "BM binary (with relocations): %d bytes\n%!" (Linker.Binary.total_size bm.binary);
-  let profile = Cli.lbr_profile ~ctx ~requests:spec.requests program bm.binary in
+  let profile, _, _ =
+    Propeller.Pipeline.profile ~ctx (Propeller.Pipeline.config_of_spec spec) program bm.binary
+  in
   let is_asm f =
     match Ir.Program.find_func program f with
     | Some fn -> fn.Ir.Func.attrs.has_inline_asm
     | None -> false
   in
-  let hazards =
-    { Boltsim.Driver.rseq = spec.hazards.has_rseq; fips_check = spec.hazards.has_fips_check }
-  in
   let options = if lite then Boltsim.Driver.fast_options else Boltsim.Driver.perf_options in
   let r =
-    Boltsim.Driver.optimize ~options ~ctx ~profile ~binary:bm.binary ~is_asm ~hazards
-      ~name:spec.name ()
+    Boltsim.Driver.optimize ~options ~ctx ~profile ~binary:bm.binary ~is_asm
+      ~hazards:spec.hazards ~name:spec.name ()
   in
   Printf.printf "perf2bolt: %.1fs, peak %.2f GB (modelled)\n" r.conversion_seconds
     (float_of_int r.conversion_mem_bytes /. 1.0e9);

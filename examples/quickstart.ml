@@ -85,15 +85,12 @@ let () =
         Printf.printf "  %-28s @ 0x%x (%d bytes)\n" p.name p.addr p.size)
     po.sections;
 
-  (* 5. Measure both binaries on the simulated core. *)
+  (* 5. Measure both binaries on the simulated core. The toy program is
+     written at full size, so the core needs no page scaling. *)
   let measure label binary =
-    let image = Exec.Image.build program binary in
-    let core = Uarch.Core.create Uarch.Core.default_config in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run ~ctx image { Exec.Interp.default_config with requests = 500 }
-        (Uarch.Core.consume core)
+    let _, c =
+      Diagnostics.Measure.run ~ctx ~core:Uarch.Core.default_config ~requests:500 program binary
     in
-    let c = Uarch.Core.counters core in
     Printf.printf "  %-10s cycles=%10.0f  L1i-miss=%-6d taken-branches=%d\n" label c.cycles
       c.i1_l1i_miss c.b2_taken_branches;
     c.cycles
@@ -105,6 +102,6 @@ let () =
   Printf.printf "\nPropeller speedup: %+.2f%%\n" ((cb -. cp) /. cb *. 100.0);
   print_endline
     "(a 300-byte toy fits every cache, so the win is ~0 here; see\n\
-    \ examples/clang_pipeline.exe and examples/search_service.exe for\n\
-    \ workloads where layout actually moves the needle)"
+    \ `propeller run -b clang` for a workload where layout actually\n\
+    \ moves the needle)"
 

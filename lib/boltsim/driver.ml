@@ -9,10 +9,6 @@ let fast_options =
 
 let perf_options = { fast_options with lite = false; peephole = true }
 
-type hazards = { rseq : bool; fips_check : bool }
-
-let no_hazards = { rseq = false; fips_check = false }
-
 type result = {
   binary : Linker.Binary.t;
   startup_ok : bool;
@@ -24,8 +20,8 @@ type result = {
   optimize_seconds : float;
 }
 
-let optimize ?(options = perf_options) ~ctx ~profile ~(binary : Linker.Binary.t) ~is_asm ~hazards
-    ~name () =
+let optimize ?(options = perf_options) ~ctx ~profile ~(binary : Linker.Binary.t) ~is_asm
+    ~(hazards : Progen.Spec.hazards) ~name () =
   (* "perf2bolt": disassemble and aggregate the profile against the
      reconstructed CFG. *)
   let dcfg = Propeller.Dcfg.build_of_blocks ~profile ~binary in
@@ -54,7 +50,7 @@ let optimize ?(options = perf_options) ~ctx ~profile ~(binary : Linker.Binary.t)
   let profile_bytes = Perfmon.Lbr.raw_bytes profile in
   {
     binary = rw.binary;
-    startup_ok = not (hazards.rseq || hazards.fips_check);
+    startup_ok = not (hazards.has_rseq || hazards.has_fips_check);
     rewritten_funcs = rw.rewritten_funcs;
     skipped_funcs = List.length hot - List.length rewritable;
     conversion_mem_bytes = Costmodel.conversion_mem ~text_bytes ~profile_bytes;

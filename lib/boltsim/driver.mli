@@ -23,10 +23,6 @@ val fast_options : options
 (** The paper's performance evaluation configuration ([-lite=0]). *)
 val perf_options : options
 
-type hazards = { rseq : bool; fips_check : bool }
-
-val no_hazards : hazards
-
 type result = {
   binary : Linker.Binary.t;  (** The "BO" rewritten binary. *)
   startup_ok : bool;
@@ -43,14 +39,15 @@ type result = {
 (** [optimize ?options ~ctx ~profile ~binary ~is_asm ~hazards ~name ()]:
     [binary] must be the relocations-retaining ("BM") build; [is_asm]
     flags functions whose disassembly would fail (hand-written
-    assembly). The rewrite's link records on [ctx]'s recorder. *)
+    assembly); of [hazards], restartable sequences and FIPS startup
+    checks make the rewrite fail at startup. The rewrite's link records on [ctx]'s recorder. *)
 val optimize :
   ?options:options ->
   ctx:Support.Ctx.t ->
   profile:Perfmon.Lbr.profile ->
   binary:Linker.Binary.t ->
   is_asm:(string -> bool) ->
-  hazards:hazards ->
+  hazards:Progen.Spec.hazards ->
   name:string ->
   unit ->
   result

@@ -12,15 +12,15 @@ let recorder env = env.ctx.Support.Ctx.recorder
 
 let pool env = env.ctx.Support.Ctx.pool
 
-(* Default pool models the distributed backend of a warehouse-scale
-   build (paper §3.1): wide enough that codegen wall time is dominated
-   by the longest unit, not by queueing. *)
-let make_env ?(workers = 256) ?mem_limit ~ctx () =
+(* The executor pool models the distributed backend of a
+   warehouse-scale build (paper §3.1): wide enough that codegen wall
+   time is dominated by the longest unit, not by queueing. *)
+let make_env ~ctx () =
   {
     obj_cache = Cache.create ();
     layout_cache = Cache.create ();
-    workers;
-    mem_limit;
+    workers = 256;
+    mem_limit = None;
     ctx;
     last_good = Hashtbl.create 64;
     corrupted = Hashtbl.create 64;

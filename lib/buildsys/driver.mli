@@ -57,11 +57,12 @@ val recorder : env -> Obs.Recorder.t
 (** [pool env] is the env's domain pool ([env.ctx.pool]). *)
 val pool : env -> Support.Pool.t
 
-(** [make_env ~ctx ()] builds a fresh env with empty caches that
-    records, fans out and injects faults through [ctx]. Results commit
+(** [make_env ~ctx ()] builds a fresh env with empty caches and a
+    256-executor backend (no RSS threshold) that records, fans out and
+    injects faults through [ctx]. Results commit
     in index order, so build outputs are byte-identical for any pool
     width. *)
-val make_env : ?workers:int -> ?mem_limit:int -> ctx:Support.Ctx.t -> unit -> env
+val make_env : ctx:Support.Ctx.t -> unit -> env
 
 (** Fault accounting of one build. All zero when the env's context
     carries no active plan. *)

@@ -8,9 +8,8 @@ let bump tbl key n =
   | Some c -> Hashtbl.replace tbl key (c + n)
   | None -> Hashtbl.add tbl key n
 
-let synthesize ?(period = Perfmon.Sampler.default_config.Perfmon.Sampler.period)
-    ~(samples : Perfmon.Sampler.profile) ~(program : Ir.Program.t)
-    ~(binary : Linker.Binary.t) () =
+let synthesize ~period ~(samples : Perfmon.Sampler.profile) ~(program : Ir.Program.t)
+    ~(binary : Linker.Binary.t) =
   if Array.length binary.Linker.Binary.bb_addr_map = 0 then
     invalid_arg "Autofdo.synthesize: binary has no .llvm_bb_addr_map";
   let period = max 1 period in

@@ -22,7 +22,7 @@
     table (left empty). That missing information *is* the LBR-fidelity
     gap that [Diagnostics.Fidelity] measures. *)
 
-(** [synthesize ?period ~samples ~program ~binary ()] converts a sampled
+(** [synthesize ~period ~samples ~program ~binary] converts a sampled
     profile collected while executing [binary] (which must carry a BB
     address map) into an LBR-shaped profile. [program] supplies the
     static CFG topology — successor *sets* only; the true branch
@@ -30,9 +30,8 @@
     sampling period, used to scale residency to execution counts.
     Raises [Invalid_argument] when [binary] has no address map. *)
 val synthesize :
-  ?period:int ->
+  period:int ->
   samples:Perfmon.Sampler.profile ->
   program:Ir.Program.t ->
   binary:Linker.Binary.t ->
-  unit ->
   Perfmon.Lbr.profile

@@ -69,6 +69,49 @@ let baseline_build ~env ~program ~name =
     ~codegen_options:{ Codegen.default_options with emit_bb_addr_map = false; pgo_layout = true }
     ~link_options:Linker.Link.default_options
 
+(* Phase 3's collection: run [binary]'s image once under the load test
+   and drain each tape into the profiler and, when prefetching, PEBS.
+   Under the Lbr source the hardware branch records drive the layout
+   directly; under Sampled a software stack sampler observes the same
+   run and its flat profile is synthesized into LBR shape (Autofdo). *)
+let profile ~ctx (config : config) program binary =
+  let lbr_profile = Perfmon.Lbr.create_profile () in
+  let sampled = Perfmon.Sampler.create_profile () in
+  let pebs_profile = Perfmon.Pebs.create_profile () in
+  (* The profiler and PEBS drain each tape in turn. They read disjoint
+     event kinds and keep disjoint state, so sequential drains see
+     exactly what one consumer of both would. *)
+  let drain =
+    let pebs_c =
+      if config.prefetch then Some (Perfmon.Pebs.collector_state config.pebs pebs_profile)
+      else None
+    in
+    let drain_pebs tape =
+      match pebs_c with Some c -> Perfmon.Pebs.consume c tape | None -> ()
+    in
+    match config.profile_source with
+    | Perfmon.Source.Lbr ->
+      let c = Perfmon.Lbr.collector_state config.lbr lbr_profile in
+      fun tape ->
+        Perfmon.Lbr.consume c tape;
+        drain_pebs tape
+    | Perfmon.Source.Sampled ->
+      let c = Perfmon.Sampler.collector_state config.sampler sampled in
+      fun tape ->
+        Perfmon.Sampler.consume c tape;
+        drain_pebs tape
+  in
+  let (_ : Exec.Interp.stats) =
+    Exec.Interp.run ~ctx (Exec.Image.build program binary) config.profile_run drain
+  in
+  match config.profile_source with
+  | Perfmon.Source.Lbr -> (lbr_profile, None, pebs_profile)
+  | Perfmon.Source.Sampled ->
+    let period = config.sampler.Perfmon.Sampler.period in
+    ( Wpa.resolve_profile ~binary (Wpa.Sampled { samples = sampled; program; period }),
+      Some sampled,
+      pebs_profile )
+
 (* The modelled load-test duration: production profiling runs for a
    fixed wall-clock window regardless of binary (Table 5 'Profile'). *)
 let profiling_window_seconds = 8.0 *. 60.0
@@ -102,61 +145,19 @@ let run_round ?(config = default_config) ~env ~program ~name ~round ~prev () =
       ];
     b
   in
-  (* Phase 3: profile the metadata binary under load. Under the Lbr
-     source the hardware branch records drive the layout directly; under
-     Sampled a software stack sampler observes the same run and its flat
-     profile is synthesized into LBR shape (Autofdo) before WPA. PEBS
-     miss samples drive prefetch insertion when enabled, either way. *)
+  (* Phase 3: profile the metadata binary under load. PEBS miss
+     samples drive prefetch insertion when enabled. *)
   let profile, samples, pebs_profile =
     Obs.Recorder.with_span rec_ "phase:profiling" @@ fun () ->
-    let image = Exec.Image.build program metadata_build.binary in
-    let lbr_profile = Perfmon.Lbr.create_profile () in
-    let sampled = Perfmon.Sampler.create_profile () in
-    let pebs_profile = Perfmon.Pebs.create_profile () in
-    (* The profiler and PEBS drain each tape in turn. They read
-       disjoint event kinds and keep disjoint state, so sequential
-       drains see exactly what one consumer of both would. *)
-    let drain =
-      let pebs_c =
-        if config.prefetch then Some (Perfmon.Pebs.collector_state config.pebs pebs_profile)
-        else None
-      in
-      let drain_pebs tape =
-        match pebs_c with Some c -> Perfmon.Pebs.consume c tape | None -> ()
-      in
-      match config.profile_source with
-      | Perfmon.Source.Lbr ->
-        let c = Perfmon.Lbr.collector_state config.lbr lbr_profile in
-        fun tape ->
-          Perfmon.Lbr.consume c tape;
-          drain_pebs tape
-      | Perfmon.Source.Sampled ->
-        let c = Perfmon.Sampler.collector_state config.sampler sampled in
-        fun tape ->
-          Perfmon.Sampler.consume c tape;
-          drain_pebs tape
-    in
-    let (_ : Exec.Interp.stats) =
-      Exec.Interp.run ~ctx:env.Buildsys.Driver.ctx image config.profile_run drain
+    let profile, samples, pebs_profile =
+      profile ~ctx:env.Buildsys.Driver.ctx config program metadata_build.binary
     in
     Obs.Recorder.advance rec_ profiling_window_seconds;
-    let profile, samples =
-      match config.profile_source with
-      | Perfmon.Source.Lbr -> (lbr_profile, None)
-      | Perfmon.Source.Sampled ->
-        Obs.Recorder.add_counter rec_ "pipeline.profile.sw_samples"
-          sampled.Perfmon.Sampler.num_samples;
-        Obs.Recorder.add_counter rec_ "pipeline.profile.sw_frames"
-          sampled.Perfmon.Sampler.num_frames;
-        ( Wpa.resolve_profile ~binary:metadata_build.binary
-            (Wpa.Sampled
-               {
-                 samples = sampled;
-                 program;
-                 period = config.sampler.Perfmon.Sampler.period;
-               }),
-          Some sampled )
-    in
+    Option.iter
+      (fun (s : Perfmon.Sampler.profile) ->
+        Obs.Recorder.add_counter rec_ "pipeline.profile.sw_samples" s.num_samples;
+        Obs.Recorder.add_counter rec_ "pipeline.profile.sw_frames" s.num_frames)
+      samples;
     Obs.Recorder.add_counter rec_ "pipeline.profile.lbr_samples"
       profile.Perfmon.Lbr.num_samples;
     Obs.Recorder.add_counter rec_ "pipeline.profile.lbr_records"

@@ -28,6 +28,22 @@ val default_config : config
     production does. *)
 val config_of_spec : Progen.Spec.t -> config
 
+(** [profile ~ctx config program binary] is Phase 3's collection: one
+    run of [binary]'s image under [config.profile_run], drained into
+    the [config.profile_source] collector and, when [config.prefetch],
+    PEBS. It returns the LBR-shaped profile WPA consumes (the raw
+    records under [Lbr], their {!Autofdo} synthesis under [Sampled]),
+    the raw software samples under [Sampled], and the PEBS profile
+    (empty unless prefetching). [binary] must carry a BB address map
+    under [Sampled]. The phase span, its counters and the modelled
+    load-test time are {!run}'s, not this function's. *)
+val profile :
+  ctx:Support.Ctx.t ->
+  config ->
+  Ir.Program.t ->
+  Linker.Binary.t ->
+  Perfmon.Lbr.profile * Perfmon.Sampler.profile option * Perfmon.Pebs.profile
+
 type phase_times = {
   metadata_build_s : float;  (** Phase 2: distributed codegen + link. *)
   profiling_s : float;  (** Load test (modelled, §5.6). *)

@@ -40,7 +40,7 @@ type profile_input =
 let resolve_profile ~binary = function
   | Lbr p -> p
   | Sampled { samples; program; period } ->
-    Autofdo.synthesize ~period ~samples ~program ~binary ()
+    Autofdo.synthesize ~period ~samples ~program ~binary
 
 type result = {
   plans : Codegen.Directive.t;

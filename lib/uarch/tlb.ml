@@ -7,7 +7,7 @@ let skylake = { entries_4k = 128; ways_4k = 8; entries_2m = 8 }
    set. *)
 type t = { cache : Cache.t; page_bits : int }
 
-let create ?(page_scale_bits = 0) p ~hugepages =
+let create ~page_scale_bits p ~hugepages =
   if p.ways_4k < 1 || p.entries_4k mod p.ways_4k <> 0 || p.entries_2m < 1 then
     invalid_arg
       (Printf.sprintf "Tlb.create: entries_4k=%d ways_4k=%d entries_2m=%d" p.entries_4k p.ways_4k

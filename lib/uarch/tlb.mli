@@ -13,7 +13,7 @@ val skylake : params
 
 type t
 
-(** [create ?page_scale_bits p ~hugepages] builds the TLB.
+(** [create ~page_scale_bits p ~hugepages] builds the TLB.
     [page_scale_bits] shrinks page sizes by 2^bits — the
     pressure-preserving counterpart to generating programs at reduced
     scale (a 1/64-scale program with 1/64-reach pages sees the paper's
@@ -21,7 +21,7 @@ type t
     >= 16 KiB (2M side). Raises [Invalid_argument] unless [ways_4k]
     and [entries_2m] are at least 1 and [entries_4k] is a multiple of
     [ways_4k], or when {!Cache.create} rejects the side it builds. *)
-val create : ?page_scale_bits:int -> params -> hugepages:bool -> t
+val create : page_scale_bits:int -> params -> hugepages:bool -> t
 
 (** [access t addr] returns [true] on hit. *)
 val access : t -> int -> bool

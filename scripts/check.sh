@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repo health check: hygiene, the export scan, build, the tier-1 suite (the CLI cram
-# tests under test/ included), one observability smoke run of the
-# propeller tool, the bench regression gate on simulated metrics, and
+# Repo health check: hygiene, the export scan, build, the tier-1 suite (the cram
+# tests test/cli.t and examples/quickstart.t included), one observability smoke
+# run of the propeller tool, the bench regression gate on simulated metrics, and
 # the relinkbench smokes (cold relinks at --jobs 1 and 2, warm relinks,
 # simulated batches),
 # which check golden digests and gate speed. Run from the repository

@@ -105,7 +105,7 @@ let bolt_digests name =
     (fun (label, options) ->
       let r =
         Boltsim.Driver.optimize ~ctx:(ctx ()) ~options ~profile ~binary:bm.binary ~is_asm
-          ~hazards:Boltsim.Driver.no_hazards ~name:spec.name ()
+          ~hazards:Progen.Spec.no_hazards ~name:spec.name ()
       in
       Printf.sprintf "%s %s %s rewrote=%d skipped=%d" name label
         (Support.Digesting.to_hex (Linker.Binary.image_digest r.binary))

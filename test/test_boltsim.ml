@@ -17,7 +17,7 @@ let fixture =
      in
      let bolt =
        Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm
-         ~hazards:Boltsim.Driver.no_hazards ~name:"bolted" ()
+         ~hazards:Progen.Spec.no_hazards ~name:"bolted" ()
      in
      (spec, program, bm, profile, bolt))
 
@@ -79,7 +79,7 @@ let test_asm_functions_skipped () =
   let bolt =
     Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary
       ~is_asm:(fun _ -> true)
-      ~hazards:Boltsim.Driver.no_hazards ~name:"allasm" ()
+      ~hazards:Progen.Spec.no_hazards ~name:"allasm" ()
   in
   check ti "nothing rewritten" 0 bolt.rewritten_funcs;
   check tb "all hot funcs skipped" true (bolt.skipped_funcs > 0);
@@ -89,13 +89,13 @@ let test_hazards_crash () =
   let _, _, bm, profile, _ = Lazy.force fixture in
   let bolt =
     Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
-      ~hazards:{ Boltsim.Driver.rseq = true; fips_check = false }
+      ~hazards:{ Progen.Spec.no_hazards with has_rseq = true }
       ~name:"rseq" ()
   in
   check tb "rseq binary fails startup" false bolt.startup_ok;
   let bolt2 =
     Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm:(fun _ -> false)
-      ~hazards:{ Boltsim.Driver.rseq = false; fips_check = true }
+      ~hazards:{ Progen.Spec.no_hazards with has_fips_check = true }
       ~name:"fips" ()
   in
   check tb "fips binary fails startup" false bolt2.startup_ok
@@ -104,7 +104,7 @@ let test_lite_lowers_memory () =
   let _, _, bm, profile, _ = Lazy.force fixture in
   let run options =
     Boltsim.Driver.optimize ~ctx:(ctx ()) ~options ~profile ~binary:bm.binary
-      ~is_asm:(fun _ -> false) ~hazards:Boltsim.Driver.no_hazards ~name:"m" ()
+      ~is_asm:(fun _ -> false) ~hazards:Progen.Spec.no_hazards ~name:"m" ()
   in
   let lite = run Boltsim.Driver.fast_options in
   let full = run Boltsim.Driver.perf_options in
@@ -117,7 +117,7 @@ let test_rewrite_links_on_callers_recorder () =
   let recorder = Obs.Recorder.create () in
   let (_ : Boltsim.Driver.result) =
     Boltsim.Driver.optimize ~ctx:(ctx ~recorder ()) ~profile ~binary:bm.binary
-      ~is_asm:(fun _ -> false) ~hazards:Boltsim.Driver.no_hazards ~name:"scoped" ()
+      ~is_asm:(fun _ -> false) ~hazards:Progen.Spec.no_hazards ~name:"scoped" ()
   in
   check ti "the rewrite's link" 1 (recorder_counter recorder "linker.links")
 

@@ -779,12 +779,16 @@ let test_policy_unknown_rejected () =
     check tb "error names the registry" true
       (String.length msg > 0 && String.exists (fun c -> c = 'e') msg)
 
+(* The sampling period of the default sampler, which every sampled
+   profile here is collected with. *)
+let period = Perfmon.Sampler.default_config.Perfmon.Sampler.period
+
 let test_autofdo_synthesis_sane () =
   let _, program, run = Lazy.force sampled_fixture in
   let r = run () in
   let binary = r.Propeller.Pipeline.metadata_build.Buildsys.Driver.binary in
   let samples = Option.get r.samples in
-  let p = Propeller.Autofdo.synthesize ~samples ~program ~binary () in
+  let p = Propeller.Autofdo.synthesize ~period ~samples ~program ~binary in
   (* num_records equals the total emitted weight mass. *)
   let mass =
     Support.Itab.fold (fun _ w acc -> acc + w) p.Perfmon.Lbr.branches 0
@@ -825,7 +829,7 @@ let test_autofdo_pinned () =
       (fun (what, program, requests) ->
         let binary, _, samples = profiled_metadata_build ~requests program in
         Printf.sprintf "%s %s" what
-          (profile_digest (Propeller.Autofdo.synthesize ~samples ~program ~binary ())))
+          (profile_digest (Propeller.Autofdo.synthesize ~period ~samples ~program ~binary)))
       [
         ("relink 0", relink_family_program 0, requests);
         ("relink 1", relink_family_program 1, requests);
@@ -849,7 +853,7 @@ let test_autofdo_requires_metadata () =
   Alcotest.check_raises "synthesize rejects map-less binary"
     (Invalid_argument "Autofdo.synthesize: binary has no .llvm_bb_addr_map")
     (fun () ->
-      ignore (Propeller.Autofdo.synthesize ~samples ~program ~binary:base.binary ()))
+      ignore (Propeller.Autofdo.synthesize ~period ~samples ~program ~binary:base.binary))
 
 let test_wpa_resource_model () =
   let _, _, _, result = Lazy.force (fixture) in

@@ -60,7 +60,9 @@ let test_bad_geometries_rejected () =
   rejects "cache sets=3" (cache 3 4 64);
   rejects "cache line_bytes=48" (cache 4 4 48);
   rejects "cache line_bytes=0" (cache 4 4 0);
-  let tlb p ~hugepages () = ignore (Uarch.Tlb.create p ~hugepages : Uarch.Tlb.t) in
+  let tlb p ~hugepages () =
+    ignore (Uarch.Tlb.create ~page_scale_bits:0 p ~hugepages : Uarch.Tlb.t)
+  in
   rejects "tlb entries_2m=0" (tlb { Uarch.Tlb.skylake with entries_2m = 0 } ~hugepages:true);
   rejects "tlb ways_4k=0" (tlb { Uarch.Tlb.skylake with ways_4k = 0 } ~hugepages:false);
   rejects "tlb entries_4k=100" (tlb { Uarch.Tlb.skylake with entries_4k = 100 } ~hugepages:false);
@@ -85,7 +87,7 @@ let test_bad_geometries_rejected () =
 (* --- TLB ---------------------------------------------------------- *)
 
 let test_tlb_4k () =
-  let t = Uarch.Tlb.create Uarch.Tlb.skylake ~hugepages:false in
+  let t = Uarch.Tlb.create ~page_scale_bits:0 Uarch.Tlb.skylake ~hugepages:false in
   check tb "cold miss" false (Uarch.Tlb.access t 0x400000);
   check tb "same page hit" true (Uarch.Tlb.access t 0x400fff);
   check tb "next page miss" false (Uarch.Tlb.access t 0x401000)
@@ -105,8 +107,9 @@ let test_tlb_2m_reach () =
     done;
     !misses
   in
-  let small_pages = sweep (Uarch.Tlb.create Uarch.Tlb.skylake ~hugepages:false) in
-  let huge_pages = sweep (Uarch.Tlb.create Uarch.Tlb.skylake ~hugepages:true) in
+  let tlb ~hugepages = Uarch.Tlb.create ~page_scale_bits:0 Uarch.Tlb.skylake ~hugepages in
+  let small_pages = sweep (tlb ~hugepages:false) in
+  let huge_pages = sweep (tlb ~hugepages:true) in
   check tb "hugepages dramatically fewer misses" true (huge_pages * 10 < small_pages)
 
 let test_tlb_page_scaling () =
@@ -124,10 +127,9 @@ let test_tlb_page_scaling () =
     done;
     !misses
   in
-  let normal = sweep (Uarch.Tlb.create Uarch.Tlb.skylake ~hugepages:false) in
-  let scaled =
-    sweep (Uarch.Tlb.create ~page_scale_bits:4 Uarch.Tlb.skylake ~hugepages:false)
-  in
+  let tlb page_scale_bits = Uarch.Tlb.create ~page_scale_bits Uarch.Tlb.skylake ~hugepages:false in
+  let normal = sweep (tlb 0) in
+  let scaled = sweep (tlb 4) in
   check tb "scaled pages raise pressure" true (scaled > 2 * normal)
 
 (* --- BTB ---------------------------------------------------------- *)
