@@ -19,11 +19,6 @@ type t = {
 let interp_config (spec : Progen.Spec.t) =
   { Exec.Interp.default_config with requests = spec.requests }
 
-let is_asm program f =
-  match Ir.Program.find_func program f with
-  | Some fn -> fn.Ir.Func.attrs.has_inline_asm
-  | None -> false
-
 let build ctx spec =
   (* Phase 1 includes ThinLTO-style cross-unit inlining — the transform
      that makes instrumented profiles stale (paper 2.2). *)
@@ -45,7 +40,8 @@ let build ctx spec =
      methodology); PM and BM binaries share their text layout. *)
   let bolt =
     Boltsim.Driver.optimize ~ctx ~profile:prop.profile ~binary:bm.binary
-      ~is_asm:(is_asm program) ~hazards:spec.hazards ~name:spec.Progen.Spec.name ()
+      ~is_asm:(Ir.Program.has_inline_asm program)
+      ~hazards:spec.hazards ~name:spec.Progen.Spec.name ()
   in
   { spec; program; env; base; prop; bm; bolt; measured = [] }
 

@@ -201,14 +201,10 @@ let bolt benchmark requests lite =
   let profile, _, _ =
     Propeller.Pipeline.profile ~ctx (Propeller.Pipeline.config_of_spec spec) program bm.binary
   in
-  let is_asm f =
-    match Ir.Program.find_func program f with
-    | Some fn -> fn.Ir.Func.attrs.has_inline_asm
-    | None -> false
-  in
   let options = if lite then Boltsim.Driver.fast_options else Boltsim.Driver.perf_options in
   let r =
-    Boltsim.Driver.optimize ~options ~ctx ~profile ~binary:bm.binary ~is_asm
+    Boltsim.Driver.optimize ~options ~ctx ~profile ~binary:bm.binary
+      ~is_asm:(Ir.Program.has_inline_asm program)
       ~hazards:spec.hazards ~name:spec.name ()
   in
   Printf.printf "perf2bolt: %.1fs, peak %.2f GB (modelled)\n" r.conversion_seconds

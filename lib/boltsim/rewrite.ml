@@ -161,8 +161,8 @@ let rewrite ~ctx ~(binary : Linker.Binary.t) ~plans ~func_order ~peephole ~name 
     Linker.Binary.make ~name:linked.name ~entry_symbol:linked.entry_symbol
       ~sections:(old_text :: linked.sections) ~symbols:linked.symbols ~blocks:linked.blocks
       ~first_branch:linked.first_branch ~branch_inst:linked.branch_inst
-      ~branch_dead:linked.branch_dead ~positions:linked.positions ~text_start:binary.text_start
-      ~text_end:linked.text_end ~bb_addr_map:[||]
+      ~branch_dead:linked.branch_dead ~func_ids:linked.func_ids ~positions:linked.positions
+      ~text_start:binary.text_start ~text_end:linked.text_end ~bb_addr_map:[||]
   in
   {
     binary = final;

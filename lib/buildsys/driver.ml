@@ -90,40 +90,74 @@ let func_digests_m = Mutex.create ()
 
 let func_digest f =
   Mutex.lock func_digests_m;
-  let cached = FuncMemo.find_opt func_digests f in
-  Mutex.unlock func_digests_m;
-  match cached with
-  | Some d -> d
-  | None ->
+  match FuncMemo.find func_digests f with
+  | d ->
+    Mutex.unlock func_digests_m;
+    d
+  | exception Not_found ->
+    Mutex.unlock func_digests_m;
     let d = func_digest_uncached f in
     Mutex.lock func_digests_m;
     FuncMemo.replace func_digests f d;
     Mutex.unlock func_digests_m;
     d
 
+(* The flags part of a unit key: the bytes of
+   [Printf.sprintf "unit=%s|rodata=%d|data=%d|bbmap=%b|pgo=%b|sites=%s"],
+   the sites being this unit's prefetch sites as [f#b], joined by
+   [;]. *)
+let rec feed_sites st (u : Ir.Cunit.t) ~first = function
+  | [] -> ()
+  | (f, b) :: rest ->
+    if Ir.Cunit.mem u f then begin
+      if not first then Support.Digesting.add_char st ';';
+      Support.Digesting.add_string st f;
+      Support.Digesting.add_char st '#';
+      Support.Digesting.add_int st b;
+      feed_sites st u ~first:false rest
+    end
+    else feed_sites st u ~first rest
+
+let feed_flags st (u : Ir.Cunit.t) (options : Codegen.options) =
+  let module D = Support.Digesting in
+  D.add_string st "unit=";
+  D.add_string st u.name;
+  D.add_string st "|rodata=";
+  D.add_int st u.rodata;
+  D.add_string st "|data=";
+  D.add_int st u.data;
+  D.add_string st "|bbmap=";
+  D.add_string st (string_of_bool options.emit_bb_addr_map);
+  D.add_string st "|pgo=";
+  D.add_string st (string_of_bool options.pgo_layout);
+  D.add_string st "|sites=";
+  feed_sites st u ~first:true options.prefetch_sites
+
+(* The plans part: the text of the plans naming this unit's
+   functions. *)
+let rec feed_plans st (u : Ir.Cunit.t) = function
+  | [] -> ()
+  | (p : Codegen.Directive.func_plan) :: rest ->
+    if Ir.Cunit.mem u p.func then Codegen.Directive.feed st p;
+    feed_plans st u rest
+
+(* The key digests the hex of each of its parts in turn: the tool, each
+   function, the flags and the plans. Only directives and prefetch
+   sites naming this unit's functions enter it: a plan for a foreign
+   unit must not invalidate it. The parts stream into their digests,
+   so a key builds no string. *)
 let unit_action_key (u : Ir.Cunit.t) (options : Codegen.options) =
-  (* Only directives and prefetch sites naming this unit's functions
-     enter the key: a plan for a foreign unit must not invalidate it. *)
-  let plans =
-    List.filter
-      (fun (p : Codegen.Directive.func_plan) -> Ir.Cunit.mem u p.func)
-      options.plans
-  in
-  let sites =
-    List.filter (fun (f, _) -> Ir.Cunit.mem u f) options.prefetch_sites
-  in
-  let flags =
-    Printf.sprintf "unit=%s|rodata=%d|data=%d|bbmap=%b|pgo=%b|sites=%s"
-      u.name u.rodata u.data options.emit_bb_addr_map options.pgo_layout
-      (String.concat ";"
-         (List.map (fun (f, b) -> Printf.sprintf "%s#%d" f b) sites))
-  in
-  Support.Digesting.concat
-    ((tool_digest :: List.map func_digest u.funcs)
-    @ [
-        Support.Digesting.of_string flags;
-        Support.Digesting.of_string (Codegen.Directive.to_text plans);
-      ])
+  let module D = Support.Digesting in
+  let st = D.init () in
+  D.add_hex st tool_digest;
+  List.iter (fun f -> D.add_hex st (func_digest f)) u.funcs;
+  let part = D.init () in
+  feed_flags part u options;
+  D.add_hex st (D.finish part);
+  let part = D.init () in
+  feed_plans part u options.plans;
+  D.add_hex st (D.finish part);
+  D.finish st
 
 (* Per-unit outcome of the sequential cache pass. [Dup] marks a unit
    whose key is already being compiled for an earlier unit this build:

@@ -45,29 +45,49 @@ let validate ~num_blocks plan =
 
 let find t func = List.find_opt (fun p -> String.equal p.func func) t
 
-let kind_to_text = function Primary -> "primary" | Cold -> "cold" | Extra n -> string_of_int n
+(* Where a plan's text goes: a buffer for [to_text], a digest for
+   [feed], so that both write the same bytes. *)
+type sink = Text of Buffer.t | Digest of Support.Digesting.state
 
-(* Every unit key renders its unit's plans, and a metadata build's units
-   have none: those take no buffer. *)
-let to_text = function
-  | [] -> ""
-  | t ->
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun p ->
-        Buffer.add_char buf '!';
-        Buffer.add_string buf p.func;
-        Buffer.add_char buf '\n';
-        List.iter
-          (fun c ->
-            Buffer.add_string buf "!!";
-            Buffer.add_string buf (kind_to_text c.kind);
-            List.iter
-              (fun b ->
-                Buffer.add_char buf ' ';
-                Buffer.add_string buf (string_of_int b))
-              c.blocks;
-            Buffer.add_char buf '\n')
-          p.clusters)
-      t;
-    Buffer.contents buf
+let put_char sink c =
+  match sink with Text b -> Buffer.add_char b c | Digest st -> Support.Digesting.add_char st c
+
+let put_string sink s =
+  match sink with Text b -> Buffer.add_string b s | Digest st -> Support.Digesting.add_string st s
+
+let put_int sink n =
+  match sink with
+  | Text b -> Buffer.add_string b (string_of_int n)
+  | Digest st -> Support.Digesting.add_int st n
+
+let rec put_blocks sink = function
+  | [] -> ()
+  | b :: rest ->
+    put_char sink ' ';
+    put_int sink b;
+    put_blocks sink rest
+
+let rec put_clusters sink = function
+  | [] -> ()
+  | c :: rest ->
+    put_string sink "!!";
+    (match c.kind with
+    | Primary -> put_string sink "primary"
+    | Cold -> put_string sink "cold"
+    | Extra n -> put_int sink n);
+    put_blocks sink c.blocks;
+    put_char sink '\n';
+    put_clusters sink rest
+
+let put_plan sink p =
+  put_char sink '!';
+  put_string sink p.func;
+  put_char sink '\n';
+  put_clusters sink p.clusters
+
+let feed st p = put_plan (Digest st) p
+
+let to_text t =
+  let buf = Buffer.create 256 in
+  List.iter (put_plan (Text buf)) t;
+  Buffer.contents buf

@@ -32,3 +32,7 @@ val find : t -> string -> func_plan option
 (** Serialization in the spirit of the [cc_prof.txt] exchange format:
     ["!func"] introduces a function, ["!!kind 0 3 7"] one cluster. *)
 val to_text : t -> string
+
+(** [feed st p] feeds [st] the bytes [to_text [p]] renders, building no
+    string: a unit's action key digests its plans' text this way. *)
+val feed : Support.Digesting.state -> func_plan -> unit

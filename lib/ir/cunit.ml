@@ -10,4 +10,8 @@ let num_funcs u = List.length u.funcs
 
 let num_blocks u = List.fold_left (fun acc f -> acc + Func.num_blocks f) 0 u.funcs
 
-let mem u fname = List.exists (fun (f : Func.t) -> String.equal f.name fname) u.funcs
+let rec mem_funcs fname = function
+  | [] -> false
+  | (f : Func.t) :: rest -> String.equal f.name fname || mem_funcs fname rest
+
+let mem u fname = mem_funcs fname u.funcs

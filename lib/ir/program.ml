@@ -37,6 +37,9 @@ let units t = t.units
 
 let find_func t fname = Hashtbl.find_opt t.by_name fname
 
+let has_inline_asm t fname =
+  match Hashtbl.find_opt t.by_name fname with Some f -> f.attrs.has_inline_asm | None -> false
+
 let iter_funcs t f = List.iter (fun (u : Cunit.t) -> List.iter f u.funcs) t.units
 
 let fold_funcs t init f =

@@ -16,6 +16,11 @@ val units : t -> Cunit.t list
 (** [find_func t fname] resolves a function by name. *)
 val find_func : t -> string -> Func.t option
 
+(** [has_inline_asm t fname] is whether [fname] is a function of [t]
+    that carries inline assembly: a rewriter that disassembles must
+    skip it. *)
+val has_inline_asm : t -> string -> bool
+
 (** [iter_funcs t f] applies [f] to every function, in unit order. *)
 val iter_funcs : t -> (Func.t -> unit) -> unit
 

@@ -27,7 +27,8 @@ type t = {
   first_branch : int array;
   branch_inst : Isa.t array;
   branch_dead : Bytes.t;
-  positions : (string, int array) Hashtbl.t;
+  func_ids : (string, int) Hashtbl.t;
+  positions : int array array;
   text_start : int;
   text_end : int;
   bb_addr_map : map_range array;
@@ -39,11 +40,12 @@ type t = {
 and cell = index option Atomic.t
 
 let make ~name ~entry_symbol ~sections ~symbols ~blocks ~first_branch ~branch_inst ~branch_dead
-    ~positions ~text_start ~text_end ~bb_addr_map =
+    ~func_ids ~positions ~text_start ~text_end ~bb_addr_map =
   { name; entry_symbol; sections; symbols; blocks; first_branch; branch_inst; branch_dead;
-    positions; text_start; text_end; bb_addr_map; by_addr = Atomic.make None }
+    func_ids; positions; text_start; text_end; bb_addr_map; by_addr = Atomic.make None }
 
-let block_positions t func = Option.value ~default:[||] (Hashtbl.find_opt t.positions func)
+let block_positions t func =
+  match Hashtbl.find t.func_ids func with f -> t.positions.(f) | exception Not_found -> [||]
 
 let block_info t ~func ~block =
   let pos = block_positions t func in

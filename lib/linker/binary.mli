@@ -76,10 +76,14 @@ type t = {
   branch_dead : Bytes.t;
       (** Per branch: ['\001'] when relaxation deleted it, else
           ['\000']. *)
-  positions : (string, int array) Hashtbl.t;
-      (** Function -> its blocks' positions in [blocks], indexed by
-          block id; [-1] marks an id with no placed block. Read it
-          through {!block_positions}. *)
+  func_ids : (string, int) Hashtbl.t;
+      (** Function -> its number in this binary: the link numbers each
+          function once, the first time it meets one of its sections. *)
+  positions : int array array;
+      (** Per function number: its blocks' positions in [blocks],
+          indexed by block id and as long as its largest id plus one;
+          [-1] marks an id with no placed block. Read it through
+          {!block_positions}. *)
   text_start : int;
   text_end : int;
   bb_addr_map : map_range array;
@@ -101,15 +105,17 @@ val make :
   first_branch:int array ->
   branch_inst:Isa.t array ->
   branch_dead:Bytes.t ->
-  positions:(string, int array) Hashtbl.t ->
+  func_ids:(string, int) Hashtbl.t ->
+  positions:int array array ->
   text_start:int ->
   text_end:int ->
   bb_addr_map:map_range array ->
   t
 
 (** [block_positions t f] is [f]'s entry in [t.positions]: block id ->
-    position in [t.blocks], or [-1]; empty when [f] has no placed
-    block. Read it once to look up many blocks of one function. *)
+    position in [t.blocks], or [-1]; an id past its end has no placed
+    block either, and it is empty when [f] has none. Read it once to
+    look up many blocks of one function. *)
 val block_positions : t -> string -> int array
 
 (** [block_info t ~func ~block] looks a placed block up through

@@ -97,7 +97,15 @@ let to_hex d =
   put 16 d.lo;
   Bytes.unsafe_to_string b
 
-let concat ds =
-  let st = init () in
-  List.iter (fun d -> add_string st (to_hex d)) ds;
-  finish st
+(* Feeds the eight hex digits of the low 32 bits of [v], most
+   significant first. *)
+let add_hex32 st v =
+  for i = 7 downto 0 do
+    add_char st (String.unsafe_get hex_digits ((v lsr (i * 4)) land 0xF))
+  done
+
+let add_hex st d =
+  add_hex32 st (Int64.to_int (Int64.shift_right_logical d.hi 32) land mask32);
+  add_hex32 st (Int64.to_int d.hi land mask32);
+  add_hex32 st (Int64.to_int (Int64.shift_right_logical d.lo 32) land mask32);
+  add_hex32 st (Int64.to_int d.lo land mask32)

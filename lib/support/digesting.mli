@@ -20,10 +20,6 @@ val to_hex : t -> string
 (** [of_string s] digests the full contents of [s]. *)
 val of_string : string -> t
 
-(** [concat ds] digests the concatenated {!to_hex} of [ds]; used for
-    action keys built from (tool id, input digests, flags). *)
-val concat : t list -> t
-
 (** A digest in progress, owned by one domain. *)
 type state
 
@@ -41,6 +37,10 @@ val add_int64_le : state -> int64 -> unit
 
 (** The bytes of [Printf.sprintf "%.2f" x], exactly. *)
 val add_fixed2 : state -> float -> unit
+
+(** The 32 bytes of [to_hex d]: an action key digests the hex of its
+    input digests (tool id, functions, flags) this way. *)
+val add_hex : state -> t -> unit
 
 (** [finish st] digests every byte fed to [st], leaving [st] as it is. *)
 val finish : state -> t

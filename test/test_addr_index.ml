@@ -96,15 +96,11 @@ let bolt_digests name =
       ~link_options:{ Linker.Link.default_options with emit_relocs = true }
   in
   let _, profile = run_with_profile ~requests:spec.requests program bm.binary in
-  let is_asm f =
-    match Ir.Program.find_func program f with
-    | Some fn -> fn.Ir.Func.attrs.has_inline_asm
-    | None -> false
-  in
   List.map
     (fun (label, options) ->
       let r =
-        Boltsim.Driver.optimize ~ctx:(ctx ()) ~options ~profile ~binary:bm.binary ~is_asm
+        Boltsim.Driver.optimize ~ctx:(ctx ()) ~options ~profile ~binary:bm.binary
+          ~is_asm:(Ir.Program.has_inline_asm program)
           ~hazards:Progen.Spec.no_hazards ~name:spec.name ()
       in
       Printf.sprintf "%s %s %s rewrote=%d skipped=%d" name label

@@ -10,13 +10,9 @@ let fixture =
          ~link_options:{ Linker.Link.default_options with emit_relocs = true }
      in
      let _, profile = run_with_profile ~requests:spec.requests program bm.binary in
-     let is_asm f =
-       match Ir.Program.find_func program f with
-       | Some fn -> fn.Ir.Func.attrs.has_inline_asm
-       | None -> false
-     in
      let bolt =
-       Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary ~is_asm
+       Boltsim.Driver.optimize ~ctx:(ctx ()) ~profile ~binary:bm.binary
+         ~is_asm:(Ir.Program.has_inline_asm program)
          ~hazards:Progen.Spec.no_hazards ~name:"bolted" ()
      in
      (spec, program, bm, profile, bolt))

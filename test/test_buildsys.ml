@@ -199,14 +199,14 @@ let test_action_key_tracks_pgo_probs () =
   check tb "cached build = fresh build" true
     (Support.Digesting.equal (image cached) (image fresh))
 
-(* The hex of [concat] over every unit action key of [program], in
-   unit order. *)
+(* The digest of the joined hex of every unit action key of
+   [program], in unit order. *)
 let unit_keys_hex program options =
-  Support.Digesting.to_hex
-    (Support.Digesting.concat
-       (List.map
-          (fun u -> Buildsys.Driver.unit_action_key u options)
-          (Ir.Program.units program)))
+  let st = Support.Digesting.init () in
+  List.iter
+    (fun u -> Support.Digesting.add_hex st (Buildsys.Driver.unit_action_key u options))
+    (Ir.Program.units program);
+  Support.Digesting.to_hex (Support.Digesting.finish st)
 
 (* Cached objects are found by these keys, and fault-plan decisions
    read their hex, so a change to how keys are built must leave every
@@ -223,6 +223,87 @@ let test_pinned_unit_keys () =
   let opt, _ = Propeller.Pipeline.optimize_options ~hugepages:Progen.Suite.clang.hugepages r.wpa in
   check ts "optimize keys of relink 0" "04963ad7409860835d3b9d1c73e295f9"
     (unit_keys_hex (relink_family_program 0) opt)
+
+(* Unit keys as they were built before their parts were streamed:
+   [Printf] flags, the plans' text, and each part's hex joined into one
+   string. Only the function digests are shared. *)
+let unit_action_key_ref (u : Ir.Cunit.t) (options : Codegen.options) =
+  let module D = Support.Digesting in
+  let plans =
+    List.filter (fun (p : Codegen.Directive.func_plan) -> Ir.Cunit.mem u p.func) options.plans
+  in
+  let sites = List.filter (fun (f, _) -> Ir.Cunit.mem u f) options.prefetch_sites in
+  let flags =
+    Printf.sprintf "unit=%s|rodata=%d|data=%d|bbmap=%b|pgo=%b|sites=%s" u.name u.rodata u.data
+      options.emit_bb_addr_map options.pgo_layout
+      (String.concat ";" (List.map (fun (f, b) -> Printf.sprintf "%s#%d" f b) sites))
+  in
+  D.of_string
+    (String.concat ""
+       (List.map D.to_hex
+          ((D.of_string "propeller-backend-v1"
+           :: List.map Buildsys.Driver.func_digest_uncached u.funcs)
+          @ [ D.of_string flags; D.of_string (Codegen.Directive.to_text plans) ])))
+
+let relink0_options () =
+  let meta, _ = Propeller.Pipeline.metadata_options in
+  let _, r = Lazy.force relink0_run in
+  let opt, _ = Propeller.Pipeline.optimize_options ~hugepages:Progen.Suite.clang.hugepages r.wpa in
+  (meta, opt)
+
+(* Every unit of relink programs 0-3 keys as the string-built reference
+   does: under the metadata options, the optimize options of program
+   0's pipeline run, and those with a prefetch site in every third
+   function (two in every sixth). *)
+let test_unit_keys_reference () =
+  let meta, opt = relink0_options () in
+  List.iter
+    (fun k ->
+      let program = relink_family_program k in
+      let sites =
+        List.concat
+          (List.mapi
+             (fun i (f : Ir.Func.t) ->
+               if i mod 6 = 0 then [ (f.name, 0); (f.name, 17) ]
+               else if i mod 3 = 0 then [ (f.name, i) ]
+               else [])
+             (Ir.Program.fold_funcs program [] (fun acc f -> f :: acc)))
+      in
+      List.iter
+        (fun (label, options) ->
+          List.iter
+            (fun (u : Ir.Cunit.t) ->
+              check ts
+                (Printf.sprintf "relink %d %s %s" k label u.name)
+                (Support.Digesting.to_hex (unit_action_key_ref u options))
+                (Support.Digesting.to_hex (Buildsys.Driver.unit_action_key u options)))
+            (Ir.Program.units program))
+        [
+          ("metadata", meta);
+          ("optimize", opt);
+          ("prefetch", { opt with Codegen.prefetch_sites = sites });
+        ])
+    [ 0; 1; 2; 3 ]
+
+(* Relink program 0's unit keys under each option set, once every
+   function digest is memoized, as a warm relink's two builds compute
+   them: the parts stream into their digests and build no string. *)
+let test_unit_keys_allocation () =
+  let meta, opt = relink0_options () in
+  let units = Ir.Program.units (relink_family_program 0) in
+  List.iter
+    (fun (label, options, bound) ->
+      let keys () =
+        List.iter
+          (fun u -> ignore (Buildsys.Driver.unit_action_key u options : Support.Digesting.t))
+          units
+      in
+      keys ();
+      let words = allocated_words keys in
+      if words > bound then Alcotest.failf "%s keys allocated %.0f words" label words)
+    (* Measured: 6 762 and 6 874 words. Printf flags, a hex string per
+       part and the plans' text took 34 598 and 59 880. *)
+    [ ("metadata", meta, 8_400.); ("optimize", opt, 8_500.) ]
 
 (* --- Streamed digests ---------------------------------------------- *)
 
@@ -508,6 +589,9 @@ let suite =
     Alcotest.test_case "driver: action key tracks PGO estimates" `Quick
       test_action_key_tracks_pgo_probs;
     Alcotest.test_case "driver: pinned unit keys of relink programs" `Quick test_pinned_unit_keys;
+    Alcotest.test_case "driver: unit keys = the string-built reference, relink programs 0-3" `Quick
+      test_unit_keys_reference;
+    Alcotest.test_case "driver: unit keys allocation bounded" `Quick test_unit_keys_allocation;
     Alcotest.test_case "driver: streamed function digest = printed IR + PGO bits" `Quick
       test_streamed_func_digest;
     Alcotest.test_case "driver: streamed object digest = joined string" `Quick

@@ -342,10 +342,11 @@ let test_image_missing_block_raises_at_build () =
   let program, binary = Lazy.force relink0_image in
   let last = Ir.Program.fold_funcs program None (fun _ f -> Some f) |> Option.get in
   let block = Ir.Func.num_blocks last - 1 in
-  let positions = Hashtbl.copy binary.positions in
-  let pos = Array.copy (Hashtbl.find positions last.name) in
+  let positions = Array.copy binary.positions in
+  let f = Hashtbl.find binary.func_ids last.name in
+  let pos = Array.copy positions.(f) in
   pos.(block) <- -1;
-  Hashtbl.replace positions last.name pos;
+  positions.(f) <- pos;
   match Exec.Image.build program { binary with positions } with
   | _ -> Alcotest.fail "expected a missing-block failure"
   | exception Invalid_argument msg ->

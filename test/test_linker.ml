@@ -192,6 +192,24 @@ let test_link_error_messages () =
          hand_object
            [ ("f", "f", [ (0, [ Isa.Call (Isa.Target.Block { func = "f"; block = 2 }) ]) ]) ];
        ]);
+  check ts "a defined block of another function" "linked"
+    (link_error
+       [
+         hand_object
+           [ ("f", "f", [ (0, [ jmp_to "g" 2 ]) ]); ("g", "g", [ (0, [ Isa.Ret ]); (2, [ Isa.Ret ]) ]) ];
+       ]);
+  check ts "an undefined block of a defined function" "unresolved block target g#1"
+    (link_error
+       [
+         hand_object
+           [ ("f", "f", [ (0, [ jmp_to "g" 1 ]) ]); ("g", "g", [ (0, [ Isa.Ret ]); (2, [ Isa.Ret ]) ]) ];
+       ]);
+  check ts "a block past a defined function's last" "unresolved block target g#3"
+    (link_error
+       [
+         hand_object
+           [ ("f", "f", [ (0, [ jmp_to "g" 3 ]) ]); ("g", "g", [ (0, [ Isa.Ret ]); (2, [ Isa.Ret ]) ]) ];
+       ]);
   (* Every block is registered before any target resolves, so a
      duplicate block in a later section is reported first. *)
   check ts "duplicates before targets" "block f#0 defined twice"
@@ -513,9 +531,45 @@ let test_warm_link_allocation () =
   in
   link ();
   let words = allocated_words link in
-  (* Measured: 253 182 words, where copying every relaxed block's
-     instructions and allocating fresh arrays each link took 562 818. *)
-  if words > 320_000. then Alcotest.failf "a warm link allocated %.0f words" words
+  (* Measured: 152 816 words. Copying every relaxed block's instructions
+     and allocating fresh arrays each link took 562 818; string-keyed
+     symbol and position tables, position arrays grown by doubling and
+     a record per gathered section took 253 183. *)
+  if words > 190_000. then Alcotest.failf "a warm link allocated %.0f words" words
+
+(* Every function's block positions, under the metadata and the
+   optimize options of a pipeline run of relink programs 0-3, as the
+   link resolved them before it numbered functions ([Ref_link]); an
+   index past an array's end reads as [-1]. *)
+let test_positions_reference () =
+  let at pos b = if b < Array.length pos then pos.(b) else -1 in
+  List.iter
+    (fun k ->
+      let program = relink_family_program k in
+      let env = Buildsys.Driver.make_env ~ctx:(ctx ()) () in
+      let r = Propeller.Pipeline.run ~config:relink_config ~env ~program ~name:"ref" () in
+      let _, ld_meta = Propeller.Pipeline.metadata_options in
+      let _, ld_opt =
+        Propeller.Pipeline.optimize_options ~hugepages:relink_config.hugepages r.wpa
+      in
+      List.iter
+        (fun (label, ld, (build : Buildsys.Driver.result)) ->
+          let expected = Ref_link.positions ld build.objs in
+          let binary = build.binary in
+          check ti
+            (Printf.sprintf "relink %d %s: functions" k label)
+            (Hashtbl.length expected) (Hashtbl.length binary.func_ids);
+          Hashtbl.iter
+            (fun func ref_pos ->
+              let pos = Linker.Binary.block_positions binary func in
+              for b = 0 to max (Array.length ref_pos) (Array.length pos) - 1 do
+                if at ref_pos b <> at pos b then
+                  Alcotest.failf "relink %d %s: %s#%d at %d, reference %d" k label func b
+                    (at pos b) (at ref_pos b)
+              done)
+            expected)
+        [ ("metadata", ld_meta, r.metadata_build); ("optimized", ld_opt, r.optimized_build) ])
+    [ 0; 1; 2; 3 ]
 
 let suite =
   [
@@ -545,4 +599,6 @@ let suite =
       test_pinned_final_insts;
     Alcotest.test_case "links carry no state" `Quick test_links_carry_no_state;
     Alcotest.test_case "warm link allocation bounded" `Quick test_warm_link_allocation;
+    Alcotest.test_case "block positions equal the reference on relink programs 0-3" `Quick
+      test_positions_reference;
   ]

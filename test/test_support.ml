@@ -128,10 +128,17 @@ let test_digest_distinct () =
   let b = Support.Digesting.of_string "hellp" in
   check tb "different content different digest" false (Support.Digesting.equal a b)
 
+(* Digests fed by their hex, as action keys are, in two orders. *)
 let test_digest_concat_order () =
-  let a = Support.Digesting.of_string "a" and b = Support.Digesting.of_string "b" in
-  check tb "order matters" false
-    (Support.Digesting.equal (Support.Digesting.concat [ a; b ]) (Support.Digesting.concat [ b; a ]))
+  let module D = Support.Digesting in
+  let a = D.of_string "a" and b = D.of_string "b" in
+  let joined x y =
+    let st = D.init () in
+    D.add_hex st x;
+    D.add_hex st y;
+    D.finish st
+  in
+  check tb "order matters" false (D.equal (joined a b) (joined b a))
 
 (* Int64 reference for the FNV-1a streams in Support.Digesting. The
    production streams advance together in one unboxed state (an
@@ -195,9 +202,16 @@ let test_digest_writers () =
       check ts (Int64.to_string v) (string_hex (Buffer.contents b))
         (streamed_hex (fun st -> D.add_int64_le st v)))
     [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x0102030405060708L; Int64.bits_of_float 0.3 ];
+  List.iter
+    (fun s ->
+      let d = D.of_string s in
+      check ts ("hex of " ^ s) (string_hex (D.to_hex d)) (streamed_hex (fun st -> D.add_hex st d)))
+    [ ""; "a"; "b"; "propeller-backend-v1" ];
   let a = D.of_string "a" and b = D.of_string "b" in
-  check ts "concat digests the joined hex" (string_hex (D.to_hex a ^ D.to_hex b))
-    (D.to_hex (D.concat [ a; b ]))
+  check ts "joined hex" (string_hex (D.to_hex a ^ D.to_hex b))
+    (streamed_hex (fun st ->
+         D.add_hex st a;
+         D.add_hex st b))
 
 (* Feeding [s] in arbitrary pieces, single bytes through [add_char],
    digests like [of_string s]; [finish] leaves the state as it was. *)
